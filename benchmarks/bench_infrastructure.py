@@ -33,13 +33,12 @@ def perf():
         print(f"\n[perf record written to {recorder.write(BENCH_JSON)}]")
 
 
-def _engine_run(scheme, scheduling="dynamic", backend="sequential", mem_domains=1):
+def _engine_run(scheme, mem_domains=1):
     return run_simulation(
         None,
         trace_cores=sharing_workload(4, 20, seed=1),
         host=HostConfig(num_cores=4),
-        sim=SimConfig(scheme=scheme, seed=1, scheduling=scheduling,
-                      backend=backend, mem_domains=mem_domains),
+        sim=SimConfig(scheme=scheme, seed=1, mem_domains=mem_domains),
         target=TargetConfig(num_cores=4, core_model="trace"),
     )
 
@@ -72,39 +71,19 @@ def test_engine_cycle_rate_cc(benchmark, perf):
     )
 
 
-def test_engine_cycle_rate_cc_static(benchmark, perf):
-    """cc under static bulk-synchronous window scheduling (DESIGN.md §9).
-
-    Same simulation as ``test_engine_cycle_rate_cc`` with per-turn manager
-    dispatch hoisted to window edges; the pinned ``stats_digest`` in
-    BASELINES.json is byte-identical to the dynamic cc pin — the speedup is
-    pure host-side scheduling.
-    """
-    result = benchmark(lambda: _engine_run("cc", scheduling="static"))
-    assert result.completed
-    assert result.stats["engine.scheduling"] == "static"
-    perf.record(
-        "engine_cycle_rate_cc_static",
-        seconds=benchmark.stats.stats.mean,
-        work=result.stats["target.execution_cycles"],
-        work_unit="cycles",
-        extra={"stats_digest": result.stats_sha256},
-    )
-
-
 def test_engine_cycle_rate_cc_domains(benchmark, perf):
-    """cc with the memory side sharded into 4 scheduling domains, serviced
-    by the threaded backend (DESIGN.md §10).
+    """cc with the memory side sharded into 4 scheduling domains
+    (DESIGN.md §10).
 
     Sharding floors every window at the exchange quantum (the critical
-    memory latency), so cc stops re-arming a window per bus grant and the
-    four domain shards service their batches on worker threads.  The pinned
-    ``stats_digest`` differs from the monolithic cc pin — flooring coarsens
-    the windows — but is seed-stable and backend-independent, which the CI
-    domain-matrix job cross-checks.  BASELINES.json pins this at >=1.5x the
-    monolithic cc cycle rate; the regression gate keeps it there.
+    memory latency), so cc stops re-arming a window per bus grant.  The
+    pinned ``stats_digest`` differs from the monolithic cc pin — flooring
+    coarsens the windows, so this is a different simulation, not a faster
+    one — but is seed-stable, which the CI domain-matrix job cross-checks.
+    BASELINES.json pins this at >=1.5x the monolithic cc cycle rate; the
+    regression gate keeps it there.
     """
-    result = benchmark(lambda: _engine_run("cc", backend="threaded", mem_domains=4))
+    result = benchmark(lambda: _engine_run("cc", mem_domains=4))
     assert result.completed
     assert result.stats["sim.mem_domains"] == 4
     perf.record(
@@ -130,13 +109,13 @@ def fft_trace(tmp_path_factory):
 
 
 def test_engine_cycle_rate_cc_replay(benchmark, perf, fft_trace):
-    """cc replayed from a captured trace, domains-threaded (DESIGN.md §11).
+    """cc replayed from a captured trace over 4 memory domains
+    (DESIGN.md §11).
 
-    The workhorse sweep configuration: the functional cores are not
-    re-executed (ReplayCore feeds the recorded committed stream through the
-    live engine/scheme/memory stack) and the memory side runs sharded on
-    worker threads.  The pinned ``stats_digest`` equals a direct fft run
-    under the identical scheme/backend config — replay is observationally
+    The functional cores are not re-executed (ReplayCore feeds the recorded
+    committed stream through the live engine/scheme/memory stack) and the
+    memory side runs sharded.  The pinned ``stats_digest`` equals a direct
+    fft run under the identical scheme/domain config — replay is observationally
     indistinguishable (tests/trace pins this per scheme family) — and
     BASELINES.json pins the cycle rate at >=3x the monolithic direct cc pin;
     the regression gate keeps it there.
@@ -148,7 +127,7 @@ def test_engine_cycle_rate_cc_replay(benchmark, perf, fft_trace):
             program,
             sim=SimConfig(
                 scheme="cc", seed=1, trace_mode="replay", trace_path=path,
-                backend="threaded", mem_domains=4,
+                mem_domains=4,
             ),
         )
 

@@ -77,10 +77,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         host_cores=args.host_cores,
         core_model=args.core_model,
         fastforward=args.fastforward,
-        scheduling="static" if args.static_schedule else "dynamic",
         stats_interval=args.stats_interval,
         host_timeout=args.host_timeout,
-        backend=args.backend,
         mem_domains=args.mem_domains,
     )
     try:
@@ -145,14 +143,12 @@ def _run_direct(args: argparse.Namespace) -> int:
         sim=SimConfig(
             scheme=args.scheme,
             seed=args.seed,
-            scheduling="static" if args.static_schedule else "dynamic",
             fastforward=args.fastforward,
             stats_interval=args.stats_interval,
             fault_plan=args.faults,
             host_timeout=args.host_timeout,
             checkpoint_interval=args.checkpoint_interval,
             checkpoint_path=args.checkpoint,
-            backend=args.backend,
             mem_domains=args.mem_domains,
             trace_mode=trace_mode,
             trace_path=trace_path,
@@ -576,10 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", default="tiny", help="tiny | small | paper")
     run.add_argument("--core-model", default="inorder", help="inorder | ooo")
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--static-schedule", action="store_true",
-                     help="plan barrier windows as bulk-synchronous supersteps "
-                     "(digest-identical; falls back to the dynamic loop where "
-                     "static scheduling cannot engage, e.g. non-barrier schemes)")
     run.add_argument("--fastforward", action="store_true")
     run.add_argument("--verbose", "-v", action="store_true")
     run.add_argument("--stats-out", help="write the run's stats registry dump here")
@@ -601,12 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--restore", metavar="PATH",
                      help="resume a checkpointed run (other run options are "
                      "taken from the checkpoint)")
-    run.add_argument("--backend", default="sequential",
-                     choices=("sequential", "threaded", "process"),
-                     help="scheduling-domain backend for the memory side "
-                     "(sequential: round-robin digest baseline; threaded: one "
-                     "worker thread per domain; process: one worker process "
-                     "per domain, trace workloads only)")
     run.add_argument("--mem-domains", type=int, default=1, metavar="N",
                      help="shard the L2 banks / directory regions / DRAM "
                      "channels into N independently-clocked scheduling "

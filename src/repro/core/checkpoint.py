@@ -42,8 +42,10 @@ from repro.core.engine import EngineError, SequentialEngine
 __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_checkpoint"]
 
 #: Bumped whenever the payload layout changes; restores refuse mismatches
-#: rather than resuming from a stale-format file.
-CHECKPOINT_FORMAT = 1
+#: rather than resuming from a stale-format file.  2: the ``_resume``
+#: payload lost its static-scheduler marker with the static run loop — a
+#: format-1 file may have been cut by that loop.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(EngineError):
@@ -60,12 +62,6 @@ def save_checkpoint(engine: SequentialEngine, path: str) -> None:
         raise CheckpointError(
             "cannot checkpoint a fault-injected run: fault hooks are closures "
             "over engine seams and would not survive a restore"
-        )
-    if engine.sim.backend == "process":
-        raise CheckpointError(
-            "cannot checkpoint a process-backend run: shard state lives in "
-            "the worker processes between exchanges, so the coordinator's "
-            "copy is stale mid-run"
         )
     payload = {
         "format": CHECKPOINT_FORMAT,

@@ -101,14 +101,6 @@ class SimConfig:
     #: protocol; "single" runs the identical turn structure one model.step
     #: per cycle (the equivalence oracle for the golden tests).
     stepping: str = "batched"
-    #: Window scheduling: "dynamic" interleaves core/manager turns through
-    #: the virtual host's priority queue (the paper's futex-style engine);
-    #: "static" plans each barrier window as one bulk-synchronous superstep
-    #: (repro.core.schedule) — all per-cycle manager dispatch is hoisted to
-    #: window edges.  Static engages only where it is provably
-    #: digest-identical to dynamic (barrier-policy schemes, trace cores);
-    #: everywhere else it falls back to the dynamic loop (DESIGN.md §9).
-    scheduling: str = "dynamic"
     #: Execution layer: "predecoded" runs per-PC specialized closures
     #: (repro.cpu.predecode); "oracle" runs funcsim.execute dict dispatch.
     #: Both produce bit-identical architectural trajectories (the
@@ -136,20 +128,12 @@ class SimConfig:
     #: Where checkpoints land (a single file, atomically replaced).  A
     #: nonzero checkpoint_interval with no path is a configuration error.
     checkpoint_path: str | None = None
-    #: Scheduling-domain backend (DESIGN.md §10): "sequential" services the
-    #: memory-side domains round-robin on the coordinator (default; the
-    #: digest baseline), "threaded" runs one worker thread per domain,
-    #: "process" runs one worker process per domain (trace workloads only).
-    #: Any non-default backend routes through the sharded DomainManager even
-    #: at mem_domains=1 — digests there are byte-identical to the monolithic
-    #: manager by construction.
-    backend: str = "sequential"
-    #: Number of independently-clocked memory-side scheduling domains.  L2
-    #: banks, directory regions and DRAM channels partition by address range
-    #: across domains; with N>1 every core↔domain window is floored at the
-    #: cross-domain exchange quantum (the critical latency), so coherence
-    #: crosses domains only at window edges.  1 (default) keeps the
-    #: monolithic manager on the sequential backend.
+    #: Number of independently-clocked memory-side scheduling domains
+    #: (DESIGN.md §10).  L2 banks, directory regions and DRAM channels
+    #: partition by address range across domains; with N>1 every
+    #: core↔domain window is floored at the cross-domain exchange quantum
+    #: (the critical latency), so coherence crosses domains only at window
+    #: edges.  1 (default) keeps the monolithic manager.
     mem_domains: int = 1
     #: Progress-heartbeat file (DESIGN.md §13): when set, the engine runs a
     #: sampler thread that publishes its progress marker (global time,

@@ -1,10 +1,10 @@
-"""Scheduling domains: the pluggable drain → service → raise interface and
-the multi-domain memory-side manager with its execution backends.
+"""Scheduling domains: the drain → service → raise interface and the
+multi-domain memory-side manager.
 
 DESIGN.md §10.  The paper's slack window decouples *cores* from the manager;
 this module decouples the manager's memory side from itself.  The
-:class:`SchedulingDomain` protocol names the contract every engine loop
-(sequential dynamic, static superstep, threaded) already drives:
+:class:`SchedulingDomain` protocol names the contract both engine loops
+(sequential, threaded) drive:
 
     drain    core OutQs feed the domain's global queue(s);
     service  the active scheme's GQ policy picks a batch, the memory side
@@ -12,61 +12,45 @@ this module decouples the manager's memory side from itself.  The
     raise    global time advances and core windows are raised.
 
 :class:`~repro.core.manager.SimulationManager` is the monolithic
-implementation.  :class:`DomainManager` shards the memory side into N
-independently-clocked domains (:mod:`repro.mem.domains`) and delegates batch
-*execution* — and only execution — to a :class:`Backend`:
+implementation.  :class:`DomainManager` shards the memory side into N>1
+independently-clocked domains (:mod:`repro.mem.domains`):
 
-* the GQ-policy pops, event delivery and window raises stay on the
-  coordinator, so seq draws happen in one deterministic order no matter how
-  the backend schedules the shard work;
 * each domain's batch touches only that domain's shard (private bank
-  ranges, directory region, DRAM channel, violation counters), so backends
-  may execute batches concurrently with no shared mutable state;
-* cross-domain coherence is exchanged only at window edges: with N>1 every
-  window is floored at the exchange quantum (the critical latency), so no
-  in-flight message can cross a domain boundary mid-window.  Each domain
-  keeps a local clock and an exchanged-timestamp horizon; an event that
-  arrives below another domain's horizon is counted as a cross-domain
-  ordering slip (``violations.cross_domain``), never silently reordered
-  away.
-
-Backends: ``sequential`` (round-robin on the coordinator — the digest
-baseline), ``threaded`` (one worker thread per domain; small exchanges are
-serviced inline because a sub-threshold batch costs less than a wake/latch
-round trip), ``process`` (one worker process per domain for trace
-workloads; shard state ships by pickle at start and returns at finalize,
-reusing the checkpoint machinery's picklability guarantees).
+  ranges, directory region, DRAM channel, violation counters);
+* cross-domain coherence is exchanged only at window edges: every window is
+  floored at the exchange quantum (the critical latency), so no in-flight
+  message can cross a domain boundary mid-window.  Each domain keeps a local
+  clock and an exchanged-timestamp horizon; an event that arrives below
+  another domain's horizon is counted as a cross-domain ordering slip
+  (``violations.cross_domain``), never silently reordered away.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from typing import Protocol, runtime_checkable
 
 from repro.core.corethread import CoreState, CoreThread
 from repro.core.events import REQUEST_KINDS, Event
 from repro.core.manager import ManagerStepResult, SimulationManager
 from repro.core.queues import GlobalQueue
-from repro.core.schedule import floored_window
 from repro.core.schemes import INFINITY, Scheme
 from repro.mem.domains import ShardedMemorySystem
 from repro.violations.detect import ViolationCounters
 
-__all__ = [
-    "SchedulingDomain",
-    "MemDomain",
-    "DomainManager",
-    "SequentialBackend",
-    "ThreadedBackend",
-    "ProcessBackend",
-    "make_backend",
-    "BACKENDS",
-]
+__all__ = ["SchedulingDomain", "MemDomain", "DomainManager", "floored_window"]
 
 
-class DomainError(RuntimeError):
-    """A scheduling-domain backend failed (worker died, hung, or raised)."""
+def floored_window(scheme_edge: int, global_time: int, exchange_quantum: int) -> int:
+    """Effective window edge under memory-side sharding (DESIGN.md §10).
+
+    Every core window is floored at ``global_time + exchange_quantum`` so
+    cross-domain coherence only moves at window edges.  The floor is a
+    function of global time alone, so under a barrier policy it raises every
+    active core to the *same* edge: the window edge stays a hard
+    synchronization point with no mid-window GQ servicing.
+    """
+    floor = global_time + exchange_quantum
+    return floor if scheme_edge < floor else scheme_edge
 
 
 @runtime_checkable
@@ -100,10 +84,6 @@ class SchedulingDomain(Protocol):
     def check_invariants(self) -> None:
         ...
 
-    def finalize(self) -> None:
-        """Release backend resources; must be called before reading stats."""
-        ...
-
 
 class MemDomain:
     """One independently-clocked memory-side domain.
@@ -116,7 +96,7 @@ class MemDomain:
     cross-domain ordering detection.
     """
 
-    __slots__ = ("domain_id", "memsys", "gq", "clock", "high_ts", "pending")
+    __slots__ = ("domain_id", "memsys", "gq", "clock", "high_ts")
 
     def __init__(self, domain_id: int, memsys) -> None:
         self.domain_id = domain_id
@@ -124,8 +104,6 @@ class MemDomain:
         self.gq = GlobalQueue()
         self.clock = 0
         self.high_ts = 0
-        #: (request Event, ServiceResult) pairs awaiting coordinator delivery.
-        self.pending: list = []
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -133,19 +111,6 @@ class MemDomain:
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
-
-    def service_batch(self, batch: list[Event]) -> None:
-        """Execute one exchanged batch against this domain's shard.
-
-        Touches only domain-local state (shard occupancy/tags/counters and
-        ``pending``), which is what lets backends run it concurrently.
-        """
-        service = self.memsys.service
-        pending = self.pending
-        for event in batch:
-            pending.append(
-                (event, service(REQUEST_KINDS[event.kind], event.addr, event.core, event.ts))
-            )
 
 
 class _GQView:
@@ -177,19 +142,13 @@ class _GQView:
 
 
 class DomainManager(SimulationManager):
-    """Sharded drain → service → raise with pluggable batch execution.
+    """Sharded drain → service → raise over N>1 memory-side domains.
 
-    Determinism ladder (DESIGN.md §10):
-
-    * N=1, any backend: byte-identical digests to the monolithic manager.
-      The single domain's GQ sees the same pushes, the same policy pops in
-      the same order, and delivery constructs response/coherence events in
-      the exact per-event order ``SimulationManager._service`` would — so
-      every seq draw lands on the same event.
-    * N>1: seed-stable and backend-independent.  Batches are buffered and
-      delivered domain-major (domain 0..N-1, within-domain pop order), so
-      the result is a pure function of the exchanged batches regardless of
-      which worker finished first.
+    Seed-stable (DESIGN.md §10): the GQ-policy pops run in one deterministic
+    order and each exchange is serviced and delivered domain-major (domain
+    0..N-1, within-domain pop order), so every seq draw lands on the same
+    event in every run.  Not digest-identical to the monolithic manager:
+    flooring coarsens the windows, which is a different simulation.
     """
 
     def __init__(
@@ -198,50 +157,21 @@ class DomainManager(SimulationManager):
         memsys: ShardedMemorySystem,
         scheme: Scheme,
         counters: ViolationCounters,
-        *,
-        backend: str = "sequential",
-        host_timeout: float = 120.0,
     ) -> None:
         super().__init__(cores, memsys, scheme)
-        if backend not in BACKENDS:
-            raise DomainError(
-                f"unknown backend {backend!r} (choose from {sorted(BACKENDS)})"
-            )
-        #: Engine-level counters: cross-domain slips are coordinator-side
+        #: Engine-level counters: cross-domain slips are manager-side
         #: observations, not shard-side ones, so they land here (the shards'
         #: private counters hold their own resource-order violations).
         self.counters = counters
-        self.backend_name = backend
-        self.host_timeout = host_timeout
         self.domains = [MemDomain(k, shard) for k, shard in enumerate(memsys.shards)]
         self.gq = _GQView(self.domains)
-        #: Cross-domain exchange quantum: with N>1 every window is floored at
+        #: Cross-domain exchange quantum: every window is floored at
         #: ``global_time + quantum`` so coherence crosses domains only at
         #: window edges.  The critical latency is the conservative choice —
         #: no response can be consumed sooner, so flooring there cannot let
         #: a core observe a message "from the future" of another domain.
-        #: Zero (no floor, no behaviour change) for a single domain.
-        self.exchange_quantum = memsys.critical_latency() if memsys.num_domains > 1 else 0
+        self.exchange_quantum = memsys.critical_latency()
         self.exchanges = 0
-        self._backend = None
-
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self):
-        """Backends hold threads/pipes; drop and lazily rebuild on restore."""
-        state = dict(self.__dict__)
-        state["_backend"] = None
-        return state
-
-    def _ensure_backend(self):
-        backend = self._backend
-        if backend is None:
-            backend = self._backend = BACKENDS[self.backend_name](self)
-        return backend
-
-    def finalize(self) -> None:
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
 
     # -------------------------------------------------------------- windows
     def current_max_local(self) -> int:
@@ -251,9 +181,6 @@ class DomainManager(SimulationManager):
 
     # ------------------------------------------------------------------ step
     def step(self) -> ManagerStepResult:
-        backend = self._backend
-        if backend is None:
-            backend = self._ensure_backend()
         result = ManagerStepResult()
         domains = self.domains
         domain_of = self.memsys.domain_of
@@ -281,8 +208,6 @@ class DomainManager(SimulationManager):
         if self._gq_depth > self.gq_max_depth:
             self.gq_max_depth = self._gq_depth
 
-        # Policy pops stay on the coordinator: the batch an exchange services
-        # is a pure function of simulated state, independent of the backend.
         policy = self.scheme.gq_policy
         batches: list[list[Event]] = [[] for _ in domains]
         barrier_fired = False
@@ -325,17 +250,19 @@ class DomainManager(SimulationManager):
             processed += len(batch)
         if processed:
             self.exchanges += 1
-            if len(domains) > 1:
-                self._detect_cross_domain(batches)
-            backend.execute(batches)
-            # Deliver domain-major in within-domain pop order: the one fixed
-            # construction order every backend's results are folded into.
+            self.requests_processed += processed
+            self._detect_cross_domain(batches)
+            # Service and deliver domain-major in within-domain pop order.
+            # A batch touches only its own domain's shard and delivery only
+            # core InQs, so the domains' results never feed each other.
             deliver = self._deliver
             for d in domains:
-                for event, service_result in d.pending:
-                    self.requests_processed += 1
-                    deliver(event, service_result)
-                d.pending.clear()
+                service = d.memsys.service
+                for event in batches[d.domain_id]:
+                    deliver(
+                        event,
+                        service(REQUEST_KINDS[event.kind], event.addr, event.core, event.ts),
+                    )
         if barrier_fired and self._adapt is not None:
             boundary = min(ct.max_local_time for ct in active)
             self._adapt(processed, max(1, boundary - self.global_time))
@@ -371,7 +298,7 @@ class DomainManager(SimulationManager):
         state — the sharded analogue of the paper's simulation-state
         violation, observable only at exchange granularity.  Horizons update
         after detection so events within one exchange never count against
-        each other (they are serviced concurrently by construction).
+        each other (they belong to the same exchange).
         """
         domains = self.domains
         best = second = 0
@@ -403,251 +330,3 @@ class DomainManager(SimulationManager):
                 top = max(event.ts for event in batch)
                 if top > d.high_ts:
                     d.high_ts = top
-
-
-# --------------------------------------------------------------------------
-# Backends
-# --------------------------------------------------------------------------
-
-
-class SequentialBackend:
-    """Round-robin batch execution on the coordinator (digest baseline)."""
-
-    name = "sequential"
-
-    def __init__(self, manager: DomainManager) -> None:
-        self.domains = manager.domains
-
-    def execute(self, batches: list[list[Event]]) -> None:
-        for d in self.domains:
-            batch = batches[d.domain_id]
-            if batch:
-                d.service_batch(batch)
-
-    def close(self) -> None:
-        pass
-
-
-class ThreadedBackend:
-    """One persistent worker thread per domain.
-
-    Workers only touch their own domain's shard, so the sole shared state is
-    the work/done queue pair.  Exchanges below ``inline_threshold`` total
-    events are serviced inline on the coordinator: the results are identical
-    either way (domain state is disjoint), and a typical window-edge
-    exchange is far cheaper than even one wake/latch round trip.
-    """
-
-    name = "threaded"
-    #: Total exchanged events below which the coordinator services inline.
-    inline_threshold = 32
-
-    def __init__(self, manager: DomainManager) -> None:
-        self.domains = manager.domains
-        self.timeout = manager.host_timeout
-        self._inbox: list[queue.SimpleQueue] = []
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads: list[threading.Thread] = []
-
-    def _ensure_workers(self) -> None:
-        if self._threads:
-            return
-        for d in self.domains:
-            inbox: queue.SimpleQueue = queue.SimpleQueue()
-            worker = threading.Thread(
-                target=self._worker,
-                args=(d, inbox),
-                name=f"repro-domain-{d.domain_id}",
-                daemon=True,
-            )
-            worker.start()
-            self._inbox.append(inbox)
-            self._threads.append(worker)
-
-    def _worker(self, domain: MemDomain, inbox: queue.SimpleQueue) -> None:
-        done = self._done
-        while True:
-            batch = inbox.get()
-            if batch is None:
-                return
-            try:
-                domain.service_batch(batch)
-            except BaseException as exc:  # propagate to the coordinator
-                done.put((domain.domain_id, exc))
-            else:
-                done.put((domain.domain_id, None))
-
-    def execute(self, batches: list[list[Event]]) -> None:
-        nonempty = [d.domain_id for d in self.domains if batches[d.domain_id]]
-        total = 0
-        for k in nonempty:
-            total += len(batches[k])
-        if total < self.inline_threshold or len(nonempty) < 2:
-            for k in nonempty:
-                self.domains[k].service_batch(batches[k])
-            return
-        self._ensure_workers()
-        for k in nonempty:
-            self._inbox[k].put(batches[k])
-        error = None
-        for _ in nonempty:
-            try:
-                domain_id, exc = self._done.get(timeout=self.timeout)
-            except queue.Empty:
-                raise DomainError(
-                    f"domain worker made no progress for {self.timeout}s "
-                    "(threaded backend watchdog)"
-                ) from None
-            if exc is not None and error is None:
-                error = (domain_id, exc)
-        if error is not None:
-            raise DomainError(f"domain {error[0]} worker failed: {error[1]!r}") from error[1]
-
-    def close(self) -> None:
-        for inbox in self._inbox:
-            inbox.put(None)
-        for worker in self._threads:
-            worker.join(timeout=5.0)
-        self._inbox = []
-        self._threads = []
-
-
-def _process_domain_worker(conn) -> None:
-    """Worker-process loop: owns one pickled shard between init and quit.
-
-    Batches arrive as plain (ReqKind, addr, core, ts) tuples — Events stay
-    coordinator-side — and results return as ServiceResult lists.  ``quit``
-    ships the shard (mutated occupancy/tags/stats/counters) back, which the
-    coordinator swaps in before any stats are read.
-    """
-    memsys = None
-    try:
-        while True:
-            message = conn.recv()
-            tag = message[0]
-            if tag == "init":
-                memsys = message[1]
-            elif tag == "batch":
-                try:
-                    results = [
-                        memsys.service(kind, addr, core, ts)
-                        for kind, addr, core, ts in message[1]
-                    ]
-                except BaseException as exc:
-                    conn.send(("err", repr(exc)))
-                else:
-                    conn.send(("ok", results))
-            elif tag == "quit":
-                conn.send(("state", memsys))
-                return
-    except (EOFError, OSError):
-        return
-
-
-class ProcessBackend:
-    """One persistent worker process per domain (trace workloads).
-
-    Shard state is pickle-cut to the worker at first use and returns at
-    finalize — the same picklability contract the checkpoint machinery
-    enforces.  Mid-run the coordinator's shard copies are stale, which is
-    why the engine gates checkpointing and stats snapshots off this backend.
-    """
-
-    name = "process"
-
-    def __init__(self, manager: DomainManager) -> None:
-        self.domains = manager.domains
-        self.memsys = manager.memsys
-        self.timeout = manager.host_timeout
-        self._conns = None
-        self._procs = None
-
-    def _ensure_workers(self) -> None:
-        if self._procs is not None:
-            return
-        import multiprocessing
-
-        # fork ships nothing implicitly we rely on (state goes via the init
-        # message) but starts workers far faster than spawn where available.
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            ctx = multiprocessing.get_context("spawn")
-        self._conns = []
-        self._procs = []
-        for d in self.domains:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_process_domain_worker,
-                args=(child,),
-                name=f"repro-domain-{d.domain_id}",
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            parent.send(("init", d.memsys))
-            self._conns.append(parent)
-            self._procs.append(proc)
-
-    def execute(self, batches: list[list[Event]]) -> None:
-        self._ensure_workers()
-        nonempty = [d.domain_id for d in self.domains if batches[d.domain_id]]
-        for k in nonempty:
-            self._conns[k].send(
-                (
-                    "batch",
-                    [
-                        (REQUEST_KINDS[e.kind], e.addr, e.core, e.ts)
-                        for e in batches[k]
-                    ],
-                )
-            )
-        for k in nonempty:
-            conn = self._conns[k]
-            if not conn.poll(self.timeout):
-                raise DomainError(
-                    f"domain {k} worker unresponsive for {self.timeout}s "
-                    "(process backend watchdog)"
-                )
-            tag, payload = conn.recv()
-            if tag == "err":
-                raise DomainError(f"domain {k} worker failed: {payload}")
-            self.domains[k].pending.extend(zip(batches[k], payload))
-
-    def close(self) -> None:
-        if self._procs is None:
-            return
-        for k, conn in enumerate(self._conns):
-            try:
-                conn.send(("quit",))
-                if conn.poll(self.timeout):
-                    tag, shard = conn.recv()
-                    if tag == "state":
-                        # Swap the worker's mutated shard back so stats,
-                        # violations and checkpoints see the real final state.
-                        self.domains[k].memsys = shard
-                        self.memsys.shards[k] = shard
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            finally:
-                conn.close()
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        self._conns = None
-        self._procs = None
-
-
-BACKENDS = {
-    "sequential": SequentialBackend,
-    "threaded": ThreadedBackend,
-    "process": ProcessBackend,
-}
-
-
-def make_backend(name: str, manager: DomainManager):
-    try:
-        return BACKENDS[name](manager)
-    except KeyError:
-        raise DomainError(
-            f"unknown backend {name!r} (choose from {sorted(BACKENDS)})"
-        ) from None

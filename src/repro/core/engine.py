@@ -29,10 +29,9 @@ import json
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.domains import BACKENDS, DomainManager
+from repro.core.domains import DomainManager
 from repro.core.manager import SimulationManager
 from repro.core.results import CoreResult, SimulationResult
-from repro.core.schedule import split_batches, static_unsupported_reason
 from repro.core.schemes import INFINITY, Lookahead, parse_scheme
 from repro.cpu.arch import ArchState
 from repro.cpu.interfaces import WAIT_EXTERNAL
@@ -70,11 +69,7 @@ class SequentialEngine:
         self.host_cfg = host or HostConfig()
         self.sim = sim or SimConfig()
         self.scheme = parse_scheme(self.sim.scheme)
-        if self.sim.scheduling not in ("dynamic", "static"):
-            raise EngineError(f"unknown scheduling mode {self.sim.scheduling!r}")
-        # Trace subsystem (DESIGN.md §11).  Resolved before the domain gates
-        # so a trace-flavor replay presents as trace_cores to the process
-        # backend, exactly like a direct trace-workload run.
+        # Trace subsystem (DESIGN.md §11).
         self._capture = None          # TraceRecorder while capturing a program run
         self._capture_streams = None  # pre-serialized streams (trace-flavor capture)
         self._capture_header = None   # non-None while a capture is armed
@@ -177,38 +172,17 @@ class SequentialEngine:
             if self.sim.detect_violations
             else None
         )
-        # Scheduling domains (DESIGN.md §10): any non-default backend or
-        # domain count routes through the sharded memory side + the
-        # DomainManager; the default path keeps the monolithic manager with
-        # zero new branches on its hot loop.
-        self._domained = self.sim.mem_domains > 1 or self.sim.backend != "sequential"
+        # Scheduling domains (DESIGN.md §10): more than one memory domain
+        # routes through the sharded memory side + the DomainManager, whose
+        # windows are floored at the exchange quantum; the default keeps the
+        # monolithic manager with zero new branches on its hot loop.
+        self._domained = self.sim.mem_domains > 1
         if self._domained:
-            if self.sim.backend not in BACKENDS:
-                raise EngineError(
-                    f"unknown backend {self.sim.backend!r} "
-                    f"(choose from {sorted(BACKENDS)})"
-                )
             if self.sim.fault_plan:
                 raise EngineError(
                     "fault injection is unsupported with scheduling domains "
                     "(fault hooks splice into the monolithic manager's GQ)"
                 )
-            if self.sim.backend == "process":
-                if trace_cores is None:
-                    raise EngineError(
-                        "the process backend supports trace workloads only "
-                        "(system emulation state cannot be pickle-cut per domain)"
-                    )
-                if self.sim.checkpoint_interval:
-                    raise EngineError(
-                        "checkpointing is unsupported on the process backend "
-                        "(shard state lives in the worker processes mid-run)"
-                    )
-                if self.sim.stats_interval:
-                    raise EngineError(
-                        "stats snapshots are unsupported on the process backend "
-                        "(shard state lives in the worker processes mid-run)"
-                    )
             try:
                 self.memsys = ShardedMemorySystem(
                     self.target.memsys, self.target.num_cores, self.sim.mem_domains
@@ -217,9 +191,6 @@ class SequentialEngine:
                 raise EngineError(str(exc)) from None
         else:
             self.memsys = MemorySystem(self.target.memsys, self.target.num_cores, self.counters)
-        # Window floor only exists for real multi-domain runs; hoisted so
-        # _turn_budget's single-domain path is branch-identical to the seed.
-        self._domain_floor = self._domained and self.sim.mem_domains > 1
         self.hostmodel = HostModel(self.host_cfg.num_cores)
         self.costmodel = CostModel(self.host_cfg, self.sim.seed, self.target.num_cores)
         self.system: SystemEmulation | None = None
@@ -241,11 +212,6 @@ class SequentialEngine:
         self.suspends = 0
         self.wakes_delivered = 0
         self.parks = 0
-        #: Barrier windows executed as bulk-synchronous supersteps, and which
-        #: scheduler the last run() actually used ("static" only when the
-        #: support gate passed).  Both digest=False: scheduling is host-side.
-        self.static_windows = 0
-        self.scheduling_used = "dynamic"
         self._completed = False
         self._next_snapshot = self.sim.stats_interval or 0
         self._next_checkpoint = self.sim.checkpoint_interval or 0
@@ -306,12 +272,7 @@ class SequentialEngine:
                 self.cores.append(ct)
         if self._domained:
             self.manager = DomainManager(
-                self.cores,
-                self.memsys,
-                self.scheme,
-                self.counters,
-                backend=self.sim.backend,
-                host_timeout=self.sim.host_timeout,
+                self.cores, self.memsys, self.scheme, self.counters
             )
         else:
             self.manager = SimulationManager(self.cores, self.memsys, self.scheme)
@@ -432,10 +393,6 @@ class SequentialEngine:
         sim.scalar("target_cores", source=lambda: self.target.num_cores)
         sim.scalar("host_cores", source=lambda: self.host_cfg.num_cores)
         sim.scalar("completed", source=lambda: int(self._completed))
-        # Backend/domain-count are host-side execution choices: digest=False
-        # is what makes a threaded 1-domain run byte-identical (by digest) to
-        # the monolithic manager, the correctness bar of DESIGN.md §10.
-        sim.scalar("backend", source=lambda: self.sim.backend, digest=False)
         sim.scalar("mem_domains", source=lambda: self.sim.mem_domains, digest=False)
 
         engine = reg.group("engine")
@@ -453,8 +410,6 @@ class SequentialEngine:
         engine.scalar(
             "core_turns", source=lambda: self._slack_dist.count, digest=False
         )
-        engine.scalar("scheduling", source=lambda: self.scheduling_used, digest=False)
-        engine.scalar("static_windows", source=lambda: self.static_windows, digest=False)
 
         host = reg.group("host")
         host.scalar("makespan", source=self.hostmodel.makespan, digest=False)
@@ -559,7 +514,7 @@ class SequentialEngine:
                 )
         else:
             # Sharded memory side: same stat names, values summed over the
-            # shards (an identity at one domain — the digest-equality bar).
+            # shards, plus a per-domain subtree.
             shards = self.memsys.shards
             for field in bus_fields:
                 bus.scalar(
@@ -587,36 +542,33 @@ class SequentialEngine:
                     field,
                     source=(lambda f=field: sum(getattr(s.directory, f) for s in shards)),
                 )
-            if self.sim.mem_domains > 1:
-                # Per-domain subtree: only under real sharding, so single-
-                # domain dumps stay structurally identical to the monolith.
-                dgrp = mem.group("domains")
-                dgrp.scalar("count", source=lambda: self.memsys.num_domains)
-                dgrp.scalar(
-                    "exchange_quantum", source=lambda: self.manager.exchange_quantum
+            dgrp = mem.group("domains")
+            dgrp.scalar("count", source=lambda: self.memsys.num_domains)
+            dgrp.scalar(
+                "exchange_quantum", source=lambda: self.manager.exchange_quantum
+            )
+            dgrp.scalar("exchanges", source=lambda: self.manager.exchanges)
+            for k in range(self.memsys.num_domains):
+                grp = dgrp.group(f"d{k}")
+                grp.scalar(
+                    "requests_serviced",
+                    source=(lambda i=k: self.memsys.shards[i].requests_serviced),
                 )
-                dgrp.scalar("exchanges", source=lambda: self.manager.exchanges)
-                for k in range(self.memsys.num_domains):
-                    grp = dgrp.group(f"d{k}")
-                    grp.scalar(
-                        "requests_serviced",
-                        source=(lambda i=k: self.memsys.shards[i].requests_serviced),
-                    )
-                    grp.scalar(
-                        "l2_accesses",
-                        source=(lambda i=k: self.memsys.shards[i].l2.stats.accesses),
-                    )
-                    grp.scalar(
-                        "dram_accesses",
-                        source=(lambda i=k: self.memsys.shards[i].dram.stats.accesses),
-                    )
-                    grp.scalar(
-                        "directory_blocks",
-                        source=(lambda i=k: self.memsys.shards[i].directory.tracked_blocks()),
-                    )
-                    grp.scalar(
-                        "clock", source=(lambda i=k: self.manager.domains[i].clock)
-                    )
+                grp.scalar(
+                    "l2_accesses",
+                    source=(lambda i=k: self.memsys.shards[i].l2.stats.accesses),
+                )
+                grp.scalar(
+                    "dram_accesses",
+                    source=(lambda i=k: self.memsys.shards[i].dram.stats.accesses),
+                )
+                grp.scalar(
+                    "directory_blocks",
+                    source=(lambda i=k: self.memsys.shards[i].directory.tracked_blocks()),
+                )
+                grp.scalar(
+                    "clock", source=(lambda i=k: self.manager.domains[i].clock)
+                )
 
         if self.faults is not None:
             faults = reg.group("faults")
@@ -652,12 +604,9 @@ class SequentialEngine:
                 "by_resource",
                 lambda: self.memsys.merged_counters(self.counters).by_resource,
             )
-            if self.sim.mem_domains > 1:
-                # Registered only under real sharding (always zero elsewhere)
-                # so single-domain digests match the monolithic manager's.
-                violations.scalar(
-                    "cross_domain", source=lambda: self.counters.cross_domain
-                )
+            violations.scalar(
+                "cross_domain", source=lambda: self.counters.cross_domain
+            )
 
         if self.system is not None:
             sync = reg.group("sync")
@@ -708,7 +657,7 @@ class SequentialEngine:
         """
         local = ct.local_time
         manager = self.manager
-        if self._domain_floor:
+        if self._domained:
             # Multi-domain runs floor every window at the exchange quantum
             # (DomainManager.current_max_local); sizing the turn off the raw
             # scheme grant would slice the floored window into scheme-sized
@@ -733,26 +682,6 @@ class SequentialEngine:
             budget = net
         return budget if budget > 0 else 1
 
-    @property
-    def static_fallback_reason(self) -> str | None:
-        """Why this run uses the dynamic loop despite ``scheduling="static"``.
-
-        ``None`` means static engages.  Evaluated at run() time, not
-        construction, because the probe (and, on restore, faults) attach to
-        a built engine.
-        """
-        if self.sim.scheduling != "static":
-            return "dynamic scheduling configured"
-        if not all(hasattr(ct.model, "wait_state") for ct in self.cores):
-            return "a core model lacks the batched wait_state protocol"
-        return static_unsupported_reason(
-            self.scheme,
-            has_system=self.system is not None,
-            has_probe=self.probe is not None,
-            has_faults=self.faults is not None,
-            max_instructions=self.sim.max_instructions,
-        )
-
     def run(self) -> SimulationResult:
         if self.sim.heartbeat_path is None:
             return self._run()
@@ -776,16 +705,6 @@ class SequentialEngine:
         # A restored engine carries the loop-local snapshot its checkpoint
         # recorded (see _write_checkpoint); a fresh engine has none.
         resume = self.__dict__.pop("_resume", None)
-        # A checkpoint commits its run to a scheduler: the two loops place
-        # their boundaries differently, so a snapshot only resumes under the
-        # scheduler that wrote it.
-        if resume is not None:
-            use_static = "static_release" in resume
-        else:
-            use_static = self.static_fallback_reason is None
-        if use_static:
-            return self._run_static(resume)
-        self.scheduling_used = "dynamic"
         heap: list[tuple[float, int, int]] = []  # (ready, seq, idx); idx -1 = manager
         seq = itertools.count(0 if resume is None else resume["seq_next"])
         nxt = seq.__next__
@@ -1104,219 +1023,8 @@ class SequentialEngine:
                     heappush(heap, (done_t, nxt(), idx))
 
         sync_stats()
-        self.manager.finalize()
         self.manager.check_invariants()
         return self._build_result(completed)
-
-    def _run_static(self, resume: dict | None) -> SimulationResult:
-        """Bulk-synchronous superstep loop (DESIGN.md §9).
-
-        One barrier window per iteration: every active core runs its whole
-        window as a planned batch sequence (core-id order), then the manager
-        takes exactly one step — the barrier — at the window edge.  All the
-        dynamic loop's per-turn machinery (host priority queue, manager
-        polls, suspend bookkeeping, wake clamping) is gone; what remains is
-        the part that is digest-visible, in an order the GQ tie-break makes
-        equivalent to the dynamic interleaving (``static_fallback_reason``
-        gates the cases where that proof holds).
-
-        Host-time accounting is the same cost model without the polls: core
-        k's window starts at ``release + k*fanout`` (the serial futex
-        hand-off of the barrier reopening), its turns chain through
-        ``HostModel.run``, and the manager's barrier step starts at the
-        window makespan.  Per-core jitter streams stay aligned with the
-        dynamic loop (one draw per turn) so a mid-run checkpoint restores
-        bit-exactly.
-        """
-        sim = self.sim
-        self.scheduling_used = "static"
-        cores = self.cores
-        manager = self.manager
-        costmodel = self.costmodel
-        hostrun = self.hostmodel.run
-        manager_step_cost = costmodel.manager_step_cost
-        wake_cost = costmodel.wake_cost
-        fanout_cost = costmodel.wake_fanout_cost
-        # Inlined CostModel.core_batch_cost (bit-identical formula): at cc
-        # turn rates the two method calls per turn (cost + jitter draw) are
-        # a measurable slice of the whole loop.  The constants and per-core
-        # jitter streams are the same hoists the method itself uses.
-        cycle_c = costmodel._cycle_cost
-        idle_c = costmodel._idle_cost
-        skip_c = costmodel._skip_cost
-        stretch_c = costmodel._stretch_cost
-        event_c = costmodel._event_cost
-        suspend_c = costmodel._suspend_cost
-        has_jitter = costmodel._has_jitter
-        core_jits = costmodel._core_jit
-        turn_cap = self._turn_cap
-        max_cycles = sim.max_cycles
-        wait_chunk = sim.wait_chunk
-        single = sim.stepping == "single"
-        snap_interval = sim.stats_interval
-        cp_interval = sim.checkpoint_interval
-        active = CoreState.ACTIVE
-        engine_steps = self.engine_steps
-        manager_steps = self.manager_steps
-        suspends = self.suspends
-        wakes_delivered = self.wakes_delivered
-        slack_dist = self._slack_dist
-        slack_buckets = slack_dist.buckets
-        s_count = 0
-        s_total = 0
-        s_min = 1 << 63
-        s_max = -1
-
-        def sync_stats() -> None:
-            nonlocal s_count, s_total, s_min, s_max
-            self.engine_steps = engine_steps
-            self.manager_steps = manager_steps
-            self.suspends = suspends
-            self.wakes_delivered = wakes_delivered
-            if s_count:
-                if slack_dist.count == 0 or s_min < slack_dist._min:
-                    slack_dist._min = s_min
-                if s_max > slack_dist._max:
-                    slack_dist._max = s_max
-                slack_dist.count += s_count
-                slack_dist.total += s_total
-                s_count = 0
-                s_total = 0
-                s_min = 1 << 63
-                s_max = -1
-
-        if resume is None:
-            self._active_cores = sum(1 for ct in cores if ct.state == active)
-            # First window: the dynamic loop queues every core at host time
-            # zero with no wake hand-off (nobody woke them).
-            release = 0.0
-            fan = 0.0
-        else:
-            release = resume["static_release"]
-            fan = fanout_cost
-        max_steps = 200_000_000
-
-        while self._active_cores:
-            gtime = manager.global_time
-            window_end = release
-            k = 0
-            for ct in cores:
-                if ct.state != active:
-                    continue
-                t = release + k * fan
-                k += 1
-                edge = ct.max_local_time
-                cid = ct.core_id
-                step_many = ct.step_many
-                jit_next = core_jits[cid].next
-                plan = split_batches(ct.local_time, edge, turn_cap, max_cycles)
-                bi = 0
-                nplan = len(plan)
-                while ct.local_time < edge:
-                    if bi >= nplan:
-                        # Consumption deviated from the plan (the core
-                        # yielded early on an external wait): re-cut the
-                        # remainder from live local time — exactly the
-                        # dynamic loop's per-turn budget recomputation.
-                        plan = split_batches(ct.local_time, edge, turn_cap, max_cycles)
-                        bi = 0
-                        nplan = len(plan)
-                    budget = plan[bi]
-                    stats = step_many(budget, wait_chunk=wait_chunk, single=single)
-                    engine_steps += 1
-                    slack = ct.local_time - gtime
-                    slack_buckets[slack.bit_length()] += 1
-                    s_count += 1
-                    s_total += slack
-                    if slack < s_min:
-                        s_min = slack
-                    if slack > s_max:
-                        s_max = slack
-                    cost = (
-                        stats.active_cycles * cycle_c
-                        + stats.idle_cycles * idle_c
-                        + stats.skipped_cycles * skip_c
-                        + stats.skip_stretches * stretch_c
-                        + (stats.events_out + stats.events_in) * event_c
-                    )
-                    if has_jitter:
-                        cost *= jit_next()
-                    if stats.hit_window_edge:
-                        cost += suspend_c
-                    t = hostrun(t, cost if cost > 0.05 else 0.05)
-                    self.total_committed += stats.committed
-                    if stats.wakes:  # impossible without sysapi; kept for parity
-                        for core_id, release_ts in stats.wakes:
-                            cores[core_id].model.release(release_ts)
-                    if ct.state != active:
-                        self._active_cores -= 1
-                        break
-                    if ct.local_time > max_cycles:
-                        raise EngineError(
-                            f"core {cid} exceeded max_cycles={max_cycles} "
-                            f"(scheme {self.scheme.name}; workload hung?)"
-                        )
-                    if stats.hit_window_edge:
-                        suspends += 1
-                        break
-                    bi = bi + 1 if stats.cycles == budget else nplan
-                if window_end < t:
-                    window_end = t
-            if not self._active_cores:
-                # Last core halted mid-window: the dynamic loop exits without
-                # a final manager step too (its queue only holds the manager).
-                break
-            if engine_steps > max_steps:
-                raise EngineError("engine step limit exceeded (runaway simulation)")
-            result = manager.step()
-            manager_steps += 1
-            self.static_windows += 1
-            if snap_interval and manager.global_time >= self._next_snapshot:
-                sync_stats()
-                self.registry.snapshot(manager.global_time)
-                self._next_snapshot = (
-                    manager.global_time // snap_interval + 1
-                ) * snap_interval
-            m_done = hostrun(window_end, manager_step_cost(result.drained, result.processed))
-            wakes_delivered += len(result.raised)
-            if not result.raised:
-                # A barrier over all-at-edge active cores always raises; not
-                # raising means no window can ever reopen.
-                sync_stats()
-                self._diagnose_deadlock(
-                    [ct.state == active for ct in cores], [False] * len(cores)
-                )
-            release = m_done + wake_cost
-            fan = fanout_cost
-            if cp_interval and manager.global_time >= self._next_checkpoint:
-                sync_stats()
-                self._write_static_checkpoint(release)
-                self._next_checkpoint = (
-                    manager.global_time // cp_interval + 1
-                ) * cp_interval
-
-        sync_stats()
-        self.manager.finalize()
-        self.manager.check_invariants()
-        return self._build_result(True)
-
-    def _write_static_checkpoint(self, release: float) -> None:
-        """Static-scheduler checkpoint: always at a window boundary.
-
-        The barrier step's effects (raises, global-time advance) are applied
-        and ``release`` is the host time the next window's first core starts
-        at — exactly the superstep loop's top-of-iteration state.  The
-        ``static_release`` key doubles as the scheduler marker ``run()``
-        dispatches on after restore.
-        """
-        from repro.core.checkpoint import save_checkpoint
-
-        self._resume = {"static_release": release}
-        try:
-            assert self.sim.checkpoint_path is not None
-            save_checkpoint(self, self.sim.checkpoint_path)
-        finally:
-            del self._resume
 
     def _write_checkpoint(
         self,

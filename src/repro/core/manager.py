@@ -181,10 +181,6 @@ class SimulationManager:
         self.windows_raised += len(raised)
         return result
 
-    def finalize(self) -> None:
-        """Release any resources held for the run (no-op for the monolithic
-        manager; the DomainManager stops its backend workers here)."""
-
     # --------------------------------------------------------------- service
     def _service(self, event: Event) -> None:
         """Service one GQ request and deliver its responses/messages."""

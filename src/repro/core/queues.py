@@ -86,11 +86,9 @@ class GlobalQueue:
     Timestamp-order pops break same-``ts`` ties by ``(core, seq)`` rather
     than bare creation order: two requests stamped with the same target
     cycle are serviced in core-id order no matter which core thread the
-    host happened to run first.  Creation order is a *host* artifact — it
-    differs between the dynamic engine's jitter-dependent turn order and
-    the static bulk-synchronous schedule — while (ts, core, within-core
-    order) is a pure function of the simulated target, which is what makes
-    the two schedulers bit-identical (DESIGN.md §9).
+    host happened to run first.  Creation order is a *host* artifact of
+    the engine's jitter-dependent turn order, while (ts, core, within-core
+    order) is a pure function of the simulated target.
     """
 
     __slots__ = ("_fifo", "_heap")

@@ -275,7 +275,6 @@ class ThreadedEngine(SequentialEngine):
         if self._error is not None:
             raise self._error
         wall = time.perf_counter() - start
-        self.manager.finalize()
         self.manager.check_invariants()
         result = self._build_result(completed=True)
         # Report measured wall time in host units for comparability.

@@ -16,16 +16,13 @@ incorporates
 * the job-layer format version (bump ``JOB_FORMAT`` to orphan every record).
 
 **Digest-excluded fields** are execution mechanics proven observationally
-equivalent elsewhere in the test suite: ``stepping``/``scheduling``/
-``dispatch`` (digest-identical by the differential matrices, DESIGN.md
-§6/§9), the trace mode (replay is dump-identical to direct execution,
-§11), ``backend`` at one memory domain (byte-identical to the monolithic
-manager by construction, §10), the wall-clock watchdog, the serve layer's
-progress heartbeat (observation only, §13), and output paths.
+equivalent elsewhere in the test suite: ``stepping``/``dispatch``
+(digest-identical by the differential matrices, DESIGN.md §6/§9), the
+trace mode (replay is dump-identical to direct execution, §11), the
+wall-clock watchdog, the serve layer's progress heartbeat (observation
+only, §13), and output paths.
 Changing any of them must NOT change the key — a replayed run and a direct
 run of the same job are the *same job* and share one stored record.
-``backend`` at N>1 domains stays in the key: the dump's value lines
-legitimately differ there and the process backend restricts what can run.
 """
 
 from __future__ import annotations
@@ -176,8 +173,9 @@ def spec_from_dict(d: dict) -> JobSpec:
     """Rebuild a :class:`JobSpec` from its :func:`spec_to_dict` rendering.
 
     Tolerates missing optional fields (defaults apply) and unknown ``sim``
-    keys (dropped — a newer client talking to an older daemon degrades to
-    the fields both sides know rather than erroring).
+    keys (dropped — a newer client talking to an older daemon, or a row an
+    older daemon queued with since-retired fields, degrades to the fields
+    both sides know rather than erroring).
     """
     sim = d.get("sim")
     sim_cfg = None
@@ -232,12 +230,9 @@ def digest_payload(spec: JobSpec, program_digest: str) -> dict:
         # predecoded and oracle layers are bit-identical by construction.)
         return payload
     sim = spec.sim_config()
-    sim_fields = {name: getattr(sim, name) for name in DIGEST_SIM_FIELDS}
-    if sim.mem_domains > 1:
-        sim_fields["backend"] = sim.backend
     payload["target"] = asdict(spec.target_config())
     payload["host"] = asdict(spec.host_config())
-    payload["sim"] = sim_fields
+    payload["sim"] = {name: getattr(sim, name) for name in DIGEST_SIM_FIELDS}
     return payload
 
 

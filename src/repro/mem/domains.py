@@ -6,8 +6,7 @@ the benchmarks show for barrier schemes.  This module partitions that side by
 address range into N shards (DESIGN.md §10): contiguous L2 bank ranges, the
 directory region covering the blocks that map to those banks, and one DRAM
 channel per shard.  Every request is owned by exactly one shard
-(``domain_of(addr)``), so shards never share mutable timing state and can be
-serviced concurrently between window-edge exchanges.
+(``domain_of(addr)``), so shards never share mutable timing state.
 
 Each shard is a *full-geometry* MemorySystem: it keeps the complete bank
 array, set indexing and NUCA distance map of the monolithic system but only
@@ -17,9 +16,7 @@ trajectory restricted to that stream — which is what makes the 1-domain
 sharded configuration byte-identical to the monolithic manager, and lets
 per-domain behaviour be compared against the monolith bank-by-bank.
 
-Shards carry private :class:`ViolationCounters` (summed at report time), so
-domain workers never contend on shared counter words and the totals are
-deterministic regardless of servicing interleave.
+Shards carry private :class:`ViolationCounters` (summed at report time).
 """
 
 from __future__ import annotations

@@ -38,6 +38,10 @@ from dataclasses import replace
 
 __all__ = ["execute_assignment", "worker_entry", "worker_main"]
 
+#: Seconds an idle worker waits on its pipe between checks that the
+#: supervisor process is still its parent.
+_PARENT_POLL_S = 1.0
+
 
 def worker_entry(conn, worker_id: int, stderr_path: str) -> None:
     """Process target: redirect fd 2 to *stderr_path*, then run the loop.
@@ -88,18 +92,26 @@ def execute_assignment(spec_dict: dict, heartbeat_path: "str | None"):
 def worker_main(conn, worker_id: int) -> None:
     """The worker process body (target of ``multiprocessing.Process``).
 
-    Runs until the pipe closes or an ``("exit",)`` message arrives.  Every
-    exception a job raises is caught, formatted, and reported — one
-    poisoned job must never take the worker (let alone the pool) down; only
-    genuine process death (crash injection, OOM, kill) ends the loop early.
+    Runs until the pipe closes, an ``("exit",)`` message arrives, or the
+    supervisor process is gone.  Every exception a job raises is caught,
+    formatted, and reported — one poisoned job must never take the worker
+    (let alone the pool) down; only genuine process death (crash injection,
+    OOM, kill) ends the loop early.
     """
     # The daemon's Ctrl-C must not fan out to workers mid-drain: the
     # supervisor owns worker shutdown, so the worker ignores SIGINT and
     # keeps SIGTERM default (the supervisor kills on cancel/hang).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
     conn.send(("ready",))
     while True:
         try:
+            # A SIGKILLed supervisor never produces EOF here: its forked
+            # sibling workers hold copies of this pipe's parent end.  So
+            # poll, and leave once re-parented.
+            while not conn.poll(_PARENT_POLL_S):
+                if os.getppid() != parent:
+                    return
             msg = conn.recv()
         except (EOFError, OSError):
             return  # supervisor went away

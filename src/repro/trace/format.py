@@ -24,8 +24,7 @@ Two flavors share the container:
 * ``"program"`` — ISA workloads.  Captured from :class:`InOrderCore`
   commit hooks; replayed by :class:`repro.trace.replay.ReplayCore`.
 * ``"trace"`` — scripted :class:`TraceCore` workloads.  The scripts are
-  the trace; replay rebuilds literal TraceCores, so the static scheduler
-  and the process backend keep working unchanged.
+  the trace; replay rebuilds literal TraceCores.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ resolved arguments: a real :class:`SyncEmulation` (contention and FIFO
 hand-off depend only on who-called-when, which replay reproduces), the
 workload thread table (spawn targets and tids are recorded, so the table
 evolves identically), and the output stream (printed values are recorded
-verbatim).  It installs as ``engine.system``, so the sync stats group,
-``merged_output`` and the static-scheduling fallback all behave exactly
-as they do for direct program runs.
+verbatim).  It installs as ``engine.system``, so the sync stats group
+and ``merged_output`` behave exactly as they do for direct program runs.
 """
 
 from __future__ import annotations
@@ -438,7 +437,7 @@ class ReplayCore:
 
 def rebuild_trace_cores(trace: Trace) -> list:
     """Trace flavor: reconstruct literal TraceCores from the serialized
-    scripts, so static scheduling and the process backend work unchanged."""
+    scripts."""
     from repro.workloads.synthetic import TraceCore
 
     kinds = {OP_THINK: "think", OP_TLOAD: "load", OP_TSTORE: "store", OP_THALT: "halt"}

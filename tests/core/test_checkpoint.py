@@ -32,6 +32,8 @@ from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError, SequentialEngine
 from repro.lang import compile_source
 
+from tests.conftest import assert_same_run
+
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "checkpoint_digests.json"
 
 SCHEMES = ["cc", "q3", "s2", "su"]
@@ -101,8 +103,8 @@ def test_restore_equivalence(request, scheme, program, tmp_path):
     resumed = load_checkpoint(cp).run()
 
     # Checkpointing is behaviour-free, restores are exact — to the bit.
-    assert plain.stats_sha256 == full.stats_sha256
-    assert full.stats_sha256 == resumed.stats_sha256
+    assert_same_run(plain, full)
+    assert_same_run(full, resumed)
     assert resumed.completed and list(resumed.output) == [24]
     assert pinned_digest(request, scheme, plain.stats_sha256) == plain.stats_sha256
 
@@ -142,51 +144,8 @@ def test_ooo_core_roundtrip(program, tmp_path):
     plain = run_ooo()
     full = run_ooo(checkpoint_interval=300, checkpoint_path=cp)
     resumed = load_checkpoint(cp).run()
-    assert plain.stats_sha256 == full.stats_sha256 == resumed.stats_sha256
-
-
-def test_static_schedule_checkpoint_fresh_process(tmp_path):
-    """A checkpoint written at a static window boundary restores bit-exactly
-    in a brand-new interpreter.
-
-    Trace cores under a barrier scheme are where static scheduling actually
-    engages; the payload's ``static_release`` marker must route the restored
-    run back into the superstep loop, and the digest must match both the
-    uninterrupted static run and the dynamic oracle.
-    """
-    from repro.workloads.synthetic import sharing_workload
-
-    target = TargetConfig(num_cores=4, core_model="trace")
-
-    def run_trace(scheduling, **overrides):
-        return SequentialEngine(
-            None,
-            trace_cores=sharing_workload(4, 24, seed=3),
-            target=target, host=HOST,
-            sim=replace(SIM, scheme="q3", scheduling=scheduling, **overrides),
-        ).run()
-
-    cp = str(tmp_path / "ck.pkl")
-    dynamic = run_trace("dynamic")
-    static = run_trace("static", checkpoint_interval=300, checkpoint_path=cp)
-    assert static.stats["engine.scheduling"] == "static"
-    assert (tmp_path / "ck.pkl").exists(), "no static checkpoint was written"
-    assert static.stats_sha256 == dynamic.stats_sha256
-
-    script = (
-        "from repro.core.checkpoint import load_checkpoint\n"
-        f"result = load_checkpoint({cp!r}).run()\n"
-        "print(result.stats_sha256)\n"
-        "print(result.stats['engine.scheduling'])\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, check=True,
-        cwd=str(Path(__file__).resolve().parents[2] / "src"),
-    )
-    digest, scheduling = out.stdout.split()
-    assert digest == static.stats_sha256
-    assert scheduling == "static"  # resumed mid-window back into the superstep
+    assert_same_run(plain, full)
+    assert_same_run(full, resumed)
 
 
 def test_timing_blocks_rederived_on_restore(program, tmp_path):
@@ -207,7 +166,7 @@ def test_timing_blocks_rederived_on_restore(program, tmp_path):
         assert any(tb.lens), "restored timing-block table is empty"
         # Re-derived, not round-tripped: fresh objects per restored program.
         assert tb is not models[0]._tblocks
-    assert restored.run().stats_sha256 == build(program, "q3").run().stats_sha256
+    assert_same_run(restored.run(), build(program, "q3").run())
 
 
 def test_time_zero_checkpoint(program, tmp_path):
@@ -217,7 +176,7 @@ def test_time_zero_checkpoint(program, tmp_path):
     save_checkpoint(build(program, "q3"), cp)
     restored = load_checkpoint(cp).run()
     plain = build(program, "q3").run()
-    assert restored.stats_sha256 == plain.stats_sha256
+    assert_same_run(restored, plain)
 
 
 def test_registry_rebuilds_after_restore(program, tmp_path):
@@ -263,6 +222,12 @@ def test_load_rejects_missing_and_garbage(tmp_path):
     wrong.write_bytes(pickle.dumps({"format": 999, "engine": None, "seq_position": 0}))
     with pytest.raises(CheckpointError, match="format"):
         load_checkpoint(str(wrong))
+    # Format 1 may have been cut by the removed static run loop: refused,
+    # never resumed into a loop that no longer exists.
+    stale = tmp_path / "format1.pkl"
+    stale.write_bytes(pickle.dumps({"format": 1, "engine": None, "seq_position": 0}))
+    with pytest.raises(CheckpointError, match="format 1"):
+        load_checkpoint(str(stale))
 
 
 # ---------------------------------------------------------------- seq counter

@@ -11,7 +11,11 @@ import pytest
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
 from repro.cpu.interp import FunctionalInterpreter
+from repro.lang import compile_source
 from repro.workloads.registry import WORKLOADS, make_workload
+
+from tests.conftest import assert_same_run
+from tests.core.test_checkpoint import PROGRAM_SRC
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=sorted(WORKLOADS))
@@ -35,7 +39,7 @@ def test_interpreter_differential(name):
 def test_engine_differential(core_model):
     """Timing engine: both core models match the oracle cycle-for-cycle."""
     workload = make_workload("fft", scale="tiny")
-    metrics = {}
+    results = []
     for dispatch in ("predecoded", "oracle"):
         engine = SequentialEngine(
             workload.program,
@@ -45,11 +49,32 @@ def test_engine_differential(core_model):
         )
         result = engine.run()
         assert not workload.mismatches(result.output)
-        metrics[dispatch] = (
-            result.execution_cycles,
-            result.global_time,
-            result.instructions,
-            result.output,
-            result.violations.total,
-        )
-    assert metrics["predecoded"] == metrics["oracle"]
+        results.append(result)
+    predecoded, oracle = (
+        (r.global_time, r.instructions, r.output, r.violations.total)
+        for r in results
+    )
+    assert predecoded == oracle
+    assert_same_run(*results)
+
+
+#: One scheme per gq_policy shape: cycle-accurate barrier, quantum barrier,
+#: bounded slack (sliding), unbounded slack.
+@pytest.mark.parametrize("scheme", ["cc", "q3", "s2", "su"])
+def test_sync_program_differential(scheme):
+    """Timing superblocks vs the oracle on the checkpoint goldens'
+    lock/barrier program, every scheme shape: sysapi effects land in host
+    arrival order, so a path that perturbs the turn decomposition (not just
+    end totals) moves the digest or the modeled host time."""
+    program = compile_source(PROGRAM_SRC).program
+    runs = [
+        SequentialEngine(
+            program,
+            target=TargetConfig(num_cores=4),
+            host=HostConfig(num_cores=4),
+            sim=SimConfig(scheme=scheme, seed=11, dispatch=dispatch),
+        ).run()
+        for dispatch in ("predecoded", "oracle")
+    ]
+    assert list(runs[0].output) == [24]
+    assert_same_run(*runs)

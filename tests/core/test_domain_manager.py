@@ -1,35 +1,32 @@
-"""DomainManager and backend integration tests (DESIGN.md §10).
+"""DomainManager integration tests (DESIGN.md §10).
 
-The determinism ladder under test:
-
-* N=1, any backend — byte-identical stats digests to the monolithic manager;
-* N>1 — seed-stable and backend-independent (sequential == threaded ==
-  process), with windows floored at the cross-domain exchange quantum.
+Under test: a multi-domain run is seed-stable (digest *and* modeled host
+time), with windows floored at the cross-domain exchange quantum — which
+makes it a different simulation from the monolithic manager's.
 """
 
-import os
 import pytest
 
 from repro.core import run_simulation
-from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.core.checkpoint import load_checkpoint
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.domains import DomainManager, SchedulingDomain, ThreadedBackend
+from repro.core.domains import DomainManager, SchedulingDomain
 from repro.core.engine import EngineError, SequentialEngine
 from repro.core.events import EvKind, Event
 from repro.workloads.synthetic import sharing_workload
 
-BACKENDS = ["sequential", "threaded", "process"]
+from tests.conftest import assert_same_run
+
 #: One scheme per GQ-policy family: barrier, immediate, oldest, lookahead.
 SCHEME_FAMILIES = ["cc", "su", "s9*", "l10"]
 
 
-def _kwargs(scheme="cc", backend="sequential", mem_domains=1, scheduling="dynamic", **sim_kw):
+def _kwargs(scheme="cc", mem_domains=1, **sim_kw):
     return dict(
         program=None,
         trace_cores=sharing_workload(4, 16, seed=1),
         host=HostConfig(num_cores=4),
-        sim=SimConfig(scheme=scheme, seed=1, scheduling=scheduling,
-                      backend=backend, mem_domains=mem_domains, **sim_kw),
+        sim=SimConfig(scheme=scheme, seed=1, mem_domains=mem_domains, **sim_kw),
         target=TargetConfig(num_cores=4, core_model="trace"),
     )
 
@@ -59,44 +56,21 @@ class TestInterface:
         assert eng.manager.exchange_quantum == eng.memsys.critical_latency() == 10
         assert eng.manager.current_max_local() >= eng.manager.global_time + 10
 
-    def test_single_domain_has_no_floor(self):
-        eng = make_engine(backend="threaded", mem_domains=1)
-        assert eng.manager.exchange_quantum == 0
-
 
 class TestDigestLadder:
     @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_domain_matches_monolithic(self, scheme, backend):
-        mono = run(scheme=scheme)
-        sharded = run(scheme=scheme, backend=backend, mem_domains=1)
-        assert sharded.stats_sha256 == mono.stats_sha256
-
-    def test_multi_domain_seed_stable_and_backend_independent(self):
-        digests = {be: run(backend=be, mem_domains=4).stats_sha256 for be in BACKENDS}
-        assert len(set(digests.values())) == 1
-        assert run(backend="sequential", mem_domains=4).stats_sha256 == digests["sequential"]
-        # The floor coarsens cc's windows: behaviour legitimately differs
-        # from the monolith (that difference is the speedup).
-        assert digests["sequential"] != run().stats_sha256
-
-    def test_threaded_worker_path_matches_inline(self, monkeypatch):
-        # The inline fast path normally soaks tiny exchanges; force every
-        # exchange through the worker threads and require the same digest.
-        reference = run(backend="sequential", mem_domains=4).stats_sha256
-        monkeypatch.setattr(ThreadedBackend, "inline_threshold", 0)
-        assert run(backend="threaded", mem_domains=4).stats_sha256 == reference
-
-    def test_static_schedule_matches_dynamic_under_domains(self):
-        dynamic = run(mem_domains=4)
-        static = run(mem_domains=4, scheduling="static")
-        assert static.stats["engine.scheduling"] == "static"
-        assert static.stats_sha256 == dynamic.stats_sha256
+    def test_multi_domain_seed_stable(self, scheme):
+        first = run(scheme=scheme, mem_domains=4)
+        assert_same_run(run(scheme=scheme, mem_domains=4), first)
+        if scheme == "cc":
+            # The floor coarsens cc's windows: behaviour legitimately
+            # differs from the monolith (that difference is the speedup).
+            assert first.stats_sha256 != run().stats_sha256
 
 
 class TestDomainStats:
     def test_per_domain_subtree_and_aggregates(self):
-        r = run(backend="threaded", mem_domains=4)
+        r = run(mem_domains=4)
         assert r.stats["mem.domains.count"] == 4
         assert r.stats["mem.domains.exchange_quantum"] == 10
         assert r.stats["mem.domains.exchanges"] > 0
@@ -113,13 +87,6 @@ class TestDomainStats:
         r = run()
         assert "mem.domains.count" not in r.stats
         assert "violations.cross_domain" not in r.stats
-
-    def test_backend_and_domains_excluded_from_digest(self):
-        # The config knobs appear in the dump but must not enter the digest
-        # (otherwise the N=1 ladder could never be byte-identical).
-        r = run(backend="threaded", mem_domains=1)
-        assert r.stats["sim.backend"] == "threaded"
-        assert r.stats["sim.mem_domains"] == 1
 
 
 class TestCrossDomainDetection:
@@ -162,10 +129,6 @@ class TestCrossDomainDetection:
 
 
 class TestGates:
-    def test_unknown_backend(self):
-        with pytest.raises(EngineError, match="unknown backend"):
-            make_engine(backend="gpu")
-
     def test_domains_out_of_range(self):
         with pytest.raises(EngineError, match="mem_domains"):
             make_engine(mem_domains=9)
@@ -175,33 +138,13 @@ class TestGates:
             make_engine(mem_domains=4,
                         fault_plan="overrun_window:core=1,at=200,extra=16")
 
-    def test_process_requires_trace_workload(self):
-        from repro.workloads.registry import make_workload
-
-        kw = _kwargs(backend="process", mem_domains=4)
-        kw["program"] = make_workload("fft", scale="tiny", nthreads=4).program
-        kw["trace_cores"] = None
-        with pytest.raises(EngineError, match="trace"):
-            SequentialEngine(**kw)
-
-    def test_process_rejects_checkpointing(self, tmp_path):
-        with pytest.raises(EngineError, match="checkpoint"):
-            make_engine(backend="process", mem_domains=4,
-                        checkpoint_interval=100,
-                        checkpoint_path=str(tmp_path / "ck.pkl"))
-
-    def test_save_checkpoint_rejects_process_backend(self):
-        eng = make_engine(backend="process", mem_domains=4)
-        with pytest.raises(CheckpointError, match="process"):
-            save_checkpoint(eng, os.devnull)
-
 
 class TestCheckpointRoundTrip:
-    def test_threaded_domained_resume_is_byte_identical(self, tmp_path):
+    def test_domained_resume_is_byte_identical(self, tmp_path):
         path = str(tmp_path / "ck.pkl")
-        eng = make_engine(backend="threaded", mem_domains=4,
+        eng = make_engine(mem_domains=4,
                           checkpoint_interval=400, checkpoint_path=path)
         uninterrupted = eng.run()
         resumed = load_checkpoint(path).run()
-        assert resumed.stats_sha256 == uninterrupted.stats_sha256
-        assert resumed.stats_sha256 == run(backend="threaded", mem_domains=4).stats_sha256
+        assert_same_run(resumed, uninterrupted)
+        assert_same_run(resumed, run(mem_domains=4))

@@ -3,13 +3,14 @@
 The invalidation contract (DESIGN.md §12): program content, toolchain
 fingerprint and every digest-relevant configuration field participate in
 the key; execution mechanics proven observationally equivalent elsewhere
-(scheduling mode, backend at one domain, watchdog, output paths) must not.
+(stepping and dispatch mode, watchdog, output paths) must not.
 """
 
 import pytest
 
 import repro.lang.compiler as compiler
 from repro.jobs import JobSpec, digest_payload, job_key
+from repro.jobs.spec import DIGEST_SIM_FIELDS, spec_from_dict, spec_to_dict
 
 #: A fixed fake program digest so these tests never need to compile.
 DIGEST = "ab" * 32
@@ -64,11 +65,6 @@ class TestKeyChanges:
             changed = spec(**change)
         assert job_key(changed, DIGEST) != job_key(spec(), DIGEST)
 
-    def test_backend_included_with_multiple_domains(self):
-        a = spec(mem_domains=2, backend="sequential")
-        b = spec(mem_domains=2, backend="threaded")
-        assert job_key(a, DIGEST) != job_key(b, DIGEST)
-
 
 class TestKeyInvariant:
     """Everything here must NOT change the job key."""
@@ -76,11 +72,9 @@ class TestKeyInvariant:
     @pytest.mark.parametrize(
         "change",
         [
-            {"scheduling": "static"},
             {"stepping": "looped"},
             {"dispatch": "oracle"},
             {"host_timeout": 5.0},
-            {"backend": "threaded"},  # one memory domain: digest-excluded
             {"checkpoint_path": "/tmp/ckpt.bin"},
             {"trace_mode": "replay", "trace_path": "/tmp/x.trace"},
         ],
@@ -105,6 +99,11 @@ class TestPayload:
             "target", "host", "sim",
         }
 
+    @pytest.mark.parametrize("mem_domains", [1, 4])
+    def test_sim_section_is_exactly_the_digest_fields(self, mem_domains):
+        payload = digest_payload(spec(mem_domains=mem_domains), DIGEST)
+        assert tuple(payload["sim"]) == DIGEST_SIM_FIELDS
+
     def test_functional_payload_drops_timing_config(self):
         payload = digest_payload(spec(mode="functional"), DIGEST)
         assert "sim" not in payload and "host" not in payload
@@ -114,3 +113,25 @@ class TestPayload:
         assert s.sim_config().scheme == "su"
         assert s.sim_config().max_cycles == 777
         assert digest_payload(s, DIGEST)["sim"]["scheme"] == "su"
+
+
+class TestWireCompat:
+    def test_retired_sim_fields_are_dropped(self):
+        """A row queued by a daemon that still had the static scheduler and
+        the domain backends must stay runnable: same job, keys dropped."""
+        wire = {
+            "workload": "fft", "scale": "tiny", "scheme": "s9", "seed": 7,
+            "host_cores": 4, "core_model": "inorder", "fastforward": False,
+            "mode": "timing", "workload_args": [],
+            "sim": {
+                "scheme": "s9", "seed": 7, "max_cycles": 777, "mem_domains": 4,
+                "scheduling": "static", "backend": "threaded",
+            },
+        }
+        revived = spec_from_dict(wire)
+        current = spec(mem_domains=4, max_cycles=777)
+        assert revived == current
+        sim = revived.sim_config()
+        assert not hasattr(sim, "scheduling") and not hasattr(sim, "backend")
+        assert job_key(revived, DIGEST) == job_key(current, DIGEST)
+        assert "backend" not in spec_to_dict(revived)["sim"]

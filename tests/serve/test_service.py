@@ -4,6 +4,9 @@ worker processes, real signals.  This is the chaos ladder from DESIGN.md
 the queue — each rung asserting the serve contract: nothing lost, nothing
 duplicated, failures explicit."""
 
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.jobs import ResultStore
@@ -16,6 +19,15 @@ from tests.serve.conftest import tiny_spec, wait_terminal
 #: provenance (wall time, engine, timestamps) legitimately differs.
 IDENTICAL_FIELDS = ("metrics", "stats", "stats_digest", "stats_dump",
                     "output_sha256", "cores", "completed")
+
+
+def process_running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 def direct_baseline(spec, tmp_path):
@@ -99,11 +111,14 @@ def test_poison_job_dead_letters_without_stalling_others(daemon):
 @pytest.mark.slow
 def test_daemon_sigkill_restart_recovers_orphans(daemon, tmp_path):
     """Rung (b): SIGKILL the daemon with work in flight; a restart re-leases
-    every orphaned job and completes it, attempts uncharged, results exact."""
+    every orphaned job and completes it, attempts uncharged, results exact —
+    and the killed daemon's workers notice they are orphans and exit."""
     specs = [tiny_spec(seed=s) for s in (31, 32, 33, 34)]
     daemon.start("--workers", "2")
     client = daemon.client()
     keys = [client.submit(spec_to_dict(s))["job_key"] for s in specs]
+    orphans = [w["pid"] for w in client.status()["workers"]]
+    assert len(orphans) == 2
     daemon.sigkill()  # no drain, no cleanup — leases die with the daemon
     daemon.wait()
     daemon.start("--workers", "2")
@@ -119,6 +134,10 @@ def test_daemon_sigkill_restart_recovers_orphans(daemon, tmp_path):
         baseline = direct_baseline(spec, tmp_path)
         for field in IDENTICAL_FIELDS:
             assert served[field] == baseline[field], field
+    deadline = time.time() + 30
+    while any(map(process_running, orphans)) and time.time() < deadline:
+        time.sleep(0.1)
+    assert not [pid for pid in orphans if process_running(pid)]
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@
 
 The contract under test is **replay transparency**: a run replayed from a
 captured trace must produce a stats digest byte-identical to a direct run
-under the identical (scheme, scheduling, backend, mem_domains) config —
+under the identical (scheme, mem_domains) config —
 for every scheme family, because the trace records only the committed-op
 stream at the core → memory seam and everything scheme-dependent (windows,
 violations, coherence, sync outcomes) is re-enacted live.
@@ -26,6 +26,8 @@ from repro.trace import TraceError, read_trace
 from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
 
+from tests.conftest import assert_same_run
+
 #: One representative per scheme family (Table 2): cycle-count, quantum,
 #: slack, unbounded.
 SCHEMES = ["cc", "q3", "s2", "su"]
@@ -47,13 +49,9 @@ def fft_trace(fft, tmp_path_factory):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("scheduling", ["dynamic", "static"])
-@pytest.mark.parametrize("backend,mem_domains",
-                         [("sequential", 1), ("threaded", 4)])
-def test_replay_digest_matches_direct(fft, fft_trace, scheme, scheduling,
-                                      backend, mem_domains):
-    sim = dict(scheme=scheme, seed=1, scheduling=scheduling,
-               backend=backend, mem_domains=mem_domains)
+@pytest.mark.parametrize("mem_domains", [1, 4])
+def test_replay_digest_matches_direct(fft, fft_trace, scheme, mem_domains):
+    sim = dict(scheme=scheme, seed=1, mem_domains=mem_domains)
     direct = run_simulation(fft, sim=SimConfig(**sim))
     replay = run_simulation(
         fft, sim=SimConfig(trace_mode="replay", trace_path=fft_trace, **sim))
@@ -61,7 +59,7 @@ def test_replay_digest_matches_direct(fft, fft_trace, scheme, scheduling,
     # Full-dump equality, not just the digest: this is what makes traced
     # sweep JSON byte-identical to the non-traced runner's.
     assert replay.stats == direct.stats
-    assert replay.stats_sha256 == direct.stats_sha256
+    assert_same_run(replay, direct)
 
 
 def test_capture_is_scheme_and_seed_invariant(fft, tmp_path):
@@ -106,11 +104,11 @@ def test_replay_composes_with_checkpoints(fft, fft_trace, tmp_path):
                            **sim))
     result = engine.run()
     assert result.completed
-    assert result.stats_sha256 == direct.stats_sha256
+    assert_same_run(result, direct)
     assert pathlib.Path(ckpt).exists()
     resumed = load_checkpoint(ckpt).run()
     assert resumed.completed
-    assert resumed.stats_sha256 == direct.stats_sha256
+    assert_same_run(resumed, direct)
 
 
 def test_capture_refuses_fault_injection(fft, tmp_path):
@@ -152,20 +150,4 @@ def test_trace_flavor_replay_matches_direct(sharing_trace, scheme):
     kw.pop("trace_cores")
     replay = run_simulation(None, **kw)
     assert replay.stats == direct.stats
-    assert replay.stats_sha256 == direct.stats_sha256
-
-
-def test_trace_flavor_replay_under_process_backend(sharing_trace):
-    """Trace-flavor replay rebuilds literal TraceCores, so the process
-    backend (which program-flavor replay refuses, matching direct runs)
-    keeps working and stays digest-identical."""
-    direct = run_simulation(
-        None, **_trace_flavor_sim(scheme="cc", seed=1, backend="process",
-                                  mem_domains=2))
-    kw = _trace_flavor_sim(scheme="cc", seed=1, backend="process",
-                           mem_domains=2, trace_mode="replay",
-                           trace_path=sharing_trace)
-    kw.pop("trace_cores")
-    replay = run_simulation(None, **kw)
-    assert replay.stats == direct.stats
-    assert replay.stats_sha256 == direct.stats_sha256
+    assert_same_run(replay, direct)

@@ -6,6 +6,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.fixture(autouse=True)
+def isolated_cache(tmp_path, monkeypatch):
+    """``run`` answers from the result store: a record sealed by another
+    build in the ambient ``.repro_cache/`` may carry digest-excluded dump
+    lines this build no longer emits, so diff fresh runs only."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
 @pytest.fixture()
 def captured(tmp_path, capsys):
     path = str(tmp_path / "fft.trace")
