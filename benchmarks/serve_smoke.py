@@ -5,11 +5,17 @@ Drives a real ``repro serve`` daemon through the full failure drill from
 DESIGN.md §13 and proves the serve contract holds:
 
 1. Direct-run every job spec into an isolated baseline store (ground truth).
-2. Start the daemon and submit all jobs over the HTTP API.
-3. SIGKILL one worker process mid-run (a crashed leaseholder).
-4. SIGTERM the daemon itself mid-run (an interrupted incarnation).
-5. Restart the daemon: recovery must re-lease every orphan.
-6. Every job must land DONE — no losses, no duplicate rows — and every
+2. Start the daemon and serve the first few jobs one at a time on the
+   idle pool, printing each round trip, the record's
+   ``provenance.wall_time_s`` and their difference: the serve overhead.
+   Its median must stay under the supervision loop's safety-net period
+   (``TICK_PERIOD_S``) — a hot path that waited for ticks would pay about
+   two half-periods per job on top of the work.
+3. Submit the remaining jobs over the HTTP API, all at once.
+4. SIGKILL one worker process mid-run (a crashed leaseholder).
+5. SIGTERM the daemon itself mid-run (an interrupted incarnation).
+6. Restart the daemon: recovery must re-lease every orphan.
+7. Every job must land DONE — no losses, no duplicate rows — and every
    served record's deterministic fields must be byte-identical to the
    direct-run baseline (compared via ``cmp`` on dumped files).
 
@@ -24,6 +30,7 @@ import argparse
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -35,6 +42,11 @@ from repro.jobs import JobSpec, ResultStore  # noqa: E402
 from repro.jobs.execute import execute  # noqa: E402
 from repro.jobs.spec import spec_to_dict  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
+from repro.serve.supervisor import TICK_PERIOD_S  # noqa: E402
+
+#: Jobs served one at a time for the overhead rung; the rest go in at once
+#: for the chaos rungs.
+LATENCY_JOBS = 4
 
 #: The deterministic slice of a record that must survive any failure path
 #: bit-for-bit.  Provenance (wall time, engine, timestamps) may differ.
@@ -81,6 +93,28 @@ def start_daemon(cache_dir: Path, workers: int) -> subprocess.Popen:
     fatal("daemon never published its endpoint")
 
 
+def serve_overhead(client: ServeClient, specs: list) -> float:
+    """Serve *specs* one at a time; the median of (round trip - run time).
+
+    The first job is the worker's cold start (engine import, program load)
+    and is printed but left out of the median.
+    """
+    overheads = []
+    for i, spec in enumerate(specs):
+        start = time.perf_counter()
+        job = client.submit_and_wait(spec_to_dict(spec), timeout=120)
+        if job["state"] != "DONE":
+            fatal(f"idle-pool job {i} ended {job['state']}: {job.get('error')}")
+        record = client.fetch(job["job_key"])
+        trip = time.perf_counter() - start
+        ran = record["provenance"]["wall_time_s"]
+        overheads.append(trip - ran)
+        log(f"job {i:02d}: round trip {1e3 * trip:6.1f} ms, ran "
+            f"{1e3 * ran:6.1f} ms, overhead {1e3 * (trip - ran):5.1f} ms"
+            + ("  (cold start, not counted)" if i == 0 else ""))
+    return statistics.median(overheads[1:])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=8)
@@ -111,14 +145,23 @@ def main() -> int:
             deterministic_dump(outcome.record)
         )
 
-    # Rung 1: serve them.
+    # Rung 1: the idle-pool round trip must not be paced by the tick.
     daemon = start_daemon(cache_dir, args.workers)
     client = ServeClient(serve_dir=cache_dir / "serve")
+    if len(specs) > LATENCY_JOBS:
+        overhead = serve_overhead(client, specs[:LATENCY_JOBS])
+        log(f"idle-pool median overhead {1e3 * overhead:.1f} ms "
+            f"(safety-net tick period {1e3 * TICK_PERIOD_S:.0f} ms)")
+        if overhead > TICK_PERIOD_S:
+            fatal("serve overhead exceeds the tick period: is the hot path "
+                  "polling again?")
+
+    # Rung 2: serve the rest, all at once (resubmissions attach).
     for spec in specs:
         client.submit(spec_to_dict(spec))
     log(f"submitted {len(specs)} job(s) to pid {daemon.pid}")
 
-    # Rung 2: SIGKILL a worker the moment one is busy.
+    # Rung 3: SIGKILL a worker the moment one is busy.
     deadline = time.time() + 60
     victim = None
     while time.time() < deadline and victim is None:
@@ -133,7 +176,7 @@ def main() -> int:
     log(f"SIGKILLed worker pid {victim['pid']} "
         f"(job {victim['job_key'][:16]})")
 
-    # Rung 3: SIGTERM the daemon while work is still in flight.
+    # Rung 4: SIGTERM the daemon while work is still in flight.
     time.sleep(0.5)
     daemon.send_signal(signal.SIGTERM)
     rc = daemon.wait(timeout=120)
@@ -141,7 +184,7 @@ def main() -> int:
     if rc != 0:
         fatal("daemon did not shut down cleanly on SIGTERM")
 
-    # Rung 4: restart; recovery must finish everything.
+    # Rung 5: restart; recovery must finish everything.
     daemon = start_daemon(cache_dir, args.workers)
     client = ServeClient(serve_dir=cache_dir / "serve")
     deadline = time.time() + 300
@@ -161,7 +204,7 @@ def main() -> int:
     if len(rows) != len(specs):
         fatal(f"expected {len(specs)} rows, found {len(rows)} (duplicates?)")
 
-    # Rung 5: served records equal the direct-run baseline, via cmp.
+    # Rung 6: served records equal the direct-run baseline, via cmp.
     for i, key in enumerate(keys):
         (served_dir / f"{i:02d}.json").write_bytes(
             deterministic_dump(client.fetch(key))

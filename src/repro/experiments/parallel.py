@@ -37,6 +37,7 @@ propagate immediately, they are never retried.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -80,9 +81,17 @@ _TRACE_MAP: dict[tuple[str, str], str] = {}
 
 
 def _init_worker_traces(trace_map: dict[tuple[str, str], str]) -> None:
-    """ProcessPoolExecutor initializer: install the parent's trace map."""
+    """Install the sweep's trace map (parent: serial path; pool: below)."""
     _TRACE_MAP.clear()
     _TRACE_MAP.update(trace_map)
+
+
+def _init_pool_worker(trace_map: dict[tuple[str, str], str]) -> None:
+    """ProcessPoolExecutor initializer: the parent's trace map, and what the
+    fork handed over (modules, numpy) exempted from the collections the job
+    layer runs between engines — ~2 ms each instead of ~13."""
+    gc.freeze()
+    _init_worker_traces(trace_map)
 
 
 def _capture_sweep_traces(specs: list["PointSpec"], base_seed: int) -> dict:
@@ -463,7 +472,7 @@ def _run_points_parallel(
     while todo:
         executor = ProcessPoolExecutor(
             max_workers=jobs,
-            initializer=_init_worker_traces,
+            initializer=_init_pool_worker,
             initargs=(trace_map or {},),
         )
         futures = {executor.submit(_run_point_ex, specs[i]): i for i in todo}

@@ -25,6 +25,7 @@ disagrees with a fresh run is surfaced as drift.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace
 
@@ -193,6 +194,11 @@ def execute(
         if record is not None:
             return JobOutcome(key=key, record=record, hit=True)
 
+    # An engine is a cyclic graph that owns its target-memory image, and a
+    # job on a warm Program (lang/memo.py) allocates too little for the
+    # collector to run by itself: free the previous job's engine before
+    # building this one, or a loop of jobs piles them up.
+    gc.collect()
     trace_path = _resolve_trace(spec, pdigest, trace)
     t0 = time.perf_counter()
     result, replayed = _run_spec(spec, workload, trace_path, fallback=trace == "auto")
@@ -212,8 +218,7 @@ def execute(
         wall_time=wall_time,
     )
     if store is not None:
-        store.put(key, record)
-        record = store.load(key) or record  # hand back the sealed form
+        record = store.put(key, record)  # hand back the sealed form
     return JobOutcome(
         key=key, record=record, hit=False, result=result, replayed=replayed
     )
@@ -278,8 +283,7 @@ def execute_functional(
                     f"!= fresh {record[field_path]!r}"
                 )
     if store is not None:
-        store.put(key, record)
-        record = store.load(key) or record
+        record = store.put(key, record)
     return JobOutcome(
         key=key,
         record=record,

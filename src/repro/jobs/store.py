@@ -203,13 +203,14 @@ class ResultStore:
             "quarantined": quarantined,
         }
 
-    def put(self, key: str, record: dict) -> Path:
-        """Seal and atomically publish *record* under *key*.
+    def put(self, key: str, record: dict) -> dict:
+        """Seal and atomically publish *record* under *key*; return the
+        published form (the file is at :meth:`path`).
 
         The record is normalised through JSON before sealing so that the
         sealed bytes and the re-loaded value can never disagree (e.g.
-        tuples vs lists) — what you store is exactly what ``load`` hands
-        back.
+        tuples vs lists) — what comes back is exactly what ``load`` hands
+        back, without the second parse and seal check.
         """
         record = json.loads(json.dumps(record))
         record["format"] = RESULT_FORMAT
@@ -218,7 +219,7 @@ class ResultStore:
         path = self.path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
-        return path
+        return record
 
     # ---------------------------------------------------------- management
     def keys(self) -> list[str]:

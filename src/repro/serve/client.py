@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro._util import Backoff, retry_with_backoff
 from repro.serve.daemon import default_serve_dir, endpoint_path
+from repro.serve.queue import TERMINAL
 
 __all__ = ["ServeClient", "ServeError", "ServeRejected", "ServeUnavailable"]
 
@@ -78,11 +79,23 @@ class ServeClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------ transport
-    def _request(self, method: str, path: str, body: "dict | None" = None) -> dict:
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: "dict | None" = None,
+        *,
+        keep: "http.client.HTTPConnection | None" = None,
+    ) -> dict:
+        """One API call: over its own connection, or over *keep*, which
+        stays open for the caller's next request."""
+
         def attempt() -> dict:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            conn = keep if keep is not None else self._connect()
+            answered = False
             try:
                 payload = (
                     json.dumps(body, sort_keys=True).encode()
@@ -97,6 +110,7 @@ class ServeClient:
                 )
                 response = conn.getresponse()
                 raw = response.read()
+                answered = True
                 try:
                     data = json.loads(raw) if raw else {}
                 except json.JSONDecodeError:
@@ -109,7 +123,10 @@ class ServeClient:
                     raise ServeRejected(response.status, data)
                 return data
             finally:
-                conn.close()
+                # A kept connection that broke mid-exchange is closed too:
+                # http.client reopens it on the retry's request().
+                if keep is None or not answered:
+                    conn.close()
 
         try:
             # A daemon that just started (or is momentarily saturated at the
@@ -164,7 +181,13 @@ class ServeClient:
         poll_interval: float = 0.1,
         max_retries: "int | None" = None,
     ) -> dict:
-        """Submit, poll to a terminal state, and return the final job view.
+        """Submit, wait for a terminal state, and return the final job view.
+
+        The wait is a long-poll over one kept-alive connection: the daemon
+        holds each ``?wait=`` request until the job settles, so the client
+        learns of it at once and asks rarely.  *poll_interval* is the
+        floor on the time between requests — the pace against a daemon
+        that ignores ``wait`` (an older one, or one that is draining).
 
         Honours the daemon's backpressure: a 429 sleeps the advertised
         ``Retry-After`` (or one second) and resubmits — the client is the
@@ -179,10 +202,18 @@ class ServeClient:
                 if exc.status != 429 or time.time() >= deadline:
                     raise
                 time.sleep(float(exc.retry_after or 1))
-        key = outcome["job_key"]
-        while time.time() < deadline:
-            job = self.poll(key)
-            if job["state"] in ("DONE", "FAILED", "DEAD"):
-                return job
-            time.sleep(poll_interval)
-        raise ServeError(f"job {key[:16]} still {job['state']} after {timeout:.0f}s")
+        key, state = outcome["job_key"], outcome["state"]
+        conn = self._connect()
+        try:
+            while (asked := time.time()) < deadline:
+                hold = min(deadline - asked, self.timeout / 2)
+                job = self._request(
+                    "GET", f"/api/jobs/{key}?wait={hold:.3f}", keep=conn
+                )["job"]
+                state = job["state"]
+                if state in TERMINAL:
+                    return job
+                time.sleep(max(0.0, asked + poll_interval - time.time()))
+        finally:
+            conn.close()
+        raise ServeError(f"job {key[:16]} still {state} after {timeout:.0f}s")

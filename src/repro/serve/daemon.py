@@ -23,6 +23,16 @@ straight to ``DONE`` (a submit that is a cache hit never queues); a key
 already queued/leased/running *attaches* to the in-flight row.  Either
 way the response carries the key, the state, and ``created``.
 
+**Event-driven hot path.**  The supervision loop sleeps in
+``Supervisor.wait`` — on the worker pipes and a self-pipe that submit,
+cancel, retry and stop write to — so a job is leased the moment it is
+submitted and its verdict harvested the moment the worker reports.
+``TICK_PERIOD_S`` is only the wait's time-out: the pace of lease expiry,
+hang/time-out checks and backoff-due jobs.  Clients wait the same way:
+``GET /api/jobs/<key>?wait=<s>`` parks the handler thread until the job
+is terminal (or *s* seconds, capped at ``MAX_WAIT_S``, pass) instead of
+being asked again and again.
+
 **Crash-safe restart.**  All durable state lives in the sqlite queue and
 the sealed store, both written atomically/transactionally.  Startup runs
 ``queue.recover()``: every job the previous incarnation left leased or
@@ -40,6 +50,9 @@ API (all JSON)::
     POST /api/jobs                   {"spec": {...}, "max_retries": 2}
     GET  /api/jobs                   list every job row
     GET  /api/jobs/<key>             one job row (404 unknown)
+    GET  /api/jobs/<key>?wait=<s>    the same row, held back until it is
+                                     terminal, <s> seconds (server-capped)
+                                     pass, or the daemon starts draining
     GET  /api/jobs/<key>/result      the sealed result record (409 failed,
                                      404 not finished)
     POST /api/jobs/<key>/cancel      cancel queued/running work
@@ -60,6 +73,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
 
 import repro
 from repro._util import atomic_write_text
@@ -67,9 +81,12 @@ from repro.jobs import ResultStore
 from repro.jobs.spec import job_key, spec_from_dict, spec_to_dict
 from repro.jobs.store import TELEMETRY as STORE_TELEMETRY
 from repro.serve.queue import JobQueue, QueueError
-from repro.serve.supervisor import Supervisor
+from repro.serve.supervisor import TICK_PERIOD_S, Supervisor
 
-__all__ = ["ServeDaemon", "default_serve_dir", "endpoint_path"]
+__all__ = ["MAX_WAIT_S", "ServeDaemon", "default_serve_dir", "endpoint_path"]
+
+#: Longest a ``?wait=`` request is held; clients re-issue to wait longer.
+MAX_WAIT_S = 10.0
 
 
 def default_serve_dir() -> "Path | None":
@@ -93,6 +110,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     daemon_ref: "ServeDaemon"  # set by the server factory
     protocol_version = "HTTP/1.1"
+    # Buffer the reply so headers and body leave in one segment: on a
+    # keep-alive connection two small writes stall ~40 ms on Nagle + the
+    # client's delayed ACK.  handle_one_request() flushes after each reply.
+    wbufsize = -1
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, fmt, *args):  # quiet by default
@@ -120,14 +141,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- routing
     def do_GET(self):  # noqa: N802 (http.server API)
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        url = urlsplit(self.path)
+        parts = [p for p in url.path.split("/") if p]
         daemon = self.daemon_ref
         if parts == ["api", "status"]:
             return self._reply(200, daemon.status_view())
         if parts == ["api", "jobs"]:
             return self._reply(200, {"jobs": daemon.queue.jobs()})
         if len(parts) == 3 and parts[:2] == ["api", "jobs"]:
-            job = daemon.queue.get(parts[2])
+            try:
+                wait = float(parse_qs(url.query).get("wait", ["0"])[-1])
+            except ValueError:
+                return self._reply(400, {"error": "wait must be a number of seconds"})
+            # (NaN and negatives fail ``> 0`` and mean "do not wait".)
+            wait = min(wait, MAX_WAIT_S) if wait > 0 else 0.0
+            job = daemon.queue.wait_terminal(parts[2], wait)
             if job is None:
                 return self._reply(404, {"error": f"unknown job {parts[2]}"})
             return self._reply(200, {"job": job})
@@ -148,9 +176,11 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 if action == "cancel":
                     state = daemon.queue.request_cancel(key)
+                    daemon.supervisor.wake()  # kill the flagged worker now
                     return self._reply(200, {"job_key": key, "state": state})
                 if action == "retry":
                     job = daemon.queue.retry(key)
+                    daemon.supervisor.wake()
                     return self._reply(200, {"job": job})
             except QueueError as exc:
                 return self._reply(409, {"error": str(exc)})
@@ -242,7 +272,6 @@ class ServeDaemon:
         self.started_wall = time.time()
         self.stopping = False
         self.stop_reason: str | None = None
-        self._stop_event = threading.Event()
 
         self.store = ResultStore.default()
         self.queue = JobQueue(self.serve_dir / "queue.sqlite")
@@ -280,10 +309,11 @@ class ServeDaemon:
 
     # ----------------------------------------------------------- lifecycle
     def request_stop(self, reason: str) -> None:
-        """Begin a graceful drain (idempotent; signal-handler safe)."""
+        """Begin a graceful drain (idempotent; signal-handler safe: a flag
+        and one non-blocking pipe write, no lock)."""
         self.stopping = True
         self.stop_reason = reason
-        self._stop_event.set()
+        self.supervisor.wake()
 
     def install_signal_handlers(self) -> None:
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -292,8 +322,13 @@ class ServeDaemon:
                 lambda s, frame: self.request_stop(signal.Signals(s).name),
             )
 
-    def serve_forever(self, poll: float = 0.05) -> None:
-        """Run until a stop is requested, then drain and shut down."""
+    def serve_forever(self, poll: float = TICK_PERIOD_S) -> None:
+        """Run until a stop is requested, then drain and shut down.
+
+        *poll* is the safety-net period: the loop ticks at once on any
+        worker message, submission, cancel, retry or stop, and otherwise
+        every *poll* seconds for the clock-driven rules.
+        """
         http_thread = threading.Thread(
             target=self.server.serve_forever,
             kwargs={"poll_interval": 0.1},
@@ -302,15 +337,18 @@ class ServeDaemon:
         )
         http_thread.start()
         try:
-            while not self._stop_event.is_set():
+            while not self.stopping:
                 self.supervisor.tick()
-                self._stop_event.wait(poll)
+                self.supervisor.wait(poll)
         finally:
             self.shutdown()
 
     def shutdown(self) -> None:
         """Stop accepting, finish leased work, flush, tear down."""
         self.stopping = True
+        # Long-polls parked on unfinished jobs get their (non-terminal) row
+        # back now; the durable queue answers for the rest after a restart.
+        self.queue.release_waiters()
         drained = self.supervisor.drain(timeout=self.drain_timeout)
         self.server.shutdown()
         self.server.server_close()
@@ -364,6 +402,7 @@ class ServeDaemon:
             json.dumps(spec_to_dict(spec), sort_keys=True),
             max_retries=self.max_retries if max_retries is None else max_retries,
         )
+        self.supervisor.wake()  # lease it now, not at the next tick
         return {"job_key": key, "state": view["state"], "created": created}
 
     def status_view(self) -> dict:

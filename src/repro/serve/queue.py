@@ -35,6 +35,12 @@ orphaned work from the previous incarnation — without charging the retry
 budget (the daemon dying is not the job's fault; only worker-side
 failures consume attempts).
 
+**Waiting.**  ``wait_terminal`` parks a caller (an HTTP handler thread
+serving ``?wait=``) on a condition that every transition *into* a terminal
+state notifies, whichever thread makes it; ``release_waiters`` frees them
+all at drain.  The condition shares the connection lock, so "read the row,
+then sleep" cannot miss a transition.
+
 **Determinism.**  Every mutating method takes ``now`` explicitly (tests
 and the property machine drive a logical clock); the queue itself never
 reads the wall clock except as a default argument.
@@ -94,6 +100,9 @@ class JobQueue:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: Notified (under ``_lock``) by every transition into TERMINAL.
+        self._settled = threading.Condition(self._lock)
+        self._released = False
         self._db = sqlite3.connect(
             str(self.path), check_same_thread=False, isolation_level=None
         )
@@ -170,6 +179,8 @@ class JobQueue:
                 " VALUES (?, ?, ?, 0, ?, ?, ?, 0)",
                 (key, spec_json, state, int(max_retries), now, now),
             )
+            if state == "DONE":
+                self._settled.notify_all()
             return self.job_view(self._require(key)), True
 
     def lease(
@@ -247,6 +258,7 @@ class JobQueue:
                 " error=NULL, updated_at=? WHERE job_key=?",
                 (now, key),
             )
+            self._settled.notify_all()
 
     def fail(
         self, key: str, lease_id: str, error: str, *, now: "float | None" = None
@@ -267,6 +279,7 @@ class JobQueue:
                 " error=?, updated_at=? WHERE job_key=?",
                 (error, now, key),
             )
+            self._settled.notify_all()
 
     def requeue(
         self,
@@ -299,6 +312,7 @@ class JobQueue:
                     " lease_expiry=NULL, error=?, updated_at=? WHERE job_key=?",
                     (attempts, error, now, key),
                 )
+                self._settled.notify_all()
                 return "DEAD"
             self._db.execute(
                 "UPDATE jobs SET state='QUEUED', attempts=?, lease_id=NULL,"
@@ -374,6 +388,7 @@ class JobQueue:
                     " updated_at=? WHERE job_key=?",
                     (now, key),
                 )
+                self._settled.notify_all()
                 return "FAILED"
             if row["state"] in ("LEASED", "RUNNING"):
                 self._db.execute(
@@ -403,6 +418,35 @@ class JobQueue:
         with self._lock:
             row = self._row(key)
         return self.job_view(row) if row is not None else None
+
+    def wait_terminal(self, key: str, timeout: float) -> "dict | None":
+        """The row for *key*, returned as soon as it is terminal.
+
+        Blocks at most *timeout* seconds (on the wall clock — this is the
+        one method that sleeps); on time-out, for an unknown key, or once
+        :meth:`release_waiters` was called, the current row comes back
+        as-is, exactly what :meth:`get` would return.
+        """
+        deadline = time.monotonic() + timeout
+        with self._settled:
+            while True:
+                row = self._row(key)
+                remaining = deadline - time.monotonic()
+                if (
+                    row is None
+                    or row["state"] in TERMINAL
+                    or self._released
+                    or remaining <= 0
+                ):
+                    break
+                self._settled.wait(remaining)
+        return self.job_view(row) if row is not None else None
+
+    def release_waiters(self) -> None:
+        """Drain: wake every :meth:`wait_terminal` caller, park no new one."""
+        with self._settled:
+            self._released = True
+            self._settled.notify_all()
 
     def jobs(self, states: "tuple | None" = None) -> list[dict]:
         """All jobs (optionally filtered), in submission order."""

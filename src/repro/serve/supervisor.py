@@ -6,6 +6,13 @@ so there is exactly one writer process and the failure analysis stays
 tractable: whatever happens to a worker, the supervisor's next ``tick()``
 observes it and moves the job row accordingly.
 
+Between ticks the loop blocks in :meth:`Supervisor.wait` on every worker
+pipe plus one self-pipe (:meth:`Supervisor.wake`: submit, cancel, retry,
+stop), so a verdict is harvested and a new job leased the moment they
+exist.  The wait's time-out is the old tick period; it now only paces the
+clock-driven rules below (lease expiry, hang/time-out checks, backoff-due
+jobs) — nothing a client waits on.
+
 Failure domains handled per tick, in order:
 
 1. **Lease expiry** (safety net): no lease outlives its TTL even if the
@@ -38,6 +45,7 @@ import multiprocessing
 import os
 import signal
 import time
+from multiprocessing import connection
 from pathlib import Path
 
 from repro._util import Backoff, sha256_hex
@@ -45,7 +53,13 @@ from repro.serve.heartbeat import read_heartbeat
 from repro.serve.queue import JobQueue, QueueError
 from repro.serve.worker import worker_entry
 
-__all__ = ["Supervisor", "WorkerHandle"]
+__all__ = ["TICK_PERIOD_S", "Supervisor", "WorkerHandle"]
+
+#: Safety-net period of a supervision loop: how long :meth:`Supervisor.wait`
+#: sleeps when no worker reports and nobody calls :meth:`Supervisor.wake`.
+#: Nothing a client waits on is paced by it (``benchmarks/serve_smoke.py``
+#: gates on exactly that).
+TICK_PERIOD_S = 0.05
 
 #: How much of a dead worker's stderr tail rides into the job's error text.
 _STDERR_TAIL = 2000
@@ -151,6 +165,12 @@ class Supervisor:
         self.handles = [
             WorkerHandle(i, self._ctx, self.workers_dir) for i in range(workers)
         ]
+        # Self-pipe: wake() from any thread (or a signal handler) ends wait().
+        # The write end never blocks — a full pipe already holds a wake-up.
+        # Never closed explicitly (a wake() racing the close could write to
+        # a recycled descriptor); it goes with the supervisor object.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        os.set_blocking(self._wake_w.fileno(), False)
         self.draining = False
         #: Counters surfaced by /api/status.
         self.telemetry = {
@@ -232,8 +252,25 @@ class Supervisor:
         self._replace(handle)
 
     # --------------------------------------------------------------- tick
+    def wake(self) -> None:
+        """Cut the current (or next) :meth:`wait` short: there is work."""
+        try:
+            self._wake_w.send_bytes(b"\0")
+        except OSError:
+            pass  # pipe full: a wake-up is already pending
+
+    def wait(self, timeout: float) -> None:
+        """Block until a worker reports or dies, :meth:`wake` is called, or
+        *timeout* seconds pass — whichever is first."""
+        ready = connection.wait(
+            [self._wake_r, *(h.conn for h in self.handles)], timeout
+        )
+        if self._wake_r in ready:
+            while self._wake_r.poll():
+                self._wake_r.recv_bytes()
+
     def tick(self) -> None:
-        """One supervision pass (the daemon calls this a few times/second)."""
+        """One supervision pass (the daemon runs one per :meth:`wait`)."""
         now = time.time()
         self.queue.expire(now=now)
         self._harvest(now)
@@ -376,7 +413,7 @@ class Supervisor:
     def busy_count(self) -> int:
         return sum(1 for h in self.handles if h.busy)
 
-    def drain(self, timeout: float = 60.0, poll: float = 0.05) -> bool:
+    def drain(self, timeout: float = 60.0, poll: float = TICK_PERIOD_S) -> bool:
         """Graceful shutdown: stop assigning, finish leased work, stop.
 
         Returns True when every in-flight job finished inside *timeout*;
@@ -387,8 +424,8 @@ class Supervisor:
         self.draining = True
         deadline = time.time() + timeout
         while self.busy_count() and time.time() < deadline:
+            self.wait(poll)
             self.tick()
-            time.sleep(poll)
         finished = self.busy_count() == 0
         self.stop()
         return finished

@@ -42,6 +42,17 @@ class TestMissThenHit:
         again = execute(spec(), store, refresh=True)
         assert not again.hit and again.result is not None
 
+    def test_executed_miss_hands_back_what_load_returns(self, store, monkeypatch):
+        """The record a miss returns is the published one — and producing it
+        costs one store lookup (the miss), not a read-back counted as a hit."""
+        from repro.jobs import store as store_module
+
+        counts = dict.fromkeys(store_module.TELEMETRY, 0)
+        monkeypatch.setattr(store_module, "TELEMETRY", counts)
+        miss = execute(spec(), store)
+        assert (counts["misses"], counts["hits"]) == (1, 0)
+        assert miss.record == store.load(miss.key)
+
     def test_no_store_always_runs(self):
         outcome = execute(spec(), store=None)
         assert not outcome.hit and outcome.result is not None

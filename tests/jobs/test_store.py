@@ -34,29 +34,38 @@ class TestSealing:
         assert loaded["job_key"] == KEY
         assert loaded["record_sha256"] == seal_record(loaded)
 
+    def test_put_returns_the_record_load_hands_back(self, store):
+        published = store.put(KEY, record(pair=(1, 2)))  # tuple -> list
+        assert published == store.load(KEY)
+        assert published["pair"] == [1, 2]
+
     def test_absent_key_is_a_miss(self, store):
         assert store.load("0" * 64) is None
 
     def test_corrupt_json_is_a_miss_not_an_error(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         path.write_text("{ not json")
         assert store.load(KEY) is None
 
     def test_tampered_field_fails_the_seal(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         doc = json.loads(path.read_text())
         doc["metrics"]["x"] = 999
         path.write_text(json.dumps(doc))
         assert store.load(KEY) is None
 
     def test_wrong_embedded_key_is_a_miss(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         other = store.path("1" * 64)
         other.write_text(path.read_text())  # valid seal, wrong filename
         assert store.load("1" * 64) is None
 
     def test_format_mismatch_is_a_miss(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         doc = json.loads(path.read_text())
         doc["format"] = RESULT_FORMAT + 1
         doc["record_sha256"] = seal_record(doc)
@@ -100,7 +109,8 @@ class TestQuarantine:
     """Damaged entries are misses *and* get moved aside as evidence."""
 
     def test_corrupt_entry_is_quarantined_on_load(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         path.write_text("{ torn bytes")
         assert store.load(KEY) is None
         assert not path.exists()  # the broken file no longer shadows the key
@@ -112,7 +122,8 @@ class TestQuarantine:
         assert TELEMETRY["quarantined"] == 1
 
     def test_failed_seal_quarantines(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         doc = json.loads(path.read_text())
         doc["metrics"]["x"] = 999
         path.write_text(json.dumps(doc))
@@ -121,7 +132,8 @@ class TestQuarantine:
         assert TELEMETRY["corrupt"] == 1
 
     def test_stale_format_is_miss_but_not_quarantined(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         doc = json.loads(path.read_text())
         doc["format"] = RESULT_FORMAT + 1
         doc["record_sha256"] = seal_record(doc)
@@ -132,7 +144,8 @@ class TestQuarantine:
         assert TELEMETRY["quarantined"] == 0
 
     def test_requarantine_overwrites_older_evidence(self, store):
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         path.with_suffix(".corrupt").write_text("older evidence")
         path.write_text("fresh damage")
         assert store.load(KEY) is None
@@ -147,9 +160,11 @@ class TestQuarantine:
 
     def test_verify_scans_and_quarantines(self, store):
         store.put(KEY, record())                     # ok
-        bad = store.put("a" * 64, record())
+        store.put("a" * 64, record())
+        bad = store.path("a" * 64)
         bad.write_text("junk")                       # corrupt
-        stale = store.put("b" * 64, record())
+        store.put("b" * 64, record())
+        stale = store.path("b" * 64)
         doc = json.loads(stale.read_text())
         doc["format"] = RESULT_FORMAT + 1
         doc["record_sha256"] = seal_record(doc)
@@ -171,7 +186,8 @@ class TestQuarantine:
     def test_entries_is_non_mutating(self, store):
         """gc --dry-run and `cache ls` walk entries(); a scan must never
         move files."""
-        path = store.put(KEY, record())
+        store.put(KEY, record())
+        path = store.path(KEY)
         path.write_text("junk")
         listed = dict(store.entries())
         assert listed[KEY] is None

@@ -225,3 +225,55 @@ def test_unknown_key_raises(q):
 def test_terminal_set_matches_states():
     assert TERMINAL < set(STATES)
     assert TERMINAL == {"DONE", "FAILED", "DEAD"}
+
+
+# ------------------------------------------------------------ wait_terminal
+def test_wait_terminal_answers_at_once_when_there_is_nothing_to_wait_for(q):
+    assert q.wait_terminal("missing", 5.0) is None
+    submit(q)
+    assert q.wait_terminal("k1", 0.0)["state"] == "QUEUED"
+    assert q.request_cancel("k1", now=1.0) == "FAILED"
+    assert q.wait_terminal("k1", 5.0)["state"] == "FAILED"
+    submit(q, key="k2")
+    q.release_waiters()
+    assert q.wait_terminal("k2", 5.0)["state"] == "QUEUED"
+
+
+def test_wait_terminal_misses_no_transition_under_contention(q):
+    """More waiters than cores, a short switch interval, and every kind of
+    terminal transition racing the waiters' read-then-sleep: each waiter
+    must come back with its job's terminal row, none by timing out."""
+    import sys
+    import threading
+    import time
+
+    ends = {
+        "complete": lambda key, lease: q.complete(key, lease),
+        "fail": lambda key, lease: q.fail(key, lease, "boom"),
+        "dead": lambda key, lease: q.requeue(key, lease, "lost"),
+    }
+    keys = [f"job{i}" for i in range(24)]
+    for key in keys:
+        submit(q, key=key, max_retries=0)
+    answers: dict = {}
+
+    def waiter(key):
+        start = time.monotonic()
+        answers[key] = (q.wait_terminal(key, 30.0), time.monotonic() - start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=waiter, args=(key,)) for key in keys]
+        for thread in threads:
+            thread.start()
+        for i, key in enumerate(keys):
+            lease = q.lease("w0")["lease_id"]  # FIFO: leases keys in order
+            ends[list(ends)[i % 3]](key, lease)
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [answers[key][0]["state"] for key in keys] == ["DONE", "FAILED", "DEAD"] * 8
+    assert max(elapsed for _row, elapsed in answers.values()) < 20
