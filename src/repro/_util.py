@@ -7,7 +7,7 @@ whole run reproducible (see DESIGN.md, "Determinism").
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 write-a-file-safely primitive shared by every artifact producer — the
-compile cache, ``--stats-out`` dumps, sweep JSON documents and manifests,
+compile cache, ``--stats-out`` dumps, sweep JSON documents, result-store records,
 checkpoints, and bench reports.  A reader can never observe a truncated
 file: data lands in a same-directory tempfile first and is published with
 an atomic ``os.replace``.

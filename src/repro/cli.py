@@ -233,22 +233,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.experiments.parallel import run_sweep, sweep_to_json
 
-    if args.resume and not args.manifest_dir:
-        print("sweep --resume requires --manifest-dir", file=sys.stderr)
-        return 2
     telemetry: dict = {}
     payload = run_sweep(
         args.experiment, jobs=args.jobs, scale=args.scale, base_seed=args.seed,
-        manifest_dir=args.manifest_dir, resume=args.resume,
         max_retries=args.max_retries, trace=args.trace, telemetry=telemetry,
     )
     text = sweep_to_json(payload)
-    # Telemetry goes to stderr: how points were served (store hit vs run vs
-    # manifest resume) must never leak into the byte-stable sweep document.
+    # Telemetry goes to stderr: how points were served (store hit vs run)
+    # must never leak into the byte-stable sweep document.
     print(
         f"sweep {args.experiment}: store_hits={telemetry.get('store_hits', 0)} "
-        f"store_misses={telemetry.get('store_misses', 0)} "
-        f"manifest_resumed={telemetry.get('manifest_resumed', 0)}",
+        f"store_misses={telemetry.get('store_misses', 0)}",
         file=sys.stderr,
     )
     if args.out:
@@ -417,8 +412,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     # clear
-    removed = store.clear()
-    print(f"removed {removed} record(s) from {store.root}")
+    records, quarantined = store.clear()
+    print(
+        f"removed {records} record(s) and {quarantined} quarantined file(s) "
+        f"from {store.root}"
+    )
     return 0
 
 
@@ -639,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workload", default="fft")
     sweep.add_argument("--scale")
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--manifest-dir", metavar="DIR",
-                       help="persist each finished point here (atomic writes); "
-                       "enables --resume after a crash or kill")
-    sweep.add_argument("--resume", action="store_true",
-                       help="skip points already finished in --manifest-dir "
-                       "(byte-identical output to an uninterrupted sweep)")
     sweep.add_argument("--max-retries", type=int, default=2,
                        help="extra attempts per point after a worker crash "
                        "(default 2; point errors never retry)")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import TargetConfig
 from repro.experiments.common import Runner
 from repro.experiments.parallel import ABLATION_SLACKS, build_points, point_key
 from repro.stats.tables import Table
@@ -164,9 +163,8 @@ def run_coremodel_ablation(
     runner = runner or Runner()
     orderings = {}
     for model in ("inorder", "ooo"):
-        target = TargetConfig(core_model=model)
         times = {
-            scheme: runner.run(workload, scheme, host_cores, target=target).host_time
+            scheme: runner.run(workload, scheme, host_cores, core_model=model).host_time
             for scheme in schemes
         }
         orderings[model] = sorted(schemes, key=lambda s: times[s], reverse=True)

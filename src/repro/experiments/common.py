@@ -1,8 +1,9 @@
 """Shared experiment plumbing: a store-backed runner over (workload, scheme,
 host-cores, seed) and the standard scheme/host grids of the evaluation.
 
-Every :meth:`Runner.run` resolves through the content-addressed job layer
-(:mod:`repro.jobs`, DESIGN.md §12): the request becomes a :class:`JobSpec`,
+Every :meth:`Runner.run` and :meth:`Runner.point` names its request as a
+sweep :class:`~repro.experiments.parallel.PointSpec` and resolves it through
+the content-addressed job layer (:mod:`repro.jobs`, DESIGN.md §12):
 ``execute()`` serves it from ``.repro_cache/results/`` when a sealed record
 exists, and either way the experiment code sees a :class:`RecordResult` —
 a :class:`~repro.core.results.SimulationResult`-shaped view over the stored
@@ -14,10 +15,7 @@ entry points read.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.engine import SequentialEngine
 from repro.workloads.base import Workload
 from repro.workloads.registry import BENCHMARKS, make_workload
 
@@ -118,35 +116,21 @@ class RecordResult:
         return record_summary(self.record)
 
 
-@dataclass(frozen=True)
-class _Key:
-    workload: str
-    scale: str
-    scheme: str
-    host_cores: int
-    seed: int
-    fastforward: bool
-    core_model: str
-
-
 class Runner:
     """Store-backed simulation runner used by every experiment module.
 
-    In-process memoisation sits in front of the persistent result store:
-    repeated requests inside one experiment pay a dict lookup, repeated
-    requests across processes pay a store read, and only genuinely new
-    (workload, scheme, hosts, seed) combinations simulate.
+    One in-process memo, keyed by the point's :class:`PointSpec`, sits in
+    front of the persistent result store: repeated requests inside one
+    experiment pay a dict lookup, repeated requests across processes pay a
+    store read, and only genuinely new (workload, scheme, hosts, seed)
+    combinations simulate.
     """
 
-    def __init__(self, scale: str | None = None, seed: int = 1, verify: bool = True) -> None:
+    def __init__(self, scale: str | None = None, seed: int = 1) -> None:
         self.scale = scale or default_scale()
         self.seed = seed
-        #: Kept for API compatibility; the job layer always verifies runs
-        #: against the workload's oracle before a record is stored.
-        self.verify = verify
         self._workloads: dict[str, Workload] = {}
-        self._results: dict[_Key, RecordResult] = {}
-        self._points: dict = {}
+        self._records: dict = {}
 
     def workload(self, name: str) -> Workload:
         w = self._workloads.get(name)
@@ -154,6 +138,15 @@ class Runner:
             w = make_workload(name, scale=self.scale)
             self._workloads[name] = w
         return w
+
+    def _record(self, spec) -> dict:
+        """*spec*'s store record (memoised), via the job layer."""
+        record = self._records.get(spec)
+        if record is None:
+            from repro.experiments.parallel import execute_point
+
+            record = self._records[spec] = execute_point(spec).record
+        return record
 
     def run(
         self,
@@ -163,73 +156,23 @@ class Runner:
         *,
         seed: int | None = None,
         fastforward: bool = False,
-        target: TargetConfig | None = None,
+        core_model: str = "inorder",
     ) -> RecordResult:
         """Resolve one run through the job layer (store hit or simulate)."""
+        from repro.experiments.parallel import PointSpec
+
         seed = self.seed if seed is None else seed
-        core_model = "inorder"
-        if target is not None:
-            if target != TargetConfig(core_model=target.core_model):
-                # A bespoke target model (custom caches, widths, ...) is not
-                # expressible as a JobSpec yet: run it directly, unmemoised.
-                return self._run_direct(workload, scheme, host_cores, seed, fastforward, target)
-            core_model = target.core_model
-        key = _Key(workload, self.scale, scheme, host_cores, seed, fastforward, core_model)
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        from repro.jobs import JobSpec, ResultStore, execute
-
-        outcome = execute(
-            JobSpec(
-                workload=workload,
-                scale=self.scale,
-                scheme=scheme,
-                seed=seed,
-                host_cores=host_cores,
-                core_model=core_model,
-                fastforward=fastforward,
-            ),
-            store=ResultStore.default(),
+        return RecordResult(
+            self._record(
+                PointSpec(workload, scheme, host_cores, self.scale, seed, fastforward, core_model)
+            )
         )
-        result = RecordResult(outcome.record)
-        self._results[key] = result
-        return result
-
-    def _run_direct(
-        self,
-        workload: str,
-        scheme: str,
-        host_cores: int,
-        seed: int,
-        fastforward: bool,
-        target: TargetConfig,
-    ):
-        """Escape hatch for non-job-addressable targets: live engine run."""
-        w = self.workload(workload)
-        result = SequentialEngine(
-            w.program,
-            target=target,
-            host=HostConfig(num_cores=host_cores),
-            sim=SimConfig(scheme=scheme, seed=seed, fastforward=fastforward),
-        ).run()
-        if self.verify:
-            problems = w.mismatches(result.output)
-            if problems:
-                raise AssertionError(
-                    f"workload {workload} mis-executed under {scheme}: " + "; ".join(problems)
-                )
-        return result
 
     def point(self, spec) -> dict:
-        """A sweep grid point's document (memoised), via the job layer."""
-        doc = self._points.get(spec)
-        if doc is None:
-            from repro.experiments.parallel import run_point
+        """A sweep grid point's document: the same record, reduced."""
+        from repro.experiments.parallel import point_document
 
-            doc = run_point(spec)
-            self._points[spec] = doc
-        return doc
+        return point_document(spec, self._record(spec))
 
     def baseline(self, workload: str) -> RecordResult:
         """The paper's baseline: cycle-by-cycle on a single host core."""

@@ -23,14 +23,13 @@ store and still renders byte-identical JSON.  Workers also share the
 on-disk compile cache, so N workers compiling the same benchmark pay one
 compile between them.
 
-**Resumable sweeps** (DESIGN.md §8): with ``manifest_dir`` set, every
-finished point is written atomically to its own manifest file, and
-``resume=True`` reloads finished points instead of re-running them.  The
-manifest is a *view of the store record* (the same document ``execute()``'s
-record reduces to), so a resumed sweep renders **byte-identically** to an
-uninterrupted one — a killed sweep loses at most the in-flight points.
-Crashed workers (a died process takes the whole ``ProcessPoolExecutor``
-down) are retried with a fresh pool and exponential backoff, bounded by
+**Re-running a killed sweep** (DESIGN.md §8): each point's worker seals its
+record into the result store *before* it returns, so the store is the only
+record of a finished point.  Re-run the same command and every point that
+finished is a store hit; only the in-flight points simulate again, and the
+document renders **byte-identically** to an uninterrupted sweep.  Crashed
+workers (a died process takes the whole ``ProcessPoolExecutor`` down) are
+retried with a fresh pool and exponential backoff, bounded by
 ``max_retries`` per point; genuine point errors (a failed simulation)
 propagate immediately, they are never retried.
 """
@@ -40,12 +39,11 @@ from __future__ import annotations
 import gc
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
-from repro._util import Backoff, atomic_write_text, sha256_hex
+from repro._util import Backoff, sha256_hex
 from repro.core.config import SimConfig
 from repro.core.engine import SequentialEngine
 from repro.experiments.common import BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale
@@ -58,7 +56,7 @@ __all__ = [
     "TABLE3_SCHEMES",
     "build_points",
     "derive_seed",
-    "manifest_path",
+    "execute_point",
     "point_document",
     "point_job",
     "point_key",
@@ -72,44 +70,22 @@ class SweepError(RuntimeError):
     """A sweep could not finish (worker crashes exceeded the retry budget)."""
 
 
-#: (workload, scale) -> trace file path for the current sweep.  Set in the
-#: parent before any point runs and shipped to workers via the executor
-#: initializer, so every process replays the same capture.  Empty when the
-#: sweep runs without trace reuse — points then fall back to the job
-#: layer's own store-driven replay discovery.
-_TRACE_MAP: dict[tuple[str, str], str] = {}
-
-
-def _init_worker_traces(trace_map: dict[tuple[str, str], str]) -> None:
-    """Install the sweep's trace map (parent: serial path; pool: below)."""
-    _TRACE_MAP.clear()
-    _TRACE_MAP.update(trace_map)
-
-
-def _init_pool_worker(trace_map: dict[tuple[str, str], str]) -> None:
-    """ProcessPoolExecutor initializer: the parent's trace map, and what the
-    fork handed over (modules, numpy) exempted from the collections the job
-    layer runs between engines — ~2 ms each instead of ~13."""
-    gc.freeze()
-    _init_worker_traces(trace_map)
-
-
-def _capture_sweep_traces(specs: list["PointSpec"], base_seed: int) -> dict:
-    """One functional capture per distinct (workload, scale) in *specs*.
+def _capture_sweep_traces(specs: list["PointSpec"], base_seed: int) -> None:
+    """Make sure a valid capture exists per distinct (workload, scale).
 
     Captures land in the content-keyed ``.repro_cache/traces/`` store
     (:mod:`repro.trace.store`), keyed on (program digest, workload config,
     seed) — so a second sweep over the same workloads performs **zero**
-    captures, and every scheme/host/ff point replays the same stream.  The
-    stream is scheme- and sim-seed-invariant, which is why per-point derived
-    seeds still replay against one capture; the capture itself runs under
-    ``su`` (the cheapest scheme) purely for speed.
+    captures.  Nothing is handed to the points: each one finds the capture
+    through the job layer's own discovery (``execute(trace="auto")``), which
+    is seed-agnostic because the stream is scheme- and sim-seed-invariant —
+    per-point derived seeds all replay the one capture.  The capture itself
+    runs under ``su`` (the cheapest scheme) purely for speed.
     """
     from repro.trace import format as tformat
     from repro.trace.store import trace_key, trace_store_path
     from repro.workloads.registry import make_workload
 
-    trace_map: dict[tuple[str, str], str] = {}
     combos = sorted({(s.workload, s.scale) for s in specs if s.core_model == "inorder"})
     for wl_name, scale in combos:
         workload = make_workload(wl_name, scale=scale)
@@ -117,11 +93,10 @@ def _capture_sweep_traces(specs: list["PointSpec"], base_seed: int) -> dict:
         source = {"workload": wl_name, "scale": scale}
         path = trace_store_path(trace_key(digest, source, base_seed))
         if path is None:
-            continue  # on-disk caching disabled: points run directly
+            return  # on-disk caching disabled: points run directly
         if path.exists():
             try:
                 if tformat.read_trace(str(path)).header.get("program_digest") == digest:
-                    trace_map[(wl_name, scale)] = str(path)
                     continue
             except tformat.TraceError:
                 pass  # corrupt or stale entry: recapture below
@@ -135,8 +110,7 @@ def _capture_sweep_traces(specs: list["PointSpec"], base_seed: int) -> dict:
         ).run()
         if not result.completed:
             raise SweepError(f"trace capture for {wl_name}/{scale} did not complete")
-        trace_map[(wl_name, scale)] = str(path)
-    return trace_map
+
 
 #: Slack bounds of the ablation (A1) sweep grid — single-sourced here;
 #: :mod:`repro.experiments.ablations` builds the same grid through
@@ -220,33 +194,27 @@ def point_document(spec: PointSpec, record: dict) -> dict:
     }
 
 
-def _run_point_ex(spec: PointSpec) -> tuple[dict, bool]:
-    """Resolve one point through the job layer: (document, store_hit).
+def execute_point(spec: PointSpec):
+    """Resolve one point through the job layer: its ``JobOutcome``.
 
-    Module-level (picklable) so ProcessPoolExecutor can ship it to workers;
-    also the serial path, so jobs=1 and jobs=N run the identical code.
+    A store hit, else a replay of whatever matching capture the trace store
+    holds (``trace="auto"``; a stale capture degrades to a direct run
+    inside ``execute()``), else a direct run — sealed into the store before
+    this returns.
     """
     _maybe_crash(spec)
     from repro.jobs import ResultStore, execute
 
-    trace_path = (
-        _TRACE_MAP.get((spec.workload, spec.scale))
-        if spec.core_model == "inorder"
-        else None
-    )
-    store = ResultStore.default()
-    if trace_path is not None:
-        from repro.core.engine import EngineError
-        from repro.trace.format import TraceError
+    return execute(point_job(spec), store=ResultStore.default(), trace="auto")
 
-        try:
-            outcome = execute(point_job(spec), store=store, trace=trace_path)
-        except (EngineError, TraceError):
-            # The sweep's capture went stale under this point's config:
-            # degrade to a direct run rather than failing the point.
-            outcome = execute(point_job(spec), store=store, trace=None)
-    else:
-        outcome = execute(point_job(spec), store=store, trace="auto")
+
+def _run_point_ex(spec: PointSpec) -> tuple[dict, bool]:
+    """(document, store_hit) of one point.
+
+    Module-level (picklable) so ProcessPoolExecutor can ship it to workers;
+    also the serial path, so jobs=1 and jobs=N run the identical code.
+    """
+    outcome = execute_point(spec)
     return point_document(spec, outcome.record), outcome.hit
 
 
@@ -261,7 +229,7 @@ def _maybe_crash(spec: PointSpec) -> None:
     key and the ``REPRO_SWEEP_CRASH_ONCE`` marker file does not exist yet,
     create the marker and die without cleanup — exactly what a segfaulting
     or OOM-killed worker looks like to the parent pool.  Used by the
-    kill-and-resume tests and the CI resilience job; inert in normal runs.
+    kill-and-rerun tests and the CI resilience job; inert in normal runs.
     """
     target = os.environ.get("REPRO_SWEEP_CRASH_POINT")
     if not target or target != point_key(spec):
@@ -272,39 +240,6 @@ def _maybe_crash(spec: PointSpec) -> None:
             return  # already crashed once; behave this time
         open(marker, "w").close()
     os._exit(13)
-
-
-# -------------------------------------------------------------- manifests
-def manifest_path(manifest_dir: str | Path, spec: PointSpec) -> Path:
-    """Where *spec*'s finished-point manifest lives under *manifest_dir*."""
-    return Path(manifest_dir) / (point_key(spec).replace("/", "_") + ".json")
-
-
-def _load_manifest(path: Path, spec: PointSpec) -> dict | None:
-    """A finished point's document, or None if absent/corrupt/stale.
-
-    A manifest only counts when its embedded spec matches the current grid
-    point exactly — a sweep resumed after changing seeds or scale silently
-    re-runs everything rather than mixing configurations.  (A re-run is
-    still cheap: the point's record usually survives in the result store.)
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("spec") != asdict(spec):
-        return None
-    return doc
-
-
-def _store_manifest(manifest_dir: str | Path, spec: PointSpec, result: dict) -> None:
-    # Atomic (temp + rename): a sweep killed mid-write leaves either the old
-    # manifest or none — never a torn file that a resume would half-trust.
-    atomic_write_text(
-        str(manifest_path(manifest_dir, spec)),
-        json.dumps(result, indent=2, sort_keys=True) + "\n",
-    )
 
 
 # ----------------------------------------------------------------- grids
@@ -444,64 +379,39 @@ def _derive_metrics(experiment: str, merged: dict) -> dict:
 
 # --------------------------------------------------------------- top level
 def _run_points_parallel(
-    specs: list[PointSpec],
-    todo: list[int],
-    results: dict[int, dict],
-    hits: dict[int, bool],
-    *,
-    jobs: int,
-    manifest_dir: str | Path | None,
-    max_retries: int,
-    point_timeout: float | None,
-    trace_map: dict | None = None,
-) -> None:
+    specs: list[PointSpec], *, jobs: int, max_retries: int
+) -> list[tuple[dict, bool]]:
     """Futures-based scheduler with crash recovery.
 
     One worker dying (segfault, OOM kill) poisons the whole
     ``ProcessPoolExecutor`` — every outstanding future raises
     :class:`BrokenProcessPool`.  Finished points are already harvested (and
-    manifested), so recovery is: discard the pool, wait out an exponential
-    backoff, and resubmit only the unfinished points, at most *max_retries*
-    extra attempts per point.  A stall — *point_timeout* seconds with no
-    completion at all — is treated the same way.  Exceptions **raised by a
-    point** (simulation error, output mismatch) are real failures and
-    propagate on first occurrence.
+    sealed in the store by their workers), so recovery is: discard the pool,
+    wait out an exponential backoff, and resubmit only the unfinished
+    points, at most *max_retries* extra attempts per point.  Exceptions
+    **raised by a point** (simulation error, output mismatch) are real
+    failures and propagate on first occurrence.
     """
+    done: dict[int, tuple[dict, bool]] = {}
+    todo = list(range(len(specs)))
     attempts = dict.fromkeys(todo, 0)
     backoff = Backoff(base=0.5, cap=8.0)
-    while todo:
-        executor = ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_pool_worker,
-            initargs=(trace_map or {},),
-        )
+    while True:
+        # gc.freeze: what the fork handed over (modules, numpy) is exempt
+        # from the collections the job layer runs between engines — ~2 ms
+        # each instead of ~13.
+        executor = ProcessPoolExecutor(max_workers=jobs, initializer=gc.freeze)
         futures = {executor.submit(_run_point_ex, specs[i]): i for i in todo}
-        crashed = False
         try:
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding, timeout=point_timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    crashed = True  # nothing finished for a whole window
-                    break
-                for future in done:
-                    index = futures[future]
-                    doc, hit = future.result()  # point errors propagate here
-                    results[index] = doc
-                    hits[index] = hit
-                    if manifest_dir is not None:
-                        _store_manifest(manifest_dir, specs[index], doc)
+            for future in as_completed(futures):
+                done[futures[future]] = future.result()  # point errors propagate here
         except BrokenProcessPool:
-            crashed = True
+            pass
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
-        todo = [i for i in todo if i not in results]
+        todo = [i for i in todo if i not in done]
         if not todo:
-            return
-        if not crashed:  # defensive: wait() drained without finishing
-            crashed = True
+            return [done[i] for i in range(len(specs))]
         for index in todo:
             attempts[index] += 1
             if attempts[index] > max_retries:
@@ -518,10 +428,7 @@ def run_sweep(
     jobs: int = 1,
     scale: str | None = None,
     base_seed: int = 1,
-    manifest_dir: str | Path | None = None,
-    resume: bool = False,
     max_retries: int = 2,
-    point_timeout: float | None = None,
     trace: bool = False,
     telemetry: dict | None = None,
     **kwargs,
@@ -530,69 +437,35 @@ def run_sweep(
 
     ``jobs <= 1`` runs every point serially in-process; either way the
     returned document is identical (see the module docstring for why).
+    Nothing but the result store remembers a finished point: re-running a
+    killed sweep serves what finished as store hits and simulates the rest.
 
-    With *manifest_dir*, each finished point is persisted atomically;
-    ``resume=True`` then skips points whose manifest matches the grid, so a
-    killed sweep restarts from where it died — and still renders the same
-    bytes as an uninterrupted run.
+    With *trace*, one functional capture per (workload, scale) is taken up
+    front in the parent — trivially exactly-once whatever the job count —
+    and every in-order point (all schemes, host counts and ff variants)
+    replays it.
 
     *telemetry*, when given, receives out-of-band execution counters —
-    ``store_hits`` / ``store_misses`` / ``manifest_resumed`` — kept outside
-    the returned document on purpose: a warm sweep must render the same
-    bytes as a cold one, so how each point was served cannot live in the
-    payload.
+    ``store_hits`` / ``store_misses`` — kept outside the returned document
+    on purpose: a warm sweep must render the same bytes as a cold one, so
+    how each point was served cannot live in the payload.
     """
-    if resume and manifest_dir is None:
-        raise ValueError("resume=True requires manifest_dir")
     scale = scale or default_scale()
     specs = build_points(experiment, scale, base_seed, **kwargs)
-    if manifest_dir is not None:
-        Path(manifest_dir).mkdir(parents=True, exist_ok=True)
-
-    # Trace reuse: one functional capture per (workload, scale) up front in
-    # the parent — trivially exactly-once whatever the job count — then every
-    # point (across all schemes, host counts and ff variants) replays it.
-    trace_map = _capture_sweep_traces(specs, base_seed) if trace else {}
-    _init_worker_traces(trace_map)  # serial path + forked workers
-
-    results: dict[int, dict] = {}
-    hits: dict[int, bool] = {}
-    resumed_count = 0
-    todo: list[int] = []
-    for i, spec in enumerate(specs):
-        if resume:
-            assert manifest_dir is not None
-            doc = _load_manifest(manifest_path(manifest_dir, spec), spec)
-            if doc is not None:
-                results[i] = doc
-                resumed_count += 1
-                continue
-        todo.append(i)
+    if trace:
+        _capture_sweep_traces(specs, base_seed)
 
     if jobs <= 1:
-        for i in todo:
-            results[i], hits[i] = _run_point_ex(specs[i])
-            if manifest_dir is not None:
-                _store_manifest(manifest_dir, specs[i], results[i])
+        served = [_run_point_ex(spec) for spec in specs]
     else:
-        _run_points_parallel(
-            specs, todo, results, hits,
-            jobs=jobs, manifest_dir=manifest_dir,
-            max_retries=max_retries, point_timeout=point_timeout,
-            trace_map=trace_map,
-        )
+        served = _run_points_parallel(specs, jobs=jobs, max_retries=max_retries)
 
     if telemetry is not None:
-        telemetry["store_hits"] = sum(1 for h in hits.values() if h)
-        telemetry["store_misses"] = sum(1 for h in hits.values() if not h)
-        telemetry["manifest_resumed"] = resumed_count
+        telemetry["store_hits"] = sum(hit for _, hit in served)
+        telemetry["store_misses"] = len(served) - telemetry["store_hits"]
 
-    merged = dict(
-        sorted(
-            ((point_key(spec), results[i]) for i, spec in enumerate(specs)),
-            key=lambda item: item[0],
-        )
-    )
+    docs = {point_key(spec): doc for spec, (doc, _) in zip(specs, served)}
+    merged = {key: docs[key] for key in sorted(docs)}
     return {
         "experiment": experiment,
         "scale": scale,

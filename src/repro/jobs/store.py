@@ -147,11 +147,6 @@ class ResultStore:
             return "ok"
         return "corrupt"
 
-    @staticmethod
-    def validate(record: object, key: str | None = None) -> bool:
-        """Structural + seal validity of a parsed record."""
-        return ResultStore.classify(record, key=key) == "ok"
-
     def quarantine(self, key: str) -> "Path | None":
         """Move *key*'s entry aside to ``<key>.corrupt`` (atomic rename).
 
@@ -190,17 +185,12 @@ class ResultStore:
             elif status == "corrupt":
                 corrupt.append(key)
                 self.quarantine(key)
-        quarantined = (
-            sorted(p.name for p in self.root.glob("*.corrupt"))
-            if self.root.is_dir()
-            else []
-        )
         return {
             "checked": len(ok) + len(stale) + len(corrupt),
             "ok": ok,
             "stale": stale,
             "corrupt": corrupt,
-            "quarantined": quarantined,
+            "quarantined": [p.name for p in self._quarantined()],
         }
 
     def put(self, key: str, record: dict) -> dict:
@@ -227,6 +217,10 @@ class ResultStore:
         if not self.root.is_dir():
             return []
         return sorted(p.stem for p in self.root.glob("*.json"))
+
+    def _quarantined(self) -> list[Path]:
+        """The ``<key>.corrupt`` files on disk."""
+        return sorted(self.root.glob("*.corrupt")) if self.root.is_dir() else []
 
     def entries(self) -> "list[tuple[str, dict | None]]":
         """(key, record-or-None) for every file, invalid records as None.
@@ -255,10 +249,11 @@ class ResultStore:
                 self.path(key).unlink(missing_ok=True)
         return dropped
 
-    def clear(self) -> int:
-        """Remove every record; returns the number removed."""
-        removed = 0
-        for key in self.keys():
-            self.path(key).unlink(missing_ok=True)
-            removed += 1
-        return removed
+    def clear(self) -> tuple[int, int]:
+        """Remove every record and every quarantined file; returns how many
+        of each were removed."""
+        records = [self.path(key) for key in self.keys()]
+        quarantined = self._quarantined()
+        for path in records + quarantined:
+            path.unlink(missing_ok=True)
+        return len(records), len(quarantined)

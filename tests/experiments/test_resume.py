@@ -1,130 +1,135 @@
-"""Resumable-sweep tests: manifests, kill-and-resume, crash retry.
+"""Kill-and-re-run tests: the result store is the only record of a finished
+sweep point.
 
-The contract (module docstring of :mod:`repro.experiments.parallel`): a
-sweep that loses workers or is killed and resumed renders **byte-identical**
-JSON to one uninterrupted run, because every finished point's document is a
-pure function of its spec and is persisted atomically.
+The contract (module docstring of :mod:`repro.experiments.parallel`): each
+point's worker seals its record into the store before it returns, so a sweep
+that loses workers, or is killed and simply run again, renders
+**byte-identical** JSON to one uninterrupted run — finished points are store
+hits, the rest simulate.  Every test owns a fresh ``REPRO_CACHE_DIR``; the
+baseline sweep runs on yet another, so nothing here is pre-warmed.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.experiments.parallel import (
     SweepError,
     build_points,
-    manifest_path,
+    execute_point,
     point_key,
     run_point,
     run_sweep,
     sweep_to_json,
 )
+from repro.jobs import ResultStore
 
 EXPERIMENT = "ablations"
 SCALE = "tiny"
+SPECS = build_points(EXPERIMENT, SCALE, 1)
+VICTIM = point_key(SPECS[2])
 
 
 @pytest.fixture(scope="module")
-def baseline():
+def baseline(tmp_path_factory):
     """One uninterrupted serial sweep: the bytes every variant must match."""
-    return sweep_to_json(run_sweep(EXPERIMENT, jobs=1, scale=SCALE))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("baseline")))
+        return sweep_to_json(run_sweep(EXPERIMENT, jobs=1, scale=SCALE))
 
 
-def test_manifests_written_per_point(tmp_path, baseline):
-    mdir = tmp_path / "manifests"
-    payload = run_sweep(EXPERIMENT, jobs=1, scale=SCALE, manifest_dir=mdir)
-    assert sweep_to_json(payload) == baseline
-    specs = build_points(EXPERIMENT, SCALE, 1)
-    for spec in specs:
-        path = manifest_path(mdir, spec)
-        assert path.exists(), f"no manifest for {point_key(spec)}"
-        doc = json.loads(path.read_text())
-        assert doc == payload["points"][point_key(spec)]
-
-
-def test_resume_skips_finished_points(tmp_path, baseline):
-    """Prefill all but two manifests, then resume: only the missing points
-    run, and the rendered sweep is byte-identical to the uninterrupted one."""
-    mdir = tmp_path / "manifests"
-    full = run_sweep(EXPERIMENT, jobs=1, scale=SCALE, manifest_dir=mdir)
-    specs = build_points(EXPERIMENT, SCALE, 1)
-    removed = specs[1], specs[-1]
-    for spec in removed:
-        manifest_path(mdir, spec).unlink()
-
-    resumed = run_sweep(
-        EXPERIMENT, jobs=1, scale=SCALE, manifest_dir=mdir, resume=True
-    )
-    assert sweep_to_json(resumed) == sweep_to_json(full) == baseline
-    for spec in removed:  # the re-run points re-manifested
-        assert manifest_path(mdir, spec).exists()
-
-
-def test_resume_distrusts_stale_and_torn_manifests(tmp_path, baseline):
-    """A manifest from a different grid (other seed) or a torn write must be
-    re-run, not trusted."""
-    mdir = tmp_path / "manifests"
-    run_sweep(EXPERIMENT, jobs=1, scale=SCALE, manifest_dir=mdir)
-    specs = build_points(EXPERIMENT, SCALE, 1)
-    stale = json.loads(manifest_path(mdir, specs[0]).read_text())
-    stale["spec"]["seed"] += 1  # pretend it came from another base seed
-    stale["instructions"] = -1
-    manifest_path(mdir, specs[0]).write_text(json.dumps(stale))
-    manifest_path(mdir, specs[1]).write_text('{"spec": {"workl')  # torn
-
-    resumed = run_sweep(
-        EXPERIMENT, jobs=1, scale=SCALE, manifest_dir=mdir, resume=True
-    )
-    assert sweep_to_json(resumed) == baseline
-
-
-def test_resume_without_manifest_dir_rejected():
-    with pytest.raises(ValueError, match="manifest_dir"):
-        run_sweep(EXPERIMENT, jobs=1, scale=SCALE, resume=True)
-
-
-def test_crash_injection_is_inert_without_env(monkeypatch):
+@pytest.fixture(autouse=True)
+def store(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_SWEEP_CRASH_POINT", raising=False)
-    spec = build_points(EXPERIMENT, SCALE, 1)[0]
-    assert run_point(spec)["completed"]
+    return ResultStore.default()
+
+
+def _sweep(**kwargs) -> tuple[str, dict]:
+    telemetry: dict = {}
+    payload = run_sweep(EXPERIMENT, scale=SCALE, telemetry=telemetry, **kwargs)
+    return sweep_to_json(payload), telemetry
+
+
+def test_crash_injection_is_inert_without_env():
+    assert run_point(SPECS[0])["completed"]
 
 
 def test_kill_one_worker_then_recover(tmp_path, monkeypatch, baseline):
     """A worker that dies mid-sweep (os._exit, no cleanup — the pool sees a
     BrokenProcessPool) is retried with a fresh pool; the sweep completes and
     its bytes match the uninterrupted baseline."""
-    victim = point_key(build_points(EXPERIMENT, SCALE, 1)[2])
     marker = tmp_path / "crashed-once"
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", victim)
+    monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", VICTIM)
     monkeypatch.setenv("REPRO_SWEEP_CRASH_ONCE", str(marker))
 
-    payload = run_sweep(
-        EXPERIMENT, jobs=2, scale=SCALE,
-        manifest_dir=tmp_path / "manifests", max_retries=2,
-    )
+    text, tel = _sweep(jobs=2, max_retries=2)
     assert marker.exists(), "the injected crash never fired"
-    assert sweep_to_json(payload) == baseline
+    assert text == baseline
+    assert tel["store_hits"] + tel["store_misses"] == len(SPECS)
 
 
-def test_kill_then_separate_resume_run(tmp_path, monkeypatch, baseline):
-    """The CI kill-and-resume shape: sweep #1 dies (a point's worker always
-    crashes, retries exhausted), sweep #2 with --resume finishes from the
-    manifests — byte-identical to the uninterrupted baseline."""
-    victim = point_key(build_points(EXPERIMENT, SCALE, 1)[2])
-    mdir = tmp_path / "manifests"
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", victim)
-    # No CRASH_ONCE marker: the point crashes every attempt -> SweepError.
+def _kill_then_rerun(monkeypatch, store, baseline, **kwargs) -> None:
+    """The CI shape: sweep #1 dies (a point's worker crashes on every
+    attempt, retries exhausted); sweep #2 is the same call minus the crash
+    and must finish from a *mix* of store hits and fresh runs."""
+    monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", VICTIM)
     with pytest.raises(SweepError, match="lost its worker"):
-        run_sweep(
-            EXPERIMENT, jobs=2, scale=SCALE,
-            manifest_dir=mdir, max_retries=1,
-        )
-    survivors = [p for p in os.listdir(mdir) if p.endswith(".json")]
-    assert survivors, "no point finished before the sweep died"
+        _sweep(jobs=2, max_retries=1, **kwargs)
+    assert store.keys(), "no point was sealed before the sweep died"
 
     monkeypatch.delenv("REPRO_SWEEP_CRASH_POINT")
-    resumed = run_sweep(
-        EXPERIMENT, jobs=2, scale=SCALE, manifest_dir=mdir, resume=True
-    )
-    assert sweep_to_json(resumed) == baseline
+    text, tel = _sweep(jobs=2, max_retries=1, **kwargs)
+    assert text == baseline
+    assert tel["store_hits"] >= 1 and tel["store_misses"] >= 1
+    assert tel["store_hits"] + tel["store_misses"] == len(SPECS)
+
+
+def test_kill_then_separate_resume_run(monkeypatch, store, baseline):
+    _kill_then_rerun(monkeypatch, store, baseline)
+
+
+def test_kill_then_rerun_traced(monkeypatch, store, baseline):
+    _kill_then_rerun(monkeypatch, store, baseline, trace=True)
+    engines = {record["provenance"]["engine"] for _, record in store.entries()}
+    assert engines == {"replay"}
+
+
+def test_resume_skips_finished_points(store, baseline):
+    """Drop two finished records, then re-run: only those two points
+    simulate, and the rendered sweep is byte-identical."""
+    full, _ = _sweep(jobs=1)
+    for spec in (SPECS[1], SPECS[-1]):
+        store.path(execute_point(spec).key).unlink()
+
+    text, tel = _sweep(jobs=1)
+    assert text == full == baseline
+    assert (tel["store_hits"], tel["store_misses"]) == (len(SPECS) - 2, 2)
+
+
+def test_rerun_distrusts_corrupt_records(store, baseline):
+    """A finished point's record damaged between the two runs (a tampered
+    metric under the old seal, a torn write) is quarantined and re-run, not
+    believed."""
+    _sweep(jobs=1)
+    tampered, torn = (store.path(execute_point(spec).key) for spec in SPECS[:2])
+    record = json.loads(tampered.read_text())
+    record["metrics"]["instructions"] = -1
+    tampered.write_text(json.dumps(record))
+    torn.write_text(torn.read_text()[:40])
+
+    text, tel = _sweep(jobs=1)
+    assert text == baseline
+    assert (tel["store_hits"], tel["store_misses"]) == (len(SPECS) - 2, 2)
+    for path in (tampered, torn):
+        assert path.with_suffix(".corrupt").exists()
+
+
+def test_rerun_with_the_store_disabled(monkeypatch, baseline):
+    """The honest limit: with ``REPRO_CACHE_DIR=""`` nothing is persisted, so
+    a re-run resumes nothing — and still renders the baseline bytes."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", "")
+    for _ in range(2):
+        text, tel = _sweep(jobs=1)
+        assert text == baseline
+        assert (tel["store_hits"], tel["store_misses"]) == (0, len(SPECS))

@@ -53,9 +53,14 @@ def test_gc_dry_run_keeps_files(store, capsys):
 
 def test_clear_removes_everything(store, capsys):
     _populate(store)
+    store.path("a" * 64).write_text("torn")
+    assert main(["cache", "verify"]) == 1  # quarantines the torn entry
+    capsys.readouterr()
     assert main(["cache", "clear"]) == 0
-    assert "removed 1 record(s)" in capsys.readouterr().out
+    assert "removed 1 record(s) and 1 quarantined file(s)" in capsys.readouterr().out
     assert store.keys() == []
+    assert main(["cache", "verify"]) == 0
+    assert "0 quarantined file(s) on disk" in capsys.readouterr().out
 
 
 def test_cache_disabled_exits_nonzero(monkeypatch, capsys):

@@ -144,15 +144,3 @@ class TestSweepWarmPath:
         assert warm_tel["store_hits"] == len(warm["points"])
         assert warm_tel["store_misses"] == 0
         assert sweep_to_json(cold) == sweep_to_json(warm)
-
-    def test_manifest_resume_reads_the_store_view(self, cache_root, tmp_path):
-        mdir = tmp_path / "manifests"
-        kwargs = dict(scale="tiny", base_seed=1, workload="fft", slacks=(9,))
-        full = run_sweep("ablations", manifest_dir=mdir, **kwargs)
-        tel: dict = {}
-        resumed = run_sweep(
-            "ablations", manifest_dir=mdir, resume=True, telemetry=tel, **kwargs
-        )
-        assert tel["manifest_resumed"] == len(full["points"])
-        assert tel["store_hits"] == 0 and tel["store_misses"] == 0
-        assert sweep_to_json(full) == sweep_to_json(resumed)

@@ -97,8 +97,12 @@ class TestManagement:
 
     def test_clear(self, store):
         store.put(KEY, record())
-        assert store.clear() == 1
+        store.put("a" * 64, record())
+        store.path("a" * 64).write_text("junk")
+        assert store.load("a" * 64) is None  # quarantined to <key>.corrupt
+        assert store.clear() == (1, 1)
         assert store.keys() == []
+        assert store.verify()["quarantined"] == []
 
     def test_default_is_none_when_caching_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")

@@ -1,5 +1,5 @@
 """Tests for the crash-safe write primitive every artifact producer shares
-(compile cache, stats dumps, sweep manifests, checkpoints)."""
+(compile cache, stats dumps, sweep documents, checkpoints)."""
 
 import os
 

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.experiments.parallel import run_sweep, sweep_to_json
+from repro.jobs import ResultStore
 
 
 @pytest.fixture()
@@ -17,6 +18,11 @@ def trace_store(tmp_path, monkeypatch):
 
 def _store_state(store: pathlib.Path):
     return sorted((p.name, p.stat().st_mtime_ns) for p in store.glob("*.trace"))
+
+
+def _stored_engines() -> list[str]:
+    """``provenance.engine`` of every record in the current result store."""
+    return [r["provenance"]["engine"] for _, r in ResultStore.default().entries()]
 
 
 def test_traced_sweep_is_byte_identical_and_captures_once(trace_store):
@@ -58,3 +64,20 @@ def test_corrupt_stored_trace_is_recaptured(trace_store):
     traced = sweep_to_json(run_sweep("ablations", jobs=1, scale="tiny",
                                      trace=True))
     assert traced == plain
+
+
+def test_traced_sweep_replays_every_point(trace_store):
+    """Equal bytes alone would also pass a silent fall-back to direct
+    execution: every record a traced sweep stores must say it replayed —
+    and so must a *plain* sweep on a root that holds only those captures,
+    because each point finds them through the job layer, not the sweep."""
+    traced = run_sweep("ablations", jobs=2, scale="tiny", trace=True)
+    replayed = ["replay"] * len(traced["points"])
+    assert _stored_engines() == replayed
+
+    ResultStore.default().clear()
+    telemetry: dict = {}
+    plain = run_sweep("ablations", jobs=2, scale="tiny", telemetry=telemetry)
+    assert telemetry["store_misses"] == len(plain["points"])
+    assert _stored_engines() == replayed
+    assert sweep_to_json(plain) == sweep_to_json(traced)
