@@ -154,6 +154,26 @@ def test_engine_cycle_rate_su(benchmark, perf):
     )
 
 
+def test_engine_cycle_rate_s9(benchmark, perf):
+    """Bounded slack on the in-order timing cores (fft): the one pinned key
+    whose turns are long enough to run through ``InOrderCore.advance`` and
+    whose idle manager polls come in ``HostModel.poll_until`` streaks
+    (DESIGN.md §5) — cc turns are one cycle, and the su/cc keys above run
+    trace cores, which have no ``advance``."""
+    program = make_workload("fft", scale="tiny").program
+    result = benchmark(
+        lambda: run_simulation(program, sim=SimConfig(scheme="s9", seed=1))
+    )
+    assert result.completed
+    perf.record(
+        "engine_cycle_rate_s9",
+        seconds=benchmark.stats.stats.mean,
+        work=result.stats["target.execution_cycles"],
+        work_unit="cycles",
+        extra={"stats_digest": result.stats_sha256},
+    )
+
+
 @pytest.mark.parametrize("name", ["fft", "lu"])
 def test_workload_kips(benchmark, perf, name):
     """Functional KIPS on a real benchmark (single-threaded, predecoded)."""

@@ -15,9 +15,12 @@ whole wait stretches — frozen-pipeline latencies, spin waits, external
 stalls — in one jump per stretch instead of one Python-level ``step`` call
 per cycle.  The jump is exact by construction (the model promises
 ``skip(n)`` ≡ n wait ``step``\\ s), so a budget of thousands of cycles costs
-a handful of Python iterations.  ``single=True`` runs the identical control
-flow but advances each stretch with per-cycle ``step`` calls — the oracle
-the golden determinism tests compare against.
+a handful of Python iterations.  Models that also implement
+``advance(now, limit, stats)`` run the commit cycles between those stretches
+inside the model, up to the first cycle the outside world could touch.
+``single=True`` runs the identical control flow but advances each stretch
+with per-cycle ``step`` calls — the oracle the golden determinism tests
+compare against.
 """
 
 from __future__ import annotations
@@ -167,12 +170,13 @@ class CoreThread:
         outq_q = self.outq._q
         out_before = len(outq_q)
         wait_rem = wait_chunk
-        # Timing-superblock fast path (in-order predecoded cores): a block
-        # replaces a run of per-cycle steps with one compiled call.  Cycle
-        # totals, commit counts and event moments are identical by
-        # construction, so ``single=True`` (the per-cycle oracle) disables
-        # it without changing any observable.
-        block_step = None if single else getattr(model, "block_step", None)
+        # Run-ahead inside the model (DESIGN.md §5): ``advance`` commits
+        # instruction after instruction up to the first outside-visible
+        # moment.  Cycle totals, commit counts and event moments are
+        # identical to per-cycle stepping by construction, so
+        # ``single=True`` (the per-cycle oracle) disables it without
+        # changing any observable.
+        advance = None if single else getattr(model, "advance", None)
         while (
             self.state == CoreState.ACTIVE
             and stats.cycles < budget
@@ -185,9 +189,9 @@ class CoreThread:
                 self._route_due_events(stats)
             ws = model.wait_state(self.local_time)
             if ws is None:
-                if block_step is not None:
-                    # Cap the block at the first cycle the outside world
-                    # could touch: budget, window edge, next queued event.
+                if advance is not None:
+                    # The first cycle the outside world could touch:
+                    # budget, window edge, next queued event.
                     limit = min(
                         self.max_local_time,
                         self.local_time + (budget - stats.cycles),
@@ -199,13 +203,13 @@ class CoreThread:
                         next_in = inq.peek_ts()
                         if next_in is not None and next_in < limit:
                             limit = next_in
-                    n = block_step(self.local_time, limit - self.local_time)
-                    if n:
-                        stats.committed += n
-                        stats.active_cycles += n
-                        stats.cycles += n
-                        self.local_time += n
-                        continue
+                    # One cycle of room is one ``step``: cc (turn budget 1)
+                    # never enters the model loop.
+                    if limit - self.local_time > 1:
+                        n = advance(self.local_time, limit, stats)
+                        if n:
+                            self.local_time += n
+                            continue
                 # The model wants a real step: it may commit, emit events,
                 # block, or halt this cycle.
                 committed, active = model.step(self.local_time)

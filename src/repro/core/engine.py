@@ -712,6 +712,7 @@ class SequentialEngine:
         manager = self.manager
         costmodel = self.costmodel
         hostrun = self.hostmodel.run
+        poll_until = self.hostmodel.poll_until
         heappush, heappop = heapq.heappush, heapq.heappop
         # Hot-loop hoists: none of these can change mid-run.
         probe = self.probe
@@ -779,6 +780,7 @@ class SequentialEngine:
         # the duration of the loop (a per-turn ``self.x += 1`` or a
         # ``Distribution.add`` call costs real throughput at cc turn rates);
         # ``sync_stats`` folds them back before any registry dump.
+        engine_steps = self.engine_steps
         manager_steps = self.manager_steps
         manager_polls = self.manager_polls
         suspends = self.suspends
@@ -793,6 +795,7 @@ class SequentialEngine:
 
         def sync_stats() -> None:
             nonlocal s_count, s_total, s_min, s_max
+            self.engine_steps = engine_steps
             self.manager_steps = manager_steps
             self.manager_polls = manager_polls
             self.suspends = suspends
@@ -836,8 +839,8 @@ class SequentialEngine:
         while self._active_cores:
             if not heap:
                 raise EngineError("host queue empty with active cores — engine bug")
-            self.engine_steps += 1
-            if self.engine_steps > max_steps:
+            engine_steps += 1
+            if engine_steps > max_steps:
                 raise EngineError("engine step limit exceeded (runaway simulation)")
             ready, _, idx = heappop(heap)
 
@@ -845,20 +848,20 @@ class SequentialEngine:
                 if not mgr_dirty and probe is None:
                     # Consecutive idle polls: keep polling while the manager
                     # is provably the next host event.  Nothing can mark it
-                    # dirty before the next heap entry runs, so this inner
-                    # loop is step-for-step identical to re-queueing every
-                    # poll through the heap — minus the heap churn, which
-                    # dominated the cc profile.  Strict < preserves the tie
-                    # break (a re-pushed poll has a larger seq and loses).
-                    done_t = hostrun(ready, poll_cost)
-                    mgr_idle_streak += 1
-                    manager_polls += 1
-                    while heap and done_t < heap[0][0]:
-                        done_t = hostrun(done_t, poll_cost)
-                        mgr_idle_streak += 1
-                        manager_polls += 1
-                        if mgr_idle_streak > 100_000:
-                            break
+                    # dirty before the next heap entry runs, so one
+                    # ``poll_until`` is step-for-step identical to re-queueing
+                    # every poll through the heap — minus the heap churn and
+                    # the host-model call per poll.  Strictly below the next
+                    # entry's ready time preserves the tie break (a re-pushed
+                    # poll has a larger seq and loses); an empty heap gets
+                    # the one poll it always got.
+                    done_t, polls = poll_until(
+                        ready, poll_cost,
+                        heap[0][0] if heap else ready,
+                        100_001 - mgr_idle_streak,
+                    )
+                    mgr_idle_streak += polls
+                    manager_polls += polls
                     if mgr_idle_streak > 100_000:
                         self._diagnose_deadlock(suspended, parked)
                     heappush(heap, (done_t, nxt(), -1))
@@ -895,7 +898,8 @@ class SequentialEngine:
                         woken += 1
                         heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
                 wakes_delivered += woken
-                self._drain_activations(heap, nxt, done_t, next_free)
+                if self._pending_activations:
+                    self._drain_activations(heap, nxt, done_t, next_free)
                 if result.work == 0 and not result.raised:
                     mgr_idle_streak += 1
                     if mgr_idle_streak > 100_000:
@@ -991,7 +995,8 @@ class SequentialEngine:
                     woken += 1
                     heappush(heap, (max(wake_t, next_free[core_id]), nxt(), core_id))
             wakes_delivered += woken
-            self._drain_activations(heap, nxt, done_t, next_free)
+            if self._pending_activations:
+                self._drain_activations(heap, nxt, done_t, next_free)
             self.total_committed += stats.committed
             if ct.state != CoreState.ACTIVE:
                 self._active_cores -= 1

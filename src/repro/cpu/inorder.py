@@ -19,7 +19,9 @@ from typing import Callable
 from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.funcsim import NEXT, do_amo, do_load, do_store, effective_address, execute
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
-from repro.cpu.predecode import K_ECALL, K_HALT, K_JUMP, predecode_program, timing_blocks
+from repro.cpu.predecode import (
+    K_ECALL, K_HALT, K_JUMP, K_STORE, predecode_program, timing_blocks,
+)
 from repro.cpu.l1cache import MESI, AccessResult, L1Cache
 from repro.core.events import EvKind, Event
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
@@ -83,27 +85,19 @@ class InOrderCore:
         self.pending_wakes: list[tuple[int, int]] = []
 
         self._text = program.text
-        # Predecoded closure tables plus compiled timing superblocks: runs
-        # of latency-1 register-only instructions execute as one call via
-        # :meth:`block_step` (cycle-exact — see repro.cpu.predecode).  An
-        # I-cache disables blocks: every fetch must probe it individually.
-        if dispatch == "predecoded":
-            pre = predecode_program(program)
-            self._kinds: list | None = pre.kinds
-            self._runs = pre.runs
-            self._eas = pre.eas
-            self._latencies = pre.latencies
-            self._tblocks = timing_blocks(program) if l1i is None else None
-        elif dispatch == "oracle":
-            self._kinds = None
-            self._tblocks = None
-        else:
+        # Predecoded closure tables plus compiled timing superblocks — what
+        # :meth:`advance` runs on.  An I-cache (every fetch must probe it),
+        # fast-forwarding (a store can move ``_busy_until``) and the oracle
+        # dispatch keep the per-instruction path.
+        if dispatch not in ("predecoded", "oracle"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
+        predecoded = dispatch == "predecoded"
+        self._bind_tables(predecoded, predecoded and l1i is None and not fastforward)
         if self._tblocks is None:
             # Shadow the class method so CoreThread's hoisted
-            # ``getattr(model, "block_step", None)`` skips the fast path
+            # ``getattr(model, "advance", None)`` skips the fast path
             # without a per-cycle gate.
-            self.block_step = None
+            self.advance = None
         self._busy_until = -1
         self._pending: _PendingMem | None = None
         self._resp: Event | None = None
@@ -117,13 +111,26 @@ class InOrderCore:
         self._ifetch_ok_pc = -1  # pc whose I-fetch already completed
 
     # ------------------------------------------------------------- pickling
+    def _bind_tables(self, predecoded: bool, tblocks: bool) -> None:
+        """(Re-)derive the program-memoised dispatch tables."""
+        if predecoded:
+            pre = predecode_program(self.program)
+            self._kinds: list | None = pre.kinds
+            self._runs = pre.runs
+            self._eas = pre.eas
+            self._applies = pre.applies
+            self._latencies = pre.latencies
+        else:
+            self._kinds = None
+        self._tblocks = timing_blocks(self.program) if tblocks else None
+
     def __getstate__(self):
         # The predecoded dispatch tables are per-PC *closures* — unpicklable
         # and derived purely from the program, so checkpoints drop them and
         # __setstate__ re-derives via the program-memoised predecode pass.
         state = dict(self.__dict__)
         predecoded = state.pop("_kinds", None) is not None
-        for key in ("_runs", "_eas", "_latencies"):
+        for key in ("_runs", "_eas", "_applies", "_latencies"):
             state.pop(key, None)
         state["_pickle_predecoded"] = predecoded
         state["_pickle_tblocks"] = state.pop("_tblocks", None) is not None
@@ -133,15 +140,7 @@ class InOrderCore:
         predecoded = state.pop("_pickle_predecoded")
         tblocks = state.pop("_pickle_tblocks", False)
         self.__dict__.update(state)
-        if predecoded:
-            pre = predecode_program(self.program)
-            self._kinds = pre.kinds
-            self._runs = pre.runs
-            self._eas = pre.eas
-            self._latencies = pre.latencies
-        else:
-            self._kinds = None
-        self._tblocks = timing_blocks(self.program) if tblocks else None
+        self._bind_tables(predecoded, tblocks)
 
     # ------------------------------------------------------------ lifecycle
     def activate(self, pc: int, arg: int, ts: int) -> None:
@@ -227,37 +226,108 @@ class InOrderCore:
         if self._blocked or self._pending is not None:
             self.stall_cycles += n
 
-    def block_step(self, now: int, limit: int) -> int:
-        """Run one compiled timing superblock; returns cycles consumed.
+    def advance(self, now: int, limit: int, stats) -> int:
+        """Commit instruction after instruction over ``[now, limit)``;
+        returns the cycles consumed, accounted into *stats*.
 
-        0 means "no block applies here" and the caller falls back to the
-        per-instruction :meth:`step`.  Only legal on a cycle whose
-        :meth:`wait_state` is ``None``: the extra ``_pending``/``_blocked``
-        guard rejects the two non-fetch reasons for that (a response to
-        complete, a blocking syscall to finish).  *limit* is the largest
-        cycle count the caller can accept — blocks never cross the turn
-        budget, the window edge, or the next queued InQ event, so every
-        outside interaction lands on the same cycle as per-instruction
-        stepping (the dispatch-differential tests pin this).
+        Observationally ≡ the ``wait_state``/``skip``/``step`` sequence
+        :meth:`CoreThread.step_many` would run over the same cycles, minus
+        the Python frames: compiled timing superblocks where one fits,
+        per-PC closures otherwise, L1-hit loads/stores inline, and the
+        drain of a multi-cycle op accounted as the skip stretch it is (cut
+        at *limit*, remainder left in ``_busy_until``).  *limit* is the
+        first cycle the outside world could touch — turn budget, window
+        edge, next queued InQ event — so every interaction lands on the
+        same cycle as per-instruction stepping.  Returns early after
+        issuing an L1 miss/upgrade (issue cycle charged, ``_pending`` set)
+        and in front of anything only :meth:`step` handles: ecall, halt,
+        AMO, a pc outside the text; 0 when that is the first thing here,
+        or when a response or a blocking syscall is waiting to be finished.
         """
         if self._pending is not None or self._blocked:
             return 0
-        tb = self._tblocks
         state = self.state
+        x = state.x
+        f = state.f
         pc = state.pc
-        index = (pc - TEXT_BASE) >> 3
-        if pc & 7 or not 0 <= index < tb.size:
-            return 0
-        n = tb.lens[index]
-        if n == 0 or n > limit:
-            return 0
-        state.pc = tb.runs[index](state.x, state.f)
-        self._busy_until = now + n - 1
-        self._ifetch_ok_pc = -1
-        self.committed += n
-        if self._rec is not None:
-            self._rec.run_n(n)
-        return n
+        kinds = self._kinds
+        size = len(kinds)
+        runs = self._runs
+        eas = self._eas
+        applies = self._applies
+        latencies = self._latencies
+        tb_lens = self._tblocks.lens
+        tb_runs = self._tblocks.runs
+        memory = self.memory
+        l1d = self.l1d
+        hit_latency = l1d.config.hit_latency
+        tracker = self.word_tracker
+        core_id = self.core_id
+        rec = self._rec
+        busy = self._busy_until
+        committed = skipped = stretches = 0
+        t = now
+        while t < limit:
+            index = (pc - TEXT_BASE) >> 3
+            if pc & 7 or not 0 <= index < size:
+                break
+            n = tb_lens[index]
+            if n and n <= limit - t:
+                pc = tb_runs[index](x, f)
+                t += n
+                busy = t - 1
+                committed += n
+                if rec is not None:
+                    rec.run_n(n)
+                continue
+            kind = kinds[index]
+            if kind <= K_JUMP:  # register-only: simple / branch / jump
+                target = runs[index](x, f)
+                pc = pc + INSTRUCTION_BYTES if target is None else target
+                latency = latencies[index]
+                if rec is not None:
+                    rec.run(latency)
+            elif kind <= K_STORE:  # load / store
+                addr = eas[index](x)
+                is_write = kind == K_STORE
+                if rec is not None:
+                    info = self._text[index].info
+                    rec.mem(mem_acc(info), info.latency, addr)
+                result = l1d.access(addr, is_write)
+                if result is not AccessResult.HIT:
+                    self._issue_miss(self._text[index], addr, is_write, result, t)
+                    t += 1
+                    break
+                if tracker is not None:
+                    if is_write:
+                        tracker.observe_store(addr, core_id, t)
+                    else:
+                        tracker.observe_load(addr, core_id, t)
+                applies[index](x, f, memory, addr)
+                pc += INSTRUCTION_BYTES
+                latency = latencies[index]
+                if hit_latency > latency:
+                    latency = hit_latency
+            else:
+                break
+            committed += 1
+            busy = t + latency - 1
+            t += 1
+            if t <= busy and t < limit:
+                wait = (busy + 1 if busy < limit else limit) - t
+                skipped += wait
+                stretches += 1
+                t += wait
+        state.pc = pc
+        self._busy_until = busy
+        self.committed += committed
+        cycles = t - now
+        stats.cycles += cycles
+        stats.committed += committed
+        stats.active_cycles += cycles - skipped
+        stats.skipped_cycles += skipped
+        stats.skip_stretches += stretches
+        return cycles
 
     # ----------------------------------------------------------------- step
     def step(self, now: int) -> tuple[int, bool]:
@@ -374,11 +444,19 @@ class InOrderCore:
         result = self.l1d.access(addr, is_write)
         if result is AccessResult.HIT:
             self._apply_mem_functional(insn, addr, now)
-            self._busy_until = now + max(self.l1d.config.hit_latency, info.latency) - 1
+            self._busy_until = max(
+                self._busy_until, now + max(self.l1d.config.hit_latency, info.latency) - 1
+            )
             self.state.pc += INSTRUCTION_BYTES
             self._ifetch_ok_pc = -1
             self.committed += 1
             return 1, True
+        self._issue_miss(insn, addr, is_write, result, now)
+        return 0, True  # the issue cycle itself is active work
+
+    def _issue_miss(
+        self, insn: Instruction, addr: int, is_write: bool, result: AccessResult, now: int
+    ) -> None:
         block = self.l1d.block_addr(addr)
         if result is AccessResult.UPGRADE:
             kind = EvKind.UPGRADE
@@ -387,7 +465,6 @@ class InOrderCore:
         self.emit(Event(kind, block, self.core_id, now))
         self._pending = _PendingMem(insn, addr, block, is_write, False)
         self.phase = CorePhase.STALLED
-        return 0, True  # the issue cycle itself is active work
 
     def _complete_mem(self, now: int) -> tuple[int, bool]:
         assert self.state is not None
@@ -415,14 +492,18 @@ class InOrderCore:
             return 0, True
         assert pending.insn is not None
         self._apply_mem_functional(pending.insn, pending.addr, now)
-        self._busy_until = now + self.l1d.config.hit_latency - 1
+        self._busy_until = max(self._busy_until, now + self.l1d.config.hit_latency - 1)
         self.state.pc += INSTRUCTION_BYTES
         self._ifetch_ok_pc = -1
         self.committed += 1
         return 1, True
 
     def _apply_mem_functional(self, insn: Instruction, addr: int, now: int) -> None:
-        """Touch the shared functional memory at simulated time *now*."""
+        """Touch the shared functional memory at simulated time *now*.
+
+        A fast-forwarded store leaves its compensation in ``_busy_until``;
+        callers fold their own latency in with ``max``, never overwrite.
+        """
         assert self.state is not None
         info = insn.info
         if info.is_amo:

@@ -87,3 +87,12 @@ class CoreModel(Protocol):
     #
     # def skip(self, n: int) -> None:
     #     """Account n wait cycles at once (e.g. bump stall counters)."""
+    #
+    # A third optional method moves the commit cycles between waits into the
+    # model as well (InOrderCore, ReplayCore):
+    #
+    # def advance(self, now: int, limit: int, stats: BatchStats) -> int:
+    #     """Run cycles [now, limit) exactly as the wait_state/skip/step
+    #     sequence would, fold them into *stats*, return how many ran.
+    #     Stops early at the first outside-visible moment (a miss issued,
+    #     or in front of an ecall/halt/AMO); 0 means "call step(now)"."""

@@ -113,20 +113,28 @@ class L1Cache:
         Does not change state on miss — call :meth:`fill` when the manager's
         response arrives.
         """
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         self._tick += 1
-        line = self._find(addr)
-        if line is None:
-            self.stats.misses += 1
+        # ``_find`` inlined: one lookup per simulated load/store.
+        block = addr >> self._block_shift
+        tag = block // self._num_sets
+        for line in self._sets[block % self._num_sets]:
+            state = line.state
+            if line.tag == tag and state is not MESI.INVALID:
+                break
+        else:
+            stats.misses += 1
             return AccessResult.MISS
-        if is_write and line.state is MESI.SHARED:
-            self.stats.upgrades += 1
-            return AccessResult.UPGRADE
-        # Write to E silently upgrades to M (standard MESI).
-        if is_write and line.state is MESI.EXCLUSIVE:
-            line.state = MESI.MODIFIED
+        if is_write:
+            if state is MESI.SHARED:
+                stats.upgrades += 1
+                return AccessResult.UPGRADE
+            # Write to E silently upgrades to M (standard MESI).
+            if state is MESI.EXCLUSIVE:
+                line.state = MESI.MODIFIED
         line.lru = self._tick
-        self.stats.hits += 1
+        stats.hits += 1
         return AccessResult.HIT
 
     def fill(self, addr: int, state: MESI) -> int | None:

@@ -1112,7 +1112,7 @@ def predecode_program(program: Program) -> PredecodedProgram:
 # one instruction, touches no cache, queue, or system state, and cannot
 # stall — so executing n of them as one compiled call that advances the
 # clock by n is cycle-for-cycle indistinguishable from n per-instruction
-# steps.  The caller (InOrderCore.block_step via CoreThread.step_many) caps
+# steps.  The caller (InOrderCore.advance via CoreThread.step_many) caps
 # the block at the first cycle where the outside world could intervene: the
 # turn budget, the window edge, and the next queued InQ event.
 #

@@ -53,6 +53,7 @@ class HostModel:
         # earliest-start, lowest-index-on-ties schedule.
         if num_cores <= 16:
             self.run = self._run_linear  # type: ignore[method-assign]
+            self.poll_until = self._poll_until_linear  # type: ignore[method-assign]
 
     def _run_linear(self, ready: float, cost: float) -> float:
         free_at = self.free_at
@@ -112,6 +113,60 @@ class HostModel:
         self.busy += cost
         self.steps += 1
         return end
+
+    def poll_until(
+        self, ready: float, cost: float, until: float, max_polls: int
+    ) -> tuple[float, int]:
+        """Back-to-back steps of one thread: the first ready at *ready*, each
+        next one ready when the previous completes, for as long as the
+        completion time is below *until* (at least one, at most *max_polls*).
+        Returns ``(completion time of the last, how many ran)``."""
+        run = self.run
+        done_t = run(ready, cost)
+        n = 1
+        while done_t < until and n < max_polls:
+            done_t = run(done_t, cost)
+            n += 1
+        return done_t, n
+
+    def _poll_until_linear(
+        self, ready: float, cost: float, until: float, max_polls: int
+    ) -> tuple[float, int]:
+        # A step ready exactly when its predecessor's core frees up stays on
+        # that core unless a lower-index core has freed up by then, so the
+        # scan is redone only when *low* is crossed.  The additions stay
+        # one by one: costs are not dyadic, n * cost is a different float.
+        free_at = self.free_at
+        busy = self.busy
+        n = 0
+        while True:
+            chosen = -1
+            for c, t in enumerate(free_at):
+                if t <= ready:
+                    chosen = c
+                    end = ready
+                    break
+            if chosen < 0:
+                end = min(free_at)
+                chosen = free_at.index(end)
+            end += cost
+            busy += cost
+            n += 1
+            if end < until and n < max_polls:
+                low = min(until, *free_at[:chosen]) if chosen else until
+                while end < low and n < max_polls:
+                    end += cost
+                    busy += cost
+                    n += 1
+            free_at[chosen] = end
+            if end >= until or n >= max_polls:
+                break
+            ready = end
+        if end > self._makespan:
+            self._makespan = end
+        self.busy = busy
+        self.steps += n
+        return end, n
 
     def makespan(self) -> float:
         return self._makespan

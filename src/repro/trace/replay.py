@@ -1,7 +1,7 @@
 """Replay side: feed recorded commit streams back through the live engine.
 
 :class:`ReplayCore` satisfies the CoreModel protocol (step / wait_state /
-skip / block_step / deliver_response / …) by consuming a recorded
+skip / advance / deliver_response / …) by consuming a recorded
 committed-op stream instead of fetching instructions.  Everything outside
 the fetch/execute stage — L1 state machines, coherence traffic, slack
 windows, violation tracking, synchronization, scheduling domains — runs
@@ -157,6 +157,10 @@ class ReplayCore:
         self.system = system
         self.word_tracker = word_tracker
         self.fastforward = fastforward
+        if fastforward:
+            # A fast-forwarded store moves ``_busy_until``: keep the
+            # per-instruction path, as the direct core does.
+            self.advance = None
 
         self.phase = CorePhase.IDLE
         self.committed = 0
@@ -234,35 +238,79 @@ class ReplayCore:
         if self._blocked or self._pending is not None:
             self.stall_cycles += n
 
-    def block_step(self, now: int, limit: int) -> int:
-        """Consume up to *limit* cycles of a latency-1 run in one call.
+    def advance(self, now: int, limit: int, stats) -> int:
+        """Consume ops over ``[now, limit)``; returns the cycles consumed.
 
-        Observationally equivalent to the per-cycle path (each run cycle
-        commits exactly one instruction with a one-cycle busy advance), and
-        to InOrderCore's compiled-superblock consumption — the direct core
-        may split the same run across block/single boundaries differently,
-        but per-turn BatchStats and event moments are identical because
-        both are capped by the same (budget, window edge, next-InQ) limit.
+        Case-for-case mirror of :meth:`InOrderCore.advance` (the docstring
+        there is the specification): ``OP_RUN`` cycles in bulk, ``OP_MULTI``
+        and hit ``OP_MEM`` with their drain as a skip stretch, a miss issued
+        and charged, everything else left to :meth:`step`.  The direct core
+        may split a run across block/closure boundaries differently, but
+        per-turn BatchStats and event moments are identical because both
+        are cut by the same *limit*.
         """
         if self._pending is not None or self._blocked:
             return 0
+        ops = self._ops
+        nops = len(ops)
+        ip = self._ip
         left = self._run_left
-        if left == 0:
-            ops = self._ops
-            ip = self._ip
-            if ip < len(ops) and ops[ip][0] == OP_RUN:
-                left = ops[ip][1]
-                self._ip = ip + 1
+        l1d = self.l1d
+        hit_latency = l1d.config.hit_latency
+        busy = self._busy_until
+        committed = skipped = stretches = 0
+        t = now
+        while t < limit:
+            if left:
+                n = left if left <= limit - t else limit - t
+                left -= n
+                t += n
+                busy = t - 1
+                committed += n
+                continue
+            if ip >= nops:
+                break
+            op = ops[ip]
+            code = op[0]
+            if code == OP_RUN:
+                left = op[1]
+                ip += 1
+                continue
+            if code == OP_MULTI:
+                latency = op[1]
+            elif code == OP_MEM and op[1] != ACC_AMO:
+                acc, latency, addr = op[1], op[2], op[3]
+                result = l1d.access(addr, acc != ACC_LOAD)
+                if result is not AccessResult.HIT:
+                    self._issue_miss(acc, addr, result, t)
+                    ip += 1
+                    t += 1
+                    break
+                self._observe(acc, addr, t)
+                if hit_latency > latency:
+                    latency = hit_latency
             else:
-                return 0
-        n = left if left <= limit else limit
-        if n <= 0:
-            self._run_left = left
-            return 0
-        self._run_left = left - n
-        self._busy_until = now + n - 1
-        self.committed += n
-        return n
+                break
+            ip += 1
+            committed += 1
+            busy = t + latency - 1
+            t += 1
+            if t <= busy and t < limit:
+                wait = (busy + 1 if busy < limit else limit) - t
+                skipped += wait
+                stretches += 1
+                t += wait
+        self._ip = ip
+        self._run_left = left
+        self._busy_until = busy
+        self.committed += committed
+        cycles = t - now
+        stats.cycles += cycles
+        stats.committed += committed
+        stats.active_cycles += cycles - skipped
+        stats.skipped_cycles += skipped
+        stats.skip_stretches += stretches
+        return cycles
 
     # ----------------------------------------------------------------- step
     def step(self, now: int) -> tuple[int, bool]:
@@ -368,23 +416,27 @@ class ReplayCore:
 
     # ------------------------------------------------------------- memory ops
     def _exec_mem(self, acc: int, latency: int, addr: int, now: int) -> tuple[int, bool]:
-        is_write = acc != ACC_LOAD
-        result = self.l1d.access(addr, is_write)
+        result = self.l1d.access(addr, acc != ACC_LOAD)
         if result is AccessResult.HIT:
             self._observe(acc, addr, now)
             hit = self.l1d.config.hit_latency
-            self._busy_until = now + (hit if hit > latency else latency) - 1
+            self._busy_until = max(
+                self._busy_until, now + (hit if hit > latency else latency) - 1
+            )
             self.committed += 1
             return 1, True
+        self._issue_miss(acc, addr, result, now)
+        return 0, True
+
+    def _issue_miss(self, acc: int, addr: int, result: AccessResult, now: int) -> None:
         block = self.l1d.block_addr(addr)
         if result is AccessResult.UPGRADE:
             kind = EvKind.UPGRADE
         else:
-            kind = EvKind.GETX if is_write else EvKind.GETS
+            kind = EvKind.GETX if acc != ACC_LOAD else EvKind.GETS
         self.emit(Event(kind, block, self.core_id, now))
         self._pending = (block, acc, addr)
         self.phase = CorePhase.STALLED
-        return 0, True
 
     def _complete_mem(self, now: int) -> tuple[int, bool]:
         pending = self._pending
@@ -406,7 +458,7 @@ class ReplayCore:
         self._pending_inval = self._pending_down = False
         self.phase = CorePhase.ACTIVE
         self._observe(acc, addr, now)
-        self._busy_until = now + self.l1d.config.hit_latency - 1
+        self._busy_until = max(self._busy_until, now + self.l1d.config.hit_latency - 1)
         self.committed += 1
         return 1, True
 
@@ -414,10 +466,10 @@ class ReplayCore:
         """Violation-tracker touch mirroring ``_apply_mem_functional``.
 
         Same call order (AMO = load-then-store observation) and the same
-        fastforward busy write — which, exactly like the direct core, the
-        caller immediately overwrites with the hit/latency formula.  The
-        observable effects are the tracker's counters and fastforward
-        bookkeeping, which must match the direct run touch for touch.
+        fastforward busy write, which the caller folds its own latency
+        into with ``max`` exactly like the direct core.  The tracker's
+        counters and fastforward bookkeeping must match the direct run
+        touch for touch.
         """
         tracker = self.word_tracker
         if tracker is None:

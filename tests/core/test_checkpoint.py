@@ -169,6 +169,27 @@ def test_timing_blocks_rederived_on_restore(program, tmp_path):
     assert_same_run(restored.run(), build(program, "q3").run())
 
 
+def test_advance_tables_rederived_on_mid_run_restore(program, tmp_path):
+    """``advance`` runs on every predecode table, ``_applies`` included:
+    none of them may travel in the pickle, and an engine restored mid-run
+    under a scheme whose turns go through ``advance`` must finish on
+    re-derived ones."""
+    from repro.cpu.predecode import predecode_program
+
+    tables = ("_kinds", "_runs", "_eas", "_applies", "_latencies", "_tblocks")
+    cp = str(tmp_path / "ck.pkl")
+    full = build(program, "su", checkpoint_interval=300, checkpoint_path=cp).run()
+    restored = load_checkpoint(cp)
+    assert restored.manager.global_time > 0, "not a mid-run checkpoint"
+    for ct in restored.cores:
+        model = ct.model
+        assert not set(tables) & model.__getstate__().keys()
+        assert all(getattr(model, name) is not None for name in tables)
+        assert model._applies is predecode_program(model.program).applies
+        assert model.advance is not None
+    assert_same_run(restored.run(), full)
+
+
 def test_time_zero_checkpoint(program, tmp_path):
     """save_checkpoint works on an engine that has not run yet: the restored
     engine runs the whole simulation from scratch, bit-identically."""

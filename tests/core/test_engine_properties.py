@@ -1,10 +1,23 @@
 """Property-based engine tests: invariants over random workloads/schemes."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SequentialEngine, run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.corethread import CoreState
+from repro.core.corethread import CoreState, CoreThread
+from repro.core.events import EvKind, Event
+from repro.core.threaded import _LockedInQ
+from repro.cpu.arch import ArchState
+from repro.cpu.inorder import InOrderCore
+from repro.cpu.l1cache import L1Cache, L1Config
+from repro.isa import DATA_BASE, assemble
+from repro.sysapi.loader import load_program
+from repro.sysapi.system import SystemEmulation
+from repro.trace.capture import CoreRecorder
+from repro.trace.replay import ReplayCore, ReplaySystem
+from repro.violations.detect import ViolationCounters, WordOrderTracker
 from repro.workloads.synthetic import sharing_workload
 
 SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su", "aq10-80"]
@@ -116,6 +129,155 @@ def test_step_many_equals_per_cycle_stepping(scheme, num_cores, ops, shared, wl_
     assert [(c.committed, c.cycles, c.final_time) for c in a.cores] == [
         (c.committed, c.cycles, c.final_time) for c in b.cores
     ]
+
+
+#: One loop iteration per cache line, written so that every way out of
+#: ``advance`` is taken: the first instruction is a cold miss, two more loads
+#: hit the same line (an injected invalidation can land between them), the
+#: store upgrades after an injected downgrade, 3/4/12-cycle FP ops drain
+#: across whatever window edge the script picks, the AMO and the ecall are
+#: left to ``step``, and a latency-1 tail is long enough to be a timing block.
+ADVANCE_ASM = """
+.data
+lines: .space 512
+.text
+main:
+    ld   t0, 0(s1)
+    ld   t1, 8(s1)
+    ld   t2, 16(s1)
+    add  t3, t0, t1
+    sd   t3, 24(s1)
+    fcvt.d.l f1, s2
+    fmul f2, f1, f1
+    fdiv f3, f2, f1
+    fsd  f3, 32(s1)
+    amoadd t4, s2, 40(s1)
+    addi a7, zero, 12
+    ecall
+    addi s1, s1, 64
+    addi s2, s2, -1
+    addi t5, t5, 3
+    xor  t6, t5, s2
+    bne  s2, zero, main
+    addi a7, zero, 0
+    ecall
+"""
+ADVANCE_LINES = 8
+_ADVANCE_PROGRAM = assemble(ADVANCE_ASM)
+_ADVANCE_L1 = L1Config(size_bytes=1024, block_bytes=64, assoc=2, hit_latency=2)
+
+
+class _AdvanceRig:
+    """One CoreThread over ADVANCE_ASM plus a stub manager that grants every
+    request ``resp_delay`` cycles after its issue."""
+
+    def __init__(self, *, ops=None, single=False, locked=False, tracer=None):
+        self.single = single
+        self.counters = ViolationCounters()
+        tracker = WordOrderTracker(self.counters)
+        self.ct = ct = CoreThread(0, None)
+        if ops is None:
+            image = load_program(_ADVANCE_PROGRAM, num_contexts=1, memory_bytes=8 << 20)
+            model = InOrderCore(
+                0, _ADVANCE_PROGRAM, image.memory, L1Cache(_ADVANCE_L1),
+                ct.outq.push, SystemEmulation(image, 1),
+                word_tracker=tracker, tracer=tracer,
+            )
+            state = ArchState(context_id=0)
+            state.x[9] = DATA_BASE       # s1: first line
+            state.x[18] = ADVANCE_LINES  # s2: iterations left
+            model.bind_context(state)
+        else:
+            model = ReplayCore(
+                0, ops, L1Cache(_ADVANCE_L1), ct.outq.push, ReplaySystem(1),
+                word_tracker=tracker,
+            )
+        ct.model = model
+        if locked:
+            ct.inq = _LockedInQ(ct.inq)
+        ct.activate(_ADVANCE_PROGRAM.entry, 0, 0)
+
+    def turn(self, budget, window, inject, resp_delay, grant_shared):
+        """Raise the window, queue the injected coherence event, run one
+        batch, answer its requests; returns everything observable."""
+        ct = self.ct
+        ct.max_local_time = max(ct.max_local_time, ct.local_time + window)
+        if inject is not None:
+            kind, line, delay = inject
+            ct.deliver(Event(kind, DATA_BASE + 64 * line, 0, ct.local_time + delay))
+        stats = dataclasses.asdict(ct.step_many(budget, single=self.single))
+        out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
+        for kind, addr, ts in out:
+            if kind is not EvKind.PUTM:
+                grant = "S" if kind is EvKind.GETS and grant_shared else (
+                    "E" if kind is EvKind.GETS else "M")
+                ct.deliver(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
+        model = ct.model
+        return (
+            stats, out, ct.state, ct.local_time, model._busy_until, model.committed,
+            model.stall_cycles, model.phase, dataclasses.asdict(model.l1d.stats),
+            sorted(model.l1d.resident_blocks()), dataclasses.asdict(self.counters),
+        )
+
+
+def _advance_ops():
+    """ADVANCE_ASM's committed-op stream (pacing-invariant, so any drive
+    that finishes the program records the same one)."""
+    rec = CoreRecorder()
+    rig = _AdvanceRig(tracer=rec)
+    while rig.ct.state == CoreState.ACTIVE:
+        rig.turn(64, 64, None, 1, False)
+    return rec.finish()
+
+
+_ADVANCE_OPS = _advance_ops()
+
+_inject = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from([EvKind.INVALIDATE, EvKind.DOWNGRADE]),
+        st.integers(0, ADVANCE_LINES - 1),
+        st.integers(0, 12),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    turns=st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 40), _inject),
+        min_size=1, max_size=40,
+    ),
+    resp_delay=st.integers(1, 30),
+    grant_shared=st.booleans(),
+)
+def test_advance_equals_per_cycle_stepping(turns, resp_delay, grant_shared):
+    """``step_many(k) ≡ k × step()`` with the model's ``advance`` loop in
+    play: random budgets and window edges (so limits fall inside blocks,
+    multi-cycle drains and hit runs), random invalidations/downgrades, on
+    the direct and the replay core, over the sequential engine's raw InQ
+    heap and the threaded engine's locked ``peek_ts`` facade.  Turn by turn,
+    BatchStats, OutQ events, clocks, ``_busy_until``, commit and stall
+    counters, L1 stats and contents and the tracker's counters are equal to
+    the per-cycle oracle's — and replay's to direct's."""
+    rigs = {
+        "direct": _AdvanceRig(),
+        "direct-locked": _AdvanceRig(locked=True),
+        "direct-single": _AdvanceRig(single=True),
+        "replay": _AdvanceRig(ops=_ADVANCE_OPS),
+        "replay-locked": _AdvanceRig(ops=_ADVANCE_OPS, locked=True),
+        "replay-single": _AdvanceRig(ops=_ADVANCE_OPS, single=True),
+    }
+    for budget, window, inject in turns:
+        seen = {
+            name: rig.turn(budget, window, inject, resp_delay, grant_shared)
+            for name, rig in rigs.items()
+        }
+        oracle = seen["direct-single"]
+        for name, observed in seen.items():
+            assert observed == oracle, name
+    direct = rigs["direct"].ct.model
+    assert direct.state.digest() == rigs["direct-single"].ct.model.state.digest()
 
 
 @settings(max_examples=10, deadline=None)

@@ -55,6 +55,36 @@ class TestHostModel:
         assert host.makespan() >= total / cores - 1e-9
         assert host.busy == pytest.approx(total)
 
+    @pytest.mark.parametrize("cores", [1, 2, 8, 32])
+    @given(
+        warm=st.lists(st.tuples(st.floats(0, 30), st.floats(0.05, 9)), max_size=40),
+        ready=st.floats(0, 40),
+        cost=st.sampled_from([0.4, 0.05, 1.0, 2.7]),
+        span=st.floats(0, 60),
+        max_polls=st.integers(1, 200),
+    )
+    def test_poll_until_is_repeated_run(self, cores, warm, ready, cost, span, max_polls):
+        """``poll_until`` ≡ n x ``run`` (the linear host's stay-on-the-core
+        loop for H <= 16, the generic loop above), bit for bit: 0.4 is not
+        dyadic, so any closed form would show in ``float.hex``."""
+        fast, slow = HostModel(cores), HostModel(cores)
+        for host in (fast, slow):
+            for r, c in warm:  # random free_at, busy, makespan to start from
+                host.run(r, c)
+        until = ready + span
+        done_t = slow.run(ready, cost)
+        n = 1
+        while done_t < until and n < max_polls:
+            done_t = slow.run(done_t, cost)
+            n += 1
+        assert fast.poll_until(ready, cost, until, max_polls) == (done_t, n)
+        assert [t.hex() for t in fast.free_at] == [t.hex() for t in slow.free_at]
+        assert fast.busy.hex() == slow.busy.hex()
+        assert fast.makespan().hex() == slow.makespan().hex()
+        assert fast.steps == slow.steps
+        # The schedule built afterwards is the same one too.
+        assert fast.run(ready, cost).hex() == slow.run(ready, cost).hex()
+
 
 class TestCostModel:
     def make(self, sigma=0.25, seed=1):

@@ -62,6 +62,31 @@ def test_replay_digest_matches_direct(fft, fft_trace, scheme, mem_domains):
     assert_same_run(replay, direct)
 
 
+def test_replay_matches_direct_under_fastforward(tmp_path):
+    """Fast-forward compensation (§3.2.3) moves ``_busy_until`` on the
+    storing core; replay mirrors it touch for touch, so the dumps stay
+    equal when the compensation really delays the run."""
+    from repro.lang import compile_source
+    from tests.faults.test_faults import RACY_SRC
+
+    racy = compile_source(RACY_SRC).program
+    path = str(tmp_path / "racy.trace")
+    target = TargetConfig(num_cores=2)
+    run_simulation(racy, target=target, sim=SimConfig(
+        scheme="cc", seed=1, trace_mode="capture", trace_path=path))
+    runs = {}
+    for ff in (False, True):
+        sim = dict(scheme="s9", seed=1, fastforward=ff)
+        direct = run_simulation(racy, target=target, sim=SimConfig(**sim))
+        replay = run_simulation(racy, target=target, sim=SimConfig(
+            trace_mode="replay", trace_path=path, **sim))
+        assert replay.stats == direct.stats
+        assert_same_run(replay, direct)
+        runs[ff] = direct
+    assert runs[True].violations.fastforward_cycles > 0
+    assert runs[True].execution_cycles > runs[False].execution_cycles
+
+
 def test_capture_is_scheme_and_seed_invariant(fft, tmp_path):
     """Same workload captured under (cc, seed 1) and (s4, seed 9) is the
     same file, byte for byte — the sim seed only jitters host costs and the

@@ -1,6 +1,17 @@
 """Violation taxonomy tests (paper §3.2): counters, Figure 7 word races,
 fast-forward compensation."""
 
+import pytest
+
+from repro.core.events import EvKind, Event
+from repro.cpu.arch import ArchState
+from repro.cpu.inorder import InOrderCore
+from repro.cpu.l1cache import MESI, L1Cache
+from repro.isa import DATA_BASE, assemble
+from repro.sysapi.loader import load_program
+from repro.sysapi.system import SystemEmulation
+from repro.trace.format import ACC_STORE, OP_HALT, OP_MEM, OP_RUN
+from repro.trace.replay import ReplayCore, ReplaySystem
 from repro.violations.detect import ViolationCounters, WordOrderTracker
 
 
@@ -166,3 +177,56 @@ class TestWordOrderEdgeCases:
         t.observe_store(0x800, core=1, ts=55)  # same core: clean
         t.observe_load(0x800, core=0, ts=70)   # other core, after: clean
         assert c.workload_state == 0
+
+
+class TestFastForwardDelaysTheCore:
+    """§3.2.3 end to end: the compensation ``observe_store`` hands back is
+    idle time the storing core really spends — on the direct core and,
+    touch for touch, on the replay core."""
+
+    ADDR = DATA_BASE + 64
+
+    def make(self, kind, tracker):
+        out = []
+        if kind == "direct":
+            program = assemble("main: sd t0, 64(s1)\naddi t1, t1, 1\nhalt\n")
+            image = load_program(program, num_contexts=1)
+            core = InOrderCore(
+                0, program, image.memory, L1Cache(), out.append,
+                SystemEmulation(image, 1), word_tracker=tracker, fastforward=True,
+            )
+            state = ArchState()
+            state.x[9] = DATA_BASE
+            core.bind_context(state)
+            core.activate(program.entry, 0, 0)
+        else:
+            ops = [(OP_MEM, ACC_STORE, 1, self.ADDR), (OP_RUN, 1), (OP_HALT,)]
+            core = ReplayCore(
+                0, ops, L1Cache(), out.append, ReplaySystem(1),
+                word_tracker=tracker, fastforward=True,
+            )
+            core.activate(0, 0, 0)
+        return core, out
+
+    @pytest.mark.parametrize("path", ["hit", "miss"])
+    @pytest.mark.parametrize("kind", ["direct", "replay"])
+    def test_next_commit_lands_ff_cycles_later(self, kind, path):
+        counters = ViolationCounters()
+        tracker = WordOrderTracker(counters, fastforward=True)
+        tracker.observe_load(self.ADDR, core=1, ts=50)  # a load from the future
+        core, out = self.make(kind, tracker)
+        assert core.advance is None  # fast-forward keeps the per-cycle path
+        now = 10
+        if path == "hit":
+            core.l1d.fill(core.l1d.block_addr(self.ADDR), MESI.MODIFIED)
+        else:
+            assert core.step(now) == (0, True) and out[0].kind is EvKind.GETX
+            now = 20
+            core.deliver_response(Event(EvKind.RESPONSE, out[0].addr, 0, now, grant="M"))
+        assert core.step(now) == (1, True)  # the store commits, detected late
+        ff = 50 - now + 1
+        assert (counters.fastforwards, counters.fastforward_cycles) == (1, ff)
+        assert core.wait_state(now + 1) == (now + ff + 1, False)
+        for t in range(now + 1, now + ff + 1):
+            assert core.step(t) == (0, False)  # idle, undetectable by the program
+        assert core.step(now + ff + 1) == (1, True)
