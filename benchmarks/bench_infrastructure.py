@@ -22,6 +22,8 @@ from repro.workloads.fft import fft_source
 from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
 
+from tests.conftest import assert_same_run
+
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -33,12 +35,12 @@ def perf():
         print(f"\n[perf record written to {recorder.write(BENCH_JSON)}]")
 
 
-def _engine_run(scheme, mem_domains=1):
+def _engine_run(scheme):
     return run_simulation(
         None,
         trace_cores=sharing_workload(4, 20, seed=1),
         host=HostConfig(num_cores=4),
-        sim=SimConfig(scheme=scheme, seed=1, mem_domains=mem_domains),
+        sim=SimConfig(scheme=scheme, seed=1),
         target=TargetConfig(num_cores=4, core_model="trace"),
     )
 
@@ -71,30 +73,6 @@ def test_engine_cycle_rate_cc(benchmark, perf):
     )
 
 
-def test_engine_cycle_rate_cc_domains(benchmark, perf):
-    """cc with the memory side sharded into 4 scheduling domains
-    (DESIGN.md §10).
-
-    Sharding floors every window at the exchange quantum (the critical
-    memory latency), so cc stops re-arming a window per bus grant.  The
-    pinned ``stats_digest`` differs from the monolithic cc pin — flooring
-    coarsens the windows, so this is a different simulation, not a faster
-    one — but is seed-stable, which the CI domain-matrix job cross-checks.
-    BASELINES.json pins this at >=1.5x the monolithic cc cycle rate; the
-    regression gate keeps it there.
-    """
-    result = benchmark(lambda: _engine_run("cc", mem_domains=4))
-    assert result.completed
-    assert result.stats["sim.mem_domains"] == 4
-    perf.record(
-        "engine_cycle_rate_cc_domains",
-        seconds=benchmark.stats.stats.mean,
-        work=result.stats["target.execution_cycles"],
-        work_unit="cycles",
-        extra={"stats_digest": result.stats_sha256},
-    )
-
-
 @pytest.fixture(scope="module")
 def fft_trace(tmp_path_factory):
     """One functional capture of fft tiny, shared by the replay benches."""
@@ -109,16 +87,12 @@ def fft_trace(tmp_path_factory):
 
 
 def test_engine_cycle_rate_cc_replay(benchmark, perf, fft_trace):
-    """cc replayed from a captured trace over 4 memory domains
-    (DESIGN.md §11).
+    """cc replayed from a captured trace (DESIGN.md §11).
 
-    The functional cores are not re-executed (ReplayCore feeds the recorded
-    committed stream through the live engine/scheme/memory stack) and the
-    memory side runs sharded.  The pinned ``stats_digest`` equals a direct
-    fft run under the identical scheme/domain config — replay is observationally
-    indistinguishable (tests/trace pins this per scheme family) — and
-    BASELINES.json pins the cycle rate at >=3x the monolithic direct cc pin;
-    the regression gate keeps it there.
+    The functional cores are not re-executed: ReplayCore feeds the recorded
+    committed stream through the live engine/scheme/memory stack.  Iso-digest
+    with a direct cc run of the same program (asserted here, modeled host
+    time included), so the pinned rate is a pure host-side figure.
     """
     program, path = fft_trace
 
@@ -126,13 +100,13 @@ def test_engine_cycle_rate_cc_replay(benchmark, perf, fft_trace):
         return run_simulation(
             program,
             sim=SimConfig(
-                scheme="cc", seed=1, trace_mode="replay", trace_path=path,
-                mem_domains=4,
+                scheme="cc", seed=1, trace_mode="replay", trace_path=path
             ),
         )
 
     result = benchmark(go)
     assert result.completed
+    assert_same_run(result, run_simulation(program, sim=SimConfig(scheme="cc", seed=1)))
     perf.record(
         "engine_cycle_rate_cc_replay",
         seconds=benchmark.stats.stats.mean,

@@ -9,8 +9,7 @@ Public API highlights
 - :mod:`repro.isa` / :mod:`repro.lang`: the SPISA toolchain (assembler and
   the Slang mini-C compiler).
 - :mod:`repro.core`: the slack simulation engine — schemes ``cc``, ``qN``,
-  ``lN``, ``sN``, ``sN*``, ``su``; sequential deterministic engine and the
-  Pthreads-style threaded engine.
+  ``lN``, ``sN``, ``sN*``, ``su`` on the deterministic sequential engine.
 - :mod:`repro.workloads`: SPLASH-2-style parallel benchmarks (fft, lu,
   barnes, water) plus synthetic trace workloads.
 - :mod:`repro.experiments`: one entry point per paper table/figure.

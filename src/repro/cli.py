@@ -78,8 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         core_model=args.core_model,
         fastforward=args.fastforward,
         stats_interval=args.stats_interval,
-        host_timeout=args.host_timeout,
-        mem_domains=args.mem_domains,
     )
     try:
         # An explicit --replay-trace bypasses the store read (refresh): the
@@ -146,10 +144,8 @@ def _run_direct(args: argparse.Namespace) -> int:
             fastforward=args.fastforward,
             stats_interval=args.stats_interval,
             fault_plan=args.faults,
-            host_timeout=args.host_timeout,
             checkpoint_interval=args.checkpoint_interval,
             checkpoint_path=args.checkpoint,
-            mem_domains=args.mem_domains,
             trace_mode=trace_mode,
             trace_path=trace_path,
             trace_source=trace_source,
@@ -580,9 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--faults", default=None, metavar="PLAN",
                      help="fault-injection plan, e.g. "
                      "'overrun_window:core=2,at=500,extra=256;corrupt_dir:at=800'")
-    run.add_argument("--host-timeout", type=float, default=120.0,
-                     help="threaded-engine watchdog: abort after this many "
-                     "seconds without global-time progress")
     run.add_argument("--checkpoint-interval", type=int, default=0, metavar="N",
                      help="checkpoint every N target cycles of global time "
                      "(0: off; requires --checkpoint)")
@@ -591,11 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--restore", metavar="PATH",
                      help="resume a checkpointed run (other run options are "
                      "taken from the checkpoint)")
-    run.add_argument("--mem-domains", type=int, default=1, metavar="N",
-                     help="shard the L2 banks / directory regions / DRAM "
-                     "channels into N independently-clocked scheduling "
-                     "domains (1: monolithic memory side; N>1 floors every "
-                     "window at the cross-domain exchange quantum)")
     run.add_argument("--capture-trace", metavar="PATH",
                      help="record the committed-op stream at the timing-core "
                      "-> memory seam into PATH (scheme-invariant; one capture "

@@ -2,10 +2,11 @@
 
 Schemes: cycle-by-cycle (``cc``), quantum-based (``qN``), lookahead
 (``lN``), bounded slack (``sN``), oldest-first bounded slack (``sN*``) and
-unbounded slack (``su``).  Two engines share one thread structure:
-:class:`SequentialEngine` (deterministic, virtual-host) and
-:class:`~repro.core.threaded.ThreadedEngine` (real Python threads,
-Pthreads-style as in the paper).
+unbounded slack (``su``).  One engine: :class:`SequentialEngine` runs the
+paper's thread structure (N core threads + one manager) deterministically
+on the virtual host.  The same structure on real Python threads lives in
+the test harness (``tests/core/threaded_harness.py``), where it proves the
+queue/clock protocol under genuine preemption.
 """
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig

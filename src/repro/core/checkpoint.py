@@ -44,8 +44,10 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: Bumped whenever the payload layout changes; restores refuse mismatches
 #: rather than resuming from a stale-format file.  2: the ``_resume``
 #: payload lost its static-scheduler marker with the static run loop — a
-#: format-1 file may have been cut by that loop.
-CHECKPOINT_FORMAT = 2
+#: format-1 file may have been cut by that loop.  3: ``SimConfig`` lost
+#: four fields (memory domains, watchdog window, stepping, dispatch) — a
+#: format-2 pickle would restore a config with stale attributes.
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(EngineError):

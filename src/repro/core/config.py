@@ -97,15 +97,6 @@ class SimConfig:
     #: above the typical wait stretch (so batching still pays) but small
     #: enough that cross-core traffic interleaves.
     turn_cycles: int = 64
-    #: Stepping mode: "batched" jumps wait stretches via the wait_state/skip
-    #: protocol; "single" runs the identical turn structure one model.step
-    #: per cycle (the equivalence oracle for the golden tests).
-    stepping: str = "batched"
-    #: Execution layer: "predecoded" runs per-PC specialized closures
-    #: (repro.cpu.predecode); "oracle" runs funcsim.execute dict dispatch.
-    #: Both produce bit-identical architectural trajectories (the
-    #: dispatch-differential tests pin this).
-    dispatch: str = "predecoded"
     #: Cycles a core burns waiting on external input (a manager response)
     #: before yielding its turn.  Bounds de-facto turn size under su.
     wait_chunk: int = 16
@@ -118,23 +109,12 @@ class SimConfig:
     #: ``"overrun_window:core=2,at=500,extra=256"``.  None (default) leaves
     #: the engine entirely unhooked — fault seams cost nothing when unused.
     fault_plan: str | None = None
-    #: Wall-clock seconds the threaded engine's watchdog allows without
-    #: global-time progress before aborting with SimulationHungError.  The
-    #: total run time is unbounded as long as the simulation advances.
-    host_timeout: float = 120.0
     #: Write a checkpoint every N target cycles of global time (0 = off).
     #: Like stats_interval, the check rides the manager-step branch.
     checkpoint_interval: int = 0
     #: Where checkpoints land (a single file, atomically replaced).  A
     #: nonzero checkpoint_interval with no path is a configuration error.
     checkpoint_path: str | None = None
-    #: Number of independently-clocked memory-side scheduling domains
-    #: (DESIGN.md §10).  L2 banks, directory regions and DRAM channels
-    #: partition by address range across domains; with N>1 every
-    #: core↔domain window is floored at the cross-domain exchange quantum
-    #: (the critical latency), so coherence crosses domains only at window
-    #: edges.  1 (default) keeps the monolithic manager.
-    mem_domains: int = 1
     #: Progress-heartbeat file (DESIGN.md §13): when set, the engine runs a
     #: sampler thread that publishes its progress marker (global time,
     #: Σ committed, Σ local clocks) here every ``heartbeat_interval`` wall

@@ -7,7 +7,7 @@ its max local time" and suspends when the window edge is reached; the
 manager raises ``max_local_time`` per the active slack scheme.
 
 The same class serves the deterministic sequential engine (stepped in
-batches) and the threaded engine (stepped from a real Python thread).
+batches) and the threaded test harness (stepped from a real Python thread).
 
 Batched stepping (DESIGN.md §5): models that implement the optional
 ``wait_state``/``skip`` protocol let :meth:`CoreThread.step_many` advance
@@ -164,8 +164,9 @@ class CoreThread:
         inq = self.inq
         # Direct InQ heap access when the queue is unwrapped (sequential
         # engine): the per-cycle "anything due?" probe is two C-level checks
-        # instead of a method call.  The threaded engine wraps the InQ in a
-        # locked facade without ``_heap``; it keeps the method-call path.
+        # instead of a method call.  The threaded test harness wraps the InQ
+        # in a locked facade without ``_heap``; it keeps the method-call path
+        # (reading the heap outside the lock would race the manager's push).
         inq_heap = getattr(inq, "_heap", None)
         outq_q = self.outq._q
         out_before = len(outq_q)

@@ -29,7 +29,6 @@ import json
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.domains import DomainManager
 from repro.core.manager import SimulationManager
 from repro.core.results import CoreResult, SimulationResult
 from repro.core.schemes import INFINITY, Lookahead, parse_scheme
@@ -39,7 +38,6 @@ from repro.cpu.l1cache import L1Cache
 from repro.host.costmodel import CostModel
 from repro.host.hostmodel import HostModel
 from repro.isa.program import Program
-from repro.mem.domains import ShardedMemorySystem
 from repro.mem.memsys import MemorySystem
 from repro.stats.registry import Distribution, StatsRegistry
 from repro.sysapi.loader import load_program
@@ -64,10 +62,19 @@ class SequentialEngine:
         host: HostConfig | None = None,
         sim: SimConfig | None = None,
         trace_cores: list | None = None,
+        stepping: str = "batched",
+        dispatch: str = "predecoded",
     ) -> None:
         self.target = target or TargetConfig()
         self.host_cfg = host or HostConfig()
         self.sim = sim or SimConfig()
+        # Equivalence oracles (DESIGN.md §5/§6), not run configuration: the
+        # differential and golden tests pass them; they travel with the
+        # engine pickle so a restored run keeps its mode.
+        if stepping not in ("batched", "single"):
+            raise EngineError(f"unknown stepping mode {stepping!r}")
+        self._single = stepping == "single"
+        self._dispatch = dispatch
         self.scheme = parse_scheme(self.sim.scheme)
         # Trace subsystem (DESIGN.md §11).
         self._capture = None          # TraceRecorder while capturing a program run
@@ -172,25 +179,7 @@ class SequentialEngine:
             if self.sim.detect_violations
             else None
         )
-        # Scheduling domains (DESIGN.md §10): more than one memory domain
-        # routes through the sharded memory side + the DomainManager, whose
-        # windows are floored at the exchange quantum; the default keeps the
-        # monolithic manager with zero new branches on its hot loop.
-        self._domained = self.sim.mem_domains > 1
-        if self._domained:
-            if self.sim.fault_plan:
-                raise EngineError(
-                    "fault injection is unsupported with scheduling domains "
-                    "(fault hooks splice into the monolithic manager's GQ)"
-                )
-            try:
-                self.memsys = ShardedMemorySystem(
-                    self.target.memsys, self.target.num_cores, self.sim.mem_domains
-                )
-            except ValueError as exc:
-                raise EngineError(str(exc)) from None
-        else:
-            self.memsys = MemorySystem(self.target.memsys, self.target.num_cores, self.counters)
+        self.memsys = MemorySystem(self.target.memsys, self.target.num_cores, self.counters)
         self.hostmodel = HostModel(self.host_cfg.num_cores)
         self.costmodel = CostModel(self.host_cfg, self.sim.seed, self.target.num_cores)
         self.system: SystemEmulation | None = None
@@ -270,12 +259,7 @@ class SequentialEngine:
                 model.bind_context(ArchState(context_id=i))
                 ct.model = model
                 self.cores.append(ct)
-        if self._domained:
-            self.manager = DomainManager(
-                self.cores, self.memsys, self.scheme, self.counters
-            )
-        else:
-            self.manager = SimulationManager(self.cores, self.memsys, self.scheme)
+        self.manager = SimulationManager(self.cores, self.memsys, self.scheme)
         # Fault injection (DESIGN.md §8): hooks install only when a plan is
         # configured, so the default engine carries zero fault-path overhead.
         self.faults = None
@@ -312,7 +296,7 @@ class SequentialEngine:
             l1i=L1Cache(self.target.l1) if self.target.model_icache else None,
             word_tracker=self.tracker,
             fastforward=self.sim.fastforward,
-            dispatch=self.sim.dispatch,
+            dispatch=self._dispatch,
         )
         if self.target.core_model == "inorder":
             from repro.cpu.inorder import InOrderCore
@@ -382,8 +366,8 @@ class SequentialEngine:
         components' plain counters, so registration costs nothing on the
         simulate path; values resolve at dump time.  Host-loop mechanics
         (engine scheduling, modeled host makespan) register with
-        ``digest=False``: they are not simulated-target behaviour and the
-        threaded engine replaces host time with wall clock.
+        ``digest=False``: they are not simulated-target behaviour (a run on
+        real threads would replace host time with wall clock).
         """
         reg = StatsRegistry()
 
@@ -393,7 +377,6 @@ class SequentialEngine:
         sim.scalar("target_cores", source=lambda: self.target.num_cores)
         sim.scalar("host_cores", source=lambda: self.host_cfg.num_cores)
         sim.scalar("completed", source=lambda: int(self._completed))
-        sim.scalar("mem_domains", source=lambda: self.sim.mem_domains, digest=False)
 
         engine = reg.group("engine")
         for name in (
@@ -483,92 +466,30 @@ class SequentialEngine:
         mem = reg.group("mem")
         mem.scalar("requests_serviced", source=lambda: self.memsys.requests_serviced)
         bus = mem.group("bus")
+        for field in ("transfers", "busy_cycles", "contention_cycles"):
+            bus.scalar(field, source=(lambda f=field: getattr(self.memsys.bus.stats, f)))
         l2 = mem.group("l2")
-        dram = mem.group("dram")
-        directory = mem.group("directory")
-        bus_fields = ("transfers", "busy_cycles", "contention_cycles")
-        l2_fields = (
+        for field in (
             "accesses", "hits", "misses", "writebacks_in",
             "bank_conflict_cycles", "hop_cycles",
+        ):
+            l2.scalar(field, source=(lambda f=field: getattr(self.memsys.l2.stats, f)))
+        l2.vector("bank_accesses", lambda: self.memsys.l2.bank_accesses)
+        l2.formula(
+            "miss_rate",
+            lambda: self.memsys.l2.stats.misses / self.memsys.l2.stats.accesses,
         )
-        dram_fields = ("accesses", "queue_cycles", "row_activations")
-        dir_fields = (
+        dram = mem.group("dram")
+        for field in ("accesses", "queue_cycles", "row_activations"):
+            dram.scalar(field, source=(lambda f=field: getattr(self.memsys.dram.stats, f)))
+        directory = mem.group("directory")
+        for field in (
             "requests", "invalidations_sent", "downgrades_sent",
             "cache_to_cache_transfers",
-        )
-        if not self._domained:
-            for field in bus_fields:
-                bus.scalar(field, source=(lambda f=field: getattr(self.memsys.bus.stats, f)))
-            for field in l2_fields:
-                l2.scalar(field, source=(lambda f=field: getattr(self.memsys.l2.stats, f)))
-            l2.vector("bank_accesses", lambda: self.memsys.l2.bank_accesses)
-            l2.formula(
-                "miss_rate",
-                lambda: self.memsys.l2.stats.misses / self.memsys.l2.stats.accesses,
+        ):
+            directory.scalar(
+                field, source=(lambda f=field: getattr(self.memsys.directory, f))
             )
-            for field in dram_fields:
-                dram.scalar(field, source=(lambda f=field: getattr(self.memsys.dram.stats, f)))
-            for field in dir_fields:
-                directory.scalar(
-                    field, source=(lambda f=field: getattr(self.memsys.directory, f))
-                )
-        else:
-            # Sharded memory side: same stat names, values summed over the
-            # shards, plus a per-domain subtree.
-            shards = self.memsys.shards
-            for field in bus_fields:
-                bus.scalar(
-                    field,
-                    source=(lambda f=field: sum(getattr(s.bus.stats, f) for s in shards)),
-                )
-            for field in l2_fields:
-                l2.scalar(
-                    field,
-                    source=(lambda f=field: sum(getattr(s.l2.stats, f) for s in shards)),
-                )
-            l2.vector("bank_accesses", self.memsys.bank_accesses)
-            l2.formula(
-                "miss_rate",
-                lambda: sum(s.l2.stats.misses for s in shards)
-                / sum(s.l2.stats.accesses for s in shards),
-            )
-            for field in dram_fields:
-                dram.scalar(
-                    field,
-                    source=(lambda f=field: sum(getattr(s.dram.stats, f) for s in shards)),
-                )
-            for field in dir_fields:
-                directory.scalar(
-                    field,
-                    source=(lambda f=field: sum(getattr(s.directory, f) for s in shards)),
-                )
-            dgrp = mem.group("domains")
-            dgrp.scalar("count", source=lambda: self.memsys.num_domains)
-            dgrp.scalar(
-                "exchange_quantum", source=lambda: self.manager.exchange_quantum
-            )
-            dgrp.scalar("exchanges", source=lambda: self.manager.exchanges)
-            for k in range(self.memsys.num_domains):
-                grp = dgrp.group(f"d{k}")
-                grp.scalar(
-                    "requests_serviced",
-                    source=(lambda i=k: self.memsys.shards[i].requests_serviced),
-                )
-                grp.scalar(
-                    "l2_accesses",
-                    source=(lambda i=k: self.memsys.shards[i].l2.stats.accesses),
-                )
-                grp.scalar(
-                    "dram_accesses",
-                    source=(lambda i=k: self.memsys.shards[i].dram.stats.accesses),
-                )
-                grp.scalar(
-                    "directory_blocks",
-                    source=(lambda i=k: self.memsys.shards[i].directory.tracked_blocks()),
-                )
-                grp.scalar(
-                    "clock", source=(lambda i=k: self.manager.domains[i].clock)
-                )
 
         if self.faults is not None:
             faults = reg.group("faults")
@@ -576,37 +497,14 @@ class SequentialEngine:
             faults.scalar("injected", source=lambda: len(self.faults.fired))
 
         violations = reg.group("violations")
-        if not self._domained:
-            for field in (
-                "simulation_state", "system_state", "workload_state",
-                "fastforwards", "fastforward_cycles",
-            ):
-                violations.scalar(
-                    field, source=(lambda f=field: getattr(self.counters, f))
-                )
-            violations.vector("by_resource", lambda: self.counters.by_resource)
-        else:
-            # Shards count into private (race-free) counters; totals fold the
-            # engine's own counters with every shard's at dump time.
-            shards = self.memsys.shards
-            for field in (
-                "simulation_state", "system_state", "workload_state",
-                "fastforwards", "fastforward_cycles",
-            ):
-                violations.scalar(
-                    field,
-                    source=(
-                        lambda f=field: getattr(self.counters, f)
-                        + sum(getattr(s.counters, f) for s in shards)
-                    ),
-                )
-            violations.vector(
-                "by_resource",
-                lambda: self.memsys.merged_counters(self.counters).by_resource,
-            )
+        for field in (
+            "simulation_state", "system_state", "workload_state",
+            "fastforwards", "fastforward_cycles",
+        ):
             violations.scalar(
-                "cross_domain", source=lambda: self.counters.cross_domain
+                field, source=(lambda f=field: getattr(self.counters, f))
             )
+        violations.vector("by_resource", lambda: self.counters.by_resource)
 
         if self.system is not None:
             sync = reg.group("sync")
@@ -657,15 +555,7 @@ class SequentialEngine:
         """
         local = ct.local_time
         manager = self.manager
-        if self._domained:
-            # Multi-domain runs floor every window at the exchange quantum
-            # (DomainManager.current_max_local); sizing the turn off the raw
-            # scheme grant would slice the floored window into scheme-sized
-            # crumbs and pay per-turn overhead for each.
-            budget = manager.current_max_local() - local
-            if budget < 0:
-                budget = 0
-        elif self._grant_needs_oldest:
+        if self._grant_needs_oldest:
             budget = self.scheme.grant(manager.global_time, local, manager.gq.oldest_ts())
         else:
             # Inlined default Scheme.grant: max(0, max_local(global) - local).
@@ -772,7 +662,7 @@ class SequentialEngine:
             and getattr(self.scheme, "adapt", None) is None
         )
         n_susp = 0 if resume is None else resume["n_susp"]
-        single = sim.stepping == "single"
+        single = self._single
         wait_chunk = sim.wait_chunk
         snap_interval = sim.stats_interval
         cp_interval = sim.checkpoint_interval
@@ -1129,11 +1019,6 @@ class SequentialEngine:
                 )
             )
         sync = self.system.sync.stats if self.system is not None else None
-        violations = (
-            self.memsys.merged_counters(self.counters)
-            if self._domained
-            else self.counters
-        )
         return SimulationResult(
             scheme=self.scheme.name,
             host_cores=self.host_cfg.num_cores,
@@ -1145,7 +1030,7 @@ class SequentialEngine:
             host_time=self.hostmodel.makespan(),
             host_busy=self.hostmodel.busy,
             cores=core_results,
-            violations=violations,
+            violations=self.counters,
             output=self.system.merged_output() if self.system else [],
             requests=self.manager.requests_processed,
             barriers=self.manager.barriers_completed,

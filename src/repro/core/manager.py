@@ -187,11 +187,6 @@ class SimulationManager:
         self.requests_processed += 1
         kind = REQUEST_KINDS[event.kind]
         result = self.memsys.service(kind, event.addr, event.core, event.ts)
-        self._deliver(event, result)
-
-    def _deliver(self, event: Event, result) -> None:
-        """Turn one ServiceResult into InQ events (response, then coherence
-        messages) — the seq-draw order every execution path must preserve."""
         if result.grant is not None:
             self.cores[event.core].deliver(
                 Event(

@@ -306,9 +306,6 @@ def record_summary(record: dict) -> str:
         f"workload={stats.get('violations.workload_state', 0)} "
         f"fastforwards={stats.get('violations.fastforwards', 0)}"
     )
-    cross = stats.get("violations.cross_domain", 0)
-    if cross:
-        violations += f" cross_domain={cross}"
     spec = record["spec"]
     return (
         f"[{spec['sim']['scheme']} H={spec['host']['num_cores']}] "

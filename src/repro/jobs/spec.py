@@ -12,17 +12,19 @@ incorporates
   stage of the toolchain changes the key;
 * every **digest-relevant** configuration field: the full target/host
   models and the :class:`SimConfig` fields that can influence simulated
-  behaviour (scheme, seed, windows, domains, faults, …);
+  behaviour (scheme, seed, windows, faults, …);
 * the job-layer format version (bump ``JOB_FORMAT`` to orphan every record).
 
 **Digest-excluded fields** are execution mechanics proven observationally
-equivalent elsewhere in the test suite: ``stepping``/``dispatch``
-(digest-identical by the differential matrices, DESIGN.md §6/§9), the
-trace mode (replay is dump-identical to direct execution, §11), the
-wall-clock watchdog, the serve layer's progress heartbeat (observation
-only, §13), and output paths.
+equivalent elsewhere in the test suite: the trace mode (replay is
+dump-identical to direct execution, DESIGN.md §11), the serve layer's
+progress heartbeat (observation only, §13), and output paths.
 Changing any of them must NOT change the key — a replayed run and a direct
-run of the same job are the *same job* and share one stored record.
+run of the same job are the *same job* and share one stored record.  The
+per-cycle stepping and oracle dispatch references are not configuration at
+all: they are ``SequentialEngine`` constructor arguments that only the
+differential tests pass (§5/§6), so no spec, wire dict or checkpoint can
+carry them.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ DIGEST_SIM_FIELDS = (
     "stats_interval",
     "fault_plan",
     "checkpoint_interval",
-    "mem_domains",
 )
 
 
@@ -73,7 +74,7 @@ class JobSpec:
     ``workload``/``scale``/``workload_args`` name the program;
     ``scheme``/``seed``/``host_cores``/``core_model``/``fastforward`` are
     the common knobs every entry point exposes; ``sim`` optionally carries
-    a full :class:`SimConfig` for the long tail (windows, domains, faults).
+    a full :class:`SimConfig` for the long tail (windows, faults).
     The top-level fields are authoritative: :meth:`sim_config` overlays
     them onto ``sim``, so a spec can never disagree with itself.
 
@@ -174,12 +175,20 @@ def spec_from_dict(d: dict) -> JobSpec:
 
     Tolerates missing optional fields (defaults apply) and unknown ``sim``
     keys (dropped — a newer client talking to an older daemon, or a row an
-    older daemon queued with since-retired fields, degrades to the fields
-    both sides know rather than erroring).
+    older daemon queued with since-retired *mechanics* fields, degrades to
+    the fields both sides know rather than erroring).  ``mem_domains`` was
+    digest-relevant before it was retired: any value but 1 names a
+    simulation this build cannot run, and dropping the key would silently
+    run a different one under a different job key — so it is refused.
     """
     sim = d.get("sim")
     sim_cfg = None
     if sim:
+        if sim.get("mem_domains", 1) != 1:
+            raise ValueError(
+                f"sim.mem_domains={sim['mem_domains']!r} is not supported: "
+                "memory domains were removed (DESIGN.md §10); only 1 is accepted"
+            )
         known = {f.name for f in fields(SimConfig)}
         sim_cfg = SimConfig(**{k: v for k, v in sim.items() if k in known})
     return JobSpec(

@@ -166,11 +166,6 @@ class Directory:
         return DirectoryOutcome(grant=None)
 
     # ------------------------------------------------------------ inspection
-    def tracked_blocks(self) -> int:
-        """Number of blocks with a directory entry (a domain shard's region
-        footprint in the per-domain stats subtree)."""
-        return len(self._entries)
-
     def presence_bits(self, addr: int) -> tuple[list[int], int]:
         """(presence bit vector, dirty bit) — the paper's Figure 6 view."""
         entry = self._entries.get(addr)

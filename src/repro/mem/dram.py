@@ -33,14 +33,9 @@ class Dram:
         latency: int = 120,
         service_cycles: int = 4,
         counters: ViolationCounters | None = None,
-        channel: int = 0,
     ) -> None:
         self.latency = latency
         self.service_cycles = service_cycles
-        #: Channel index when the memory side is sharded into scheduling
-        #: domains (one independently-ported channel per domain); 0 for the
-        #: monolithic single-channel system.
-        self.channel = channel
         self.free_at = 0
         self._last_ts = 0
         self._open_row: int | None = None

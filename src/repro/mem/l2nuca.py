@@ -17,32 +17,7 @@ from dataclasses import dataclass
 from repro._util import log2i
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["L2Nuca", "L2Config", "L2Stats", "domain_of_bank", "banks_of_domain"]
-
-
-def domain_of_bank(bank: int, num_banks: int, num_domains: int) -> int:
-    """Owning scheduling domain of *bank* under a contiguous-range partition.
-
-    Domain d owns banks ``[d*num_banks//num_domains, (d+1)*num_banks//num_domains)``
-    — the address→bank→domain map every memory-side shard agrees on
-    (DESIGN.md §10).  Requires ``1 <= num_domains <= num_banks`` so every
-    domain owns at least one bank.
-    """
-    if not 1 <= num_domains <= num_banks:
-        raise ValueError(
-            f"num_domains must be in [1, {num_banks}] (got {num_domains})"
-        )
-    return bank * num_domains // num_banks
-
-
-def banks_of_domain(domain: int, num_banks: int, num_domains: int) -> range:
-    """The contiguous bank range owned by *domain* (inverse of
-    :func:`domain_of_bank`)."""
-    if not 0 <= domain < num_domains:
-        raise ValueError(f"domain {domain} out of range [0, {num_domains})")
-    lo = -(-domain * num_banks // num_domains)  # ceil
-    hi = -(-(domain + 1) * num_banks // num_domains)
-    return range(lo, hi)
+__all__ = ["L2Nuca", "L2Config", "L2Stats"]
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,6 @@ class MemorySystem:
         config: MemSysConfig | None = None,
         num_cores: int = 8,
         counters: ViolationCounters | None = None,
-        resource_prefix: str = "",
-        dram_channel: int = 0,
     ) -> None:
         self.config = config or MemSysConfig()
         self.num_cores = num_cores
@@ -82,27 +80,16 @@ class MemorySystem:
         # examples) gets a private counter set instead of Optional plumbing.
         self.counters = counters if counters is not None else ViolationCounters()
         counters = self.counters
-        # When this system is one shard of a multi-domain memory side, the
-        # prefix (e.g. "d2:") namespaces its order-tracked resources so
-        # violations.by_resource attributes distortions to the right domain.
-        # Empty for the monolithic system — resource keys are unchanged.
-        self.resource_prefix = resource_prefix
         # Internal resources model *contention* only; out-of-order processing
         # detection happens here in service(), keyed on the request timestamp
         # (internal completion-time skew — NUCA hops, background writebacks —
         # is not a violation).
-        self.bus = Bus(self.config.bus_transfer_cycles, name=resource_prefix + "bus")
+        self.bus = Bus(self.config.bus_transfer_cycles)
         self.l2 = L2Nuca(self.config.l2, num_cores)
-        self.dram = Dram(
-            self.config.dram_latency,
-            self.config.dram_service_cycles,
-            channel=dram_channel,
-        )
+        self.dram = Dram(self.config.dram_latency, self.config.dram_service_cycles)
         self.directory = Directory(num_cores, counters)
         self.requests_serviced = 0
         self._order_ts: dict[str, int] = {}
-        self._res_bus = resource_prefix + "bus"
-        self._res_dram = resource_prefix + "dram"
 
     # ---------------------------------------------------------------- timing
     def critical_latency(self) -> int:
@@ -132,7 +119,7 @@ class MemorySystem:
         """
         self.requests_serviced += 1
         cfg = self.config
-        self._check_order(self._res_bus, ts)
+        self._check_order("bus", ts)
         grant_ts = self.bus.occupy(ts)
         arrive = grant_ts + cfg.bus_transfer_cycles
         outcome = self.directory.handle(kind, addr, core, ts)
@@ -150,12 +137,12 @@ class MemorySystem:
             ready = arrive + cfg.directory_cycles + cfg.cache_to_cache_cycles
             self.l2.access(addr, core, ready, is_writeback=True)
         else:
-            self._check_order(f"{self.resource_prefix}l2bank[{self.l2.bank_of(addr)}]", ts)
+            self._check_order(f"l2bank[{self.l2.bank_of(addr)}]", ts)
             bank_ready, l2_hit = self.l2.access(addr, core, arrive)
             if l2_hit:
                 ready = bank_ready
             else:
-                self._check_order(self._res_dram, ts)
+                self._check_order("dram", ts)
                 ready = self.dram.access(bank_ready, addr)
         # Data return path: point-to-point, contention-free by design.
         ready_ts = ready + cfg.bus_transfer_cycles

@@ -1,14 +1,14 @@
 """Per-job progress heartbeats: the watchdog story for worker processes.
 
-The threaded engine's watchdog (DESIGN.md §8) reads live engine state to
-tell "slow but progressing" from "hung" — it can, because it shares the
-process.  A serve worker runs its engine in a *separate* process, so the
-supervisor needs the same signal across a process boundary: this module
-writes it through the filesystem.
+A watchdog that shares its engine's process (the threaded test harness,
+DESIGN.md §8) can read live engine state to tell "slow but progressing"
+from "hung".  A serve worker runs its engine in a *separate* process, so
+the supervisor needs the same signal across a process boundary: this
+module writes it through the filesystem.
 
 A :class:`HeartbeatWriter` is a daemon thread inside the worker that
-samples the engine's progress marker — the same tuple the threaded
-watchdog uses: ``(global_time, Σ committed, Σ local clocks)`` — every
+samples the engine's progress marker —
+``(global_time, Σ committed, Σ local clocks)`` — every
 ``interval`` wall seconds and publishes it atomically to a per-job
 heartbeat file.  The supervisor (:mod:`repro.serve.supervisor`) reads the
 file and only declares a job *hung* when the progress component stops
@@ -37,9 +37,9 @@ __all__ = ["HeartbeatWriter", "engine_progress", "read_heartbeat"]
 def engine_progress(engine) -> list:
     """The engine's progress marker as a JSON-ready list.
 
-    Mirrors ``ThreadedEngine._progress_marker``: global time alone misses a
-    run-ahead core advancing against a straggler, so committed instructions
-    and the summed local clocks are folded in.  Reads are racy against the
+    Global time alone misses a run-ahead core advancing against a
+    straggler, so committed instructions and the summed local clocks are
+    folded in.  Reads are racy against the
     running loop but monotone counters only ever under-report — safe for a
     "did anything change" signal.
     """

@@ -55,9 +55,8 @@ __all__ = [
 ]
 
 #: Characters allowed in one path component (brackets admit resource names
-#: like ``l2bank[3]``; ``*`` admits scheme names like ``s9*``; ``:`` admits
-#: domain-prefixed resources like ``d0:bus``).
-_COMPONENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-[]*:")
+#: like ``l2bank[3]``; ``*`` admits scheme names like ``s9*``).
+_COMPONENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-[]*")
 
 
 class StatError(ValueError):

@@ -4,7 +4,7 @@
 skip / advance / deliver_response / …) by consuming a recorded
 committed-op stream instead of fetching instructions.  Everything outside
 the fetch/execute stage — L1 state machines, coherence traffic, slack
-windows, violation tracking, synchronization, scheduling domains — runs
+windows, violation tracking, synchronization — runs
 *live* in the surrounding engine, exactly as in a direct run.  The bar is
 observational indistinguishability at the CoreThread seam: same per-turn
 ``BatchStats``, same OutQ events at the same local times, same wakes.

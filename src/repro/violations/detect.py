@@ -32,11 +32,6 @@ class ViolationCounters:
     workload_state: int = 0
     fastforwards: int = 0
     fastforward_cycles: int = 0
-    #: Cross-domain ordering slips under memory-side sharding (DESIGN.md
-    #: §10): an event delivered out of one domain whose timestamp precedes
-    #: another domain's already-exchanged horizon.  Zero for the monolithic
-    #: manager and for any single-domain run.
-    cross_domain: int = 0
 
     #: per-resource detail: resource name -> count
     by_resource: dict = field(default_factory=dict)
@@ -48,10 +43,6 @@ class ViolationCounters:
     def record_system_state(self, resource: str = "directory") -> None:
         self.system_state += 1
         self.by_resource[resource] = self.by_resource.get(resource, 0) + 1
-
-    def record_cross_domain(self, resource: str, count: int = 1) -> None:
-        self.cross_domain += count
-        self.by_resource[resource] = self.by_resource.get(resource, 0) + count
 
     def record_workload_state(self) -> None:
         self.workload_state += 1
@@ -65,14 +56,11 @@ class ViolationCounters:
         return self.simulation_state + self.system_state + self.workload_state
 
     def summary(self) -> str:
-        text = (
+        return (
             f"violations: simulation={self.simulation_state} "
             f"system={self.system_state} workload={self.workload_state} "
             f"fastforwards={self.fastforwards}"
         )
-        if self.cross_domain:
-            text += f" cross_domain={self.cross_domain}"
-        return text
 
 
 class WordOrderTracker:

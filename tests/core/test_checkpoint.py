@@ -243,12 +243,13 @@ def test_load_rejects_missing_and_garbage(tmp_path):
     wrong.write_bytes(pickle.dumps({"format": 999, "engine": None, "seq_position": 0}))
     with pytest.raises(CheckpointError, match="format"):
         load_checkpoint(str(wrong))
-    # Format 1 may have been cut by the removed static run loop: refused,
-    # never resumed into a loop that no longer exists.
-    stale = tmp_path / "format1.pkl"
-    stale.write_bytes(pickle.dumps({"format": 1, "engine": None, "seq_position": 0}))
-    with pytest.raises(CheckpointError, match="format 1"):
-        load_checkpoint(str(stale))
+    # Format 1 may have been cut by the removed static run loop, format 2
+    # pickles a SimConfig with since-removed fields: refused, never resumed.
+    for fmt in (1, 2):
+        stale = tmp_path / f"format{fmt}.pkl"
+        stale.write_bytes(pickle.dumps({"format": fmt, "engine": None, "seq_position": 0}))
+        with pytest.raises(CheckpointError, match=f"format {fmt}"):
+            load_checkpoint(str(stale))
 
 
 # ---------------------------------------------------------------- seq counter

@@ -45,7 +45,8 @@ def test_engine_differential(core_model):
             workload.program,
             target=TargetConfig(core_model=core_model),
             host=HostConfig(num_cores=4),
-            sim=SimConfig(scheme="s9", seed=1, dispatch=dispatch),
+            sim=SimConfig(scheme="s9", seed=1),
+            dispatch=dispatch,
         )
         result = engine.run()
         assert not workload.mismatches(result.output)
@@ -72,7 +73,8 @@ def test_sync_program_differential(scheme):
             program,
             target=TargetConfig(num_cores=4),
             host=HostConfig(num_cores=4),
-            sim=SimConfig(scheme=scheme, seed=11, dispatch=dispatch),
+            sim=SimConfig(scheme=scheme, seed=11),
+            dispatch=dispatch,
         ).run()
         for dispatch in ("predecoded", "oracle")
     ]

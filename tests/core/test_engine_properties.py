@@ -8,7 +8,6 @@ from repro.core import SequentialEngine, run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
 from repro.core.events import EvKind, Event
-from repro.core.threaded import _LockedInQ
 from repro.cpu.arch import ArchState
 from repro.cpu.inorder import InOrderCore
 from repro.cpu.l1cache import L1Cache, L1Config
@@ -19,6 +18,7 @@ from repro.trace.capture import CoreRecorder
 from repro.trace.replay import ReplayCore, ReplaySystem
 from repro.violations.detect import ViolationCounters, WordOrderTracker
 from repro.workloads.synthetic import sharing_workload
+from tests.core.threaded_harness import _LockedInQ
 
 SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su", "aq10-80"]
 
@@ -110,13 +110,14 @@ def test_step_many_equals_per_cycle_stepping(scheme, num_cores, ops, shared, wl_
     ``skip``) must be observationally identical to stepping every cycle:
     same clocks, same events, same bit-exact host times."""
     def run(stepping):
-        return run_simulation(
+        return SequentialEngine(
             None,
             trace_cores=sharing_workload(num_cores, ops, shared_fraction=shared, seed=wl_seed),
             host=HostConfig(num_cores=num_cores),
-            sim=SimConfig(scheme=scheme, seed=seed, stepping=stepping),
+            sim=SimConfig(scheme=scheme, seed=seed),
             target=TargetConfig(num_cores=num_cores, core_model="trace"),
-        )
+            stepping=stepping,
+        ).run()
 
     a, b = run("batched"), run("single")
     assert a.execution_cycles == b.execution_cycles

@@ -30,9 +30,9 @@ import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
-from repro.core.threaded import ThreadedEngine
 from repro.lang import compile_source
 from repro.workloads.synthetic import sharing_workload
+from tests.core.threaded_harness import ThreadedEngine
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -115,14 +115,16 @@ def run_sequential(scheme: str, program, stepping: str) -> dict:
             trace_cores=sharing_workload(4, 24, seed=3),
             target=TRACE_TARGET,
             host=HOST,
-            sim=replace(TRACE_SIM, scheme=scheme, stepping=stepping),
+            sim=replace(TRACE_SIM, scheme=scheme),
+            stepping=stepping,
         )
     else:
         engine = SequentialEngine(
             program,
             target=PROGRAM_TARGET,
             host=HOST,
-            sim=replace(PROGRAM_SIM, scheme=scheme, stepping=stepping),
+            sim=replace(PROGRAM_SIM, scheme=scheme),
+            stepping=stepping,
         )
     return digest(engine.run())
 

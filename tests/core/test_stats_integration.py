@@ -61,22 +61,27 @@ def program():
     return compile_source(PROGRAM_SRC).program
 
 
-def trace_engine(scheme: str, **sim_overrides) -> SequentialEngine:
+def trace_engine(scheme: str, *, stepping="batched", **sim_overrides) -> SequentialEngine:
     return SequentialEngine(
         None,
         trace_cores=sharing_workload(4, 24, seed=5),
         target=TRACE_TARGET,
         host=HOST,
         sim=replace(SIM, scheme=scheme, **sim_overrides),
+        stepping=stepping,
     )
 
 
-def program_engine(program, scheme: str, **sim_overrides) -> SequentialEngine:
+def program_engine(
+    program, scheme: str, *, stepping="batched", dispatch="predecoded", **sim_overrides
+) -> SequentialEngine:
     return SequentialEngine(
         program,
         target=PROGRAM_TARGET,
         host=HOST,
         sim=replace(SIM, scheme=scheme, **sim_overrides),
+        stepping=stepping,
+        dispatch=dispatch,
     )
 
 

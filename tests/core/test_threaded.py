@@ -7,9 +7,9 @@ Wall-clock numbers are GIL-bound and nondeterministic; these tests assert
 import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.threaded import ThreadedEngine
 from repro.lang import compile_source
 from repro.workloads import make_workload
+from tests.core.threaded_harness import SimulationHungError, ThreadedEngine
 
 SMALL_TARGET = TargetConfig(num_cores=4)
 
@@ -205,18 +205,17 @@ def test_watchdog_aborts_hung_run_with_diagnostics():
     core; the progress watchdog must abort with per-core clock state and
     thread stacks instead of hanging until a wall-clock cap."""
     from repro.core.manager import ManagerStepResult
-    from repro.core.threaded import SimulationHungError
 
     prog = compile_source(COUNTER_SRC).program
     engine = ThreadedEngine(
         prog,
         target=SMALL_TARGET,
         host=HostConfig(num_cores=4),
-        sim=SimConfig(scheme="cc", host_timeout=0.5),
+        sim=SimConfig(scheme="cc"),
     )
     engine.manager.step = lambda: ManagerStepResult()  # type: ignore[method-assign]
     with pytest.raises(SimulationHungError) as excinfo:
-        engine.run()  # watchdog window comes from SimConfig.host_timeout
+        engine.run(timeout=0.5)
     err = excinfo.value
     assert err.timeout == 0.5
     assert err.global_time == 0
@@ -237,8 +236,8 @@ def test_watchdog_window_passes_healthy_runs():
         prog,
         target=SMALL_TARGET,
         host=HostConfig(num_cores=4),
-        sim=SimConfig(scheme="q10", host_timeout=10.0),
+        sim=SimConfig(scheme="q10"),
     )
-    r = engine.run()  # no explicit timeout: SimConfig.host_timeout applies
+    r = engine.run(timeout=10.0)
     assert r.completed
     assert r.int_output() == [40]

@@ -1,4 +1,8 @@
-"""Threaded engine: the paper's actual Pthreads structure.
+"""Threaded engine (test harness): the paper's actual Pthreads structure.
+
+Lives under ``tests/`` because nothing in ``src/`` runs it: its job is to
+prove the queue/clock protocol under genuine preemption, which is a test's
+job (DESIGN.md §2).
 
 One real :class:`threading.Thread` per target core plus one manager thread,
 communicating through the same CoreThread/Manager objects as the sequential
@@ -38,7 +42,11 @@ from repro.core.queues import InQ
 from repro.core.results import SimulationResult
 from repro.host.costmodel import HOST_UNIT_SECONDS
 
-__all__ = ["SimulationHungError", "ThreadedEngine"]
+__all__ = ["HOST_TIMEOUT", "SimulationHungError", "ThreadedEngine"]
+
+#: Default watchdog window: wall seconds without simulation progress before
+#: a run aborts with :class:`SimulationHungError`.
+HOST_TIMEOUT = 120.0
 
 
 class SimulationHungError(EngineError):
@@ -229,18 +237,15 @@ class ThreadedEngine(SequentialEngine):
         )
 
     # ------------------------------------------------------------------- run
-    def run(self, timeout: float | None = None) -> SimulationResult:
+    def run(self, timeout: float = HOST_TIMEOUT) -> SimulationResult:
         """Run to completion on real threads; returns a SimulationResult
         whose host_time is measured wall-clock (GIL-bound, nondeterministic).
 
-        *timeout* is the **watchdog window** (default: the run's
-        ``SimConfig.host_timeout``): the run aborts with
+        *timeout* is the **watchdog window**: the run aborts with
         :class:`SimulationHungError` only after that many seconds with *no
         simulation progress* — total wall time is unbounded while clocks
         advance, so slow machines don't kill healthy long runs.
         """
-        if timeout is None:
-            timeout = self.sim.host_timeout
         threads = [
             threading.Thread(target=self._core_thread_body, args=(i,), name=f"core-{i}", daemon=True)
             for i in range(len(self.cores))

@@ -3,7 +3,7 @@
 The invalidation contract (DESIGN.md §12): program content, toolchain
 fingerprint and every digest-relevant configuration field participate in
 the key; execution mechanics proven observationally equivalent elsewhere
-(stepping and dispatch mode, watchdog, output paths) must not.
+(trace mode, progress heartbeat, output paths) must not.
 """
 
 import pytest
@@ -53,7 +53,6 @@ class TestKeyChanges:
             {"stats_interval": 500},
             {"fault_plan": "corrupt_dir:at=800"},
             {"checkpoint_interval": 1000},
-            {"mem_domains": 2},
             {"mode": "functional"},
             {"workload_args": {"nthreads": 1}},
         ],
@@ -72,9 +71,9 @@ class TestKeyInvariant:
     @pytest.mark.parametrize(
         "change",
         [
-            {"stepping": "looped"},
-            {"dispatch": "oracle"},
-            {"host_timeout": 5.0},
+            {"heartbeat_path": "/tmp/job.hb"},
+            {"heartbeat_interval": 5.0},
+            {"trace_source": '{"workload": "fft"}'},
             {"checkpoint_path": "/tmp/ckpt.bin"},
             {"trace_mode": "replay", "trace_path": "/tmp/x.trace"},
         ],
@@ -83,7 +82,7 @@ class TestKeyInvariant:
         assert job_key(spec(**change), DIGEST) == job_key(spec(), DIGEST)
 
     def test_build_without_overrides_matches_explicit_defaults(self):
-        assert job_key(spec(), DIGEST) == job_key(spec(host_timeout=120.0), DIGEST)
+        assert job_key(spec(), DIGEST) == job_key(spec(wait_chunk=16), DIGEST)
 
 
 class TestPayload:
@@ -99,9 +98,8 @@ class TestPayload:
             "target", "host", "sim",
         }
 
-    @pytest.mark.parametrize("mem_domains", [1, 4])
-    def test_sim_section_is_exactly_the_digest_fields(self, mem_domains):
-        payload = digest_payload(spec(mem_domains=mem_domains), DIGEST)
+    def test_sim_section_is_exactly_the_digest_fields(self):
+        payload = digest_payload(spec(), DIGEST)
         assert tuple(payload["sim"]) == DIGEST_SIM_FIELDS
 
     def test_functional_payload_drops_timing_config(self):
@@ -116,22 +114,33 @@ class TestPayload:
 
 
 class TestWireCompat:
-    def test_retired_sim_fields_are_dropped(self):
-        """A row queued by a daemon that still had the static scheduler and
-        the domain backends must stay runnable: same job, keys dropped."""
-        wire = {
+    @staticmethod
+    def wire(**sim) -> dict:
+        return {
             "workload": "fft", "scale": "tiny", "scheme": "s9", "seed": 7,
             "host_cores": 4, "core_model": "inorder", "fastforward": False,
             "mode": "timing", "workload_args": [],
-            "sim": {
-                "scheme": "s9", "seed": 7, "max_cycles": 777, "mem_domains": 4,
-                "scheduling": "static", "backend": "threaded",
-            },
+            "sim": {"scheme": "s9", "seed": 7, "max_cycles": 777, **sim},
         }
-        revived = spec_from_dict(wire)
-        current = spec(mem_domains=4, max_cycles=777)
+
+    def test_retired_sim_fields_are_dropped(self):
+        """A row queued by a daemon that still had the static scheduler, the
+        domain backends, the stepping/dispatch oracles and the watchdog
+        window must stay runnable: same job, keys dropped."""
+        revived = spec_from_dict(self.wire(
+            mem_domains=1, scheduling="static", backend="threaded",
+            stepping="single", dispatch="oracle", host_timeout=5.0,
+        ))
+        current = spec(max_cycles=777)
         assert revived == current
         sim = revived.sim_config()
         assert not hasattr(sim, "scheduling") and not hasattr(sim, "backend")
         assert job_key(revived, DIGEST) == job_key(current, DIGEST)
-        assert "backend" not in spec_to_dict(revived)["sim"]
+        assert set(spec_to_dict(revived)["sim"]) == set(spec_to_dict(current)["sim"])
+
+    def test_retired_digest_relevant_field_is_refused(self):
+        """``mem_domains`` != 1 named a different simulation: dropping the
+        key would run another job under another key, so it is an error
+        (``mem_domains: 1`` is dropped with the mechanics, above)."""
+        with pytest.raises(ValueError, match="mem_domains"):
+            spec_from_dict(self.wire(mem_domains=4))

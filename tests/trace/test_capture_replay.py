@@ -2,8 +2,7 @@
 
 The contract under test is **replay transparency**: a run replayed from a
 captured trace must produce a stats digest byte-identical to a direct run
-under the identical (scheme, mem_domains) config —
-for every scheme family, because the trace records only the committed-op
+under the identical scheme — for every scheme family, because the trace records only the committed-op
 stream at the core → memory seam and everything scheme-dependent (windows,
 violations, coherence, sync outcomes) is re-enacted live.
 
@@ -49,9 +48,8 @@ def fft_trace(fft, tmp_path_factory):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("mem_domains", [1, 4])
-def test_replay_digest_matches_direct(fft, fft_trace, scheme, mem_domains):
-    sim = dict(scheme=scheme, seed=1, mem_domains=mem_domains)
+def test_replay_digest_matches_direct(fft, fft_trace, scheme):
+    sim = dict(scheme=scheme, seed=1)
     direct = run_simulation(fft, sim=SimConfig(**sim))
     replay = run_simulation(
         fft, sim=SimConfig(trace_mode="replay", trace_path=fft_trace, **sim))
