@@ -1,0 +1,156 @@
+#!/usr/bin/env python
+"""Parent-vs-change iso matrix: is an engine change a pure speedup?
+
+One cell per scale x workload x scheme x host count.  Each cell records what
+an iso-digest, iso-host-time change must hold fixed: target cycles, the stats
+digest, the modeled host time and busy time bit for bit (``float.hex``),
+``host.steps`` and every ``engine.*`` counter of the stats dump.  Run it once
+per checkout and compare::
+
+    python benchmarks/iso_matrix.py --src /path/to/parent/src --out parent.json
+    python benchmarks/iso_matrix.py --out change.json
+    python benchmarks/iso_matrix.py --compare parent.json change.json
+
+``--compare`` prints one line per differing field (and per cell present on
+one side only) and exits 1 when there is any; no output means iso.
+
+Workload tokens are the registered names, ``sharing`` (the coherence-dense
+8-core trace of the repo benchmark's ``mem-traffic``) and ``NAME:ooo`` /
+``NAME:replay`` (the out-of-order core model; a replay of an ``su`` capture).
+Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
+the repo benchmark's rule.  The defaults are the matrix ISSUE 17 was accepted
+on (~2 min a side); its out-of-order column is a second run with
+``--workloads barnes:ooo,fft:ooo,lu:ooo,water:ooo --schemes s9 --hosts 8``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+SCALES = ("tiny", "small")
+WORKLOADS = ("barnes", "fft", "lu", "water", "sharing", "fft:replay")
+SCHEMES = ("cc", "q3", "q10", "s9", "s100", "su")
+HOSTS = (1, 2, 8)
+
+#: ``sharing`` ops per core by scale (``small`` is mem-traffic's job).
+SHARING_OPS = {"tiny": 300, "small": 3000, "paper": 30000}
+
+
+def run_cell(scale: str, token: str, scheme: str, hosts: int, base_seed: int, tmp: Path) -> dict:
+    from repro.core import HostConfig, SimConfig, TargetConfig
+    from repro.core.engine import SequentialEngine
+    from repro.experiments.parallel import derive_seed
+    from repro.workloads.registry import make_workload
+    from repro.workloads.synthetic import sharing_workload
+
+    name, _, variant = token.partition(":")
+    sim = SimConfig(scheme=scheme, seed=derive_seed(base_seed, name, scheme, hosts))
+    host = HostConfig(num_cores=hosts)
+    if name == "sharing":
+        engine = SequentialEngine(
+            None,
+            trace_cores=sharing_workload(
+                8, SHARING_OPS[scale], shared_fraction=0.8, write_fraction=0.5,
+                think_cycles=0, shared_blocks=256, seed=base_seed,
+            ),
+            target=TargetConfig(num_cores=8, core_model="trace"),
+            host=host, sim=sim,
+        )
+    else:
+        program = make_workload(name, scale=scale).program
+        if variant == "replay":
+            path = tmp / f"{scale}-{name}.trace"  # one capture serves every cell
+            if not path.exists():
+                SequentialEngine(
+                    program,
+                    sim=SimConfig(scheme="su", seed=base_seed,
+                                  trace_mode="capture", trace_path=str(path)),
+                ).run()
+            sim = SimConfig(scheme=scheme, seed=sim.seed,
+                            trace_mode="replay", trace_path=str(path))
+        target = TargetConfig(core_model="ooo" if variant == "ooo" else "inorder")
+        engine = SequentialEngine(program, target=target, host=host, sim=sim)
+    result = engine.run()
+    stats = result.stats
+    cell = {
+        "completed": result.completed,
+        "cycles": result.execution_cycles,
+        "digest": result.stats_sha256,
+        "host_time": float(result.host_time).hex(),
+        "host_busy": float(result.host_busy).hex(),
+        "host.steps": stats["host.steps"],
+    }
+    cell.update((k, v) for k, v in sorted(stats.items()) if k.startswith("engine."))
+    # Not compared (a checkout without the barrier superstep has no such
+    # counter): how many barriers ran fused, of how many.
+    fused = getattr(engine, "fused_barriers", None)
+    if fused is not None:
+        cell["info"] = {"fused_barriers": fused, "barriers": result.barriers}
+    return cell
+
+
+def build(args) -> int:
+    src = args.src or Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(Path(src).resolve()))
+    cells = {}
+    with tempfile.TemporaryDirectory(prefix="iso-matrix-") as tmp:
+        for scale in args.scales:
+            for token in args.workloads:
+                for scheme in args.schemes:
+                    for hosts in args.hosts:
+                        key = f"{scale}/{token}/{scheme}/h{hosts}"
+                        cells[key] = run_cell(scale, token, scheme, hosts, args.seed, Path(tmp))
+                        print(key, cells[key]["cycles"], cells[key]["host_time"],
+                              file=sys.stderr, flush=True)
+    text = json.dumps({"seed": args.seed, "cells": cells}, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a = json.loads(Path(path_a).read_text())["cells"]
+    b = json.loads(Path(path_b).read_text())["cells"]
+    diffs = 0
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            print(f"{key}: only in {path_a if key in a else path_b}")
+            diffs += 1
+            continue
+        for field in sorted((a[key].keys() | b[key].keys()) - {"info"}):
+            va, vb = a[key].get(field), b[key].get(field)
+            if va != vb:
+                print(f"{key}: {field}: {va} != {vb}")
+                diffs += 1
+    return 1 if diffs else 0
+
+
+def _csv(convert):
+    return lambda text: tuple(convert(part) for part in text.split(",") if part)
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    parser.add_argument("--scales", type=_csv(str), default=SCALES)
+    parser.add_argument("--workloads", type=_csv(str), default=WORKLOADS)
+    parser.add_argument("--schemes", type=_csv(str), default=SCHEMES)
+    parser.add_argument("--hosts", type=_csv(int), default=HOSTS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--src", help="import repro from this src/ directory "
+                        "(default: this checkout's)")
+    parser.add_argument("--out", help="write the matrix here (default: stdout)")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    return build(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -137,3 +137,16 @@ class SimConfig:
     #: name, parameters, workload seed); stored in the trace header and
     #: surfaced by ``repro trace info``.
     trace_source: str | None = None
+
+    def __post_init__(self) -> None:
+        # Turn-shaping fields arrive from outside (CLI, serve wire): a zero
+        # wait_chunk makes a blind external wait take zero-cycle turns until
+        # the idle-poll limit reports a bogus deadlock, and a negative cap
+        # silently simulates something else.
+        if self.wait_chunk < 1:
+            raise ValueError(f"wait_chunk must be >= 1, got {self.wait_chunk}")
+        for name in ("turn_cycles", "batch_cycles"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0 (0 = uncapped), got {getattr(self, name)}"
+                )

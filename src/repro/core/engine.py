@@ -28,12 +28,12 @@ import itertools
 import json
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.corethread import CoreState, CoreThread
+from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.manager import SimulationManager
 from repro.core.results import CoreResult, SimulationResult
 from repro.core.schemes import INFINITY, Lookahead, parse_scheme
 from repro.cpu.arch import ArchState
-from repro.cpu.interfaces import WAIT_EXTERNAL
+from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.l1cache import L1Cache
 from repro.host.costmodel import CostModel
 from repro.host.hostmodel import HostModel
@@ -51,8 +51,23 @@ class EngineError(RuntimeError):
     """The engine detected deadlock, runaway simulation or misconfiguration."""
 
 
+#: The three event-free one-cycle turns the barrier superstep inlines, as the
+#: ``BatchStats`` ``step_many(1)`` returns for them: what it hands
+#: ``CostModel.core_batch_cost``, so the cost expression keeps its one home.
+_ONE_ACTIVE = BatchStats(cycles=1, active_cycles=1, hit_window_edge=True)
+_ONE_IDLE = BatchStats(cycles=1, idle_cycles=1, hit_window_edge=True)
+_ONE_SKIP = BatchStats(cycles=1, skipped_cycles=1, skip_stretches=1, hit_window_edge=True)
+
+
 class SequentialEngine:
     """Build and run one simulation of *program* under one scheme."""
+
+    #: Barriers that ran inside the barrier superstep (``_run``; DESIGN.md §5).
+    #: Like ``manager_polls`` it is folded by ``sync_stats``; unlike it, it is
+    #: not in the stats registry, whose dump is embedded in store records and
+    #: sweep documents.  A class default, so a checkpoint written before the
+    #: counter existed restores with 0.
+    fused_barriers = 0
 
     def __init__(
         self,
@@ -663,6 +678,20 @@ class SequentialEngine:
         )
         n_susp = 0 if resume is None else resume["n_susp"]
         single = self._single
+        # Barrier superstep (the fused branch of the manager arm below).  The
+        # three bypasses: ``stepping="single"`` stays the per-cycle oracle —
+        # and thereby this branch's; a probe wants a sample per manager step;
+        # a fault plan replaces ``_turn_budget`` and ``core_batch_cost`` on
+        # the instance, the very callables the branch inlines.
+        fusable = (
+            barrier_policy and not single and probe is None and self.faults is None
+        )
+        scheme_max_local = self.scheme.max_local
+        outqs = [ct.outq._q for ct in cores]
+        inqs = [ct.inq._heap for ct in cores]
+        pending_activations = self._pending_activations
+        max_insn = sim.max_instructions
+        HALTED = CorePhase.HALTED
         wait_chunk = sim.wait_chunk
         snap_interval = sim.stats_interval
         cp_interval = sim.checkpoint_interval
@@ -676,6 +705,7 @@ class SequentialEngine:
         suspends = self.suspends
         wakes_delivered = self.wakes_delivered
         parks = self.parks
+        fused_barriers = self.fused_barriers
         slack_dist = self._slack_dist
         slack_buckets = slack_dist.buckets  # shared list, updated in place
         s_count = 0
@@ -691,6 +721,7 @@ class SequentialEngine:
             self.suspends = suspends
             self.wakes_delivered = wakes_delivered
             self.parks = parks
+            self.fused_barriers = fused_barriers
             if s_count:
                 if slack_dist.count == 0 or s_min < slack_dist._min:
                     slack_dist._min = s_min
@@ -735,113 +766,290 @@ class SequentialEngine:
             ready, _, idx = heappop(heap)
 
             if idx == -1:
-                if not mgr_dirty and probe is None:
-                    # Consecutive idle polls: keep polling while the manager
-                    # is provably the next host event.  Nothing can mark it
-                    # dirty before the next heap entry runs, so one
-                    # ``poll_until`` is step-for-step identical to re-queueing
-                    # every poll through the heap — minus the heap churn and
-                    # the host-model call per poll.  Strictly below the next
-                    # entry's ready time preserves the tie break (a re-pushed
-                    # poll has a larger seq and loses); an empty heap gets
-                    # the one poll it always got.
-                    done_t, polls = poll_until(
-                        ready, poll_cost,
-                        heap[0][0] if heap else ready,
-                        100_001 - mgr_idle_streak,
-                    )
-                    mgr_idle_streak += polls
-                    manager_polls += polls
-                    if mgr_idle_streak > 100_000:
-                        self._diagnose_deadlock(suspended, parked)
-                    heappush(heap, (done_t, nxt(), -1))
-                    continue
-                result = manager.step()
-                mgr_dirty = False
-                manager_steps += 1
-                if fault_tick is not None:
-                    fault_tick(self, manager.global_time)
-                if snap_interval and manager.global_time >= self._next_snapshot:
-                    sync_stats()
-                    self.registry.snapshot(manager.global_time)
-                    self._next_snapshot = (
-                        manager.global_time // snap_interval + 1
-                    ) * snap_interval
-                cost = manager_step_cost(result.drained, result.processed)
-                done_t = hostrun(ready, cost)
-                # Wakes leave the manager serially (futex hand-off): the
-                # k-th thread woken by this step starts k-1 fanout delays
-                # later.  This is what a barrier reopening all N cores pays
-                # that a slack raise (typically one core) does not.
-                woken = 0
-                for cid in result.raised:
-                    if suspended[cid]:
-                        suspended[cid] = False
-                        n_susp -= 1
-                        wake_t = done_t + wake_cost + woken * fanout_cost
-                        woken += 1
-                        heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
-                for cid, ct in enumerate(cores):
-                    if parked[cid] and ct.inq:
-                        parked[cid] = False
-                        wake_t = done_t + wake_cost + woken * fanout_cost
-                        woken += 1
-                        heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
-                wakes_delivered += woken
-                if self._pending_activations:
-                    self._drain_activations(heap, nxt, done_t, next_free)
-                if result.work == 0 and not result.raised:
-                    mgr_idle_streak += 1
-                    if mgr_idle_streak > 100_000:
-                        self._diagnose_deadlock(suspended, parked)
-                else:
-                    mgr_idle_streak = 0
-                if probe is not None:
-                    probe(
-                        done_t,
-                        manager.global_time,
-                        [
-                            c.local_time if c.state == CoreState.ACTIVE else -1
-                            for c in cores
-                        ],
-                    )
-                heappush(heap, (done_t, nxt(), -1))
-                if cp_interval and manager.global_time >= self._next_checkpoint:
-                    # The manager step's effects (wakes, costs, its own
-                    # re-push) are all applied: the loop state is exactly a
-                    # top-of-loop state, which is what restore re-enters.
-                    sync_stats()
-                    self._write_checkpoint(
-                        heap, nxt(), suspended, parked, next_free,
-                        n_susp, mgr_dirty, mgr_idle_streak,
-                    )
-                    self._next_checkpoint = (
-                        manager.global_time // cp_interval + 1
-                    ) * cp_interval
-                continue
-
-            ct = cores[idx]
-            if ct.state != CoreState.ACTIVE:
-                continue
-            if ct.local_time >= ct.max_local_time:
-                # Re-read the shared clocks before paying the suspend/wake
-                # round trip (free: two word reads in the real thing).
-                if not manager.refresh_window(ct):
-                    suspended[idx] = True
-                    n_susp += 1
-                    suspends += 1
-                    if barrier_policy and n_susp >= self._active_cores:
-                        mgr_dirty = True
+                stats = None
+                if (
+                    fusable
+                    and mgr_dirty
+                    and not heap
+                    and n_susp == self._active_cores
+                    and manager._gq_depth == 0
+                    and not any(outqs)
+                ):
+                    # Barrier superstep (DESIGN.md §5).  The barrier just
+                    # completed with nothing in flight: this manager step
+                    # drains and services nothing, raises every core, and as
+                    # long as each core's turn is *quiet* (no OutQ event, wake,
+                    # halt or spawn) the cycle's whole schedule is known — the
+                    # wake agenda in host-time order, manager polls filling
+                    # every gap.  Run it as straight-line code charging the
+                    # host model the general loop's calls in its order; every
+                    # exit is taken where the state is a general-loop state.
+                    act = [c for c in cores if c.state == CoreState.ACTIVE]
+                    total = self.total_committed
+                    while True:
+                        # The manager was popped at ``ready``, dirty.
+                        g = manager.global_time
+                        lo = INFINITY
+                        top = 0
+                        for c in act:
+                            if c.local_time < lo:
+                                lo = c.local_time
+                            if c.max_local_time > top:
+                                top = c.max_local_time
+                        if lo > g:
+                            g = lo
+                        new_max = scheme_max_local(g)
+                        if (
+                            new_max <= top  # a core would stay suspended
+                            or new_max > sim.max_cycles  # the runaway guard's turn
+                            or (snap_interval and g >= self._next_snapshot)
+                            or (cp_interval and g >= self._next_checkpoint)
+                        ):
+                            break  # the general arm below takes this pop
+                        # (1) The clean barrier step, inline.
+                        manager.barriers_completed += 1
+                        manager.global_time = g
+                        manager.windows_raised += len(act)
+                        manager_steps += 1
+                        fused_barriers += 1
+                        mgr_dirty = False  # and its idle streak is 0
+                        m = hostrun(ready, poll_cost)
+                        # (2) The wake agenda, in the order the heap would
+                        # pop it: host time, then raise order (the seq).
+                        agenda = []
+                        for k, c in enumerate(act):
+                            c.max_local_time = new_max
+                            wake_t = m + wake_cost + k * fanout_cost
+                            agenda.append((max(wake_t, next_free[c.core_id]), k, c.core_id))
+                        agenda.sort()
+                        woken = len(agenda)
+                        wakes_delivered += woken
+                        # (3) Merge: the manager polls through every gap; a
+                        # core wins a tie (its heap seq is the older one).
+                        for i, (r, _, cid) in enumerate(agenda):
+                            if m < r:
+                                m, polls = poll_until(
+                                    m, poll_cost, r, 100_001 - mgr_idle_streak
+                                )
+                                mgr_idle_streak += polls
+                                manager_polls += polls
+                                engine_steps += 1
+                                if mgr_idle_streak > 100_000:
+                                    for _, _, c in agenda[i:]:
+                                        suspended[c] = False
+                                    self._diagnose_deadlock(suspended, parked)
+                            engine_steps += 1
+                            ct = cores[cid]
+                            local = ct.local_time
+                            inq_heap = inqs[cid]
+                            if (
+                                new_max - local == 1
+                                and batched[cid]
+                                and not (inq_heap and inq_heap[0][0] <= local)
+                            ):
+                                # ``step_many(1)`` with nothing due in the InQ.
+                                model = ct.model
+                                if model.wait_state(local) is None:
+                                    committed, active = model.step(local)
+                                    ct.local_time = new_max
+                                    ct.total_committed += committed
+                                    ct.total_cycles += 1
+                                    if (
+                                        outqs[cid]
+                                        or model.pending_wakes
+                                        or model.phase is HALTED
+                                        or pending_activations
+                                        or (max_insn and total + committed >= max_insn)
+                                    ):
+                                        # Not quiet: the BatchStats that
+                                        # ``step_many`` would have returned.
+                                        stats = ct._stats
+                                        stats.reset()
+                                        stats.cycles = 1
+                                        stats.committed = committed
+                                        if active:
+                                            stats.active_cycles = 1
+                                        else:
+                                            stats.idle_cycles = 1
+                                        stats.wakes.extend(model.pending_wakes)
+                                        model.pending_wakes.clear()
+                                        stats.events_out = len(outqs[cid])
+                                        if model.phase is HALTED:
+                                            ct.state = CoreState.DONE
+                                            ct.final_time = new_max
+                                        else:
+                                            stats.hit_window_edge = True
+                                            ct.window_edge_hits += 1
+                                        break
+                                    total += committed
+                                    unit = _ONE_ACTIVE if active else _ONE_IDLE
+                                else:
+                                    model.skip(1)
+                                    ct.local_time = new_max
+                                    ct.total_cycles += 1
+                                    unit = _ONE_SKIP
+                                ct.window_edge_hits += 1
+                                cost = core_batch_cost(cid, unit, suspended=True)
+                            else:
+                                budget = turn_budget(ct)
+                                if batched[cid]:
+                                    stats = ct.step_many(budget, wait_chunk=wait_chunk)
+                                else:
+                                    stats = ct.run(min(budget, 8))
+                                if (
+                                    outqs[cid]
+                                    or stats.wakes
+                                    or not stats.hit_window_edge
+                                    or pending_activations
+                                    or (max_insn and total + stats.committed >= max_insn)
+                                ):
+                                    break
+                                total += stats.committed
+                                cost = core_batch_cost(cid, stats, suspended=True)
+                                stats = None
+                            # A quiet turn: sample the slack, pay for the turn
+                            # and the suspension that follows it.
+                            slack = ct.local_time - g
+                            slack_buckets[slack.bit_length()] += 1
+                            s_count += 1
+                            s_total += slack
+                            if slack < s_min:
+                                s_min = slack
+                            if slack > s_max:
+                                s_max = slack
+                            next_free[cid] = hostrun(r, cost)
+                        else:
+                            # (4) Every core suspended again: the barrier is
+                            # complete, the manager dirty and next at ``m``.
+                            suspends += woken
+                            self.total_committed = total
+                            mgr_dirty = True
+                            mgr_idle_streak = 0
+                            ready = m
+                            engine_steps += 1
+                            continue
+                        # The turn at ``r`` was not quiet.  Cores that have not
+                        # run yet and the manager go (back) on the heap; the
+                        # general post-turn code takes this turn from here.
+                        for _, _, c in agenda[i:]:
+                            suspended[c] = False
+                        for t, _, c in agenda[i + 1:]:
+                            heappush(heap, (t, nxt(), c))
+                        heappush(heap, (m, nxt(), -1))
+                        n_susp = i
+                        suspends += i
+                        self.total_committed = total
+                        ready = r
+                        idx = cid
+                        break
+                if stats is None:
+                    if not mgr_dirty and probe is None:
+                        # Consecutive idle polls: keep polling while the manager
+                        # is provably the next host event.  Nothing can mark it
+                        # dirty before the next heap entry runs, so one
+                        # ``poll_until`` is step-for-step identical to re-queueing
+                        # every poll through the heap — minus the heap churn and
+                        # the host-model call per poll.  Strictly below the next
+                        # entry's ready time preserves the tie break (a re-pushed
+                        # poll has a larger seq and loses); an empty heap gets
+                        # the one poll it always got.
+                        done_t, polls = poll_until(
+                            ready, poll_cost,
+                            heap[0][0] if heap else ready,
+                            100_001 - mgr_idle_streak,
+                        )
+                        mgr_idle_streak += polls
+                        manager_polls += polls
+                        if mgr_idle_streak > 100_000:
+                            self._diagnose_deadlock(suspended, parked)
+                        heappush(heap, (done_t, nxt(), -1))
+                        continue
+                    result = manager.step()
+                    mgr_dirty = False
+                    manager_steps += 1
+                    if fault_tick is not None:
+                        fault_tick(self, manager.global_time)
+                    if snap_interval and manager.global_time >= self._next_snapshot:
+                        sync_stats()
+                        self.registry.snapshot(manager.global_time)
+                        self._next_snapshot = (
+                            manager.global_time // snap_interval + 1
+                        ) * snap_interval
+                    cost = manager_step_cost(result.drained, result.processed)
+                    done_t = hostrun(ready, cost)
+                    # Wakes leave the manager serially (futex hand-off): the
+                    # k-th thread woken by this step starts k-1 fanout delays
+                    # later.  This is what a barrier reopening all N cores pays
+                    # that a slack raise (typically one core) does not.
+                    woken = 0
+                    for cid in result.raised:
+                        if suspended[cid]:
+                            suspended[cid] = False
+                            n_susp -= 1
+                            wake_t = done_t + wake_cost + woken * fanout_cost
+                            woken += 1
+                            heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
+                    for cid, ct in enumerate(cores):
+                        if parked[cid] and ct.inq:
+                            parked[cid] = False
+                            wake_t = done_t + wake_cost + woken * fanout_cost
+                            woken += 1
+                            heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
+                    wakes_delivered += woken
+                    if self._pending_activations:
+                        self._drain_activations(heap, nxt, done_t, next_free)
+                    if result.work == 0 and not result.raised:
+                        mgr_idle_streak += 1
+                        if mgr_idle_streak > 100_000:
+                            self._diagnose_deadlock(suspended, parked)
+                    else:
                         mgr_idle_streak = 0
-                    next_free[idx] = hostrun(ready, suspend_cost)
+                    if probe is not None:
+                        probe(
+                            done_t,
+                            manager.global_time,
+                            [
+                                c.local_time if c.state == CoreState.ACTIVE else -1
+                                for c in cores
+                            ],
+                        )
+                    heappush(heap, (done_t, nxt(), -1))
+                    if cp_interval and manager.global_time >= self._next_checkpoint:
+                        # The manager step's effects (wakes, costs, its own
+                        # re-push) are all applied: the loop state is exactly a
+                        # top-of-loop state, which is what restore re-enters.
+                        sync_stats()
+                        self._write_checkpoint(
+                            heap, nxt(), suspended, parked, next_free,
+                            n_susp, mgr_dirty, mgr_idle_streak,
+                        )
+                        self._next_checkpoint = (
+                            manager.global_time // cp_interval + 1
+                        ) * cp_interval
                     continue
-            budget = turn_budget(ct)
-            if batched[idx]:
-                stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
             else:
-                # Models without the batching protocol keep the legacy
-                # per-cycle loop at seed-era chunking (identical either mode).
-                stats = ct.run(min(budget, 8))
+                ct = cores[idx]
+                if ct.state != CoreState.ACTIVE:
+                    continue
+                if ct.local_time >= ct.max_local_time:
+                    # Re-read the shared clocks before paying the suspend/wake
+                    # round trip (free: two word reads in the real thing).
+                    if not manager.refresh_window(ct):
+                        suspended[idx] = True
+                        n_susp += 1
+                        suspends += 1
+                        if barrier_policy and n_susp >= self._active_cores:
+                            mgr_dirty = True
+                            mgr_idle_streak = 0
+                        next_free[idx] = hostrun(ready, suspend_cost)
+                        continue
+                budget = turn_budget(ct)
+                if batched[idx]:
+                    stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
+                else:
+                    # Models without the batching protocol keep the legacy
+                    # per-cycle loop at seed-era chunking (identical either mode).
+                    stats = ct.run(min(budget, 8))
             # Inline Distribution.add on hoisted locals: ``slack`` is bounded
             # by max_cycles, far below the 2**64 top bucket, so the raw
             # ``bit_length`` index is always in range.

@@ -91,22 +91,40 @@ class GlobalQueue:
     order) is a pure function of the simulated target.
     """
 
-    __slots__ = ("_fifo", "_heap")
+    __slots__ = ("_fifo", "_heap", "_live")
 
     def __init__(self) -> None:
         self._fifo: deque[Event] = deque()
         self._heap: list[tuple[int, int, int, Event]] = []
+        #: Unconsumed events.  Each policy pops through one structure only,
+        #: so every pop also trims consumed entries off the front of the
+        #: other: neither outgrows the live events (plus consumed ones stuck
+        #: behind a live front entry), whatever the run has pushed in all.
+        self._live = 0
+
+    def __setstate__(self, state) -> None:
+        slots = state[1]
+        self._fifo = slots["_fifo"]
+        self._heap = slots["_heap"]
+        # A format-3 checkpoint written before the live count existed.
+        self._live = slots.get("_live", sum(1 for e in self._fifo if not e.consumed))
 
     def push(self, event: Event) -> None:
         self._fifo.append(event)
         heapq.heappush(self._heap, (event.ts, event.core, event.seq, event))
+        self._live += 1
 
     def pop_fifo(self) -> Event | None:
         """Arrival-order pop (original bounded slack: 'no such constraint')."""
-        while self._fifo:
-            event = self._fifo.popleft()
+        fifo = self._fifo
+        while fifo:
+            event = fifo.popleft()
             if not event.consumed:
                 event.consumed = True
+                self._live -= 1
+                heap = self._heap
+                while heap and heap[0][3].consumed:
+                    heapq.heappop(heap)
                 return event
         return None
 
@@ -118,6 +136,10 @@ class GlobalQueue:
             event = heapq.heappop(heap)[3]
             if not event.consumed:
                 event.consumed = True
+                self._live -= 1
+                fifo = self._fifo
+                while fifo and fifo[0].consumed:
+                    fifo.popleft()
                 return event
         return None
 
@@ -129,7 +151,7 @@ class GlobalQueue:
         return heap[0][0] if heap else None
 
     def __bool__(self) -> bool:
-        return any(not e.consumed for e in self._fifo)
+        return self._live > 0
 
     def __len__(self) -> int:
-        return sum(1 for e in self._fifo if not e.consumed)
+        return self._live

@@ -15,10 +15,13 @@ the paper's 110-130 KIPS range and is never tuned per scheme.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.config import HostConfig
-from repro.core.corethread import BatchStats
+if TYPE_CHECKING:  # annotations only: repro.core imports this module back
+    from repro.core.config import HostConfig
+    from repro.core.corethread import BatchStats
 
 __all__ = ["CostModel", "HOST_UNIT_SECONDS"]
 

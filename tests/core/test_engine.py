@@ -39,6 +39,18 @@ class TestBasicTermination:
             r = run_trace(sharing_workload(4, 10, seed=5), scheme)
             assert r.completed, scheme
 
+    def test_global_queue_holds_nothing_after_a_run(self):
+        """Every scheme drains one of the GQ's two structures only; the
+        other must not keep the run's whole event history."""
+        for scheme in ALL_SCHEMES:
+            engine = SequentialEngine(
+                None, trace_cores=sharing_workload(4, 30, shared_fraction=0.6, seed=5),
+                target=TRACE_TARGET, sim=SimConfig(scheme=scheme),
+            )
+            assert engine.run().requests > 20
+            gq = engine.manager.gq
+            assert len(gq) == len(gq._fifo) == len(gq._heap) == 0, scheme
+
     def test_single_core_target(self):
         r = run_trace(uniform_think_workload(1, 50), "cc")
         assert r.completed and r.execution_cycles == 51
@@ -167,6 +179,19 @@ class TestInstructionCap:
         prog = compile_source(src).program
         with pytest.raises(EngineError, match="max_cycles"):
             run_simulation(prog, scheme="su", sim=SimConfig(scheme="su", max_cycles=2000))
+
+
+class TestTurnShapingValidation:
+    @pytest.mark.parametrize(
+        "field,value", [("wait_chunk", 0), ("wait_chunk", -3), ("turn_cycles", -5), ("batch_cycles", -1)]
+    )
+    def test_out_of_range_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_zero_still_means_uncapped(self):
+        r = run_trace(sharing_workload(2, 10, seed=2), "su", turn_cycles=0, batch_cycles=0, wait_chunk=1)
+        assert r.completed
 
 
 class TestProgramEngine:

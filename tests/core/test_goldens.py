@@ -31,6 +31,7 @@ import pytest
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
 from repro.lang import compile_source
+from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
 from tests.core.threaded_harness import ThreadedEngine
 
@@ -191,3 +192,38 @@ def test_threaded_functional_matches_golden(request, scheme, program):
     assert result.completed
     assert list(result.output) == golden["program"]["output"]
     assert result.instructions == sum(c.committed for c in result.cores)
+
+
+# ----------------------------------------------- registered-workload host times
+#: The scheme goldens above run a toy program and ``bench/expected.json`` pins
+#: cycles and digest only; this pins the *modeled host time* — the paper's
+#: result, ``digest=False`` in the registry — of the registered workloads.
+WORKLOAD_GOLDEN = GOLDEN_DIR / "workload_host_times.json"
+WORKLOADS = ("barnes", "fft", "lu", "water")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_registered_workload_host_times_match_golden(request, name):
+    program = make_workload(name, scale="tiny").program
+    fresh = {}
+    for scheme in ("cc", "q10", "s9", "su"):
+        for hosts in (1, 8):
+            result = SequentialEngine(
+                program,
+                host=HostConfig(num_cores=hosts),
+                sim=SimConfig(scheme=scheme, seed=1),
+            ).run()
+            fresh[f"{scheme}/h{hosts}"] = {
+                "execution_cycles": result.execution_cycles,
+                "stats_sha256": result.stats_sha256,
+                "host_time": float(result.host_time).hex(),
+                "host_busy": float(result.host_busy).hex(),
+            }
+    goldens = json.loads(WORKLOAD_GOLDEN.read_text()) if WORKLOAD_GOLDEN.exists() else {}
+    if request.config.getoption("--update-goldens"):
+        goldens[name] = fresh
+        WORKLOAD_GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
+    assert fresh == goldens.get(name), (
+        f"{name}: modeled host time moved — if intentional, regenerate with "
+        "--update-goldens"
+    )

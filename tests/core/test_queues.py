@@ -1,5 +1,8 @@
 """OutQ / InQ / GQ behaviour tests."""
 
+from collections import deque
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.events import EvKind, Event
@@ -99,6 +102,55 @@ class TestGQ:
         q.push(ev(2))
         q.pop_fifo()
         assert len(q) == 1
+
+    @pytest.mark.parametrize("policy", ["immediate", "barrier", "oldest"])
+    def test_rounds_leave_both_structures_empty(self, policy):
+        """Each policy pops through one structure only; the other must be
+        trimmed as it goes, or it keeps every event the run ever pushed."""
+        q = GlobalQueue()
+        for round_ in range(40):
+            base = round_ * 10
+            for i in range(7):
+                q.push(ev(base + (i * 3) % 7, core=i % 4))
+            assert len(q) == 7 and q
+            if policy == "immediate":
+                while q.pop_fifo() is not None:
+                    pass
+            elif policy == "barrier":
+                while q.pop_oldest(1 << 62) is not None:
+                    pass
+            else:
+                # Global time crawls through the round: a consumed entry may
+                # sit behind a live front entry, never behind an empty queue.
+                for bound in range(base, base + 7):
+                    while q.pop_oldest(bound) is not None:
+                        assert len(q._fifo) <= 7 and len(q._heap) <= 7
+            assert len(q) == 0 and not q
+            assert len(q._fifo) == len(q._heap) == 0
+
+    def test_len_and_bool_never_walk_the_queue(self):
+        class NoIter(deque):
+            def __iter__(self):
+                raise AssertionError("len()/bool() iterated the FIFO")
+
+        q = GlobalQueue()
+        q._fifo = NoIter()
+        for ts in (4, 2, 9):
+            q.push(ev(ts))
+        q.pop_oldest(3)
+        assert len(q) == 2 and q
+        q.pop_fifo(), q.pop_fifo()
+        assert len(q) == 0 and not q
+
+    def test_restores_a_state_pickled_without_the_live_count(self):
+        q = GlobalQueue()
+        for ts in (4, 2, 9):
+            q.push(ev(ts))
+        q.pop_fifo()
+        old = GlobalQueue.__new__(GlobalQueue)
+        old.__setstate__((None, {"_fifo": q._fifo, "_heap": q._heap}))
+        assert len(old) == 2
+        assert old.pop_oldest(10).ts == 2
 
     def test_ties_broken_by_core_then_sequence(self):
         """Same-ts requests are serviced in core-id order regardless of the

@@ -144,3 +144,13 @@ class TestWireCompat:
         (``mem_domains: 1`` is dropped with the mechanics, above)."""
         with pytest.raises(ValueError, match="mem_domains"):
             spec_from_dict(self.wire(mem_domains=4))
+
+    @pytest.mark.parametrize(
+        "field,value", [("wait_chunk", 0), ("turn_cycles", -5), ("batch_cycles", -1)]
+    )
+    def test_out_of_range_turn_shaping_is_refused(self, field, value):
+        """Reachable over the serve wire: ``wait_chunk=0`` spins a blind wait
+        into a bogus deadlock report, a negative cap simulates something
+        else.  ``ValueError`` is the daemon's bad-request path."""
+        with pytest.raises(ValueError, match=field):
+            spec_from_dict(self.wire(**{field: value}))
