@@ -128,19 +128,29 @@ def test_engine_cycle_rate_su(benchmark, perf):
     )
 
 
-def test_engine_cycle_rate_s9(benchmark, perf):
-    """Bounded slack on the in-order timing cores (fft): the one pinned key
+@pytest.mark.parametrize(
+    "key,core_model",
+    [("engine_cycle_rate_s9", "inorder"), ("engine_cycle_rate_s9_ooo", "ooo")],
+)
+def test_engine_cycle_rate_s9(benchmark, perf, key, core_model):
+    """Bounded slack on the timing cores (fft).  In-order: the one pinned key
     whose turns are long enough to run through ``InOrderCore.advance`` and
     whose idle manager polls come in ``HostModel.poll_until`` streaks
     (DESIGN.md §5) — cc turns are one cycle, and the su/cc keys above run
-    trace cores, which have no ``advance``."""
+    trace cores, which have no ``advance``.  ``ooo``: the only pinned key that
+    constructs an ``OoOCore`` (wakeup scoreboard + its own ``advance``) —
+    every other key, sweep and figure runs the in-order model."""
     program = make_workload("fft", scale="tiny").program
     result = benchmark(
-        lambda: run_simulation(program, sim=SimConfig(scheme="s9", seed=1))
+        lambda: run_simulation(
+            program,
+            target=TargetConfig(core_model=core_model),
+            sim=SimConfig(scheme="s9", seed=1),
+        )
     )
     assert result.completed
     perf.record(
-        "engine_cycle_rate_s9",
+        key,
         seconds=benchmark.stats.stats.mean,
         work=result.stats["target.execution_cycles"],
         work_unit="cycles",

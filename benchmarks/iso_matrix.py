@@ -18,9 +18,9 @@ Workload tokens are the registered names, ``sharing`` (the coherence-dense
 8-core trace of the repo benchmark's ``mem-traffic``) and ``NAME:ooo`` /
 ``NAME:replay`` (the out-of-order core model; a replay of an ``su`` capture).
 Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
-the repo benchmark's rule.  The defaults are the matrix ISSUE 17 was accepted
-on (~2 min a side); its out-of-order column is a second run with
-``--workloads barnes:ooo,fft:ooo,lu:ooo,water:ooo --schemes s9 --hosts 8``.
+the repo benchmark's rule.  The defaults (~3 min a side) cover every core
+model: in-order, sharing-trace, replay and — ``fft:ooo``, ``water:ooo``, the
+repo benchmark's two ``ooo`` jobs — out-of-order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 SCALES = ("tiny", "small")
-WORKLOADS = ("barnes", "fft", "lu", "water", "sharing", "fft:replay")
+WORKLOADS = ("barnes", "fft", "lu", "water", "sharing", "fft:replay", "fft:ooo", "water:ooo")
 SCHEMES = ("cc", "q3", "q10", "s9", "s100", "su")
 HOSTS = (1, 2, 8)
 

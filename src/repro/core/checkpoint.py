@@ -46,8 +46,11 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: payload lost its static-scheduler marker with the static run loop — a
 #: format-1 file may have been cut by that loop.  3: ``SimConfig`` lost
 #: four fields (memory domains, watchdog window, stepping, dispatch) — a
-#: format-2 pickle would restore a config with stale attributes.
-CHECKPOINT_FORMAT = 3
+#: format-2 pickle would restore a config with stale attributes.  4: the
+#: out-of-order core pickles a scoreboard (``pending``/``consumers``, a
+#: completion heap, a ready list) instead of ``deps`` chains; in-order
+#: pickles did not change shape, format-3 files are refused for ``ooo`` only.
+CHECKPOINT_FORMAT = 4
 
 
 class CheckpointError(EngineError):

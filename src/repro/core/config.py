@@ -28,6 +28,15 @@ class TargetConfig:
     branch_predictor: str = "gshare"
     mispredict_penalty: int = 8
 
+    def __post_init__(self) -> None:
+        # ``ooo_width=0`` never dispatches: the run spins to ``max_cycles``
+        # before anything reports it.
+        for name, floor in (
+            ("num_cores", 1), ("ooo_width", 1), ("ooo_rob", 1), ("mispredict_penalty", 0),
+        ):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= {floor}")
+
 
 @dataclass(frozen=True)
 class HostConfig:

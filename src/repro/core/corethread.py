@@ -126,11 +126,12 @@ class CoreThread:
                 raise AssertionError(f"unexpected InQ event {event}")
 
     # ------------------------------------------------------------------ run
-    def run(self, budget: int) -> BatchStats:
+    def run(self, budget: int, *, single: bool = False) -> BatchStats:
         """Advance up to *budget* target cycles within the slack window.
 
         Dispatches to the batched fast path when the model supports the
-        ``wait_state`` protocol, else to the legacy per-cycle loop.
+        ``wait_state`` protocol, else to the per-cycle loop.  ``single=True``
+        makes either advance with per-cycle ``step`` calls only.
 
         Clock invariant enforced each cycle::
 
@@ -139,8 +140,8 @@ class CoreThread:
         (the global bound is checked by the manager, which owns global time).
         """
         if hasattr(self.model, "wait_state"):
-            return self.step_many(budget)
-        return self._run_percycle(budget)
+            return self.step_many(budget, single=single)
+        return self._run_percycle(budget, single)
 
     def step_many(
         self,
@@ -286,12 +287,19 @@ class CoreThread:
             self.window_edge_hits += 1
         return stats
 
-    def _run_percycle(self, budget: int) -> BatchStats:
-        """Per-cycle loop for models without ``wait_state`` (OoO, ad-hoc
-        test models): one ``step`` per cycle plus ``stall_hint`` skip-ahead."""
+    def _run_percycle(self, budget: int, single: bool = False) -> BatchStats:
+        """Turn loop for models without ``wait_state`` (OoO, ad-hoc test
+        models).  A model with ``advance`` (OoOCore) runs every stretch
+        between InQ events inside the model; otherwise — and always under
+        ``single=True``, the oracle — it is one ``step`` per cycle plus the
+        ``stall_hint`` skip-ahead.  Both fill the same ``active_cycles`` /
+        ``idle_cycles``: the host cost of an ``ooo`` turn does not depend on
+        which one ran."""
         stats = self._stats
         stats.reset()
         model = self.model
+        inq = self.inq
+        advance = None if single else getattr(model, "advance", None)
         out_before = len(self.outq)
         while (
             self.state == CoreState.ACTIVE
@@ -299,14 +307,23 @@ class CoreThread:
             and self.local_time < self.max_local_time
         ):
             self._route_due_events(stats)
-            committed, active = model.step(self.local_time)
-            stats.committed += committed
-            if active:
-                stats.active_cycles += 1
+            # The first cycle the outside world could touch: budget, window
+            # edge, next queued event.
+            limit = min(self.max_local_time, self.local_time + (budget - stats.cycles))
+            next_in = inq.peek_ts()
+            if next_in is not None and next_in < limit:
+                limit = next_in
+            if advance is not None:
+                self.local_time += advance(self.local_time, limit, stats)
             else:
-                stats.idle_cycles += 1
-            stats.cycles += 1
-            self.local_time += 1
+                committed, active = model.step(self.local_time)
+                stats.committed += committed
+                if active:
+                    stats.active_cycles += 1
+                else:
+                    stats.idle_cycles += 1
+                stats.cycles += 1
+                self.local_time += 1
             if model.pending_wakes:
                 stats.wakes.extend(model.pending_wakes)
                 model.pending_wakes.clear()
@@ -314,25 +331,21 @@ class CoreThread:
                 self.state = CoreState.DONE
                 self.final_time = self.local_time
                 break
+            if advance is not None:
+                continue
             # Skip-ahead: a stall with a known resume time burns idle cycles
             # in one jump (identical event behaviour, fewer Python steps).
             hint = model.stall_hint(self.local_time)
-            if hint is not None and hint > self.local_time:
-                limit = min(self.max_local_time, self.local_time + (budget - stats.cycles))
-                next_in = self.inq.peek_ts()
-                if next_in is not None:
-                    limit = min(limit, next_in)
-                jump = min(hint, limit)
-                if jump > self.local_time:
-                    skipped = jump - self.local_time
-                    stats.cycles += skipped
-                    # Spin-wait cycles are full-cost (the core simulates the
-                    # wait loop); frozen-pipeline stalls are cheap.
-                    if getattr(model, "spinning", False):
-                        stats.active_cycles += skipped
-                    else:
-                        stats.idle_cycles += skipped
-                    self.local_time = jump
+            skipped = 0 if hint is None else min(hint, limit) - self.local_time
+            if skipped > 0:
+                stats.cycles += skipped
+                # Spin-wait cycles are full-cost (the core simulates the
+                # wait loop); frozen-pipeline stalls are cheap.
+                if getattr(model, "spinning", False):
+                    stats.active_cycles += skipped
+                else:
+                    stats.idle_cycles += skipped
+                self.local_time += skipped
         stats.events_out = len(self.outq) - out_before
         stats.hit_window_edge = (
             self.state == CoreState.ACTIVE and self.local_time >= self.max_local_time

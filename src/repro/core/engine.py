@@ -1047,9 +1047,10 @@ class SequentialEngine:
                 if batched[idx]:
                     stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
                 else:
-                    # Models without the batching protocol keep the legacy
-                    # per-cycle loop at seed-era chunking (identical either mode).
-                    stats = ct.run(min(budget, 8))
+                    # Models without the batching protocol (the OoO core) keep
+                    # seed-era chunking: the turn structure, and so every
+                    # host-model call, is the same in either stepping mode.
+                    stats = ct.run(min(budget, 8), single=single)
             # Inline Distribution.add on hoisted locals: ``slack`` is bounded
             # by max_cycles, far below the 2**64 top bucket, so the raw
             # ``bit_length`` index is always in range.

@@ -191,13 +191,6 @@ class InOrderCore:
         """True while blocked in a sync spin loop (full host cost class)."""
         return self._blocked
 
-    def stall_hint(self, now: int) -> int | None:
-        if self._blocked and self._release_ts is not None and self._release_ts > now:
-            return self._release_ts
-        if self._pending is None and now <= self._busy_until:
-            return self._busy_until + 1
-        return None
-
     # ---------------------------------------------------- batched stepping
     def wait_state(self, now: int) -> tuple[int, bool] | None:
         """Classify the current cycle for the run-ahead fast path.

@@ -64,7 +64,12 @@ class CoreModel(Protocol):
     def phase(self) -> CorePhase: ...
 
     def stall_hint(self, now: int) -> int | None:
-        """If stalled until a known simulated time, return it (skip-ahead)."""
+        """If stalled until a known simulated time, return it (skip-ahead).
+
+        Asked only of models stepped cycle by cycle (no ``wait_state``: the
+        OoO core under ``stepping="single"``, ad-hoc test models); the
+        batched protocol below subsumes it.
+        """
 
     # -- optional batched-stepping extension (see DESIGN.md §5) ------------
     #
@@ -96,3 +101,9 @@ class CoreModel(Protocol):
     #     sequence would, fold them into *stats*, return how many ran.
     #     Stops early at the first outside-visible moment (a miss issued,
     #     or in front of an ecall/halt/AMO); 0 means "call step(now)"."""
+    #
+    # OoOCore implements ``advance`` *without* ``wait_state``/``skip``: it
+    # stays on the per-cycle turn loop (same turn chunk, same active/idle
+    # accounting, so the same host cost) and ``advance`` stands for the
+    # ``step`` + ``stall_hint`` sequence of ``[now, limit)``, at least one
+    # cycle, returning early only after a halt or a wake order.

@@ -22,11 +22,23 @@ overlay*:
   value under slack is undefined anyway.
 * syscalls and AMOs serialise the pipeline (dispatch waits for an empty
   ROB), which makes them equivalent to committing in order.
+
+The overlay is *scheduled, not scanned* (DESIGN.md §5, "OoO scoreboard"):
+an entry counts its unfinished producers (``pending``) and each in-flight
+producer lists its ``consumers``; issued entries wait in a heap keyed
+``(done_at, seq)``; the completion pass pops what is due, wakes the
+consumers that reach zero into a ``seq``-ordered ready list, and only then
+does the issue pass walk that list oldest-first.  ``advance`` runs whole
+stretches of cycles on top of ``step``; the scan-based model this replaced
+is the test oracle ``tests/cpu/ooo_reference.py``.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.core.events import EvKind, Event
@@ -34,8 +46,19 @@ from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.branch import make_predictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
 from repro.cpu.interfaces import CorePhase
-from repro.cpu.predecode import predecode_program
 from repro.cpu.l1cache import MESI, AccessResult, L1Cache
+from repro.cpu.predecode import (
+    K_AMO,
+    K_BRANCH,
+    K_ECALL,
+    K_HALT,
+    K_JUMP,
+    K_LOAD,
+    K_SIMPLE,
+    K_STORE,
+    dispatch_plan,
+    predecode_program,
+)
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import TEXT_BASE, Program
@@ -46,34 +69,53 @@ __all__ = ["OoOCore"]
 
 _GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
 
-# Entry states.
-_WAITING = 0    # operands not ready
-_READY = 1      # may issue
-_EXECUTING = 2  # on a unit until done_at
-_DONE = 3       # result available, awaiting commit
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+
+# What ``_issue_load`` did with a ready load.
+_RETRY = 0   # refused (MSHR file full): stays ready, takes no issue slot
+_ISSUED = 1  # took an issue slot and left the ready list
+_PARKED = 2  # waits on its forwarding store's data: left the list, no slot
+
+_FAR = 1 << 62
+_ACTIVE = CorePhase.ACTIVE
+# The dispatch loop singles out the rare kinds with one comparison.
+assert min(K_AMO, K_ECALL, K_HALT) > max(K_SIMPLE, K_BRANCH, K_JUMP, K_LOAD, K_STORE)
 
 
 class _RobEntry:
-    __slots__ = (
-        "insn", "seq", "state", "done_at", "deps",
+    #: Everything but ``consumers`` travels in an entry's own pickle; the
+    #: owning core writes those links as ROB positions, so pickling an entry
+    #: never reaches another one (depth independent of ``ooo_rob``).
+    _FLAT = (
+        "seq", "latency", "slot", "done", "pending",
         "is_load", "is_store", "addr", "block", "store_value", "store_is_float",
-        "waiting_mem", "forwarded_from",
+        "waiting_mem",
     )
+    __slots__ = _FLAT + ("consumers",)
 
-    def __init__(self, insn: Instruction, seq: int) -> None:
-        self.insn = insn
+    def __init__(self, seq: int, latency: int, slot: int) -> None:
         self.seq = seq
-        self.state = _WAITING
-        self.done_at = -1
-        self.deps: list[_RobEntry] = []
+        self.latency = latency
+        self.slot = slot            # last-writer slot of the destination, or -1
+        self.done = False           # result available, awaiting commit
+        self.pending = 0            # producers (or forwarding store) not done yet
+        self.consumers: list[_RobEntry] = []  # woken when this entry completes
         self.is_load = False
         self.is_store = False
         self.addr = -1
         self.block = -1
         self.store_value: int | float | None = None
         self.store_is_float = False
-        self.waiting_mem = False
-        self.forwarded_from: "_RobEntry | None" = None
+        self.waiting_mem = False    # store blocked at commit on a miss
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self._FLAT)
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self._FLAT, state):
+            setattr(self, name, value)
+        self.consumers = []
 
 
 class OoOCore:
@@ -98,6 +140,8 @@ class OoOCore:
         l1i: L1Cache | None = None,
         dispatch: str = "predecoded",
     ) -> None:
+        if dispatch not in ("predecoded", "oracle"):
+            raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.core_id = core_id
         self.program = program
         self.memory = memory
@@ -121,61 +165,56 @@ class OoOCore:
         self.pending_wakes: list[tuple[int, int]] = []
 
         self._text = program.text
-        # Predecoded closure tables: the architectural backbone executes via
-        # specialized closures; the dataflow timing overlay is unchanged.
-        if dispatch == "predecoded":
-            pre = predecode_program(program)
-            self._runs: list | None = pre.runs
-            self._eas: list | None = pre.eas
-            # Dispatch-plan tables: per-index last-writer keys precomputed
-            # at predecode time, so the per-dispatch dependency scan walks a
-            # ready-made tuple instead of an OPINFO getattr chain.
-            self._read_keys: list | None = pre.read_keys
-            self._write_keys: list | None = pre.write_keys
-        elif dispatch == "oracle":
-            self._runs = None
-            self._eas = None
-            self._read_keys = None
-            self._write_keys = None
-        else:
-            raise ValueError(f"unknown dispatch mode {dispatch!r}")
+        self._bind_tables(dispatch == "predecoded")
         self._rob: deque[_RobEntry] = deque()
         self._seq = 0
-        self._last_writer: dict[tuple[str, int], _RobEntry] = {}
+        #: Youngest in-flight writer per register: x0-31, then f0-31.
+        self._last_writer: list[_RobEntry | None] = [None] * 64
+        #: Issued entries with a known completion: (done_at, seq, entry) heap.
+        self._completing: list[tuple[int, int, _RobEntry]] = []
+        #: Entries whose producers are all done: (seq, entry), oldest first.
+        self._ready: list[tuple[int, _RobEntry]] = []
         self._fetch_stall_until = -1
-        self._store_buffer: list[_RobEntry] = []  # program order
+        self._store_buffer: deque[_RobEntry] = deque()  # program order
         self._mshrs: dict[int, list[_RobEntry]] = {}  # block -> waiting loads
         self._pending_store: _RobEntry | None = None  # store blocked at commit
         self._blocked = False
         self._release_ts: int | None = None
         self._halt_pending = False
+        self._draining = False  # a serialising instruction waits for the ROB
+
+    def _bind_tables(self, predecoded: bool) -> None:
+        """Per-PC tables: closures for the architectural backbone, address
+        closures and the dispatch plan.  ``dispatch="oracle"`` has none —
+        it interprets through funcsim and derives each plan on the fly."""
+        pre = predecode_program(self.program) if predecoded else None
+        self._runs: list | None = pre and pre.runs
+        self._eas: list | None = pre and pre.eas
+        self._plans: list | None = pre and pre.plans
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
-        # As in InOrderCore: the predecoded per-PC closures are dropped and
-        # re-derived from the (pickled) program on restore.
+        # As in InOrderCore: the predecoded per-PC tables are dropped and
+        # re-derived from the (pickled) program on restore.  Producer ->
+        # consumer links are written as ROB positions (see _RobEntry).
         state = dict(self.__dict__)
-        predecoded = state.pop("_runs", None) is not None
-        state.pop("_eas", None)
-        state.pop("_read_keys", None)
-        state.pop("_write_keys", None)
-        state["_pickle_predecoded"] = predecoded
+        state["_pickle_predecoded"] = state.pop("_runs") is not None
+        del state["_eas"], state["_plans"]
+        rob = self._rob
+        head = rob[0].seq if rob else 0
+        state["_pickle_consumers"] = [
+            [consumer.seq - head for consumer in producer.consumers] for producer in rob
+        ]
         return state
 
     def __setstate__(self, state) -> None:
         predecoded = state.pop("_pickle_predecoded")
+        consumers = state.pop("_pickle_consumers")
         self.__dict__.update(state)
-        if predecoded:
-            pre = predecode_program(self.program)
-            self._runs = pre.runs
-            self._eas = pre.eas
-            self._read_keys = pre.read_keys
-            self._write_keys = pre.write_keys
-        else:
-            self._runs = None
-            self._eas = None
-            self._read_keys = None
-            self._write_keys = None
+        self._bind_tables(predecoded)
+        rob = list(self._rob)
+        for entry, positions in zip(rob, consumers):
+            entry.consumers = [rob[i] for i in positions]
 
     # ------------------------------------------------------------ lifecycle
     def bind_context(self, state: ArchState) -> None:
@@ -203,12 +242,10 @@ class OoOCore:
         victim = self.l1d.fill(block, grant)
         if victim is not None:
             self.emit(Event(EvKind.PUTM, victim, self.core_id, event.ts))
-        waiters = self._mshrs.pop(block, [])
-        for entry in waiters:
-            entry.waiting_mem = False
-            # Data arrives at the response timestamp; completion next cycle.
-            entry.state = _EXECUTING
-            entry.done_at = event.ts
+        for entry in self._mshrs.pop(block, ()):
+            # Data arrives at the response timestamp: the load completes in
+            # the completion pass of the cycle that routed the event.
+            heappush(self._completing, (event.ts, entry.seq, entry))
         if self._pending_store is not None and self._pending_store.block == block:
             self._pending_store.waiting_mem = False
 
@@ -240,45 +277,131 @@ class OoOCore:
 
     # ----------------------------------------------------------------- step
     def step(self, now: int) -> tuple[int, bool]:
-        if self.phase in (CorePhase.IDLE, CorePhase.HALTED):
-            return 0, False
-        if self._blocked:
+        if self.phase is not _ACTIVE:
+            if not self._blocked:  # idle or halted
+                return 0, False
             if self._release_ts is not None and now >= self._release_ts:
                 return self._finish_blocking_syscall(now)
             self.stall_cycles += 1
             return 0, True
+        # Each stage sits behind an O(1) "anything to do" test.
         before = self.committed
-        self._commit(now)
-        self._complete_and_issue(now)
-        dispatched = self._dispatch(now)
+        rob = self._rob
+        if rob and rob[0].done:
+            self._commit(now)
+        completing = self._completing
+        if self._ready or (completing and completing[0][0] <= now):
+            self._complete_and_issue(now)
+        dispatched = 0
+        if (
+            now >= self._fetch_stall_until
+            and not self._halt_pending
+            and len(rob) < self.rob_size
+            and not (rob and self._draining)
+        ):
+            dispatched = self._dispatch(now)
         committed = self.committed - before
-        if self._halt_pending and not self._rob:
+        if self._halt_pending and not rob:
             self.phase = CorePhase.HALTED
-        active = bool(committed or dispatched or self._rob)
-        if not committed and not dispatched:
-            self.stall_cycles += 1
-            # Waiting purely on memory responses: cheap stall cycle.
-            if self._mshrs or (self._pending_store is not None and self._pending_store.waiting_mem):
-                active = False
-        return committed, active
+        if committed or dispatched:
+            return committed, True
+        self.stall_cycles += 1
+        return 0, self._stall_is_active()
+
+    def _stall_is_active(self) -> bool:
+        """A stall cycle with work in the ROB is full-cost unless the core
+        waits purely on memory responses (cheap)."""
+        store = self._pending_store
+        return bool(self._rob) and not (
+            self._mshrs or (store is not None and store.waiting_mem)
+        )
+
+    def advance(self, now: int, limit: int, stats) -> int:
+        """Run the cycles of ``[now, limit)`` exactly as that many ``step``
+        calls plus the caller's ``stall_hint`` jumps would, fold them into
+        *stats* (``cycles``/``active_cycles``/``idle_cycles``/``committed``)
+        and return how many ran.  The caller guarantees nothing reaches the
+        InQ before *limit*.  Returns early after the cycle that halts the
+        core or leaves ``pending_wakes``.
+
+        What is *not* stepped: a blocked core's spin (``stall_cycles`` counts
+        stepped cycles only — with a known release that is one spin cycle,
+        then an uncounted jump; with none yet, every cycle), and pure-wait
+        stretches in which no stage can act before the next completion or
+        the end of a fetch stall.  A full MSHR file (the refused load has
+        already touched the L1) and an AMO waiting for its fill (it
+        re-accesses the L1 every cycle) keep an entry ready / the fetch stall
+        one cycle out, so those stretches are stepped.
+        """
+        t = now
+        committed = active = 0
+        rob = self._rob
+        completing = self._completing
+        while t < limit:
+            if (
+                self.phase is _ACTIVE
+                and not self._ready
+                and not (rob and rob[0].done and not rob[0].waiting_mem)
+                and (not completing or completing[0][0] > t)
+            ):
+                # Nothing to commit, complete or issue.  Dispatch waits for a
+                # commit (pending halt, full ROB, serialising instruction) or
+                # for the end of a fetch stall; if that is ahead too, every
+                # cycle up to it or to the next completion is the same stall
+                # cycle.
+                if self._halt_pending or len(rob) >= self.rob_size or (rob and self._draining):
+                    until = _FAR
+                else:
+                    until = self._fetch_stall_until
+                if until > t:
+                    if completing and completing[0][0] < until:
+                        until = completing[0][0]
+                    n = min(until, limit) - t
+                    self.stall_cycles += n
+                    if self._stall_is_active():
+                        active += n
+                    t += n
+                    continue
+            c, a = self.step(t)
+            committed += c
+            active += a
+            t += 1
+            if self.phase is CorePhase.HALTED:
+                break
+            if self._blocked:
+                release = self._release_ts
+                if release is None:
+                    # Only the engine can arm the release, after this turn.
+                    n = limit - t
+                    self.stall_cycles += n
+                else:
+                    n = max(min(release, limit) - t, 0)
+                active += n
+                t += n
+            if self.pending_wakes:
+                break
+        n = t - now
+        stats.cycles += n
+        stats.active_cycles += active
+        stats.idle_cycles += n - active
+        stats.committed += committed
+        return n
 
     # --------------------------------------------------------------- commit
-    def _commit(self, now: int) -> int:
-        committed = 0
-        while self._rob and committed < self.width:
-            entry = self._rob[0]
-            if entry.state is not _DONE or entry.done_at > now:
+    def _commit(self, now: int) -> None:
+        rob = self._rob
+        last_writer = self._last_writer
+        room = self.width
+        while rob and room:
+            entry = rob[0]
+            if not entry.done or (entry.is_store and not self._commit_store(entry, now)):
                 break
-            if entry.is_store:
-                if not self._commit_store(entry, now):
-                    break
-            self._rob.popleft()
-            key_candidates = [k for k, v in self._last_writer.items() if v is entry]
-            for k in key_candidates:
-                del self._last_writer[k]
-            committed += 1
-            self.committed += 1
-        return committed
+            rob.popleft()
+            slot = entry.slot
+            if slot >= 0 and last_writer[slot] is entry:
+                last_writer[slot] = None
+            room -= 1
+        self.committed += self.width - room
 
     def _commit_store(self, entry: _RobEntry, now: int) -> bool:
         """Perform the store's memory moment; False if blocked on a miss."""
@@ -300,239 +423,214 @@ class OoOCore:
             if ff and self.fastforward:
                 self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
         if entry.store_is_float:
-            self.memory.store_float(entry.addr, float(entry.store_value))
+            self.memory.store_float(entry.addr, entry.store_value)
         else:
-            self.memory.store_word(entry.addr, int(entry.store_value))
-        assert self._store_buffer and self._store_buffer[0] is entry
-        self._store_buffer.pop(0)
+            self.memory.store_word(entry.addr, entry.store_value)
+        assert self._store_buffer[0] is entry
+        self._store_buffer.popleft()
         return True
 
     # ------------------------------------------------------ execute / issue
     def _complete_and_issue(self, now: int) -> None:
-        issued = 0
-        for entry in self._rob:
-            if entry.state is _EXECUTING and entry.done_at <= now:
-                entry.state = _DONE
-        for entry in self._rob:
-            if issued >= self.width:
-                break
-            if entry.state is not _WAITING:
-                continue
-            if any(dep.state is not _DONE or dep.done_at > now for dep in entry.deps):
-                continue
+        completing = self._completing
+        ready = self._ready
+        # Completion first: a producer finishing at ``now`` lets its
+        # consumers issue at ``now``.
+        while completing and completing[0][0] <= now:
+            entry = heappop(completing)[2]
+            entry.done = True
+            for consumer in entry.consumers:
+                consumer.pending -= 1
+                if not consumer.pending:
+                    insort(ready, (consumer.seq, consumer))
+        slots = self.width
+        i = 0
+        while i < len(ready) and slots:
+            entry = ready[i][1]
             if entry.is_load:
-                if not self._issue_load(entry, now):
+                outcome = self._issue_load(entry, now)
+                if outcome == _RETRY:
+                    i += 1
                     continue
-                issued += 1
+                del ready[i]
+                if outcome == _PARKED:
+                    continue
             else:
-                entry.state = _EXECUTING
-                entry.done_at = now + entry.insn.latency
-                issued += 1
+                del ready[i]
+                heappush(completing, (now + entry.latency, entry.seq, entry))
+            slots -= 1
 
-    def _issue_load(self, entry: _RobEntry, now: int) -> bool:
+    def _issue_load(self, entry: _RobEntry, now: int) -> int:
         # Store-to-load forwarding from the youngest older store to this addr.
+        seq = entry.seq
+        addr = entry.addr
         for store in reversed(self._store_buffer):
-            if store.seq < entry.seq and store.addr == entry.addr:
-                if store.state is _DONE or (store.state is _EXECUTING and store.done_at <= now):
-                    entry.state = _EXECUTING
-                    entry.done_at = now + 1
-                    entry.forwarded_from = store
-                    return True
-                return False  # wait for the store's data
-        if entry.block in self._mshrs:
-            self._mshrs[entry.block].append(entry)
-            entry.state = _EXECUTING  # parked on the MSHR
-            entry.done_at = 1 << 60
-            entry.waiting_mem = True
-            return True
-        result = self.l1d.access(entry.addr, False)
+            if store.seq < seq and store.addr == addr:
+                if store.done:
+                    heappush(self._completing, (now + 1, seq, entry))
+                    return _ISSUED
+                # Wait for the store's data as one more consumer: it
+                # completes in the pass that precedes an issue pass, so the
+                # load forwards in the cycle a per-cycle retry would succeed.
+                store.consumers.append(entry)
+                entry.pending = 1
+                return _PARKED
+        mshrs = self._mshrs
+        waiters = mshrs.get(entry.block)
+        if waiters is not None:
+            waiters.append(entry)  # parked on the MSHR until the response
+            return _ISSUED
+        result = self.l1d.access(addr, False)
         if result is AccessResult.HIT:
-            entry.state = _EXECUTING
-            entry.done_at = now + self.l1d.config.hit_latency
-            return True
-        if len(self._mshrs) >= self.mshr_limit:
-            return False  # structural stall: retry next cycle
+            heappush(self._completing, (now + self.l1d.config.hit_latency, seq, entry))
+            return _ISSUED
+        if len(mshrs) >= self.mshr_limit:
+            return _RETRY  # structural stall: retry next cycle
         self.emit(Event(EvKind.GETS, entry.block, self.core_id, now))
-        self._mshrs[entry.block] = [entry]
-        entry.state = _EXECUTING
-        entry.done_at = 1 << 60
-        entry.waiting_mem = True
-        return True
+        mshrs[entry.block] = [entry]
+        return _ISSUED
 
     # -------------------------------------------------------------- dispatch
-    def _fetch(self, pc: int) -> Instruction:
-        index = (pc - TEXT_BASE) >> 3
-        if not 0 <= index < len(self._text) or pc & 7:
-            raise RuntimeError(f"core {self.core_id}: PC {pc:#x} outside text segment")
-        return self._text[index]
-
     def _dispatch(self, now: int) -> int:
-        assert self.state is not None
-        if now < self._fetch_stall_until or self._halt_pending:
-            return 0
+        """Dispatch up to ``width`` instructions in program order.  The
+        caller has checked the fetch stall, the pending halt and ROB room."""
         state = self.state
+        assert state is not None
+        x = state.x
+        f = state.f
+        text = self._text
+        plans = self._plans
         runs = self._runs
-        read_keys = self._read_keys
-        write_keys = self._write_keys
+        eas = self._eas
+        rob = self._rob
         last_writer = self._last_writer
-        index = -1
+        ready = self._ready
+        room = min(self.width, self.rob_size - len(rob))
+        seq = self._seq
         dispatched = 0
-        while dispatched < self.width and len(self._rob) < self.rob_size:
-            insn = self._fetch(state.pc)
-            info = insn.info
-            if info.is_amo or insn.op is Op.ECALL:
-                if self._rob:
-                    break  # serialise: wait for an empty ROB
-                handled = self._dispatch_serialised(insn, now)
-                dispatched += handled
-                break
-            entry = _RobEntry(insn, self._seq)
-            self._seq += 1
-            # Timing dependencies via the last-writer table: the predecoded
-            # dispatch plan walks ready-made key tuples; the oracle path
-            # scans the OPINFO read fields.  Both visit the same keys in the
-            # same order (x reads then f reads, duplicates preserved).
-            if runs is not None:
-                index = (state.pc - TEXT_BASE) >> 3
-                for key in read_keys[index]:
-                    writer = last_writer.get(key)
-                    if writer is not None:
-                        entry.deps.append(writer)
-                wkey = write_keys[index]
-            else:
-                for reg_kind, fields in (("x", info.reads_int), ("f", info.reads_float)):
-                    for field in fields:
-                        reg = getattr(insn, field)
-                        writer = last_writer.get((reg_kind, reg))
-                        if writer is not None:
-                            entry.deps.append(writer)
-                if info.writes_int:
-                    wkey = ("x", insn.rd) if insn.rd else None
-                elif info.writes_float:
-                    wkey = ("f", insn.rd)
-                else:
-                    wkey = None
-            if info.is_load or info.is_store:
-                if runs is not None:
-                    entry.addr = self._eas[index](state.x)
-                else:
-                    entry.addr = effective_address(state, insn)
-                entry.block = self.l1d.block_addr(entry.addr)
-                entry.is_load = info.is_load
-                entry.is_store = info.is_store
-
-            # Architectural (functional) execution, in program order.  The
-            # predecoded path synthesises the oracle's (is_halt, taken,
-            # target) triple from the closure's return value.
-            if entry.is_load:
-                self._functional_load(insn, entry.addr, now)
-            elif entry.is_store:
-                entry.store_is_float = insn.op is Op.FSD
-                entry.store_value = (
-                    state.f[insn.rs2] if entry.store_is_float else state.x[insn.rs2]
-                )
-                self._store_buffer.append(entry)
-            executed = False
-            is_halt = taken = False
-            target: int | None = None
-            if not entry.is_load and not entry.is_store:
-                executed = True
-                if runs is not None:
-                    run = runs[index]
-                    if run is None:  # halt (ecall/AMO serialised earlier)
-                        state.halted = True
-                        is_halt = True
-                    else:
-                        target = run(state.x, state.f)
-                        taken = target is not None
-                else:
-                    outcome = execute(state, insn)
-                    is_halt = outcome.is_halt
-                    taken = outcome.taken
-                    target = outcome.next_pc if outcome.next_pc is not NEXT else None
-                if is_halt:
+        while dispatched < room:
+            pc = state.pc
+            index = (pc - TEXT_BASE) >> 3
+            if not 0 <= index < len(text) or pc & 7:
+                raise RuntimeError(f"core {self.core_id}: PC {pc:#x} outside text segment")
+            insn = text[index]
+            kind, latency, reads, slot = (
+                plans[index] if plans is not None else dispatch_plan(insn)
+            )
+            if kind >= K_AMO:  # K_AMO, K_ECALL or K_HALT
+                if kind == K_HALT:
+                    # Born done, never woken: it only has to reach the ROB head.
+                    state.halted = True
                     self._halt_pending = True
-                    entry.state = _DONE
-                    entry.done_at = now
-                    self._rob.append(entry)
+                    entry = _RobEntry(seq, latency, slot)
+                    seq += 1
+                    entry.done = True
+                    rob.append(entry)
                     dispatched += 1
-                    break
-            if entry.is_load or entry.is_store:
-                state.pc += INSTRUCTION_BYTES
-            elif executed and info.is_branch:
-                branch_pc = state.pc
-                if insn.op in (Op.JAL, Op.JALR):
-                    predicted = True  # unconditional: always predicted taken
                 else:
-                    predicted = self.predictor.predict(branch_pc, insn.imm)
-                    self.predictor.update(branch_pc, taken, predicted)
-                state.pc = target if taken else state.pc + INSTRUCTION_BYTES
-                if predicted != taken:
-                    self.mispredicts += 1
-                    self._fetch_stall_until = now + self.mispredict_penalty
-                elif taken:
-                    # Correctly-predicted taken branch: one fetch-redirect
-                    # bubble ends this cycle's dispatch group.
-                    self._rob.append(entry)
-                    dispatched += 1
-                    if wkey is not None:
-                        last_writer[wkey] = entry
-                    break
-            elif executed:
-                state.pc = state.pc + INSTRUCTION_BYTES if target is None else target
-            # Register the destination for dependents.
-            if wkey is not None:
-                last_writer[wkey] = entry
-            self._rob.append(entry)
+                    # Serialise: wait for an empty ROB (the flag spares the
+                    # cycles in between this fetch).
+                    self._draining = bool(rob)
+                    if not rob:
+                        dispatched += self._dispatch_serialised(insn, kind, now)
+                break
+            entry = _RobEntry(seq, latency, slot)
+            seq += 1
+            # Timing dependencies via the last-writer table.
+            pending = 0
+            for read in reads:
+                writer = last_writer[read]
+                if writer is not None and not writer.done:
+                    writer.consumers.append(entry)
+                    pending += 1
+            # Architectural (functional) execution, in program order.
+            end_group = False
+            if kind == K_LOAD or kind == K_STORE:
+                addr = eas[index](x) if eas is not None else effective_address(state, insn)
+                entry.addr = addr
+                entry.block = self.l1d.block_addr(addr)
+                if kind == K_LOAD:
+                    entry.is_load = True
+                    self._functional_load(addr, slot, now)
+                else:
+                    entry.is_store = True
+                    if insn.op is Op.FSD:
+                        entry.store_is_float = True
+                        entry.store_value = f[insn.rs2]
+                    else:
+                        entry.store_value = x[insn.rs2]
+                    self._store_buffer.append(entry)
+                state.pc = pc + INSTRUCTION_BYTES
+            else:
+                if runs is not None:
+                    target = runs[index](x, f)
+                else:
+                    target = execute(state, insn).next_pc
+                    if target is NEXT:
+                        target = None
+                if kind == K_SIMPLE:
+                    state.pc = pc + INSTRUCTION_BYTES
+                else:
+                    taken = target is not None
+                    if kind == K_BRANCH:
+                        predicted = self.predictor.predict(pc, insn.imm)
+                        self.predictor.update(pc, taken, predicted)
+                    else:
+                        predicted = True  # jal/jalr: always predicted taken
+                    state.pc = target if taken else pc + INSTRUCTION_BYTES
+                    if predicted != taken:
+                        self.mispredicts += 1
+                        self._fetch_stall_until = now + self.mispredict_penalty
+                        # A zero penalty leaves no fetch bubble.
+                        end_group = self._fetch_stall_until > now
+                    else:
+                        # Correctly-predicted taken branch: one
+                        # fetch-redirect bubble ends the dispatch group.
+                        end_group = taken
+            if slot >= 0:
+                last_writer[slot] = entry
+            if pending:
+                entry.pending = pending
+            else:
+                ready.append((entry.seq, entry))  # youngest: stays sorted
+            rob.append(entry)
             dispatched += 1
-            if info.is_branch and self._fetch_stall_until > now:
-                break  # fetch bubble after a mispredicted branch
+            if end_group:
+                break
+        self._seq = seq
         return dispatched
 
-    def _functional_load(self, insn: Instruction, addr: int, now: int) -> None:
-        """Architectural load at dispatch, seeing in-flight older stores."""
-        assert self.state is not None
+    def _functional_load(self, addr: int, slot: int, now: int) -> None:
+        """Architectural load at dispatch, seeing in-flight older stores.
+        *slot* is the destination's last-writer slot (f registers from 32,
+        -1 for x0, whose access still happens)."""
+        state = self.state
         if self.word_tracker is not None:
             self.word_tracker.observe_load(addr, self.core_id, now)
+        to_float = slot >= 32
         for store in reversed(self._store_buffer):
             if store.addr == addr:
-                if insn.op is Op.FLD:
-                    value = store.store_value
-                    self.state.f[insn.rd] = (
-                        float(value)
-                        if store.store_is_float
-                        else self._bits_to_float(int(value))
-                    )
-                else:
-                    value = store.store_value
-                    self.state.set_x(
-                        insn.rd,
-                        int(value) if not store.store_is_float else self._float_to_bits(float(value)),
-                    )
-                return
-        if insn.op is Op.FLD:
-            self.state.f[insn.rd] = self.memory.load_float(addr)
+                value = store.store_value
+                if store.store_is_float != to_float:
+                    # Reinterpret the forwarded bits, as memory would.
+                    if to_float:
+                        value = _F64.unpack(_I64.pack(value))[0]
+                    else:
+                        value = _I64.unpack(_F64.pack(value))[0]
+                break
         else:
-            self.state.set_x(insn.rd, self.memory.load_word(addr))
-
-    @staticmethod
-    def _bits_to_float(bits: int) -> float:
-        import struct
-
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-    @staticmethod
-    def _float_to_bits(value: float) -> int:
-        import struct
-
-        return struct.unpack("<q", struct.pack("<d", value))[0]
+            value = self.memory.load_float(addr) if to_float else self.memory.load_word(addr)
+        if to_float:
+            state.f[slot - 32] = value
+        elif slot > 0:
+            state.x[slot] = value
 
     # ----------------------------------------------------------- serialised
-    def _dispatch_serialised(self, insn: Instruction, now: int) -> int:
+    def _dispatch_serialised(self, insn: Instruction, kind: int, now: int) -> int:
         """AMOs and syscalls: ROB is empty, handle like an in-order core."""
         assert self.state is not None
         state = self.state
-        if insn.info.is_amo:
+        if kind == K_AMO:
             if self._eas is not None:
                 addr = self._eas[(state.pc - TEXT_BASE) >> 3](state.x)
             else:

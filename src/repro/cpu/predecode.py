@@ -53,6 +53,7 @@ __all__ = [
     "TimingBlocks",
     "predecode_program",
     "predecode_instruction",
+    "dispatch_plan",
     "timing_blocks",
     "K_SIMPLE",
     "K_BRANCH",
@@ -696,6 +697,30 @@ for _op_key, _info in OPINFO.items():
         _KIND_BY_OP[_op_key] = K_SIMPLE
 
 
+def dispatch_plan(insn: Instruction) -> tuple:
+    """The out-of-order core's per-instruction dispatch plan:
+    ``(kind, latency, read_slots, write_slot)``.
+
+    Slots index the core's flat last-writer table: ``x0..x31`` are 0..31,
+    ``f0..f31`` are 32..63.  ``read_slots`` lists the operands in oracle
+    scan order (int reads, then float reads; duplicates preserved) without
+    ``x0`` — a write to x0 is never registered, so its lookup always
+    misses — and ``write_slot`` is the destination or -1.  Built once per
+    program (:attr:`PredecodedProgram.plans`); ``dispatch="oracle"`` calls
+    this per dispatched instruction instead.
+    """
+    info = insn.info
+    reads = [reg for field in info.reads_int if (reg := getattr(insn, field))]
+    reads += [32 + getattr(insn, field) for field in info.reads_float]
+    if info.writes_float:
+        write = 32 + insn.rd
+    elif info.writes_int and insn.rd:
+        write = insn.rd
+    else:
+        write = -1
+    return _KIND_BY_OP[insn.op], info.latency, tuple(reads), write
+
+
 def predecode_instruction(insn: Instruction, pc: int):
     """Predecode one instruction: ``(kind, run, ea, apply)``.
 
@@ -978,8 +1003,7 @@ class PredecodedProgram:
         "latencies",
         "block_runs",
         "block_lens",
-        "read_keys",
-        "write_keys",
+        "plans",
         "size",
     )
 
@@ -1007,38 +1031,9 @@ class PredecodedProgram:
         self.eas = eas
         self.applies = applies
         self.latencies = latencies
-        self._build_dispatch_plan(text, n)
+        # The out-of-order core's dispatch plan, one tuple per text word.
+        self.plans = [dispatch_plan(insn) for insn in text]
         self._build_superblocks(program, kinds, n)
-
-    def _build_dispatch_plan(self, text, n: int) -> None:
-        """Precompute the OoO dispatch-plan tables.
-
-        ``read_keys[i]`` is the tuple of last-writer table keys the
-        instruction's operands look up (``("x", r)`` / ``("f", r)``, in
-        oracle scan order, duplicates preserved); ``write_keys[i]`` is the
-        key its destination registers, or ``None``.  ``("x", 0)`` reads are
-        dropped at build time: x0 writes are never registered, so the lookup
-        always misses.
-        """
-        read_keys: list = [()] * n
-        write_keys: list = [None] * n
-        for i, insn in enumerate(text):
-            info = insn.info
-            keys = []
-            for field in info.reads_int:
-                reg = getattr(insn, field)
-                if reg:
-                    keys.append(("x", reg))
-            for field in info.reads_float:
-                keys.append(("f", getattr(insn, field)))
-            read_keys[i] = tuple(keys)
-            if info.writes_int:
-                if insn.rd:
-                    write_keys[i] = ("x", insn.rd)
-            elif info.writes_float:
-                write_keys[i] = ("f", insn.rd)
-        self.read_keys = read_keys
-        self.write_keys = write_keys
 
     def _build_superblocks(self, program: Program, kinds, n: int) -> None:
         """Compile extended basic blocks at block leaders.

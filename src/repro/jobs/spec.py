@@ -97,6 +97,16 @@ class JobSpec:
     #: Optional full SimConfig for fields beyond the common knobs.
     sim: SimConfig | None = None
 
+    def __post_init__(self) -> None:
+        # A job names a registered workload, so its core executes programs:
+        # ``"trace"`` (synthetic trace cores) and typos are refused here, where
+        # the spec enters, not by a worker that already leased the job.
+        if self.core_model not in ("inorder", "ooo"):
+            raise ValueError(
+                f"core_model={self.core_model!r} is not a job core model "
+                "(expected 'inorder' or 'ooo')"
+            )
+
     @classmethod
     def build(
         cls,

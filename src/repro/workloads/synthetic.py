@@ -75,11 +75,6 @@ class TraceCore:
     def release(self, release_ts: int) -> None:
         raise RuntimeError("trace cores do not use blocking syscalls")
 
-    def stall_hint(self, now: int) -> int | None:
-        if self._pending_block is None and now <= self._busy_until:
-            return self._busy_until + 1
-        return None
-
     def wait_state(self, now: int) -> tuple[int, bool] | None:
         """Batched-stepping protocol (see :mod:`repro.cpu.interfaces`)."""
         if self._pending_block is not None:

@@ -31,6 +31,7 @@ from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpo
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError, SequentialEngine
 from repro.lang import compile_source
+from repro.workloads.registry import make_workload
 
 from tests.conftest import assert_same_run
 
@@ -138,7 +139,7 @@ def test_ooo_core_roundtrip(program, tmp_path):
     def run_ooo(**overrides):
         return SequentialEngine(
             program, target=target, host=HOST,
-            sim=replace(SIM, scheme="s2", **overrides),
+            sim=replace(SIM, scheme="s2", max_cycles=100_000, **overrides),
         ).run()
 
     plain = run_ooo()
@@ -146,6 +147,81 @@ def test_ooo_core_roundtrip(program, tmp_path):
     resumed = load_checkpoint(cp).run()
     assert_same_run(plain, full)
     assert_same_run(full, resumed)
+
+
+def _ooo_workload_engine(**sim_overrides) -> SequentialEngine:
+    # ~3.9k cycles; the cap turns a restore that lost its wake-up links (a
+    # core that never issues again) into an error instead of a 50M-cycle spin.
+    return SequentialEngine(
+        make_workload("barnes", scale="tiny").program,
+        target=TargetConfig(core_model="ooo"),
+        sim=SimConfig(scheme="s9", seed=1, max_cycles=50_000, **sim_overrides),
+    )
+
+
+@pytest.fixture(scope="module")
+def ooo_straight():
+    return _ooo_workload_engine().run()
+
+
+def test_ooo_registered_workload_checkpoints(ooo_straight, tmp_path):
+    """With ``deps`` back-references a ROB entry kept every committed
+    producer reachable and pickle recursed down the chain: barnes, fft and lu
+    died with "maximum recursion depth exceeded" at the first checkpoint.
+    The scoreboard's links point forward and travel as ROB positions."""
+    cp = str(tmp_path / "ck.pkl")
+    full = _ooo_workload_engine(checkpoint_interval=500, checkpoint_path=cp).run()
+    restored = load_checkpoint(cp)
+    assert restored.manager.global_time > 0, "not a mid-run checkpoint"
+    assert_same_run(ooo_straight, full)
+    assert_same_run(ooo_straight, restored.run())
+
+
+def test_ooo_restore_in_fresh_process_with_scoreboard_in_flight(
+    ooo_straight, tmp_path, monkeypatch
+):
+    """A cut taken while one core has entries completing, entries ready,
+    loads parked on MSHRs and stores buffered resumes in a new interpreter:
+    heap, ready list, store buffer, MSHR lists and the last-writer table all
+    alias ROB entries, and the consumer links are rebuilt from positions."""
+    from repro.core import checkpoint
+
+    kept = tmp_path / "busy.pkl"
+
+    def keep_first_busy_cut(engine, path, _save=checkpoint.save_checkpoint):
+        _save(engine, path)
+        models = [ct.model for ct in engine.cores]
+        if not kept.exists() and any(
+            m._completing and m._ready and m._mshrs and m._store_buffer for m in models
+        ):
+            kept.write_bytes(Path(path).read_bytes())
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", keep_first_busy_cut)
+    _ooo_workload_engine(
+        checkpoint_interval=100, checkpoint_path=str(tmp_path / "ck.pkl")
+    ).run()
+    assert kept.exists(), "no checkpoint was cut with the scoreboard in flight"
+    busy = [m for m in (ct.model for ct in load_checkpoint(str(kept)).cores) if m._ready]
+    assert any(
+        consumer is entry
+        for m in busy for producer in m._rob for consumer in producer.consumers
+        for entry in m._rob
+    ), "restored consumer links do not alias ROB entries"
+    script = (
+        "from repro.core.checkpoint import load_checkpoint\n"
+        f"r = load_checkpoint({str(kept)!r}).run()\n"
+        "print(r.stats_sha256, r.execution_cycles, float.hex(r.host_time))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        cwd=str(Path(__file__).resolve().parents[2] / "src"),
+    )
+    assert out.stdout.split() == [
+        ooo_straight.stats_sha256,
+        str(ooo_straight.execution_cycles),
+        float.hex(ooo_straight.host_time),
+    ]
 
 
 def test_timing_blocks_rederived_on_restore(program, tmp_path):
@@ -244,8 +320,9 @@ def test_load_rejects_missing_and_garbage(tmp_path):
     with pytest.raises(CheckpointError, match="format"):
         load_checkpoint(str(wrong))
     # Format 1 may have been cut by the removed static run loop, format 2
-    # pickles a SimConfig with since-removed fields: refused, never resumed.
-    for fmt in (1, 2):
+    # pickles a SimConfig with since-removed fields, format 3 an OoO core
+    # with ``deps`` chains: refused, never resumed.
+    for fmt in (1, 2, 3):
         stale = tmp_path / f"format{fmt}.pkl"
         stale.write_bytes(pickle.dumps({"format": fmt, "engine": None, "seq_position": 0}))
         with pytest.raises(CheckpointError, match=f"format {fmt}"):

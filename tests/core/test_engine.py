@@ -194,6 +194,21 @@ class TestTurnShapingValidation:
         assert r.completed
 
 
+class TestTargetValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("num_cores", 0), ("ooo_width", 0), ("ooo_rob", 0), ("mispredict_penalty", -1)],
+    )
+    def test_out_of_range_is_refused_by_name(self, field, value):
+        """``ooo_width=0`` never dispatches and used to spin to ``max_cycles``
+        (50 M cycles by default) before reporting "workload hung?"."""
+        with pytest.raises(ValueError, match=field):
+            TargetConfig(core_model="ooo", **{field: value})
+
+    def test_floors_are_accepted(self):
+        TargetConfig(num_cores=1, ooo_width=1, ooo_rob=1, mispredict_penalty=0)
+
+
 class TestProgramEngine:
     SRC = """
     int bar;

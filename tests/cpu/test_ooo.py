@@ -43,6 +43,33 @@ int main() {
 }
 """
 
+FORWARDING = """
+int buf[8];
+int main() {
+    int s = 0;
+    for (int i = 0; i < 8; i = i + 1) {
+        buf[i] = i * 7;
+        s = s + buf[i];     // load immediately after store
+    }
+    print_int(s);
+    return 0;
+}
+"""
+
+BRANCHY = """
+int main() {
+    int s = 0;
+    int x = 12345;
+    for (int i = 0; i < 300; i = i + 1) {
+        x = (x * 1103515245 + 12345) % (1 << 31);
+        if ((x >> 7) & 1) s = s + 1;   // data-dependent branch
+        else s = s - 1;
+    }
+    print_int(s);
+    return 0;
+}
+"""
+
 
 class TestILP:
     def test_ooo_beats_inorder_on_parallel_work(self):
@@ -69,19 +96,7 @@ class TestILP:
 
 class TestMemory:
     def test_store_to_load_forwarding_correctness(self):
-        src = """
-        int buf[8];
-        int main() {
-            int s = 0;
-            for (int i = 0; i < 8; i = i + 1) {
-                buf[i] = i * 7;
-                s = s + buf[i];     // load immediately after store
-            }
-            print_int(s);
-            return 0;
-        }
-        """
-        r = run(src, OOO)
+        r = run(FORWARDING, OOO)
         assert r.int_output() == [7 * sum(range(8))]
 
     def test_mshr_overlap_reduces_miss_serialisation(self):
@@ -140,20 +155,7 @@ class TestBenchmarksUnderOoO:
 
 class TestPrediction:
     def test_mispredict_penalty_affects_timing(self):
-        branchy = """
-        int main() {
-            int s = 0;
-            int x = 12345;
-            for (int i = 0; i < 300; i = i + 1) {
-                x = (x * 1103515245 + 12345) % (1 << 31);
-                if ((x >> 7) & 1) s = s + 1;   // data-dependent branch
-                else s = s - 1;
-            }
-            print_int(s);
-            return 0;
-        }
-        """
-        cheap = run(branchy, TargetConfig(core_model="ooo", mispredict_penalty=1))
-        costly = run(branchy, TargetConfig(core_model="ooo", mispredict_penalty=30))
+        cheap = run(BRANCHY, TargetConfig(core_model="ooo", mispredict_penalty=1))
+        costly = run(BRANCHY, TargetConfig(core_model="ooo", mispredict_penalty=30))
         assert cheap.int_output() == costly.int_output()
         assert cheap.execution_cycles < costly.execution_cycles

@@ -19,7 +19,9 @@ from repro.cpu.predecode import (
     K_LOAD,
     K_SIMPLE,
     K_STORE,
+    dispatch_plan,
     predecode_instruction,
+    predecode_program,
 )
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPINFO, Format, Op
@@ -118,3 +120,28 @@ def test_rd_zero_alu_is_inert():
     snapshot = list(state.x)
     assert run(state.x, state.f) is None
     assert state.x == snapshot
+
+
+def test_dispatch_plan_slots():
+    """The OoO core's plan: ``(kind, latency, read_slots, write_slot)`` with x
+    registers at 0..31, f registers at 32..63, x0 reads dropped (its write
+    is never registered) and an x0 destination as -1."""
+    assert dispatch_plan(Instruction(Op.MUL, rd=3, rs1=0, rs2=5)) == (K_SIMPLE, 3, (5,), 3)
+    assert dispatch_plan(Instruction(Op.ADD, rd=0, rs1=4, rs2=4)) == (K_SIMPLE, 1, (4, 4), -1)
+    assert dispatch_plan(Instruction(Op.FSD, rs1=2, rs2=4)) == (K_STORE, 1, (2, 36), -1)
+    assert dispatch_plan(Instruction(Op.FLD, rd=1, rs1=2)) == (K_LOAD, 1, (2,), 33)
+    assert dispatch_plan(Instruction(Op.FLT, rd=9, rs1=1, rs2=2)) == (K_SIMPLE, 3, (33, 34), 9)
+    assert dispatch_plan(Instruction(Op.BNE, rs1=6, rs2=0, imm=16)) == (K_BRANCH, 1, (6,), -1)
+    assert dispatch_plan(Instruction(Op.JAL, rd=1, imm=16)) == (K_JUMP, 1, (), 1)
+    assert dispatch_plan(Instruction(Op.HALT))[0] == K_HALT
+
+
+def test_plan_table_is_the_per_instruction_plan():
+    """``dispatch="predecoded"`` reads the table, ``"oracle"`` calls
+    ``dispatch_plan`` per dispatched instruction: one source for both."""
+    from repro.workloads.registry import make_workload
+
+    program = make_workload("fft", scale="tiny").program
+    pre = predecode_program(program)
+    assert pre.plans == [dispatch_plan(insn) for insn in program.text]
+    assert not hasattr(pre, "read_keys") and not hasattr(pre, "write_keys")

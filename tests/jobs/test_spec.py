@@ -145,6 +145,16 @@ class TestWireCompat:
         with pytest.raises(ValueError, match="mem_domains"):
             spec_from_dict(self.wire(mem_domains=4))
 
+    @pytest.mark.parametrize("model", ["oooo", "trace", ""])
+    def test_unknown_core_model_is_refused(self, model):
+        """Used to be accepted, keyed and queued, and to fail only inside the
+        worker (``EngineError: unknown core model``).  ``"trace"`` cores take
+        no program, so no job can name them."""
+        with pytest.raises(ValueError, match="core_model"):
+            spec_from_dict({**self.wire(), "core_model": model})
+        with pytest.raises(ValueError, match="core_model"):
+            JobSpec.build("fft", "tiny", core_model=model)
+
     @pytest.mark.parametrize(
         "field,value", [("wait_chunk", 0), ("turn_cycles", -5), ("batch_cycles", -1)]
     )
