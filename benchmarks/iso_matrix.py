@@ -15,12 +15,15 @@ per checkout and compare::
 one side only) and exits 1 when there is any; no output means iso.
 
 Workload tokens are the registered names, ``sharing`` (the coherence-dense
-8-core trace of the repo benchmark's ``mem-traffic``) and ``NAME:ooo`` /
-``NAME:replay`` (the out-of-order core model; a replay of an ``su`` capture).
+8-core trace of the repo benchmark's ``mem-traffic``), ``NAME:ooo`` /
+``NAME:replay`` (the out-of-order core model; a replay of an ``su`` capture)
+and ``NAME:func`` — the functional interpreter on the ``nthreads=1`` program,
+one cell per scale (no scheme, no host): instruction count, exit code, output
+digest and the final ``ArchState.digest()``.
 Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
 the repo benchmark's rule.  The defaults (~3 min a side) cover every core
-model: in-order, sharing-trace, replay and — ``fft:ooo``, ``water:ooo``, the
-repo benchmark's two ``ooo`` jobs — out-of-order.
+model: in-order, sharing-trace, replay, out-of-order (``fft:ooo``,
+``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter.
 """
 
 from __future__ import annotations
@@ -32,12 +35,29 @@ import tempfile
 from pathlib import Path
 
 SCALES = ("tiny", "small")
-WORKLOADS = ("barnes", "fft", "lu", "water", "sharing", "fft:replay", "fft:ooo", "water:ooo")
+WORKLOADS = (
+    "barnes", "fft", "lu", "water", "sharing", "fft:replay", "fft:ooo", "water:ooo",
+    "fft:func", "water:func",
+)
 SCHEMES = ("cc", "q3", "q10", "s9", "s100", "su")
 HOSTS = (1, 2, 8)
 
 #: ``sharing`` ops per core by scale (``small`` is mem-traffic's job).
 SHARING_OPS = {"tiny": 300, "small": 3000, "paper": 30000}
+
+
+def run_functional_cell(scale: str, name: str) -> dict:
+    from repro._util import output_digest
+    from repro.cpu.interp import run_functional
+    from repro.workloads.registry import make_workload
+
+    result = run_functional(make_workload(name, scale=scale, nthreads=1).program)
+    return {
+        "instructions": result.instructions,
+        "exit_code": result.exit_code,
+        "output": output_digest(result.output),
+        "state": result.state.digest(),
+    }
 
 
 def run_cell(scale: str, token: str, scheme: str, hosts: int, base_seed: int, tmp: Path) -> dict:
@@ -100,6 +120,12 @@ def build(args) -> int:
     with tempfile.TemporaryDirectory(prefix="iso-matrix-") as tmp:
         for scale in args.scales:
             for token in args.workloads:
+                name, _, variant = token.partition(":")
+                if variant == "func":
+                    key = f"{scale}/{token}"
+                    cells[key] = run_functional_cell(scale, name)
+                    print(key, cells[key]["instructions"], file=sys.stderr, flush=True)
+                    continue
                 for scheme in args.schemes:
                     for hosts in args.hosts:
                         key = f"{scale}/{token}/{scheme}/h{hosts}"

@@ -10,7 +10,6 @@ Subcommands::
     slacksim figure2 | figure8 | table2 | table3
     slacksim sweep figure8 --jobs 4 --out figure8.json
     slacksim sweep figure8 --trace --jobs 4
-    slacksim sweep --workload fft
     slacksim bench --workload fft --profile
     slacksim stats show run.stats.json
     slacksim stats diff a.stats.json b.stats.json
@@ -35,8 +34,12 @@ import sys
 from repro._util import atomic_write_text
 from repro.core import run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.trace import TraceError
 
 __all__ = ["main"]
+
+_SCALES = ("tiny", "small", "paper")
+_CORE_MODELS = ("inorder", "ooo")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -217,16 +220,6 @@ def _cmd_experiment(name: str):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.experiment is None:
-        # Legacy form: render the single-workload slack sweep (ablation A1).
-        from repro.experiments.ablations import render_sweep, run_slack_sweep
-        from repro.experiments.common import Runner
-
-        runner = Runner(scale=args.scale or "tiny", seed=args.seed)
-        points = run_slack_sweep(args.workload, runner=runner)
-        print(render_sweep(f"slack sweep ({args.workload})", points))
-        return 0
-
     from repro.experiments.parallel import run_sweep, sweep_to_json
 
     telemetry: dict = {}
@@ -322,7 +315,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.trace import TraceError, trace_info
+    from repro.trace import trace_info
 
     try:
         print(trace_info(args.file))
@@ -563,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workload", default="fft", help="fft | lu | barnes | water")
     run.add_argument("--scheme", default="cc", help="cc | qN | lN | sN | sN* | su")
     run.add_argument("--host-cores", type=int, default=8)
-    run.add_argument("--scale", default="tiny", help="tiny | small | paper")
-    run.add_argument("--core-model", default="inorder", help="inorder | ooo")
+    run.add_argument("--scale", default="tiny", choices=_SCALES)
+    run.add_argument("--core-model", default="inorder", choices=_CORE_MODELS)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--fastforward", action="store_true")
     run.add_argument("--verbose", "-v", action="store_true")
@@ -608,22 +601,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("table3", "slack errors (paper Table 3)"),
     ):
         exp = sub.add_parser(name, help=f"regenerate {help_text}")
-        exp.add_argument("--scale", help="tiny | small | paper")
+        exp.add_argument("--scale", choices=_SCALES)
         exp.set_defaults(func=_cmd_experiment(name))
 
-    sweep = sub.add_parser(
-        "sweep", help="experiment sweep (figure8 | table3 | ablations), or the "
-        "legacy single-workload slack sweep when no experiment is named"
-    )
-    sweep.add_argument(
-        "experiment", nargs="?", default=None,
-        help="figure8 | table3 | ablations (omit for the legacy slack sweep)",
-    )
+    sweep = sub.add_parser("sweep", help="experiment sweep (figure8 | table3 | ablations)")
+    sweep.add_argument("experiment", help="figure8 | table3 | ablations")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the point grid (default 1: serial)")
     sweep.add_argument("--out", help="write the sweep JSON here instead of stdout")
-    sweep.add_argument("--workload", default="fft")
-    sweep.add_argument("--scale")
+    sweep.add_argument("--scale", choices=_SCALES)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--max-retries", type=int, default=2,
                        help="extra attempts per point after a worker crash "
@@ -636,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="functional KIPS measurement of one workload")
     bench.add_argument("--workload", default="fft")
-    bench.add_argument("--scale", default="tiny", help="tiny | small | paper")
-    bench.add_argument("--dispatch", default="predecoded", help="predecoded | oracle")
+    bench.add_argument("--scale", default="tiny", choices=_SCALES)
+    bench.add_argument("--dispatch", default="predecoded", choices=("predecoded", "oracle"))
     bench.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 20 by cumulative time")
     bench.set_defaults(func=_cmd_bench)
@@ -713,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--workload", default="fft")
     submit.add_argument("--scheme", default="cc")
     submit.add_argument("--host-cores", type=int, default=8)
-    submit.add_argument("--scale", default="tiny")
-    submit.add_argument("--core-model", default="inorder")
+    submit.add_argument("--scale", default="tiny", choices=_SCALES)
+    submit.add_argument("--core-model", default="inorder", choices=_CORE_MODELS)
     submit.add_argument("--seed", type=int, default=1)
     submit.add_argument("--fastforward", action="store_true")
     submit.add_argument("--serve-dir", metavar="DIR",
@@ -751,6 +737,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, KeyError, TraceError) as exc:
+        # What spec / workload / scheme / trace validation raises on a bad
+        # argument value: a usage error, not a crash.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe (e.g. ``stats show | head``).
         sys.stderr.close()

@@ -85,7 +85,7 @@ class InOrderCore:
         self.pending_wakes: list[tuple[int, int]] = []
 
         self._text = program.text
-        # Predecoded closure tables plus compiled timing superblocks — what
+        # Predecoded function tables plus compiled timing superblocks — what
         # :meth:`advance` runs on.  An I-cache (every fetch must probe it),
         # fast-forwarding (a store can move ``_busy_until``) and the oracle
         # dispatch keep the per-instruction path.
@@ -125,7 +125,7 @@ class InOrderCore:
         self._tblocks = timing_blocks(self.program) if tblocks else None
 
     def __getstate__(self):
-        # The predecoded dispatch tables are per-PC *closures* — unpicklable
+        # The predecoded dispatch tables are generated functions — unpicklable
         # and derived purely from the program, so checkpoints drop them and
         # __setstate__ re-derives via the program-memoised predecode pass.
         state = dict(self.__dict__)
@@ -226,7 +226,7 @@ class InOrderCore:
         Observationally ≡ the ``wait_state``/``skip``/``step`` sequence
         :meth:`CoreThread.step_many` would run over the same cycles, minus
         the Python frames: compiled timing superblocks where one fits,
-        per-PC closures otherwise, L1-hit loads/stores inline, and the
+        per-PC functions otherwise, L1-hit loads/stores inline, and the
         drain of a multi-cycle op accounted as the skip stretch it is (cut
         at *limit*, remainder left in ``_busy_until``).  *limit* is the
         first cycle the outside world could touch — turn budget, window

@@ -10,7 +10,7 @@ the slack engine (:mod:`repro.core`), which provides the full Table 1
 emulation.
 
 Two execution layers are available via ``dispatch=``: ``"predecoded"``
-(default) runs the per-PC closure tables of :mod:`repro.cpu.predecode`
+(default) runs the per-PC function tables of :mod:`repro.cpu.predecode`
 including superblocks; ``"oracle"`` runs the original
 :func:`repro.cpu.funcsim.execute` loop.  Both produce bit-identical
 architectural trajectories (asserted by tests/core/test_dispatch_differential.py).
@@ -208,22 +208,24 @@ class FunctionalInterpreter:
         )
 
     def _run_predecoded(self, max_instructions: int) -> InterpResult:
-        """Closure-dispatch run loop: same trajectory as the oracle loop.
+        """Predecoded run loop: same trajectory as the oracle loop.
 
         The PC and instruction count live in locals and are written back to
         ``self.state`` / ``self.instructions`` only at syscalls, halts and
         errors — exactly the moments the oracle path makes them observable.
         Superblocks fire only when the whole run fits the remaining budget;
         otherwise the per-instruction path reproduces the oracle's raise
-        point bit-for-bit.
+        point bit-for-bit.  A ``TargetFault`` on the per-instruction path
+        reports the oracle's pc and count; one raised inside a superblock
+        reports the block's entry (registers and memory hold the effects of
+        the block's instructions before the faulting one).
         """
         pre = predecode_program(self.program)
         kinds = pre.kinds
         runs = pre.runs
         eas = pre.eas
         applies = pre.applies
-        block_runs = pre.block_runs
-        block_lens = pre.block_lens
+        block_runs, block_lens = pre.functional_blocks()
         limit = pre.size * INSTRUCTION_BYTES
         state = self.state
         mem = self.mem
@@ -231,53 +233,51 @@ class FunctionalInterpreter:
         f = state.f
         count = self.instructions
         pc = state.pc
-        while not state.halted:
-            offset = pc - TEXT_BASE
-            if offset & 7 or not 0 <= offset < limit:
-                state.pc = pc
-                self.instructions = count
-                raise InterpError(f"PC {pc:#x} outside text segment")
-            i = offset >> 3
-            block = block_runs[i]
-            if block is not None and count + block_lens[i] <= max_instructions:
-                target = block(x, f, mem)
-                count += block_lens[i]
-                pc = target if target is not None else pc + block_lens[i] * INSTRUCTION_BYTES
-                continue
-            if count >= max_instructions:
-                state.pc = pc
-                self.instructions = count
-                raise InterpError(f"exceeded {max_instructions} instructions (runaway program?)")
-            kind = kinds[i]
-            if kind == K_SIMPLE:
-                runs[i](x, f)
-                count += 1
-                pc += INSTRUCTION_BYTES
-            elif kind == K_BRANCH:
-                target = runs[i](x, f)
-                count += 1
-                pc = target if target is not None else pc + INSTRUCTION_BYTES
-            elif kind == K_JUMP:
-                pc = runs[i](x, f)
-                count += 1
-            elif kind == K_ECALL:
-                count += 1
-                state.pc = pc
-                self.instructions = count
-                next_pc = self._syscall()
-                pc = next_pc if next_pc is not None else pc + INSTRUCTION_BYTES
-            elif kind == K_HALT:
-                count += 1
-                state.halted = True
-                if self.exit_code is None:
-                    self.exit_code = 0
-                break
-            else:  # K_LOAD / K_STORE / K_AMO
-                applies[i](x, f, mem, eas[i](x))
-                count += 1
-                pc += INSTRUCTION_BYTES
-        state.pc = pc
-        self.instructions = count
+        try:
+            while not state.halted:
+                offset = pc - TEXT_BASE
+                if offset & 7 or not 0 <= offset < limit:
+                    raise InterpError(f"PC {pc:#x} outside text segment")
+                i = offset >> 3
+                block = block_runs[i]
+                if block is not None and count + block_lens[i] <= max_instructions:
+                    target = block(x, f, mem)
+                    count += block_lens[i]
+                    pc = target if target is not None else pc + block_lens[i] * INSTRUCTION_BYTES
+                    continue
+                if count >= max_instructions:
+                    raise InterpError(f"exceeded {max_instructions} instructions (runaway program?)")
+                kind = kinds[i]
+                if kind == K_SIMPLE:
+                    runs[i](x, f)
+                    count += 1
+                    pc += INSTRUCTION_BYTES
+                elif kind == K_BRANCH:
+                    target = runs[i](x, f)
+                    count += 1
+                    pc = target if target is not None else pc + INSTRUCTION_BYTES
+                elif kind == K_JUMP:
+                    pc = runs[i](x, f)
+                    count += 1
+                elif kind == K_ECALL:
+                    count += 1
+                    state.pc = pc
+                    self.instructions = count
+                    next_pc = self._syscall()
+                    pc = next_pc if next_pc is not None else pc + INSTRUCTION_BYTES
+                elif kind == K_HALT:
+                    count += 1
+                    state.halted = True
+                    if self.exit_code is None:
+                        self.exit_code = 0
+                    break
+                else:  # K_LOAD / K_STORE / K_AMO
+                    applies[i](x, f, mem, eas[i](x))
+                    count += 1
+                    pc += INSTRUCTION_BYTES
+        finally:
+            state.pc = pc
+            self.instructions = count
         return InterpResult(
             exit_code=self.exit_code if self.exit_code is not None else 0,
             instructions=self.instructions,

@@ -184,8 +184,8 @@ class OoOCore:
         self._draining = False  # a serialising instruction waits for the ROB
 
     def _bind_tables(self, predecoded: bool) -> None:
-        """Per-PC tables: closures for the architectural backbone, address
-        closures and the dispatch plan.  ``dispatch="oracle"`` has none —
+        """Per-PC tables: functions for the architectural backbone, address
+        functions and the dispatch plan.  ``dispatch="oracle"`` has none —
         it interprets through funcsim and derives each plan on the fly."""
         pre = predecode_program(self.program) if predecoded else None
         self._runs: list | None = pre and pre.runs

@@ -52,7 +52,7 @@ def load_program(
         )
     stack_tops = [memory_bytes - i * stack_bytes - 64 for i in range(num_contexts)]
     thread_exit_pc = program.symbols.get("__thread_exit", program.entry)
-    # Warm the predecoded closure tables at load time (memoised on the
+    # Warm the predecoded function tables at load time (memoised on the
     # Program, so all cores sharing this image reuse one table).
     predecode_program(program)
     return LoadedImage(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu.arch import TargetFault
 from repro.cpu.interp import FunctionalInterpreter, InterpError, run_functional
 from repro.isa import assemble
 
@@ -252,3 +253,47 @@ def test_amo_program():
         """
     )
     assert result.int_output == [10, 15]
+
+
+# The faulting ``ld`` (a 16 TiB address) sits on the per-instruction path in
+# the first program — the ``ecall`` in front of it ends the superblock — and
+# inside the superblock entered at 0x10018 in the second.
+_FAULT_AFTER_ECALL = """
+main: addi a0, zero, 7
+      addi a7, zero, 1
+      ecall
+      lui  t3, 4095
+      addi a7, zero, 1
+      ecall
+      ld   t4, 0(t3)
+      ecall
+      halt
+"""
+_FAULT_IN_BLOCK = """
+main: addi a0, zero, 7
+      addi a7, zero, 1
+      ecall
+      lui  t3, 4095
+      addi t0, zero, 5
+      ld   t4, 0(t3)
+      addi t5, zero, 1
+      halt
+"""
+
+
+@pytest.mark.parametrize("src, dispatch, pc, instructions", [
+    (_FAULT_AFTER_ECALL, "oracle", 0x10030, 6),
+    (_FAULT_AFTER_ECALL, "predecoded", 0x10030, 6),
+    (_FAULT_IN_BLOCK, "oracle", 0x10028, 5),
+    (_FAULT_IN_BLOCK, "predecoded", 0x10018, 3),  # the block's entry
+], ids=["after-ecall-oracle", "after-ecall-predecoded", "in-block-oracle", "in-block-predecoded"])
+def test_target_fault_reports_where_it_happened(src, dispatch, pc, instructions):
+    """After a ``TargetFault`` the interpreter's pc and count are the
+    faulting instruction's (the oracle, and the predecoded per-instruction
+    path) or its superblock's entry — never the last syscall's."""
+    interp = FunctionalInterpreter(assemble(src), dispatch=dispatch)
+    with pytest.raises(TargetFault, match="out-of-bounds"):
+        interp.run()
+    assert (interp.state.pc, interp.instructions) == (pc, instructions)
+    # Effects in front of the fault stay: t0 was written inside the block.
+    assert interp.state.x[5] == (5 if src is _FAULT_IN_BLOCK else 0)

@@ -1,5 +1,7 @@
 """CLI tests (``slacksim`` / ``python -m repro``)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -49,9 +51,9 @@ def test_compile_asm_output(tmp_path, capsys):
 
 
 def test_sweep(capsys):
-    assert main(["sweep", "--workload", "lu", "--scale", "tiny"]) == 0
-    out = capsys.readouterr().out
-    assert "slack sweep" in out and "su" in out
+    assert main(["sweep", "ablations", "--scale", "tiny"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["experiment"] == "ablations" and doc["points"]
 
 
 def test_run_stats_out_then_show_and_diff(tmp_path, capsys):
@@ -145,6 +147,29 @@ def test_unknown_command_rejected():
         build_parser().parse_args(["frobnicate"])
 
 
-def test_run_requires_known_workload():
-    with pytest.raises(KeyError):
-        main(["run", "--workload", "nosuch", "--scale", "tiny"])
+def test_run_requires_known_workload(capsys):
+    assert main(["run", "--workload", "nosuch", "--scale", "tiny"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown workload 'nosuch'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--dispatch", "foo"],
+    ["run", "--core-model", "foo"],
+    ["run", "--scale", "huge"],
+    ["run", "--scheme", "zz"],
+    ["run", "--workload", "nope"],
+    ["run", "--replay-trace", "/nonexistent"],
+    ["sweep", "figure8", "--scale", "huge"],
+    ["sweep"],  # the experiment is required: no legacy single-workload form
+], ids=" ".join)
+def test_bad_argument_value_is_a_usage_error(argv, capsys):
+    """Exit code 2 and one ``error:`` line — argparse's for the flags with
+    ``choices``, ``main``'s for what spec/scheme/workload/trace validation
+    raises — never a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
