@@ -12,7 +12,11 @@ per checkout and compare::
     python benchmarks/iso_matrix.py --compare parent.json change.json
 
 ``--compare`` prints one line per differing field (and per cell present on
-one side only) and exits 1 when there is any; no output means iso.
+one side only) and exits 1 when there is any; no output means iso.  Building
+holds one equivalence inside a checkout as well: a ``NAME:replay`` cell must
+equal the ``NAME`` cell of the same scale/scheme/hosts in every compared field
+(replay is the direct run's pipeline behind another front end, DESIGN.md §11)
+— a difference is printed to stderr and the build exits 1.
 
 Workload tokens are the registered names, ``sharing`` (the coherence-dense
 8-core trace of the repo benchmark's ``mem-traffic``), ``NAME:ooo`` /
@@ -21,8 +25,9 @@ and ``NAME:func`` — the functional interpreter on the ``nthreads=1`` program,
 one cell per scale (no scheme, no host): instruction count, exit code, output
 digest and the final ``ArchState.digest()``.
 Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
-the repo benchmark's rule.  The defaults (~3 min a side) cover every core
-model: in-order, sharing-trace, replay, out-of-order (``fft:ooo``,
+the repo benchmark's rule.  The defaults (~4 min a side) cover every core
+model: in-order, sharing-trace, replay (``fft:replay``: barriers only;
+``water:replay``: locks, barriers and joins), out-of-order (``fft:ooo``,
 ``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter.
 """
 
@@ -36,8 +41,8 @@ from pathlib import Path
 
 SCALES = ("tiny", "small")
 WORKLOADS = (
-    "barnes", "fft", "lu", "water", "sharing", "fft:replay", "fft:ooo", "water:ooo",
-    "fft:func", "water:func",
+    "barnes", "fft", "lu", "water", "sharing", "fft:replay", "water:replay",
+    "fft:ooo", "water:ooo", "fft:func", "water:func",
 )
 SCHEMES = ("cc", "q3", "q10", "s9", "s100", "su")
 HOSTS = (1, 2, 8)
@@ -137,7 +142,23 @@ def build(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    diffs = 0
+    for key, cell in cells.items():
+        direct = cells.get(key.replace(":replay", ""))
+        if ":replay" in key and direct is not None:
+            diffs += diff_cells(key, cell, direct, sys.stderr)
+    return 1 if diffs else 0
+
+
+def diff_cells(key: str, a: dict, b: dict, out=None) -> int:
+    """Print one line per compared field that differs; returns how many."""
+    diffs = 0
+    for field in sorted((a.keys() | b.keys()) - {"info"}):
+        va, vb = a.get(field), b.get(field)
+        if va != vb:
+            print(f"{key}: {field}: {va} != {vb}", file=out)
+            diffs += 1
+    return diffs
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -148,12 +169,8 @@ def compare(path_a: str, path_b: str) -> int:
         if key not in a or key not in b:
             print(f"{key}: only in {path_a if key in a else path_b}")
             diffs += 1
-            continue
-        for field in sorted((a[key].keys() | b[key].keys()) - {"info"}):
-            va, vb = a[key].get(field), b[key].get(field)
-            if va != vb:
-                print(f"{key}: {field}: {va} != {vb}")
-                diffs += 1
+        else:
+            diffs += diff_cells(key, a[key], b[key])
     return 1 if diffs else 0
 
 

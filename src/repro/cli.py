@@ -34,6 +34,7 @@ import sys
 from repro._util import atomic_write_text
 from repro.core import run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.core.engine import EngineError
 from repro.trace import TraceError
 
 __all__ = ["main"]
@@ -95,6 +96,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("OUTPUT MISMATCH:")
         print(f"  {exc}")
         return 1
+    except EngineError as exc:
+        if not args.replay_trace:
+            raise
+        # The named capture cannot serve this run (core model, core count,
+        # another program): a bad argument, and no record was written.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     record = outcome.record
     print(record_summary(record))
     if outcome.hit:

@@ -50,7 +50,12 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: out-of-order core pickles a scoreboard (``pending``/``consumers``, a
 #: completion heap, a ready list) instead of ``deps`` chains; in-order
 #: pickles did not change shape, format-3 files are refused for ``ooo`` only.
-CHECKPOINT_FORMAT = 4
+#: 5: the in-order and replay cores share one pipeline class — the in-flight
+#: request ``_pending`` is one ``(op, addr, block, cache)`` record for both
+#: (it was ``insn``/``is_write``/``is_ifetch`` slots on the direct core and a
+#: tuple on the replay core), and the system object pickles as
+#: ``SystemBase`` state.
+CHECKPOINT_FORMAT = 5
 
 
 class CheckpointError(EngineError):

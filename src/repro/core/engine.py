@@ -133,16 +133,7 @@ class SequentialEngine:
             else:
                 if program is None:
                     raise EngineError("either a program or trace_cores is required")
-                if self.target.core_model != "inorder":
-                    raise EngineError(
-                        "trace capture requires the inorder core model "
-                        "(the capture seam lives at its commit sites)"
-                    )
-                if self.target.model_icache:
-                    raise EngineError(
-                        "trace capture records the D-side seam only; "
-                        "disable model_icache"
-                    )
+                self._require_commit_seam("capture")
                 l1c = self.target.l1
                 self._capture = _tcapture.TraceRecorder(self.target.num_cores)
                 self._capture_header = {
@@ -176,6 +167,7 @@ class SequentialEngine:
                     raise EngineError(
                         "a program-flavor trace cannot replay into trace cores"
                     )
+                self._require_commit_seam("replay")
                 if program is not None:
                     # The validity key: replaying against a program whose
                     # digest differs from the recorded one is refused outright.
@@ -237,10 +229,10 @@ class SequentialEngine:
             for ct in self.cores:
                 ct.model.emit = ct.outq.push  # type: ignore[attr-defined]
         elif self._replay_ops is not None:
-            # Program-flavor replay: ReplayCores feed the recorded committed
-            # streams through the live engine/scheme/memory stack; the
-            # ReplaySystem re-enacts sync/threads/output from recorded,
-            # resolved arguments.  No image, no registers, no predecode.
+            # Program-flavor replay: the in-order pipeline behind its trace
+            # front end (ReplayCore), and ReplaySystem — the image-free half
+            # of the system emulation — fed recorded, resolved arguments.
+            # No image, no registers, no predecode.
             from repro.trace.replay import ReplayCore, ReplaySystem
 
             self.image = None
@@ -303,6 +295,21 @@ class SequentialEngine:
             assert self.image is not None
             self._init_registers(0, tid=0)
             self._start_core(self.cores[0], pc=self.image.program.entry, arg=0, ts=0)
+
+    def _require_commit_seam(self, what: str) -> None:
+        """A program-flavor trace is the in-order pipeline's D-side commit
+        stream: any other target would record, or be re-timed as, a model it
+        is not (and seal the numbers under its own job key)."""
+        if self.target.core_model != "inorder":
+            raise EngineError(
+                f"trace {what} requires the inorder core model "
+                f"(the commit seam is its pipeline), not "
+                f"{self.target.core_model!r}"
+            )
+        if self.target.model_icache:
+            raise EngineError(
+                f"trace {what} covers the D-side seam only; disable model_icache"
+            )
 
     def _build_core_model(self, core_id: int, program: Program, ct: CoreThread):
         """Instantiate the configured core model (inorder | ooo)."""

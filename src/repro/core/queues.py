@@ -33,7 +33,7 @@ class OutQ:
         """Remove and return all entries (manager side).
 
         Implemented with atomic ``popleft`` so a concurrent producer (the
-        threaded engine's core thread) can never lose an event.
+        real-thread test harness's core thread) can never lose an event.
         """
         items: list[Event] = []
         q = self._q

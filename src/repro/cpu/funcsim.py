@@ -85,7 +85,7 @@ def do_amo(state: ArchState, insn: Instruction, mem: TargetMemory, addr: int) ->
     """Atomic read-modify-write: old value to ``rd``, new value to memory.
 
     Atomicity holds by construction in the sequential engine and is enforced
-    by the emulation-layer lock in the threaded engine.
+    by the emulation-layer lock in the real-thread test harness.
     """
     old = mem.load_word(addr)
     if insn.op is Op.AMOSWAP:
@@ -100,6 +100,16 @@ def do_amo(state: ArchState, insn: Instruction, mem: TargetMemory, addr: int) ->
 
 def _fsqrt(v: float) -> float:
     return math.sqrt(v) if v >= 0.0 else math.nan
+
+
+# IEEE 754: sin/cos of an infinity is an invalid operation -> NaN (the host's
+# ``math.sin`` raises instead, which would take the simulator down).
+def _fsin(v: float) -> float:
+    return math.nan if math.isinf(v) else math.sin(v)
+
+
+def _fcos(v: float) -> float:
+    return math.nan if math.isinf(v) else math.cos(v)
 
 
 def _fcvt_l_d(v: float) -> int:
@@ -366,12 +376,12 @@ def _(state, insn, mem):
 
 @_op(Op.FSIN)
 def _(state, insn, mem):
-    state.f[insn.rd] = math.sin(state.f[insn.rs1])
+    state.f[insn.rd] = _fsin(state.f[insn.rs1])
 
 
 @_op(Op.FCOS)
 def _(state, insn, mem):
-    state.f[insn.rd] = math.cos(state.f[insn.rs1])
+    state.f[insn.rd] = _fcos(state.f[insn.rs1])
 
 
 @_op(Op.FEQ)

@@ -10,6 +10,12 @@ Functional effects follow isochrone semantics (paper §3.2): values are read
 and written in the shared functional memory at the simulated moment the
 access completes — L1 hits at the execute cycle, misses when the response is
 applied.
+
+The model is cut where trace capture cuts it (DESIGN.md §11):
+:class:`InOrderPipeline` owns everything that happens *after* an instruction
+is known, and a front end decides what the next instruction is —
+:class:`InOrderCore` by executing the program,
+:class:`repro.trace.replay.ReplayCore` by decoding a recorded commit stream.
 """
 
 from __future__ import annotations
@@ -25,79 +31,69 @@ from repro.cpu.predecode import (
 from repro.cpu.l1cache import MESI, AccessResult, L1Cache
 from repro.core.events import EvKind, Event
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
-from repro.isa.opcodes import Op
 from repro.isa.program import TEXT_BASE, Program
-from repro.sysapi.system import SysAction, SystemEmulation
+from repro.sysapi.system import SysAction, SysResult, SystemBase, SystemEmulation
 from repro.trace.capture import mem_acc, record_syscall
 from repro.violations.detect import WordOrderTracker
 
-__all__ = ["InOrderCore"]
+__all__ = ["InOrderCore", "InOrderPipeline"]
 
 _GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
 
 
 class _PendingMem:
-    __slots__ = ("insn", "addr", "block", "is_write", "is_ifetch")
+    """The one request in flight: *op* is the front end's token for the
+    access to retire once *block* has been filled into *cache* (``None``:
+    nothing retires — a fill the front end wanted for itself)."""
 
-    def __init__(self, insn: Instruction | None, addr: int, block: int, is_write: bool, is_ifetch: bool) -> None:
-        self.insn = insn
+    __slots__ = ("op", "addr", "block", "cache")
+
+    def __init__(self, op, addr: int, block: int, cache: L1Cache) -> None:
+        self.op = op
         self.addr = addr
         self.block = block
-        self.is_write = is_write
-        self.is_ifetch = is_ifetch
+        self.cache = cache
 
 
-class InOrderCore:
-    """One target core with private L1 D-cache (and optional I-cache)."""
+class InOrderPipeline:
+    """The stall-on-miss pipeline behind a front end.
+
+    A front end supplies ``_fetch_execute(now)`` (decide the instruction at
+    the head cycle and hand it to the pipeline), the retire hooks below it
+    and its own ``advance(now, limit, stats)`` hot loop
+    (:class:`~repro.cpu.interfaces.CoreModel`).  Shadowing that method with
+    the *instance* attribute ``advance = None`` keeps a core on the
+    per-instruction path: CoreThread hoists ``getattr(model, "advance",
+    None)``, so there is no per-cycle gate.
+    """
 
     def __init__(
         self,
         core_id: int,
-        program: Program,
-        memory: TargetMemory,
         l1d: L1Cache,
         emit: Callable[[Event], None],
-        system: SystemEmulation,
-        *,
+        system: SystemBase,
+        word_tracker: WordOrderTracker | None,
+        fastforward: bool,
         l1i: L1Cache | None = None,
-        word_tracker: WordOrderTracker | None = None,
-        fastforward: bool = False,
-        dispatch: str = "predecoded",
-        tracer=None,
     ) -> None:
         self.core_id = core_id
-        self.program = program
-        self.memory = memory
         self.l1d = l1d
         self.l1i = l1i
         self.emit = emit
         self.system = system
         self.word_tracker = word_tracker
         self.fastforward = fastforward
-        # Optional trace-capture recorder (repro.trace.capture.CoreRecorder).
-        # None on direct runs: every commit site pays one `is not None` check.
-        self._rec = tracer
+        if fastforward:
+            # A fast-forwarded store moves ``_busy_until`` (``_retire_mem``),
+            # which an ``advance`` loop keeps in a local.
+            self.advance = None
 
-        self.state: ArchState | None = None
         self.phase = CorePhase.IDLE
         self.committed = 0
         self.stall_cycles = 0
         self.pending_wakes: list[tuple[int, int]] = []
 
-        self._text = program.text
-        # Predecoded function tables plus compiled timing superblocks — what
-        # :meth:`advance` runs on.  An I-cache (every fetch must probe it),
-        # fast-forwarding (a store can move ``_busy_until``) and the oracle
-        # dispatch keep the per-instruction path.
-        if dispatch not in ("predecoded", "oracle"):
-            raise ValueError(f"unknown dispatch mode {dispatch!r}")
-        predecoded = dispatch == "predecoded"
-        self._bind_tables(predecoded, predecoded and l1i is None and not fastforward)
-        if self._tblocks is None:
-            # Shadow the class method so CoreThread's hoisted
-            # ``getattr(model, "advance", None)`` skips the fast path
-            # without a per-cycle gate.
-            self.advance = None
         self._busy_until = -1
         self._pending: _PendingMem | None = None
         self._resp: Event | None = None
@@ -108,56 +104,15 @@ class InOrderCore:
         self._pending_down = False
         self._blocked = False
         self._release_ts: int | None = None
-        self._ifetch_ok_pc = -1  # pc whose I-fetch already completed
-
-    # ------------------------------------------------------------- pickling
-    def _bind_tables(self, predecoded: bool, tblocks: bool) -> None:
-        """(Re-)derive the program-memoised dispatch tables."""
-        if predecoded:
-            pre = predecode_program(self.program)
-            self._kinds: list | None = pre.kinds
-            self._runs = pre.runs
-            self._eas = pre.eas
-            self._applies = pre.applies
-            self._latencies = pre.latencies
-        else:
-            self._kinds = None
-        self._tblocks = timing_blocks(self.program) if tblocks else None
-
-    def __getstate__(self):
-        # The predecoded dispatch tables are generated functions — unpicklable
-        # and derived purely from the program, so checkpoints drop them and
-        # __setstate__ re-derives via the program-memoised predecode pass.
-        state = dict(self.__dict__)
-        predecoded = state.pop("_kinds", None) is not None
-        for key in ("_runs", "_eas", "_applies", "_latencies"):
-            state.pop(key, None)
-        state["_pickle_predecoded"] = predecoded
-        state["_pickle_tblocks"] = state.pop("_tblocks", None) is not None
-        return state
-
-    def __setstate__(self, state) -> None:
-        predecoded = state.pop("_pickle_predecoded")
-        tblocks = state.pop("_pickle_tblocks", False)
-        self.__dict__.update(state)
-        self._bind_tables(predecoded, tblocks)
 
     # ------------------------------------------------------------ lifecycle
     def activate(self, pc: int, arg: int, ts: int) -> None:
         if self.phase not in (CorePhase.IDLE, CorePhase.HALTED):
             raise RuntimeError(f"core {self.core_id} activated while {self.phase}")
-        assert self.state is not None, "bind a context before activating"
         if self._pending is not None or self._blocked:
             raise RuntimeError(f"core {self.core_id} reactivated with in-flight state")
-        self.state.pc = pc
-        self.state.halted = False
-        self.state.set_x(10, arg)  # a0
         self._busy_until = -1
-        self._ifetch_ok_pc = -1
         self.phase = CorePhase.ACTIVE
-
-    def bind_context(self, state: ArchState) -> None:
-        self.state = state
 
     # ------------------------------------------------------------- delivery
     def deliver_response(self, event: Event) -> None:
@@ -181,8 +136,9 @@ class InOrderCore:
         """Arm the wake-up for a BLOCK-ed syscall.
 
         May legitimately arrive *before* this core observes the BLOCK result
-        in the threaded engine (the releaser runs concurrently); the value is
-        consumed exactly once when the blocking syscall finishes.
+        when cores run on real threads (``tests/core/threaded_harness.py``:
+        the releaser runs concurrently); the value is consumed exactly once
+        when the blocking syscall finishes.
         """
         self._release_ts = release_ts
 
@@ -219,6 +175,197 @@ class InOrderCore:
         if self._blocked or self._pending is not None:
             self.stall_cycles += n
 
+    def step(self, now: int) -> tuple[int, bool]:
+        if self.phase in (CorePhase.IDLE, CorePhase.HALTED):
+            return 0, False
+        if self._blocked:
+            if self._release_ts is not None and now >= self._release_ts:
+                self._blocked = False
+                self._release_ts = None
+                self.phase = CorePhase.ACTIVE
+                return self._proceed(now, 1)  # resume costs this cycle
+            # A blocked workload thread spins in target code (load flag,
+            # branch): the core thread simulates real instructions, so the
+            # host pays full per-cycle cost.  This is what keeps de-facto
+            # slack bounded under SU on a fair host (paper §4.2.2's
+            # "surprisingly low" unbounded-slack errors) — unlike memory
+            # stalls, where the frozen pipeline is cheap to simulate.
+            self.stall_cycles += 1
+            return 0, True
+        if self._pending is not None:
+            if self._resp is not None:
+                return self._complete_mem(now)
+            self.stall_cycles += 1
+            return 0, False
+        if now <= self._busy_until:
+            return 0, False  # frozen while a multi-cycle op drains (cheap)
+        return self._fetch_execute(now)
+
+    # ------------------------------------------------------------ front end
+    def _fetch_execute(self, now: int) -> tuple[int, bool]:
+        """Decide the instruction at head cycle *now* and run it through the
+        pipeline; returns ``step``'s ``(committed, active)``."""
+        raise NotImplementedError
+
+    def _retire_mem(self, op, addr: int, now: int) -> None:
+        """The access *op* at *addr* completes at *now*: touch the violation
+        tracker, then whatever architectural state the front end keeps.
+
+        A fast-forwarded store leaves its compensation in ``_busy_until``
+        (``now + ff`` when ``observe_store`` returns *ff* and
+        ``self.fastforward`` is set); the pipeline folds its own latency in
+        with ``max``, never overwrites.
+        """
+        raise NotImplementedError
+
+    def _retire_syscall(self) -> None:
+        """A non-blocking or resumed ``ecall`` retires."""
+
+    # ----------------------------------------------------------- sub-phases
+    def _issue_miss(self, op, addr: int, is_write: bool, result: AccessResult, now: int) -> None:
+        block = self.l1d.block_addr(addr)
+        if result is AccessResult.UPGRADE:
+            kind = EvKind.UPGRADE
+        else:
+            kind = EvKind.GETX if is_write else EvKind.GETS
+        self.emit(Event(kind, block, self.core_id, now))
+        self._pending = _PendingMem(op, addr, block, self.l1d)
+        self.phase = CorePhase.STALLED
+
+    def _complete_mem(self, now: int) -> tuple[int, bool]:
+        pending = self._pending
+        resp = self._resp
+        assert pending is not None and resp is not None
+        self._pending = None
+        self._resp = None
+        grant = _GRANT_TO_MESI.get(resp.grant or "")
+        if grant is None:
+            raise RuntimeError(f"core {self.core_id}: response without grant: {resp}")
+        cache = pending.cache
+        victim = cache.fill(pending.block, grant)
+        if victim is not None:
+            self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
+        if self._pending_inval:
+            cache.invalidate(pending.block)
+        elif self._pending_down:
+            cache.downgrade(pending.block)
+        self._pending_inval = self._pending_down = False
+        self.phase = CorePhase.ACTIVE
+        if pending.op is None:
+            self._busy_until = now  # the front end fetches again next cycle
+            return 0, True
+        self._retire_mem(pending.op, pending.addr, now)
+        self._busy_until = max(self._busy_until, now + self.l1d.config.hit_latency - 1)
+        self.committed += 1
+        return 1, True
+
+    def _finish_syscall(self, result: SysResult, now: int) -> tuple[int, bool]:
+        """Apply what the system emulation answered to an ``ecall``."""
+        if result.wakes:
+            self.pending_wakes.extend(result.wakes)
+        if result.action is SysAction.EXIT:
+            self.phase = CorePhase.HALTED
+            self.committed += 1
+            return 1, True
+        if result.action is SysAction.BLOCK:
+            # Do not reset _release_ts: with cores on real threads the wake
+            # may already have arrived; it is cleared on consumption.
+            self._blocked = True
+            self.phase = CorePhase.STALLED
+            return 0, True
+        return self._proceed(now, result.cost)
+
+    def _proceed(self, now: int, cost: int) -> tuple[int, bool]:
+        self._retire_syscall()
+        self._busy_until = now + cost - 1
+        self.committed += 1
+        return 1, True
+
+
+class InOrderCore(InOrderPipeline):
+    """One target core executing the program, with private L1 D-cache (and
+    optional I-cache)."""
+
+    def __init__(
+        self,
+        core_id: int,
+        program: Program,
+        memory: TargetMemory,
+        l1d: L1Cache,
+        emit: Callable[[Event], None],
+        system: SystemEmulation,
+        *,
+        l1i: L1Cache | None = None,
+        word_tracker: WordOrderTracker | None = None,
+        fastforward: bool = False,
+        dispatch: str = "predecoded",
+        tracer=None,
+    ) -> None:
+        super().__init__(core_id, l1d, emit, system, word_tracker, fastforward, l1i)
+        self.program = program
+        self.memory = memory
+        # Optional trace-capture recorder (repro.trace.capture.CoreRecorder).
+        # None on direct runs: every commit site pays one `is not None` check.
+        self._rec = tracer
+        self.state: ArchState | None = None
+        self._text = program.text
+        # Predecoded function tables plus compiled timing superblocks — what
+        # :meth:`advance` runs on.  An I-cache (every fetch must probe it),
+        # fast-forwarding and the oracle dispatch keep the per-instruction
+        # path.
+        if dispatch not in ("predecoded", "oracle"):
+            raise ValueError(f"unknown dispatch mode {dispatch!r}")
+        predecoded = dispatch == "predecoded"
+        self._bind_tables(predecoded, predecoded and l1i is None and not fastforward)
+        if self._tblocks is None:
+            self.advance = None
+        self._ifetch_ok_pc = -1  # pc whose I-fetch is issued or complete
+
+    # ------------------------------------------------------------- pickling
+    def _bind_tables(self, predecoded: bool, tblocks: bool) -> None:
+        """(Re-)derive the program-memoised dispatch tables."""
+        if predecoded:
+            pre = predecode_program(self.program)
+            self._kinds: list | None = pre.kinds
+            self._runs = pre.runs
+            self._eas = pre.eas
+            self._applies = pre.applies
+            self._latencies = pre.latencies
+        else:
+            self._kinds = None
+        self._tblocks = timing_blocks(self.program) if tblocks else None
+
+    def __getstate__(self):
+        # The predecoded dispatch tables are generated functions — unpicklable
+        # and derived purely from the program, so checkpoints drop them and
+        # __setstate__ re-derives via the program-memoised predecode pass.
+        state = dict(self.__dict__)
+        predecoded = state.pop("_kinds", None) is not None
+        for key in ("_runs", "_eas", "_applies", "_latencies"):
+            state.pop(key, None)
+        state["_pickle_predecoded"] = predecoded
+        state["_pickle_tblocks"] = state.pop("_tblocks", None) is not None
+        return state
+
+    def __setstate__(self, state) -> None:
+        predecoded = state.pop("_pickle_predecoded")
+        tblocks = state.pop("_pickle_tblocks", False)
+        self.__dict__.update(state)
+        self._bind_tables(predecoded, tblocks)
+
+    # ------------------------------------------------------------ lifecycle
+    def activate(self, pc: int, arg: int, ts: int) -> None:
+        assert self.state is not None, "bind a context before activating"
+        super().activate(pc, arg, ts)
+        self.state.pc = pc
+        self.state.halted = False
+        self.state.set_x(10, arg)  # a0
+        self._ifetch_ok_pc = -1
+
+    def bind_context(self, state: ArchState) -> None:
+        self.state = state
+
+    # ---------------------------------------------------- batched stepping
     def advance(self, now: int, limit: int, stats) -> int:
         """Commit instruction after instruction over ``[now, limit)``;
         returns the cycles consumed, accounted into *stats*.
@@ -322,41 +469,7 @@ class InOrderCore:
         stats.skip_stretches += stretches
         return cycles
 
-    # ----------------------------------------------------------------- step
-    def step(self, now: int) -> tuple[int, bool]:
-        if self.phase in (CorePhase.IDLE, CorePhase.HALTED):
-            return 0, False
-        if self._blocked:
-            if self._release_ts is not None and now >= self._release_ts:
-                return self._finish_blocking_syscall(now)
-            # A blocked workload thread spins in target code (load flag,
-            # branch): the core thread simulates real instructions, so the
-            # host pays full per-cycle cost.  This is what keeps de-facto
-            # slack bounded under SU on a fair host (paper §4.2.2's
-            # "surprisingly low" unbounded-slack errors) — unlike memory
-            # stalls, where the frozen pipeline is cheap to simulate.
-            self.stall_cycles += 1
-            return 0, True
-        if self._pending is not None:
-            if self._resp is not None:
-                return self._complete_mem(now)
-            self.stall_cycles += 1
-            return 0, False
-        if now <= self._busy_until:
-            return 0, False  # frozen while a multi-cycle op drains (cheap)
-        return self._fetch_execute(now)
-
-    # ----------------------------------------------------------- sub-phases
-    def _finish_blocking_syscall(self, now: int) -> tuple[int, bool]:
-        assert self.state is not None
-        self._blocked = False
-        self._release_ts = None
-        self.state.pc += INSTRUCTION_BYTES
-        self._busy_until = now  # resume costs this cycle
-        self.phase = CorePhase.ACTIVE
-        self.committed += 1
-        return 1, True
-
+    # ------------------------------------------------------------ front end
     def _fetch(self, pc: int) -> Instruction:
         index = (pc - TEXT_BASE) >> 3
         if not 0 <= index < len(self._text) or pc & 7:
@@ -370,13 +483,15 @@ class InOrderCore:
 
         # Optional I-cache: model a GETS for the text block on a miss.
         if self.l1i is not None and self._ifetch_ok_pc != pc:
+            # Settled by this probe either way: a hit now, or the fill the
+            # frozen pipeline waits for (``op=None``: nothing retires).
+            self._ifetch_ok_pc = pc
             if self.l1i.access(pc, False) is not AccessResult.HIT:
                 block = self.l1i.block_addr(pc)
                 self.emit(Event(EvKind.GETS, block, self.core_id, now))
-                self._pending = _PendingMem(None, pc, block, False, True)
+                self._pending = _PendingMem(None, pc, block, self.l1i)
                 self.phase = CorePhase.STALLED
                 return 0, True
-            self._ifetch_ok_pc = pc
 
         kinds = self._kinds
         if kinds is not None:
@@ -436,86 +551,44 @@ class InOrderCore:
         is_write = info.is_store  # AMOs count as writes for coherence
         result = self.l1d.access(addr, is_write)
         if result is AccessResult.HIT:
-            self._apply_mem_functional(insn, addr, now)
+            self._retire_mem(insn, addr, now)
             self._busy_until = max(
                 self._busy_until, now + max(self.l1d.config.hit_latency, info.latency) - 1
             )
-            self.state.pc += INSTRUCTION_BYTES
-            self._ifetch_ok_pc = -1
             self.committed += 1
             return 1, True
         self._issue_miss(insn, addr, is_write, result, now)
         return 0, True  # the issue cycle itself is active work
 
-    def _issue_miss(
-        self, insn: Instruction, addr: int, is_write: bool, result: AccessResult, now: int
-    ) -> None:
-        block = self.l1d.block_addr(addr)
-        if result is AccessResult.UPGRADE:
-            kind = EvKind.UPGRADE
-        else:
-            kind = EvKind.GETX if is_write else EvKind.GETS
-        self.emit(Event(kind, block, self.core_id, now))
-        self._pending = _PendingMem(insn, addr, block, is_write, False)
-        self.phase = CorePhase.STALLED
-
-    def _complete_mem(self, now: int) -> tuple[int, bool]:
-        assert self.state is not None
-        pending = self._pending
-        resp = self._resp
-        assert pending is not None and resp is not None
-        self._pending = None
-        self._resp = None
-        grant = _GRANT_TO_MESI.get(resp.grant or "")
-        if grant is None:
-            raise RuntimeError(f"core {self.core_id}: response without grant: {resp}")
-        cache = self.l1i if pending.is_ifetch and self.l1i is not None else self.l1d
-        victim = cache.fill(pending.block, grant)
-        if victim is not None:
-            self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
-        if self._pending_inval:
-            cache.invalidate(pending.block)
-        elif self._pending_down:
-            cache.downgrade(pending.block)
-        self._pending_inval = self._pending_down = False
-        self.phase = CorePhase.ACTIVE
-        if pending.is_ifetch:
-            self._ifetch_ok_pc = pending.addr
-            self._busy_until = now  # re-fetch next cycle
-            return 0, True
-        assert pending.insn is not None
-        self._apply_mem_functional(pending.insn, pending.addr, now)
-        self._busy_until = max(self._busy_until, now + self.l1d.config.hit_latency - 1)
-        self.state.pc += INSTRUCTION_BYTES
-        self._ifetch_ok_pc = -1
-        self.committed += 1
-        return 1, True
-
-    def _apply_mem_functional(self, insn: Instruction, addr: int, now: int) -> None:
-        """Touch the shared functional memory at simulated time *now*.
-
-        A fast-forwarded store leaves its compensation in ``_busy_until``;
-        callers fold their own latency in with ``max``, never overwrite.
-        """
-        assert self.state is not None
+    def _retire_mem(self, insn: Instruction, addr: int, now: int) -> None:
+        """Touch the shared functional memory at simulated time *now*."""
+        state = self.state
+        assert state is not None
+        tracker = self.word_tracker
         info = insn.info
         if info.is_amo:
-            if self.word_tracker is not None:
-                self.word_tracker.observe_load(addr, self.core_id, now)
-                ff = self.word_tracker.observe_store(addr, self.core_id, now)
+            if tracker is not None:
+                tracker.observe_load(addr, self.core_id, now)
+                ff = tracker.observe_store(addr, self.core_id, now)
                 if ff and self.fastforward:
                     self._busy_until = now + ff
-            do_amo(self.state, insn, self.memory, addr)
+            do_amo(state, insn, self.memory, addr)
         elif info.is_store:
-            if self.word_tracker is not None:
-                ff = self.word_tracker.observe_store(addr, self.core_id, now)
+            if tracker is not None:
+                ff = tracker.observe_store(addr, self.core_id, now)
                 if ff and self.fastforward:
                     self._busy_until = now + ff
-            do_store(self.state, insn, self.memory, addr)
+            do_store(state, insn, self.memory, addr)
         else:
-            if self.word_tracker is not None:
-                self.word_tracker.observe_load(addr, self.core_id, now)
-            do_load(self.state, insn, self.memory, addr)
+            if tracker is not None:
+                tracker.observe_load(addr, self.core_id, now)
+            do_load(state, insn, self.memory, addr)
+        state.pc += INSTRUCTION_BYTES
+        self._ifetch_ok_pc = -1
+
+    def _retire_syscall(self) -> None:
+        self.state.pc += INSTRUCTION_BYTES
+        self._ifetch_ok_pc = -1
 
     def _execute_syscall(self, now: int) -> tuple[int, bool]:
         assert self.state is not None
@@ -529,21 +602,6 @@ class InOrderCore:
         result = self.system.syscall(self.core_id, self.state, now)
         if rec is not None:
             record_syscall(rec, num, a0, a1, fa0, self.system, self.state)
-        if result.wakes:
-            self.pending_wakes.extend(result.wakes)
         if result.action is SysAction.EXIT:
-            self.phase = CorePhase.HALTED
             self.state.halted = True
-            self.committed += 1
-            return 1, True
-        if result.action is SysAction.BLOCK:
-            # Do not reset _release_ts: the wake may already have arrived
-            # (threaded engine); it is cleared on consumption.
-            self._blocked = True
-            self.phase = CorePhase.STALLED
-            return 0, True
-        self.state.pc += INSTRUCTION_BYTES
-        self._busy_until = now + result.cost - 1
-        self._ifetch_ok_pc = -1
-        self.committed += 1
-        return 1, True
+        return self._finish_syscall(result, now)

@@ -4,8 +4,9 @@ A core model simulates one target core cycle-by-cycle: ``step(now)`` returns
 ``(committed, active)`` per cycle.  The surrounding
 :class:`~repro.core.corethread.CoreThread` owns the clock protocol and the
 event queues; the core model owns the pipeline state and its private L1.
-Implementations: :class:`~repro.cpu.inorder.InOrderCore`,
-:class:`~repro.cpu.ooo.OoOCore`,
+Implementations: :class:`~repro.cpu.inorder.InOrderCore` and
+:class:`~repro.trace.replay.ReplayCore` (two front ends of
+:class:`~repro.cpu.inorder.InOrderPipeline`), :class:`~repro.cpu.ooo.OoOCore`,
 :class:`~repro.workloads.synthetic.TraceCore`.
 """
 
@@ -36,7 +37,8 @@ class CorePhase(enum.Enum):
 
 
 class CoreModel(Protocol):
-    """Protocol implemented by InOrderCore, OoOCore and TraceCore."""
+    """Protocol implemented by InOrderPipeline's front ends, OoOCore and
+    TraceCore."""
 
     core_id: int
 
@@ -63,16 +65,18 @@ class CoreModel(Protocol):
     @property
     def phase(self) -> CorePhase: ...
 
-    def stall_hint(self, now: int) -> int | None:
-        """If stalled until a known simulated time, return it (skip-ahead).
-
-        Asked only of models stepped cycle by cycle (no ``wait_state``: the
-        OoO core under ``stepping="single"``, ad-hoc test models); the
-        batched protocol below subsumes it.
-        """
-
+    # -- per-cycle skip-ahead: models without ``wait_state`` only ----------
+    #
+    # def stall_hint(self, now: int) -> int | None:
+    #     """If stalled until a known simulated time, return it."""
+    #
+    # Asked of the models the CoreThread steps cycle by cycle (OoOCore, the
+    # only one under src/, and ad-hoc test models); the batched protocol
+    # below subsumes it.
+    #
     # -- optional batched-stepping extension (see DESIGN.md §5) ------------
     #
+    # Reference implementation: :class:`repro.cpu.inorder.InOrderPipeline`.
     # Models that additionally implement the two methods below opt into the
     # engine's run-ahead fast path: while ``wait_state`` reports a wait, the
     # CoreThread advances local time in one jump (``skip``) instead of one
@@ -94,7 +98,7 @@ class CoreModel(Protocol):
     #     """Account n wait cycles at once (e.g. bump stall counters)."""
     #
     # A third optional method moves the commit cycles between waits into the
-    # model as well (InOrderCore, ReplayCore):
+    # model as well (one loop per front end: InOrderCore, ReplayCore):
     #
     # def advance(self, now: int, limit: int, stats: BatchStats) -> int:
     #     """Run cycles [now, limit) exactly as the wait_state/skip/step

@@ -261,8 +261,9 @@ class OoOCore:
         """Arm the wake-up for a BLOCK-ed syscall.
 
         May legitimately arrive *before* this core observes the BLOCK result
-        in the threaded engine (the releaser runs concurrently); the value is
-        consumed exactly once when the blocking syscall finishes.
+        when cores run on real threads (``tests/core/threaded_harness.py``:
+        the releaser runs concurrently); the value is consumed exactly once
+        when the blocking syscall finishes.
         """
         self._release_ts = release_ts
 
@@ -665,7 +666,7 @@ class OoOCore:
             return 1
         if result.action is SysAction.BLOCK:
             # Do not reset _release_ts: the wake may already have arrived
-            # (threaded engine); it is cleared on consumption.
+            # (cores on real threads); it is cleared on consumption.
             self._blocked = True
             self.phase = CorePhase.STALLED
             return 0

@@ -43,7 +43,7 @@ import math
 import struct
 
 from repro._util import to_signed64
-from repro.cpu.funcsim import _div, _fcvt_l_d, _fsqrt, _rem
+from repro.cpu.funcsim import _div, _fcos, _fcvt_l_d, _fsin, _fsqrt, _rem
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import OPINFO, Op
 from repro.isa.program import TEXT_BASE, Program
@@ -214,8 +214,8 @@ _TIMING_NAMESPACE = {
     "_min": min,
     "_max": max,
     "_abs": abs,
-    "_sin": math.sin,
-    "_cos": math.cos,
+    "_sin": _fsin,
+    "_cos": _fcos,
     "_float": float,
     "_pack": struct.pack,
     "_unpack": struct.unpack,

@@ -12,8 +12,8 @@ All methods return a :class:`SyncResult`:
 * ``BLOCK``: the caller's workload thread must wait; a later call by another
   core produces a wake order ``(core, release_ts)``.
 
-The same object serves both engines; the threaded engine serialises calls
-with one host mutex (the emulation layer is atomic by construction).
+The real-thread test harness (``tests/core/threaded_harness.py``) serialises
+calls with one host mutex (the emulation layer is atomic by construction).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ What makes the stream scheme-invariant: the simulation seed only jitters
 modeled host costs, and scheme choice only re-times the same committed
 instructions — neither changes which instructions commit, in what
 per-core order, with which addresses.  (Double-capture equality under
-different schemes/seeds is pinned by tests/trace/test_roundtrip.py.)
+different schemes/seeds is pinned by tests/trace/test_capture_replay.py.)
 The one caveat is control flow derived from emulation results that
 depend on cross-core interleaving — ``clock()`` values or concurrent
 ``sbrk`` returns; no registered workload does either.

@@ -282,6 +282,23 @@ class TestProgramEngine:
         assert r.int_output() == [2 * sum(range(1, 8))]
 
 
+def test_icache_runs_are_pinned_and_stepping_invariant():
+    """``model_icache``: an I-fetch miss freezes the in-order pipeline on a fill
+    that retires nothing, then fetches again.  The cycle counts are the ones
+    the core produced before its pipeline was shared with the replay front
+    end; the per-cycle oracle must agree with the batched path bit for bit."""
+    from repro.workloads.registry import make_workload
+    from tests.conftest import assert_same_run
+
+    prog = make_workload("fft", scale="tiny").program
+    for scheme, cycles in (("cc", 17627), ("s9", 17680)):
+        kw = dict(target=TargetConfig(model_icache=True), host=HostConfig(num_cores=8),
+                  sim=SimConfig(scheme=scheme, seed=3))
+        batched = SequentialEngine(prog, **kw).run()
+        assert batched.completed and batched.execution_cycles == cycles
+        assert_same_run(batched, SequentialEngine(prog, stepping="single", **kw).run())
+
+
 def test_result_to_dict_is_json_serialisable():
     import json
 

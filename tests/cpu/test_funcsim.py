@@ -146,6 +146,14 @@ class TestFloat:
         assert run_op(Op.FSQRT, f1=9.0).f[3] == 3.0
         assert math.isnan(run_op(Op.FSQRT, f1=-1.0).f[3])
 
+    @pytest.mark.parametrize("op", [Op.FSIN, Op.FCOS])
+    def test_sin_cos_of_infinity_is_nan(self, op):
+        """IEEE 754 invalid operation: NaN like every other FP edge here, not
+        the host's ``ValueError`` out of ``math.sin``."""
+        assert math.isnan(run_op(op, f1=math.inf).f[3])
+        assert math.isnan(run_op(op, f1=-math.inf).f[3])
+        assert math.isnan(run_op(op, f1=math.nan).f[3])
+
     def test_unary(self):
         assert run_op(Op.FNEG, f1=2.0).f[3] == -2.0
         assert run_op(Op.FABS, f1=-2.0).f[3] == 2.0

@@ -105,6 +105,22 @@ class TestReplay:
         outcome = execute(spec(), store, trace=None)
         assert not outcome.replayed
 
+    def test_explicit_replay_of_an_ooo_job_is_refused_and_seals_nothing(self, store, tmp_path):
+        """A capture is the in-order pipeline's stream: replaying it for an
+        ``ooo`` spec would seal in-order numbers under the ``ooo`` key."""
+        from repro.core.config import SimConfig
+        from repro.core.engine import EngineError, SequentialEngine
+        from repro.jobs.spec import spec_program
+
+        path = str(tmp_path / "fft.trace")
+        SequentialEngine(
+            spec_program(spec()).program,
+            sim=SimConfig(scheme="cc", trace_mode="capture", trace_path=path),
+        ).run()
+        with pytest.raises(EngineError, match="inorder core model"):
+            execute(spec(core_model="ooo"), store, trace=path, refresh=True)
+        assert not execute(spec(core_model="ooo"), store, trace=None).hit
+
 
 class TestFunctional:
     def test_records_and_detects_no_drift_on_identical_rerun(self, store):

@@ -32,32 +32,111 @@ from tests.conftest import assert_same_run
 SCHEMES = ["cc", "q3", "s2", "su"]
 
 
-@pytest.fixture(scope="module")
-def fft():
-    return make_workload("fft", scale="tiny").program
+WORKLOADS = ["fft", "lu", "water", "barnes"]
 
 
 @pytest.fixture(scope="module")
-def fft_trace(fft, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("trace") / "fft.trace")
-    result = run_simulation(
-        fft, sim=SimConfig(scheme="cc", seed=1, trace_mode="capture",
-                           trace_path=path))
-    assert result.completed
-    return path
+def programs():
+    return {name: make_workload(name, scale="tiny").program for name in WORKLOADS}
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_replay_digest_matches_direct(fft, fft_trace, scheme):
+@pytest.fixture(scope="module")
+def traces(programs, tmp_path_factory):
+    """One cc capture per workload."""
+    root = tmp_path_factory.mktemp("trace")
+    paths = {}
+    for name, program in programs.items():
+        paths[name] = str(root / f"{name}.trace")
+        result = run_simulation(
+            program, sim=SimConfig(scheme="cc", seed=1, trace_mode="capture",
+                                   trace_path=paths[name]))
+        assert result.completed
+    return paths
+
+
+@pytest.fixture(scope="module")
+def fft(programs):
+    return programs["fft"]
+
+
+@pytest.fixture(scope="module")
+def fft_trace(traces):
+    return traces["fft"]
+
+
+# fft (barriers only) keeps the ids it had when it was the only workload here;
+# lu, water and barnes add locks and spawn/join — the system code replay
+# shares with direct runs.
+@pytest.mark.parametrize("name,scheme", [
+    pytest.param(name, scheme, id=scheme if name == "fft" else f"{name}-{scheme}")
+    for name in WORKLOADS for scheme in SCHEMES
+])
+def test_replay_digest_matches_direct(programs, traces, name, scheme):
     sim = dict(scheme=scheme, seed=1)
-    direct = run_simulation(fft, sim=SimConfig(**sim))
+    direct = run_simulation(programs[name], sim=SimConfig(**sim))
     replay = run_simulation(
-        fft, sim=SimConfig(trace_mode="replay", trace_path=fft_trace, **sim))
+        programs[name],
+        sim=SimConfig(trace_mode="replay", trace_path=traces[name], **sim))
     assert direct.completed and replay.completed
     # Full-dump equality, not just the digest: this is what makes traced
     # sweep JSON byte-identical to the non-traced runner's.
     assert replay.stats == direct.stats
     assert_same_run(replay, direct)
+
+
+@pytest.mark.parametrize("target,match", [
+    (TargetConfig(core_model="ooo"), "inorder core model"),
+    (TargetConfig(model_icache=True), "model_icache"),
+])
+@pytest.mark.parametrize("mode", ["capture", "replay"])
+def test_program_trace_needs_the_inorder_d_side_seam(fft, fft_trace, tmp_path, mode, target, match):
+    """Capture and replay refuse the same two targets: an ``ooo`` replay would
+    re-time the in-order pipeline and report it as ``ooo``."""
+    path = fft_trace if mode == "replay" else str(tmp_path / "x.trace")
+    with pytest.raises(EngineError, match=match):
+        SequentialEngine(fft, target=target,
+                         sim=SimConfig(trace_mode=mode, trace_path=path))
+
+
+def test_replay_and_direct_cores_are_one_pipeline():
+    """Replay re-times *the same model*: everything after "the instruction is
+    known" is inherited by both front ends, not restated."""
+    from repro.cpu.inorder import InOrderCore, InOrderPipeline
+    from repro.trace.replay import ReplayCore
+
+    for name in ("activate", "step", "wait_state", "skip", "deliver_response",
+                 "apply_invalidation", "apply_downgrade", "release", "spinning",
+                 "_issue_miss", "_complete_mem", "_finish_syscall"):
+        shared = getattr(InOrderPipeline, name)
+        assert getattr(ReplayCore, name) is shared, name
+        assert name == "activate" or getattr(InOrderCore, name) is shared, name
+
+
+def _replay_core(ops):
+    from repro.cpu.l1cache import L1Cache
+    from repro.trace.replay import ReplayCore, ReplaySystem
+
+    system = ReplaySystem(2)
+    system.activate_context = lambda core, pc, arg, ts: None
+    core = ReplayCore(0, ops, L1Cache(), lambda event: None, system)
+    core.activate(0, 0, 0)
+    return core
+
+
+def test_recorded_spawn_onto_a_busy_core_is_a_trace_error():
+    from repro.trace.format import OP_SPAWN
+
+    core = _replay_core([(OP_SPAWN, 1, 1), (OP_SPAWN, 1, 2)])
+    assert core.step(0) == (1, True) and core.system.threads[1].core == 1
+    with pytest.raises(TraceError, match="busy core 1"):
+        core.step(core.wait_state(1)[0])
+
+
+def test_join_on_an_unrecorded_thread_is_a_trace_error():
+    from repro.trace.format import OP_JOIN
+
+    with pytest.raises(TraceError, match="unknown thread 7"):
+        _replay_core([(OP_JOIN, 7)]).step(0)
 
 
 def test_replay_matches_direct_under_fastforward(tmp_path):

@@ -34,8 +34,26 @@ def test_run_replay_matches_direct_stats(captured, tmp_path, capsys):
                  "--stats-out", str(replay)]) == 0
     out = capsys.readouterr().out
     assert "replayed from" in out
-    # The CI trace job leans on this: direct vs replay dumps diff clean.
+    # Replay transparency end to end through the CLI (no CI job repeats it):
+    # the direct and the replay dump diff clean.
     assert main(["stats", "diff", str(direct), str(replay)]) == 0
+
+
+def test_replay_refuses_the_ooo_core_model(captured, capsys):
+    """An in-order capture cannot stand in for an ``ooo`` run: a usage error,
+    and nothing is sealed under the ``ooo`` job key — the next plain ``ooo``
+    run simulates and reports the out-of-order answer."""
+    run = ["run", "--workload", "fft", "--scale", "tiny", "--scheme", "s9"]
+    assert main(run + ["--core-model", "ooo", "--replay-trace", captured]) == 2
+    io = capsys.readouterr()
+    assert io.err.count("error:") == 1 and "inorder core model" in io.err
+    assert "Traceback" not in io.err and "T_target" not in io.out
+    assert main(run + ["--core-model", "ooo"]) == 0
+    ooo = capsys.readouterr().out
+    assert "served from result store" not in ooo
+    assert main(run + ["--replay-trace", captured]) == 0
+    inorder = capsys.readouterr().out
+    assert ooo.split("T_target=")[1].split()[0] != inorder.split("T_target=")[1].split()[0]
 
 
 def test_capture_and_replay_are_mutually_exclusive(tmp_path, capsys):
