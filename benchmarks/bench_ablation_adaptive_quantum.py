@@ -8,9 +8,9 @@ from conftest import write_report
 from repro.experiments.ablations import render_sweep, run_adaptive_quantum
 
 
-def test_adaptive_quantum(benchmark, runner, report_dir):
+def test_adaptive_quantum(benchmark, scale, report_dir):
     points = benchmark.pedantic(
-        lambda: run_adaptive_quantum("fft", runner=runner), rounds=1, iterations=1
+        lambda: run_adaptive_quantum("fft", scale=scale), rounds=1, iterations=1
     )
     write_report(report_dir, "ablation_adaptive_quantum.txt",
                  render_sweep("A5: adaptive quantum vs fixed q10 (fft)", points))

@@ -11,11 +11,11 @@ from repro.experiments.ablations import run_coremodel_ablation
 from repro.experiments.common import BENCHMARKS
 
 
-def test_coremodel_ordering(benchmark, runner, report_dir):
+def test_coremodel_ordering(benchmark, scale, report_dir):
     def run_all():
         return {
             workload: run_coremodel_ablation(
-                workload, schemes=("cc", "q10", "s9", "su"), runner=runner
+                workload, schemes=("cc", "q10", "s9", "su"), scale=scale
             )
             for workload in BENCHMARKS
         }

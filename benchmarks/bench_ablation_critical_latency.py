@@ -8,9 +8,9 @@ from conftest import write_report
 from repro.experiments.ablations import render_sweep, run_critical_latency_sweep
 
 
-def test_critical_latency_sweep(benchmark, runner, report_dir):
+def test_critical_latency_sweep(benchmark, scale, report_dir):
     points = benchmark.pedantic(
-        lambda: run_critical_latency_sweep("fft", slacks=(2, 5, 9, 15, 30, 60), runner=runner),
+        lambda: run_critical_latency_sweep("fft", slacks=(2, 5, 9, 15, 30, 60), scale=scale),
         rounds=1,
         iterations=1,
     )

@@ -9,9 +9,9 @@ from conftest import write_report
 from repro.experiments.ablations import run_fastforward_ablation
 
 
-def test_fastforward_ablation(benchmark, runner, report_dir):
+def test_fastforward_ablation(benchmark, scale, report_dir):
     result = benchmark.pedantic(
-        lambda: run_fastforward_ablation("water", "s100", runner=runner),
+        lambda: run_fastforward_ablation("water", "s100", scale=scale),
         rounds=1,
         iterations=1,
     )

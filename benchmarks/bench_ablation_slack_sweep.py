@@ -7,9 +7,9 @@ from conftest import write_report
 from repro.experiments.ablations import render_sweep, run_slack_sweep
 
 
-def test_slack_sweep(benchmark, runner, report_dir):
+def test_slack_sweep(benchmark, scale, report_dir):
     points = benchmark.pedantic(
-        lambda: run_slack_sweep("fft", slacks=(1, 4, 9, 25, 100), runner=runner),
+        lambda: run_slack_sweep("fft", slacks=(1, 4, 9, 25, 100), scale=scale),
         rounds=1,
         iterations=1,
     )

@@ -9,8 +9,8 @@ from conftest import write_report
 from repro.experiments.figure8 import render_figure8, run_figure8
 
 
-def test_figure8_speedups(benchmark, runner, report_dir):
-    data = benchmark.pedantic(lambda: run_figure8(runner), rounds=1, iterations=1)
+def test_figure8_speedups(benchmark, scale, report_dir):
+    data = benchmark.pedantic(lambda: run_figure8(scale), rounds=1, iterations=1)
     write_report(report_dir, "figure8.txt", render_figure8(data))
 
     hmean = data.hmean

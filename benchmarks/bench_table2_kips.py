@@ -9,8 +9,8 @@ from conftest import write_report
 from repro.experiments.table2 import render_table2, run_table2
 
 
-def test_table2_kips(benchmark, runner, report_dir):
-    rows = benchmark.pedantic(lambda: run_table2(runner), rounds=1, iterations=1)
+def test_table2_kips(benchmark, scale, report_dir):
+    rows = benchmark.pedantic(lambda: run_table2(scale), rounds=1, iterations=1)
     write_report(report_dir, "table2.txt", render_table2(rows))
     for row in rows:
         benchmark.extra_info[f"kips_{row.benchmark}"] = round(row.kips, 1)

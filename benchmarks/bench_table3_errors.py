@@ -11,8 +11,8 @@ from conftest import write_report
 from repro.experiments.table3 import render_table3, run_table3
 
 
-def test_table3_errors(benchmark, runner, report_dir):
-    rows = benchmark.pedantic(lambda: run_table3(runner), rounds=1, iterations=1)
+def test_table3_errors(benchmark, scale, report_dir):
+    rows = benchmark.pedantic(lambda: run_table3(scale), rounds=1, iterations=1)
     write_report(report_dir, "table3.txt", render_table3(rows))
     for row in rows:
         benchmark.extra_info[f"err_su_{row.benchmark}"] = round(row.errors["su"] * 100, 2)

@@ -16,7 +16,6 @@ import pathlib
 import pytest
 
 from repro._util import atomic_write_text
-from repro.experiments.common import Runner
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
@@ -26,8 +25,8 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def runner() -> Runner:
-    return Runner(scale=bench_scale(), seed=1)
+def scale() -> str:
+    return bench_scale()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ Run:  python examples/design_space.py
 """
 
 from repro.experiments.ablations import run_critical_latency_sweep, run_slack_sweep
-from repro.experiments.common import Runner
 from repro.stats import Table
 
 
@@ -17,8 +16,7 @@ def ascii_bar(value: float, scale: float, width: int = 40) -> str:
 
 
 def main() -> None:
-    runner = Runner(scale="tiny", seed=1)
-    points = run_slack_sweep("fft", slacks=(1, 2, 4, 9, 25, 100, 400), runner=runner)
+    points = run_slack_sweep("fft", slacks=(1, 2, 4, 9, 25, 100, 400), scale="tiny")
     max_speed = max(p.speedup for p in points)
 
     table = Table("A1: bounded-slack design space (fft, 8 host cores)",
@@ -29,7 +27,7 @@ def main() -> None:
     print(table.render())
 
     print()
-    sweep = run_critical_latency_sweep("fft", slacks=(2, 5, 9, 15, 30, 60), runner=runner)
+    sweep = run_critical_latency_sweep("fft", slacks=(2, 5, 9, 15, 30, 60), scale="tiny")
     table = Table("A2: conservative (oldest-first) slack vs the critical latency (10)",
                   ["slack*", "speedup", "error", "violations"])
     for p in sweep:

@@ -1,9 +1,10 @@
 """Small shared utilities: deterministic RNG streams, bit manipulation,
 crash-safe file output, canonical content digests.
 
-Everything in the simulator that needs randomness derives it from a
-:class:`SeedSequenceFactory` so that a single ``SimConfig.seed`` makes the
-whole run reproducible (see DESIGN.md, "Determinism").
+Everything in the simulator that needs randomness seeds its own generator
+from ``SimConfig.seed`` (the host cost model one per core, a fault plan one
+``random.Random``), so that one seed makes the whole run reproducible (see
+DESIGN.md, "Determinism").
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 write-a-file-safely primitive shared by every artifact producer — the
@@ -14,9 +15,9 @@ an atomic ``os.replace``.
 
 :func:`canonical_json` / :func:`sha256_hex` / :func:`output_digest` are the
 one content-identity vocabulary shared by every cache key in the system —
-job keys (DESIGN.md §12), trace-store keys (§11), per-point sweep seeds and
-output fingerprints all derive from them, so two subsystems can never
-fingerprint the same value differently.
+job keys (DESIGN.md §12), per-point sweep seeds and output fingerprints all
+derive from them, so two subsystems can never fingerprint the same value
+differently.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "Backoff",
-    "SeedStream",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_json",
@@ -44,7 +44,6 @@ __all__ = [
     "is_pow2",
     "log2i",
     "align_up",
-    "align_down",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -200,33 +199,6 @@ def retry_with_backoff(
             time.sleep(delay)
 
 
-class SeedStream:
-    """A named tree of deterministic RNG streams.
-
-    Each distinct ``name`` yields an independent, reproducible
-    :class:`numpy.random.Generator`.  Asking twice for the same name returns
-    generators with identical state histories, which keeps component seeding
-    stable even if components are constructed in a different order.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-
-    def generator(self, name: str) -> np.random.Generator:
-        """Return a fresh generator for the stream called *name*."""
-        root = np.random.SeedSequence(self.seed)
-        child = root.spawn(1)[0]
-        # Mix the name into the entropy deterministically.
-        digest = np.frombuffer(name.encode("utf-8").ljust(8, b"\0"), dtype=np.uint8)
-        entropy = [self.seed, int(digest.sum()), len(name)] + [int(b) for b in name.encode("utf-8")]
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-    def child(self, name: str, index: int = 0) -> "SeedStream":
-        """Derive a sub-stream for a component instance."""
-        g = self.generator(f"{name}/{index}")
-        return SeedStream(int(g.integers(0, 2**31 - 1)))
-
-
 def sign_extend(value: int, bits: int) -> int:
     """Interpret the low *bits* of *value* as a two's-complement integer."""
     mask = (1 << bits) - 1
@@ -263,10 +235,3 @@ def align_up(value: int, alignment: int) -> int:
     if not is_pow2(alignment):
         raise ValueError(f"alignment {alignment} is not a power of two")
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round *value* down to a multiple of *alignment* (a power of two)."""
-    if not is_pow2(alignment):
-        raise ValueError(f"alignment {alignment} is not a power of two")
-    return value & ~(alignment - 1)

@@ -9,7 +9,6 @@ Subcommands::
     slacksim compile program.sl [--run]
     slacksim figure2 | figure8 | table2 | table3
     slacksim sweep figure8 --jobs 4 --out figure8.json
-    slacksim sweep figure8 --trace --jobs 4
     slacksim bench --workload fft --profile
     slacksim stats show run.stats.json
     slacksim stats diff a.stats.json b.stats.json
@@ -84,14 +83,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stats_interval=args.stats_interval,
     )
     try:
-        # An explicit --replay-trace bypasses the store read (refresh): the
-        # user asked to exercise replay, so replay must actually run.
-        outcome = execute(
-            spec,
-            store=ResultStore.default(),
-            trace=args.replay_trace if args.replay_trace else "auto",
-            refresh=bool(args.replay_trace),
-        )
+        # --replay-trace is a tool, not a way to fill the store: execute()
+        # then neither reads nor writes it.
+        outcome = execute(spec, store=ResultStore.default(), trace=args.replay_trace)
     except AssertionError as exc:
         print("OUTPUT MISMATCH:")
         print(f"  {exc}")
@@ -209,19 +203,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(name: str):
     def run(args: argparse.Namespace) -> int:
-        import os
+        from repro import experiments
 
-        if args.scale:
-            os.environ["REPRO_SCALE"] = args.scale
-        if name == "figure2":
-            from repro.experiments.figure2 import main as entry
-        elif name == "figure8":
-            from repro.experiments.figure8 import main as entry
-        elif name == "table2":
-            from repro.experiments.table2 import main as entry
-        else:
-            from repro.experiments.table3 import main as entry
-        entry()
+        run_it = getattr(experiments, f"run_{name}")
+        render = getattr(experiments, f"render_{name}")
+        # Figure 2 runs four scripted cores: it has no workload scale.
+        print(render(run_it() if name == "figure2" else run_it(scale=args.scale)))
         return 0
 
     return run
@@ -233,7 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     telemetry: dict = {}
     payload = run_sweep(
         args.experiment, jobs=args.jobs, scale=args.scale, base_seed=args.seed,
-        max_retries=args.max_retries, trace=args.trace, telemetry=telemetry,
+        max_retries=args.max_retries, telemetry=telemetry,
     )
     text = sweep_to_json(payload)
     # Telemetry goes to stderr: how points were served (store hit vs run)
@@ -593,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="re-simulate a captured trace under this run's "
                      "scheme/window/memory config without re-executing the "
                      "functional cores (stats digest is byte-identical to "
-                     "the equivalent direct run)")
+                     "the equivalent direct run; printed output values are "
+                     "the capture run's, so the result store is neither read "
+                     "nor written)")
     run.set_defaults(func=_cmd_run)
 
     comp = sub.add_parser("compile", help="compile a Slang source file")
@@ -622,10 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-retries", type=int, default=2,
                        help="extra attempts per point after a worker crash "
                        "(default 2; point errors never retry)")
-    sweep.add_argument("--trace", action="store_true",
-                       help="capture each distinct (workload, seed) execution "
-                       "once into the .repro_cache/traces/ store, then replay "
-                       "it for every scheme point (byte-identical sweep JSON)")
     sweep.set_defaults(func=_cmd_sweep)
 
     bench = sub.add_parser("bench", help="functional KIPS measurement of one workload")

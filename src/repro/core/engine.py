@@ -92,10 +92,9 @@ class SequentialEngine:
         self._dispatch = dispatch
         self.scheme = parse_scheme(self.sim.scheme)
         # Trace subsystem (DESIGN.md §11).
-        self._capture = None          # TraceRecorder while capturing a program run
-        self._capture_streams = None  # pre-serialized streams (trace-flavor capture)
+        self._capture = None          # TraceRecorder while capturing
         self._capture_header = None   # non-None while a capture is armed
-        self._replay_ops = None       # program-flavor replay: per-core op streams
+        self._replay_ops = None       # replay: per-core op streams
         trace_mode = self.sim.trace_mode
         if trace_mode not in ("off", "capture", "replay"):
             raise EngineError(f"unknown trace_mode {trace_mode!r}")
@@ -105,6 +104,11 @@ class SequentialEngine:
 
             if not self.sim.trace_path:
                 raise EngineError(f"trace_mode={trace_mode!r} requires trace_path")
+            if trace_cores is not None:
+                raise EngineError(
+                    f"trace {trace_mode} records and replays programs; "
+                    "trace_cores are already a script"
+                )
         if trace_mode == "capture":
             for reason, bad in (
                 ("fault injection perturbs the committed stream",
@@ -116,70 +120,51 @@ class SequentialEngine:
             ):
                 if bad:
                     raise EngineError(f"trace capture refused: {reason}")
-            source = (
-                json.loads(self.sim.trace_source) if self.sim.trace_source else None
-            )
-            if trace_cores is not None:
-                streams, l1_configs = _tcapture.serialize_trace_cores(trace_cores)
-                self._capture_streams = streams
-                # Deliberately no scheme and no sim seed in the header: the
-                # stream is invariant to both, so re-capturing the same
-                # execution under any scheme/seed yields a byte-identical
-                # file (tests/trace pins this).
-                self._capture_header = {
-                    "flavor": "trace",
-                    "source": source, "l1_per_core": l1_configs,
-                }
-            else:
-                if program is None:
-                    raise EngineError("either a program or trace_cores is required")
-                self._require_commit_seam("capture")
-                l1c = self.target.l1
-                self._capture = _tcapture.TraceRecorder(self.target.num_cores)
-                self._capture_header = {
-                    "flavor": "program",
-                    "program_digest": _tformat.program_digest(program),
-                    "source": source,
-                    "l1": {
-                        "size_bytes": l1c.size_bytes, "block_bytes": l1c.block_bytes,
-                        "assoc": l1c.assoc, "hit_latency": l1c.hit_latency,
-                    },
-                }
+            if program is None:
+                raise EngineError("either a program or trace_cores is required")
+            self._require_commit_seam("capture")
+            l1c = self.target.l1
+            self._capture = _tcapture.TraceRecorder(self.target.num_cores)
+            # Deliberately no scheme and no sim seed in the header: the
+            # stream is invariant to both, so re-capturing the same
+            # execution under any scheme/seed yields a byte-identical
+            # file (tests/trace pins this).
+            self._capture_header = {
+                "flavor": "program",
+                "program_digest": _tformat.program_digest(program),
+                "source": (
+                    json.loads(self.sim.trace_source) if self.sim.trace_source else None
+                ),
+                "l1": {
+                    "size_bytes": l1c.size_bytes, "block_bytes": l1c.block_bytes,
+                    "assoc": l1c.assoc, "hit_latency": l1c.hit_latency,
+                },
+            }
         elif trace_mode == "replay":
             trace = _tformat.read_trace(self.sim.trace_path)
+            if trace.flavor != "program":
+                raise EngineError(
+                    f"trace {self.sim.trace_path!r} has flavor {trace.flavor!r}; "
+                    "only 'program' captures replay"
+                )
             if trace.num_cores != self.target.num_cores:
                 raise EngineError(
                     f"trace was captured on {trace.num_cores} cores; "
                     f"this target has {self.target.num_cores}"
                 )
-            if trace.flavor == "trace":
-                if trace_cores is not None:
+            self._require_commit_seam("replay")
+            if program is not None:
+                # The validity key: replaying against a program whose
+                # digest differs from the recorded one is refused outright.
+                digest = _tformat.program_digest(program)
+                recorded = trace.header.get("program_digest")
+                if digest != recorded:
                     raise EngineError(
-                        "replaying a trace-flavor file replaces trace_cores; "
-                        "pass one or the other"
+                        f"stale trace {self.sim.trace_path!r}: recorded "
+                        f"program digest {str(recorded)[:16]}… does not match "
+                        f"this program ({digest[:16]}…) — re-capture"
                     )
-                from repro.trace.replay import rebuild_trace_cores
-
-                trace_cores = rebuild_trace_cores(trace)
-                program = None
-            else:
-                if trace_cores is not None:
-                    raise EngineError(
-                        "a program-flavor trace cannot replay into trace cores"
-                    )
-                self._require_commit_seam("replay")
-                if program is not None:
-                    # The validity key: replaying against a program whose
-                    # digest differs from the recorded one is refused outright.
-                    digest = _tformat.program_digest(program)
-                    recorded = trace.header.get("program_digest")
-                    if digest != recorded:
-                        raise EngineError(
-                            f"stale trace {self.sim.trace_path!r}: recorded "
-                            f"program digest {str(recorded)[:16]}… does not match "
-                            f"this program ({digest[:16]}…) — re-capture"
-                        )
-                self._replay_ops = trace.core_ops
+            self._replay_ops = trace.core_ops
         self.counters = ViolationCounters()
         self.tracker = (
             WordOrderTracker(self.counters, self.sim.fastforward)
@@ -229,9 +214,9 @@ class SequentialEngine:
             for ct in self.cores:
                 ct.model.emit = ct.outq.push  # type: ignore[attr-defined]
         elif self._replay_ops is not None:
-            # Program-flavor replay: the in-order pipeline behind its trace
-            # front end (ReplayCore), and ReplaySystem — the image-free half
-            # of the system emulation — fed recorded, resolved arguments.
+            # Replay: the in-order pipeline behind its trace front end
+            # (ReplayCore), and ReplaySystem — the image-free half of the
+            # system emulation — fed recorded, resolved arguments.
             # No image, no registers, no predecode.
             from repro.trace.replay import ReplayCore, ReplaySystem
 
@@ -297,9 +282,8 @@ class SequentialEngine:
             self._start_core(self.cores[0], pc=self.image.program.entry, arg=0, ts=0)
 
     def _require_commit_seam(self, what: str) -> None:
-        """A program-flavor trace is the in-order pipeline's D-side commit
-        stream: any other target would record, or be re-timed as, a model it
-        is not (and seal the numbers under its own job key)."""
+        """A trace is the in-order pipeline's D-side commit stream: any other
+        target would record, or be re-timed as, a model it is not."""
         if self.target.core_model != "inorder":
             raise EngineError(
                 f"trace {what} requires the inorder core model "
@@ -1197,13 +1181,8 @@ class SequentialEngine:
         """Seal and atomically write the armed capture (once, on completion)."""
         from repro.trace.format import write_trace
 
-        streams = (
-            self._capture.finish()
-            if self._capture is not None
-            else self._capture_streams
-        )
-        assert self.sim.trace_path is not None and streams is not None
-        write_trace(self.sim.trace_path, self._capture_header, streams)
+        assert self.sim.trace_path is not None and self._capture is not None
+        write_trace(self.sim.trace_path, self._capture_header, self._capture.finish())
         self._capture_header = None
 
     # ---------------------------------------------------------------- result

@@ -1,7 +1,7 @@
 """Experiment harnesses: one module per paper table/figure (see DESIGN.md
 per-experiment index) plus the ablation studies A1-A4."""
 
-from repro.experiments.common import BENCHMARKS, HOST_COUNTS, SCHEMES, Runner
+from repro.experiments.common import BENCHMARKS, HOST_COUNTS, SCHEMES
 from repro.experiments.figure2 import render_figure2, run_figure2
 from repro.experiments.figure8 import render_figure8, run_figure8
 from repro.experiments.table2 import render_table2, run_table2
@@ -11,7 +11,6 @@ __all__ = [
     "BENCHMARKS",
     "HOST_COUNTS",
     "SCHEMES",
-    "Runner",
     "render_figure2",
     "run_figure2",
     "render_figure8",

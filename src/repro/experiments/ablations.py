@@ -10,14 +10,19 @@
   on/off.
 * **A4 core-model sensitivity** — the scheme *ordering* should not depend on
   the core microarchitecture (in-order vs OoO).
+
+A1 is the ``ablations`` sweep grid (per-point ``derive_seed``); A2-A5 are not
+grids and run every point under the plain base seed their committed reports
+are pinned to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import Runner
-from repro.experiments.parallel import ABLATION_SLACKS, build_points, point_key
+from repro.experiments.common import default_scale, error, speedup
+from repro.experiments.parallel import ABLATION_SLACKS, build_points, resolve
+from repro.jobs.spec import JobSpec
 from repro.stats.tables import Table
 
 __all__ = [
@@ -39,14 +44,43 @@ class SweepPoint:
     workload_violations: int = 0
 
 
-def _total_violations(result) -> int:
-    """Violation total read off the run's stats registry dump."""
-    stats = result.stats
-    return (
-        stats["violations.simulation_state"]
-        + stats["violations.system_state"]
-        + stats["violations.workload_state"]
+def _sweep_points(
+    docs: dict, workload: str, schemes: list[str], host_cores: int
+) -> list[SweepPoint]:
+    """*schemes* at *host_cores* against the two cc references in *docs*."""
+    base = docs[f"{workload}/cc/h1"]
+    gold = docs[f"{workload}/cc/h{host_cores}"]
+    points = []
+    for scheme in schemes:
+        doc = docs[f"{workload}/{scheme}/h{host_cores}"]
+        points.append(
+            SweepPoint(
+                label=scheme,
+                speedup=speedup(base, doc),
+                error=error(gold, doc),
+                violations=doc["violations"],
+                workload_violations=doc["workload_violations"],
+            )
+        )
+    return points
+
+
+def _plain_sweep(
+    workload: str, schemes: list[str], host_cores: int, scale: str | None, seed: int
+) -> list[SweepPoint]:
+    """*schemes* against the cc references, every run under the plain *seed*."""
+    scale = scale or default_scale()
+    docs = resolve(
+        [
+            JobSpec(
+                workload=workload, scale=scale, scheme=scheme, seed=seed,
+                host_cores=hosts,
+            )
+            for scheme, hosts in [("cc", 1), ("cc", host_cores)]
+            + [(s, host_cores) for s in schemes]
+        ]
     )
+    return _sweep_points(docs, workload, schemes, host_cores)
 
 
 def run_slack_sweep(
@@ -54,7 +88,8 @@ def run_slack_sweep(
     slacks: tuple[int, ...] = ABLATION_SLACKS,
     *,
     host_cores: int = 8,
-    runner: Runner | None = None,
+    scale: str | None = None,
+    seed: int = 1,
 ) -> list[SweepPoint]:
     """A1: bounded slack sweep — speedup and error vs the slack bound.
 
@@ -63,35 +98,15 @@ def run_slack_sweep(
     two share stored records; the slack bounds default to the sweep's
     :data:`~repro.experiments.parallel.ABLATION_SLACKS`.
     """
-    runner = runner or Runner()
-    grid = build_points(
-        "ablations", runner.scale, runner.seed,
-        workload=workload, slacks=slacks, host_cores=host_cores,
-    )
-    docs = {point_key(p): runner.point(p) for p in grid}
-    base = docs[f"{workload}/cc/h1"]
-    gold = docs[f"{workload}/cc/h{host_cores}"]
-
-    def _point(scheme: str) -> SweepPoint:
-        doc = docs[f"{workload}/{scheme}/h{host_cores}"]
-        return SweepPoint(
-            label=scheme,
-            speedup=(
-                base["host_time"] / doc["host_time"]
-                if doc["host_time"]
-                else float("inf")
-            ),
-            error=(
-                abs(doc["execution_cycles"] - gold["execution_cycles"])
-                / gold["execution_cycles"]
-                if gold["execution_cycles"]
-                else 0.0
-            ),
-            violations=doc["violations"],
-            workload_violations=doc["workload_violations"],
+    docs = resolve(
+        build_points(
+            "ablations", scale or default_scale(), seed,
+            workload=workload, slacks=slacks, host_cores=host_cores,
         )
-
-    return [_point(f"s{slack}") for slack in slacks] + [_point("su")]
+    )
+    return _sweep_points(
+        docs, workload, [f"s{slack}" for slack in slacks] + ["su"], host_cores
+    )
 
 
 def run_critical_latency_sweep(
@@ -99,7 +114,8 @@ def run_critical_latency_sweep(
     slacks: tuple[int, ...] = (2, 5, 9, 15, 30, 60),
     *,
     host_cores: int = 8,
-    runner: Runner | None = None,
+    scale: str | None = None,
+    seed: int = 1,
 ) -> list[SweepPoint]:
     """A2: oldest-first bounded slack around the critical latency (10).
 
@@ -107,21 +123,9 @@ def run_critical_latency_sweep(
     violation-free; above it even oldest-first processing can reorder
     against in-flight responses (paper §3.1).
     """
-    runner = runner or Runner()
-    gold = runner.run(workload, "cc", host_cores)
-    base = runner.baseline(workload)
-    points = []
-    for slack in slacks:
-        result = runner.run(workload, f"s{slack}*", host_cores)
-        points.append(
-            SweepPoint(
-                label=f"s{slack}*",
-                speedup=result.speedup_over(base),
-                error=result.error_vs(gold),
-                violations=_total_violations(result),
-            )
-        )
-    return points
+    return _plain_sweep(
+        workload, [f"s{slack}*" for slack in slacks], host_cores, scale, seed
+    )
 
 
 def run_fastforward_ablation(
@@ -129,27 +133,30 @@ def run_fastforward_ablation(
     scheme: str = "s100",
     *,
     host_cores: int = 8,
-    runner: Runner | None = None,
+    scale: str | None = None,
+    seed: int = 1,
 ) -> dict:
     """A3: workload-state violation compensation by fast-forwarding."""
-    runner = runner or Runner()
-    gold = runner.run(workload, "cc", host_cores)
-    off = runner.run(workload, scheme, host_cores, fastforward=False)
-    on = runner.run(workload, scheme, host_cores, fastforward=True)
-    return {
-        "scheme": scheme,
-        "workload": workload,
-        "off": {
-            "error": off.error_vs(gold),
-            "workload_violations": off.stats["violations.workload_state"],
-            "fastforwards": off.stats["violations.fastforwards"],
-        },
-        "on": {
-            "error": on.error_vs(gold),
-            "workload_violations": on.stats["violations.workload_state"],
-            "fastforwards": on.stats["violations.fastforwards"],
-        },
-    }
+    scale = scale or default_scale()
+    docs = resolve(
+        [
+            JobSpec(
+                workload=workload, scale=scale, scheme=name, seed=seed,
+                host_cores=host_cores, fastforward=fastforward,
+            )
+            for name, fastforward in (("cc", False), (scheme, False), (scheme, True))
+        ]
+    )
+    gold = docs[f"{workload}/cc/h{host_cores}"]
+    result = {"scheme": scheme, "workload": workload}
+    for label, suffix in (("off", ""), ("on", "/ff")):
+        doc = docs[f"{workload}/{scheme}/h{host_cores}{suffix}"]
+        result[label] = {
+            "error": error(gold, doc),
+            "workload_violations": doc["workload_violations"],
+            "fastforwards": doc["stats"]["violations.fastforwards"],
+        }
+    return result
 
 
 def run_coremodel_ablation(
@@ -157,14 +164,24 @@ def run_coremodel_ablation(
     schemes: tuple[str, ...] = ("cc", "q10", "s9", "su"),
     *,
     host_cores: int = 8,
-    runner: Runner | None = None,
+    scale: str | None = None,
+    seed: int = 1,
 ) -> dict:
     """A4: does the scheme speed ordering survive a core-model change?"""
-    runner = runner or Runner()
+    scale = scale or default_scale()
     orderings = {}
     for model in ("inorder", "ooo"):
+        docs = resolve(
+            [
+                JobSpec(
+                    workload=workload, scale=scale, scheme=scheme, seed=seed,
+                    host_cores=host_cores, core_model=model,
+                )
+                for scheme in schemes
+            ]
+        )
         times = {
-            scheme: runner.run(workload, scheme, host_cores, core_model=model).host_time
+            scheme: docs[f"{workload}/{scheme}/h{host_cores}"]["host_time"]
             for scheme in schemes
         }
         orderings[model] = sorted(schemes, key=lambda s: times[s], reverse=True)
@@ -176,25 +193,12 @@ def run_adaptive_quantum(
     configs: tuple[str, ...] = ("q10", "aq10-160", "aq4-40"),
     *,
     host_cores: int = 8,
-    runner: Runner | None = None,
+    scale: str | None = None,
+    seed: int = 1,
 ) -> list[SweepPoint]:
     """A5 (extension, paper §5 / Falcón et al. [8]): traffic-adaptive quantum
     vs the fixed critical-latency quantum."""
-    runner = runner or Runner()
-    gold = runner.run(workload, "cc", host_cores)
-    base = runner.baseline(workload)
-    points = []
-    for config in configs:
-        result = runner.run(workload, config, host_cores)
-        points.append(
-            SweepPoint(
-                label=config,
-                speedup=result.speedup_over(base),
-                error=result.error_vs(gold),
-                violations=_total_violations(result),
-            )
-        )
-    return points
+    return _plain_sweep(workload, list(configs), host_cores, scale, seed)
 
 
 def render_sweep(title: str, points: list[SweepPoint]) -> str:

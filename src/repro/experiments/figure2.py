@@ -101,11 +101,3 @@ def render_figure2(traces: list[SchemeTrace], samples_per_scheme: int = 12) -> s
             table.add_row(f"{host:.0f}", global_time, *cells)
         blocks.append(table.render())
     return "\n\n".join(blocks)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render_figure2(run_figure2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import BENCHMARKS, HOST_COUNTS, SCHEMES, Runner
-from repro.experiments.parallel import build_points, point_key
+from repro.experiments.common import (
+    BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale, speedup,
+)
+from repro.experiments.parallel import build_points, resolve
 from repro.stats.metrics import harmonic_mean
 from repro.stats.tables import Table
 
@@ -40,7 +42,8 @@ class Figure8Data:
 
 
 def run_figure8(
-    runner: Runner | None = None,
+    scale: str | None = None,
+    seed: int = 1,
     *,
     schemes: tuple[str, ...] = SCHEMES,
     host_counts: tuple[int, ...] = HOST_COUNTS,
@@ -53,12 +56,12 @@ def run_figure8(
     job identities are exactly the sweep's and one warms the store for the
     other.
     """
-    runner = runner or Runner()
-    points = build_points(
-        "figure8", runner.scale, runner.seed,
-        benchmarks=benchmarks, schemes=schemes, host_counts=host_counts,
+    docs = resolve(
+        build_points(
+            "figure8", scale or default_scale(), seed,
+            benchmarks=benchmarks, schemes=schemes, host_counts=host_counts,
+        )
     )
-    docs = {point_key(p): runner.point(p) for p in points}
     data = Figure8Data(schemes=schemes, host_counts=host_counts, benchmarks=benchmarks)
     for bench in benchmarks:
         base = docs[f"{bench}/cc/h1"]
@@ -66,12 +69,9 @@ def run_figure8(
         for scheme in schemes:
             data.speedup[bench][scheme] = {}
             for hosts in host_counts:
-                doc = docs[f"{bench}/{scheme}/h{hosts}"]
                 # Makespans come off the stats registry dumps of both runs.
-                data.speedup[bench][scheme][hosts] = (
-                    base["host_time"] / doc["host_time"]
-                    if doc["host_time"]
-                    else float("inf")
+                data.speedup[bench][scheme][hosts] = speedup(
+                    base, docs[f"{bench}/{scheme}/h{hosts}"]
                 )
     for scheme in schemes:
         data.hmean[scheme] = {}
@@ -100,11 +100,3 @@ def render_figure8(data: Figure8Data) -> str:
         table.add_row(scheme, *[data.hmean[scheme][h] for h in data.host_counts])
     panels.append(table.render())
     return "\n\n".join(panels)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render_figure8(run_figure8()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

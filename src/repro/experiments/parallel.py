@@ -14,14 +14,13 @@ whatever the job count** (``--jobs 1`` serial in-process vs ``--jobs N``):
 * merging orders points by their config key and the document is rendered
   with ``sort_keys=True``, so encounter order cannot leak into the bytes.
 
-Every point resolves through the content-addressed job layer
-(:mod:`repro.jobs`, DESIGN.md §12): ``run_point`` wraps its
-:class:`PointSpec` into a :class:`JobSpec` and calls ``execute()``, so a
-point whose record already sits in ``.repro_cache/results/`` is a store
-lookup, not a simulation — a repeated sweep is served entirely from the
-store and still renders byte-identical JSON.  Workers also share the
-on-disk compile cache, so N workers compiling the same benchmark pay one
-compile between them.
+Every point is a :class:`repro.jobs.JobSpec` and :func:`resolve` is the one
+way an experiment turns a list of them into documents: each goes through the
+content-addressed job layer (``jobs.execute``, DESIGN.md §12), so a point
+whose record already sits in ``.repro_cache/results/`` is a store lookup, not
+a simulation — a repeated sweep is served entirely from the store and still
+renders byte-identical JSON.  Workers also share the on-disk compile cache,
+so N workers compiling the same benchmark pay one compile between them.
 
 **Re-running a killed sweep** (DESIGN.md §8): each point's worker seals its
 record into the result store *before* it returns, so the store is the only
@@ -41,26 +40,23 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
 
 from repro._util import Backoff, sha256_hex
-from repro.core.config import SimConfig
-from repro.core.engine import SequentialEngine
-from repro.experiments.common import BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale
+from repro.experiments.common import (
+    BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale, error, speedup,
+)
+from repro.jobs.spec import JobSpec
 
 __all__ = [
     "ABLATION_SLACKS",
-    "PointSpec",
     "SWEEP_EXPERIMENTS",
     "SweepError",
     "TABLE3_SCHEMES",
     "build_points",
     "derive_seed",
-    "execute_point",
     "point_document",
-    "point_job",
     "point_key",
-    "run_point",
+    "resolve",
     "run_sweep",
     "sweep_to_json",
 ]
@@ -68,48 +64,6 @@ __all__ = [
 
 class SweepError(RuntimeError):
     """A sweep could not finish (worker crashes exceeded the retry budget)."""
-
-
-def _capture_sweep_traces(specs: list["PointSpec"], base_seed: int) -> None:
-    """Make sure a valid capture exists per distinct (workload, scale).
-
-    Captures land in the content-keyed ``.repro_cache/traces/`` store
-    (:mod:`repro.trace.store`), keyed on (program digest, workload config,
-    seed) — so a second sweep over the same workloads performs **zero**
-    captures.  Nothing is handed to the points: each one finds the capture
-    through the job layer's own discovery (``execute(trace="auto")``), which
-    is seed-agnostic because the stream is scheme- and sim-seed-invariant —
-    per-point derived seeds all replay the one capture.  The capture itself
-    runs under ``su`` (the cheapest scheme) purely for speed.
-    """
-    from repro.trace import format as tformat
-    from repro.trace.store import trace_key, trace_store_path
-    from repro.workloads.registry import make_workload
-
-    combos = sorted({(s.workload, s.scale) for s in specs if s.core_model == "inorder"})
-    for wl_name, scale in combos:
-        workload = make_workload(wl_name, scale=scale)
-        digest = tformat.program_digest(workload.program)
-        source = {"workload": wl_name, "scale": scale}
-        path = trace_store_path(trace_key(digest, source, base_seed))
-        if path is None:
-            return  # on-disk caching disabled: points run directly
-        if path.exists():
-            try:
-                if tformat.read_trace(str(path)).header.get("program_digest") == digest:
-                    continue
-            except tformat.TraceError:
-                pass  # corrupt or stale entry: recapture below
-        result = SequentialEngine(
-            workload.program,
-            sim=SimConfig(
-                scheme="su", seed=base_seed, trace_mode="capture",
-                trace_path=str(path),
-                trace_source=json.dumps(source, sort_keys=True),
-            ),
-        ).run()
-        if not result.completed:
-            raise SweepError(f"trace capture for {wl_name}/{scale} did not complete")
 
 
 #: Slack bounds of the ablation (A1) sweep grid — single-sourced here;
@@ -123,31 +77,13 @@ TABLE3_SCHEMES = ("cc", "s9", "s100", "su", "q10", "l10", "s9*")
 SWEEP_EXPERIMENTS = ("figure8", "table3", "ablations")
 
 
-@dataclass(frozen=True)
-class PointSpec:
-    """One independent simulation point (picklable; sent to workers).
-
-    A thin grid-coordinate view over :class:`repro.jobs.JobSpec`:
-    :func:`point_job` is the (total) mapping onto the canonical job
-    identity, and every field here is digest-relevant there.
-    """
-
-    workload: str
-    scheme: str
-    host_cores: int
-    scale: str
-    seed: int
-    fastforward: bool = False
-    core_model: str = "inorder"
-
-
 def derive_seed(base_seed: int, workload: str, scheme: str, host_cores: int) -> int:
     """Per-point seed, stable across runs and independent of worker identity."""
     digest = sha256_hex(f"{base_seed}:{workload}:{scheme}:{host_cores}")
     return 1 + int.from_bytes(bytes.fromhex(digest[:8]), "little") % (2**31 - 1)
 
 
-def point_key(spec: PointSpec) -> str:
+def point_key(spec: JobSpec) -> str:
     """The merge/order key: one stable string per grid coordinate."""
     key = f"{spec.workload}/{spec.scheme}/h{spec.host_cores}"
     if spec.fastforward:
@@ -155,31 +91,24 @@ def point_key(spec: PointSpec) -> str:
     return key
 
 
-def point_job(spec: PointSpec):
-    """The canonical job identity of one grid point."""
-    from repro.jobs import JobSpec
-
-    return JobSpec(
-        workload=spec.workload,
-        scale=spec.scale,
-        scheme=spec.scheme,
-        seed=spec.seed,
-        host_cores=spec.host_cores,
-        core_model=spec.core_model,
-        fastforward=spec.fastforward,
-    )
-
-
-def point_document(spec: PointSpec, record: dict) -> dict:
+def point_document(spec: JobSpec, record: dict) -> dict:
     """A sweep point's JSON document, reduced from a job-store record.
 
     Pure function of (spec, record) with only deterministic record fields
-    — provenance (wall times, trace paths) never leaks in, which is what
-    keeps a store-served sweep byte-identical to a cold one.
+    — provenance (wall times) never leaks in, which is what keeps a
+    store-served sweep byte-identical to a cold one.
     """
     metrics = record["metrics"]
     return {
-        "spec": asdict(spec),
+        "spec": {
+            "workload": spec.workload,
+            "scheme": spec.scheme,
+            "host_cores": spec.host_cores,
+            "scale": spec.scale,
+            "seed": spec.seed,
+            "fastforward": spec.fastforward,
+            "core_model": spec.core_model,
+        },
         "completed": record["completed"],
         "execution_cycles": metrics["execution_cycles"],
         "global_time": metrics["global_time"],
@@ -194,36 +123,22 @@ def point_document(spec: PointSpec, record: dict) -> dict:
     }
 
 
-def execute_point(spec: PointSpec):
-    """Resolve one point through the job layer: its ``JobOutcome``.
-
-    A store hit, else a replay of whatever matching capture the trace store
-    holds (``trace="auto"``; a stale capture degrades to a direct run
-    inside ``execute()``), else a direct run — sealed into the store before
-    this returns.
-    """
-    _maybe_crash(spec)
-    from repro.jobs import ResultStore, execute
-
-    return execute(point_job(spec), store=ResultStore.default(), trace="auto")
-
-
-def _run_point_ex(spec: PointSpec) -> tuple[dict, bool]:
-    """(document, store_hit) of one point.
+def _resolve_point(spec: JobSpec) -> tuple[dict, bool]:
+    """(document, store_hit) of one point: a store hit, else a direct run
+    sealed into the store before this returns.
 
     Module-level (picklable) so ProcessPoolExecutor can ship it to workers;
     also the serial path, so jobs=1 and jobs=N run the identical code.
     """
-    outcome = execute_point(spec)
+    _maybe_crash(spec)
+    # Looked up per call: bench/tracer.py wraps ``repro.jobs.execute`` from outside.
+    from repro.jobs import ResultStore, execute
+
+    outcome = execute(spec, store=ResultStore.default())
     return point_document(spec, outcome.record), outcome.hit
 
 
-def run_point(spec: PointSpec) -> dict:
-    """Simulate (or serve from the result store) one point's document."""
-    return _run_point_ex(spec)[0]
-
-
-def _maybe_crash(spec: PointSpec) -> None:
+def _maybe_crash(spec: JobSpec) -> None:
     """Worker-crash fault injection (the sweep-level sibling of
     :mod:`repro.faults`): if ``REPRO_SWEEP_CRASH_POINT`` names this point's
     key and the ``REPRO_SWEEP_CRASH_ONCE`` marker file does not exist yet,
@@ -243,6 +158,18 @@ def _maybe_crash(spec: PointSpec) -> None:
 
 
 # ----------------------------------------------------------------- grids
+def _grid_point(
+    scale: str, base_seed: int, workload: str, scheme: str, host_cores: int
+) -> JobSpec:
+    return JobSpec(
+        workload=workload,
+        scale=scale,
+        scheme=scheme,
+        seed=derive_seed(base_seed, workload, scheme, host_cores),
+        host_cores=host_cores,
+    )
+
+
 def _figure8_points(
     scale: str,
     base_seed: int,
@@ -250,20 +177,13 @@ def _figure8_points(
     benchmarks: tuple[str, ...] = BENCHMARKS,
     schemes: tuple[str, ...] = SCHEMES,
     host_counts: tuple[int, ...] = HOST_COUNTS,
-) -> list[PointSpec]:
+) -> list[JobSpec]:
     points = []
     for bench in benchmarks:
-        points.append(
-            PointSpec(bench, "cc", 1, scale, derive_seed(base_seed, bench, "cc", 1))
-        )
+        points.append(_grid_point(scale, base_seed, bench, "cc", 1))
         for scheme in schemes:
             for hosts in host_counts:
-                points.append(
-                    PointSpec(
-                        bench, scheme, hosts, scale,
-                        derive_seed(base_seed, bench, scheme, hosts),
-                    )
-                )
+                points.append(_grid_point(scale, base_seed, bench, scheme, hosts))
     return points
 
 
@@ -274,17 +194,12 @@ def _table3_points(
     benchmarks: tuple[str, ...] = BENCHMARKS,
     schemes: tuple[str, ...] = TABLE3_SCHEMES,
     host_cores: int = 8,
-) -> list[PointSpec]:
-    points = []
-    for bench in benchmarks:
-        for scheme in schemes:
-            points.append(
-                PointSpec(
-                    bench, scheme, host_cores, scale,
-                    derive_seed(base_seed, bench, scheme, host_cores),
-                )
-            )
-    return points
+) -> list[JobSpec]:
+    return [
+        _grid_point(scale, base_seed, bench, scheme, host_cores)
+        for bench in benchmarks
+        for scheme in schemes
+    ]
 
 
 def _ablation_points(
@@ -294,22 +209,15 @@ def _ablation_points(
     *,
     slacks: tuple[int, ...] = ABLATION_SLACKS,
     host_cores: int = 8,
-) -> list[PointSpec]:
+) -> list[JobSpec]:
     schemes = ["cc"] + [f"s{n}" for n in slacks] + ["su"]
-    points = [
-        PointSpec(workload, "cc", 1, scale, derive_seed(base_seed, workload, "cc", 1))
+    return [_grid_point(scale, base_seed, workload, "cc", 1)] + [
+        _grid_point(scale, base_seed, workload, scheme, host_cores)
+        for scheme in schemes
     ]
-    for scheme in schemes:
-        points.append(
-            PointSpec(
-                workload, scheme, host_cores, scale,
-                derive_seed(base_seed, workload, scheme, host_cores),
-            )
-        )
-    return points
 
 
-def build_points(experiment: str, scale: str, base_seed: int, **kwargs) -> list[PointSpec]:
+def build_points(experiment: str, scale: str, base_seed: int, **kwargs) -> list[JobSpec]:
     """The full point list for *experiment* (identical on every path).
 
     The single grid authority: the sweep runner AND the single-experiment
@@ -332,54 +240,31 @@ def build_points(experiment: str, scale: str, base_seed: int, **kwargs) -> list[
 # ----------------------------------------------------------------- derived
 def _derive_metrics(experiment: str, merged: dict) -> dict:
     """Cross-point metrics (speedups, errors) from the merged point dict."""
-    derived: dict = {}
-    if experiment == "figure8":
-        speedups: dict = {}
-        for key, point in merged.items():
-            spec = point["spec"]
-            if spec["scheme"] == "cc" and spec["host_cores"] == 1:
-                continue
-            base = merged[f"{spec['workload']}/cc/h1"]
-            speedups[key] = base["host_time"] / point["host_time"]
-        derived["speedup_over_cc1"] = speedups
-    elif experiment == "table3":
-        errors: dict = {}
-        for key, point in merged.items():
-            spec = point["spec"]
-            if spec["scheme"] == "cc":
-                continue
+    want_speedup = experiment in ("figure8", "ablations")
+    want_error = experiment in ("table3", "ablations")
+    speedups: dict = {}
+    errors: dict = {}
+    for key, point in merged.items():
+        spec = point["spec"]
+        # The references themselves carry no metric; Figure 8 plots cc at H > 1.
+        if spec["scheme"] == "cc" and (want_error or spec["host_cores"] == 1):
+            continue
+        if want_speedup:
+            speedups[key] = speedup(merged[f"{spec['workload']}/cc/h1"], point)
+        if want_error:
             gold = merged[f"{spec['workload']}/cc/h{spec['host_cores']}"]
-            errors[key] = (
-                abs(point["execution_cycles"] - gold["execution_cycles"])
-                / gold["execution_cycles"]
-                if gold["execution_cycles"]
-                else 0.0
-            )
-        derived["error_vs_cc"] = errors
-    elif experiment == "ablations":
-        speedups = {}
-        errors = {}
-        for key, point in merged.items():
-            spec = point["spec"]
-            if spec["scheme"] == "cc":
-                continue
-            base = merged[f"{spec['workload']}/cc/h1"]
-            gold = merged[f"{spec['workload']}/cc/h8"]
-            speedups[key] = base["host_time"] / point["host_time"]
-            errors[key] = (
-                abs(point["execution_cycles"] - gold["execution_cycles"])
-                / gold["execution_cycles"]
-                if gold["execution_cycles"]
-                else 0.0
-            )
+            errors[key] = error(gold, point)
+    derived: dict = {}
+    if want_speedup:
         derived["speedup_over_cc1"] = speedups
+    if want_error:
         derived["error_vs_cc"] = errors
     return derived
 
 
 # --------------------------------------------------------------- top level
 def _run_points_parallel(
-    specs: list[PointSpec], *, jobs: int, max_retries: int
+    specs: list[JobSpec], *, jobs: int, max_retries: int
 ) -> list[tuple[dict, bool]]:
     """Futures-based scheduler with crash recovery.
 
@@ -401,7 +286,7 @@ def _run_points_parallel(
         # from the collections the job layer runs between engines — ~2 ms
         # each instead of ~13.
         executor = ProcessPoolExecutor(max_workers=jobs, initializer=gc.freeze)
-        futures = {executor.submit(_run_point_ex, specs[i]): i for i in todo}
+        futures = {executor.submit(_resolve_point, specs[i]): i for i in todo}
         try:
             for future in as_completed(futures):
                 done[futures[future]] = future.result()  # point errors propagate here
@@ -422,6 +307,37 @@ def _run_points_parallel(
         backoff.sleep()
 
 
+def resolve(
+    specs: list[JobSpec],
+    *,
+    jobs: int = 1,
+    max_retries: int = 2,
+    telemetry: dict | None = None,
+) -> dict[str, dict]:
+    """``{point_key: document}`` of *specs* (which must differ in what
+    :func:`point_key` names): the one way an experiment obtains its points.
+
+    ``jobs <= 1`` resolves every point serially in-process, otherwise over
+    the crash-recovering pool; either way the documents are identical (see
+    the module docstring for why).  Nothing but the result store remembers a
+    finished point: a repeated request is a store hit, and re-running a
+    killed sweep simulates only what had not finished.
+
+    *telemetry*, when given, receives out-of-band execution counters —
+    ``store_hits`` / ``store_misses`` — kept outside the documents on
+    purpose: a warm sweep must render the same bytes as a cold one, so how
+    each point was served cannot live in the payload.
+    """
+    if jobs <= 1:
+        served = [_resolve_point(spec) for spec in specs]
+    else:
+        served = _run_points_parallel(specs, jobs=jobs, max_retries=max_retries)
+    if telemetry is not None:
+        telemetry["store_hits"] = sum(hit for _, hit in served)
+        telemetry["store_misses"] = len(served) - telemetry["store_hits"]
+    return {point_key(spec): doc for spec, (doc, _) in zip(specs, served)}
+
+
 def run_sweep(
     experiment: str,
     *,
@@ -429,42 +345,15 @@ def run_sweep(
     scale: str | None = None,
     base_seed: int = 1,
     max_retries: int = 2,
-    trace: bool = False,
     telemetry: dict | None = None,
     **kwargs,
 ) -> dict:
-    """Run a full experiment sweep, sharded over *jobs* processes.
-
-    ``jobs <= 1`` runs every point serially in-process; either way the
-    returned document is identical (see the module docstring for why).
-    Nothing but the result store remembers a finished point: re-running a
-    killed sweep serves what finished as store hits and simulates the rest.
-
-    With *trace*, one functional capture per (workload, scale) is taken up
-    front in the parent — trivially exactly-once whatever the job count —
-    and every in-order point (all schemes, host counts and ff variants)
-    replays it.
-
-    *telemetry*, when given, receives out-of-band execution counters —
-    ``store_hits`` / ``store_misses`` — kept outside the returned document
-    on purpose: a warm sweep must render the same bytes as a cold one, so
-    how each point was served cannot live in the payload.
-    """
+    """Run a full experiment sweep, sharded over *jobs* processes: the grid
+    (``kwargs`` subset it, see :func:`build_points`), :func:`resolve`, and
+    the cross-point metrics, as one byte-stable document."""
     scale = scale or default_scale()
     specs = build_points(experiment, scale, base_seed, **kwargs)
-    if trace:
-        _capture_sweep_traces(specs, base_seed)
-
-    if jobs <= 1:
-        served = [_run_point_ex(spec) for spec in specs]
-    else:
-        served = _run_points_parallel(specs, jobs=jobs, max_retries=max_retries)
-
-    if telemetry is not None:
-        telemetry["store_hits"] = sum(hit for _, hit in served)
-        telemetry["store_misses"] = len(served) - telemetry["store_hits"]
-
-    docs = {point_key(spec): doc for spec, (doc, _) in zip(specs, served)}
+    docs = resolve(specs, jobs=jobs, max_retries=max_retries, telemetry=telemetry)
     merged = {key: docs[key] for key in sorted(docs)}
     return {
         "experiment": experiment,

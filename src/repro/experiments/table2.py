@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import BENCHMARKS, Runner
+from repro.experiments.common import BENCHMARKS, default_scale
+from repro.experiments.parallel import resolve
+from repro.jobs.spec import JobSpec
 from repro.stats.tables import Table
+from repro.workloads.registry import make_workload
 
 __all__ = ["run_table2", "Table2Row", "PAPER_TABLE2_KIPS"]
 
@@ -37,19 +40,25 @@ class Table2Row:
     paper_kips: float
 
 
-def run_table2(runner: Runner | None = None) -> list[Table2Row]:
+def run_table2(scale: str | None = None, seed: int = 1) -> list[Table2Row]:
     """Regenerate Table 2 with the baseline (cc, 1 host core) runs."""
-    runner = runner or Runner()
+    scale = scale or default_scale()
+    docs = resolve(
+        [
+            JobSpec(workload=name, scale=scale, scheme="cc", seed=seed, host_cores=1)
+            for name in BENCHMARKS
+        ]
+    )
     rows = []
     for name in BENCHMARKS:
-        result = runner.baseline(name)
+        doc = docs[f"{name}/cc/h1"]
         rows.append(
             Table2Row(
                 benchmark=name,
-                input_set=runner.workload(name).input_set,
+                input_set=make_workload(name, scale=scale).input_set,
                 paper_input_set=PAPER_INPUT_SETS[name],
-                instructions=result.instructions,
-                kips=result.kips,
+                instructions=doc["instructions"],
+                kips=doc["kips"],
                 paper_kips=PAPER_TABLE2_KIPS[name],
             )
         )
@@ -64,11 +73,3 @@ def render_table2(rows: list[Table2Row]) -> str:
     for r in rows:
         table.add_row(r.benchmark, r.input_set, r.paper_input_set, r.instructions, r.kips, r.paper_kips)
     return table.render()
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render_table2(run_table2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

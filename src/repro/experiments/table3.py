@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import BENCHMARKS, Runner
-from repro.experiments.parallel import build_points, point_key
+from repro.experiments.common import BENCHMARKS, default_scale, error
+from repro.experiments.parallel import build_points, resolve
 from repro.stats.tables import Table
 
 __all__ = ["run_table3", "Table3Row", "PAPER_TABLE3"]
@@ -47,16 +47,18 @@ class Table3Row:
     violations: dict  # scheme -> total violation count
 
 
-def run_table3(runner: Runner | None = None, host_cores: int = 8) -> list[Table3Row]:
+def run_table3(
+    scale: str | None = None, seed: int = 1, host_cores: int = 8
+) -> list[Table3Row]:
     """Regenerate Table 3 (plus conservative-scheme columns).
 
     The point list comes from :func:`repro.experiments.parallel.build_points`
     — the identical grid ``repro sweep table3`` runs, so the table reads the
     sweep's stored records (and vice versa).
     """
-    runner = runner or Runner()
-    points = build_points("table3", runner.scale, runner.seed, host_cores=host_cores)
-    docs = {point_key(p): runner.point(p) for p in points}
+    docs = resolve(
+        build_points("table3", scale or default_scale(), seed, host_cores=host_cores)
+    )
     rows = []
     for bench in BENCHMARKS:
         gold = docs[f"{bench}/cc/h{host_cores}"]
@@ -64,12 +66,7 @@ def run_table3(runner: Runner | None = None, host_cores: int = 8) -> list[Table3
         violations = {}
         for scheme in ERROR_SCHEMES + CONSERVATIVE_SCHEMES:
             doc = docs[f"{bench}/{scheme}/h{host_cores}"]
-            errors[scheme] = (
-                abs(doc["execution_cycles"] - gold["execution_cycles"])
-                / gold["execution_cycles"]
-                if gold["execution_cycles"]
-                else 0.0
-            )
+            errors[scheme] = error(gold, doc)
             # Violation totals come off the run's stats registry dump.
             violations[scheme] = doc["violations"]
         rows.append(
@@ -111,11 +108,3 @@ def render_table3(rows: list[Table3Row]) -> str:
             f"{r.violations['s9']}/{r.violations['s100']}/{r.violations['su']}",
         )
     return table.render() + "\n\n" + extra.render()
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render_table3(run_table3()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

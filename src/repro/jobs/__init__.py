@@ -4,10 +4,9 @@ Every entry point — ``run``, ``sweep``, the figure/table experiment
 modules, ``bench`` — resolves its work through one canonical identity
 (:class:`JobSpec` / :func:`job_key`), one persistent memo
 (:class:`ResultStore` under ``.repro_cache/results/``), and one execution
-pipeline (:func:`execute`: store hit → trace replay → direct run).  A
-repeated request is a store lookup, not a re-simulation; the future
-``repro serve`` daemon (ROADMAP item 1) is a network front-end over
-exactly these three calls.
+pipeline (:func:`execute`: store hit, else a direct run).  A repeated
+request is a store lookup, not a re-simulation; the ``repro serve`` daemon
+(DESIGN.md §13) is a network front-end over exactly these three calls.
 """
 
 from repro.jobs.execute import (

@@ -1,21 +1,20 @@
 """The memoized execution pipeline: job in, sealed record out.
 
 ``execute(spec, store)`` is the one path every entry point shares
-(DESIGN.md §12).  The decision tree on each call:
+(DESIGN.md §12), and it is *hit or run*:
 
 1. **Store hit** — a sealed record for the job key exists: return it
-   without simulating (unless ``refresh=True``, which forces a run).
-2. **Miss + capture available** — the trace store holds a capture whose
-   program digest and workload config match (ROADMAP item 4): replay it
-   under the job's scheme/window/memory config.  Replay is dump-identical
-   to direct execution (DESIGN.md §11), so the record is byte-for-byte the
-   one a direct run would have produced.
-3. **Miss, no capture** — run the engine directly.
+   without simulating.
+2. **Miss** — run the engine directly, verify the output against the
+   workload's numpy oracle, pack the record (metrics, per-core summaries,
+   flat stats, stats digest, the rendered stats document, output
+   fingerprint, provenance) and publish it to the store atomically.
 
-Either way the run is verified against the workload's numpy oracle, packed
-into a record (metrics, per-core summaries, flat stats, stats digest, the
-rendered stats document, output fingerprint, provenance) and published to
-the store atomically.
+``execute(spec, store, trace=path)`` is the explicit replay tool (DESIGN.md
+§11): it re-times the capture at *path* under the job's configuration and
+hands back the same record shape, but **neither reads nor writes the
+store** — a replayed run prints the capture run's values, so it is not a
+run of this job's key, and a sealed record must be attributable to one.
 
 ``execute_functional`` is the bench-shaped sibling: it always runs (wall
 time is the product) but records the functional outcome in the same store,
@@ -47,81 +46,13 @@ class JobOutcome:
     hit: bool
     #: The live engine/functional result — ``None`` on a hit.
     result: object = None
-    #: True when a store miss was served by trace replay instead of a
-    #: direct run (observationally identical; recorded as provenance).
-    replayed: bool = False
     #: Functional-record drift against a previously stored record
     #: (``execute_functional`` only): list of human-readable mismatches.
     drift: list = field(default_factory=list)
 
 
-def _resolve_trace(spec: JobSpec, program_digest: str, trace) -> "str | None":
-    """Which capture (if any) should serve this miss.
-
-    ``trace=None`` forbids replay, a path string forces that file, and
-    ``"auto"`` consults the trace store for a capture matching the job's
-    program digest and workload config — seed-agnostic, because the
-    committed-op stream is invariant under the simulation seed.
-    """
-    if trace is None:
-        return None
-    if trace != "auto":
-        return str(trace)
-    if spec.core_model != "inorder":
-        return None  # the capture seam lives at the inorder commit sites
-    if spec.sim_config().fault_plan:
-        return None  # a faulted run diverges from any clean recording
-    from repro.trace.store import find_trace
-
-    path = find_trace(
-        program_digest, {"workload": spec.workload, "scale": spec.scale}
-    )
-    return str(path) if path is not None else None
-
-
-def _run_spec(spec: JobSpec, workload, trace_path: "str | None", *, fallback: bool = True):
-    """Run the engine for *spec*, replaying *trace_path* when given.
-
-    With ``fallback`` (the auto-discovery case) a replay that fails
-    validity (stale capture, core-count mismatch, stream exhaustion) falls
-    back to a fresh direct run — a bad capture must never fail a job that
-    direct execution would complete.  An *explicitly requested* capture
-    propagates its error instead: the caller asked for that file.
-    """
-    from repro.core.engine import EngineError, SequentialEngine
-    from repro.trace.format import TraceError
-
-    sim = spec.sim_config()
-    if trace_path is not None:
-        try:
-            result = SequentialEngine(
-                workload.program,
-                target=spec.target_config(),
-                host=spec.host_config(),
-                sim=replace(sim, trace_mode="replay", trace_path=trace_path),
-            ).run()
-            return result, True
-        except (EngineError, TraceError):
-            if not fallback:
-                raise
-            # invalid/stale auto-discovered capture: fall through to direct
-    result = SequentialEngine(
-        workload.program,
-        target=spec.target_config(),
-        host=spec.host_config(),
-        sim=replace(sim, trace_mode="off", trace_path=None, trace_source=None),
-    ).run()
-    return result, False
-
-
 def _timing_record(
-    spec: JobSpec,
-    payload: dict,
-    result,
-    *,
-    replayed: bool,
-    trace_path: "str | None",
-    wall_time: float,
+    payload: dict, result, *, trace: "str | None", wall_time: float
 ) -> dict:
     stats = result.stats
     return {
@@ -158,8 +89,8 @@ def _timing_record(
         "stats_dump": result.dump_json(),
         "provenance": {
             "repro_version": repro.__version__,
-            "engine": "replay" if replayed else "direct",
-            "trace_path": trace_path if replayed else None,
+            "engine": "direct" if trace is None else "replay",
+            "trace_path": trace,
             "wall_time_s": wall_time,
             "created_unix": time.time(),
         },
@@ -167,20 +98,15 @@ def _timing_record(
 
 
 def execute(
-    spec: JobSpec,
-    store: "ResultStore | None" = None,
-    *,
-    trace="auto",
-    refresh: bool = False,
+    spec: JobSpec, store: "ResultStore | None" = None, *, trace: "str | None" = None
 ) -> JobOutcome:
-    """Resolve *spec* to a result record: store hit, replay, or direct run.
+    """Resolve *spec* to a result record: a store hit, else a direct run.
 
-    *store* defaults to the shared on-disk store (``None`` there means
-    caching is disabled and every call runs).  *trace* is ``"auto"``
-    (consult the trace store), ``None`` (never replay) or an explicit
-    capture path.  ``refresh=True`` skips the store read — the job runs
-    and its record is rewritten (explicit ``--replay-trace`` runs use
-    this, so asking to exercise replay really exercises it).
+    *store* defaults to ``None``: caching is disabled and every call runs.
+    With *trace* (a capture path) the job is replayed from that file and the
+    store is left exactly as it was found; a capture that cannot serve the
+    job (another program, core model or core count; a damaged file) raises
+    ``EngineError``/``TraceError``.
     """
     if spec.mode != "timing":
         raise ValueError(f"execute() runs timing jobs; got mode={spec.mode!r}")
@@ -189,19 +115,32 @@ def execute(
 
     pdigest = _pd(workload.program)
     key = job_key(spec, program_digest=pdigest)
-    if store is not None and not refresh:
+    if trace is not None:
+        trace, store = str(trace), None
+    elif store is not None:
         record = store.load(key)
         if record is not None:
             return JobOutcome(key=key, record=record, hit=True)
+
+    from repro.core.engine import SequentialEngine
 
     # An engine is a cyclic graph that owns its target-memory image, and a
     # job on a warm Program (lang/memo.py) allocates too little for the
     # collector to run by itself: free the previous job's engine before
     # building this one, or a loop of jobs piles them up.
     gc.collect()
-    trace_path = _resolve_trace(spec, pdigest, trace)
     t0 = time.perf_counter()
-    result, replayed = _run_spec(spec, workload, trace_path, fallback=trace == "auto")
+    result = SequentialEngine(
+        workload.program,
+        target=spec.target_config(),
+        host=spec.host_config(),
+        sim=replace(
+            spec.sim_config(),
+            trace_mode="off" if trace is None else "replay",
+            trace_path=trace,
+            trace_source=None,
+        ),
+    ).run()
     wall_time = time.perf_counter() - t0
     problems = workload.mismatches(result.output)
     if problems:
@@ -210,18 +149,11 @@ def execute(
             + "; ".join(problems)
         )
     record = _timing_record(
-        spec,
-        digest_payload(spec, pdigest),
-        result,
-        replayed=replayed,
-        trace_path=trace_path,
-        wall_time=wall_time,
+        digest_payload(spec, pdigest), result, trace=trace, wall_time=wall_time
     )
     if store is not None:
         record = store.put(key, record)  # hand back the sealed form
-    return JobOutcome(
-        key=key, record=record, hit=False, result=result, replayed=replayed
-    )
+    return JobOutcome(key=key, record=record, hit=False, result=result)
 
 
 def execute_functional(

@@ -17,14 +17,13 @@ incorporates
 
 **Digest-excluded fields** are execution mechanics proven observationally
 equivalent elsewhere in the test suite: the trace mode (replay is
-dump-identical to direct execution, DESIGN.md §11), the serve layer's
+dump-identical to direct execution, DESIGN.md §11 — but prints the capture
+run's output values, so only direct runs are stored), the serve layer's
 progress heartbeat (observation only, §13), and output paths.
-Changing any of them must NOT change the key — a replayed run and a direct
-run of the same job are the *same job* and share one stored record.  The
-per-cycle stepping and oracle dispatch references are not configuration at
-all: they are ``SequentialEngine`` constructor arguments that only the
-differential tests pass (§5/§6), so no spec, wire dict or checkpoint can
-carry them.
+Changing any of them must NOT change the key.  The per-cycle stepping and
+oracle dispatch references are not configuration at all: they are
+``SequentialEngine`` constructor arguments that only the differential tests
+pass (§5/§6), so no spec, wire dict or checkpoint can carry them.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ from repro.sysapi.syscalls import Sys
 from repro.trace.format import (
     ACC_AMO, ACC_LOAD, ACC_STORE,
     OP_EXIT, OP_HALT, OP_JOIN, OP_MEM, OP_MULTI, OP_PRINT, OP_RUN,
-    OP_SPAWN, OP_SYNC, OP_SYS, OP_THALT, OP_THINK, OP_TLOAD, OP_TSTORE,
+    OP_SPAWN, OP_SYNC, OP_SYS,
 )
 
-__all__ = ["CoreRecorder", "TraceRecorder", "record_syscall", "serialize_trace_cores"]
+__all__ = ["CoreRecorder", "TraceRecorder", "record_syscall"]
 
 _PLAIN_SYS = frozenset((Sys.SBRK, Sys.CLOCK, Sys.THREAD_ID, Sys.NUM_THREADS))
 _SYNC_SYS = frozenset((
@@ -130,30 +130,3 @@ def record_syscall(rec: CoreRecorder, num: int, a0: int, a1: int, fa0: float,
         rec.emit((OP_SYNC, int(num), a0, a1))
     else:  # pragma: no cover - SystemEmulation already rejected it
         raise ValueError(f"unrecordable syscall {num}")
-
-
-def serialize_trace_cores(models: list) -> tuple[list[list[tuple]], list[dict]]:
-    """Trace flavor: a TraceCore's script *is* its committed-op stream."""
-    streams: list[list[tuple]] = []
-    l1_configs: list[dict] = []
-    for model in models:
-        ops: list[tuple] = []
-        for op in model.script:
-            kind = op[0]
-            if kind == "think":
-                ops.append((OP_THINK, int(op[1])))
-            elif kind == "load":
-                ops.append((OP_TLOAD, int(op[1])))
-            elif kind == "store":
-                ops.append((OP_TSTORE, int(op[1])))
-            elif kind == "halt":
-                ops.append((OP_THALT,))
-            else:  # pragma: no cover - TraceCore.step would reject it too
-                raise ValueError(f"unknown trace op {op!r}")
-        streams.append(ops)
-        cfg = model.l1.config
-        l1_configs.append({
-            "size_bytes": cfg.size_bytes, "block_bytes": cfg.block_bytes,
-            "assoc": cfg.assoc, "hit_latency": cfg.hit_latency,
-        })
-    return streams, l1_configs

@@ -19,12 +19,9 @@ little-endian signed 64-bit integers except ``OP_PRINT``'s float payload,
 which stores its IEEE-754 bits.  The footer seals the file: a flipped bit
 anywhere is a hard :class:`TraceError`, never silent garbage.
 
-Two flavors share the container:
-
-* ``"program"`` — ISA workloads.  Captured from :class:`InOrderCore`
-  commit hooks; replayed by :class:`repro.trace.replay.ReplayCore`.
-* ``"trace"`` — scripted :class:`TraceCore` workloads.  The scripts are
-  the trace; replay rebuilds literal TraceCores.
+The header's ``"flavor"`` is always ``"program"``: an ISA workload captured
+from :class:`InOrderCore` commit hooks and replayed by
+:class:`repro.trace.replay.ReplayCore`.  The engine refuses any other value.
 """
 
 from __future__ import annotations
@@ -41,16 +38,15 @@ __all__ = [
     "TraceError", "Trace", "TRACE_VERSION",
     "OP_RUN", "OP_MULTI", "OP_MEM", "OP_SYS", "OP_PRINT", "OP_SPAWN",
     "OP_JOIN", "OP_EXIT", "OP_SYNC", "OP_HALT",
-    "OP_THINK", "OP_TLOAD", "OP_TSTORE", "OP_THALT",
     "ACC_LOAD", "ACC_STORE", "ACC_AMO",
-    "program_digest", "write_trace", "read_header", "read_trace", "trace_info",
+    "program_digest", "write_trace", "read_trace", "trace_info",
 ]
 
 MAGIC = b"SLTR"
 TRACE_VERSION = 1
 
 # ------------------------------------------------------------- op vocabulary
-# Program flavor (ISA committed-op stream).
+# The ISA committed-op stream.
 OP_RUN = 1     # (OP_RUN, n)                n coalesced latency-1 register commits
 OP_MULTI = 2   # (OP_MULTI, lat)            one register commit, lat-1 busy cycles
 OP_MEM = 3     # (OP_MEM, acc, lat, addr)   L1 access; acc below, lat = unit latency
@@ -61,11 +57,6 @@ OP_JOIN = 7    # (OP_JOIN, tid)
 OP_EXIT = 8    # (OP_EXIT,)
 OP_SYNC = 9    # (OP_SYNC, num, addr, aux)  Table-1 sync call, resolved arguments
 OP_HALT = 10   # (OP_HALT,)                 halt instruction
-# Trace flavor (TraceCore scripts, serialized verbatim).
-OP_THINK = 11   # (OP_THINK, n)
-OP_TLOAD = 12   # (OP_TLOAD, addr)
-OP_TSTORE = 13  # (OP_TSTORE, addr)
-OP_THALT = 14   # (OP_THALT,)
 
 ACC_LOAD = 0
 ACC_STORE = 1
@@ -75,7 +66,6 @@ _OP_NAMES = {
     OP_RUN: "run", OP_MULTI: "multi", OP_MEM: "mem", OP_SYS: "sys",
     OP_PRINT: "print", OP_SPAWN: "spawn", OP_JOIN: "join", OP_EXIT: "exit",
     OP_SYNC: "sync", OP_HALT: "halt",
-    OP_THINK: "think", OP_TLOAD: "load", OP_TSTORE: "store", OP_THALT: "halt",
 }
 
 _PACK_I64 = struct.Struct("<q")
@@ -98,8 +88,8 @@ class Trace:
     sha256: str = ""
 
     @property
-    def flavor(self) -> str:
-        return self.header["flavor"]
+    def flavor(self) -> "str | None":
+        return self.header.get("flavor")
 
     @property
     def num_cores(self) -> int:
@@ -161,7 +151,7 @@ def write_trace(path: str, header: dict, core_ops: list[list[tuple]]) -> str:
         for op in ops:
             name = _OP_NAMES[op[0]]
             counts[name] = counts.get(name, 0) + 1
-            if op[0] in (OP_MEM, OP_TLOAD, OP_TSTORE):
+            if op[0] == OP_MEM:
                 events += 1
     header["op_counts"] = dict(sorted(counts.items()))
     header["memory_events"] = events
@@ -194,40 +184,6 @@ def _decode_ops(buf: memoryview, offset: int, count: int) -> tuple[list[tuple], 
         offset += 8 * argc
         ops.append((code, *args))
     return ops, offset
-
-
-def read_header(path: str) -> dict:
-    """Parse just the header JSON of a trace file — no op streams, no seal.
-
-    The cheap candidate test for store discovery (:func:`repro.trace.store.
-    find_trace`): reading only ``magic | version | header_len | header``
-    costs a few hundred bytes however large the capture is.  Because the
-    footer is NOT verified here, a caller must never trust the op streams
-    on the strength of this read — :func:`read_trace` (which replay uses)
-    still performs the full integrity check.
-    """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(_PACK_FILE.size)
-            if len(head) < _PACK_FILE.size:
-                raise TraceError(f"trace {path!r} is truncated ({len(head)} bytes)")
-            magic, version, hlen = _PACK_FILE.unpack(head)
-            if magic != MAGIC:
-                raise TraceError(f"{path!r} is not a trace file (bad magic {magic!r})")
-            if version != TRACE_VERSION:
-                raise TraceError(
-                    f"trace {path!r} is format v{version}; this build reads "
-                    f"v{TRACE_VERSION}"
-                )
-            hjson = fh.read(hlen)
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    if len(hjson) < hlen:
-        raise TraceError(f"trace {path!r} is truncated inside its header")
-    try:
-        return json.loads(hjson.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceError(f"trace {path!r} has a corrupt header: {exc}") from None
 
 
 def read_trace(path: str) -> Trace:

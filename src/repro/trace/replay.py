@@ -30,17 +30,16 @@ from typing import Callable
 from repro.core.events import Event
 from repro.cpu.inorder import InOrderPipeline
 from repro.cpu.interfaces import CorePhase
-from repro.cpu.l1cache import AccessResult, L1Cache, L1Config
+from repro.cpu.l1cache import AccessResult, L1Cache
 from repro.sysapi.system import SysAction, SysResult, SystemBase
 from repro.trace.format import (
     ACC_AMO, ACC_LOAD, ACC_STORE,
     OP_EXIT, OP_HALT, OP_JOIN, OP_MEM, OP_MULTI, OP_PRINT, OP_RUN,
-    OP_SPAWN, OP_SYNC, OP_SYS, OP_THALT, OP_THINK, OP_TLOAD, OP_TSTORE,
-    Trace, TraceError,
+    OP_SPAWN, OP_SYNC, OP_SYS, TraceError,
 )
 from repro.violations.detect import WordOrderTracker
 
-__all__ = ["ReplayCore", "ReplaySystem", "rebuild_trace_cores"]
+__all__ = ["ReplayCore", "ReplaySystem"]
 
 
 class ReplaySystem(SystemBase):
@@ -220,7 +219,7 @@ class ReplayCore(InOrderPipeline):
             result = system.exit(self.core_id, now)
         else:
             raise TraceError(
-                f"replay core {self.core_id}: op {code} is not a program-flavor op"
+                f"replay core {self.core_id}: unknown op {code}"
             )
         return self._finish_syscall(result, now)
 
@@ -237,27 +236,3 @@ class ReplayCore(InOrderPipeline):
             ff = tracker.observe_store(addr, self.core_id, now)
             if ff and self.fastforward:
                 self._busy_until = now + ff
-
-
-def rebuild_trace_cores(trace: Trace) -> list:
-    """Trace flavor: reconstruct literal TraceCores from the serialized
-    scripts."""
-    from repro.workloads.synthetic import TraceCore
-
-    kinds = {OP_THINK: "think", OP_TLOAD: "load", OP_TSTORE: "store", OP_THALT: "halt"}
-    cores = []
-    l1_configs = trace.header.get("l1_per_core") or []
-    for core_id, ops in enumerate(trace.core_ops):
-        script: list[tuple] = []
-        for op in ops:
-            kind = kinds.get(op[0])
-            if kind is None:
-                raise TraceError(
-                    f"trace-flavor file holds a program-flavor op ({op[0]}) — corrupt header?"
-                )
-            script.append((kind,) if len(op) == 1 else (kind, op[1]))
-        l1 = None
-        if core_id < len(l1_configs):
-            l1 = L1Cache(L1Config(**l1_configs[core_id]))
-        cores.append(TraceCore(core_id, script, l1))
-    return cores

@@ -1,10 +1,13 @@
 """Experiment-harness shape tests: the DESIGN.md acceptance criteria at tiny
 scale.  These are the executable paper-vs-measured checks."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
-    Runner,
     run_figure2,
     run_figure8,
     run_table2,
@@ -17,33 +20,40 @@ from repro.experiments.ablations import (
     run_slack_sweep,
 )
 from repro.experiments.figure8 import render_figure8
+from repro.experiments.parallel import run_sweep
 from repro.experiments.table2 import render_table2
 from repro.experiments.table3 import render_table3
 
+SCALE = "tiny"
 
-@pytest.fixture(scope="module")
-def runner():
-    return Runner(scale="tiny", seed=1)
+
+@pytest.fixture(scope="module", autouse=True)
+def shared_store(tmp_path_factory):
+    """One result store for the module: it is the only memo, so a point two
+    experiments share (and every sweep document pinned below) runs once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 class TestTable2:
-    def test_kips_in_paper_magnitude(self, runner):
-        rows = run_table2(runner)
+    def test_kips_in_paper_magnitude(self):
+        rows = run_table2(SCALE)
         assert len(rows) == 4
         for row in rows:
             # Same order of magnitude as the paper's 111-127 KIPS.
             assert 30 < row.kips < 500, row
             assert row.instructions > 1000
 
-    def test_render(self, runner):
-        text = render_table2(run_table2(runner))
+    def test_render(self):
+        text = render_table2(run_table2(SCALE))
         assert "KIPS" in text and "barnes" in text
 
 
 class TestFigure8:
     @pytest.fixture(scope="class")
-    def data(self, runner):
-        return run_figure8(runner, host_counts=(2, 8))
+    def data(self):
+        return run_figure8(SCALE, host_counts=(2, 8))
 
     def test_speedup_improves_with_host_cores(self, data):
         for bench in data.benchmarks:
@@ -88,8 +98,8 @@ class TestFigure8:
 
 class TestTable3:
     @pytest.fixture(scope="class")
-    def rows(self, runner):
-        return run_table3(runner)
+    def rows(self):
+        return run_table3(SCALE)
 
     def test_errors_grow_with_slack(self, rows):
         for row in rows:
@@ -143,24 +153,63 @@ class TestFigure2:
 
 
 class TestAblations:
-    def test_slack_sweep_tradeoff(self, runner):
-        points = run_slack_sweep("fft", slacks=(1, 9, 100), runner=runner)
+    def test_slack_sweep_tradeoff(self):
+        points = run_slack_sweep("fft", slacks=(1, 9, 100), scale=SCALE)
         speedups = [p.speedup for p in points]
         assert speedups[-1] >= speedups[0]          # su fastest
         assert points[0].violations <= points[-2].violations + 5
 
-    def test_critical_latency_violation_onset(self, runner):
-        points = run_critical_latency_sweep("fft", slacks=(5, 9, 60), runner=runner)
+    def test_critical_latency_violation_onset(self):
+        points = run_critical_latency_sweep("fft", slacks=(5, 9, 60), scale=SCALE)
         below = [p for p in points if int(p.label[1:-1]) < 10]
         for p in below:
             assert p.violations == 0, p.label
 
-    def test_fastforward_reduces_nothing_when_no_races(self, runner):
-        result = run_fastforward_ablation("lu", "s9", runner=runner)
+    def test_fastforward_reduces_nothing_when_no_races(self):
+        result = run_fastforward_ablation("lu", "s9", scale=SCALE)
         assert result["on"]["fastforwards"] >= 0
 
-    def test_coremodel_ordering_stable(self, runner):
-        orderings = run_coremodel_ablation("fft", schemes=("cc", "q10", "su"), runner=runner)
+    def test_coremodel_ordering_stable(self):
+        orderings = run_coremodel_ablation("fft", schemes=("cc", "q10", "su"), scale=SCALE)
         # cc slowest under both core models.
         assert orderings["inorder"][0] == "cc"
         assert orderings["ooo"][0] == "cc"
+
+
+#: One sha256 per ``tiny`` sweep document, over what a reader of the paper's
+#: figures sees: the derived metrics and each point's cycles, modeled host
+#: time, stats digest and printed output.  Engine-mechanics counters (the
+#: ``stats`` dump's digest-excluded lines) stay out, so an iso-digest speed-up
+#: does not re-pin it.  Regenerate deliberately with ``--update-goldens``.
+GOLDEN = Path(__file__).parent / "goldens" / "sweep_documents.json"
+
+
+@pytest.mark.parametrize("experiment,grid", [
+    ("ablations", {}),
+    ("table3", {}),
+    ("figure8", {"host_counts": (2, 8)}),
+])
+def test_sweep_documents_are_pinned(request, experiment, grid):
+    doc = run_sweep(experiment, scale=SCALE, **grid)
+    pinned = {
+        "derived": doc["derived"],
+        "points": {
+            key: [
+                point["execution_cycles"],
+                float.hex(point["host_time"]),
+                point["stats_digest"],
+                point["output_sha256"],
+            ]
+            for key, point in doc["points"].items()
+        },
+    }
+    fresh = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    goldens = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if request.config.getoption("--update-goldens"):
+        goldens[experiment] = fresh
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
+    assert fresh == goldens.get(experiment), (
+        f"the tiny {experiment} document moved — if intentional, regenerate "
+        "with --update-goldens"
+    )

@@ -9,7 +9,7 @@ from repro.experiments.parallel import (
     build_points,
     derive_seed,
     point_key,
-    run_point,
+    resolve,
     run_sweep,
     sweep_to_json,
 )
@@ -39,8 +39,12 @@ def test_unknown_experiment_rejected():
 
 def test_point_metrics_are_json_safe():
     spec = build_points("ablations", "tiny", 1)[0]
-    metrics = run_point(spec)
+    metrics = resolve([spec])[point_key(spec)]
     json.dumps(metrics)
+    # The document's spec object is the grid coordinate, not the whole JobSpec.
+    assert sorted(metrics["spec"]) == [
+        "core_model", "fastforward", "host_cores", "scale", "scheme", "seed", "workload",
+    ]
     assert metrics["completed"]
     assert metrics["instructions"] > 0
     assert len(metrics["output_sha256"]) == 64

@@ -16,13 +16,12 @@ import pytest
 from repro.experiments.parallel import (
     SweepError,
     build_points,
-    execute_point,
     point_key,
-    run_point,
+    resolve,
     run_sweep,
     sweep_to_json,
 )
-from repro.jobs import ResultStore
+from repro.jobs import ResultStore, job_key
 
 EXPERIMENT = "ablations"
 SCALE = "tiny"
@@ -52,7 +51,7 @@ def _sweep(**kwargs) -> tuple[str, dict]:
 
 
 def test_crash_injection_is_inert_without_env():
-    assert run_point(SPECS[0])["completed"]
+    assert resolve(SPECS[:1])[point_key(SPECS[0])]["completed"]
 
 
 def test_kill_one_worker_then_recover(tmp_path, monkeypatch, baseline):
@@ -69,30 +68,22 @@ def test_kill_one_worker_then_recover(tmp_path, monkeypatch, baseline):
     assert tel["store_hits"] + tel["store_misses"] == len(SPECS)
 
 
-def _kill_then_rerun(monkeypatch, store, baseline, **kwargs) -> None:
+def test_kill_then_separate_resume_run(monkeypatch, store, baseline):
     """The CI shape: sweep #1 dies (a point's worker crashes on every
     attempt, retries exhausted); sweep #2 is the same call minus the crash
     and must finish from a *mix* of store hits and fresh runs."""
     monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", VICTIM)
     with pytest.raises(SweepError, match="lost its worker"):
-        _sweep(jobs=2, max_retries=1, **kwargs)
+        _sweep(jobs=2, max_retries=1)
     assert store.keys(), "no point was sealed before the sweep died"
 
     monkeypatch.delenv("REPRO_SWEEP_CRASH_POINT")
-    text, tel = _sweep(jobs=2, max_retries=1, **kwargs)
+    text, tel = _sweep(jobs=2, max_retries=1)
     assert text == baseline
     assert tel["store_hits"] >= 1 and tel["store_misses"] >= 1
     assert tel["store_hits"] + tel["store_misses"] == len(SPECS)
-
-
-def test_kill_then_separate_resume_run(monkeypatch, store, baseline):
-    _kill_then_rerun(monkeypatch, store, baseline)
-
-
-def test_kill_then_rerun_traced(monkeypatch, store, baseline):
-    _kill_then_rerun(monkeypatch, store, baseline, trace=True)
     engines = {record["provenance"]["engine"] for _, record in store.entries()}
-    assert engines == {"replay"}
+    assert engines == {"direct"}
 
 
 def test_resume_skips_finished_points(store, baseline):
@@ -100,7 +91,7 @@ def test_resume_skips_finished_points(store, baseline):
     simulate, and the rendered sweep is byte-identical."""
     full, _ = _sweep(jobs=1)
     for spec in (SPECS[1], SPECS[-1]):
-        store.path(execute_point(spec).key).unlink()
+        store.path(job_key(spec)).unlink()
 
     text, tel = _sweep(jobs=1)
     assert text == full == baseline
@@ -112,7 +103,7 @@ def test_rerun_distrusts_corrupt_records(store, baseline):
     metric under the old seal, a torn write) is quarantined and re-run, not
     believed."""
     _sweep(jobs=1)
-    tampered, torn = (store.path(execute_point(spec).key) for spec in SPECS[:2])
+    tampered, torn = (store.path(job_key(spec)) for spec in SPECS[:2])
     record = json.loads(tampered.read_text())
     record["metrics"]["instructions"] = -1
     tampered.write_text(json.dumps(record))

@@ -7,7 +7,7 @@ from repro.jobs import ResultStore
 
 @pytest.fixture()
 def cache_root(tmp_path, monkeypatch):
-    """Point REPRO_CACHE_DIR (compile cache, trace store, result store) at a
+    """Point REPRO_CACHE_DIR (compile cache, result store) at a
     per-test temp directory so tests never see each other's records."""
     root = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))

@@ -1,4 +1,4 @@
-"""The execute() pipeline: miss -> hit transparency, replay, drift, sweeps."""
+"""The execute() pipeline: miss -> hit transparency, explicit replay, drift, sweeps."""
 
 import json
 
@@ -37,11 +37,6 @@ class TestMissThenHit:
         miss = execute(spec(), store)
         assert miss.record["stats_dump"] == miss.result.dump_json()
 
-    def test_refresh_bypasses_the_store_read(self, store):
-        execute(spec(), store)
-        again = execute(spec(), store, refresh=True)
-        assert not again.hit and again.result is not None
-
     def test_executed_miss_hands_back_what_load_returns(self, store, monkeypatch):
         """The record a miss returns is the published one — and producing it
         costs one store lookup (the miss), not a read-back counted as a hit."""
@@ -64,62 +59,76 @@ class TestMissThenHit:
             execute_functional(spec(), store)
 
 
+@pytest.fixture(scope="module")
+def fft_trace(tmp_path_factory):
+    """A cc capture of ``spec()``'s program."""
+    from repro.core.config import SimConfig
+    from repro.core.engine import SequentialEngine
+    from repro.jobs.spec import spec_program
+
+    path = str(tmp_path_factory.mktemp("trace") / "fft.trace")
+    SequentialEngine(
+        spec_program(spec()).program,
+        sim=SimConfig(scheme="cc", trace_mode="capture", trace_path=path),
+    ).run()
+    return path
+
+
+def _tree(root) -> dict:
+    """Every file under *root*: relative path -> (bytes, mtime)."""
+    return {
+        str(p.relative_to(root)): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
 class TestReplay:
-    def test_auto_replay_serves_a_miss_byte_identically(self, store, cache_root):
-        """A sweep-style capture in the trace store serves a later miss via
-        replay, and the stored record is byte-for-byte what a direct run
-        produces (ROADMAP item 4: replay-powered result reuse)."""
-        from repro.core.config import SimConfig
-        from repro.core.engine import SequentialEngine
-        from repro.trace.format import program_digest
-        from repro.trace.store import trace_key, trace_store_path
+    """``execute(trace=path)`` is a tool: the store holds direct runs only."""
 
-        from repro.jobs.spec import spec_program
-
-        workload = spec_program(spec())
-        source = {"workload": "fft", "scale": "tiny"}
-        path = trace_store_path(
-            trace_key(program_digest(workload.program), source, 1)
-        )
-        SequentialEngine(
-            workload.program,
-            sim=SimConfig(
-                scheme="su", seed=1, trace_mode="capture", trace_path=str(path),
-                trace_source=json.dumps(source, sort_keys=True),
-            ),
-        ).run()
-
-        replayed = execute(spec(scheme="q10", seed=9, host_cores=4), store)
-        assert replayed.replayed
+    def test_replay_leaves_a_direct_record_alone(self, store, fft_trace):
+        direct = execute(spec(), store)
+        before = _tree(store.root)
+        replayed = execute(spec(), store, trace=fft_trace)
+        assert not replayed.hit and replayed.result is not None
         assert replayed.record["provenance"]["engine"] == "replay"
+        assert replayed.record["provenance"]["trace_path"] == fft_trace
+        assert "record_sha256" not in replayed.record  # never sealed
+        assert replayed.key == direct.key
+        assert replayed.record["stats_dump"] == direct.record["stats_dump"]
+        assert _tree(store.root) == before
 
-        direct = execute(
-            spec(scheme="q10", seed=9, host_cores=4), store=None, trace=None
-        )
-        assert direct.record["stats_dump"] == replayed.record["stats_dump"]
-        assert direct.record["output_sha256"] == replayed.record["output_sha256"]
-        # Same job key: replay and direct are the same job.
-        assert direct.key == replayed.key
+    def test_replay_into_an_empty_store_stores_nothing(self, store, fft_trace):
+        execute(spec(), store, trace=fft_trace)
+        assert store.keys() == []
+        after = execute(spec(), store)
+        assert not after.hit
+        assert after.record["provenance"]["engine"] == "direct"
+        assert execute(spec(), store).hit
+
+    def test_replay_neither_returns_nor_quarantines_a_corrupt_record(self, store, fft_trace):
+        path = store.path(execute(spec(), store).key)
+        path.write_text(path.read_text()[:40])
+        before = _tree(store.root)
+        replayed = execute(spec(), store, trace=fft_trace)
+        assert replayed.record["provenance"]["engine"] == "replay"
+        assert _tree(store.root) == before
+        # The next plain call is an ordinary miss: quarantine, then a direct run.
+        after = execute(spec(), store)
+        assert not after.hit and after.record["provenance"]["engine"] == "direct"
+        assert path.with_suffix(".corrupt").exists()
 
     def test_trace_none_never_replays(self, store):
         outcome = execute(spec(), store, trace=None)
-        assert not outcome.replayed
+        assert outcome.record["provenance"]["engine"] == "direct"
 
-    def test_explicit_replay_of_an_ooo_job_is_refused_and_seals_nothing(self, store, tmp_path):
+    def test_explicit_replay_of_an_ooo_job_is_refused_and_seals_nothing(self, store, fft_trace):
         """A capture is the in-order pipeline's stream: replaying it for an
-        ``ooo`` spec would seal in-order numbers under the ``ooo`` key."""
-        from repro.core.config import SimConfig
-        from repro.core.engine import EngineError, SequentialEngine
-        from repro.jobs.spec import spec_program
+        ``ooo`` spec would re-time the in-order model."""
+        from repro.core.engine import EngineError
 
-        path = str(tmp_path / "fft.trace")
-        SequentialEngine(
-            spec_program(spec()).program,
-            sim=SimConfig(scheme="cc", trace_mode="capture", trace_path=path),
-        ).run()
         with pytest.raises(EngineError, match="inorder core model"):
-            execute(spec(core_model="ooo"), store, trace=path, refresh=True)
-        assert not execute(spec(core_model="ooo"), store, trace=None).hit
+            execute(spec(core_model="ooo"), store, trace=fft_trace)
+        assert store.keys() == []
 
 
 class TestFunctional:

@@ -1,6 +1,7 @@
 """CLI tests (``slacksim`` / ``python -m repro``)."""
 
 import json
+import os
 
 import pytest
 
@@ -54,6 +55,15 @@ def test_sweep(capsys):
     assert main(["sweep", "ablations", "--scale", "tiny"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["experiment"] == "ablations" and doc["points"]
+
+
+def test_experiment_scale_is_an_argument_not_an_environment_write(capsys):
+    """``table2 --scale tiny`` must not assign ``REPRO_SCALE``: a later
+    in-process ``main([...])`` and every child process would inherit it."""
+    before = dict(os.environ)
+    assert main(["table2", "--scale", "tiny"]) == 0
+    assert dict(os.environ) == before
+    assert "8 bodies" in capsys.readouterr().out  # the tiny barnes input set
 
 
 def test_run_stats_out_then_show_and_diff(tmp_path, capsys):
@@ -160,6 +170,7 @@ def test_run_requires_known_workload(capsys):
     ["run", "--workload", "nope"],
     ["run", "--replay-trace", "/nonexistent"],
     ["sweep", "figure8", "--scale", "huge"],
+    ["sweep", "figure8", "--trace"],  # replay is a tool (run --replay-trace), not a sweep policy
     ["sweep"],  # the experiment is required: no legacy single-workload form
 ], ids=" ".join)
 def test_bad_argument_value_is_a_usage_error(argv, capsys):

@@ -78,8 +78,7 @@ def test_replay_digest_matches_direct(programs, traces, name, scheme):
         programs[name],
         sim=SimConfig(trace_mode="replay", trace_path=traces[name], **sim))
     assert direct.completed and replay.completed
-    # Full-dump equality, not just the digest: this is what makes traced
-    # sweep JSON byte-identical to the non-traced runner's.
+    # Full-dump equality, not just the digest.
     assert replay.stats == direct.stats
     assert_same_run(replay, direct)
 
@@ -223,33 +222,31 @@ def test_capture_refuses_fault_injection(fft, tmp_path):
                                max_instructions=100))
 
 
-# ----------------------------------------------------------- trace flavor
-def _trace_flavor_sim(**kw):
-    return dict(
-        trace_cores=sharing_workload(4, 20, seed=1),
-        host=HostConfig(num_cores=4),
-        target=TargetConfig(num_cores=4, core_model="trace"),
-        sim=SimConfig(**kw),
-    )
+# ------------------------------------------------- programs only, checked
+def test_trace_cores_are_refused_by_capture_and_replay(fft_trace, tmp_path):
+    """A trace file records a program: scripted trace cores neither capture
+    nor replay (the ``"trace"`` flavor is gone), and say so in one line."""
+    for mode, path in (("capture", str(tmp_path / "x.trace")), ("replay", fft_trace)):
+        with pytest.raises(EngineError, match="trace_cores") as err:
+            SequentialEngine(
+                None,
+                trace_cores=sharing_workload(4, 20, seed=1),
+                host=HostConfig(num_cores=4),
+                target=TargetConfig(num_cores=4, core_model="trace"),
+                sim=SimConfig(trace_mode=mode, trace_path=path),
+            )
+        assert "\n" not in str(err.value)
 
 
-@pytest.fixture(scope="module")
-def sharing_trace(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("trace") / "sharing.trace")
-    result = run_simulation(
-        None, **_trace_flavor_sim(scheme="cc", seed=1, trace_mode="capture",
-                                  trace_path=path))
-    assert result.completed
-    assert read_trace(path).flavor == "trace"
-    return path
+def test_a_file_of_another_flavor_is_refused(fft, fft_trace, tmp_path):
+    """Input from outside is still checked: a sealed, well-formed file whose
+    header names any flavor but ``"program"`` (an old trace-flavor capture)
+    is one ``EngineError`` line, not a replay."""
+    from repro.trace.format import write_trace
 
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_trace_flavor_replay_matches_direct(sharing_trace, scheme):
-    direct = run_simulation(None, **_trace_flavor_sim(scheme=scheme, seed=1))
-    kw = _trace_flavor_sim(scheme=scheme, seed=1, trace_mode="replay",
-                           trace_path=sharing_trace)
-    kw.pop("trace_cores")
-    replay = run_simulation(None, **kw)
-    assert replay.stats == direct.stats
-    assert_same_run(replay, direct)
+    trace = read_trace(fft_trace)
+    other = str(tmp_path / "other.trace")
+    write_trace(other, {**trace.header, "flavor": "trace"}, trace.core_ops)
+    with pytest.raises(EngineError, match="flavor 'trace'") as err:
+        SequentialEngine(fft, sim=SimConfig(trace_mode="replay", trace_path=other))
+    assert "\n" not in str(err.value)

@@ -39,6 +39,20 @@ def test_run_replay_matches_direct_stats(captured, tmp_path, capsys):
     assert main(["stats", "diff", str(direct), str(replay)]) == 0
 
 
+def test_replay_leaves_the_result_store_alone(captured, capsys):
+    """The store holds direct runs only (byte-level: tests/jobs/test_execute.py):
+    after ``--replay-trace`` the next plain run still simulates, and ``cache
+    ls`` never shows ``[replay]``."""
+    run = ["run", "--workload", "fft", "--scale", "tiny", "--scheme", "s9"]
+    assert main(run + ["--replay-trace", captured]) == 0
+    assert main(run) == 0
+    assert "served from result store" not in capsys.readouterr().out
+    assert main(run + ["--replay-trace", captured]) == 0
+    assert main(["cache", "ls"]) == 0
+    listing = capsys.readouterr().out
+    assert "[direct]" in listing and "[replay]" not in listing
+
+
 def test_replay_refuses_the_ooo_core_model(captured, capsys):
     """An in-order capture cannot stand in for an ``ooo`` run: a usage error,
     and nothing is sealed under the ``ooo`` job key — the next plain ``ooo``
@@ -80,8 +94,8 @@ def test_trace_info_rejects_garbage(tmp_path, capsys):
 
 
 def test_help_parity():
-    """Every trace flag documents itself: --help text exists for the new
-    run flags, the trace subcommand, and the sweep --trace toggle."""
+    """Every trace flag documents itself: --help text exists for the run
+    flags and the trace subcommand."""
     parser = build_parser()
     fmt = parser.format_help()
     assert "trace" in fmt
@@ -89,7 +103,5 @@ def test_help_parity():
         a for a in parser._subparsers._group_actions[0].choices.items()
         if a[0] == "run")[1].format_help()
     assert "--capture-trace" in run_help and "--replay-trace" in run_help
-    sweep_help = parser._subparsers._group_actions[0].choices["sweep"].format_help()
-    assert "--trace" in sweep_help
     trace_help = parser._subparsers._group_actions[0].choices["trace"].format_help()
     assert "info" in trace_help
