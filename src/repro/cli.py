@@ -239,40 +239,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import time
+
+    from repro.cpu.interp import run_functional
+    from repro.workloads import make_workload
+
+    program = make_workload(args.workload, scale=args.scale, nthreads=1).program
     if args.profile:
         import cProfile
         import pstats
 
-        from repro.cpu.interp import run_functional
-        from repro.workloads import make_workload
-
-        program = make_workload(args.workload, scale=args.scale, nthreads=1).program
         profiler = cProfile.Profile()
         profiler.enable()
         result = run_functional(program, dispatch=args.dispatch)
         profiler.disable()
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
     else:
-        from repro.jobs import JobSpec, ResultStore, execute_functional
-
-        spec = JobSpec.build(
-            args.workload, args.scale, mode="functional",
-            workload_args={"nthreads": 1},
-        )
-        # Always runs (wall time is the product); the store provides the
-        # cross-run determinism check, not a shortcut.
-        outcome = execute_functional(
-            spec, store=ResultStore.default(), dispatch=args.dispatch
-        )
-        result = outcome.result
-        provenance = outcome.record["provenance"]
+        t0 = time.perf_counter()
+        result = run_functional(program, dispatch=args.dispatch)
+        wall = time.perf_counter() - t0
+        kips = result.instructions / wall / 1000.0 if wall else 0.0
         print(
             f"{args.workload} ({args.scale}, {args.dispatch}): "
-            f"{result.instructions} instructions in "
-            f"{provenance['wall_time_s']:.3f}s = {provenance['kips']:.1f} KIPS"
+            f"{result.instructions} instructions in {wall:.3f}s = {kips:.1f} KIPS"
         )
-        for line in outcome.drift:
-            print(f"warning: drift against stored record — {line}")
     if result.exit_code not in (0, None):
         print(f"warning: workload exited with code {result.exit_code}")
         return 1
@@ -324,11 +314,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
     from repro.jobs import ResultStore
+    from repro.lang.compiler import cache_dir
 
     store = ResultStore.default()
     if store is None:
         print("result store disabled (REPRO_CACHE_DIR is empty)", file=sys.stderr)
         return 2
+    # The other half of the cache root: compiled programs, one pickle per
+    # (source, toolchain) — a toolchain edit orphans every one of them.
+    programs = sorted(cache_dir().glob("*.pkl"))
 
     if args.action == "ls":
         entries = store.entries()
@@ -339,14 +333,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             spec = record["spec"]
             wl = spec["workload"]
             what = f"{wl['name']}/{wl['scale']}"
-            if spec["mode"] == "timing":
-                what += (
-                    f" {spec['sim']['scheme']} h{spec['host']['num_cores']}"
-                    f" seed={spec['sim']['seed']}"
-                )
+            if spec["mode"] != "timing":
+                # An older `repro bench` wrote it; no job derives this key.
+                print(f"{key[:16]}  {what}  [{spec['mode']}: unreachable, gc drops it]")
+                continue
             engine = record.get("provenance", {}).get("engine", "?")
-            print(f"{key[:16]}  {spec['mode']:10s} {what}  [{engine}]")
+            print(
+                f"{key[:16]}  {what} {spec['sim']['scheme']} "
+                f"h{spec['host']['num_cores']} seed={spec['sim']['seed']}  [{engine}]"
+            )
         print(f"{len(entries)} record(s) in {store.root}")
+        print(f"{len(programs)} compiled program(s) in {cache_dir()}")
         return 0
 
     if args.action == "info":
@@ -392,7 +389,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         verb = "would drop" if args.dry_run else "dropped"
         for key in dropped:
             print(f"{verb} {key[:16]}")
-        print(f"{verb} {len(dropped)} record(s) (invalid or stale toolchain)")
+        print(f"{verb} {len(dropped)} record(s) (invalid, or no key derives to them any more)")
         return 0
 
     # clear
@@ -401,6 +398,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         f"removed {records} record(s) and {quarantined} quarantined file(s) "
         f"from {store.root}"
     )
+    for path in programs:
+        path.unlink(missing_ok=True)
+    print(f"removed {len(programs)} compiled program(s) from {cache_dir()}")
     return 0
 
 
@@ -640,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=("ls", "info", "verify", "gc", "clear"),
         help="ls: list records; info: print one record (by key prefix); "
         "verify: scan store integrity, quarantining corrupt entries; "
-        "gc: drop invalid + stale-toolchain records; clear: drop everything",
+        "gc: drop invalid and unreachable (stale-toolchain) records; "
+        "clear: drop every record and compiled program",
     )
     cache.add_argument("key", nargs="?", help="job key (or unique prefix) for info")
     cache.add_argument("--dry-run", action="store_true",
@@ -659,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (default 0: an ephemeral port, "
                        "published to the endpoint file)")
     serve.add_argument("--serve-dir", metavar="DIR",
-                       help="durable state directory (queue, heartbeats, "
+                       help="durable state directory (queue, worker stderr, "
                        "endpoint); default <cache root>/serve")
     serve.add_argument("--max-depth", type=int, default=64,
                        help="open-job admission limit; submits beyond it get "
@@ -674,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hard wall-clock seconds per job attempt "
                        "(0: no cap, rely on the progress-based hang rule)")
     serve.add_argument("--hang-timeout", type=float, default=60.0,
-                       help="kill a job whose progress heartbeat stalls this "
+                       help="kill a job whose progress marker stalls this "
                        "long (default 60; slow-but-advancing jobs are safe)")
     serve.add_argument("--drain-timeout", type=float, default=60.0,
                        help="graceful-shutdown budget for in-flight jobs "

@@ -54,8 +54,10 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: request ``_pending`` is one ``(op, addr, block, cache)`` record for both
 #: (it was ``insn``/``is_write``/``is_ifetch`` slots on the direct core and a
 #: tuple on the replay core), and the system object pickles as
-#: ``SystemBase`` state.
-CHECKPOINT_FORMAT = 5
+#: ``SystemBase`` state.  6: ``SimConfig`` lost the two heartbeat fields (the
+#: serve worker samples progress from outside the engine now) — a format-5
+#: pickle would restore a config with stale attributes.
+CHECKPOINT_FORMAT = 6
 
 
 class CheckpointError(EngineError):

@@ -124,16 +124,6 @@ class SimConfig:
     #: Where checkpoints land (a single file, atomically replaced).  A
     #: nonzero checkpoint_interval with no path is a configuration error.
     checkpoint_path: str | None = None
-    #: Progress-heartbeat file (DESIGN.md §13): when set, the engine runs a
-    #: sampler thread that publishes its progress marker (global time,
-    #: Σ committed, Σ local clocks) here every ``heartbeat_interval`` wall
-    #: seconds, atomically.  Serve workers set this so the supervisor can
-    #: tell a slow-but-advancing job from a hung one across the process
-    #: boundary; None (default) starts no thread and costs nothing.
-    #: Digest-excluded: observation only, never simulated behaviour.
-    heartbeat_path: str | None = None
-    #: Wall seconds between heartbeat samples.
-    heartbeat_interval: float = 1.0
     #: Trace subsystem (DESIGN.md §11): "off" (default) leaves both seams
     #: unhooked; "capture" records the committed-op stream at the timing-core
     #: → memory seam into ``trace_path``; "replay" re-simulates a recorded

@@ -62,7 +62,7 @@ _ONE_SKIP = BatchStats(cycles=1, skipped_cycles=1, skip_stretches=1, hit_window_
 class SequentialEngine:
     """Build and run one simulation of *program* under one scheme."""
 
-    #: Barriers that ran inside the barrier superstep (``_run``; DESIGN.md §5).
+    #: Barriers that ran inside the barrier superstep (``run``; DESIGN.md §5).
     #: Like ``manager_polls`` it is folded by ``sync_stats``; unlike it, it is
     #: not in the stats registry, whose dump is embedded in store records and
     #: sweep documents.  A class default, so a checkpoint written before the
@@ -579,24 +579,6 @@ class SequentialEngine:
         return budget if budget > 0 else 1
 
     def run(self) -> SimulationResult:
-        if self.sim.heartbeat_path is None:
-            return self._run()
-        # Progress heartbeats (DESIGN.md §13): a sampler thread publishes
-        # the live progress marker so an out-of-process supervisor can tell
-        # "slow but advancing" from "hung".  The loop itself is untouched.
-        from repro.serve.heartbeat import HeartbeatWriter, engine_progress
-
-        writer = HeartbeatWriter(
-            self.sim.heartbeat_path,
-            lambda: engine_progress(self),
-            interval=self.sim.heartbeat_interval,
-        ).start()
-        try:
-            return self._run()
-        finally:
-            writer.stop()
-
-    def _run(self) -> SimulationResult:
         sim = self.sim
         # A restored engine carries the loop-local snapshot its checkpoint
         # recorded (see _write_checkpoint); a fresh engine has none.

@@ -16,24 +16,24 @@ hands back the same record shape, but **neither reads nor writes the
 store** — a replayed run prints the capture run's values, so it is not a
 run of this job's key, and a sealed record must be attributable to one.
 
-``execute_functional`` is the bench-shaped sibling: it always runs (wall
-time is the product) but records the functional outcome in the same store,
-so repeated benches double as determinism checks — a stored record that
-disagrees with a fresh run is surfaced as drift.
+The engine a miss builds lives and dies inside ``execute``: the caller gets
+the record, never the engine graph.  Whoever needs to look at a run while it
+is in flight (the serve worker's progress beat, DESIGN.md §13) passes
+``watch=``, which is called once with the freshly built engine.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import repro
 from repro._util import output_digest
 from repro.jobs.spec import JobSpec, digest_payload, job_key, spec_program
 from repro.jobs.store import ResultStore
 
-__all__ = ["JobOutcome", "execute", "execute_functional", "record_summary"]
+__all__ = ["JobOutcome", "execute", "record_summary"]
 
 
 @dataclass
@@ -44,11 +44,6 @@ class JobOutcome:
     record: dict
     #: True when the record came straight from the store (nothing ran).
     hit: bool
-    #: The live engine/functional result — ``None`` on a hit.
-    result: object = None
-    #: Functional-record drift against a previously stored record
-    #: (``execute_functional`` only): list of human-readable mismatches.
-    drift: list = field(default_factory=list)
 
 
 def _timing_record(
@@ -98,7 +93,11 @@ def _timing_record(
 
 
 def execute(
-    spec: JobSpec, store: "ResultStore | None" = None, *, trace: "str | None" = None
+    spec: JobSpec,
+    store: "ResultStore | None" = None,
+    *,
+    trace: "str | None" = None,
+    watch=None,
 ) -> JobOutcome:
     """Resolve *spec* to a result record: a store hit, else a direct run.
 
@@ -106,10 +105,10 @@ def execute(
     With *trace* (a capture path) the job is replayed from that file and the
     store is left exactly as it was found; a capture that cannot serve the
     job (another program, core model or core count; a damaged file) raises
-    ``EngineError``/``TraceError``.
+    ``EngineError``/``TraceError``.  *watch*, if given, is called with the
+    engine of a miss before it runs (never on a hit); the engine does not
+    outlive this call otherwise.
     """
-    if spec.mode != "timing":
-        raise ValueError(f"execute() runs timing jobs; got mode={spec.mode!r}")
     workload = spec_program(spec)
     from repro.trace.format import program_digest as _pd
 
@@ -130,7 +129,7 @@ def execute(
     # building this one, or a loop of jobs piles them up.
     gc.collect()
     t0 = time.perf_counter()
-    result = SequentialEngine(
+    engine = SequentialEngine(
         workload.program,
         target=spec.target_config(),
         host=spec.host_config(),
@@ -140,7 +139,10 @@ def execute(
             trace_path=trace,
             trace_source=None,
         ),
-    ).run()
+    )
+    if watch is not None:
+        watch(engine)
+    result = engine.run()
     wall_time = time.perf_counter() - t0
     problems = workload.mismatches(result.output)
     if problems:
@@ -153,76 +155,7 @@ def execute(
     )
     if store is not None:
         record = store.put(key, record)  # hand back the sealed form
-    return JobOutcome(key=key, record=record, hit=False, result=result)
-
-
-def execute_functional(
-    spec: JobSpec,
-    store: "ResultStore | None" = None,
-    *,
-    dispatch: str = "predecoded",
-) -> JobOutcome:
-    """Run *spec* functionally (no timing model), recording the outcome.
-
-    Always runs — the caller is measuring wall time — but routes identity
-    and persistence through the same store as timing jobs.  If a stored
-    record disagrees with the fresh run on any deterministic field, the
-    mismatches come back in ``outcome.drift`` (a determinism bug surfaced,
-    not silently overwritten).
-    """
-    if spec.mode != "functional":
-        raise ValueError(
-            f"execute_functional() runs functional jobs; got mode={spec.mode!r}"
-        )
-    from repro.cpu.interp import run_functional
-    from repro.trace.format import program_digest as _pd
-
-    workload = spec_program(spec)
-    pdigest = _pd(workload.program)
-    key = job_key(spec, program_digest=pdigest)
-    prior = store.load(key) if store is not None else None
-
-    t0 = time.perf_counter()
-    result = run_functional(workload.program, dispatch=dispatch)
-    wall_time = time.perf_counter() - t0
-
-    record = {
-        "spec": digest_payload(spec, pdigest),
-        "completed": result.exit_code in (0, None),
-        "metrics": {
-            "instructions": result.instructions,
-            "exit_code": result.exit_code,
-            "output_len": len(result.output),
-        },
-        "output_sha256": output_digest(result.output),
-        "stats": {},
-        "stats_digest": "",
-        "provenance": {
-            "repro_version": repro.__version__,
-            "engine": "functional",
-            "dispatch": dispatch,
-            "wall_time_s": wall_time,
-            "kips": result.instructions / wall_time / 1000.0 if wall_time else 0.0,
-            "created_unix": time.time(),
-        },
-    }
-    drift = []
-    if prior is not None:
-        for field_path in ("metrics", "output_sha256"):
-            if prior.get(field_path) != record[field_path]:
-                drift.append(
-                    f"{field_path}: stored {prior.get(field_path)!r} "
-                    f"!= fresh {record[field_path]!r}"
-                )
-    if store is not None:
-        record = store.put(key, record)
-    return JobOutcome(
-        key=key,
-        record=record,
-        hit=prior is not None,
-        result=result,
-        drift=drift,
-    )
+    return JobOutcome(key=key, record=record, hit=False)
 
 
 def record_summary(record: dict) -> str:

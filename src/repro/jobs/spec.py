@@ -18,8 +18,8 @@ incorporates
 **Digest-excluded fields** are execution mechanics proven observationally
 equivalent elsewhere in the test suite: the trace mode (replay is
 dump-identical to direct execution, DESIGN.md §11 — but prints the capture
-run's output values, so only direct runs are stored), the serve layer's
-progress heartbeat (observation only, §13), and output paths.
+run's output values, so only direct runs are stored) and output paths
+(checkpoint file, trace file and its provenance note).
 Changing any of them must NOT change the key.  The per-cycle stepping and
 oracle dispatch references are not configuration at all: they are
 ``SequentialEngine`` constructor arguments that only the differential tests
@@ -68,17 +68,14 @@ DIGEST_SIM_FIELDS = (
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One canonical simulation (or functional-execution) job.
+    """One canonical job: a timing run of a registered workload.
 
-    ``workload``/``scale``/``workload_args`` name the program;
+    ``workload``/``scale`` name the program;
     ``scheme``/``seed``/``host_cores``/``core_model``/``fastforward`` are
     the common knobs every entry point exposes; ``sim`` optionally carries
     a full :class:`SimConfig` for the long tail (windows, faults).
     The top-level fields are authoritative: :meth:`sim_config` overlays
     them onto ``sim``, so a spec can never disagree with itself.
-
-    ``mode`` is ``"timing"`` for engine runs and ``"functional"`` for
-    pure functional-simulator executions (the ``bench`` entry point).
     """
 
     workload: str
@@ -88,11 +85,6 @@ class JobSpec:
     host_cores: int = 8
     core_model: str = "inorder"
     fastforward: bool = False
-    mode: str = "timing"
-    #: Extra ``make_workload`` overrides as a sorted (name, value) tuple —
-    #: hashable, picklable, canonically ordered (e.g. ``(("nthreads", 1),)``
-    #: for the functional bench).
-    workload_args: tuple = ()
     #: Optional full SimConfig for fields beyond the common knobs.
     sim: SimConfig | None = None
 
@@ -117,8 +109,6 @@ class JobSpec:
         host_cores: int = 8,
         core_model: str = "inorder",
         fastforward: bool = False,
-        mode: str = "timing",
-        workload_args: dict | None = None,
         **sim_overrides,
     ) -> "JobSpec":
         """Construct a spec; ``sim_overrides`` become SimConfig fields."""
@@ -137,8 +127,6 @@ class JobSpec:
             host_cores=host_cores,
             core_model=core_model,
             fastforward=fastforward,
-            mode=mode,
-            workload_args=tuple(sorted((workload_args or {}).items())),
             sim=sim,
         )
 
@@ -171,8 +159,6 @@ def spec_to_dict(spec: JobSpec) -> dict:
         "host_cores": spec.host_cores,
         "core_model": spec.core_model,
         "fastforward": spec.fastforward,
-        "mode": spec.mode,
-        "workload_args": [list(pair) for pair in spec.workload_args],
     }
     if spec.sim is not None:
         d["sim"] = asdict(spec.sim)
@@ -188,8 +174,22 @@ def spec_from_dict(d: dict) -> JobSpec:
     the fields both sides know rather than erroring).  ``mem_domains`` was
     digest-relevant before it was retired: any value but 1 names a
     simulation this build cannot run, and dropping the key would silently
-    run a different one under a different job key — so it is refused.
+    run a different one under a different job key — so it is refused.  So
+    are the two keys of the retired functional-job mode: ``"mode"`` other
+    than ``"timing"`` is a job this build cannot run, and a non-empty
+    ``"workload_args"`` names another program (the constants an older
+    daemon wrote, ``"timing"`` and ``[]``, are dropped).
     """
+    if d.get("mode", "timing") != "timing":
+        raise ValueError(
+            f"mode={d['mode']!r} is not supported: a job is a timing run "
+            "(DESIGN.md §12); `repro bench` measures functional execution"
+        )
+    if d.get("workload_args"):
+        raise ValueError(
+            f"workload_args={d['workload_args']!r} is not supported: a job "
+            "names a registered workload at a scale, nothing else (DESIGN.md §12)"
+        )
     sim = d.get("sim")
     sim_cfg = None
     if sim:
@@ -208,10 +208,6 @@ def spec_from_dict(d: dict) -> JobSpec:
         host_cores=int(d.get("host_cores", 8)),
         core_model=d.get("core_model", "inorder"),
         fastforward=bool(d.get("fastforward", False)),
-        mode=d.get("mode", "timing"),
-        workload_args=tuple(
-            sorted((k, v) for k, v in (d.get("workload_args") or []))
-        ),
         sim=sim_cfg,
     )
 
@@ -220,7 +216,7 @@ def spec_program(spec: JobSpec):
     """Build *spec*'s workload (compile cached on disk) and return it."""
     from repro.workloads.registry import make_workload
 
-    return make_workload(spec.workload, scale=spec.scale, **dict(spec.workload_args))
+    return make_workload(spec.workload, scale=spec.scale)
 
 
 def digest_payload(spec: JobSpec, program_digest: str) -> dict:
@@ -231,27 +227,19 @@ def digest_payload(spec: JobSpec, program_digest: str) -> dict:
     """
     from repro.lang.compiler import toolchain_fingerprint
 
-    payload = {
+    sim = spec.sim_config()
+    return {
         "format": JOB_FORMAT,
-        "mode": spec.mode,
-        "workload": {
-            "name": spec.workload,
-            "scale": spec.scale,
-            "args": dict(spec.workload_args),
-        },
+        # Constants since the functional-job mode went: every stored key was
+        # derived with them, so they stay in the payload.
+        "mode": "timing",
+        "workload": {"name": spec.workload, "scale": spec.scale, "args": {}},
         "program_digest": program_digest,
         "toolchain": toolchain_fingerprint(),
+        "target": asdict(spec.target_config()),
+        "host": asdict(spec.host_config()),
+        "sim": {name: getattr(sim, name) for name in DIGEST_SIM_FIELDS},
     }
-    if spec.mode == "functional":
-        # Functional executions depend on the program alone: no timing
-        # model, no host, no scheme.  (dispatch is digest-excluded — the
-        # predecoded and oracle layers are bit-identical by construction.)
-        return payload
-    sim = spec.sim_config()
-    payload["target"] = asdict(spec.target_config())
-    payload["host"] = asdict(spec.host_config())
-    payload["sim"] = {name: getattr(sim, name) for name in DIGEST_SIM_FIELDS}
-    return payload
 
 
 def job_key(spec: JobSpec, program_digest: str | None = None) -> str:

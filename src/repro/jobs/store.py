@@ -232,15 +232,17 @@ class ResultStore:
         return [(key, self._read(key)[0]) for key in self.keys()]
 
     def gc(self, *, toolchain: str | None = None, dry_run: bool = False) -> list[str]:
-        """Drop invalid records, plus valid ones recorded under a different
-        toolchain fingerprint when *toolchain* is given (they can never be
-        hit again — their keys embed the old fingerprint).  Returns the
-        dropped keys."""
+        """Drop invalid records and valid ones no job key derives to any
+        more: records of the retired functional-job mode, plus those recorded
+        under a different toolchain fingerprint when *toolchain* is given
+        (their keys embed the old fingerprint).  Returns the dropped keys."""
         dropped = []
         for key, record in self.entries():
-            stale = record is None or (
-                toolchain is not None
-                and record.get("spec", {}).get("toolchain") != toolchain
+            spec = record.get("spec", {}) if record is not None else {}
+            stale = (
+                record is None
+                or spec.get("mode", "timing") != "timing"
+                or (toolchain is not None and spec.get("toolchain") != toolchain)
             )
             if not stale:
                 continue

@@ -11,14 +11,14 @@ the daemon resumes orphaned jobs on restart, and a full queue pushes back
 explicitly instead of dropping work.
 
 Import surface is lazy: pulling a name here imports only the module that
-defines it, so ``repro.core`` can reach :mod:`repro.serve.heartbeat`
-without dragging the HTTP stack into every engine run.
+defines it (a client does not load sqlite, nor a worker the HTTP stack).
+Nothing under ``repro.core``, ``repro.jobs``, ``repro.cpu`` or
+``repro.experiments`` imports this package.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "HeartbeatWriter",
     "JobQueue",
     "QueueError",
     "ServeClient",
@@ -27,12 +27,9 @@ __all__ = [
     "ServeRejected",
     "ServeUnavailable",
     "Supervisor",
-    "read_heartbeat",
 ]
 
 _EXPORTS = {
-    "HeartbeatWriter": ("repro.serve.heartbeat", "HeartbeatWriter"),
-    "read_heartbeat": ("repro.serve.heartbeat", "read_heartbeat"),
     "JobQueue": ("repro.serve.queue", "JobQueue"),
     "QueueError": ("repro.serve.queue", "QueueError"),
     "ServeDaemon": ("repro.serve.daemon", "ServeDaemon"),

@@ -92,7 +92,7 @@ MAX_WAIT_S = 10.0
 def default_serve_dir() -> "Path | None":
     """``<cache root>/serve``, or ``None`` when caching is disabled.
 
-    The serve daemon's durable state (queue, heartbeats, endpoint) lives
+    The serve daemon's durable state (queue, worker stderr, endpoint) lives
     beside the stores it feeds — one cache root to relocate or wipe.
     """
     from repro.lang.compiler import cache_dir

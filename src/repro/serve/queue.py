@@ -228,7 +228,7 @@ class JobQueue:
     def renew(
         self, key: str, lease_id: str, *, ttl: float = 30.0, now: "float | None" = None
     ) -> None:
-        """Extend a live lease (heartbeat showed progress).
+        """Extend a live lease (its worker is alive and tracked).
 
         The expiry only ever moves forward — a renew computed against an
         older ``now`` cannot shorten the lease (expiry monotonicity, pinned

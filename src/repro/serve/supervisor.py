@@ -1,4 +1,4 @@
-"""Supervised worker pool: leases, heartbeats, kills, and replacements.
+"""Supervised worker pool: leases, progress beats, kills, and replacements.
 
 The supervisor owns every queue transition after submission.  Workers
 (:mod:`repro.serve.worker`) never touch sqlite — they execute and report —
@@ -18,16 +18,17 @@ Failure domains handled per tick, in order:
 1. **Lease expiry** (safety net): no lease outlives its TTL even if the
    supervisor loses track of a worker.  Leases of live, tracked workers
    are renewed every tick, so expiry only fires for genuinely lost ones.
-2. **Worker verdicts**: ``done`` → ``complete``; ``error`` (the job
-   raised) → ``fail`` — deterministic job errors are never retried,
-   mirroring the sweep runner's discipline.
+2. **Worker messages**: ``beat`` → the job's progress marker (and when it
+   last changed); ``done`` → ``complete``; ``error`` (the job raised) →
+   ``fail`` — deterministic job errors are never retried, mirroring the
+   sweep runner's discipline.
 3. **Worker death** (SIGKILL, OOM, crash injection): requeue with a
    per-job :class:`~repro._util.Backoff` delay and one attempt charged;
    the stderr tail the worker left behind rides along as the error text.
    The process is replaced immediately — one poisoned job costs one
    worker incarnation, never the pool.
-4. **Hangs and timeouts**: a busy worker whose heartbeat progress marker
-   stops changing for ``hang_timeout`` seconds — or whose job exceeds the
+4. **Hangs and timeouts**: a busy worker whose progress marker stops
+   changing for ``hang_timeout`` seconds — or whose job exceeds the
    hard ``job_timeout`` wall-clock cap — is SIGKILLed and handled as a
    death.  Progress is the engine's own marker (global time, committed,
    Σ local clocks), so "slow but advancing" is never killed by the hang
@@ -49,7 +50,6 @@ from multiprocessing import connection
 from pathlib import Path
 
 from repro._util import Backoff, sha256_hex
-from repro.serve.heartbeat import read_heartbeat
 from repro.serve.queue import JobQueue, QueueError
 from repro.serve.worker import worker_entry
 
@@ -87,7 +87,6 @@ class WorkerHandle:
         # Current assignment (None when idle).
         self.key: str | None = None
         self.lease_id: str | None = None
-        self.heartbeat_path: str | None = None
         self.assigned_wall: float = 0.0
         self.last_renew: float = 0.0
         self.last_progress: list | None = None
@@ -146,9 +145,7 @@ class Supervisor:
         self.queue = queue
         self.serve_dir = Path(serve_dir)
         self.workers_dir = self.serve_dir / "workers"
-        self.heartbeats_dir = self.serve_dir / "heartbeats"
         self.workers_dir.mkdir(parents=True, exist_ok=True)
-        self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
         self.lease_ttl = float(lease_ttl)
         self.job_timeout = float(job_timeout)
         self.hang_timeout = float(hang_timeout)
@@ -196,18 +193,9 @@ class Supervisor:
             )
         return self._backoffs[key]
 
-    def _heartbeat_path(self, key: str) -> str:
-        return str(self.heartbeats_dir / f"{key}.json")
-
     def _clear_assignment(self, handle: WorkerHandle) -> None:
-        if handle.heartbeat_path:
-            try:
-                os.unlink(handle.heartbeat_path)
-            except OSError:
-                pass
         handle.key = None
         handle.lease_id = None
-        handle.heartbeat_path = None
         handle.last_progress = None
 
     def _safe(self, op, *args, **kwargs) -> "str | None":
@@ -280,7 +268,7 @@ class Supervisor:
             self._assign(now)
 
     def _harvest(self, now: float) -> None:
-        """Drain worker verdict messages."""
+        """Drain worker messages: progress beats and verdicts."""
         for handle in list(self.handles):
             while True:
                 try:
@@ -291,14 +279,20 @@ class Supervisor:
                     break  # death handled by _check_liveness
                 if msg[0] == "ready":
                     continue
-                verdict, key = msg[0], msg[1]
+                kind, key = msg[0], msg[1]
                 if key != handle.key:
-                    continue  # verdict for a superseded assignment
-                if verdict == "done":
+                    continue  # message for a superseded assignment
+                if kind == "beat":
+                    # Only a *moving* marker counts as life (the hang rule).
+                    if msg[2] and msg[2] != handle.last_progress:
+                        handle.last_progress = msg[2]
+                        handle.last_change = now
+                    continue
+                if kind == "done":
                     self._safe(self.queue.complete, key, handle.lease_id, now=now)
                     self.telemetry["completed"] += 1
                     self._backoffs.pop(key, None)
-                elif verdict == "error":
+                elif kind == "error":
                     self._safe(
                         self.queue.fail, key, handle.lease_id, msg[2], now=now
                     )
@@ -330,12 +324,8 @@ class Supervisor:
                     f"({self.job_timeout:.1f}s)",
                 )
                 continue
-            # Progress-based hang rule: only a *stalled* marker kills.
-            beat = read_heartbeat(handle.heartbeat_path)
-            progress = beat.get("progress") if beat else None
-            if progress and progress != handle.last_progress:
-                handle.last_progress = progress
-                handle.last_change = now
+            # Progress-based hang rule: only a *stalled* marker kills
+            # (_harvest keeps last_change current from the worker's beats).
             if now - handle.last_change > self.hang_timeout:
                 self.telemetry["hangs_killed"] += 1
                 handle.kill()
@@ -385,9 +375,8 @@ class Supervisor:
                 self._safe(self.queue.fail, key, lease_id, "cancelled")
                 self.telemetry["cancelled"] += 1
                 continue
-            hb_path = self._heartbeat_path(key)
             try:
-                handle.conn.send(("job", key, job["spec"], hb_path))
+                handle.conn.send(("job", key, job["spec"]))
             except (BrokenPipeError, OSError):
                 # Worker died between liveness check and send: put the
                 # lease straight back (no attempt charged — it never ran).
@@ -403,7 +392,6 @@ class Supervisor:
             self._safe(self.queue.start, key, lease_id, now=now)
             handle.key = key
             handle.lease_id = lease_id
-            handle.heartbeat_path = hb_path
             handle.assigned_wall = now
             handle.last_renew = now
             handle.last_progress = None

@@ -2,23 +2,33 @@
 
 A worker is a child process running :func:`worker_main` in a loop:
 receive an assignment over its pipe, execute it through the shared job
-pipeline (:func:`repro.jobs.execute` — store hit → trace replay → direct
-run), and report a verdict.  Everything durable lives *outside* the
-worker: the job row in the sqlite queue (owned by the supervisor), the
-result in the sealed :class:`~repro.jobs.store.ResultStore`, and the
-progress heartbeat file the engine publishes while it runs.  A worker can
-therefore be SIGKILLed at any instant and the system loses nothing but
-the in-flight attempt — the supervisor sees the death, requeues the job
-with backoff, and replaces the process.
+pipeline (:func:`repro.jobs.execute` — store hit, else a direct run), and
+report a verdict.  Everything durable lives *outside* the worker: the job
+row in the sqlite queue (owned by the supervisor) and the result in the
+sealed :class:`~repro.jobs.store.ResultStore`.  A worker can therefore be
+SIGKILLed at any instant and the system loses nothing but the in-flight
+attempt — the supervisor sees the death, requeues the job with backoff,
+and replaces the process.
 
-Verdict protocol (child → parent over the pipe)::
+Protocol (child → parent over the pipe)::
 
     ("ready",)                        after startup
+    ("beat",  key, progress)          every BEAT_PERIOD_S while a job runs
     ("done",  key)                    execute() returned; record is stored
     ("error", key, traceback_text)    the job itself raised (no retry)
 
 A worker that dies sends nothing — the absence *is* the signal; the
 supervisor reads ``Process.is_alive()`` / the pipe EOF, not a message.
+
+**Progress beats** are the watchdog signal across the process boundary.
+The engine knows nothing of them: ``execute(watch=...)`` hands the worker
+the engine it is about to run, and a sampler thread reads the marker
+``(global_time, Σ committed, Σ local clocks)`` off it — counters the run
+loop maintains anyway — and sends it up the pipe.  The supervisor declares
+a job *hung* only when the marker stops changing for the hang window, so a
+slow simulation that keeps advancing is left alone.  The sampler is joined
+before the verdict is sent: one thread writes to the pipe at a time, and a
+job's beats all precede its verdict.
 
 **Deterministic crash injection** (the chaos ladder's worker-kill rung):
 ``REPRO_SERVE_CRASH_KEY=<job key or prefix>`` makes the worker ``os._exit``
@@ -34,14 +44,23 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import threading
 import traceback
-from dataclasses import replace
 
-__all__ = ["execute_assignment", "worker_entry", "worker_main"]
+__all__ = [
+    "BEAT_PERIOD_S",
+    "engine_progress",
+    "execute_assignment",
+    "worker_entry",
+    "worker_main",
+]
 
 #: Seconds an idle worker waits on its pipe between checks that the
 #: supervisor process is still its parent.
 _PARENT_POLL_S = 1.0
+
+#: Wall seconds between the progress beats of a running job.
+BEAT_PERIOD_S = 1.0
 
 
 def worker_entry(conn, worker_id: int, stderr_path: str) -> None:
@@ -71,23 +90,67 @@ def _maybe_crash(key: str) -> None:
     os._exit(13)
 
 
-def execute_assignment(spec_dict: dict, heartbeat_path: "str | None"):
-    """Run one assignment through the job pipeline, heartbeating progress.
+def engine_progress(engine) -> list:
+    """The engine's progress marker as a JSON-ready list.
 
-    Split out of the pipe loop so tests (and the chaos script) can run the
-    exact worker-side execution path in-process.
+    Global time alone misses a run-ahead core advancing against a
+    straggler, so committed instructions and the summed local clocks are
+    folded in.  Reads are racy against the running loop but monotone
+    counters only ever under-report — safe for a "did anything change"
+    signal.
     """
-    from repro.core.config import SimConfig
+    try:
+        cores = engine.cores or []
+        return [
+            int(engine.manager.global_time),
+            int(sum(ct.total_committed for ct in cores)),
+            int(sum(ct.local_time for ct in cores)),
+        ]
+    except Exception:
+        # Mid-construction/teardown state: report "no reading" rather than
+        # kill the sampler — the next sample will see settled state.
+        return []
+
+
+def execute_assignment(spec_dict: dict, beat=None):
+    """Run one assignment through the job pipeline.
+
+    *beat*, if given, is called with the running engine's progress marker
+    every :data:`BEAT_PERIOD_S` from a sampler thread that has exited by the
+    time this returns or raises.  Split out of the pipe loop so tests (and
+    the chaos script) can run the exact worker-side execution path
+    in-process.
+    """
     from repro.jobs import ResultStore, execute
     from repro.jobs.spec import spec_from_dict
 
     spec = spec_from_dict(spec_dict)
-    if heartbeat_path is not None:
-        sim = spec.sim_config() if spec.sim is not None else SimConfig()
-        spec = replace(
-            spec, sim=replace(sim, heartbeat_path=heartbeat_path)
+    stop = threading.Event()
+    sampler = None
+
+    def watch(engine) -> None:
+        nonlocal sampler
+
+        def sample() -> None:
+            while not stop.wait(BEAT_PERIOD_S):
+                try:
+                    beat(engine_progress(engine))
+                except OSError:
+                    return  # a vanished supervisor must not take the job down
+
+        sampler = threading.Thread(target=sample, name="beat", daemon=True)
+        sampler.start()
+
+    try:
+        return execute(
+            spec,
+            store=ResultStore.default(),
+            watch=watch if beat is not None else None,
         )
-    return execute(spec, store=ResultStore.default())
+    finally:
+        stop.set()
+        if sampler is not None:
+            sampler.join()
 
 
 def worker_main(conn, worker_id: int) -> None:
@@ -122,10 +185,12 @@ def worker_main(conn, worker_id: int) -> None:
             return  # supervisor went away
         if msg[0] == "exit":
             return
-        _, key, spec_dict, heartbeat_path = msg
+        _, key, spec_dict = msg
         _maybe_crash(key)
         try:
-            execute_assignment(spec_dict, heartbeat_path)
+            execute_assignment(
+                spec_dict, lambda progress: conn.send(("beat", key, progress))
+            )
         except BaseException:
             try:
                 conn.send(("error", key, traceback.format_exc()))

@@ -1,8 +1,9 @@
 """Statistics and reporting: the hierarchical stats registry every layer
-reports into, metrics (harmonic mean, relative error) and ASCII table
-rendering used by every experiment harness."""
+reports into, the harmonic mean Figure 8(e) aggregates with, and ASCII table
+rendering used by every experiment harness.  (Speedup and relative error are
+``experiments.common.speedup``/``error``, over point documents.)"""
 
-from repro.stats.metrics import geometric_mean, harmonic_mean, percent, relative_error
+from repro.stats.metrics import harmonic_mean
 from repro.stats.registry import (
     Distribution,
     Formula,
@@ -29,10 +30,7 @@ __all__ = [
     "Table",
     "Vector",
     "diff_dumps",
-    "geometric_mean",
     "harmonic_mean",
     "load_dump",
-    "percent",
-    "relative_error",
     "render_dump",
 ]

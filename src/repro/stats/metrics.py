@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["harmonic_mean", "relative_error", "geometric_mean", "percent"]
+__all__ = ["harmonic_mean"]
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
@@ -16,24 +15,3 @@ def harmonic_mean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("harmonic mean requires positive values")
     return len(vals) / sum(1.0 / v for v in vals)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("geometric mean of an empty sequence")
-    if any(v <= 0 for v in vals):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """|measured - reference| / reference (Table 3's error metric)."""
-    if reference == 0:
-        raise ValueError("relative error against a zero reference")
-    return abs(measured - reference) / abs(reference)
-
-
-def percent(value: float, digits: int = 2) -> str:
-    """Render a ratio as a percentage string."""
-    return f"{value * 100:.{digits}f}%"

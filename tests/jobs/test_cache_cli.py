@@ -1,6 +1,7 @@
 """``slacksim cache`` subcommand: ls / info / gc / clear over the store."""
 
 from repro.cli import main
+from repro.lang.compiler import toolchain_fingerprint
 from repro.jobs import JobSpec, ResultStore, execute
 
 
@@ -18,6 +19,38 @@ def test_ls_lists_records(store, capsys):
     assert key[:16] in out
     assert "fft/tiny s9 h2 seed=2" in out
     assert "1 record(s)" in out
+    assert out.splitlines()[-1].startswith("1 compiled program(s) in ")
+
+
+def test_functional_record_of_an_older_bench_is_listed_verified_and_gcd(store, capsys):
+    """``repro bench`` used to seal a functional record (no ``sim``/``host``
+    in its spec) under a key no job derives any more: ``ls`` and ``verify``
+    take it in their stride, ``gc`` drops it, a current record stays."""
+    kept = _populate(store)
+    old = "bd3e143b" + "0" * 56
+    store.put(old, {
+        "spec": {
+            "format": 1, "mode": "functional", "program_digest": "c7" * 32,
+            "toolchain": toolchain_fingerprint(),  # current: only the mode is stale
+            "workload": {"name": "fft", "scale": "tiny", "args": {"nthreads": 1}},
+        },
+        "completed": True,
+        "metrics": {"exit_code": 0, "instructions": 8653, "output_len": 4},
+        "output_sha256": "31" * 32,
+        "stats": {}, "stats_digest": "",
+        "provenance": {"engine": "functional", "dispatch": "predecoded"},
+    })
+    assert main(["cache", "ls"]) == 0
+    out = capsys.readouterr().out
+    assert f"{old[:16]}  fft/tiny  [functional: unreachable" in out
+    assert "2 record(s)" in out
+    assert main(["cache", "verify"]) == 0
+    assert "2 ok, 0 stale, 0 corrupt" in capsys.readouterr().out
+    assert main(["cache", "gc", "--dry-run"]) == 0
+    assert f"would drop {old[:16]}" in capsys.readouterr().out
+    assert main(["cache", "gc"]) == 0
+    assert "dropped 1 record(s)" in capsys.readouterr().out
+    assert store.keys() == [kept]
 
 
 def test_info_prints_one_record_by_prefix(store, capsys):
@@ -51,14 +84,19 @@ def test_gc_dry_run_keeps_files(store, capsys):
     assert store.path(key).exists()
 
 
-def test_clear_removes_everything(store, capsys):
+def test_clear_removes_everything(store, cache_root, capsys):
     _populate(store)
     store.path("a" * 64).write_text("torn")
+    orphan = cache_root / ("0" * 64 + ".pkl")  # what a toolchain edit leaves
+    orphan.write_bytes(b"compiled under another fingerprint")
     assert main(["cache", "verify"]) == 1  # quarantines the torn entry
     capsys.readouterr()
     assert main(["cache", "clear"]) == 0
-    assert "removed 1 record(s) and 1 quarantined file(s)" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("removed 1 record(s) and 1 quarantined file(s)")
+    assert lines[1].startswith("removed 2 compiled program(s)")
     assert store.keys() == []
+    assert list(cache_root.glob("*.pkl")) == []
     assert main(["cache", "verify"]) == 0
     assert "0 quarantined file(s) on disk" in capsys.readouterr().out
 

@@ -1,17 +1,11 @@
-"""The execute() pipeline: miss -> hit transparency, explicit replay, drift, sweeps."""
+"""The execute() pipeline: miss -> hit transparency, explicit replay, sweeps."""
 
 import json
 
 import pytest
 
 from repro.experiments.parallel import run_sweep, sweep_to_json
-from repro.jobs import (
-    JobSpec,
-    ResultStore,
-    execute,
-    execute_functional,
-    record_summary,
-)
+from repro.jobs import JobSpec, ResultStore, execute, record_summary
 
 
 def spec(**kwargs) -> JobSpec:
@@ -20,22 +14,36 @@ def spec(**kwargs) -> JobSpec:
     return JobSpec.build("fft", "tiny", **base)
 
 
+def live_result(job: JobSpec):
+    """*job* run on an engine built by hand, outside the job layer."""
+    from repro.core.engine import SequentialEngine
+    from repro.jobs.spec import spec_program
+
+    return SequentialEngine(
+        spec_program(job).program,
+        target=job.target_config(),
+        host=job.host_config(),
+        sim=job.sim_config(),
+    ).run()
+
+
 class TestMissThenHit:
     def test_hit_returns_the_identical_record(self, store):
-        miss = execute(spec(), store)
-        hit = execute(spec(), store)
+        watched = []
+        miss = execute(spec(), store, watch=watched.append)
+        hit = execute(spec(), store, watch=watched.append)
         assert not miss.hit and hit.hit
         assert hit.record == miss.record
-        assert hit.result is None  # nothing ran
+        assert len(watched) == 1  # the miss built one engine; the hit none
         assert miss.record["stats_dump"] == hit.record["stats_dump"]
 
     def test_summary_reconstruction_matches_live_result(self, store):
         miss = execute(spec(), store)
-        assert record_summary(miss.record) == miss.result.summary()
+        assert record_summary(miss.record) == live_result(spec()).summary()
 
     def test_stats_dump_matches_live_result_bytes(self, store):
         miss = execute(spec(), store)
-        assert miss.record["stats_dump"] == miss.result.dump_json()
+        assert miss.record["stats_dump"] == live_result(spec()).dump_json()
 
     def test_executed_miss_hands_back_what_load_returns(self, store, monkeypatch):
         """The record a miss returns is the published one — and producing it
@@ -49,14 +57,21 @@ class TestMissThenHit:
         assert miss.record == store.load(miss.key)
 
     def test_no_store_always_runs(self):
-        outcome = execute(spec(), store=None)
-        assert not outcome.hit and outcome.result is not None
+        watched = []
+        for _ in range(2):
+            assert not execute(spec(), store=None, watch=watched.append).hit
+        assert len(watched) == 2 and watched[0] is not watched[1]
 
-    def test_mode_guard(self, store):
-        with pytest.raises(ValueError):
-            execute(spec(mode="functional"), store)
-        with pytest.raises(ValueError):
-            execute_functional(spec(), store)
+    def test_mode_guard(self):
+        """There is no job mode to guard inside ``execute`` any more: the one
+        executor runs the one kind of job, and a spec naming another cannot
+        be built — in process or off the wire."""
+        from repro.jobs.spec import spec_from_dict, spec_to_dict
+
+        with pytest.raises(TypeError):
+            spec(mode="functional")
+        with pytest.raises(ValueError, match="mode"):
+            spec_from_dict({**spec_to_dict(spec()), "mode": "functional"})
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +104,7 @@ class TestReplay:
         direct = execute(spec(), store)
         before = _tree(store.root)
         replayed = execute(spec(), store, trace=fft_trace)
-        assert not replayed.hit and replayed.result is not None
+        assert not replayed.hit
         assert replayed.record["provenance"]["engine"] == "replay"
         assert replayed.record["provenance"]["trace_path"] == fft_trace
         assert "record_sha256" not in replayed.record  # never sealed
@@ -129,33 +144,6 @@ class TestReplay:
         with pytest.raises(EngineError, match="inorder core model"):
             execute(spec(core_model="ooo"), store, trace=fft_trace)
         assert store.keys() == []
-
-
-class TestFunctional:
-    def test_records_and_detects_no_drift_on_identical_rerun(self, store):
-        fspec = spec(
-            mode="functional", scheme="cc", seed=1, host_cores=8,
-            workload_args={"nthreads": 1},
-        )
-        first = execute_functional(fspec, store)
-        second = execute_functional(fspec, store)
-        assert not first.hit and second.hit
-        assert second.drift == []
-        assert second.record["metrics"] == first.record["metrics"]
-
-    def test_drift_is_surfaced(self, store):
-        fspec = spec(
-            mode="functional", scheme="cc", seed=1, host_cores=8,
-            workload_args={"nthreads": 1},
-        )
-        first = execute_functional(fspec, store)
-        # Corrupt the stored metrics while keeping the seal valid, as if an
-        # earlier toolchain had produced different numbers under this key.
-        tampered = dict(first.record)
-        tampered["metrics"] = dict(tampered["metrics"], instructions=1)
-        store.put(first.key, tampered)
-        second = execute_functional(fspec, store)
-        assert second.drift and "metrics" in second.drift[0]
 
 
 class TestSweepWarmPath:

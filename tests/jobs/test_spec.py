@@ -3,13 +3,16 @@
 The invalidation contract (DESIGN.md §12): program content, toolchain
 fingerprint and every digest-relevant configuration field participate in
 the key; execution mechanics proven observationally equivalent elsewhere
-(trace mode, progress heartbeat, output paths) must not.
+(trace mode, output paths) must not.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.lang.compiler as compiler
-from repro.jobs import JobSpec, digest_payload, job_key
+from repro.core.config import SimConfig
+from repro.jobs import JobOutcome, JobSpec, digest_payload, job_key
 from repro.jobs.spec import DIGEST_SIM_FIELDS, spec_from_dict, spec_to_dict
 
 #: A fixed fake program digest so these tests never need to compile.
@@ -53,16 +56,12 @@ class TestKeyChanges:
             {"stats_interval": 500},
             {"fault_plan": "corrupt_dir:at=800"},
             {"checkpoint_interval": 1000},
-            {"mode": "functional"},
-            {"workload_args": {"nthreads": 1}},
+            {"scheme": "s9*"},  # the adaptive variant is another scheme
+            {"scheme": "s10"},
         ],
     )
     def test_digest_relevant_field(self, change):
-        if "workload_args" in change:
-            changed = spec(workload_args=change["workload_args"])
-        else:
-            changed = spec(**change)
-        assert job_key(changed, DIGEST) != job_key(spec(), DIGEST)
+        assert job_key(spec(**change), DIGEST) != job_key(spec(), DIGEST)
 
 
 class TestKeyInvariant:
@@ -71,11 +70,11 @@ class TestKeyInvariant:
     @pytest.mark.parametrize(
         "change",
         [
-            {"heartbeat_path": "/tmp/job.hb"},
-            {"heartbeat_interval": 5.0},
             {"trace_source": '{"workload": "fft"}'},
             {"checkpoint_path": "/tmp/ckpt.bin"},
             {"trace_mode": "replay", "trace_path": "/tmp/x.trace"},
+            {"trace_mode": "capture", "trace_path": "/tmp/x.trace"},
+            {"trace_path": "/tmp/unused.trace"},
         ],
     )
     def test_digest_excluded_field(self, change):
@@ -102,9 +101,25 @@ class TestPayload:
         payload = digest_payload(spec(), DIGEST)
         assert tuple(payload["sim"]) == DIGEST_SIM_FIELDS
 
-    def test_functional_payload_drops_timing_config(self):
-        payload = digest_payload(spec(mode="functional"), DIGEST)
-        assert "sim" not in payload and "host" not in payload
+    def test_retired_job_fields_stay_in_the_payload_as_constants(self, monkeypatch):
+        """``mode`` and ``workload.args`` left ``JobSpec``; every stored key
+        was derived with them, so the payload keeps emitting the values a
+        timing job always had.  The pinned key is what the commit before the
+        fields went derives for this spec (under a fixed fingerprint): it
+        moves only when a change really does orphan every stored record."""
+        payload = digest_payload(spec(), DIGEST)
+        assert payload["mode"] == "timing"
+        assert payload["workload"] == {"name": "fft", "scale": "tiny", "args": {}}
+        monkeypatch.setattr(compiler, "_fingerprint", "f" * 64)
+        assert job_key(spec(), DIGEST) == (
+            "acd25dd61cce3d7f52c321aca6a0399320a0c2b4d0e9a42bc477209f7462babd"
+        )
+
+    def test_counted_options(self):
+        """A job is a timing run and a SimConfig is a simulation: a new field
+        on any of the three is a design decision, not a drive-by."""
+        counts = [len(dataclasses.fields(c)) for c in (JobSpec, SimConfig, JobOutcome)]
+        assert counts == [8, 16, 3]
 
     def test_top_level_fields_overlay_sim(self):
         s = spec(scheme="su", max_cycles=777)
@@ -144,6 +159,33 @@ class TestWireCompat:
         (``mem_domains: 1`` is dropped with the mechanics, above)."""
         with pytest.raises(ValueError, match="mem_domains"):
             spec_from_dict(self.wire(mem_domains=4))
+
+    def test_parent_format_row_is_the_same_job(self):
+        """A row an older daemon queued carries ``"mode": "timing"``, an
+        empty ``workload_args`` and the two heartbeat fields: all dropped,
+        same spec, same key; the wire form no longer emits any of them."""
+        revived = spec_from_dict(self.wire(
+            heartbeat_path="/srv/serve/heartbeats/abc.json", heartbeat_interval=1.0,
+        ))
+        current = spec(max_cycles=777)
+        assert revived == current
+        assert job_key(revived, DIGEST) == job_key(current, DIGEST)
+        wire = spec_to_dict(revived)
+        assert "mode" not in wire and "workload_args" not in wire
+        assert not any(k.startswith("heartbeat") for k in wire["sim"])
+
+    @pytest.mark.parametrize(
+        "retired,match",
+        [
+            ({"mode": "functional"}, "mode"),
+            ({"workload_args": [["nthreads", 1]]}, "workload_args"),
+        ],
+    )
+    def test_retired_job_mode_is_refused(self, retired, match):
+        """Accepted, queued and leased before; could only FAIL in the worker
+        (``mode``) or ran another program under this job's name (``args``)."""
+        with pytest.raises(ValueError, match=match):
+            spec_from_dict({**self.wire(), **retired})
 
     @pytest.mark.parametrize("model", ["oooo", "trace", ""])
     def test_unknown_core_model_is_refused(self, model):

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.jobs import JobSpec
 from repro.serve.client import ServeClient
+from repro.serve.daemon import ServeDaemon
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -116,3 +118,20 @@ def wait_terminal(client: ServeClient, key: str, timeout: float = 60.0) -> dict:
             return job
         time.sleep(0.05)
     raise AssertionError(f"job {key[:16]} still {job['state']} after {timeout}s")
+
+
+@pytest.fixture()
+def idle_daemon(cache_root):
+    """HTTP front-end and queue only — no supervision loop, so a submitted
+    job stays QUEUED for as long as the test likes."""
+    daemon = ServeDaemon(workers=1, seed=7)
+    http = threading.Thread(target=daemon.server.serve_forever, daemon=True)
+    http.start()
+    yield daemon
+    if not daemon.stopping:
+        daemon.shutdown()
+    http.join(timeout=10)
+
+
+def client_of(daemon: ServeDaemon, **kwargs) -> ServeClient:
+    return ServeClient(host=daemon.host, port=daemon.port, **kwargs)

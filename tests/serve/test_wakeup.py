@@ -12,7 +12,7 @@ from repro.jobs.spec import spec_to_dict
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 
-from tests.serve.conftest import tiny_spec
+from tests.serve.conftest import client_of, tiny_spec
 
 #: Safety-net period the live daemon's loop runs with.  A loop that only
 #: woke on its period would lease at one tick and harvest at a later one:
@@ -32,23 +32,6 @@ def live_daemon(cache_root):
     daemon.request_stop("test over")
     loop.join(timeout=60)
     assert not loop.is_alive()  # the stop itself must not wait out the period
-
-
-@pytest.fixture()
-def idle_daemon(cache_root):
-    """HTTP front-end and queue only — no supervision loop, so a submitted
-    job stays QUEUED for as long as the test likes."""
-    daemon = ServeDaemon(workers=1, seed=7)
-    http = threading.Thread(target=daemon.server.serve_forever, daemon=True)
-    http.start()
-    yield daemon
-    if not daemon.stopping:
-        daemon.shutdown()
-    http.join(timeout=10)
-
-
-def client_of(daemon: ServeDaemon, **kwargs) -> ServeClient:
-    return ServeClient(host=daemon.host, port=daemon.port, **kwargs)
 
 
 def long_poll(client: ServeClient, key: str, wait: float) -> "tuple[dict, float]":

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stats import Table, geometric_mean, harmonic_mean, percent, relative_error
+from repro.experiments.common import error, speedup
+from repro.stats import Table, harmonic_mean
 
 
 class TestMetrics:
@@ -26,53 +27,27 @@ class TestMetrics:
     @given(st.lists(st.floats(0.1, 100), min_size=1, max_size=20))
     def test_harmonic_le_geometric_le_max(self, values):
         h = harmonic_mean(values)
-        g = geometric_mean(values)
+        g = math.exp(sum(math.log(v) for v in values) / len(values))
         assert h <= g * (1 + 1e-9)
         assert min(values) - 1e-9 <= h <= max(values) + 1e-9
 
     def test_relative_error(self):
-        assert relative_error(110, 100) == pytest.approx(0.10)
-        assert relative_error(90, 100) == pytest.approx(0.10)
-        with pytest.raises(ValueError):
-            relative_error(1, 0)
-
-    def test_percent(self):
-        assert percent(0.0594) == "5.94%"
-        assert percent(0.1, 0) == "10%"
+        """Table 3's metric, where the experiments compute it."""
+        gold = {"execution_cycles": 100}
+        assert error(gold, {"execution_cycles": 110}) == pytest.approx(0.10)
+        assert error(gold, {"execution_cycles": 90}) == pytest.approx(0.10)
+        assert speedup({"host_time": 30.0}, {"host_time": 12.0}) == pytest.approx(2.5)
 
 
 class TestMetricsEdgeCases:
-    """Boundary behaviour pinned explicitly (empty, negative, rounding)."""
-
-    def test_geometric_mean_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([2.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([2.0, -1.0])
+    """Boundary behaviour pinned explicitly."""
 
     def test_single_element_means_are_identity(self):
         assert harmonic_mean([7.0]) == pytest.approx(7.0)
-        assert geometric_mean([7.0]) == pytest.approx(7.0)
-
-    def test_geometric_mean_known_value(self):
-        assert geometric_mean([1, 4, 16]) == pytest.approx(4.0)
-
-    def test_relative_error_negative_reference_uses_magnitude(self):
-        assert relative_error(-90, -100) == pytest.approx(0.10)
-        assert relative_error(110, -100) == pytest.approx(2.10)
 
     def test_relative_error_exact_match_is_zero(self):
-        assert relative_error(5.0, 5.0) == 0.0
-
-    def test_percent_rounding(self):
-        # f-string formatting uses round-half-even on the decimal digits.
-        assert percent(0.12345, 1) == "12.3%"
-        assert percent(0.12355, 1) == "12.4%"
-        assert percent(1.0) == "100.00%"
-        assert percent(0.0) == "0.00%"
-        assert percent(-0.05) == "-5.00%"
+        gold = {"execution_cycles": 5}
+        assert error(gold, dict(gold)) == 0.0
 
 
 class TestTable:
