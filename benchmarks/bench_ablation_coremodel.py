@@ -7,20 +7,15 @@ import json
 
 from conftest import write_report
 
-from repro.experiments.ablations import run_coremodel_ablation
-from repro.experiments.common import BENCHMARKS
+from repro.experiments.ablations import coremodel_orderings
+from repro.experiments.parallel import run_sweep
 
 
-def test_coremodel_ordering(benchmark, scale, report_dir):
-    def run_all():
-        return {
-            workload: run_coremodel_ablation(
-                workload, schemes=("cc", "q10", "s9", "su"), scale=scale
-            )
-            for workload in BENCHMARKS
-        }
-
-    by_workload = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_coremodel_ordering(benchmark, scale, jobs, report_dir):
+    document = benchmark.pedantic(
+        lambda: run_sweep("coremodel", scale=scale, jobs=jobs), rounds=1, iterations=1
+    )
+    by_workload = coremodel_orderings(document)
     # One block per workload (slowest scheme first), the block's JSON as
     # the single-workload report rendered it.
     write_report(

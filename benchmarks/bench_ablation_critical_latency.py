@@ -5,18 +5,17 @@ simulation violations'."""
 
 from conftest import write_report
 
-from repro.experiments.ablations import render_sweep, run_critical_latency_sweep
+from repro.experiments.ablations import render_sweep, sweep_rows
+from repro.experiments.parallel import run_sweep
 
 
-def test_critical_latency_sweep(benchmark, scale, report_dir):
-    points = benchmark.pedantic(
-        lambda: run_critical_latency_sweep("fft", slacks=(2, 5, 9, 15, 30, 60), scale=scale),
-        rounds=1,
-        iterations=1,
+def test_critical_latency_sweep(benchmark, scale, jobs, report_dir):
+    document = benchmark.pedantic(
+        lambda: run_sweep("critical_latency", scale=scale, jobs=jobs), rounds=1, iterations=1
     )
     write_report(report_dir, "ablation_critical_latency.txt",
-                 render_sweep("A2: oldest-first slack vs critical latency (fft)", points))
-    for p in points:
-        slack = int(p.label[1:-1])
+                 render_sweep("A2: oldest-first slack vs critical latency (fft)", document))
+    for row in sweep_rows(document):
+        slack = int(row["scheme"][1:-1])
         if slack < 10:
-            assert p.violations == 0, p.label
+            assert row["violations"] == 0, row["scheme"]

@@ -6,15 +6,15 @@ import json
 
 from conftest import write_report
 
-from repro.experiments.ablations import run_fastforward_ablation
+from repro.experiments.ablations import fastforward_report
+from repro.experiments.parallel import run_sweep
 
 
-def test_fastforward_ablation(benchmark, scale, report_dir):
-    result = benchmark.pedantic(
-        lambda: run_fastforward_ablation("water", "s100", scale=scale),
-        rounds=1,
-        iterations=1,
+def test_fastforward_ablation(benchmark, scale, jobs, report_dir):
+    document = benchmark.pedantic(
+        lambda: run_sweep("fastforward", scale=scale, jobs=jobs), rounds=1, iterations=1
     )
+    result = fastforward_report(document)
     write_report(report_dir, "ablation_fastforward.txt", json.dumps(result, indent=2))
     # Fast-forwarding compensates store-side races (load-side detections have
     # no compensation — the paper's mechanism delays the *store*).  It must

@@ -8,15 +8,21 @@ the *monotone growth with slack* is the reproduced shape.
 
 from conftest import write_report
 
-from repro.experiments.table3 import render_table3, run_table3
+from repro.experiments.common import BENCHMARKS
+from repro.experiments.parallel import run_sweep
+from repro.experiments.table3 import render_table3
 
 
-def test_table3_errors(benchmark, scale, report_dir):
-    rows = benchmark.pedantic(lambda: run_table3(scale), rounds=1, iterations=1)
-    write_report(report_dir, "table3.txt", render_table3(rows))
-    for row in rows:
-        benchmark.extra_info[f"err_su_{row.benchmark}"] = round(row.errors["su"] * 100, 2)
-        assert row.errors["s9"] < 0.06, row.benchmark
-        assert row.errors["s9"] <= row.errors["s100"] + 0.02, row.benchmark
-        assert row.errors["s100"] <= row.errors["su"] + 0.02, row.benchmark
-        assert row.errors["su"] < 0.35, row.benchmark
+def test_table3_errors(benchmark, scale, jobs, report_dir):
+    document = benchmark.pedantic(
+        lambda: run_sweep("table3", scale=scale, jobs=jobs), rounds=1, iterations=1
+    )
+    write_report(report_dir, "table3.txt", render_table3(document))
+    errors = document["derived"]["error_vs_cc"]
+    for bench in BENCHMARKS:
+        s9, s100, su = (errors[f"{bench}/{scheme}/h8"] for scheme in ("s9", "s100", "su"))
+        benchmark.extra_info[f"err_su_{bench}"] = round(su * 100, 2)
+        assert s9 < 0.06, bench
+        assert s9 <= s100 + 0.02, bench
+        assert s100 <= su + 0.02, bench
+        assert su < 0.35, bench

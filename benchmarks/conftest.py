@@ -30,6 +30,13 @@ def scale() -> str:
 
 
 @pytest.fixture(scope="session")
+def jobs() -> int:
+    """Worker processes every bench hands ``run_sweep``: the reports are
+    ``--jobs``-invariant, so this only buys wall time."""
+    return min(4, os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="session")
 def report_dir() -> pathlib.Path:
     REPORTS.mkdir(exist_ok=True)
     return REPORTS

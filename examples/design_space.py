@@ -6,7 +6,8 @@ for simulation efficiency and accuracy").
 Run:  python examples/design_space.py
 """
 
-from repro.experiments.ablations import run_critical_latency_sweep, run_slack_sweep
+from repro.experiments.ablations import render_sweep, sweep_rows
+from repro.experiments.parallel import run_sweep
 from repro.stats import Table
 
 
@@ -16,23 +17,21 @@ def ascii_bar(value: float, scale: float, width: int = 40) -> str:
 
 
 def main() -> None:
-    points = run_slack_sweep("fft", slacks=(1, 2, 4, 9, 25, 100, 400), scale="tiny")
-    max_speed = max(p.speedup for p in points)
+    rows = sweep_rows(run_sweep("ablations", slacks=(1, 2, 4, 9, 25, 100, 400), scale="tiny"))
+    max_speed = max(row["speedup"] for row in rows)
 
     table = Table("A1: bounded-slack design space (fft, 8 host cores)",
                   ["slack", "speedup", "error", "violations", "speed bar"])
-    for p in points:
-        table.add_row(p.label, p.speedup, f"{p.error * 100:.2f}%", p.violations,
-                      ascii_bar(p.speedup, max_speed))
+    for row in rows:
+        table.add_row(row["scheme"], row["speedup"], f"{row['error'] * 100:.2f}%",
+                      row["violations"], ascii_bar(row["speedup"], max_speed))
     print(table.render())
 
     print()
-    sweep = run_critical_latency_sweep("fft", slacks=(2, 5, 9, 15, 30, 60), scale="tiny")
-    table = Table("A2: conservative (oldest-first) slack vs the critical latency (10)",
-                  ["slack*", "speedup", "error", "violations"])
-    for p in sweep:
-        table.add_row(p.label, p.speedup, f"{p.error * 100:.2f}%", p.violations)
-    print(table.render())
+    print(render_sweep(
+        "A2: conservative (oldest-first) slack vs the critical latency (10)",
+        run_sweep("critical_latency", scale="tiny"),
+    ))
     print("\nBelow the critical latency the oldest-first discipline is")
     print("violation-free (paper §3.1); above it, violations appear even")
     print("though requests are processed strictly in timestamp order.")

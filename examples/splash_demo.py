@@ -32,9 +32,9 @@ def main() -> None:
         r = run_simulation(workload.program, scheme=scheme, host_cores=8)
         table.add_row(
             scheme,
-            r.speedup_over(baseline),
+            baseline.host_time / r.host_time,
             r.execution_cycles,
-            f"{r.error_vs(gold) * 100:.2f}%",
+            f"{abs(r.execution_cycles - gold.execution_cycles) / gold.execution_cycles * 100:.2f}%",
             r.violations.total,
             "yes" if workload.verify(r.output) else "NO",
         )

@@ -7,8 +7,9 @@ Subcommands::
     slacksim run --workload fft --capture-trace fft.trace
     slacksim run --workload fft --scheme s9 --replay-trace fft.trace
     slacksim compile program.sl [--run]
-    slacksim figure2 | figure8 | table2 | table3
-    slacksim sweep figure8 --jobs 4 --out figure8.json
+    slacksim figure2
+    slacksim figure8 | table2 | table3 [--jobs 8]     (the paper's tables)
+    slacksim sweep figure8 --jobs 4 --out figure8.json (any experiment, as JSON)
     slacksim bench --workload fft --profile
     slacksim stats show run.stats.json
     slacksim stats diff a.stats.json b.stats.json
@@ -34,7 +35,9 @@ from repro._util import atomic_write_text
 from repro.core import run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError
+from repro.experiments.parallel import SWEEP_EXPERIMENTS
 from repro.trace import TraceError
+from repro.workloads.registry import WORKLOADS
 
 __all__ = ["main"]
 
@@ -201,20 +204,18 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(name: str):
-    def run(args: argparse.Namespace) -> int:
-        from repro import experiments
+def _cmd_figure2(args: argparse.Namespace) -> int:
+    from repro.experiments import render_figure2, run_figure2
 
-        run_it = getattr(experiments, f"run_{name}")
-        render = getattr(experiments, f"render_{name}")
-        # Figure 2 runs four scripted cores: it has no workload scale.
-        print(render(run_it() if name == "figure2" else run_it(scale=args.scale)))
-        return 0
-
-    return run
+    # Four scripted cores: no workload, no jobs, nothing to sweep.
+    print(render_figure2(run_figure2()))
+    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """``sweep <name>`` (the JSON document) and ``figure8 | table2 | table3``
+    (that document rendered as the paper's table): one sweep either way."""
+    from repro import experiments
     from repro.experiments.parallel import run_sweep, sweep_to_json
 
     telemetry: dict = {}
@@ -222,7 +223,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.experiment, jobs=args.jobs, scale=args.scale, base_seed=args.seed,
         max_retries=args.max_retries, telemetry=telemetry,
     )
-    text = sweep_to_json(payload)
+    if args.command == "sweep":
+        text = sweep_to_json(payload)
+    else:
+        text = getattr(experiments, f"render_{args.experiment}")(payload) + "\n"
     # Telemetry goes to stderr: how points were served (store hit vs run)
     # must never leak into the byte-stable sweep document.
     print(
@@ -548,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a registered workload")
-    run.add_argument("--workload", default="fft", help="fft | lu | barnes | water")
+    run.add_argument("--workload", default="fft", help=" | ".join(sorted(WORKLOADS)))
     run.add_argument("--scheme", default="cc", help="cc | qN | lN | sN | sN* | su")
     run.add_argument("--host-cores", type=int, default=8)
     run.add_argument("--scale", default="tiny", choices=_SCALES)
@@ -591,27 +595,33 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--run", action="store_true", help="run functionally after compiling")
     comp.set_defaults(func=_cmd_compile)
 
+    fig2 = sub.add_parser("figure2", help="regenerate scheme anatomy (paper Figure 2)")
+    fig2.add_argument("--scale", choices=_SCALES, help="ignored: the cores are scripted")
+    fig2.set_defaults(func=_cmd_figure2)
+
+    def experiment_parser(name: str, help: str) -> argparse.ArgumentParser:
+        exp = sub.add_parser(name, help=help)
+        exp.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for the point grid (default 1: serial)")
+        exp.add_argument("--out", help="write the output here instead of stdout")
+        exp.add_argument("--scale", choices=_SCALES)
+        exp.add_argument("--seed", type=int, default=1)
+        exp.add_argument("--max-retries", type=int, default=2,
+                         help="extra attempts per point after a worker crash "
+                         "(default 2; point errors never retry)")
+        exp.set_defaults(func=_cmd_experiment)
+        return exp
+
     for name, help_text in (
-        ("figure2", "scheme anatomy (paper Figure 2)"),
         ("figure8", "speedup grid (paper Figure 8)"),
         ("table2", "benchmarks + baseline KIPS (paper Table 2)"),
         ("table3", "slack errors (paper Table 3)"),
     ):
-        exp = sub.add_parser(name, help=f"regenerate {help_text}")
-        exp.add_argument("--scale", choices=_SCALES)
-        exp.set_defaults(func=_cmd_experiment(name))
-
-    sweep = sub.add_parser("sweep", help="experiment sweep (figure8 | table3 | ablations)")
-    sweep.add_argument("experiment", help="figure8 | table3 | ablations")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the point grid (default 1: serial)")
-    sweep.add_argument("--out", help="write the sweep JSON here instead of stdout")
-    sweep.add_argument("--scale", choices=_SCALES)
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--max-retries", type=int, default=2,
-                       help="extra attempts per point after a worker crash "
-                       "(default 2; point errors never retry)")
-    sweep.set_defaults(func=_cmd_sweep)
+        experiment_parser(name, f"regenerate {help_text}").set_defaults(experiment=name)
+    names = " | ".join(SWEEP_EXPERIMENTS)
+    experiment_parser("sweep", f"experiment sweep as JSON ({names})").add_argument(
+        "experiment", help=names
+    )
 
     bench = sub.add_parser("bench", help="functional KIPS measurement of one workload")
     bench.add_argument("--workload", default="fft")

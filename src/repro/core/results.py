@@ -107,18 +107,6 @@ class SimulationResult:
     def host_utilization(self) -> float:
         return self.host_busy / (self.host_time * self.host_cores) if self.host_time else 0.0
 
-    def speedup_over(self, baseline: "SimulationResult") -> float:
-        """Simulation speedup = baseline simulation time / this run's time."""
-        if self.host_time == 0:
-            return float("inf")
-        return baseline.host_time / self.host_time
-
-    def error_vs(self, gold: "SimulationResult") -> float:
-        """Relative execution-time error against a gold (cc) run (Table 3)."""
-        if gold.execution_cycles == 0:
-            return 0.0
-        return abs(self.execution_cycles - gold.execution_cycles) / gold.execution_cycles
-
     # ------------------------------------------------------------- registry
     def stats_digest(self) -> str:
         """Determinism fingerprint over the registry's digest-marked stats."""
@@ -153,43 +141,6 @@ class SimulationResult:
 
     def float_output(self) -> list[float]:
         return [v for v in self.output if isinstance(v, float)]
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable summary (for tooling and report pipelines)."""
-        return {
-            "scheme": self.scheme,
-            "host_cores": self.host_cores,
-            "seed": self.seed,
-            "completed": self.completed,
-            "execution_cycles": self.execution_cycles,
-            "global_time": self.global_time,
-            "instructions": self.instructions,
-            "host_time": self.host_time,
-            "host_utilization": self.host_utilization,
-            "kips": self.kips,
-            "requests": self.requests,
-            "barriers": self.barriers,
-            "lock_acquires": self.lock_acquires,
-            "lock_contended": self.lock_contended,
-            "violations": {
-                "simulation_state": self.violations.simulation_state,
-                "system_state": self.violations.system_state,
-                "workload_state": self.violations.workload_state,
-                "fastforwards": self.violations.fastforwards,
-            },
-            "cores": [
-                {
-                    "core": c.core_id,
-                    "committed": c.committed,
-                    "cycles": c.cycles,
-                    "ipc": c.ipc,
-                    "l1_miss_rate": (c.l1_misses / c.l1_accesses) if c.l1_accesses else 0.0,
-                }
-                for c in self.cores
-            ],
-            "stats": dict(sorted(self.stats.items())),
-            "stats_digest": self.stats_sha256,
-        }
 
     def summary(self) -> str:
         return (

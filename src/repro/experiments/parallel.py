@@ -1,14 +1,18 @@
 """Process-parallel experiment sweeps with deterministic merging.
 
-The Figure 8 / Table 3 / ablation grids are embarrassingly parallel: every
-(workload, scheme, host-core-count) point is an independent simulation.
-This module shards those points over a :class:`ProcessPoolExecutor` and
-merges the per-point results into one JSON document that is **byte-identical
-whatever the job count** (``--jobs 1`` serial in-process vs ``--jobs N``):
+An experiment is an entry of the grid table (``_EXPERIMENTS``: its points,
+its seed rule, its derived metrics), the document :func:`run_sweep` makes of
+it, and a ``render_*(document)`` in the module named after the table or
+figure.  Every grid is embarrassingly parallel: each (workload, scheme,
+host-core-count) point is an independent simulation.  This module shards
+those points over a :class:`ProcessPoolExecutor` and merges the per-point
+results into one JSON document that is **byte-identical whatever the job
+count** (``--jobs 1`` serial in-process vs ``--jobs N``):
 
-* the point list is built up front by the same code on both paths, with the
-  per-point seed *derived* (SHA-256) from the base seed and the point's
-  coordinates — never from worker identity or scheduling order;
+* the point list is built up front by the same code on both paths, its seeds
+  fixed by the grid table — *derived* (SHA-256) from the base seed and the
+  point's coordinates, or the plain base seed — never by worker identity or
+  scheduling order;
 * each simulation is deterministic given (spec, seed), so a point's metric
   dict is the same in any process;
 * merging orders points by their config key and the document is rendered
@@ -38,20 +42,20 @@ from __future__ import annotations
 import gc
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable
+from typing import NamedTuple
 
 from repro._util import Backoff, sha256_hex
+from repro.experiments.ablations import ADAPTIVE_QUANTA
 from repro.experiments.common import (
     BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale, error, speedup,
 )
+from repro.experiments.table3 import CONSERVATIVE_SCHEMES, ERROR_SCHEMES
 from repro.jobs.spec import JobSpec
 
 __all__ = [
-    "ABLATION_SLACKS",
     "SWEEP_EXPERIMENTS",
     "SweepError",
-    "TABLE3_SCHEMES",
     "build_points",
     "derive_seed",
     "point_document",
@@ -66,17 +70,6 @@ class SweepError(RuntimeError):
     """A sweep could not finish (worker crashes exceeded the retry budget)."""
 
 
-#: Slack bounds of the ablation (A1) sweep grid — single-sourced here;
-#: :mod:`repro.experiments.ablations` builds the same grid through
-#: :func:`build_points`.
-ABLATION_SLACKS = (1, 4, 9, 25, 100, 400)
-
-#: Table 3's scheme columns (error + conservative), in grid order.
-TABLE3_SCHEMES = ("cc", "s9", "s100", "su", "q10", "l10", "s9*")
-
-SWEEP_EXPERIMENTS = ("figure8", "table3", "ablations")
-
-
 def derive_seed(base_seed: int, workload: str, scheme: str, host_cores: int) -> int:
     """Per-point seed, stable across runs and independent of worker identity."""
     digest = sha256_hex(f"{base_seed}:{workload}:{scheme}:{host_cores}")
@@ -88,6 +81,8 @@ def point_key(spec: JobSpec) -> str:
     key = f"{spec.workload}/{spec.scheme}/h{spec.host_cores}"
     if spec.fastforward:
         key += "/ff"
+    if spec.core_model != "inorder":
+        key += f"/{spec.core_model}"
     return key
 
 
@@ -158,106 +153,161 @@ def _maybe_crash(spec: JobSpec) -> None:
 
 
 # ----------------------------------------------------------------- grids
-def _grid_point(
-    scale: str, base_seed: int, workload: str, scheme: str, host_cores: int
-) -> JobSpec:
-    return JobSpec(
-        workload=workload,
-        scale=scale,
-        scheme=scheme,
-        seed=derive_seed(base_seed, workload, scheme, host_cores),
-        host_cores=host_cores,
-    )
-
-
-def _figure8_points(
-    scale: str,
-    base_seed: int,
+# A grid is the list of its points' coordinates (JobSpec keywords); scale
+# and seed are build_points' to fill in.
+def _figure8_grid(
     *,
     benchmarks: tuple[str, ...] = BENCHMARKS,
     schemes: tuple[str, ...] = SCHEMES,
     host_counts: tuple[int, ...] = HOST_COUNTS,
-) -> list[JobSpec]:
-    points = []
-    for bench in benchmarks:
-        points.append(_grid_point(scale, base_seed, bench, "cc", 1))
-        for scheme in schemes:
-            for hosts in host_counts:
-                points.append(_grid_point(scale, base_seed, bench, scheme, hosts))
-    return points
+) -> list[dict]:
+    return [
+        dict(workload=bench, scheme=scheme, host_cores=hosts)
+        for bench in benchmarks
+        for scheme, hosts in [("cc", 1)] + [(s, h) for s in schemes for h in host_counts]
+    ]
 
 
-def _table3_points(
-    scale: str,
-    base_seed: int,
+def _table2_grid(*, benchmarks: tuple[str, ...] = BENCHMARKS) -> list[dict]:
+    return [dict(workload=bench, scheme="cc", host_cores=1) for bench in benchmarks]
+
+
+def _table3_grid(
     *,
     benchmarks: tuple[str, ...] = BENCHMARKS,
-    schemes: tuple[str, ...] = TABLE3_SCHEMES,
+    schemes: tuple[str, ...] = ("cc",) + ERROR_SCHEMES + CONSERVATIVE_SCHEMES,
     host_cores: int = 8,
-) -> list[JobSpec]:
+) -> list[dict]:
     return [
-        _grid_point(scale, base_seed, bench, scheme, host_cores)
+        dict(workload=bench, scheme=scheme, host_cores=host_cores)
         for bench in benchmarks
         for scheme in schemes
     ]
 
 
-def _ablation_points(
-    scale: str,
-    base_seed: int,
-    workload: str = "fft",
+def _against_cc(workload: str, schemes: list[str], host_cores: int) -> list[dict]:
+    """*schemes* at *host_cores* behind their two cc references: the speedup
+    base on one host core and the error gold on *host_cores*."""
+    return [
+        dict(workload=workload, scheme=scheme, host_cores=hosts)
+        for scheme, hosts in [("cc", 1), ("cc", host_cores)]
+        + [(scheme, host_cores) for scheme in schemes]
+    ]
+
+
+def _slack_sweep_grid(
+    *, workload: str = "fft", slacks: tuple[int, ...] = (1, 4, 9, 25, 100, 400), host_cores: int = 8
+) -> list[dict]:
+    return _against_cc(workload, [f"s{n}" for n in slacks] + ["su"], host_cores)
+
+
+def _critical_latency_grid(
+    *, workload: str = "fft", slacks: tuple[int, ...] = (2, 5, 9, 15, 30, 60), host_cores: int = 8
+) -> list[dict]:
+    """Oldest-first bounded slack on both sides of the critical latency (10)."""
+    return _against_cc(workload, [f"s{n}*" for n in slacks], host_cores)
+
+
+def _adaptive_quantum_grid(
+    *, workload: str = "fft", configs: tuple[str, ...] = ADAPTIVE_QUANTA, host_cores: int = 8
+) -> list[dict]:
+    return _against_cc(workload, list(configs), host_cores)
+
+
+def _fastforward_grid(
+    *, workload: str = "water", scheme: str = "s100", host_cores: int = 8
+) -> list[dict]:
+    return [
+        dict(workload=workload, scheme=name, host_cores=host_cores, fastforward=fastforward)
+        for name, fastforward in (("cc", False), (scheme, False), (scheme, True))
+    ]
+
+
+def _coremodel_grid(
     *,
-    slacks: tuple[int, ...] = ABLATION_SLACKS,
+    benchmarks: tuple[str, ...] = BENCHMARKS,
+    schemes: tuple[str, ...] = ("cc", "q10", "s9", "su"),
     host_cores: int = 8,
-) -> list[JobSpec]:
-    schemes = ["cc"] + [f"s{n}" for n in slacks] + ["su"]
-    return [_grid_point(scale, base_seed, workload, "cc", 1)] + [
-        _grid_point(scale, base_seed, workload, scheme, host_cores)
+) -> list[dict]:
+    return [
+        dict(workload=bench, scheme=scheme, host_cores=host_cores, core_model=model)
+        for bench in benchmarks
+        for model in ("inorder", "ooo")
         for scheme in schemes
     ]
+
+
+class _Experiment(NamedTuple):
+    grid: Callable[..., list[dict]]
+    #: Per-point :func:`derive_seed` seeds, else every point runs under the
+    #: plain base seed (what the committed T2 / A2-A5 reports are pinned to).
+    derived_seeds: bool
+    #: The cross-point metrics :func:`_derive_metrics` reports.
+    speedup: bool
+    error: bool
+
+
+#: Every experiment there is (DESIGN.md §4): its grid, its seed rule and
+#: which derived metrics its document carries.
+_EXPERIMENTS = {
+    "figure8": _Experiment(_figure8_grid, True, speedup=True, error=False),
+    "table2": _Experiment(_table2_grid, False, speedup=False, error=False),
+    "table3": _Experiment(_table3_grid, True, speedup=False, error=True),
+    "ablations": _Experiment(_slack_sweep_grid, True, speedup=True, error=True),
+    "critical_latency": _Experiment(_critical_latency_grid, False, speedup=True, error=True),
+    "fastforward": _Experiment(_fastforward_grid, False, speedup=False, error=True),
+    "coremodel": _Experiment(_coremodel_grid, False, speedup=False, error=False),
+    "adaptive_quantum": _Experiment(_adaptive_quantum_grid, False, speedup=True, error=True),
+}
+
+SWEEP_EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def build_points(experiment: str, scale: str, base_seed: int, **kwargs) -> list[JobSpec]:
     """The full point list for *experiment* (identical on every path).
 
-    The single grid authority: the sweep runner AND the single-experiment
-    modules (figure8/table3/ablations) build their point lists here, so
-    the two paths can never drift.  ``kwargs`` subset the grid (e.g.
-    ``host_counts=(2, 8)`` for a cheaper Figure 8, ``workload=``/
-    ``slacks=`` for the ablation sweep).
+    The single grid authority.  ``kwargs`` subset or move the grid (e.g.
+    ``host_counts=(2, 8)`` for a cheaper Figure 8, ``workload=``/``slacks=``
+    for the slack sweeps).
     """
-    if experiment == "figure8":
-        return _figure8_points(scale, base_seed, **kwargs)
-    if experiment == "table3":
-        return _table3_points(scale, base_seed, **kwargs)
-    if experiment == "ablations":
-        return _ablation_points(scale, base_seed, **kwargs)
-    raise ValueError(
-        f"unknown sweep experiment {experiment!r} (expected one of {SWEEP_EXPERIMENTS})"
-    )
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(
+            f"unknown sweep experiment {experiment!r} (expected one of {SWEEP_EXPERIMENTS})"
+        )
+    entry = _EXPERIMENTS[experiment]
+    return [
+        JobSpec(
+            scale=scale,
+            seed=derive_seed(base_seed, at["workload"], at["scheme"], at["host_cores"])
+            if entry.derived_seeds
+            else base_seed,
+            **at,
+        )
+        for at in entry.grid(**kwargs)
+    ]
 
 
 # ----------------------------------------------------------------- derived
 def _derive_metrics(experiment: str, merged: dict) -> dict:
-    """Cross-point metrics (speedups, errors) from the merged point dict."""
-    want_speedup = experiment in ("figure8", "ablations")
-    want_error = experiment in ("table3", "ablations")
+    """Cross-point metrics (speedups, errors) from the merged point dict:
+    the one place a speedup or an error is computed."""
+    want = _EXPERIMENTS[experiment]
     speedups: dict = {}
     errors: dict = {}
     for key, point in merged.items():
         spec = point["spec"]
         # The references themselves carry no metric; Figure 8 plots cc at H > 1.
-        if spec["scheme"] == "cc" and (want_error or spec["host_cores"] == 1):
+        if spec["scheme"] == "cc" and (want.error or spec["host_cores"] == 1):
             continue
-        if want_speedup:
+        if want.speedup:
             speedups[key] = speedup(merged[f"{spec['workload']}/cc/h1"], point)
-        if want_error:
+        if want.error:
             gold = merged[f"{spec['workload']}/cc/h{spec['host_cores']}"]
             errors[key] = error(gold, point)
     derived: dict = {}
-    if want_speedup:
+    if want.speedup:
         derived["speedup_over_cc1"] = speedups
-    if want_error:
+    if want.error:
         derived["error_vs_cc"] = errors
     return derived
 
@@ -277,6 +327,11 @@ def _run_points_parallel(
     **raised by a point** (simulation error, output mismatch) are real
     failures and propagate on first occurrence.
     """
+    # Imported here: the pool machinery (multiprocessing, logging) is a tenth
+    # of CLI start-up, and the CLI imports this module for its experiment names.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     done: dict[int, tuple[dict, bool]] = {}
     todo = list(range(len(specs)))
     attempts = dict.fromkeys(todo, 0)
@@ -314,8 +369,9 @@ def resolve(
     max_retries: int = 2,
     telemetry: dict | None = None,
 ) -> dict[str, dict]:
-    """``{point_key: document}`` of *specs* (which must differ in what
-    :func:`point_key` names): the one way an experiment obtains its points.
+    """``{point_key: document}`` of *specs*: the one way an experiment
+    obtains its points.  Two specs :func:`point_key` cannot tell apart are a
+    ``ValueError`` — one document would silently answer for both.
 
     ``jobs <= 1`` resolves every point serially in-process, otherwise over
     the crash-recovering pool; either way the documents are identical (see
@@ -328,6 +384,10 @@ def resolve(
     purpose: a warm sweep must render the same bytes as a cold one, so how
     each point was served cannot live in the payload.
     """
+    keys = [point_key(spec) for spec in specs]
+    if len(set(keys)) != len(keys):
+        twice = sorted({key for key in keys if keys.count(key) > 1})
+        raise ValueError(f"specs share a point key: {', '.join(twice)}")
     if jobs <= 1:
         served = [_resolve_point(spec) for spec in specs]
     else:
@@ -335,7 +395,7 @@ def resolve(
     if telemetry is not None:
         telemetry["store_hits"] = sum(hit for _, hit in served)
         telemetry["store_misses"] = len(served) - telemetry["store_hits"]
-    return {point_key(spec): doc for spec, (doc, _) in zip(specs, served)}
+    return {key: doc for key, (doc, _) in zip(keys, served)}
 
 
 def run_sweep(

@@ -19,13 +19,9 @@ error from synchronization-API emulation ordering (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.common import BENCHMARKS, default_scale, error
-from repro.experiments.parallel import build_points, resolve
 from repro.stats.tables import Table
 
-__all__ = ["run_table3", "Table3Row", "PAPER_TABLE3"]
+__all__ = ["PAPER_TABLE3", "render_table3"]
 
 #: Paper's Table 3 (fractions, not percent).
 PAPER_TABLE3 = {
@@ -35,76 +31,46 @@ PAPER_TABLE3 = {
     "water": {"s9": 0.0001, "s100": 0.0012, "su": 0.0511},
 }
 
+#: The table's columns; with the cc gold they are the ``table3`` grid's schemes.
 ERROR_SCHEMES = ("s9", "s100", "su")
 CONSERVATIVE_SCHEMES = ("q10", "l10", "s9*")
 
 
-@dataclass
-class Table3Row:
-    benchmark: str
-    errors: dict  # scheme -> relative error (fraction)
-    paper: dict
-    violations: dict  # scheme -> total violation count
+def render_table3(document: dict) -> str:
+    """Table 3 (plus the conservative-scheme columns) off a ``table3`` sweep
+    document: errors from its derived metrics, violation totals from its
+    points."""
+    points = document["points"]
+    benchmarks = sorted({point["spec"]["workload"] for point in points.values()})
+    hosts = next(iter(points.values()))["spec"]["host_cores"]
 
+    def percent(fraction: float) -> str:
+        return f"{fraction * 100:.2f}%"
 
-def run_table3(
-    scale: str | None = None, seed: int = 1, host_cores: int = 8
-) -> list[Table3Row]:
-    """Regenerate Table 3 (plus conservative-scheme columns).
+    def errors(bench: str, schemes: tuple[str, ...]) -> list[str]:
+        return [
+            percent(document["derived"]["error_vs_cc"][f"{bench}/{scheme}/h{hosts}"])
+            for scheme in schemes
+        ]
 
-    The point list comes from :func:`repro.experiments.parallel.build_points`
-    — the identical grid ``repro sweep table3`` runs, so the table reads the
-    sweep's stored records (and vice versa).
-    """
-    docs = resolve(
-        build_points("table3", scale or default_scale(), seed, host_cores=host_cores)
-    )
-    rows = []
-    for bench in BENCHMARKS:
-        gold = docs[f"{bench}/cc/h{host_cores}"]
-        errors = {}
-        violations = {}
-        for scheme in ERROR_SCHEMES + CONSERVATIVE_SCHEMES:
-            doc = docs[f"{bench}/{scheme}/h{host_cores}"]
-            errors[scheme] = error(gold, doc)
-            # Violation totals come off the run's stats registry dump.
-            violations[scheme] = doc["violations"]
-        rows.append(
-            Table3Row(
-                benchmark=bench,
-                errors=errors,
-                paper=PAPER_TABLE3[bench],
-                violations=violations,
-            )
-        )
-    return rows
-
-
-def render_table3(rows: list[Table3Row]) -> str:
     table = Table(
-        "Table 3: relative execution-time errors due to slack (8 host cores)",
+        f"Table 3: relative execution-time errors due to slack ({hosts} host cores)",
         ["Benchmark", "S9", "S9 (paper)", "S100", "S100 (paper)", "SU", "SU (paper)"],
     )
-    for r in rows:
-        table.add_row(
-            r.benchmark,
-            f"{r.errors['s9'] * 100:.2f}%",
-            f"{r.paper['s9'] * 100:.2f}%",
-            f"{r.errors['s100'] * 100:.2f}%",
-            f"{r.paper['s100'] * 100:.2f}%",
-            f"{r.errors['su'] * 100:.2f}%",
-            f"{r.paper['su'] * 100:.2f}%",
-        )
     extra = Table(
         "Conservative schemes (paper: exact; residual = sync-emulation ordering)",
         ["Benchmark", "Q10", "L10", "S9*", "violations s9/s100/su"],
     )
-    for r in rows:
+    for bench in benchmarks:
+        paper = [percent(PAPER_TABLE3[bench][scheme]) for scheme in ERROR_SCHEMES]
+        ours = errors(bench, ERROR_SCHEMES)
+        table.add_row(bench, *[cell for pair in zip(ours, paper) for cell in pair])
         extra.add_row(
-            r.benchmark,
-            f"{r.errors['q10'] * 100:.2f}%",
-            f"{r.errors['l10'] * 100:.2f}%",
-            f"{r.errors['s9*'] * 100:.2f}%",
-            f"{r.violations['s9']}/{r.violations['s100']}/{r.violations['su']}",
+            bench,
+            *errors(bench, CONSERVATIVE_SCHEMES),
+            "/".join(
+                str(points[f"{bench}/{scheme}/h{hosts}"]["violations"])
+                for scheme in ERROR_SCHEMES
+            ),
         )
     return table.render() + "\n\n" + extra.render()

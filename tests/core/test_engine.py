@@ -297,17 +297,3 @@ def test_icache_runs_are_pinned_and_stepping_invariant():
         batched = SequentialEngine(prog, **kw).run()
         assert batched.completed and batched.execution_cycles == cycles
         assert_same_run(batched, SequentialEngine(prog, stepping="single", **kw).run())
-
-
-def test_result_to_dict_is_json_serialisable():
-    import json
-
-    from repro.workloads.synthetic import sharing_workload
-
-    r = run_trace(sharing_workload(2, 10, seed=1), "s9")
-    blob = json.dumps(r.to_dict())
-    data = json.loads(blob)
-    assert data["scheme"] == "s9"
-    assert data["completed"] is True
-    assert data["violations"]["simulation_state"] >= 0
-    assert len(data["cores"]) == 2

@@ -7,19 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    run_figure2,
-    run_figure8,
-    run_table2,
-    run_table3,
-)
-from repro.experiments.ablations import (
-    run_coremodel_ablation,
-    run_critical_latency_sweep,
-    run_fastforward_ablation,
-    run_slack_sweep,
-)
-from repro.experiments.figure8 import render_figure8
+from repro.experiments import BENCHMARKS, SCHEMES, run_figure2
+from repro.experiments.ablations import coremodel_orderings, fastforward_report, sweep_rows
+from repro.experiments.figure8 import harmonic_means, panels, render_figure8
 from repro.experiments.parallel import run_sweep
 from repro.experiments.table2 import render_table2
 from repro.experiments.table3 import render_table3
@@ -37,93 +27,113 @@ def shared_store(tmp_path_factory):
 
 
 class TestTable2:
-    def test_kips_in_paper_magnitude(self):
-        rows = run_table2(SCALE)
-        assert len(rows) == 4
-        for row in rows:
-            # Same order of magnitude as the paper's 111-127 KIPS.
-            assert 30 < row.kips < 500, row
-            assert row.instructions > 1000
+    @pytest.fixture(scope="class")
+    def document(self):
+        return run_sweep("table2", scale=SCALE)
 
-    def test_render(self):
-        text = render_table2(run_table2(SCALE))
+    def test_kips_in_paper_magnitude(self, document):
+        assert sorted(document["points"]) == [f"{bench}/cc/h1" for bench in BENCHMARKS]
+        for key, point in document["points"].items():
+            # Same order of magnitude as the paper's 111-127 KIPS.
+            assert 30 < point["kips"] < 500, key
+            assert point["instructions"] > 1000
+
+    def test_render(self, document):
+        text = render_table2(document)
         assert "KIPS" in text and "barnes" in text
 
 
 class TestFigure8:
     @pytest.fixture(scope="class")
-    def data(self):
-        return run_figure8(SCALE, host_counts=(2, 8))
+    def document(self):
+        return run_sweep("figure8", scale=SCALE, host_counts=(2, 8))
 
-    def test_speedup_improves_with_host_cores(self, data):
-        for bench in data.benchmarks:
-            for scheme in data.schemes:
-                series = data.series(bench, scheme)
-                assert series[-1] >= series[0] * 0.9, (bench, scheme)
+    @pytest.fixture(scope="class")
+    def speedup(self, document):
+        return panels(document)
 
-    def test_cc_is_slowest(self, data):
-        for bench in data.benchmarks:
-            cc = data.speedup[bench]["cc"][8]
-            for scheme in data.schemes:
+    @pytest.fixture(scope="class")
+    def hmean(self, speedup):
+        return harmonic_means(speedup)
+
+    def test_speedup_improves_with_host_cores(self, speedup):
+        assert tuple(speedup) == BENCHMARKS
+        for bench, rows in speedup.items():
+            assert tuple(rows) == SCHEMES
+            for scheme, by_hosts in rows.items():
+                assert by_hosts[8] >= by_hosts[2] * 0.9, (bench, scheme)
+
+    def test_cc_is_slowest(self, speedup):
+        for bench, rows in speedup.items():
+            for scheme in rows:
                 if scheme != "cc":
-                    assert data.speedup[bench][scheme][8] > cc, (bench, scheme)
+                    assert rows[scheme][8] > rows["cc"][8], (bench, scheme)
 
-    def test_cc_scales_poorly(self, data):
+    def test_cc_scales_poorly(self, hmean):
         for h in (2, 8):
-            assert data.hmean["cc"][h] < 3.5
+            assert hmean["cc"][h] < 3.5
 
-    def test_slack_schemes_clear_paper_floor(self, data):
+    def test_slack_schemes_clear_paper_floor(self, hmean):
         """Paper: 'Even when simulation threads are limited to run on 2 host
         cores, their speedups are at least 3.3'."""
         for scheme in ("q10", "l10", "s9", "s9*", "s100", "su"):
-            assert data.hmean[scheme][2] >= 3.3, scheme
+            assert hmean[scheme][2] >= 3.3, scheme
 
-    def test_scheme_ordering_at_8_hosts(self, data):
-        h = data.hmean
+    def test_scheme_ordering_at_8_hosts(self, hmean):
+        h = hmean
         assert h["su"][8] >= h["s9"][8] * 0.9
         assert h["s100"][8] >= h["s9"][8] * 0.95
         assert h["s9"][8] > h["q10"][8]
         assert h["l10"][8] >= h["q10"][8]
 
-    def test_s9_star_close_to_s9(self, data):
+    def test_s9_star_close_to_s9(self, hmean):
         """Paper: 'The speedup of S9* is almost the same as the speedup of
         S9'."""
-        ratio = data.hmean["s9*"][8] / data.hmean["s9"][8]
+        ratio = hmean["s9*"][8] / hmean["s9"][8]
         assert 0.85 < ratio < 1.15
 
-    def test_render(self, data):
-        text = render_figure8(data)
+    def test_render(self, document):
+        text = render_figure8(document)
         assert "Figure 8(e)" in text and "harmonic" in text
 
 
 class TestTable3:
     @pytest.fixture(scope="class")
-    def rows(self):
-        return run_table3(SCALE)
+    def document(self):
+        return run_sweep("table3", scale=SCALE)
 
-    def test_errors_grow_with_slack(self, rows):
-        for row in rows:
-            assert row.errors["s9"] <= row.errors["s100"] + 0.02
-            assert row.errors["s100"] <= row.errors["su"] + 0.02
+    @pytest.fixture(scope="class")
+    def errors(self, document):
+        """errors[benchmark][scheme] off the document's derived metrics."""
+        flat = document["derived"]["error_vs_cc"]
+        return {
+            bench: {scheme: flat[f"{bench}/{scheme}/h8"] for scheme in ("s9", "s100", "su")}
+            for bench in BENCHMARKS
+        }
 
-    def test_s9_errors_are_small(self, rows):
-        for row in rows:
-            assert row.errors["s9"] < 0.06, row.benchmark
+    def test_errors_grow_with_slack(self, errors):
+        for row in errors.values():
+            assert row["s9"] <= row["s100"] + 0.02
+            assert row["s100"] <= row["su"] + 0.02
 
-    def test_su_errors_are_moderate(self, rows):
+    def test_s9_errors_are_small(self, errors):
+        for bench, row in errors.items():
+            assert row["s9"] < 0.06, bench
+
+    def test_su_errors_are_moderate(self, errors):
         """Paper: even unbounded slack stays below ~6%; allow headroom for
         our much smaller inputs (higher sync density)."""
-        for row in rows:
-            assert row.errors["su"] < 0.35, row.benchmark
+        for bench, row in errors.items():
+            assert row["su"] < 0.35, bench
 
-    def test_conservative_schemes_have_no_order_violations(self, rows):
-        for row in rows:
-            assert row.violations["su"] >= 0
+    def test_conservative_schemes_have_no_order_violations(self, document):
+        for bench in BENCHMARKS:
+            assert document["points"][f"{bench}/su/h8"]["violations"] >= 0
         # (simulation/system violations for conservative schemes are asserted
         # at engine level in tests/core/test_engine.py)
 
-    def test_render(self, rows):
-        text = render_table3(rows)
+    def test_render(self, document):
+        text = render_table3(document)
         assert "S100" in text and "%" in text
 
 
@@ -154,23 +164,28 @@ class TestFigure2:
 
 class TestAblations:
     def test_slack_sweep_tradeoff(self):
-        points = run_slack_sweep("fft", slacks=(1, 9, 100), scale=SCALE)
-        speedups = [p.speedup for p in points]
-        assert speedups[-1] >= speedups[0]          # su fastest
-        assert points[0].violations <= points[-2].violations + 5
+        rows = sweep_rows(run_sweep("ablations", slacks=(1, 9, 100), scale=SCALE))
+        assert [row["scheme"] for row in rows] == ["s1", "s9", "s100", "su"]
+        assert rows[-1]["speedup"] >= rows[0]["speedup"]          # su fastest
+        assert rows[0]["violations"] <= rows[-2]["violations"] + 5
 
     def test_critical_latency_violation_onset(self):
-        points = run_critical_latency_sweep("fft", slacks=(5, 9, 60), scale=SCALE)
-        below = [p for p in points if int(p.label[1:-1]) < 10]
-        for p in below:
-            assert p.violations == 0, p.label
+        rows = sweep_rows(run_sweep("critical_latency", slacks=(5, 9, 60), scale=SCALE))
+        assert [row["scheme"] for row in rows] == ["s5*", "s9*", "s60*"]
+        for row in rows[:2]:  # below the critical latency (10)
+            assert row["violations"] == 0, row["scheme"]
 
     def test_fastforward_reduces_nothing_when_no_races(self):
-        result = run_fastforward_ablation("lu", "s9", scale=SCALE)
+        document = run_sweep("fastforward", workload="lu", scheme="s9", scale=SCALE)
+        result = fastforward_report(document)
+        assert (result["workload"], result["scheme"]) == ("lu", "s9")
         assert result["on"]["fastforwards"] >= 0
 
     def test_coremodel_ordering_stable(self):
-        orderings = run_coremodel_ablation("fft", schemes=("cc", "q10", "su"), scale=SCALE)
+        document = run_sweep(
+            "coremodel", benchmarks=("fft",), schemes=("cc", "q10", "su"), scale=SCALE
+        )
+        orderings = coremodel_orderings(document)["fft"]
         # cc slowest under both core models.
         assert orderings["inorder"][0] == "cc"
         assert orderings["ooo"][0] == "cc"

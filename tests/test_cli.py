@@ -66,6 +66,38 @@ def test_experiment_scale_is_an_argument_not_an_environment_write(capsys):
     assert "8 bodies" in capsys.readouterr().out  # the tiny barnes input set
 
 
+def test_table_commands_take_the_sweep_flags(tmp_path, capsys):
+    """``table2`` is ``sweep table2`` rendered: same flags, same store, and
+    the table's bytes do not depend on ``--jobs``."""
+    assert main(["table2", "--scale", "tiny"]) == 0
+    serial = capsys.readouterr()
+    out = tmp_path / "table2.txt"
+    assert main(["table2", "--scale", "tiny", "--jobs", "2", "--out", str(out)]) == 0
+    sharded = capsys.readouterr()
+    assert out.read_text() == serial.out
+    assert "store_hits=4 store_misses=0" in sharded.err
+
+
+def test_help_lists_what_is_registered(capsys):
+    from repro.experiments.parallel import SWEEP_EXPERIMENTS
+    from repro.workloads.registry import WORKLOADS
+
+    for argv, names in ((["sweep", "-h"], SWEEP_EXPERIMENTS), (["run", "-h"], WORKLOADS)):
+        with pytest.raises(SystemExit):
+            main(argv)
+        text = capsys.readouterr().out
+        assert all(name in text for name in names), argv
+
+
+def test_unknown_experiment_names_every_experiment(capsys):
+    from repro.experiments.parallel import SWEEP_EXPERIMENTS
+
+    assert main(["sweep", "figure9", "--scale", "tiny"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown sweep experiment 'figure9'") and err.count("\n") == 1
+    assert all(name in err for name in SWEEP_EXPERIMENTS)
+
+
 def test_run_stats_out_then_show_and_diff(tmp_path, capsys):
     a = tmp_path / "a.stats.json"
     b = tmp_path / "b.stats.json"
