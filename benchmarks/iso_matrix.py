@@ -19,14 +19,16 @@ equal the ``NAME`` cell of the same scale/scheme/hosts in every compared field
 — a difference is printed to stderr and the build exits 1.
 
 Workload tokens are the registered names, ``sharing`` (the coherence-dense
-8-core trace of the repo benchmark's ``mem-traffic``), ``NAME:ooo`` /
+8-core trace of the repo benchmark's ``mem-traffic``), ``sharing:think``
+(``sharing_workload``'s defaults: think stretches between sparser, mostly
+private accesses), ``pingpong`` (8 trace cores writing one block), ``NAME:ooo`` /
 ``NAME:replay`` (the out-of-order core model; a replay of an ``su`` capture)
 and ``NAME:func`` — the functional interpreter on the ``nthreads=1`` program,
 one cell per scale (no scheme, no host): instruction count, exit code, output
 digest and the final ``ArchState.digest()``.
 Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
-the repo benchmark's rule.  The defaults (~4 min a side) cover every core
-model: in-order, sharing-trace, replay (``fft:replay``: barriers only;
+the repo benchmark's rule.  The defaults cover every core model: in-order,
+the three trace workloads, replay (``fft:replay``: barriers only;
 ``water:replay``: locks, barriers and joins), out-of-order (``fft:ooo``,
 ``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter.
 """
@@ -41,13 +43,14 @@ from pathlib import Path
 
 SCALES = ("tiny", "small")
 WORKLOADS = (
-    "barnes", "fft", "lu", "water", "sharing", "fft:replay", "water:replay",
-    "fft:ooo", "water:ooo", "fft:func", "water:func",
+    "barnes", "fft", "lu", "water", "sharing", "sharing:think", "pingpong",
+    "fft:replay", "water:replay", "fft:ooo", "water:ooo", "fft:func", "water:func",
 )
 SCHEMES = ("cc", "q3", "q10", "s9", "s100", "su")
 HOSTS = (1, 2, 8)
 
-#: ``sharing`` ops per core by scale (``small`` is mem-traffic's job).
+#: ``sharing`` ops per core by scale (``small`` is mem-traffic's job); also
+#: ``pingpong``'s rounds per core.
 SHARING_OPS = {"tiny": 300, "small": 3000, "paper": 30000}
 
 
@@ -70,18 +73,24 @@ def run_cell(scale: str, token: str, scheme: str, hosts: int, base_seed: int, tm
     from repro.core.engine import SequentialEngine
     from repro.experiments.parallel import derive_seed
     from repro.workloads.registry import make_workload
-    from repro.workloads.synthetic import sharing_workload
+    from repro.workloads.synthetic import pingpong_workload, sharing_workload
 
     name, _, variant = token.partition(":")
     sim = SimConfig(scheme=scheme, seed=derive_seed(base_seed, name, scheme, hosts))
     host = HostConfig(num_cores=hosts)
-    if name == "sharing":
-        engine = SequentialEngine(
-            None,
-            trace_cores=sharing_workload(
-                8, SHARING_OPS[scale], shared_fraction=0.8, write_fraction=0.5,
+    if name in ("sharing", "pingpong"):
+        ops = SHARING_OPS[scale]
+        if name == "pingpong":
+            trace_cores = pingpong_workload(8, ops)
+        elif variant == "think":
+            trace_cores = sharing_workload(8, ops, seed=base_seed)
+        else:
+            trace_cores = sharing_workload(
+                8, ops, shared_fraction=0.8, write_fraction=0.5,
                 think_cycles=0, shared_blocks=256, seed=base_seed,
-            ),
+            )
+        engine = SequentialEngine(
+            None, trace_cores=trace_cores,
             target=TargetConfig(num_cores=8, core_model="trace"),
             host=host, sim=sim,
         )

@@ -6,20 +6,25 @@ Run:  python examples/violation_anatomy.py
 """
 
 from repro.mem.directory import Directory, ReqKind
-from repro.mem.interconnect import Bus
+from repro.mem.memsys import MemorySystem, MemSysConfig
 from repro.violations.detect import ViolationCounters, WordOrderTracker
 
 
 def figure4_bus() -> None:
     print("=== Figure 4: simulation-state violation (bus occupancy) ===")
     counters = ViolationCounters()
-    bus = Bus(transfer_cycles=2, counters=counters)
-    grant_p1 = bus.occupy(3)  # P1 requests at simulated clock 3 (processed first)
-    grant_p2 = bus.occupy(2)  # P2's request from clock 2 arrives later
+    memsys = MemorySystem(MemSysConfig(bus_transfer_cycles=2), num_cores=2, counters=counters)
+    # P1 requests at simulated clock 3 and is serviced first; P2's request
+    # from clock 2 reaches the manager later (two blocks, two L2 banks).
+    memsys.service(ReqKind.GETS, 0x000, core=0, ts=3)
+    grant_p1 = memsys.bus.free_at - 2
+    memsys.service(ReqKind.GETS, 0x040, core=1, ts=2)
+    grant_p2 = memsys.bus.free_at - 2
+    assert (grant_p1, grant_p2, counters.by_resource["bus"]) == (3, 5, 1)
     print(f"P1 requested @3 -> granted @{grant_p1}")
     print(f"P2 requested @2 -> granted @{grant_p2}  (found the bus 'busy'")
     print("   because a request from its simulated future was served first)")
-    print(f"simulation-state violations recorded: {counters.simulation_state}\n")
+    print(f"bus violations recorded: {counters.by_resource['bus']}\n")
 
 
 def figure6_directory() -> None:

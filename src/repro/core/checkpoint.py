@@ -56,8 +56,11 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: tuple on the replay core), and the system object pickles as
 #: ``SystemBase`` state.  6: ``SimConfig`` lost the two heartbeat fields (the
 #: serve worker samples progress from outside the engine now) — a format-5
-#: pickle would restore a config with stale attributes.
-CHECKPOINT_FORMAT = 6
+#: pickle would restore a config with stale attributes.  7: the GQ pickles
+#: one structure (its policy's FIFO or heap, no live count) and ``Event``
+#: lost ``consumed`` — a format-6 GQ would restore both structures (and
+#: the memory system's order tracking moved out of the bus/L2/DRAM models).
+CHECKPOINT_FORMAT = 7
 
 
 class CheckpointError(EngineError):

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.events import EvKind, Event
+from repro.core.events import EvKind
 from repro.core.queues import InQ, OutQ
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 
 __all__ = ["CoreThread", "BatchStats", "CoreState"]
+
+_RESPONSE, _INVALIDATE, _DOWNGRADE = EvKind.RESPONSE, EvKind.INVALIDATE, EvKind.DOWNGRADE
 
 
 class CoreState:
@@ -107,21 +109,22 @@ class CoreThread:
         self.ever_active = True
 
     # -------------------------------------------------------------- delivery
-    def deliver(self, event: Event) -> None:
-        self.inq.push(event)
-
     def _route_due_events(self, stats: BatchStats) -> None:
+        pop_due = self.inq.pop_due
+        now = self.local_time
+        model = self.model
         while True:
-            event = self.inq.pop_due(self.local_time)
+            event = pop_due(now)
             if event is None:
                 return
             stats.events_in += 1
-            if event.kind is EvKind.RESPONSE:
-                self.model.deliver_response(event)
-            elif event.kind is EvKind.INVALIDATE:
-                self.model.apply_invalidation(event.addr)
-            elif event.kind is EvKind.DOWNGRADE:
-                self.model.apply_downgrade(event.addr)
+            kind = event.kind
+            if kind is _RESPONSE:
+                model.deliver_response(event)
+            elif kind is _INVALIDATE:
+                model.apply_invalidation(event.addr)
+            elif kind is _DOWNGRADE:
+                model.apply_downgrade(event.addr)
             else:  # pragma: no cover
                 raise AssertionError(f"unexpected InQ event {event}")
 

@@ -106,9 +106,6 @@ class Event:
     grant: str | None = None
     #: For RESPONSE: the seq of the request this answers.
     req_seq: int | None = None
-    #: GQ bookkeeping: set once the manager has serviced this entry (the GQ
-    #: keeps the same event in both its FIFO and its timestamp heap).
-    consumed: bool = field(default=False, compare=False, repr=False)
 
     @property
     def is_request(self) -> bool:

@@ -41,7 +41,7 @@ class SimulationManager:
         self.cores = cores
         self.memsys = memsys
         self.scheme = scheme
-        self.gq = GlobalQueue()
+        self.gq = GlobalQueue(scheme.gq_policy)
         self.global_time = 0
         self.requests_processed = 0
         self.barriers_completed = 0
@@ -107,19 +107,22 @@ class SimulationManager:
     def step(self) -> ManagerStepResult:
         result = ManagerStepResult()
         gq = self.gq
+        push = gq.push
         # One fused pass over the cores: drain OutQs and gather the active
         # set, its minimum local time and barrier status (this method runs
         # once per manager turn — several genexpr scans showed up in the
-        # engine profile).
+        # engine profile).  The manager is an OutQ's only consumer, so a
+        # non-empty queue always has a front entry to pop, even while the
+        # threaded harness's core thread appends to it.
         drained = 0
         active = []
         min_local = None
         at_edge = True
         for ct in self.cores:
-            if ct.outq._q:
-                for event in ct.outq.drain():
-                    gq.push(event)
-                    drained += 1
+            q = ct.outq._q
+            while q:
+                push(q.popleft())
+                drained += 1
             if ct.state == CoreState.ACTIVE:
                 active.append(ct)
                 lt = ct.local_time
@@ -135,12 +138,14 @@ class SimulationManager:
 
         processed = 0
         policy = self.scheme.gq_policy
+        service = self._service
         if policy == "immediate":
+            pop_fifo = gq.pop_fifo
             while True:
-                event = gq.pop_fifo()
+                event = pop_fifo()
                 if event is None:
                     break
-                self._service(event)
+                service(event)
                 processed += 1
         elif policy == "oldest":
             bound = min_local if min_local is not None else self.global_time
@@ -150,7 +155,7 @@ class SimulationManager:
                 event = gq.pop_oldest(bound)
                 if event is None:
                     break
-                self._service(event)
+                service(event)
                 processed += 1
         else:  # barrier (cycle-by-cycle / quantum-based / adaptive quantum)
             if active and at_edge:
@@ -159,7 +164,7 @@ class SimulationManager:
                     event = gq.pop_oldest(INFINITY)
                     if event is None:
                         break
-                    self._service(event)
+                    service(event)
                     processed += 1
                 if self._adapt is not None:
                     boundary = min(ct.max_local_time for ct in active)
@@ -183,22 +188,20 @@ class SimulationManager:
 
     # --------------------------------------------------------------- service
     def _service(self, event: Event) -> None:
-        """Service one GQ request and deliver its responses/messages."""
+        """Service one GQ request and push its response and coherence
+        messages straight into the cores' InQs."""
         self.requests_processed += 1
-        kind = REQUEST_KINDS[event.kind]
-        result = self.memsys.service(kind, event.addr, event.core, event.ts)
-        if result.grant is not None:
-            self.cores[event.core].deliver(
-                Event(
-                    EvKind.RESPONSE,
-                    event.addr,
-                    event.core,
-                    result.ready_ts,
-                    grant=result.grant,
-                    req_seq=event.seq,
-                )
+        addr = event.addr
+        core = event.core
+        grant, ready_ts, victims, owner, coherence_ts = self.memsys.service(
+            REQUEST_KINDS[event.kind], addr, core, event.ts
+        )
+        cores = self.cores
+        if grant is not None:
+            cores[core].inq.push(
+                Event(EvKind.RESPONSE, addr, core, ready_ts, grant=grant, req_seq=event.seq)
             )
-        for victim, addr in result.invalidations:
-            self.cores[victim].deliver(Event(EvKind.INVALIDATE, addr, victim, result.coherence_ts))
-        for owner, addr in result.downgrades:
-            self.cores[owner].deliver(Event(EvKind.DOWNGRADE, addr, owner, result.coherence_ts))
+        for victim in victims:
+            cores[victim].inq.push(Event(EvKind.INVALIDATE, addr, victim, coherence_ts))
+        if owner is not None:
+            cores[owner].inq.push(Event(EvKind.DOWNGRADE, addr, owner, coherence_ts))

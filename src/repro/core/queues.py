@@ -83,6 +83,11 @@ class InQ:
 class GlobalQueue:
     """The manager's consolidated request queue.
 
+    It holds one structure, chosen by the scheme's ``gq_policy``: an
+    arrival-order FIFO for ``immediate`` (popped with :meth:`pop_fifo`), a
+    ``(ts, core, seq)`` heap for ``barrier`` and ``oldest`` (popped with
+    :meth:`pop_oldest`).
+
     Timestamp-order pops break same-``ts`` ties by ``(core, seq)`` rather
     than bare creation order: two requests stamped with the same target
     cycle are serviced in core-id order no matter which core thread the
@@ -91,67 +96,41 @@ class GlobalQueue:
     order) is a pure function of the simulated target.
     """
 
-    __slots__ = ("_fifo", "_heap", "_live")
+    __slots__ = ("_fifo", "_q")
 
-    def __init__(self) -> None:
-        self._fifo: deque[Event] = deque()
-        self._heap: list[tuple[int, int, int, Event]] = []
-        #: Unconsumed events.  Each policy pops through one structure only,
-        #: so every pop also trims consumed entries off the front of the
-        #: other: neither outgrows the live events (plus consumed ones stuck
-        #: behind a live front entry), whatever the run has pushed in all.
-        self._live = 0
-
-    def __setstate__(self, state) -> None:
-        slots = state[1]
-        self._fifo = slots["_fifo"]
-        self._heap = slots["_heap"]
-        # A format-3 checkpoint written before the live count existed.
-        self._live = slots.get("_live", sum(1 for e in self._fifo if not e.consumed))
+    def __init__(self, policy: str) -> None:
+        self._fifo = policy == "immediate"
+        self._q: deque[Event] | list[tuple[int, int, int, Event]] = (
+            deque() if self._fifo else []
+        )
 
     def push(self, event: Event) -> None:
-        self._fifo.append(event)
-        heapq.heappush(self._heap, (event.ts, event.core, event.seq, event))
-        self._live += 1
+        if self._fifo:
+            self._q.append(event)
+        else:
+            heapq.heappush(self._q, (event.ts, event.core, event.seq, event))
 
     def pop_fifo(self) -> Event | None:
         """Arrival-order pop (original bounded slack: 'no such constraint')."""
-        fifo = self._fifo
-        while fifo:
-            event = fifo.popleft()
-            if not event.consumed:
-                event.consumed = True
-                self._live -= 1
-                heap = self._heap
-                while heap and heap[0][3].consumed:
-                    heapq.heappop(heap)
-                return event
-        return None
+        return self._q.popleft() if self._q else None
 
     def pop_oldest(self, max_ts: int) -> Event | None:
         """Timestamp-order pop, restricted to ``ts <= max_ts`` (conservative
         schemes: process the oldest request only once global time reaches it)."""
-        heap = self._heap
-        while heap and heap[0][0] <= max_ts:
-            event = heapq.heappop(heap)[3]
-            if not event.consumed:
-                event.consumed = True
-                self._live -= 1
-                fifo = self._fifo
-                while fifo and fifo[0].consumed:
-                    fifo.popleft()
-                return event
+        heap = self._q
+        if heap and heap[0][0] <= max_ts:
+            return heapq.heappop(heap)[3]
         return None
 
     def oldest_ts(self) -> int | None:
-        """Timestamp of the oldest unconsumed request (lookahead bound)."""
-        heap = self._heap
-        while heap and heap[0][3].consumed:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        """Timestamp of the oldest queued request (lookahead bound)."""
+        q = self._q
+        if not q:
+            return None
+        return min(event.ts for event in q) if self._fifo else q[0][0]
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return bool(self._q)
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._q)

@@ -98,7 +98,8 @@ class CoreModel(Protocol):
     #     """Account n wait cycles at once (e.g. bump stall counters)."""
     #
     # A third optional method moves the commit cycles between waits into the
-    # model as well (one loop per front end: InOrderCore, ReplayCore):
+    # model as well (one loop per front end: InOrderCore, ReplayCore, and
+    # TraceCore, whose loop also finishes a granted fill first):
     #
     # def advance(self, now: int, limit: int, stats: BatchStats) -> int:
     #     """Run cycles [now, limit) exactly as the wait_state/skip/step

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro._util import log2i
 
@@ -74,6 +75,9 @@ class _Line:
         self.tag = tag
         self.state = state
         self.lru = lru
+
+
+_LRU = attrgetter("lru")
 
 
 class L1Cache:
@@ -144,21 +148,26 @@ class L1Cache:
             raise ValueError("cannot fill a line in INVALID state")
         index, tag = self._index_tag(addr)
         self._tick += 1
+        tick = self._tick
         ways = self._sets[index]
         for line in ways:
             if line.tag == tag:
                 line.state = state
-                line.lru = self._tick
+                line.lru = tick
                 return None
+        if len(ways) < self.config.assoc:
+            ways.append(_Line(tag, state, tick))
+            return None
+        # Tags are unique within a set and LRU ticks unique overall, so the
+        # victim's line object is refilled in place.
+        victim = min(ways, key=_LRU)
         victim_addr: int | None = None
-        if len(ways) >= self.config.assoc:
-            victim = min(ways, key=lambda ln: ln.lru)
-            ways.remove(victim)
-            if victim.state is MESI.MODIFIED:
-                self.stats.writebacks += 1
-                victim_block = (victim.tag * self._num_sets + index) << self._block_shift
-                victim_addr = victim_block
-        ways.append(_Line(tag, state, self._tick))
+        if victim.state is MESI.MODIFIED:
+            self.stats.writebacks += 1
+            victim_addr = (victim.tag * self._num_sets + index) << self._block_shift
+        victim.tag = tag
+        victim.state = state
+        victim.lru = tick
         return victim_addr
 
     # ------------------------------------------------------------ coherence

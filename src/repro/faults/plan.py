@@ -8,10 +8,10 @@ and installed into a :class:`~repro.core.engine.SequentialEngine` at
 construction time.  Every fault perturbs the run at one of the simulator's
 well-defined seams; none of them touches the per-cycle simulate path — the
 hooks are closures wrapped around seam callables (``model.emit``,
-``CoreThread.deliver``, ``CostModel.core_batch_cost``, the engine's
-``_turn_budget``) or queue subclasses substituted before the first event
-flows, so an engine built without ``SimConfig.fault_plan`` is bit-identical
-to one built before this package existed.
+``CostModel.core_batch_cost``, the engine's ``_turn_budget``) or queue
+subclasses (InQ, GQ) substituted before the first event flows, so an engine
+built without ``SimConfig.fault_plan`` is bit-identical to one built before
+this package existed.
 
 Fault kinds (see :data:`FAULT_KINDS`):
 
@@ -259,36 +259,44 @@ class FaultPlan:
         return engine.cores[spec.core]
 
     def _install_inq(self, engine, spec: FaultSpec) -> None:
-        """Wrap the target core's InQ delivery seam (manager -> core)."""
+        """Substitute the target core's InQ (manager -> core) before any
+        event flows; a second InQ fault on the same core subclasses the
+        first's queue, so both fire."""
         ct = self._core(engine, spec)
-        inner = ct.deliver
+        base = type(ct.inq)
+        plan = self
         armed = _Armed(spec, remaining=spec.count)
         kinds = spec.event_kinds()
         duplicate = spec.kind == "dup_inq"
 
-        def deliver(event: Event) -> None:
-            if armed.remaining > 0 and event.ts >= spec.at and event.kind in kinds:
-                armed.remaining -= 1
-                if duplicate:
-                    inner(event)
-                    dup = Event(event.kind, event.addr, event.core,
-                                event.ts + spec.delta, grant=event.grant,
-                                req_seq=event.req_seq)
-                    inner(dup)
-                    self._record("dup_inq", core=spec.core,
-                                 event=event.kind.label, ts=event.ts,
-                                 dup_ts=dup.ts, seq=event.seq, dup_seq=dup.seq)
-                else:
-                    orig = event.ts
-                    event.ts += spec.delta
-                    inner(event)
-                    self._record("delay_inq", core=spec.core,
-                                 event=event.kind.label, ts=orig,
-                                 new_ts=event.ts, seq=event.seq)
-                return
-            inner(event)
+        class _FaultInQ(base):
+            __slots__ = ()
 
-        ct.deliver = deliver  # type: ignore[method-assign]
+            def push(self, event: Event) -> None:
+                if armed.remaining > 0 and event.ts >= spec.at and event.kind in kinds:
+                    armed.remaining -= 1
+                    if duplicate:
+                        base.push(self, event)
+                        dup = Event(event.kind, event.addr, event.core,
+                                    event.ts + spec.delta, grant=event.grant,
+                                    req_seq=event.req_seq)
+                        base.push(self, dup)
+                        plan._record("dup_inq", core=spec.core,
+                                     event=event.kind.label, ts=event.ts,
+                                     dup_ts=dup.ts, seq=event.seq, dup_seq=dup.seq)
+                    else:
+                        orig = event.ts
+                        event.ts += spec.delta
+                        base.push(self, event)
+                        plan._record("delay_inq", core=spec.core,
+                                     event=event.kind.label, ts=orig,
+                                     new_ts=event.ts, seq=event.seq)
+                    return
+                base.push(self, event)
+
+        if len(ct.inq):
+            raise RuntimeError(f"{spec.kind} must install before any InQ traffic")
+        ct.inq = _FaultInQ()
 
     def _install_reorder(self, engine, spec: FaultSpec) -> None:
         """Swap a matching OutQ push ahead of the entry queued before it."""
@@ -340,7 +348,7 @@ class FaultPlan:
 
         if len(engine.manager.gq):
             raise RuntimeError("delay_gq must install before any GQ traffic")
-        engine.manager.gq = _DelayGQ()
+        engine.manager.gq = _DelayGQ(engine.scheme.gq_policy)
 
     def _install_stall(self, engine, spec: FaultSpec) -> None:
         """One-shot host-preemption surcharge on the target core's batches."""

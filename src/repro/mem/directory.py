@@ -11,11 +11,10 @@ per block through :class:`~repro.violations.detect.ViolationCounters`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["Directory", "DirState", "DirectoryOutcome", "ReqKind"]
+__all__ = ["Directory", "DirState", "ReqKind"]
 
 
 class DirState(enum.Enum):
@@ -33,20 +32,17 @@ class ReqKind(enum.Enum):
     PUTM = "putm"        # dirty eviction writeback
 
 
-@dataclass
-class DirectoryOutcome:
-    """Directory decision for one request."""
-
-    #: MESI state granted to the requester's L1 ("M"/"E"/"S"), or None for PUTM.
-    grant: str | None
-    #: Cores whose L1 copy must be invalidated.
-    invalidate: list[int] = field(default_factory=list)
-    #: Core whose M/E copy must be downgraded to S (remote read).
-    downgrade: int | None = None
-    #: Data must be forwarded from another core's cache (cache-to-cache).
-    cache_to_cache: bool = False
-    #: The upgrade raced with an invalidation and became a full GETX.
-    upgrade_promoted: bool = False
+#: :meth:`Directory.handle` returns one tuple per request,
+#: ``(grant, invalidate, downgrade, cache_to_cache, upgrade_promoted)``:
+#: the MESI state granted to the requester's L1 ("M"/"E"/"S", None for PUTM),
+#: the cores whose L1 copy must be invalidated, the core whose M/E copy must
+#: be downgraded to S (or None), whether the data is forwarded from another
+#: core's cache, and whether an UPGRADE raced with an invalidation and became
+#: a full GETX.  The outcomes without coherence actions are shared constants.
+_E = ("E", (), None, False, False)
+_S = ("S", (), None, False, False)
+_M = ("M", (), None, False, False)
+_PUTM = (None, (), None, False, False)
 
 
 class _Entry:
@@ -73,19 +69,15 @@ class Directory:
         self.downgrades_sent = 0
         self.cache_to_cache_transfers = 0
 
-    def _entry(self, addr: int) -> _Entry:
-        entry = self._entries.get(addr)
-        if entry is None:
-            entry = _Entry()
-            self._entries[addr] = entry
-        return entry
-
     # ------------------------------------------------------------- requests
-    def handle(self, kind: ReqKind, addr: int, core: int, ts: int) -> DirectoryOutcome:
-        """Apply one coherence request; returns the protocol actions."""
+    def handle(self, kind: ReqKind, addr: int, core: int, ts: int) -> tuple:
+        """Apply one coherence request; returns the protocol actions as
+        ``(grant, invalidate, downgrade, cache_to_cache, upgrade_promoted)``."""
         if not 0 <= core < self.num_cores:
             raise ValueError(f"core {core} out of range")
-        entry = self._entry(addr)
+        entry = self._entries.get(addr)
+        if entry is None:
+            entry = self._entries[addr] = _Entry()
         self.requests += 1
         if ts < entry.last_ts:
             self.counters.record_system_state("directory")
@@ -101,69 +93,68 @@ class Directory:
             return self._putm(entry, core)
         raise AssertionError(kind)  # pragma: no cover
 
-    def _gets(self, entry: _Entry, core: int) -> DirectoryOutcome:
+    def _gets(self, entry: _Entry, core: int) -> tuple:
         if entry.state is DirState.INVALID:
             entry.state = DirState.EXCLUSIVE
             entry.owner = core
             entry.sharers = {core}
-            return DirectoryOutcome(grant="E")
+            return _E
         if entry.state is DirState.EXCLUSIVE:
             owner = entry.owner
             assert owner is not None
             if owner == core:
-                return DirectoryOutcome(grant="E")
+                return _E
             entry.state = DirState.SHARED
             entry.sharers = {owner, core}
             entry.owner = None
             self.downgrades_sent += 1
             self.cache_to_cache_transfers += 1
-            return DirectoryOutcome(grant="S", downgrade=owner, cache_to_cache=True)
+            return "S", (), owner, True, False
         entry.sharers.add(core)
-        return DirectoryOutcome(grant="S")
+        return _S
 
-    def _getx(self, entry: _Entry, core: int) -> DirectoryOutcome:
+    def _getx(self, entry: _Entry, core: int) -> tuple:
         if entry.state is DirState.INVALID:
             entry.state = DirState.EXCLUSIVE
             entry.owner = core
             entry.sharers = {core}
-            return DirectoryOutcome(grant="M")
+            return _M
         if entry.state is DirState.EXCLUSIVE:
             owner = entry.owner
             assert owner is not None
             entry.owner = core
             entry.sharers = {core}
             if owner == core:
-                return DirectoryOutcome(grant="M")
+                return _M
             self.invalidations_sent += 1
             self.cache_to_cache_transfers += 1
-            return DirectoryOutcome(grant="M", invalidate=[owner], cache_to_cache=True)
-        victims = sorted(entry.sharers - {core})
+            return "M", (owner,), None, True, False
+        victims = tuple(sorted(entry.sharers - {core}))
         entry.state = DirState.EXCLUSIVE
         entry.owner = core
         entry.sharers = {core}
         self.invalidations_sent += len(victims)
-        return DirectoryOutcome(grant="M", invalidate=victims)
+        return "M", victims, None, False, False
 
-    def _upgrade(self, entry: _Entry, core: int) -> DirectoryOutcome:
+    def _upgrade(self, entry: _Entry, core: int) -> tuple:
         if entry.state is DirState.SHARED and core in entry.sharers:
-            victims = sorted(entry.sharers - {core})
+            victims = tuple(sorted(entry.sharers - {core}))
             entry.state = DirState.EXCLUSIVE
             entry.owner = core
             entry.sharers = {core}
             self.invalidations_sent += len(victims)
-            return DirectoryOutcome(grant="M", invalidate=victims)
+            return "M", victims, None, False, False
         # Raced with a conflicting GETX: our copy is gone, fall back to GETX.
-        outcome = self._getx(entry, core)
-        outcome.upgrade_promoted = True
-        return outcome
+        grant, victims, owner, cache_to_cache, _ = self._getx(entry, core)
+        return grant, victims, owner, cache_to_cache, True
 
-    def _putm(self, entry: _Entry, core: int) -> DirectoryOutcome:
+    def _putm(self, entry: _Entry, core: int) -> tuple:
         if entry.state is DirState.EXCLUSIVE and entry.owner == core:
             entry.state = DirState.INVALID
             entry.owner = None
             entry.sharers = set()
         # Otherwise: stale writeback from a core that already lost the block.
-        return DirectoryOutcome(grant=None)
+        return _PUTM
 
     # ------------------------------------------------------------ inspection
     def presence_bits(self, addr: int) -> tuple[list[int], int]:

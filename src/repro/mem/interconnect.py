@@ -1,21 +1,19 @@
-"""On-chip interconnect models: shared bus and crossbar.
+"""On-chip interconnect model: the shared address/request bus.
 
 The manager simulates shared resources in the order it processes requests
-(simulation-time order).  Each resource keeps a ``free_at`` occupancy
-variable in *simulated* time; because requests can be processed out of
-timestamp order under slack, a request may find the resource "busy" due to a
-request from its simulated future — exactly the simulation-state distortion
-of paper §3.2.1 / Figure 4.  Such reorderings are counted through the
-optional :class:`~repro.violations.detect.ViolationCounters`.
+(simulation-time order).  The bus keeps a ``free_at`` occupancy variable in
+*simulated* time; because requests can be processed out of timestamp order
+under slack, a request may find the bus "busy" due to a request from its
+simulated future — exactly the simulation-state distortion of paper §3.2.1 /
+Figure 4.  The bus only models occupancy: :class:`~repro.mem.memsys.MemorySystem`
+counts such reorderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.violations.detect import ViolationCounters
-
-__all__ = ["Bus", "Crossbar", "InterconnectStats"]
+__all__ = ["Bus", "InterconnectStats"]
 
 
 @dataclass
@@ -28,67 +26,18 @@ class InterconnectStats:
 class Bus:
     """A single shared bus: one transfer at a time, fixed cycles/transfer."""
 
-    def __init__(
-        self,
-        transfer_cycles: int = 1,
-        counters: ViolationCounters | None = None,
-        name: str = "bus",
-    ) -> None:
+    def __init__(self, transfer_cycles: int = 1) -> None:
         self.transfer_cycles = transfer_cycles
         self.free_at = 0
-        self.counters = counters if counters is not None else ViolationCounters()
-        self.name = name
         self.stats = InterconnectStats()
-        self._last_grant_ts = 0
 
     def occupy(self, ts: int) -> int:
         """Request the bus at simulated time *ts*; returns the grant time."""
-        if ts < self._last_grant_ts:
-            # Processed out of simulated-time order: a request from the past
-            # sees occupancy created by its future (Figure 4).
-            self.counters.record_simulation_state(self.name)
-        grant = max(ts, self.free_at)
-        self.stats.transfers += 1
-        self.stats.busy_cycles += self.transfer_cycles
-        self.stats.contention_cycles += grant - ts
+        free = self.free_at
+        grant = ts if ts > free else free
+        stats = self.stats
+        stats.transfers += 1
+        stats.busy_cycles += self.transfer_cycles
+        stats.contention_cycles += grant - ts
         self.free_at = grant + self.transfer_cycles
-        self._last_grant_ts = ts if ts > self._last_grant_ts else self._last_grant_ts
-        return grant
-
-    def reset(self) -> None:
-        self.free_at = 0
-        self._last_grant_ts = 0
-        self.stats = InterconnectStats()
-
-
-class Crossbar:
-    """Per-source-port crossbar: contention only among same-port transfers."""
-
-    def __init__(
-        self,
-        ports: int,
-        transfer_cycles: int = 1,
-        counters: ViolationCounters | None = None,
-        name: str = "xbar",
-    ) -> None:
-        if ports < 1:
-            raise ValueError("crossbar needs at least one port")
-        self.transfer_cycles = transfer_cycles
-        self.free_at = [0] * ports
-        self._last_grant_ts = [0] * ports
-        self.counters = counters if counters is not None else ViolationCounters()
-        self.name = name
-        self.stats = InterconnectStats()
-
-    def occupy(self, ts: int, port: int) -> int:
-        """Request *port* at simulated time *ts*; returns the grant time."""
-        if ts < self._last_grant_ts[port]:
-            self.counters.record_simulation_state(f"{self.name}[{port}]")
-        grant = max(ts, self.free_at[port])
-        self.stats.transfers += 1
-        self.stats.busy_cycles += self.transfer_cycles
-        self.stats.contention_cycles += grant - ts
-        self.free_at[port] = grant + self.transfer_cycles
-        if ts > self._last_grant_ts[port]:
-            self._last_grant_ts[port] = ts
         return grant

@@ -6,8 +6,8 @@ linear layout (paper §2 cites NUCA [7][11]).  Tags are tracked per bank with
 set-associative LRU arrays; an L2 miss costs a DRAM round trip.
 
 Banks are occupancy resources processed in manager order, so they exhibit
-the same simulated-time distortions as the bus under slack (counted per
-bank).
+the same simulated-time distortions as the bus under slack (counted per bank
+by :class:`~repro.mem.memsys.MemorySystem`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import log2i
-from repro.violations.detect import ViolationCounters
 
 __all__ = ["L2Nuca", "L2Config", "L2Stats"]
 
@@ -79,33 +78,27 @@ class _BankArray:
 class L2Nuca:
     """The shared lower-level cache hierarchy simulated by the manager."""
 
-    def __init__(
-        self,
-        config: L2Config | None = None,
-        num_cores: int = 8,
-        counters: ViolationCounters | None = None,
-    ) -> None:
+    def __init__(self, config: L2Config | None = None, num_cores: int = 8) -> None:
         self.config = config or L2Config()
         cfg = self.config
-        if cfg.sets_per_bank < 1:
+        self._sets = cfg.sets_per_bank
+        if self._sets < 1:
             raise ValueError("L2 too small for its banking/associativity")
         self.num_cores = num_cores
         self._block_shift = log2i(cfg.block_bytes)
-        self.banks = [_BankArray(cfg.sets_per_bank, cfg.assoc) for _ in range(cfg.num_banks)]
+        self.banks = [_BankArray(self._sets, cfg.assoc) for _ in range(cfg.num_banks)]
         self.bank_free_at = [0] * cfg.num_banks
-        self._bank_last_ts = [0] * cfg.num_banks
-        self.counters = counters if counters is not None else ViolationCounters()
         self.stats = L2Stats()
         self.bank_accesses = [0] * cfg.num_banks
+        #: NUCA hop cycles per core, per bank.
+        self._hops = [
+            [cfg.hop_cycles * self.distance(core, bank) for bank in range(cfg.num_banks)]
+            for core in range(num_cores)
+        ]
 
     # ------------------------------------------------------------- geometry
     def bank_of(self, addr: int) -> int:
         return (addr >> self._block_shift) % self.config.num_banks
-
-    def _set_tag(self, addr: int) -> tuple[int, int]:
-        block = addr >> self._block_shift
-        bank_local = block // self.config.num_banks
-        return bank_local % self.config.sets_per_bank, bank_local // self.config.sets_per_bank
 
     def distance(self, core: int, bank: int) -> int:
         """Hop distance on a linear placement of cores over banks."""
@@ -127,26 +120,26 @@ class L2Nuca:
         when the bank absorbed the data.
         """
         cfg = self.config
-        bank = self.bank_of(addr)
-        if ts < self._bank_last_ts[bank]:
-            self.counters.record_simulation_state(f"l2bank[{bank}]")
-        start = max(ts, self.bank_free_at[bank])
+        num_banks = cfg.num_banks
+        block = addr >> self._block_shift
+        bank = block % num_banks
+        free = self.bank_free_at[bank]
+        start = ts if ts > free else free
         self.bank_free_at[bank] = start + cfg.bank_occupancy
-        self.stats.bank_conflict_cycles += start - ts
-        if ts > self._bank_last_ts[bank]:
-            self._bank_last_ts[bank] = ts
-        set_index, tag = self._set_tag(addr)
-        hit = self.banks[bank].touch(set_index, tag)
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.bank_conflict_cycles += start - ts
+        bank_local = block // num_banks
+        sets = self._sets
+        hit = self.banks[bank].touch(bank_local % sets, bank_local // sets)
+        stats.accesses += 1
         self.bank_accesses[bank] += 1
         if is_writeback:
-            self.stats.writebacks_in += 1
+            stats.writebacks_in += 1
             return start + cfg.bank_occupancy, hit
         if hit:
-            self.stats.hits += 1
+            stats.hits += 1
         else:
-            self.stats.misses += 1
-        hops = cfg.hop_cycles * self.distance(core, bank)
-        self.stats.hop_cycles += hops
-        latency = cfg.bank_latency + hops
-        return start + latency, hit
+            stats.misses += 1
+        hops = self._hops[core][bank]
+        stats.hop_cycles += hops
+        return start + cfg.bank_latency + hops, hit

@@ -42,7 +42,6 @@ class TraceCore:
         self._pc = 0
         self._busy_until = -1
         self._pending_block: int | None = None
-        self._pending_write = False
         self._resp: Event | None = None
         # Coherence messages that raced ahead of an in-flight grant (the
         # MESI IM->I / IM->S transients): remembered and applied right after
@@ -88,26 +87,41 @@ class TraceCore:
     def skip(self, n: int) -> None:
         """n wait cycles change no scripted state (≡ n wait ``step`` calls)."""
 
+    def _fill(self, now: int) -> None:
+        """Install the granted line, then apply a coherence message that
+        raced ahead of the grant."""
+        block = self._pending_block
+        victim = self.l1.fill(block, _GRANT_TO_MESI[self._resp.grant or "E"])
+        if victim is not None:
+            self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
+        if self._pending_inval:
+            self.l1.invalidate(block)
+        elif self._pending_down:
+            self.l1.downgrade(block)
+        self._pending_inval = self._pending_down = False
+        self._pending_block = None
+        self._resp = None
+        self.phase = CorePhase.ACTIVE
+        self.committed += 1
+
+    def _issue(self, addr: int, is_write: bool, result: AccessResult, now: int) -> None:
+        """Send an L1 miss or upgrade to the manager and stall on it."""
+        block = self.l1.block_addr(addr)
+        if result is AccessResult.UPGRADE:
+            kind = EvKind.UPGRADE
+        else:
+            kind = EvKind.GETX if is_write else EvKind.GETS
+        self.emit(Event(kind, block, self.core_id, now))
+        self._pending_block = block
+        self.phase = CorePhase.STALLED
+
     def step(self, now: int) -> tuple[int, bool]:
         if self.phase in (CorePhase.IDLE, CorePhase.HALTED):
             return 0, False
         if self._pending_block is not None:
             if self._resp is None:
                 return 0, False
-            grant = _GRANT_TO_MESI[self._resp.grant or "E"]
-            victim = self.l1.fill(self._pending_block, grant)
-            if victim is not None:
-                assert self.emit is not None
-                self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
-            if self._pending_inval:
-                self.l1.invalidate(self._pending_block)
-            elif self._pending_down:
-                self.l1.downgrade(self._pending_block)
-            self._pending_inval = self._pending_down = False
-            self._pending_block = None
-            self._resp = None
-            self.phase = CorePhase.ACTIVE
-            self.committed += 1
+            self._fill(now)
             return 1, True
         if now <= self._busy_until:
             return 0, False  # thinking: cheap wait cycle (matches wait_state)
@@ -129,22 +143,71 @@ class TraceCore:
             if result is AccessResult.HIT:
                 self.committed += 1
                 return 1, True
-            block = self.l1.block_addr(addr)
-            ev_kind = (
-                EvKind.UPGRADE
-                if result is AccessResult.UPGRADE
-                else (EvKind.GETX if is_write else EvKind.GETS)
-            )
-            assert self.emit is not None
-            self.emit(Event(ev_kind, block, self.core_id, now))
-            self._pending_block = block
-            self._pending_write = is_write
-            self.phase = CorePhase.STALLED
+            self._issue(addr, is_write, result, now)
             return 0, True
         if kind == "halt":
             self.phase = CorePhase.HALTED
             return 0, True
         raise ValueError(f"unknown trace op {op!r}")
+
+    def advance(self, now: int, limit: int, stats) -> int:
+        """Run ``[now, limit)`` as the ``wait_state``/``skip``/``step``
+        sequence would (the protocol in :mod:`repro.cpu.interfaces`): finish
+        a granted fill, then L1 hits and think stretches (cut at *limit*,
+        remainder left in ``_busy_until``), up to and including the cycle
+        that issues a miss.  Stops in front of a halt or the end of the
+        script; returns the cycles run, accounted into *stats*."""
+        t = now
+        start = self.committed
+        if self._pending_block is not None:
+            if self._resp is None:
+                return 0
+            self._fill(t)
+            t += 1
+        committed = self.committed
+        script = self.script
+        size = len(script)
+        pc = self._pc
+        access = self.l1.access
+        busy = self._busy_until
+        skipped = stretches = 0
+        while t < limit and pc < size:
+            op = script[pc]
+            kind = op[0]
+            if kind == "think":
+                pc += 1
+                cycles = int(op[1])
+                committed += cycles
+                busy = t + cycles - 1
+                t += 1
+                if t <= busy and t < limit:
+                    wait = (busy + 1 if busy < limit else limit) - t
+                    skipped += wait
+                    stretches += 1
+                    t += wait
+            elif kind == "load" or kind == "store":
+                pc += 1
+                addr = int(op[1])
+                is_write = kind == "store"
+                result = access(addr, is_write)
+                t += 1
+                if result is AccessResult.HIT:
+                    committed += 1
+                    continue
+                self._issue(addr, is_write, result, t - 1)
+                break
+            else:
+                break  # halt (or a bad op): step's to handle
+        self._pc = pc
+        self._busy_until = busy
+        self.committed = committed
+        stats.committed += committed - start
+        cycles = t - now
+        stats.cycles += cycles
+        stats.active_cycles += cycles - skipped
+        stats.skipped_cycles += skipped
+        stats.skip_stretches += stretches
+        return cycles
 
 
 def uniform_think_workload(num_cores: int, cycles: int) -> list[TraceCore]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -327,6 +328,17 @@ def test_load_rejects_missing_and_garbage(tmp_path):
         stale.write_bytes(pickle.dumps({"format": fmt, "engine": None, "seq_position": 0}))
         with pytest.raises(CheckpointError, match=f"format {fmt}"):
             load_checkpoint(str(stale))
+
+
+def test_format6_checkpoint_refused(tmp_path):
+    """A format-6 GQ pickles both a FIFO and a heap (and events carry
+    ``consumed``): refused with the standard message, never resumed."""
+    stale = tmp_path / "format6.pkl"
+    stale.write_bytes(pickle.dumps({"format": 6, "engine": None, "seq_position": 0}))
+    with pytest.raises(
+        CheckpointError, match=re.escape("checkpoint format 6 (this build reads format 7)")
+    ):
+        load_checkpoint(str(stale))
 
 
 # ---------------------------------------------------------------- seq counter

@@ -97,9 +97,9 @@ class TestInQRouting:
     def test_due_events_route_by_kind(self):
         model = _ScriptedModel()
         ct = make_thread(model)
-        ct.deliver(Event(EvKind.RESPONSE, 0x40, 0, ts=0, grant="E"))
-        ct.deliver(Event(EvKind.INVALIDATE, 0x80, 0, ts=0))
-        ct.deliver(Event(EvKind.DOWNGRADE, 0xC0, 0, ts=0))
+        ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=0, grant="E"))
+        ct.inq.push(Event(EvKind.INVALIDATE, 0x80, 0, ts=0))
+        ct.inq.push(Event(EvKind.DOWNGRADE, 0xC0, 0, ts=0))
         ct.run(1)
         assert [e.addr for e in model.delivered] == [0x40]
         assert model.invalidated == [0x80]
@@ -108,7 +108,7 @@ class TestInQRouting:
     def test_future_events_wait_for_local_time(self):
         model = _ScriptedModel()
         ct = make_thread(model)
-        ct.deliver(Event(EvKind.RESPONSE, 0x40, 0, ts=6, grant="E"))
+        ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=6, grant="E"))
         ct.run(3)
         assert model.delivered == []
         ct.run(5)
@@ -145,7 +145,7 @@ class TestSkipAhead:
         model = _ScriptedModel(active_pattern=[False])
         model._hint = 80
         ct = make_thread(model)
-        ct.deliver(Event(EvKind.INVALIDATE, 0x80, 0, ts=10))
+        ct.inq.push(Event(EvKind.INVALIDATE, 0x80, 0, ts=10))
         ct.run(100)
         # The jump may not skip past the event's timestamp undelivered.
         assert model.invalidated == [0x80]

@@ -40,8 +40,8 @@ class TestBasicTermination:
             assert r.completed, scheme
 
     def test_global_queue_holds_nothing_after_a_run(self):
-        """Every scheme drains one of the GQ's two structures only; the
-        other must not keep the run's whole event history."""
+        """Every scheme leaves its GQ structure empty: nothing of the run's
+        event history stays queued."""
         for scheme in ALL_SCHEMES:
             engine = SequentialEngine(
                 None, trace_cores=sharing_workload(4, 30, shared_fraction=0.6, seed=5),
@@ -49,7 +49,7 @@ class TestBasicTermination:
             )
             assert engine.run().requests > 20
             gq = engine.manager.gq
-            assert len(gq) == len(gq._fifo) == len(gq._heap) == 0, scheme
+            assert len(gq) == 0 and not gq._q, scheme
 
     def test_single_core_target(self):
         r = run_trace(uniform_think_workload(1, 50), "cc")

@@ -17,7 +17,7 @@ from repro.sysapi.system import SystemEmulation
 from repro.trace.capture import CoreRecorder
 from repro.trace.replay import ReplayCore, ReplaySystem
 from repro.violations.detect import ViolationCounters, WordOrderTracker
-from repro.workloads.synthetic import sharing_workload
+from repro.workloads.synthetic import TraceCore, sharing_workload
 from tests.core.threaded_harness import _LockedInQ
 
 SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su", "aq10-80"]
@@ -169,15 +169,19 @@ _ADVANCE_L1 = L1Config(size_bytes=1024, block_bytes=64, assoc=2, hit_latency=2)
 
 
 class _AdvanceRig:
-    """One CoreThread over ADVANCE_ASM plus a stub manager that grants every
-    request ``resp_delay`` cycles after its issue."""
+    """One CoreThread over ADVANCE_ASM — or over a trace *script* — plus a
+    stub manager that grants every request ``resp_delay`` cycles after its
+    issue."""
 
-    def __init__(self, *, ops=None, single=False, locked=False, tracer=None):
+    def __init__(self, *, ops=None, script=None, single=False, locked=False, tracer=None):
         self.single = single
         self.counters = ViolationCounters()
         tracker = WordOrderTracker(self.counters)
         self.ct = ct = CoreThread(0, None)
-        if ops is None:
+        if script is not None:
+            model = TraceCore(0, script, L1Cache(_ADVANCE_L1))
+            model.emit = ct.outq.push
+        elif ops is None:
             image = load_program(_ADVANCE_PROGRAM, num_contexts=1, memory_bytes=8 << 20)
             model = InOrderCore(
                 0, _ADVANCE_PROGRAM, image.memory, L1Cache(_ADVANCE_L1),
@@ -205,19 +209,20 @@ class _AdvanceRig:
         ct.max_local_time = max(ct.max_local_time, ct.local_time + window)
         if inject is not None:
             kind, line, delay = inject
-            ct.deliver(Event(kind, DATA_BASE + 64 * line, 0, ct.local_time + delay))
+            ct.inq.push(Event(kind, DATA_BASE + 64 * line, 0, ct.local_time + delay))
         stats = dataclasses.asdict(ct.step_many(budget, single=self.single))
         out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
         for kind, addr, ts in out:
             if kind is not EvKind.PUTM:
                 grant = "S" if kind is EvKind.GETS and grant_shared else (
                     "E" if kind is EvKind.GETS else "M")
-                ct.deliver(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
+                ct.inq.push(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
         model = ct.model
+        l1 = model.l1 if isinstance(model, TraceCore) else model.l1d
         return (
             stats, out, ct.state, ct.local_time, model._busy_until, model.committed,
-            model.stall_cycles, model.phase, dataclasses.asdict(model.l1d.stats),
-            sorted(model.l1d.resident_blocks()), dataclasses.asdict(self.counters),
+            getattr(model, "stall_cycles", None), model.phase, dataclasses.asdict(l1.stats),
+            sorted(l1.resident_blocks()), dataclasses.asdict(self.counters),
         )
 
 
@@ -233,20 +238,24 @@ def _advance_ops():
 
 _ADVANCE_OPS = _advance_ops()
 
-_inject = st.one_of(
-    st.none(),
-    st.tuples(
-        st.sampled_from([EvKind.INVALIDATE, EvKind.DOWNGRADE]),
-        st.integers(0, ADVANCE_LINES - 1),
-        st.integers(0, 12),
-    ),
-)
+
+def _inject(lines):
+    """No coherence message, or an INVALIDATE/DOWNGRADE for one of *lines*
+    queued a few cycles ahead."""
+    return st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from([EvKind.INVALIDATE, EvKind.DOWNGRADE]),
+            st.integers(0, lines - 1),
+            st.integers(0, 12),
+        ),
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     turns=st.lists(
-        st.tuples(st.integers(1, 40), st.integers(1, 40), _inject),
+        st.tuples(st.integers(1, 40), st.integers(1, 40), _inject(ADVANCE_LINES)),
         min_size=1, max_size=40,
     ),
     resp_delay=st.integers(1, 30),
@@ -279,6 +288,54 @@ def test_advance_equals_per_cycle_stepping(turns, resp_delay, grant_shared):
             assert observed == oracle, name
     direct = rigs["direct"].ct.model
     assert direct.state.digest() == rigs["direct-single"].ct.model.state.digest()
+
+
+#: Four lines per set of the 8-set, 2-way rig L1: fills evict, dirty victims
+#: leave as PUTMs.
+TRACE_LINES = 32
+
+_trace_scripts = st.lists(
+    st.one_of(
+        st.tuples(st.just("think"), st.integers(1, 6)),
+        st.tuples(
+            st.sampled_from(["load", "store"]),
+            st.integers(0, TRACE_LINES - 1).map(lambda line: DATA_BASE + 64 * line),
+        ),
+        st.just(("halt",)),
+    ),
+    min_size=1, max_size=60,
+).map(lambda ops: ops + [("halt",)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    script=_trace_scripts,
+    turns=st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 40), _inject(TRACE_LINES)),
+        min_size=1, max_size=40,
+    ),
+    resp_delay=st.integers(1, 30),
+    grant_shared=st.booleans(),
+)
+def test_trace_advance_equals_per_cycle_stepping(script, turns, resp_delay, grant_shared):
+    """``TraceCore.advance`` (fill → L1 hits and think stretches → miss
+    issue in one call) against ``single=True`` stepping: random think/load/
+    store/halt scripts, budgets and window edges, and invalidations/
+    downgrades that race the in-flight fill.  Turn by turn, BatchStats, OutQ
+    events, clocks, commits, L1 stats (``invalidations_received`` included)
+    and L1 contents are equal — over the raw InQ heap and the locked facade."""
+    rigs = {
+        "trace": _AdvanceRig(script=script),
+        "trace-locked": _AdvanceRig(script=script, locked=True),
+        "trace-single": _AdvanceRig(script=script, single=True),
+    }
+    for budget, window, inject in turns:
+        seen = {
+            name: rig.turn(budget, window, inject, resp_delay, grant_shared)
+            for name, rig in rigs.items()
+        }
+        for name, observed in seen.items():
+            assert observed == seen["trace-single"], name
 
 
 @settings(max_examples=10, deadline=None)

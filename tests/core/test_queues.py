@@ -60,16 +60,42 @@ class TestInQ:
         assert out == sorted(ts for ts in stamps if ts <= 50)
 
 
+#: A GQ workload: pushes of (ts, core) interleaved with pops; a pop's value
+#: is how far the release bound crawls forward first (heap policies only).
+_GQ_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 40), st.integers(0, 3)),
+        st.tuples(st.just("pop"), st.integers(0, 4)),
+    ),
+    max_size=80,
+)
+
+
+def _assert_agrees(q, live):
+    assert len(q) == len(live)
+    assert bool(q) == bool(live)
+    assert q.oldest_ts() == (min(e.ts for e in live) if live else None)
+
+
 class TestGQ:
+    @pytest.mark.parametrize(
+        "policy, structure", [("immediate", deque), ("barrier", list), ("oldest", list)]
+    )
+    def test_holds_one_structure_per_policy(self, policy, structure):
+        q = GlobalQueue(policy)
+        for e in [ev(5), ev(1), ev(3)]:
+            q.push(e)
+        assert type(q._q) is structure and len(q._q) == 3
+
     def test_fifo_pop_is_arrival_order(self):
-        q = GlobalQueue()
+        q = GlobalQueue("immediate")
         for e in [ev(5), ev(1), ev(3)]:
             q.push(e)
         assert [q.pop_fifo().ts for _ in range(3)] == [5, 1, 3]
         assert q.pop_fifo() is None
 
     def test_oldest_pop_is_timestamp_order_with_bound(self):
-        q = GlobalQueue()
+        q = GlobalQueue("oldest")
         for e in [ev(5), ev(1), ev(3)]:
             q.push(e)
         assert q.pop_oldest(0) is None
@@ -78,92 +104,59 @@ class TestGQ:
         assert q.pop_oldest(3) is None
         assert q.pop_oldest(10).ts == 5
 
-    def test_mixed_disciplines_never_double_serve(self):
-        q = GlobalQueue()
-        events = [ev(i) for i in (4, 2, 9, 2)]
-        for e in events:
-            q.push(e)
-        served = [q.pop_oldest(3), q.pop_fifo(), q.pop_fifo(), q.pop_fifo()]
-        served = [e for e in served if e is not None]
-        assert len(served) == 4
-        assert len({id(e) for e in served}) == 4
-
     def test_oldest_ts_skips_consumed(self):
-        q = GlobalQueue()
+        q = GlobalQueue("oldest")
         q.push(ev(2))
         q.push(ev(7))
         assert q.oldest_ts() == 2
         q.pop_oldest(5)
         assert q.oldest_ts() == 7
 
-    def test_len_counts_unconsumed(self):
-        q = GlobalQueue()
-        q.push(ev(1))
-        q.push(ev(2))
-        q.pop_fifo()
-        assert len(q) == 1
-
-    @pytest.mark.parametrize("policy", ["immediate", "barrier", "oldest"])
-    def test_rounds_leave_both_structures_empty(self, policy):
-        """Each policy pops through one structure only; the other must be
-        trimmed as it goes, or it keeps every event the run ever pushed."""
-        q = GlobalQueue()
-        for round_ in range(40):
-            base = round_ * 10
-            for i in range(7):
-                q.push(ev(base + (i * 3) % 7, core=i % 4))
-            assert len(q) == 7 and q
-            if policy == "immediate":
-                while q.pop_fifo() is not None:
-                    pass
-            elif policy == "barrier":
-                while q.pop_oldest(1 << 62) is not None:
-                    pass
-            else:
-                # Global time crawls through the round: a consumed entry may
-                # sit behind a live front entry, never behind an empty queue.
-                for bound in range(base, base + 7):
-                    while q.pop_oldest(bound) is not None:
-                        assert len(q._fifo) <= 7 and len(q._heap) <= 7
-            assert len(q) == 0 and not q
-            assert len(q._fifo) == len(q._heap) == 0
-
-    def test_len_and_bool_never_walk_the_queue(self):
-        class NoIter(deque):
-            def __iter__(self):
-                raise AssertionError("len()/bool() iterated the FIFO")
-
-        q = GlobalQueue()
-        q._fifo = NoIter()
-        for ts in (4, 2, 9):
-            q.push(ev(ts))
-        q.pop_oldest(3)
-        assert len(q) == 2 and q
-        q.pop_fifo(), q.pop_fifo()
-        assert len(q) == 0 and not q
-
-    def test_restores_a_state_pickled_without_the_live_count(self):
-        q = GlobalQueue()
-        for ts in (4, 2, 9):
-            q.push(ev(ts))
-        q.pop_fifo()
-        old = GlobalQueue.__new__(GlobalQueue)
-        old.__setstate__((None, {"_fifo": q._fifo, "_heap": q._heap}))
-        assert len(old) == 2
-        assert old.pop_oldest(10).ts == 2
-
     def test_ties_broken_by_core_then_sequence(self):
         """Same-ts requests are serviced in core-id order regardless of the
         (host-dependent) arrival order; within one core, creation order."""
-        q = GlobalQueue()
+        q = GlobalQueue("barrier")
         b, a = ev(5, core=2), ev(5, core=1)
         q.push(b)  # core 2 arrives first...
         q.push(a)
         assert q.pop_oldest(5) is a  # ...but core 1 is serviced first
         assert q.pop_oldest(5) is b
-        q2 = GlobalQueue()
+        q2 = GlobalQueue("barrier")
         first, second = ev(5, core=1), ev(5, core=1)
         q2.push(first)
         q2.push(second)
         assert q2.pop_oldest(5) is first
         assert q2.pop_oldest(5) is second
+
+    @given(_GQ_OPS)
+    def test_immediate_pops_in_arrival_order(self, ops):
+        q = GlobalQueue("immediate")
+        live = []
+        for op in ops:
+            if op[0] == "push":
+                e = ev(op[1], core=op[2])
+                q.push(e)
+                live.append(e)
+            else:
+                assert q.pop_fifo() is (live.pop(0) if live else None)
+            _assert_agrees(q, live)
+
+    @pytest.mark.parametrize("policy", ["barrier", "oldest"])
+    @given(ops=_GQ_OPS)
+    def test_heap_pops_sorted_under_a_crawling_bound(self, policy, ops):
+        q = GlobalQueue(policy)
+        live = []
+        bound = 0
+        for op in ops:
+            if op[0] == "push":
+                e = ev(op[1], core=op[2])
+                q.push(e)
+                live.append(e)
+            else:
+                bound += op[1]
+                due = [e for e in live if e.ts <= bound]
+                expected = min(due, key=lambda e: (e.ts, e.core, e.seq)) if due else None
+                assert q.pop_oldest(bound) is expected
+                if expected is not None:
+                    live.remove(expected)
+            _assert_agrees(q, live)

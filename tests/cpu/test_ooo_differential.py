@@ -260,14 +260,14 @@ class _Rig:
         ct.max_local_time = max(ct.max_local_time, ct.local_time + window)
         if inject is not None:
             kind, block, delay = inject
-            ct.deliver(Event(kind, DATA_BASE + 64 * block, 0, ct.local_time + delay))
+            ct.inq.push(Event(kind, DATA_BASE + 64 * block, 0, ct.local_time + delay))
         stats = dataclasses.asdict(ct.run(budget, single=self.single))
         out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
         for kind, addr, ts in out:
             if kind is not EvKind.PUTM:
                 grant = "S" if kind is EvKind.GETS and grant_shared else (
                     "E" if kind is EvKind.GETS else "M")
-                ct.deliver(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
+                ct.inq.push(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
         if release is not None and model._blocked and model._release_ts is None:
             model.release(ct.local_time + release)
         return (

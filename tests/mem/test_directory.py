@@ -8,17 +8,17 @@ from repro.violations.detect import ViolationCounters
 
 def test_first_read_grants_exclusive():
     d = Directory(4)
-    out = d.handle(ReqKind.GETS, 0x100, 0, 1)
-    assert out.grant == "E" and not out.invalidate and out.downgrade is None
+    grant, invalidate, downgrade, _, _ = d.handle(ReqKind.GETS, 0x100, 0, 1)
+    assert grant == "E" and not invalidate and downgrade is None
     assert d.state_of(0x100) is DirState.EXCLUSIVE
 
 
 def test_second_read_downgrades_owner():
     d = Directory(4)
     d.handle(ReqKind.GETS, 0x100, 0, 1)
-    out = d.handle(ReqKind.GETS, 0x100, 1, 2)
-    assert out.grant == "S"
-    assert out.downgrade == 0 and out.cache_to_cache
+    grant, _, downgrade, cache_to_cache, _ = d.handle(ReqKind.GETS, 0x100, 1, 2)
+    assert grant == "S"
+    assert downgrade == 0 and cache_to_cache
     assert d.sharers_of(0x100) == {0, 1}
 
 
@@ -27,9 +27,9 @@ def test_write_invalidates_sharers():
     d.handle(ReqKind.GETS, 0x100, 0, 1)
     d.handle(ReqKind.GETS, 0x100, 1, 2)
     d.handle(ReqKind.GETS, 0x100, 2, 3)
-    out = d.handle(ReqKind.GETX, 0x100, 3, 4)
-    assert out.grant == "M"
-    assert out.invalidate == [0, 1, 2]
+    grant, invalidate, _, _, _ = d.handle(ReqKind.GETX, 0x100, 3, 4)
+    assert grant == "M"
+    assert invalidate == (0, 1, 2)
     assert d.state_of(0x100) is DirState.EXCLUSIVE
     assert d.sharers_of(0x100) == {3}
 
@@ -37,17 +37,17 @@ def test_write_invalidates_sharers():
 def test_write_to_remote_modified_fetches_cache_to_cache():
     d = Directory(4)
     d.handle(ReqKind.GETX, 0x200, 0, 1)
-    out = d.handle(ReqKind.GETX, 0x200, 1, 2)
-    assert out.grant == "M" and out.invalidate == [0] and out.cache_to_cache
+    grant, invalidate, _, cache_to_cache, _ = d.handle(ReqKind.GETX, 0x200, 1, 2)
+    assert grant == "M" and invalidate == (0,) and cache_to_cache
 
 
 def test_upgrade_fast_path():
     d = Directory(4)
     d.handle(ReqKind.GETS, 0x300, 0, 1)
     d.handle(ReqKind.GETS, 0x300, 1, 2)
-    out = d.handle(ReqKind.UPGRADE, 0x300, 0, 3)
-    assert out.grant == "M" and out.invalidate == [1]
-    assert not out.upgrade_promoted
+    grant, invalidate, _, _, promoted = d.handle(ReqKind.UPGRADE, 0x300, 0, 3)
+    assert grant == "M" and invalidate == (1,)
+    assert not promoted
 
 
 def test_upgrade_race_promotes_to_getx():
@@ -56,16 +56,16 @@ def test_upgrade_race_promotes_to_getx():
     d.handle(ReqKind.GETS, 0x300, 1, 2)
     # Core 1 wins a GETX first; core 0's queued UPGRADE must become a GETX.
     d.handle(ReqKind.GETX, 0x300, 1, 3)
-    out = d.handle(ReqKind.UPGRADE, 0x300, 0, 4)
-    assert out.upgrade_promoted and out.grant == "M"
+    grant, _, _, _, promoted = d.handle(ReqKind.UPGRADE, 0x300, 0, 4)
+    assert promoted and grant == "M"
     assert d.sharers_of(0x300) == {0}
 
 
 def test_putm_releases_ownership():
     d = Directory(4)
     d.handle(ReqKind.GETX, 0x400, 2, 1)
-    out = d.handle(ReqKind.PUTM, 0x400, 2, 5)
-    assert out.grant is None
+    grant, invalidate, downgrade, _, _ = d.handle(ReqKind.PUTM, 0x400, 2, 5)
+    assert grant is None and not invalidate and downgrade is None
     assert d.state_of(0x400) is DirState.INVALID
 
 

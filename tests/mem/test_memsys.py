@@ -1,7 +1,7 @@
 """Tests for the interconnect, L2 NUCA, DRAM and the composed MemorySystem."""
 
 from repro.mem.dram import Dram
-from repro.mem.interconnect import Bus, Crossbar
+from repro.mem.interconnect import Bus
 from repro.mem.l2nuca import L2Config, L2Nuca
 from repro.mem.memsys import MemorySystem, MemSysConfig, ReqKind
 from repro.violations.detect import ViolationCounters
@@ -20,30 +20,14 @@ class TestBus:
         assert bus.occupy(11) == 14
         assert bus.stats.contention_cycles == 2 + 3
 
-    def test_out_of_order_counts_violation(self):
-        counters = ViolationCounters()
-        bus = Bus(counters=counters)
-        bus.occupy(10)
-        bus.occupy(4)   # simulated past
-        assert counters.simulation_state == 1
-        assert counters.by_resource["bus"] == 1
-
     def test_figure4_scenario(self):
         """Paper Figure 4: P1 (clock 3) gets the bus; P2's request at clock 2
         is processed later and finds it busy -> granted only after release."""
-        bus = Bus(transfer_cycles=2, counters=ViolationCounters())
+        bus = Bus(transfer_cycles=2)
         grant_p1 = bus.occupy(3)
         grant_p2 = bus.occupy(2)
         assert grant_p1 == 3
         assert grant_p2 == 5  # would have been 2 in cycle-by-cycle order
-
-
-class TestCrossbar:
-    def test_ports_are_independent(self):
-        xbar = Crossbar(ports=2, transfer_cycles=3)
-        assert xbar.occupy(5, 0) == 5
-        assert xbar.occupy(5, 1) == 5
-        assert xbar.occupy(5, 0) == 8
 
 
 class TestDram:
@@ -92,53 +76,69 @@ class TestMemorySystem:
 
     def test_gets_returns_after_l2_roundtrip(self):
         ms, _ = self.make(dram_latency=50)
-        r = ms.service(ReqKind.GETS, 0x0, 0, 100)
+        grant, ready_ts, _, _, _ = ms.service(ReqKind.GETS, 0x0, 0, 100)
         # cold miss goes to DRAM
-        assert not r.l2_hit
-        assert r.ready_ts > 100 + 50
-        assert r.grant == "E"
+        assert ms.l2.stats.misses == 1 and ms.dram.stats.accesses == 1
+        assert ready_ts > 100 + 50
+        assert grant == "E"
 
     def test_l2_hit_is_fast(self):
         ms, _ = self.make()
         ms.service(ReqKind.GETS, 0x0, 0, 0)      # warm the L2
         ms.service(ReqKind.PUTM, 0x0, 0, 10)     # release ownership
-        r = ms.service(ReqKind.GETS, 0x0, 0, 1000)
-        assert r.l2_hit
-        assert 1000 + 10 <= r.ready_ts <= 1000 + 30
+        _, ready_ts, _, _, _ = ms.service(ReqKind.GETS, 0x0, 0, 1000)
+        assert ms.l2.stats.hits == 1 and ms.dram.stats.accesses == 1
+        assert 1000 + 10 <= ready_ts <= 1000 + 30
 
     def test_getx_sends_invalidations(self):
         ms, _ = self.make()
         ms.service(ReqKind.GETS, 0x0, 0, 0)
         ms.service(ReqKind.GETS, 0x0, 1, 20)
-        r = ms.service(ReqKind.GETX, 0x0, 2, 40)
-        assert r.grant == "M"
-        assert {victim for victim, _ in r.invalidations} == {0, 1}
-        assert all(addr == 0x0 for _, addr in r.invalidations)
-        assert r.coherence_ts >= 40
+        grant, _, invalidate, downgrade, coherence_ts = ms.service(ReqKind.GETX, 0x0, 2, 40)
+        assert grant == "M"
+        assert sorted(invalidate) == [0, 1] and downgrade is None
+        assert coherence_ts >= 40
 
     def test_remote_dirty_read_downgrades(self):
         ms, _ = self.make()
         ms.service(ReqKind.GETX, 0x40, 3, 0)
-        r = ms.service(ReqKind.GETS, 0x40, 5, 30)
-        assert r.downgrades == [(3, 0x40)]
-        assert r.grant == "S"
+        grant, _, invalidate, downgrade, _ = ms.service(ReqKind.GETS, 0x40, 5, 30)
+        assert downgrade == 3 and not invalidate
+        assert grant == "S"
 
     def test_upgrade_is_cheaper_than_getx(self):
         ms, _ = self.make()
         ms.service(ReqKind.GETS, 0x80, 0, 0)
         ms.service(ReqKind.GETS, 0x80, 1, 10)
-        up = ms.service(ReqKind.UPGRADE, 0x80, 0, 1000)
+        _, up_ready, _, _, _ = ms.service(ReqKind.UPGRADE, 0x80, 0, 1000)
         ms2, _ = self.make()
         ms2.service(ReqKind.GETS, 0x80, 1, 10)
         ms2.service(ReqKind.PUTM, 0x80, 1, 20)
-        gx = ms2.service(ReqKind.GETX, 0x80, 0, 1000)
-        assert up.ready_ts - 1000 < gx.ready_ts - 1000
+        _, getx_ready, _, _, _ = ms2.service(ReqKind.GETX, 0x80, 0, 1000)
+        assert up_ready - 1000 < getx_ready - 1000
 
     def test_putm_has_no_response_grant(self):
         ms, _ = self.make()
         ms.service(ReqKind.GETX, 0xC0, 0, 0)
-        r = ms.service(ReqKind.PUTM, 0xC0, 0, 50)
-        assert r.grant is None
+        grant, _, invalidate, downgrade, _ = ms.service(ReqKind.PUTM, 0xC0, 0, 50)
+        assert grant is None and not invalidate and downgrade is None
+
+    def test_figure4_bus_violation(self):
+        """Paper Figure 4 through the memory system: P1's request at clock 3
+        is serviced first, P2's from clock 2 finds the bus busy until 5 and
+        counts one simulation-state violation on it."""
+        ms, counters = self.make(bus_transfer_cycles=2)
+        ms.service(ReqKind.GETS, 0x0, 0, 3)
+        assert ms.bus.free_at - 2 == 3
+        ms.service(ReqKind.GETS, 0x40, 1, 2)
+        assert ms.bus.free_at - 2 == 5  # P2's grant: 2 in cycle-by-cycle order
+        assert counters.by_resource["bus"] == 1
+
+    def test_out_of_order_l2_bank_and_dram_count_per_resource(self):
+        ms, counters = self.make()
+        ms.service(ReqKind.GETS, 0x0, 0, 100)   # cold: bank 0, then DRAM
+        ms.service(ReqKind.GETS, 0x200, 1, 50)  # cold, same bank, older
+        assert counters.by_resource == {"bus": 1, "l2bank[0]": 1, "dram": 1}
 
     def test_out_of_order_servicing_counts_violations(self):
         ms, counters = self.make()
