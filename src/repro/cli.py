@@ -51,9 +51,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # clocks, queues) travels inside the checkpoint; the original
         # workload oracle does not, so output verification is skipped here —
         # restore *equivalence* is pinned by tests/core/test_checkpoint.py.
-        from repro.core.checkpoint import load_checkpoint
+        from repro.core.checkpoint import CheckpointError, load_checkpoint
 
-        engine = load_checkpoint(args.restore)
+        try:
+            engine = load_checkpoint(args.restore)
+        except CheckpointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         result = engine.run()
         print(result.summary())
         print(f"resumed from {args.restore}: completed={result.completed}")
@@ -188,7 +192,12 @@ def _run_direct(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.lang import compile_source
 
-    source = open(args.file).read()
+    try:
+        with open(args.file) as fh:
+            source = fh.read()
+    except OSError as exc:
+        print(f"error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
+        return 2
     compiled = compile_source(source, name=args.file)
     if args.asm:
         print(compiled.asm)

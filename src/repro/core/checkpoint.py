@@ -22,7 +22,8 @@ What makes the engine picklable (each site documents its own hook):
 * ``Program`` / the core models drop their memoised predecode closures and
   re-derive them on restore;
 * the engine drops its lazily-built stats registry (dump-time lambdas) and
-  experiment probe;
+  experiment probe, and the system emulation its spawn hook (bound by
+  ``run()``);
 * the global :func:`repro.core.events.new_seq` position is saved alongside
   the engine and restored monotonically (seqs are deterministic heap
   tie-breakers, so absolute values must survive a process boundary).
@@ -60,7 +61,11 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: one structure (its policy's FIFO or heap, no live count) and ``Event``
 #: lost ``consumed`` — a format-6 GQ would restore both structures (and
 #: the memory system's order tracking moved out of the bus/L2/DRAM models).
-CHECKPOINT_FORMAT = 7
+#: 8: the host model pickles one scheduler's state (no instance-bound
+#: ``run``/``poll_until``, no ``_idle``/``_busy_heap``) and the system
+#: emulation's spawn hook pickles as ``None`` — a format-7 pickle names host
+#: methods this build no longer has.
+CHECKPOINT_FORMAT = 8
 
 
 class CheckpointError(EngineError):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import weakref
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import BatchStats, CoreState, CoreThread
@@ -222,7 +223,6 @@ class SequentialEngine:
 
             self.image = None
             self.system = ReplaySystem(self.target.num_cores)
-            self.system.activate_context = self._activate_context
             self.cores = []
             for i in range(self.target.num_cores):
                 ct = CoreThread(i, None)
@@ -243,7 +243,6 @@ class SequentialEngine:
                 stack_bytes=self.target.stack_bytes,
             )
             self.system = SystemEmulation(self.image, self.target.num_cores)
-            self.system.activate_context = self._activate_context
             self.cores = []
             for i in range(self.target.num_cores):
                 ct = CoreThread(i, None)
@@ -352,7 +351,10 @@ class SequentialEngine:
 
         Lazy so the ~150 stat registrations (and their dump-time lambdas)
         are never paid by callers that only need the simulation outcome —
-        the perf benches construct thousands of engines per session.
+        the perf benches construct thousands of engines per session.  The
+        engine owns it, so its sources reach the engine through a weak
+        proxy — a strong one would make every dumped engine a reference
+        cycle.  It dumps while its engine lives (a result keeps the engine).
         """
         if self._registry is None:
             self._registry = self._build_registry()
@@ -376,13 +378,14 @@ class SequentialEngine:
         real threads would replace host time with wall clock).
         """
         reg = StatsRegistry()
+        eng = weakref.proxy(self)  # see ``registry``: no cycle through it
 
         sim = reg.group("sim")
-        sim.scalar("scheme", source=lambda: self.scheme.name)
-        sim.scalar("seed", source=lambda: self.sim.seed)
-        sim.scalar("target_cores", source=lambda: self.target.num_cores)
-        sim.scalar("host_cores", source=lambda: self.host_cfg.num_cores)
-        sim.scalar("completed", source=lambda: int(self._completed))
+        sim.scalar("scheme", source=lambda: eng.scheme.name)
+        sim.scalar("seed", source=lambda: eng.sim.seed)
+        sim.scalar("target_cores", source=lambda: eng.target.num_cores)
+        sim.scalar("host_cores", source=lambda: eng.host_cfg.num_cores)
+        sim.scalar("completed", source=lambda: int(eng._completed))
 
         engine = reg.group("engine")
         for name in (
@@ -391,47 +394,47 @@ class SequentialEngine:
         ):
             engine.scalar(
                 name if name != "engine_steps" else "steps",
-                source=(lambda n=name: getattr(self, n)),
+                source=(lambda n=name: getattr(eng, n)),
                 digest=False,
             )
         # One slack sample lands per core turn, so the histogram count IS
         # the turn count — no separate hot-loop counter needed.
         engine.scalar(
-            "core_turns", source=lambda: self._slack_dist.count, digest=False
+            "core_turns", source=lambda: eng._slack_dist.count, digest=False
         )
 
         host = reg.group("host")
-        host.scalar("makespan", source=self.hostmodel.makespan, digest=False)
-        host.scalar("busy", source=lambda: self.hostmodel.busy, digest=False)
-        host.scalar("steps", source=lambda: self.hostmodel.steps, digest=False)
+        host.scalar("makespan", source=eng.hostmodel.makespan, digest=False)
+        host.scalar("busy", source=lambda: eng.hostmodel.busy, digest=False)
+        host.scalar("steps", source=lambda: eng.hostmodel.steps, digest=False)
         host.formula(
             "utilization",
-            lambda: self.hostmodel.busy
-            / (self.hostmodel.makespan() * self.host_cfg.num_cores),
+            lambda: eng.hostmodel.busy
+            / (eng.hostmodel.makespan() * eng.host_cfg.num_cores),
         )
 
         scheme = reg.group("scheme")
-        scheme.scalar("slack", source=lambda: self.scheme.slack)
-        scheme.scalar("gq_policy", source=lambda: self.scheme.gq_policy)
+        scheme.scalar("slack", source=lambda: eng.scheme.slack)
+        scheme.scalar("gq_policy", source=lambda: eng.scheme.gq_policy)
         scheme.scalar(
             "window_stalls",
-            source=lambda: sum(ct.window_edge_hits for ct in self.cores),
+            source=lambda: sum(ct.window_edge_hits for ct in eng.cores),
         )
-        reg._register(self._slack_dist)  # created eagerly, fed by the run loop
+        reg._register(eng._slack_dist)  # created eagerly, fed by the run loop
 
         manager = reg.group("manager")
-        manager.scalar("requests", source=lambda: self.manager.requests_processed)
-        manager.scalar("barriers", source=lambda: self.manager.barriers_completed)
-        manager.scalar("windows_raised", source=lambda: self.manager.windows_raised)
-        manager.scalar("events_drained", source=lambda: self.manager.events_drained)
-        manager.scalar("gq.max_depth", source=lambda: self.manager.gq_max_depth)
+        manager.scalar("requests", source=lambda: eng.manager.requests_processed)
+        manager.scalar("barriers", source=lambda: eng.manager.barriers_completed)
+        manager.scalar("windows_raised", source=lambda: eng.manager.windows_raised)
+        manager.scalar("events_drained", source=lambda: eng.manager.events_drained)
+        manager.scalar("gq.max_depth", source=lambda: eng.manager.gq_max_depth)
 
         target = reg.group("target")
-        target.scalar("execution_cycles", source=self._execution_cycles)
-        target.scalar("global_time", source=lambda: self.manager.global_time)
-        target.scalar("instructions", source=lambda: self.total_committed)
+        target.scalar("execution_cycles", source=lambda: eng._execution_cycles())
+        target.scalar("global_time", source=lambda: eng.manager.global_time)
+        target.scalar("instructions", source=lambda: eng.total_committed)
 
-        for ct in self.cores:
+        for ct in eng.cores:
             core = reg.group(f"core{ct.core_id}")
             for name, attr in (
                 ("committed", "total_committed"),
@@ -470,37 +473,37 @@ class SequentialEngine:
                 grp.formula("accuracy", lambda s=predictor.stats: s.correct / s.lookups)
 
         mem = reg.group("mem")
-        mem.scalar("requests_serviced", source=lambda: self.memsys.requests_serviced)
+        mem.scalar("requests_serviced", source=lambda: eng.memsys.requests_serviced)
         bus = mem.group("bus")
         for field in ("transfers", "busy_cycles", "contention_cycles"):
-            bus.scalar(field, source=(lambda f=field: getattr(self.memsys.bus.stats, f)))
+            bus.scalar(field, source=(lambda f=field: getattr(eng.memsys.bus.stats, f)))
         l2 = mem.group("l2")
         for field in (
             "accesses", "hits", "misses", "writebacks_in",
             "bank_conflict_cycles", "hop_cycles",
         ):
-            l2.scalar(field, source=(lambda f=field: getattr(self.memsys.l2.stats, f)))
-        l2.vector("bank_accesses", lambda: self.memsys.l2.bank_accesses)
+            l2.scalar(field, source=(lambda f=field: getattr(eng.memsys.l2.stats, f)))
+        l2.vector("bank_accesses", lambda: eng.memsys.l2.bank_accesses)
         l2.formula(
             "miss_rate",
-            lambda: self.memsys.l2.stats.misses / self.memsys.l2.stats.accesses,
+            lambda: eng.memsys.l2.stats.misses / eng.memsys.l2.stats.accesses,
         )
         dram = mem.group("dram")
         for field in ("accesses", "queue_cycles", "row_activations"):
-            dram.scalar(field, source=(lambda f=field: getattr(self.memsys.dram.stats, f)))
+            dram.scalar(field, source=(lambda f=field: getattr(eng.memsys.dram.stats, f)))
         directory = mem.group("directory")
         for field in (
             "requests", "invalidations_sent", "downgrades_sent",
             "cache_to_cache_transfers",
         ):
             directory.scalar(
-                field, source=(lambda f=field: getattr(self.memsys.directory, f))
+                field, source=(lambda f=field: getattr(eng.memsys.directory, f))
             )
 
-        if self.faults is not None:
+        if eng.faults is not None:
             faults = reg.group("faults")
-            faults.scalar("specs", source=lambda: len(self.faults.specs))
-            faults.scalar("injected", source=lambda: len(self.faults.fired))
+            faults.scalar("specs", source=lambda: len(eng.faults.specs))
+            faults.scalar("injected", source=lambda: len(eng.faults.fired))
 
         violations = reg.group("violations")
         for field in (
@@ -508,13 +511,13 @@ class SequentialEngine:
             "fastforwards", "fastforward_cycles",
         ):
             violations.scalar(
-                field, source=(lambda f=field: getattr(self.counters, f))
+                field, source=(lambda f=field: getattr(eng.counters, f))
             )
-        violations.vector("by_resource", lambda: self.counters.by_resource)
+        violations.vector("by_resource", lambda: eng.counters.by_resource)
 
-        if self.system is not None:
+        if eng.system is not None:
             sync = reg.group("sync")
-            stats = self.system.sync.stats
+            stats = eng.system.sync.stats
             for field in (
                 "lock_acquires", "lock_contended", "barrier_episodes",
                 "sema_waits", "sema_blocked",
@@ -579,6 +582,23 @@ class SequentialEngine:
         return budget if budget > 0 else 1
 
     def run(self) -> SimulationResult:
+        """Run the simulation to completion (or its ``max_instructions`` cut).
+
+        The system emulation's spawn hook is bound to this engine for the
+        duration of the run only: a built, finished or restored engine holds
+        no reference to itself, so dropping it frees it (and its target
+        image) by reference counting.
+        """
+        system = self.system
+        if system is not None:
+            system.activate_context = self._activate_context
+        try:
+            return self._run()
+        finally:
+            if system is not None:
+                system.activate_context = None
+
+    def _run(self) -> SimulationResult:
         sim = self.sim
         # A restored engine carries the loop-local snapshot its checkpoint
         # recorded (see _write_checkpoint); a fresh engine has none.
@@ -607,6 +627,10 @@ class SequentialEngine:
         fanout_cost = costmodel.wake_fanout_cost
         turn_budget = self._turn_budget
         core_batch_cost = costmodel.core_batch_cost
+        if self.faults is not None:
+            turn_budget, core_batch_cost = self.faults.wrap_turn(
+                manager, turn_budget, core_batch_cost
+            )
         manager_step_cost = costmodel.manager_step_cost
         if resume is None:
             suspended = [False] * len(cores)
@@ -654,8 +678,8 @@ class SequentialEngine:
         # Barrier superstep (the fused branch of the manager arm below).  The
         # three bypasses: ``stepping="single"`` stays the per-cycle oracle —
         # and thereby this branch's; a probe wants a sample per manager step;
-        # a fault plan replaces ``_turn_budget`` and ``core_batch_cost`` on
-        # the instance, the very callables the branch inlines.
+        # a fault plan wraps ``turn_budget`` and ``core_batch_cost``, the very
+        # callables the branch inlines.
         fusable = (
             barrier_policy and not single and probe is None and self.faults is None
         )

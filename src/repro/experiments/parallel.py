@@ -39,7 +39,6 @@ propagate immediately, they are never retried.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 from collections.abc import Callable
@@ -337,10 +336,7 @@ def _run_points_parallel(
     attempts = dict.fromkeys(todo, 0)
     backoff = Backoff(base=0.5, cap=8.0)
     while True:
-        # gc.freeze: what the fork handed over (modules, numpy) is exempt
-        # from the collections the job layer runs between engines — ~2 ms
-        # each instead of ~13.
-        executor = ProcessPoolExecutor(max_workers=jobs, initializer=gc.freeze)
+        executor = ProcessPoolExecutor(max_workers=jobs)
         futures = {executor.submit(_resolve_point, specs[i]): i for i in todo}
         try:
             for future in as_completed(futures):

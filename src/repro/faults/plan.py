@@ -7,11 +7,13 @@ A :class:`FaultPlan` is parsed from a compact spec string::
 and installed into a :class:`~repro.core.engine.SequentialEngine` at
 construction time.  Every fault perturbs the run at one of the simulator's
 well-defined seams; none of them touches the per-cycle simulate path — the
-hooks are closures wrapped around seam callables (``model.emit``,
-``CostModel.core_batch_cost``, the engine's ``_turn_budget``) or queue
-subclasses (InQ, GQ) substituted before the first event flows, so an engine
-built without ``SimConfig.fault_plan`` is bit-identical to one built before
-this package existed.
+hooks are a closure around ``model.emit``, queue subclasses (InQ, GQ)
+substituted before the first event flows, and closures the run loop wraps
+around its turn-budget and batch-cost callables (:meth:`FaultPlan.wrap_turn`),
+so an engine built without ``SimConfig.fault_plan`` is bit-identical to one
+built before this package existed.  Nothing the plan installs refers back
+to the engine: a fault-injected engine is freed by reference counting like
+any other.
 
 Fault kinds (see :data:`FAULT_KINDS`):
 
@@ -209,6 +211,9 @@ class FaultPlan:
         self.fired: list[dict] = []
         #: Timed faults still waiting for their global-time trigger.
         self._timed: list[_Armed] = []
+        #: Turn-seam faults, applied in install order by :meth:`wrap_turn`.
+        self._overruns: list[_Armed] = []
+        self._stalls: list[_Armed] = []
         self._installed = False
 
     # -------------------------------------------------------------- recording
@@ -238,9 +243,10 @@ class FaultPlan:
             elif spec.kind == "delay_gq":
                 self._install_gq(engine, spec)
             elif spec.kind == "stall_core":
-                self._install_stall(engine, spec)
+                self._stalls.append(_Armed(spec, remaining=spec.count))
             elif spec.kind == "overrun_window":
-                self._install_overrun(engine, spec)
+                self._core(engine, spec)  # validate the core id eagerly
+                self._overruns.append(_Armed(spec, remaining=spec.count))
             elif spec.kind == "corrupt_dir":
                 self._timed.append(_Armed(spec))
             else:  # pragma: no cover - parse_fault_plan rejects unknown kinds
@@ -350,50 +356,55 @@ class FaultPlan:
             raise RuntimeError("delay_gq must install before any GQ traffic")
         engine.manager.gq = _DelayGQ(engine.scheme.gq_policy)
 
-    def _install_stall(self, engine, spec: FaultSpec) -> None:
-        """One-shot host-preemption surcharge on the target core's batches."""
-        costmodel = engine.costmodel
-        inner = costmodel.core_batch_cost
-        armed = _Armed(spec, remaining=spec.count)
+    def wrap_turn(self, manager, turn_budget, core_batch_cost):
+        """The run loop's ``turn_budget(ct)`` and ``core_batch_cost(...)``
+        with this plan's ``overrun_window`` and ``stall_core`` faults around
+        them.  Called by ``run()``: the wrappers live in its frame, so the
+        engine they close over never owns them."""
+        overruns, stalls = self._overruns, self._stalls
+        if overruns:
+            inner_budget = turn_budget
 
-        def core_batch_cost(core_id: int, stats, *, suspended: bool) -> float:
-            cost = inner(core_id, stats, suspended=suspended)
-            if (
-                armed.remaining > 0
-                and core_id == spec.core
-                and engine.manager.global_time >= spec.at
-            ):
-                armed.remaining -= 1
-                self._record("stall_core", core=core_id,
-                             global_time=engine.manager.global_time,
-                             host_delay=spec.host_delay)
-                cost += spec.host_delay
-            return cost
+            def turn_budget(ct) -> int:
+                # Raise the window edge mid-grant: the core overruns its slack.
+                budget = inner_budget(ct)
+                for armed in overruns:
+                    spec = armed.spec
+                    if (
+                        armed.remaining > 0
+                        and ct.core_id == spec.core
+                        and manager.global_time >= spec.at
+                    ):
+                        armed.remaining -= 1
+                        ct.max_local_time += spec.extra
+                        self._record("overrun_window", core=spec.core,
+                                     local=ct.local_time,
+                                     new_max_local=ct.max_local_time,
+                                     extra=spec.extra)
+                        budget += spec.extra
+                return budget
 
-        costmodel.core_batch_cost = core_batch_cost  # type: ignore[method-assign]
+        if stalls:
+            inner_cost = core_batch_cost
 
-    def _install_overrun(self, engine, spec: FaultSpec) -> None:
-        """Raise the window edge mid-grant: the core overruns its slack."""
-        self._core(engine, spec)  # validate the core id eagerly
-        inner = engine._turn_budget
-        armed = _Armed(spec, remaining=spec.count)
+            def core_batch_cost(core_id: int, stats, *, suspended: bool) -> float:
+                # One-shot host-preemption surcharge on the core's batches.
+                cost = inner_cost(core_id, stats, suspended=suspended)
+                for armed in stalls:
+                    spec = armed.spec
+                    if (
+                        armed.remaining > 0
+                        and core_id == spec.core
+                        and manager.global_time >= spec.at
+                    ):
+                        armed.remaining -= 1
+                        self._record("stall_core", core=core_id,
+                                     global_time=manager.global_time,
+                                     host_delay=spec.host_delay)
+                        cost += spec.host_delay
+                return cost
 
-        def turn_budget(ct) -> int:
-            budget = inner(ct)
-            if (
-                armed.remaining > 0
-                and ct.core_id == spec.core
-                and engine.manager.global_time >= spec.at
-            ):
-                armed.remaining -= 1
-                ct.max_local_time += spec.extra
-                self._record("overrun_window", core=spec.core,
-                             local=ct.local_time,
-                             new_max_local=ct.max_local_time, extra=spec.extra)
-                budget += spec.extra
-            return budget
-
-        engine._turn_budget = turn_budget  # type: ignore[method-assign]
+        return turn_budget, core_batch_cost
 
     # ------------------------------------------------------------ timed faults
     def on_manager_step(self, engine, global_time: int) -> None:

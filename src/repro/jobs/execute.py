@@ -17,14 +17,15 @@ store** — a replayed run prints the capture run's values, so it is not a
 run of this job's key, and a sealed record must be attributable to one.
 
 The engine a miss builds lives and dies inside ``execute``: the caller gets
-the record, never the engine graph.  Whoever needs to look at a run while it
+the record, never the engine graph.  An engine owns no reference cycle, so
+it — target image included — is freed the moment ``execute`` returns; no
+module calls the garbage collector.  Whoever needs to look at a run while it
 is in flight (the serve worker's progress beat, DESIGN.md §13) passes
 ``watch=``, which is called once with the freshly built engine.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, replace
 
@@ -123,11 +124,6 @@ def execute(
 
     from repro.core.engine import SequentialEngine
 
-    # An engine is a cyclic graph that owns its target-memory image, and a
-    # job on a warm Program (lang/memo.py) allocates too little for the
-    # collector to run by itself: free the previous job's engine before
-    # building this one, or a loop of jobs piles them up.
-    gc.collect()
     t0 = time.perf_counter()
     engine = SequentialEngine(
         workload.program,

@@ -25,7 +25,6 @@ result.
 
 from __future__ import annotations
 
-import gc
 import os
 import threading
 
@@ -58,13 +57,6 @@ def compile_source(
     with _lock:
         compiled = _memo.get(path)
         if compiled is None:
-            # The cold path.  What the memo retains is long-lived, and the
-            # more of that there is, the longer CPython postpones full
-            # collections — so cyclic garbage that owns big buffers (a
-            # finished engine and its target-memory image) would outlive
-            # several successors.  Collect here, where a Program is about to
-            # be built anyway; jobs.execute() covers the warm path.
-            gc.collect()
             compiled = _memo[path] = compiler.compile_source(source, name=name)
             if len(_memo) > _MEMO_MAX:
                 del _memo[next(iter(_memo))]

@@ -41,7 +41,6 @@ exhaust its budget into DEAD.  Inert unless the variables are set.
 
 from __future__ import annotations
 
-import gc
 import os
 import signal
 import threading
@@ -166,10 +165,6 @@ def worker_main(conn, worker_id: int) -> None:
     # supervisor owns worker shutdown, so the worker ignores SIGINT and
     # keeps SIGTERM default (the supervisor kills on cancel/hang).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # What the fork handed over (modules, numpy) lives as long as the
-    # process: exempt it from the collection execute() runs before each
-    # job (~2 ms per job instead of ~13).
-    gc.freeze()
     parent = os.getppid()
     conn.send(("ready",))
     while True:

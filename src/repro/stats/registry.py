@@ -246,12 +246,13 @@ class Distribution(Stat):
 
 # --------------------------------------------------------------------- tree
 class StatsGroup:
-    """One node of the tree; fabricates stats under its dotted prefix."""
+    """One node of the tree; fabricates stats under its dotted prefix into
+    the ``{path: stat}`` table every group of one registry shares."""
 
-    __slots__ = ("_registry", "_prefix")
+    __slots__ = ("_stats", "_prefix")
 
-    def __init__(self, registry: "StatsRegistry", prefix: str) -> None:
-        self._registry = registry
+    def __init__(self, stats: dict[str, Stat], prefix: str) -> None:
+        self._stats = stats
         self._prefix = prefix
 
     @property
@@ -263,38 +264,36 @@ class StatsGroup:
             _check_component(component)
         return f"{self._prefix}.{name}" if self._prefix else name
 
-    def group(self, name: str) -> "StatsGroup":
-        return StatsGroup(self._registry, self._child_path(name))
-
-    def scalar(self, name: str, **kwargs) -> Scalar:
-        return self._registry._register(Scalar(self._child_path(name), **kwargs))
-
-    def formula(self, name: str, fn: Callable[[], Any], **kwargs) -> Formula:
-        return self._registry._register(Formula(self._child_path(name), fn, **kwargs))
-
-    def vector(self, name: str, source, **kwargs) -> Vector:
-        return self._registry._register(Vector(self._child_path(name), source, **kwargs))
-
-    def distribution(self, name: str, **kwargs) -> Distribution:
-        return self._registry._register(Distribution(self._child_path(name), **kwargs))
-
-
-class StatsRegistry(StatsGroup):
-    """The root group plus dump/digest/snapshot machinery."""
-
-    __slots__ = ("_stats", "snapshots")
-
-    def __init__(self) -> None:
-        super().__init__(self, "")
-        self._stats: dict[str, Stat] = {}
-        self.snapshots: list[dict] = []
-
-    # -------------------------------------------------------- registration
     def _register(self, stat: Stat) -> Stat:
         if stat.path in self._stats:
             raise StatError(f"duplicate stat path {stat.path!r}")
         self._stats[stat.path] = stat
         return stat
+
+    def group(self, name: str) -> "StatsGroup":
+        return StatsGroup(self._stats, self._child_path(name))
+
+    def scalar(self, name: str, **kwargs) -> Scalar:
+        return self._register(Scalar(self._child_path(name), **kwargs))
+
+    def formula(self, name: str, fn: Callable[[], Any], **kwargs) -> Formula:
+        return self._register(Formula(self._child_path(name), fn, **kwargs))
+
+    def vector(self, name: str, source, **kwargs) -> Vector:
+        return self._register(Vector(self._child_path(name), source, **kwargs))
+
+    def distribution(self, name: str, **kwargs) -> Distribution:
+        return self._register(Distribution(self._child_path(name), **kwargs))
+
+
+class StatsRegistry(StatsGroup):
+    """The root group plus dump/digest/snapshot machinery."""
+
+    __slots__ = ("snapshots",)
+
+    def __init__(self) -> None:
+        super().__init__({}, "")
+        self.snapshots: list[dict] = []
 
     def get(self, path: str) -> Stat:
         try:
@@ -374,8 +373,11 @@ def load_dump_with_digest(path: str) -> tuple[dict[str, Any], str | None]:
     ``None`` — callers comparing digests must treat that as "unknown", not
     "equal".
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise StatError(f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(doc, dict):
         raise StatError(f"{path}: expected a JSON object")
     stats = doc.get("stats", doc)

@@ -73,9 +73,17 @@ class SystemBase:
         self.output: list[tuple[int, object]] = []  # (core, value)
         self.threads: dict[int, _Thread] = {0: _Thread(tid=0, core=0)}
         self._core_to_tid: dict[int, int] = {0: 0}
-        #: engine hook: activate_context(core, pc, arg, ts)
+        #: engine hook: activate_context(core, pc, arg, ts); bound by the
+        #: engine's ``run()`` for the duration of the run only.
         self.activate_context: Callable[[int, int, int, int], None] | None = None
         self.spawned = 0
+
+    def __getstate__(self):
+        """Checkpoint hook: the spawn hook belongs to the run that is being
+        checkpointed; the restored engine's ``run()`` binds its own."""
+        state = dict(self.__dict__)
+        state["activate_context"] = None
+        return state
 
     # ----------------------------------------------------------- inspection
     def live_threads(self) -> int:

@@ -336,7 +336,18 @@ def test_format6_checkpoint_refused(tmp_path):
     stale = tmp_path / "format6.pkl"
     stale.write_bytes(pickle.dumps({"format": 6, "engine": None, "seq_position": 0}))
     with pytest.raises(
-        CheckpointError, match=re.escape("checkpoint format 6 (this build reads format 7)")
+        CheckpointError, match=re.escape("checkpoint format 6 (this build reads format 8)")
+    ):
+        load_checkpoint(str(stale))
+
+
+def test_format7_checkpoint_refused(tmp_path):
+    """A format-7 host model pickles its instance-bound scheduler methods and
+    heaps: refused with the standard message, never resumed."""
+    stale = tmp_path / "format7.pkl"
+    stale.write_bytes(pickle.dumps({"format": 7, "engine": None, "seq_position": 0}))
+    with pytest.raises(
+        CheckpointError, match=re.escape("checkpoint format 7 (this build reads format 8)")
     ):
         load_checkpoint(str(stale))
 

@@ -246,6 +246,9 @@ class ThreadedEngine(SequentialEngine):
         simulation progress* — total wall time is unbounded while clocks
         advance, so slow machines don't kill healthy long runs.
         """
+        if self.system is not None:
+            # Bound for the run, as the sequential run() does.
+            self.system.activate_context = self._activate_context
         threads = [
             threading.Thread(target=self._core_thread_body, args=(i,), name=f"core-{i}", daemon=True)
             for i in range(len(self.cores))

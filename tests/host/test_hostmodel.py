@@ -36,9 +36,14 @@ class TestHostModel:
         host = HostModel(2)
         host.run(0.0, 4.0)
         host.run(0.0, 4.0)
-        report = host.report()
-        assert report.makespan == 4.0
-        assert report.utilization == 1.0
+        assert host.makespan() == 4.0
+        assert host.busy / (host.makespan() * host.num_cores) == 1.0
+
+    @pytest.mark.parametrize("cores", [1, 32])
+    def test_no_method_is_bound_on_the_instance(self, cores):
+        """``run``/``poll_until`` are the class's at any H: a method bound
+        into the instance would make every host model a reference cycle."""
+        assert not any(callable(v) for v in vars(HostModel(cores)).values())
 
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):
@@ -64,9 +69,9 @@ class TestHostModel:
         max_polls=st.integers(1, 200),
     )
     def test_poll_until_is_repeated_run(self, cores, warm, ready, cost, span, max_polls):
-        """``poll_until`` ≡ n x ``run`` (the linear host's stay-on-the-core
-        loop for H <= 16, the generic loop above), bit for bit: 0.4 is not
-        dyadic, so any closed form would show in ``float.hex``."""
+        """``poll_until`` ≡ n x ``run`` (its stay-on-the-core loop against the
+        per-step scan), bit for bit: 0.4 is not dyadic, so any closed form
+        would show in ``float.hex``."""
         fast, slow = HostModel(cores), HostModel(cores)
         for host in (fast, slow):
             for r, c in warm:  # random free_at, busy, makespan to start from

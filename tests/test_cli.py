@@ -201,6 +201,11 @@ def test_run_requires_known_workload(capsys):
     ["run", "--scheme", "zz"],
     ["run", "--workload", "nope"],
     ["run", "--replay-trace", "/nonexistent"],
+    ["run", "--restore", "/nonexistent"],
+    pytest.param(["run", "--restore", __file__], id="run --restore <not a checkpoint>"),
+    ["stats", "show", "/nonexistent.json"],
+    ["stats", "diff", "/nonexistent.json", "/nonexistent.json"],
+    ["compile", "/nonexistent.sl"],
     ["sweep", "figure8", "--scale", "huge"],
     ["sweep", "figure8", "--trace"],  # replay is a tool (run --replay-trace), not a sweep policy
     ["sweep"],  # the experiment is required: no legacy single-workload form
@@ -208,7 +213,8 @@ def test_run_requires_known_workload(capsys):
 def test_bad_argument_value_is_a_usage_error(argv, capsys):
     """Exit code 2 and one ``error:`` line — argparse's for the flags with
     ``choices``, ``main``'s for what spec/scheme/workload/trace validation
-    raises — never a traceback."""
+    raises, the command's own for an input file it cannot read — never a
+    traceback."""
     try:
         code = main(argv)
     except SystemExit as exc:
