@@ -8,8 +8,8 @@ DESIGN.md, "Determinism").
 
 :func:`atomic_write_bytes` / :func:`atomic_write_text` are the one
 write-a-file-safely primitive shared by every artifact producer — the
-compile cache, ``--stats-out`` dumps, sweep JSON documents, result-store records,
-checkpoints, and bench reports.  A reader can never observe a truncated
+cache sections (:mod:`repro.cache`), ``--stats-out`` dumps, sweep JSON
+documents, checkpoints, and bench reports.  A reader can never observe a truncated
 file: data lands in a same-directory tempfile first and is published with
 an atomic ``os.replace``.
 

@@ -22,8 +22,8 @@ Subcommands::
 
 ``run``, ``sweep``, ``bench`` and the figure/table commands all resolve
 through the content-addressed job layer (DESIGN.md §12): a request whose
-sealed record already sits in ``.repro_cache/results/`` is served from the
-store without simulating, byte-identically to a fresh run.
+sealed record already sits in the cache root's ``results/`` section is
+served from the store without simulating, byte-identically to a fresh run.
 """
 
 from __future__ import annotations
@@ -326,16 +326,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
+    from repro import cache
     from repro.jobs import ResultStore
-    from repro.lang.compiler import cache_dir
 
     store = ResultStore.default()
     if store is None:
-        print("result store disabled (REPRO_CACHE_DIR is empty)", file=sys.stderr)
+        print("cache disabled (REPRO_CACHE_DIR is empty)", file=sys.stderr)
         return 2
-    # The other half of the cache root: compiled programs, one pickle per
-    # (source, toolchain) — a toolchain edit orphans every one of them.
-    programs = sorted(cache_dir().glob("*.pkl"))
+    # Both sections follow one integrity rule (DESIGN.md §11), so every
+    # action but `info` walks them alike.
+    sections = (("record(s)", store), ("program(s)", cache.programs()))
 
     if args.action == "ls":
         entries = store.entries()
@@ -346,17 +346,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             spec = record["spec"]
             wl = spec["workload"]
             what = f"{wl['name']}/{wl['scale']}"
-            if spec["mode"] != "timing":
-                # An older `repro bench` wrote it; no job derives this key.
-                print(f"{key[:16]}  {what}  [{spec['mode']}: unreachable, gc drops it]")
-                continue
             engine = record.get("provenance", {}).get("engine", "?")
             print(
                 f"{key[:16]}  {what} {spec['sim']['scheme']} "
                 f"h{spec['host']['num_cores']} seed={spec['sim']['seed']}  [{engine}]"
             )
-        print(f"{len(entries)} record(s) in {store.root}")
-        print(f"{len(programs)} compiled program(s) in {cache_dir()}")
+        for noun, section in sections:
+            print(f"{len(section.keys())} {noun} in {section.root}")
         return 0
 
     if args.action == "info":
@@ -381,39 +377,37 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "verify":
-        report = store.verify()
-        for key in report["corrupt"]:
-            print(f"{key[:16]}  CORRUPT -> quarantined")
-        for key in report["stale"]:
-            print(f"{key[:16]}  stale format (plain miss)")
-        print(
-            f"checked {report['checked']} record(s): {len(report['ok'])} ok, "
-            f"{len(report['stale'])} stale, {len(report['corrupt'])} corrupt; "
-            f"{len(report['quarantined'])} quarantined file(s) on disk"
-        )
-        return 1 if report["corrupt"] else 0
+        damaged = False
+        for noun, section in sections:
+            report = section.verify()
+            for key in report["corrupt"]:
+                print(f"{key[:16]}  CORRUPT -> quarantined")
+            for key in report["stale"]:
+                print(f"{key[:16]}  stale format (plain miss)")
+            print(
+                f"checked {report['checked']} {noun}: {len(report['ok'])} ok, "
+                f"{len(report['stale'])} stale, {len(report['corrupt'])} corrupt; "
+                f"{len(report['quarantined'])} quarantined file(s) on disk"
+            )
+            damaged = damaged or bool(report["corrupt"])
+        return 1 if damaged else 0
 
     if args.action == "gc":
-        from repro.lang.compiler import toolchain_fingerprint
-
-        dropped = store.gc(
-            toolchain=toolchain_fingerprint(), dry_run=args.dry_run
-        )
         verb = "would drop" if args.dry_run else "dropped"
-        for key in dropped:
-            print(f"{verb} {key[:16]}")
-        print(f"{verb} {len(dropped)} record(s) (invalid, or no key derives to them any more)")
+        for noun, section in sections:
+            dropped = section.gc(dry_run=args.dry_run)
+            for key in dropped:
+                print(f"{verb} {key[:16]}")
+            print(f"{verb} {len(dropped)} {noun} (corrupt, stale or another toolchain)")
         return 0
 
     # clear
-    records, quarantined = store.clear()
-    print(
-        f"removed {records} record(s) and {quarantined} quarantined file(s) "
-        f"from {store.root}"
-    )
-    for path in programs:
-        path.unlink(missing_ok=True)
-    print(f"removed {len(programs)} compiled program(s) from {cache_dir()}")
+    for noun, section in sections:
+        removed, quarantined = section.clear()
+        print(
+            f"removed {removed} {noun} and {quarantined} quarantined file(s) "
+            f"from {section.root}"
+        )
     return 0
 
 
@@ -653,14 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_cmd_trace)
 
     cache = sub.add_parser(
-        "cache", help="inspect / maintain the content-addressed result store"
+        "cache", help="inspect / maintain the on-disk cache (results and programs)"
     )
     cache.add_argument(
         "action", choices=("ls", "info", "verify", "gc", "clear"),
-        help="ls: list records; info: print one record (by key prefix); "
-        "verify: scan store integrity, quarantining corrupt entries; "
-        "gc: drop invalid and unreachable (stale-toolchain) records; "
-        "clear: drop every record and compiled program",
+        help="ls: list records and count both sections; info: print one "
+        "record (by key prefix); verify: check every seal, quarantining "
+        "corrupt entries; gc: drop corrupt, stale and other-toolchain "
+        "entries; clear: empty both sections",
     )
     cache.add_argument("key", nargs="?", help="job key (or unique prefix) for info")
     cache.add_argument("--dry-run", action="store_true",

@@ -21,7 +21,7 @@ count** (``--jobs 1`` serial in-process vs ``--jobs N``):
 Every point is a :class:`repro.jobs.JobSpec` and :func:`resolve` is the one
 way an experiment turns a list of them into documents: each goes through the
 content-addressed job layer (``jobs.execute``, DESIGN.md §12), so a point
-whose record already sits in ``.repro_cache/results/`` is a store lookup, not
+whose record already sits in the result store is a store lookup, not
 a simulation — a repeated sweep is served entirely from the store and still
 renders byte-identical JSON.  Workers also share the on-disk compile cache,
 so N workers compiling the same benchmark pay one compile between them.

@@ -14,11 +14,12 @@ The loader (:mod:`repro.sysapi.loader`) materialises this image into a
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 
-__all__ = ["Program", "TEXT_BASE", "DATA_BASE"]
+__all__ = ["Program", "TEXT_BASE", "DATA_BASE", "program_digest"]
 
 #: Base address of the text segment.
 TEXT_BASE = 0x0001_0000
@@ -98,3 +99,19 @@ class Program:
                 lines.append(f"{label}:")
             lines.append(f"  {addr:#010x}  {format_instruction(insn)}")
         return "\n".join(lines)
+
+
+def program_digest(program: Program) -> str:
+    """Content identity of a program image (text + data + entry).
+
+    The validity key for captures: a replay against a program whose digest
+    differs from the recorded one is refused outright — the recorded
+    streams describe a different execution.
+    """
+    h = hashlib.sha256()
+    h.update(program.name.encode())
+    h.update(str(program.entry).encode())
+    for word in program.encoded_text():
+        h.update(word.to_bytes(8, "little"))
+    h.update(program.data)
+    return h.hexdigest()

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import repro
 from repro._util import output_digest
+from repro.isa.program import program_digest
 from repro.jobs.spec import JobSpec, digest_payload, job_key, spec_program
 from repro.jobs.store import ResultStore
 
@@ -111,9 +112,7 @@ def execute(
     outlive this call otherwise.
     """
     workload = spec_program(spec)
-    from repro.trace.format import program_digest as _pd
-
-    pdigest = _pd(workload.program)
+    pdigest = program_digest(workload.program)
     key = job_key(spec, program_digest=pdigest)
     if trace is not None:
         trace, store = str(trace), None

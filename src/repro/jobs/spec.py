@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from repro._util import canonical_json, sha256_hex
 from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.isa.program import program_digest as _program_digest
 
 __all__ = [
     "JOB_FORMAT",
@@ -44,8 +45,7 @@ __all__ = [
 ]
 
 #: Job-layer format version: part of every key, so bumping it invalidates
-#: every stored result record at once (mirrors the compile cache's
-#: ``_CACHE_FORMAT``).
+#: every stored result record at once.
 JOB_FORMAT = 1
 
 #: SimConfig fields that participate in the job key.  Everything else on
@@ -230,10 +230,7 @@ def digest_payload(spec: JobSpec, program_digest: str) -> dict:
     sim = spec.sim_config()
     return {
         "format": JOB_FORMAT,
-        # Constants since the functional-job mode went: every stored key was
-        # derived with them, so they stay in the payload.
-        "mode": "timing",
-        "workload": {"name": spec.workload, "scale": spec.scale, "args": {}},
+        "workload": {"name": spec.workload, "scale": spec.scale},
         "program_digest": program_digest,
         "toolchain": toolchain_fingerprint(),
         "target": asdict(spec.target_config()),
@@ -250,7 +247,5 @@ def job_key(spec: JobSpec, program_digest: str | None = None) -> str:
     (cached) compile.
     """
     if program_digest is None:
-        from repro.trace.format import program_digest as _pd
-
-        program_digest = _pd(spec_program(spec).program)
+        program_digest = _program_digest(spec_program(spec).program)
     return sha256_hex(canonical_json(digest_payload(spec, program_digest)))

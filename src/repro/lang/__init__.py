@@ -7,9 +7,9 @@ written in Slang against the paper's Table 1 Pthread-style API (``init_lock``
 builtins, and compile to SPISA program images.
 """
 
+from repro.cache import compile_source
 from repro.lang.compiler import CompiledProgram, compile_to_asm
 from repro.lang.errors import CodegenError, LexError, ParseError, SlangError, TypeError_
-from repro.lang.memo import compile_source
 from repro.lang.parser import parse
 from repro.lang.sema import BUILTINS, analyze
 

@@ -1,30 +1,20 @@
 """Slang compiler driver: source -> AST -> typed AST -> assembly -> Program.
 
-Compilation results are memoised on disk (DESIGN.md §6): repeated sweep
-points, test runs and parallel workers pay the parse/analyze/generate/
-assemble pipeline once per distinct source.  Cache entries are keyed by a
-SHA-256 over the source text, the program name, the Python version and a
-*toolchain fingerprint* (the bytes of every compiler/assembler module), so
-editing any stage of the toolchain invalidates every cached program.
-
-The cache directory defaults to ``.repro_cache/`` under the current
-directory and is overridden with the ``REPRO_CACHE_DIR`` environment
-variable; setting it to the empty string disables on-disk caching entirely.
-Corrupt or unreadable entries are ignored (the source is recompiled and the
-entry rewritten); writes are atomic (tempfile + rename), so concurrent
-sweep workers never observe a torn entry.
+This file is pure: it compiles, and it names the toolchain.  The bytes of
+every compiler/assembler module (:data:`_TOOLCHAIN_MODULES`, this file
+included) make the *toolchain fingerprint* that is part of every job key
+and every compiled-program key, so editing any stage of the toolchain
+invalidates every cached program and stored result.  Caching lives outside
+the fingerprint, in :mod:`repro.cache`: ``repro.lang.compile_source`` is its
+memoised front end over :func:`compile_source` here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro._util import atomic_write_bytes
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.lang.ast_nodes import Unit
@@ -36,12 +26,8 @@ __all__ = [
     "compile_source",
     "compile_to_asm",
     "CompiledProgram",
-    "cache_dir",
     "toolchain_fingerprint",
 ]
-
-#: Bump to invalidate every existing cache entry regardless of fingerprint.
-_CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -51,20 +37,6 @@ class CompiledProgram:
     program: Program
     asm: str
     unit: Unit
-
-
-def cache_dir() -> Path | None:
-    """The on-disk compile-cache directory, or ``None`` when disabled.
-
-    ``REPRO_CACHE_DIR`` overrides the ``.repro_cache/`` default; the empty
-    string disables caching.
-    """
-    raw = os.environ.get("REPRO_CACHE_DIR")
-    if raw is None:
-        return Path(".repro_cache")
-    if raw == "":
-        return None
-    return Path(raw)
 
 
 _fingerprint: str | None = None
@@ -89,7 +61,6 @@ def toolchain_fingerprint() -> str:
     if _fingerprint is None:
         root = Path(__file__).resolve().parent.parent
         h = hashlib.sha256()
-        h.update(str(_CACHE_FORMAT).encode())
         for rel in _TOOLCHAIN_MODULES:
             h.update(rel.encode())
             h.update((root / rel).read_bytes())
@@ -97,56 +68,13 @@ def toolchain_fingerprint() -> str:
     return _fingerprint
 
 
-def _cache_key(source: str, name: str) -> str:
-    h = hashlib.sha256()
-    h.update(toolchain_fingerprint().encode())
-    h.update(f"py{sys.version_info.major}.{sys.version_info.minor}".encode())
-    h.update(name.encode())
-    h.update(b"\x00")
-    h.update(source.encode())
-    return h.hexdigest()
-
-
-def _cache_load(path: Path) -> CompiledProgram | None:
-    try:
-        with open(path, "rb") as fh:
-            cached = pickle.load(fh)
-        if isinstance(cached, CompiledProgram):
-            return cached
-    except Exception:
-        pass  # corrupt / stale / unreadable: recompile below
-    return None
-
-
-def _cache_store(path: Path, compiled: CompiledProgram) -> None:
-    try:
-        atomic_write_bytes(path, pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        pass  # caching is best-effort: read-only dirs etc. never break compiles
-
-
 def compile_to_asm(source: str) -> str:
     """Compile Slang *source* and return the generated assembly text."""
     return generate(analyze(parse(source)))
 
 
-def compile_source(source: str, *, name: str = "<slang>", cache: bool = True) -> CompiledProgram:
-    """Compile Slang *source* into a loadable :class:`Program` image.
-
-    With ``cache=True`` (default) the result is memoised in
-    :func:`cache_dir`; pass ``cache=False`` to force a full compile (the
-    compile-throughput benchmark does).
-    """
-    directory = cache_dir() if cache else None
-    path = directory / f"{_cache_key(source, name)}.pkl" if directory is not None else None
-    if path is not None:
-        cached = _cache_load(path)
-        if cached is not None:
-            return cached
+def compile_source(source: str, *, name: str = "<slang>") -> CompiledProgram:
+    """Compile Slang *source* into a loadable :class:`Program` image."""
     unit = analyze(parse(source))
     asm = generate(unit)
-    program = assemble(asm, name=name)
-    compiled = CompiledProgram(program=program, asm=asm, unit=unit)
-    if path is not None:
-        _cache_store(path, compiled)
-    return compiled
+    return CompiledProgram(program=assemble(asm, name=name), asm=asm, unit=unit)

@@ -77,6 +77,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import repro
 from repro._util import atomic_write_text
+from repro.cache import cache_root
 from repro.jobs import ResultStore
 from repro.jobs.spec import job_key, spec_from_dict, spec_to_dict
 from repro.jobs.store import TELEMETRY as STORE_TELEMETRY
@@ -95,9 +96,7 @@ def default_serve_dir() -> "Path | None":
     The serve daemon's durable state (queue, worker stderr, endpoint) lives
     beside the stores it feeds — one cache root to relocate or wipe.
     """
-    from repro.lang.compiler import cache_dir
-
-    root = cache_dir()
+    root = cache_root()
     return root / "serve" if root is not None else None
 
 

@@ -1,38 +1,21 @@
-"""Machine-readable performance records (``BENCH_engine.json``).
+"""The host-speed yardstick for performance measurements.
 
-The perf-regression harness works in two halves:
-
-1. the infrastructure benchmarks (``benchmarks/bench_infrastructure.py``)
-   call :func:`record` after each timed run, accumulating one entry per
-   benchmark — wall seconds plus a throughput figure (cycles/sec for engine
-   benches, instructions/sec for the compiler) — and :func:`write` dumps the
-   batch to ``BENCH_engine.json`` at session end;
-2. ``benchmarks/check_regression.py`` compares that file against the pinned
-   baselines (``benchmarks/BASELINES.json``) and exits non-zero on a >20%
-   throughput regression — the CI bench-smoke gate.
-
-Entries are plain dicts so the file diffs cleanly and other tools (plots,
-dashboards) can consume it without importing the simulator.
+:func:`host_calibration` times a fixed pure-Python workload.  The repo
+benchmark (``bench/run.py``) records it next to every run, so wall times
+taken on machines of different speed, or on one machine under changing
+load, can be put on one scale.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
 import time
-from pathlib import Path
-from typing import Any, Callable
 
-__all__ = ["PerfRecorder", "host_calibration", "load"]
+__all__ = ["host_calibration"]
 
 
 def host_calibration(runs: int = 5) -> float:
     """Wall seconds for a fixed allocation-and-arithmetic Python workload
-    (best of *runs*).  Both halves of the harness use this as the host-speed
-    yardstick: the recorder stamps every benchmark entry with the calibration
-    measured next to it, and the regression gate rescales pinned throughputs
-    by the baseline-to-here calibration ratio before thresholding."""
+    (best of *runs*)."""
     best = float("inf")
     for _ in range(runs):
         t0 = time.perf_counter()
@@ -46,55 +29,3 @@ def host_calibration(runs: int = 5) -> float:
         if elapsed < best:
             best = elapsed
     return best
-
-
-class PerfRecorder:
-    """Accumulates benchmark entries and writes one JSON report."""
-
-    def __init__(self, scale: str, calibrate: Callable[[], float] = host_calibration) -> None:
-        self.scale = scale
-        self.entries: dict[str, dict[str, Any]] = {}
-        self._calibrate = calibrate
-
-    def record(
-        self,
-        name: str,
-        *,
-        seconds: float,
-        work: float | None = None,
-        work_unit: str = "",
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """Record one benchmark: *seconds* is the representative wall time
-        (use the mean of the measured rounds), *work* the amount of work per
-        call (target cycles, instructions, ...), so ``work / seconds`` is the
-        throughput the regression gate tracks.
-
-        Each entry also carries its own ``calibration_seconds`` — the host
-        yardstick measured *next to* this benchmark rather than once per
-        session, so the gate can normalize each figure against the host
-        speed in effect when it was taken (CI machines drift mid-session
-        under noisy neighbours)."""
-        entry: dict[str, Any] = {"seconds": seconds, "calibration_seconds": self._calibrate()}
-        if work is not None:
-            entry["work"] = work
-            entry["work_unit"] = work_unit
-            entry["throughput"] = work / seconds if seconds > 0 else 0.0
-        if extra:
-            entry.update(extra)
-        self.entries[name] = entry
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        payload = {
-            "scale": self.scale,
-            "python": sys.version.split()[0],
-            "machine": platform.machine(),
-            "benchmarks": self.entries,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
-
-
-def load(path: str | Path) -> dict[str, Any]:
-    return json.loads(Path(path).read_text())

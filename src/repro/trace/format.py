@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro._util import atomic_write_bytes
-from repro.isa.program import Program
+from repro.isa.program import program_digest  # noqa: F401  (re-exported)
 
 __all__ = [
     "TraceError", "Trace", "TRACE_VERSION",
@@ -102,22 +102,6 @@ class Trace:
                 name = _OP_NAMES[op[0]]
                 counts[name] = counts.get(name, 0) + 1
         return counts
-
-
-def program_digest(program: Program) -> str:
-    """Content identity of a program image (text + data + entry).
-
-    The validity key for captures: a replay against a program whose digest
-    differs from the recorded one is refused outright — the recorded
-    streams describe a different execution.
-    """
-    h = hashlib.sha256()
-    h.update(program.name.encode())
-    h.update(str(program.entry).encode())
-    for word in program.encoded_text():
-        h.update(word.to_bytes(8, "little"))
-    h.update(program.data)
-    return h.hexdigest()
 
 
 # ------------------------------------------------------------------ writing

@@ -231,3 +231,31 @@ def test_registered_workload_host_times_match_golden(request, name):
         f"{name}: modeled host time moved — if intentional, regenerate with "
         "--update-goldens"
     )
+
+
+# ------------------------------------------------ trace-core engine digests
+#: Stats digests of ``sharing_workload(4, 20, seed=1)`` trace cores on 4 host
+#: cores, seed 1 — no ISA front end: the engine, manager and memory system
+#: alone.  Pinned since the engine cycle-rate benchmarks; the values have
+#: never moved.
+TRACE_ENGINE_GOLDEN = GOLDEN_DIR / "trace_engine_digests.json"
+
+
+@pytest.mark.parametrize("scheme", ["cc", "su"])
+def test_trace_engine_digest_matches_golden(request, scheme):
+    result = SequentialEngine(
+        None,
+        trace_cores=sharing_workload(4, 20, seed=1),
+        target=TargetConfig(num_cores=4, core_model="trace"),
+        host=HostConfig(num_cores=4),
+        sim=SimConfig(scheme=scheme, seed=1),
+    ).run()
+    assert result.completed
+    goldens = json.loads(TRACE_ENGINE_GOLDEN.read_text())
+    if request.config.getoption("--update-goldens"):
+        goldens[scheme] = result.stats_sha256
+        TRACE_ENGINE_GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
+    assert result.stats_sha256 == goldens.get(scheme), (
+        f"{scheme}: trace-core engine digest moved — if intentional, regenerate "
+        "with --update-goldens"
+    )

@@ -283,6 +283,10 @@ def _instructions(kinds):
     body=[Instruction(Op.FSIN, 1, 0), Instruction(Op.FCOS, 2, 31), Instruction(Op.FCOS, 0, 0)],
     term=None, xs=[0, 0, 0], fs=[math.inf, 0.0, 0.0, -math.inf],
 )
+@example(  # a negative NaN moved into an x register: its sign bit must survive
+    body=[Instruction(Op.ADD, 0, 0, 0), Instruction(Op.FMV_X_D, 1, 0)],
+    term=None, xs=[0, 0, 0], fs=[-math.nan, 0.0, 0.0, 0.0],
+)
 def test_blocks_match_per_pc_calls(body, term, xs, fs):
     """A random straight-line sequence with an optional branch/jump at its
     end: the functional superblock, every timing superblock inside it and
@@ -299,12 +303,15 @@ def test_blocks_match_per_pc_calls(body, term, xs, fs):
         state.x[_BASE_REG] = 2048
         return state.x, state.f, _test_memory()
 
-    # n per-PC calls, keeping the register files in front of every instruction.
+    # n per-PC calls, keeping the register files in front of every instruction
+    # (the floats themselves: float.hex drops a NaN's sign, which FMV_X_D reads).
     x, f, mem = fresh()
     before = []
+    floats = []
     taken = None
     for i in range(n):
         before.append((list(x), _hex(f)))
+        floats.append(list(f))
         if pre.kinds[i] <= K_JUMP:
             taken = pre.runs[i](x, f)
         else:
@@ -322,7 +329,7 @@ def test_blocks_match_per_pc_calls(body, term, xs, fs):
             continue
         span = slice(i, i + length)  # latency-1 register-only instructions, nothing else
         assert all(k <= K_JUMP for k in pre.kinds[span]) and set(pre.latencies[span]) == {1}
-        tx, tf = list(before[i][0]), [float.fromhex(v) for v in before[i][1]]
+        tx, tf = list(before[i][0]), list(floats[i])
         next_pc = tb.runs[i](tx, tf)
         assert (tx, _hex(tf)) == before[i + length]
         past = TEXT_BASE + (i + length) * 8

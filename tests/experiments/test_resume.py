@@ -104,10 +104,11 @@ def test_rerun_distrusts_corrupt_records(store, baseline):
     believed."""
     _sweep(jobs=1)
     tampered, torn = (store.path(job_key(spec)) for spec in SPECS[:2])
-    record = json.loads(tampered.read_text())
+    seal, _, payload = tampered.read_bytes().partition(b"\n")
+    record = json.loads(payload)
     record["metrics"]["instructions"] = -1
-    tampered.write_text(json.dumps(record))
-    torn.write_text(torn.read_text()[:40])
+    tampered.write_bytes(seal + b"\n" + json.dumps(record).encode())
+    torn.write_bytes(torn.read_bytes()[:40])
 
     text, tel = _sweep(jobs=1)
     assert text == baseline

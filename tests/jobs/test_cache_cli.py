@@ -1,7 +1,11 @@
-"""``slacksim cache`` subcommand: ls / info / gc / clear over the store."""
+"""``slacksim cache`` subcommand: ls / info / verify / gc / clear over both
+sections of the cache root (results and programs), which follow one rule."""
 
+import json
+
+import repro.lang.compiler as compiler
+from repro import cache
 from repro.cli import main
-from repro.lang.compiler import toolchain_fingerprint
 from repro.jobs import JobSpec, ResultStore, execute
 
 
@@ -18,39 +22,51 @@ def test_ls_lists_records(store, capsys):
     out = capsys.readouterr().out
     assert key[:16] in out
     assert "fft/tiny s9 h2 seed=2" in out
-    assert "1 record(s)" in out
-    assert out.splitlines()[-1].startswith("1 compiled program(s) in ")
+    lines = out.splitlines()
+    assert lines[-2] == f"1 record(s) in {store.root}"
+    assert lines[-1] == f"1 program(s) in {cache.programs().root}"
 
 
-def test_functional_record_of_an_older_bench_is_listed_verified_and_gcd(store, capsys):
-    """``repro bench`` used to seal a functional record (no ``sim``/``host``
-    in its spec) under a key no job derives any more: ``ls`` and ``verify``
-    take it in their stride, ``gc`` drops it, a current record stays."""
-    kept = _populate(store)
-    old = "bd3e143b" + "0" * 56
-    store.put(old, {
-        "spec": {
-            "format": 1, "mode": "functional", "program_digest": "c7" * 32,
-            "toolchain": toolchain_fingerprint(),  # current: only the mode is stale
-            "workload": {"name": "fft", "scale": "tiny", "args": {"nthreads": 1}},
-        },
-        "completed": True,
-        "metrics": {"exit_code": 0, "instructions": 8653, "output_len": 4},
-        "output_sha256": "31" * 32,
-        "stats": {}, "stats_digest": "",
-        "provenance": {"engine": "functional", "dispatch": "predecoded"},
-    })
-    assert main(["cache", "ls"]) == 0
+def test_verify_reports_and_quarantines_both_sections(store, capsys):
+    key = _populate(store)
+    (program,) = cache.programs().keys()
+    store.path(key).write_text("torn")
+    blob = cache.programs().path(program)
+    blob.write_bytes(blob.read_bytes()[:-1] + b"!")  # an edited byte
+    assert main(["cache", "verify"]) == 1
     out = capsys.readouterr().out
-    assert f"{old[:16]}  fft/tiny  [functional: unreachable" in out
-    assert "2 record(s)" in out
-    assert main(["cache", "verify"]) == 0
-    assert "2 ok, 0 stale, 0 corrupt" in capsys.readouterr().out
+    assert f"{key[:16]}  CORRUPT -> quarantined" in out
+    assert f"{program[:16]}  CORRUPT -> quarantined" in out
+    assert "checked 1 record(s): 0 ok, 0 stale, 1 corrupt; 1 quarantined" in out
+    assert "checked 1 program(s): 0 ok, 0 stale, 1 corrupt; 1 quarantined" in out
+    assert blob.with_suffix(".corrupt").exists()
+    assert store.path(key).with_suffix(".corrupt").read_text() == "torn"
+    assert main(["cache", "verify"]) == 0  # nothing left to quarantine
+
+
+def test_gc_drops_both_sections_of_another_toolchain(store, cache_root, monkeypatch, capsys):
+    """Records and programs sealed under another toolchain fingerprint are
+    unreachable — every key embeds the fingerprint — and so are the
+    records and root-level pickles of the layout before sections."""
+    with monkeypatch.context() as m:
+        m.setattr(compiler, "_fingerprint", "0" * 64)
+        m.setattr(cache, "_memo", {})
+        old = _populate(store)
+    kept = _populate(store)
+    assert old != kept and len(cache.programs().keys()) == 2
+    legacy_record = store.path("e" * 64)
+    legacy_record.write_text(json.dumps({"format": 1, "record_sha256": "0" * 64}))
+    legacy_program = cache_root / ("f" * 64 + ".pkl")
+    legacy_program.write_bytes(b"a pickle of the flat layout")
     assert main(["cache", "gc", "--dry-run"]) == 0
-    assert f"would drop {old[:16]}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "would drop 2 record(s)" in out and "would drop 2 program(s)" in out
     assert main(["cache", "gc"]) == 0
-    assert "dropped 1 record(s)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "dropped 2 record(s)" in out and "dropped 2 program(s)" in out
     assert store.keys() == [kept]
+    assert len(cache.programs().keys()) == 1
+    assert not legacy_program.exists()
 
 
 def test_info_prints_one_record_by_prefix(store, capsys):
@@ -84,19 +100,16 @@ def test_gc_dry_run_keeps_files(store, capsys):
     assert store.path(key).exists()
 
 
-def test_clear_removes_everything(store, cache_root, capsys):
+def test_clear_removes_everything(store, capsys):
     _populate(store)
     store.path("a" * 64).write_text("torn")
-    orphan = cache_root / ("0" * 64 + ".pkl")  # what a toolchain edit leaves
-    orphan.write_bytes(b"compiled under another fingerprint")
     assert main(["cache", "verify"]) == 1  # quarantines the torn entry
     capsys.readouterr()
     assert main(["cache", "clear"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("removed 1 record(s) and 1 quarantined file(s)")
-    assert lines[1].startswith("removed 2 compiled program(s)")
-    assert store.keys() == []
-    assert list(cache_root.glob("*.pkl")) == []
+    assert lines[1].startswith("removed 1 program(s) and 0 quarantined file(s)")
+    assert store.keys() == [] and cache.programs().keys() == []
     assert main(["cache", "verify"]) == 0
     assert "0 quarantined file(s) on disk" in capsys.readouterr().out
 
@@ -125,7 +138,8 @@ def test_verify_clean_store_exits_zero(store, capsys):
     _populate(store)
     assert main(["cache", "verify"]) == 0
     out = capsys.readouterr().out
-    assert "1 ok, 0 stale, 0 corrupt" in out
+    assert "checked 1 record(s): 1 ok, 0 stale, 0 corrupt" in out
+    assert "checked 1 program(s): 1 ok, 0 stale, 0 corrupt" in out
 
 
 def test_verify_quarantines_and_exits_nonzero(store, capsys):

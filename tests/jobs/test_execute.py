@@ -107,7 +107,7 @@ class TestReplay:
         assert not replayed.hit
         assert replayed.record["provenance"]["engine"] == "replay"
         assert replayed.record["provenance"]["trace_path"] == fft_trace
-        assert "record_sha256" not in replayed.record  # never sealed
+        assert "job_key" not in replayed.record  # never published
         assert replayed.key == direct.key
         assert replayed.record["stats_dump"] == direct.record["stats_dump"]
         assert _tree(store.root) == before

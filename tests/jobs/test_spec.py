@@ -93,7 +93,7 @@ class TestPayload:
         assert payload["program_digest"] == DIGEST
         assert payload["format"] == 1
         assert set(payload) == {
-            "format", "mode", "workload", "program_digest", "toolchain",
+            "format", "workload", "program_digest", "toolchain",
             "target", "host", "sim",
         }
 
@@ -101,18 +101,19 @@ class TestPayload:
         payload = digest_payload(spec(), DIGEST)
         assert tuple(payload["sim"]) == DIGEST_SIM_FIELDS
 
-    def test_retired_job_fields_stay_in_the_payload_as_constants(self, monkeypatch):
-        """``mode`` and ``workload.args`` left ``JobSpec``; every stored key
-        was derived with them, so the payload keeps emitting the values a
-        timing job always had.  The pinned key is what the commit before the
-        fields went derives for this spec (under a fixed fingerprint): it
-        moves only when a change really does orphan every stored record."""
+    def test_payload_keys_and_pinned_key(self, monkeypatch):
+        """The payload names exactly what a job is, and the pinned key (under
+        a fixed fingerprint) moves only when a change really does orphan
+        every stored record.  It last moved when the cache left the
+        fingerprinted compiler: the constants ``"mode": "timing"`` and
+        ``"workload": {"args": {}}``, kept only so that no key moved when the
+        functional-job mode went, left the payload in that same move."""
         payload = digest_payload(spec(), DIGEST)
-        assert payload["mode"] == "timing"
-        assert payload["workload"] == {"name": "fft", "scale": "tiny", "args": {}}
+        assert "mode" not in payload
+        assert payload["workload"] == {"name": "fft", "scale": "tiny"}
         monkeypatch.setattr(compiler, "_fingerprint", "f" * 64)
         assert job_key(spec(), DIGEST) == (
-            "acd25dd61cce3d7f52c321aca6a0399320a0c2b4d0e9a42bc477209f7462babd"
+            "2c609cacbfef439867e173cc4056ab39270a019d0fb3393031763f622db1d706"
         )
 
     def test_counted_options(self):

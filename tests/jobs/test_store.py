@@ -1,13 +1,16 @@
 """Result-store mechanics: sealing, corruption, quarantine, gc, and
 concurrent writers."""
 
+import hashlib
 import json
 import multiprocessing
 import os
 
 import pytest
 
-from repro.jobs import RESULT_FORMAT, ResultStore, seal_record
+import repro.lang.compiler as compiler
+from repro.cache import Section
+from repro.jobs import RESULT_FORMAT, ResultStore
 from repro.jobs.store import TELEMETRY
 
 KEY = "k" * 64
@@ -24,6 +27,19 @@ def record(**extra) -> dict:
     return base
 
 
+def edit(store, key, **changes) -> None:
+    """Change fields of *key*'s record in place, under its old seal."""
+    path = store.path(key)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    doc = {**json.loads(payload), **changes}
+    path.write_bytes(head + b"\n" + json.dumps(doc).encode())
+
+
+def reseal(store, key, doc) -> None:
+    """Publish *doc* verbatim under a valid seal (no format/key stamping)."""
+    Section.put(store, key, doc)
+
+
 class TestSealing:
     def test_put_then_load_roundtrips(self, store):
         store.put(KEY, record())
@@ -32,7 +48,11 @@ class TestSealing:
         assert loaded["metrics"] == {"x": 1}
         assert loaded["format"] == RESULT_FORMAT
         assert loaded["job_key"] == KEY
-        assert loaded["record_sha256"] == seal_record(loaded)
+        head, _, payload = store.path(KEY).read_bytes().partition(b"\n")
+        seal, toolchain = head.decode().split()
+        assert seal == hashlib.sha256(payload).hexdigest()
+        assert toolchain == compiler.toolchain_fingerprint()
+        assert json.loads(payload) == loaded
 
     def test_put_returns_the_record_load_hands_back(self, store):
         published = store.put(KEY, record(pair=(1, 2)))  # tuple -> list
@@ -47,30 +67,27 @@ class TestSealing:
         path = store.path(KEY)
         path.write_text("{ not json")
         assert store.load(KEY) is None
+        # Valid seal over bytes that are not a record: damage all the same.
+        payload = b"{ not json"
+        path.write_bytes(f"{hashlib.sha256(payload).hexdigest()} x\n".encode() + payload)
+        assert store.load(KEY) is None
+        assert TELEMETRY["corrupt"] == 2
 
     def test_tampered_field_fails_the_seal(self, store):
         store.put(KEY, record())
-        path = store.path(KEY)
-        doc = json.loads(path.read_text())
-        doc["metrics"]["x"] = 999
-        path.write_text(json.dumps(doc))
+        edit(store, KEY, metrics={"x": 999})
         assert store.load(KEY) is None
 
     def test_wrong_embedded_key_is_a_miss(self, store):
         store.put(KEY, record())
         path = store.path(KEY)
         other = store.path("1" * 64)
-        other.write_text(path.read_text())  # valid seal, wrong filename
+        other.write_bytes(path.read_bytes())  # valid seal, wrong filename
         assert store.load("1" * 64) is None
 
     def test_format_mismatch_is_a_miss(self, store):
-        store.put(KEY, record())
-        path = store.path(KEY)
-        doc = json.loads(path.read_text())
-        doc["format"] = RESULT_FORMAT + 1
-        doc["record_sha256"] = seal_record(doc)
-        path.write_text(json.dumps(doc))  # self-consistent but future-format
-        assert store.load(KEY) is None
+        reseal(store, KEY, {**record(), "format": RESULT_FORMAT + 1, "job_key": KEY})
+        assert store.load(KEY) is None  # self-consistent but another layout
 
 
 class TestManagement:
@@ -80,17 +97,20 @@ class TestManagement:
         assert store.keys() == sorted([KEY, "a" * 64])
         assert all(rec is not None for _, rec in store.entries())
 
-    def test_gc_drops_invalid_and_stale_toolchain(self, store):
+    def test_gc_drops_invalid_and_stale_toolchain(self, store, monkeypatch):
         store.put(KEY, record())
-        store.put("a" * 64, record(spec={"toolchain": "old"}))
-        store.path("b" * 64).parent.mkdir(parents=True, exist_ok=True)
+        with monkeypatch.context() as m:
+            m.setattr(compiler, "_fingerprint", "0" * 64)
+            store.put("a" * 64, record())  # sealed under another toolchain
         store.path("b" * 64).write_text("junk")
-        dropped = store.gc(toolchain="t1")
-        assert sorted(dropped) == sorted(["a" * 64, "b" * 64])
+        reseal(store, "c" * 64, {**record(), "format": 1, "job_key": "c" * 64})
+        dropped = store.gc()
+        assert sorted(dropped) == ["a" * 64, "b" * 64, "c" * 64]
+        assert store.keys() == [KEY]
         assert store.load(KEY) is not None
 
     def test_gc_dry_run_deletes_nothing(self, store):
-        store.path("b" * 64).parent.mkdir(parents=True, exist_ok=True)
+        store.root.mkdir(parents=True, exist_ok=True)
         store.path("b" * 64).write_text("junk")
         assert store.gc(dry_run=True) == ["b" * 64]
         assert store.path("b" * 64).exists()
@@ -123,29 +143,21 @@ class TestQuarantine:
         # The next lookup is a clean miss, not a second quarantine.
         assert store.load(KEY) is None
         assert TELEMETRY["corrupt"] == 1
-        assert TELEMETRY["quarantined"] == 1
+        assert TELEMETRY["misses"] == 2
 
     def test_failed_seal_quarantines(self, store):
         store.put(KEY, record())
-        path = store.path(KEY)
-        doc = json.loads(path.read_text())
-        doc["metrics"]["x"] = 999
-        path.write_text(json.dumps(doc))
+        edit(store, KEY, metrics={"x": 999})
         assert store.load(KEY) is None
-        assert path.with_suffix(".corrupt").exists()
+        assert store.path(KEY).with_suffix(".corrupt").exists()
         assert TELEMETRY["corrupt"] == 1
 
     def test_stale_format_is_miss_but_not_quarantined(self, store):
-        store.put(KEY, record())
-        path = store.path(KEY)
-        doc = json.loads(path.read_text())
-        doc["format"] = RESULT_FORMAT + 1
-        doc["record_sha256"] = seal_record(doc)
-        path.write_text(json.dumps(doc))
+        reseal(store, KEY, {**record(), "format": RESULT_FORMAT + 1, "job_key": KEY})
         assert store.load(KEY) is None
-        assert path.exists()  # stale ≠ damaged: left in place for gc
+        assert store.path(KEY).exists()  # stale ≠ damaged: left in place for gc
         assert TELEMETRY["stale"] == 1
-        assert TELEMETRY["quarantined"] == 0
+        assert TELEMETRY["corrupt"] == 0
 
     def test_requarantine_overwrites_older_evidence(self, store):
         store.put(KEY, record())
@@ -167,12 +179,8 @@ class TestQuarantine:
         store.put("a" * 64, record())
         bad = store.path("a" * 64)
         bad.write_text("junk")                       # corrupt
-        store.put("b" * 64, record())
-        stale = store.path("b" * 64)
-        doc = json.loads(stale.read_text())
-        doc["format"] = RESULT_FORMAT + 1
-        doc["record_sha256"] = seal_record(doc)
-        stale.write_text(json.dumps(doc))            # stale
+        reseal(store, "b" * 64, {**record(), "format": RESULT_FORMAT + 1,
+                                 "job_key": "b" * 64})  # stale
         report = store.verify()
         assert report["checked"] == 3
         assert report["ok"] == [KEY]
@@ -188,8 +196,7 @@ class TestQuarantine:
         assert report["corrupt"] == []
 
     def test_entries_is_non_mutating(self, store):
-        """gc --dry-run and `cache ls` walk entries(); a scan must never
-        move files."""
+        """`cache ls` walks entries(); a scan must never move files."""
         store.put(KEY, record())
         path = store.path(KEY)
         path.write_text("junk")

@@ -1,12 +1,15 @@
-"""Compile-cache tests: the on-disk layer (cold/warm hits, corruption,
-invalidation) and the per-process memo in front of it."""
+"""Compile-cache tests: the ``programs`` section of the cache root
+(cold/warm hits, corruption, invalidation), the anchored cache root, and
+the per-process memo in front of the section."""
+
+import os
 
 import pytest
 
+import repro.cache as cache
 import repro.lang.compiler as compiler
-import repro.lang.memo as memo
-from repro.lang import compile_source as memoised_compile
-from repro.lang.compiler import cache_dir, compile_source
+from repro.cache import cache_root, compile_source
+from repro.jobs import ResultStore
 
 SRC = """
 int main() {
@@ -19,75 +22,138 @@ int main() {
 
 
 @pytest.fixture
-def cache(tmp_path, monkeypatch):
+def cache_dir(tmp_path, monkeypatch):
+    """An empty cache root and an empty memo: every compile meets the disk."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(cache, "_memo", {})
     return tmp_path / "cache"
 
 
-def _entries(cache):
-    return sorted(cache.glob("*.pkl")) if cache.exists() else []
+def _entries(root):
+    programs = root / "programs"
+    return sorted(programs.glob("*.pkl")) if programs.exists() else []
 
 
-def test_cold_compile_populates_cache(cache):
+def test_cold_compile_populates_cache(cache_dir):
     compiled = compile_source(SRC, name="t")
     assert compiled.program.size_insns > 0
-    assert len(_entries(cache)) == 1
+    assert len(_entries(cache_dir)) == 1
 
 
-def test_warm_hit_skips_the_pipeline(cache, monkeypatch):
+def test_warm_hit_skips_the_pipeline(cache_dir, monkeypatch):
     cold = compile_source(SRC, name="t")
+    cache._memo.clear()  # a new process
 
     def boom(*a, **k):
         raise AssertionError("pipeline ran on a warm cache hit")
 
     monkeypatch.setattr(compiler, "parse", boom)
     warm = compile_source(SRC, name="t")
+    assert warm is not cold
     assert warm.asm == cold.asm
     assert warm.program.encoded_text() == cold.program.encoded_text()
 
 
-def test_corrupt_entry_recompiles(cache):
-    compile_source(SRC, name="t")
-    (entry,) = _entries(cache)
-    entry.write_bytes(b"not a pickle")
-    compiled = compile_source(SRC, name="t")
-    assert compiled.program.size_insns > 0
+def test_corrupt_entry_recompiles(cache_dir):
+    """A torn blob is a miss: it moves to ``<key>.corrupt`` and the
+    program is compiled and sealed again."""
+    good = compile_source(SRC, name="t")
+    (entry,) = _entries(cache_dir)
+    torn = entry.read_bytes()[:200]
+    entry.write_bytes(torn)
+    cache._memo.clear()
+    rebuilt = compile_source(SRC, name="t")
+    assert rebuilt.program.encoded_text() == good.program.encoded_text()
+    assert entry.with_suffix(".corrupt").read_bytes() == torn
+    assert cache.programs().fetch(entry.stem)[0] == "ok"  # resealed
 
 
-def test_cache_false_bypasses(cache):
-    compile_source(SRC, name="t", cache=False)
-    assert _entries(cache) == []
+@pytest.mark.parametrize("damage", ["edited", "undecodable"])
+def test_damaged_entry_is_quarantined_and_recompiled(cache_dir, damage):
+    """One rule for every section: an edited byte fails the seal; a blob
+    sealed valid over bytes that do not unpickle to a CompiledProgram is
+    damage too.  Either way: quarantined, recompiled, never an error."""
+    good = compile_source(SRC, name="t")
+    (entry,) = _entries(cache_dir)
+    key = entry.stem
+    if damage == "edited":
+        blob = bytearray(entry.read_bytes())
+        blob[-10] ^= 0xFF
+        entry.write_bytes(bytes(blob))
+    else:
+        cache.Programs(entry.parent).put(key, ["not", "a", "program"])
+    cache._memo.clear()
+    rebuilt = compile_source(SRC, name="t")
+    assert rebuilt.asm == good.asm
+    assert entry.with_suffix(".corrupt").exists()
+    assert cache.programs().verify()["ok"] == [key]
 
 
 def test_empty_env_disables_cache(tmp_path, monkeypatch):
+    """``REPRO_CACHE_DIR=""`` disables the store, the compile cache and
+    the memo: nothing is written and every call compiles afresh."""
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    assert cache_dir() is None
+    assert cache_root() is None
+    assert cache.programs() is None and ResultStore.default() is None
     compiled = compile_source(SRC, name="t")
     assert compiled.program.size_insns > 0
+    assert compile_source(SRC, name="t") is not compiled
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_default_cache_dir(monkeypatch):
+def test_cache_root_is_anchored_to_the_checkout(tmp_path, monkeypatch):
+    """Without ``REPRO_CACHE_DIR`` the root is ``<checkout>/.repro_cache``
+    wherever the command runs: a daemon started at the checkout root and a
+    ``submit`` from ``src/`` meet in one ``serve/`` directory."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert str(cache_dir()) == ".repro_cache"
+    checkout = cache._checkout(cache.Path(cache.__file__).resolve().parent)
+    assert checkout is not None
+    roots = []
+    for cwd in (checkout, checkout / "src", tmp_path):
+        monkeypatch.chdir(cwd)
+        roots.append(cache_root())
+    assert roots == [checkout / ".repro_cache"] * 3
+    assert roots[0].is_absolute()
 
 
-def test_fingerprint_change_invalidates(cache, monkeypatch):
+def test_cache_root_outside_a_checkout_is_the_user_cache(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cache, "_CHECKOUT", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cache_root() == tmp_path / "xdg" / "repro"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert cache_root() == cache.Path(os.path.expanduser("~/.cache/repro"))
+    # An installed package sits in site-packages, not in <checkout>/src.
+    (tmp_path / "pyproject.toml").write_text("")
+    assert cache._checkout(tmp_path / "site-packages" / "repro") is None
+    assert cache._checkout(tmp_path / "src" / "repro") == tmp_path
+
+
+def test_env_overrides_the_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+    assert cache_root() == tmp_path / "elsewhere"
+    assert ResultStore.default().root == tmp_path / "elsewhere" / "results"
+    assert cache.programs().root == tmp_path / "elsewhere" / "programs"
+
+
+def test_fingerprint_change_invalidates(cache_dir, monkeypatch):
     compile_source(SRC, name="t")
     monkeypatch.setattr(compiler, "_fingerprint", "0" * 64)
     compile_source(SRC, name="t")
     # A different toolchain fingerprint keys a different entry.
-    assert len(_entries(cache)) == 2
+    assert len(_entries(cache_dir)) == 2
 
 
-def test_distinct_sources_distinct_entries(cache):
+def test_distinct_sources_distinct_entries(cache_dir):
     compile_source(SRC, name="t")
     compile_source(SRC.replace("10", "11"), name="t")
-    assert len(_entries(cache)) == 2
+    assert len(_entries(cache_dir)) == 2
 
 
 # --------------------------------------------------- the per-process memo
-# ``repro.lang.compile_source`` (repro/lang/memo.py) answers a repeated
-# request for the same on-disk entry with the identical object.
+# ``repro.lang.compile_source`` (``repro.cache.compile_source``) answers a
+# repeated request for the same on-disk entry with the identical object.
 SYNC_SRC = """
 int lk; int bar; int counter;
 void worker(int tid) {
@@ -112,64 +178,60 @@ int main() {
 
 
 @pytest.fixture
-def disk_reads(cache, monkeypatch):
-    """An empty memo over an empty cache dir; counts on-disk entry loads."""
-    monkeypatch.setattr(memo, "_memo", {})
+def disk_reads(cache_dir, monkeypatch):
+    """An empty memo over an empty cache dir; counts ``programs`` loads."""
     reads = []
-    load = compiler._cache_load
+    fetch = cache.Programs.fetch
     monkeypatch.setattr(
-        compiler, "_cache_load", lambda path: reads.append(path) or load(path)
+        cache.Programs, "fetch", lambda self, key: reads.append(key) or fetch(self, key)
     )
     return reads
 
 
 def test_memo_returns_the_identical_object_with_one_disk_read(disk_reads):
-    first = memoised_compile(SRC, name="t")
-    assert memoised_compile(SRC, name="t") is first
+    first = compile_source(SRC, name="t")
+    assert compile_source(SRC, name="t") is first
     assert len(disk_reads) == 1  # the cold lookup that missed; none since
     # A new process (an empty memo) reads the entry the first one wrote.
-    memo._memo.clear()
-    reloaded = memoised_compile(SRC, name="t")
+    cache._memo.clear()
+    reloaded = compile_source(SRC, name="t")
     assert reloaded is not first and reloaded.asm == first.asm
-    assert memoised_compile(SRC, name="t") is reloaded
+    assert compile_source(SRC, name="t") is reloaded
     assert len(disk_reads) == 2
 
 
 def test_memo_is_bypassed_wherever_the_disk_cache_is(disk_reads, tmp_path, monkeypatch):
-    first = memoised_compile(SRC, name="t")
-    # cache=False: a full compile every time, nothing remembered.
-    assert memoised_compile(SRC, name="t", cache=False) is not first
-    assert memoised_compile(SRC, name="t", cache=False).asm == first.asm
+    first = compile_source(SRC, name="t")
     # A different cache directory is a different entry.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-    moved = memoised_compile(SRC, name="t")
+    moved = compile_source(SRC, name="t")
     assert moved is not first
     assert len(_entries(tmp_path / "elsewhere")) == 1
     # A disabled cache disables the memo with it.
     monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    assert memoised_compile(SRC, name="t") is not memoised_compile(SRC, name="t")
+    assert compile_source(SRC, name="t") is not compile_source(SRC, name="t")
     # ... as does a different name or toolchain (both are in the entry's key).
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-    assert memoised_compile(SRC, name="u") is not moved
+    assert compile_source(SRC, name="u") is not moved
     monkeypatch.setattr(compiler, "_fingerprint", "0" * 64)
-    assert memoised_compile(SRC, name="t") is not moved
+    assert compile_source(SRC, name="t") is not moved
 
 
-def test_memo_miss_on_a_corrupt_entry_recompiles(disk_reads, cache):
-    good = memoised_compile(SRC, name="t")
-    (entry,) = _entries(cache)
+def test_memo_miss_on_a_corrupt_entry_recompiles(disk_reads, cache_dir):
+    good = compile_source(SRC, name="t")
+    (entry,) = _entries(cache_dir)
     entry.write_bytes(b"not a pickle")
-    memo._memo.clear()  # a new process meets the damaged file
-    rebuilt = memoised_compile(SRC, name="t")
+    cache._memo.clear()  # a new process meets the damaged file
+    rebuilt = compile_source(SRC, name="t")
     assert rebuilt is not good
     assert rebuilt.program.encoded_text() == good.program.encoded_text()
-    assert memoised_compile(SRC, name="t") is rebuilt
+    assert compile_source(SRC, name="t") is rebuilt
 
 
 def test_memo_is_bounded(disk_reads):
-    for i in range(memo._MEMO_MAX + 3):
-        memoised_compile(SRC.replace("10", str(100 + i)), name="t")
-    assert len(memo._memo) == memo._MEMO_MAX
+    for i in range(cache._MEMO_MAX + 3):
+        compile_source(SRC.replace("10", str(100 + i)), name="t")
+    assert len(cache._memo) == cache._MEMO_MAX
 
 
 @pytest.mark.parametrize("scheme", ["cc", "s2"])
@@ -196,8 +258,8 @@ def test_engines_sharing_a_memoised_program_match_fresh_programs(
     def fresh():
         return compiler.compile_source(SYNC_SRC, name="sync").program
 
-    shared = memoised_compile(SYNC_SRC, name="sync").program
-    assert memoised_compile(SYNC_SRC, name="sync").program is shared
+    shared = compile_source(SYNC_SRC, name="sync").program
+    assert compile_source(SYNC_SRC, name="sync").program is shared
     first = run(shared)
     tables = shared._predecoded, shared._timing_blocks
     second = run(shared)

@@ -18,7 +18,7 @@ import repro
 SRC = Path(repro.__file__).resolve().parents[1]
 FIRST_IMPORTS = sorted(
     f"repro.{m.name}" for m in pkgutil.iter_modules(repro.__path__) if m.ispkg
-) + ["repro.host.costmodel", "repro.host.hostmodel"]
+) + ["repro.cache", "repro.host.costmodel", "repro.host.hostmodel"]
 
 
 @pytest.mark.parametrize("module", FIRST_IMPORTS)
