@@ -41,8 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.jobs import JobSpec, ResultStore  # noqa: E402
 from repro.jobs.execute import execute  # noqa: E402
 from repro.jobs.spec import spec_to_dict  # noqa: E402
+from repro.jobs.supervisor import TICK_PERIOD_S  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
-from repro.serve.supervisor import TICK_PERIOD_S  # noqa: E402
 
 #: Jobs served one at a time for the overhead rung; the rest go in at once
 #: for the chaos rungs.

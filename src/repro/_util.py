@@ -118,11 +118,11 @@ def atomic_write_text(path: "os.PathLike[str] | str", text: str, encoding: str =
 class Backoff:
     """A jittered exponential backoff schedule.
 
-    The one retry-pacing vocabulary shared by every recovery loop in the
-    system — the sweep runner's ``BrokenProcessPool`` recovery, the serve
-    supervisor's crashed-worker requeues, and client reconnects all draw
-    their delays from here, so retry behaviour is tuned (and tested) in one
-    place.
+    The one retry-pacing vocabulary shared by both recovery loops in the
+    system — the worker pool supervisor's lost-worker requeues (for the
+    serve daemon and a parallel sweep alike) and client reconnects
+    (:func:`retry_with_backoff`) draw their delays from here, so retry
+    behaviour is tuned (and tested) in one place.
 
     ``next()`` yields ``base * 2**attempt`` capped at *cap*, multiplied by a
     jitter factor drawn uniformly from ``[1-jitter, 1+jitter]``.  The jitter
@@ -160,12 +160,6 @@ class Backoff:
     def reset(self) -> None:
         """Restart the schedule (call after a successful attempt)."""
         self.attempt = 0
-
-    def sleep(self) -> float:
-        """``time.sleep(self.next())``; returns the delay slept."""
-        delay = self.next()
-        time.sleep(delay)
-        return delay
 
 
 def retry_with_backoff(

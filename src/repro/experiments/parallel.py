@@ -5,9 +5,10 @@ its seed rule, its derived metrics), the document :func:`run_sweep` makes of
 it, and a ``render_*(document)`` in the module named after the table or
 figure.  Every grid is embarrassingly parallel: each (workload, scheme,
 host-core-count) point is an independent simulation.  This module shards
-those points over a :class:`ProcessPoolExecutor` and merges the per-point
-results into one JSON document that is **byte-identical whatever the job
-count** (``--jobs 1`` serial in-process vs ``--jobs N``):
+those points over the job layer's supervised worker pool
+(:mod:`repro.jobs.supervisor`, the one the serve daemon runs) and merges the
+per-point results into one JSON document that is **byte-identical whatever
+the job count** (``--jobs 1`` serial in-process vs ``--jobs N``):
 
 * the point list is built up front by the same code on both paths, its seeds
   fixed by the grid table — *derived* (SHA-256) from the base seed and the
@@ -23,28 +24,28 @@ way an experiment turns a list of them into documents: each goes through the
 content-addressed job layer (``jobs.execute``, DESIGN.md §12), so a point
 whose record already sits in the result store is a store lookup, not
 a simulation — a repeated sweep is served entirely from the store and still
-renders byte-identical JSON.  Workers also share the on-disk compile cache,
-so N workers compiling the same benchmark pay one compile between them.
+renders byte-identical JSON.  The parent derives every key (compiling each
+benchmark once) before the pool forks, so the workers inherit the programs.
 
 **Re-running a killed sweep** (DESIGN.md §8): each point's worker seals its
-record into the result store *before* it returns, so the store is the only
+record into the result store *before* it reports, so the store is the only
 record of a finished point.  Re-run the same command and every point that
 finished is a store hit; only the in-flight points simulate again, and the
-document renders **byte-identically** to an uninterrupted sweep.  Crashed
-workers (a died process takes the whole ``ProcessPoolExecutor`` down) are
-retried with a fresh pool and exponential backoff, bounded by
-``max_retries`` per point; genuine point errors (a failed simulation)
-propagate immediately, they are never retried.
+document renders **byte-identically** to an uninterrupted sweep.  A lost
+worker (crash, OOM kill, hang) costs its own point one attempt, not the
+pool: the supervisor replaces the process and re-queues the point with
+backoff, at most ``max_retries`` times; a point whose job raises (a failed
+simulation) is never retried.  Either failure raises :class:`SweepError`
+once the other points have finished (and been sealed).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Callable
 from typing import NamedTuple
 
-from repro._util import Backoff, sha256_hex
+from repro._util import sha256_hex
 from repro.experiments.ablations import ADAPTIVE_QUANTA
 from repro.experiments.common import (
     BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale, error, speedup,
@@ -66,7 +67,8 @@ __all__ = [
 
 
 class SweepError(RuntimeError):
-    """A sweep could not finish (worker crashes exceeded the retry budget)."""
+    """A sweep could not finish: a point's job raised, or its worker was
+    lost more often than the retry budget allows."""
 
 
 def derive_seed(base_seed: int, workload: str, scheme: str, host_cores: int) -> int:
@@ -118,37 +120,13 @@ def point_document(spec: JobSpec, record: dict) -> dict:
 
 
 def _resolve_point(spec: JobSpec) -> tuple[dict, bool]:
-    """(document, store_hit) of one point: a store hit, else a direct run
-    sealed into the store before this returns.
-
-    Module-level (picklable) so ProcessPoolExecutor can ship it to workers;
-    also the serial path, so jobs=1 and jobs=N run the identical code.
-    """
-    _maybe_crash(spec)
+    """(document, store_hit) of one point on the serial path: a store hit,
+    else a direct run sealed into the store before this returns."""
     # Looked up per call: bench/tracer.py wraps ``repro.jobs.execute`` from outside.
     from repro.jobs import ResultStore, execute
 
     outcome = execute(spec, store=ResultStore.default())
     return point_document(spec, outcome.record), outcome.hit
-
-
-def _maybe_crash(spec: JobSpec) -> None:
-    """Worker-crash fault injection (the sweep-level sibling of
-    :mod:`repro.faults`): if ``REPRO_SWEEP_CRASH_POINT`` names this point's
-    key and the ``REPRO_SWEEP_CRASH_ONCE`` marker file does not exist yet,
-    create the marker and die without cleanup — exactly what a segfaulting
-    or OOM-killed worker looks like to the parent pool.  Used by the
-    kill-and-rerun tests and the CI resilience job; inert in normal runs.
-    """
-    target = os.environ.get("REPRO_SWEEP_CRASH_POINT")
-    if not target or target != point_key(spec):
-        return
-    marker = os.environ.get("REPRO_SWEEP_CRASH_ONCE")
-    if marker:
-        if os.path.exists(marker):
-            return  # already crashed once; behave this time
-        open(marker, "w").close()
-    os._exit(13)
 
 
 # ----------------------------------------------------------------- grids
@@ -312,50 +290,57 @@ def _derive_metrics(experiment: str, merged: dict) -> dict:
 
 
 # --------------------------------------------------------------- top level
-def _run_points_parallel(
+def _resolve_on_pool(
     specs: list[JobSpec], *, jobs: int, max_retries: int
 ) -> list[tuple[dict, bool]]:
-    """Futures-based scheduler with crash recovery.
+    """(document, store_hit) of every point, the misses run on a supervised
+    worker pool over an in-memory queue.
 
-    One worker dying (segfault, OOM kill) poisons the whole
-    ``ProcessPoolExecutor`` — every outstanding future raises
-    :class:`BrokenProcessPool`.  Finished points are already harvested (and
-    sealed in the store by their workers), so recovery is: discard the pool,
-    wait out an exponential backoff, and resubmit only the unfinished
-    points, at most *max_retries* extra attempts per point.  Exceptions
-    **raised by a point** (simulation error, output mismatch) are real
-    failures and propagate on first occurrence.
+    The parent serves store hits itself (the rule ``ServeDaemon.submit``
+    applies) and queues only the misses; a worker's ``done`` verdict
+    carries the record, so a disabled store loses nothing.  Once every row
+    is terminal, the first FAILED or DEAD point fails the sweep.
     """
-    # Imported here: the pool machinery (multiprocessing, logging) is a tenth
-    # of CLI start-up, and the CLI imports this module for its experiment names.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
+    import tempfile
 
-    done: dict[int, tuple[dict, bool]] = {}
-    todo = list(range(len(specs)))
-    attempts = dict.fromkeys(todo, 0)
-    backoff = Backoff(base=0.5, cap=8.0)
-    while True:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        futures = {executor.submit(_resolve_point, specs[i]): i for i in todo}
-        try:
-            for future in as_completed(futures):
-                done[futures[future]] = future.result()  # point errors propagate here
-        except BrokenProcessPool:
-            pass
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        todo = [i for i in todo if i not in done]
-        if not todo:
-            return [done[i] for i in range(len(specs))]
-        for index in todo:
-            attempts[index] += 1
-            if attempts[index] > max_retries:
-                raise SweepError(
-                    f"point {point_key(specs[index])} lost its worker "
-                    f"{attempts[index]} times (max_retries={max_retries})"
-                )
-        backoff.sleep()
+    from repro.jobs import ResultStore, job_key
+    from repro.jobs.queue import JobQueue
+    from repro.jobs.spec import spec_to_dict
+    from repro.jobs.supervisor import TICK_PERIOD_S, Supervisor
+
+    store = ResultStore.default()
+    keys = [job_key(spec) for spec in specs]
+    records = {key: store.load(key) if store is not None else None for key in keys}
+    hits = {key for key, record in records.items() if record is not None}
+    misses = {key: spec for key, spec in zip(keys, specs) if key not in hits}
+    if misses:
+        queue = JobQueue(":memory:")
+        for key, spec in misses.items():
+            queue.submit(
+                key, json.dumps(spec_to_dict(spec), sort_keys=True), max_retries=max_retries
+            )
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+            # Forked once the keys are derived: the workers inherit the programs.
+            pool = Supervisor(queue, scratch, workers=min(jobs, len(misses)))
+            try:
+                while True:
+                    for kind, key, *detail in pool.tick():
+                        if kind == "done":
+                            records[key] = detail[0]
+                    if not queue.depth():
+                        break
+                    pool.wait(TICK_PERIOD_S)
+            finally:
+                pool.stop()
+        for job in queue.jobs(("FAILED", "DEAD")):
+            point = point_key(misses[job["job_key"]])
+            if job["state"] == "FAILED":
+                raise SweepError(f"point {point} failed:\n{job['error']}")
+            raise SweepError(
+                f"point {point} lost its worker {job['attempts']} times "
+                f"(max_retries={max_retries}): {job['error']}"
+            )
+    return [(point_document(spec, records[key]), key in hits) for key, spec in zip(keys, specs)]
 
 
 def resolve(
@@ -369,11 +354,11 @@ def resolve(
     obtains its points.  Two specs :func:`point_key` cannot tell apart are a
     ``ValueError`` — one document would silently answer for both.
 
-    ``jobs <= 1`` resolves every point serially in-process, otherwise over
-    the crash-recovering pool; either way the documents are identical (see
-    the module docstring for why).  Nothing but the result store remembers a
-    finished point: a repeated request is a store hit, and re-running a
-    killed sweep simulates only what had not finished.
+    ``jobs <= 1`` resolves every point serially in-process, otherwise on a
+    supervised pool of *jobs* workers; either way the documents are
+    identical (see the module docstring for why).  Nothing but the result
+    store remembers a finished point: a repeated request is a store hit, and
+    re-running a killed sweep simulates only what had not finished.
 
     *telemetry*, when given, receives out-of-band execution counters —
     ``store_hits`` / ``store_misses`` — kept outside the documents on
@@ -387,7 +372,7 @@ def resolve(
     if jobs <= 1:
         served = [_resolve_point(spec) for spec in specs]
     else:
-        served = _run_points_parallel(specs, jobs=jobs, max_retries=max_retries)
+        served = _resolve_on_pool(specs, jobs=jobs, max_retries=max_retries)
     if telemetry is not None:
         telemetry["store_hits"] = sum(hit for _, hit in served)
         telemetry["store_misses"] = len(served) - telemetry["store_hits"]

@@ -1,8 +1,10 @@
-"""Durable job queue: sqlite under ``<serve_dir>/queue.sqlite``.
+"""Job queue: the scheduling state of a supervised worker pool.
 
-The persistence half of the serve subsystem (DESIGN.md §13).  Every job the
-daemon has ever been asked to run is one row keyed by its content-addressed
-``job_key`` (:mod:`repro.jobs.spec`), moving through the state machine::
+One sqlite database per pool (DESIGN.md §13): the serve daemon's is durable,
+``<serve_dir>/queue.sqlite``; a parallel sweep's is ``":memory:"`` and dies
+with the sweep.  Every job the pool has been asked to run is one row keyed by
+its content-addressed ``job_key`` (:mod:`repro.jobs.spec`), moving through
+the state machine::
 
     QUEUED ──lease──▶ LEASED ──start──▶ RUNNING ──complete──▶ DONE
       ▲                  │                  │
@@ -88,12 +90,12 @@ class QueueError(RuntimeError):
 
 
 class JobQueue:
-    """The durable queue (one sqlite file; safe for many daemon threads).
+    """The queue (one sqlite database; safe for many daemon threads).
 
-    One connection guarded by a lock: the daemon is the only *process*
+    One connection guarded by a lock: the pool's owner is the only *process*
     writing (workers never touch the queue — the supervisor transitions on
-    their behalf), but its HTTP handler threads submit concurrently with
-    the supervisor loop, so every operation is one locked transaction.
+    their behalf), but the daemon's HTTP handler threads submit concurrently
+    with the supervisor loop, so every operation is one locked transaction.
     """
 
     def __init__(self, path: "Path | str") -> None:
@@ -266,8 +268,7 @@ class JobQueue:
         """RUNNING/LEASED → FAILED: the *job itself* raised.
 
         Job errors are deterministic (same spec ⇒ same exception), so they
-        are never retried — mirroring the sweep runner's discipline that
-        point errors propagate while only lost workers retry.
+        are never retried: only lost workers retry.
         """
         now = time.time() if now is None else now
         with self._lock:

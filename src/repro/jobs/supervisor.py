@@ -1,17 +1,19 @@
 """Supervised worker pool: leases, progress beats, kills, and replacements.
 
-The supervisor owns every queue transition after submission.  Workers
-(:mod:`repro.serve.worker`) never touch sqlite — they execute and report —
+The one worker pool, with two owners (DESIGN.md §13): the serve daemon, over
+a durable queue, and a parallel sweep, over a ``":memory:"`` one.  The
+supervisor owns every queue transition after submission.  Workers
+(:mod:`repro.jobs.worker`) never touch sqlite — they execute and report —
 so there is exactly one writer process and the failure analysis stays
 tractable: whatever happens to a worker, the supervisor's next ``tick()``
-observes it and moves the job row accordingly.
+observes it and moves the job row accordingly; ``tick()`` also hands its
+owner the verdicts it harvested.
 
 Between ticks the loop blocks in :meth:`Supervisor.wait` on every worker
 pipe plus one self-pipe (:meth:`Supervisor.wake`: submit, cancel, retry,
 stop), so a verdict is harvested and a new job leased the moment they
-exist.  The wait's time-out is the old tick period; it now only paces the
-clock-driven rules below (lease expiry, hang/time-out checks, backoff-due
-jobs) — nothing a client waits on.
+exist.  The wait's time-out only paces the clock-driven rules below (lease
+expiry, hang/time-out checks, backoff-due jobs) — nothing a client waits on.
 
 Failure domains handled per tick, in order:
 
@@ -20,8 +22,7 @@ Failure domains handled per tick, in order:
    are renewed every tick, so expiry only fires for genuinely lost ones.
 2. **Worker messages**: ``beat`` → the job's progress marker (and when it
    last changed); ``done`` → ``complete``; ``error`` (the job raised) →
-   ``fail`` — deterministic job errors are never retried, mirroring the
-   sweep runner's discipline.
+   ``fail`` — deterministic job errors are never retried.
 3. **Worker death** (SIGKILL, OOM, crash injection): requeue with a
    per-job :class:`~repro._util.Backoff` delay and one attempt charged;
    the stderr tail the worker left behind rides along as the error text.
@@ -50,8 +51,8 @@ from multiprocessing import connection
 from pathlib import Path
 
 from repro._util import Backoff, sha256_hex
-from repro.serve.queue import JobQueue, QueueError
-from repro.serve.worker import worker_entry
+from repro.jobs.queue import JobQueue, QueueError
+from repro.jobs.worker import worker_entry
 
 __all__ = ["TICK_PERIOD_S", "Supervisor", "WorkerHandle"]
 
@@ -79,7 +80,7 @@ class WorkerHandle:
         self.proc = ctx.Process(
             target=worker_entry,
             args=(child_conn, index, str(self.stderr_path)),
-            name=f"repro-serve-{self.name}",
+            name=f"repro-{self.name}",
             daemon=True,
         )
         self.proc.start()
@@ -127,12 +128,13 @@ class WorkerHandle:
 
 
 class Supervisor:
-    """Drive *workers* processes against a :class:`JobQueue`."""
+    """Drive *workers* processes against a :class:`JobQueue`; each worker's
+    stderr is captured under ``<workdir>/workers/``."""
 
     def __init__(
         self,
         queue: JobQueue,
-        serve_dir: "Path | str",
+        workdir: "Path | str",
         *,
         workers: int = 2,
         lease_ttl: float = 30.0,
@@ -142,9 +144,9 @@ class Supervisor:
         backoff_cap: float = 8.0,
         seed: "int | None" = None,
     ) -> None:
+        self.check_limits(workers, lease_ttl, job_timeout, hang_timeout)
         self.queue = queue
-        self.serve_dir = Path(serve_dir)
-        self.workers_dir = self.serve_dir / "workers"
+        self.workers_dir = Path(workdir) / "workers"
         self.workers_dir.mkdir(parents=True, exist_ok=True)
         self.lease_ttl = float(lease_ttl)
         self.job_timeout = float(job_timeout)
@@ -180,6 +182,17 @@ class Supervisor:
             "timeouts_killed": 0,
             "cancelled": 0,
         }
+
+    @staticmethod
+    def check_limits(workers, lease_ttl, job_timeout, hang_timeout) -> None:
+        """Refuse (``ValueError``) a pool that could never finish a job."""
+        if workers < 1:
+            raise ValueError(f"a worker pool needs at least one worker, not {workers}")
+        if not (lease_ttl > 0 and hang_timeout > 0 and job_timeout >= 0):
+            raise ValueError(
+                "a worker pool needs lease_ttl > 0, hang_timeout > 0 and job_timeout"
+                f" >= 0, not {lease_ttl}, {hang_timeout} and {job_timeout}"
+            )
 
     # ------------------------------------------------------------ helpers
     def _backoff(self, key: str) -> Backoff:
@@ -257,18 +270,22 @@ class Supervisor:
             while self._wake_r.poll():
                 self._wake_r.recv_bytes()
 
-    def tick(self) -> None:
-        """One supervision pass (the daemon runs one per :meth:`wait`)."""
+    def tick(self) -> list[tuple]:
+        """One supervision pass (its owner runs one per :meth:`wait`);
+        returns the verdicts it harvested — ``("done", key, record)`` and
+        ``("error", key, traceback)`` — in arrival order."""
         now = time.time()
         self.queue.expire(now=now)
-        self._harvest(now)
+        verdicts = self._harvest(now)
         self._check_liveness(now)
         self._check_cancels()
         if not self.draining:
             self._assign(now)
+        return verdicts
 
-    def _harvest(self, now: float) -> None:
-        """Drain worker messages: progress beats and verdicts."""
+    def _harvest(self, now: float) -> list[tuple]:
+        """Drain worker messages: fold progress beats, return verdicts."""
+        verdicts = []
         for handle in list(self.handles):
             while True:
                 try:
@@ -297,7 +314,9 @@ class Supervisor:
                         self.queue.fail, key, handle.lease_id, msg[2], now=now
                     )
                     self.telemetry["failed"] += 1
+                verdicts.append(msg)
                 self._clear_assignment(handle)
+        return verdicts
 
     def _check_liveness(self, now: float) -> None:
         """Deaths, hangs, hard timeouts; renew leases of healthy workers."""
@@ -419,8 +438,12 @@ class Supervisor:
         return finished
 
     def stop(self) -> None:
-        """Hard-stop every worker (drained or not)."""
+        """Hard-stop every worker (drained or not): ask the idle to exit,
+        kill the busy (their rows stay LEASED/RUNNING)."""
         for handle in self.handles:
+            if handle.busy:
+                handle.kill()
+                continue
             try:
                 handle.conn.send(("exit",))
             except (BrokenPipeError, OSError):

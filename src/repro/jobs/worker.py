@@ -1,10 +1,10 @@
-"""Serve worker: one process, one job at a time, fully expendable.
+"""Pool worker: one process, one job at a time, fully expendable.
 
 A worker is a child process running :func:`worker_main` in a loop:
 receive an assignment over its pipe, execute it through the shared job
 pipeline (:func:`repro.jobs.execute` — store hit, else a direct run), and
-report a verdict.  Everything durable lives *outside* the worker: the job
-row in the sqlite queue (owned by the supervisor) and the result in the
+report a verdict.  Everything that outlives the worker lives *outside* it:
+the job row in the queue (owned by the supervisor) and the result in the
 sealed :class:`~repro.jobs.store.ResultStore`.  A worker can therefore be
 SIGKILLed at any instant and the system loses nothing but the in-flight
 attempt — the supervisor sees the death, requeues the job with backoff,
@@ -14,11 +14,12 @@ Protocol (child → parent over the pipe)::
 
     ("ready",)                        after startup
     ("beat",  key, progress)          every BEAT_PERIOD_S while a job runs
-    ("done",  key)                    execute() returned; record is stored
+    ("done",  key, record)            execute() returned (and stored) record
     ("error", key, traceback_text)    the job itself raised (no retry)
 
 A worker that dies sends nothing — the absence *is* the signal; the
 supervisor reads ``Process.is_alive()`` / the pipe EOF, not a message.
+The record rides in the verdict for a sweep whose store is disabled.
 
 **Progress beats** are the watchdog signal across the process boundary.
 The engine knows nothing of them: ``execute(watch=...)`` hands the worker
@@ -30,10 +31,11 @@ slow simulation that keeps advancing is left alone.  The sampler is joined
 before the verdict is sent: one thread writes to the pipe at a time, and a
 job's beats all precede its verdict.
 
-**Deterministic crash injection** (the chaos ladder's worker-kill rung):
-``REPRO_SERVE_CRASH_KEY=<job key or prefix>`` makes the worker ``os._exit``
+**Deterministic crash injection** (the chaos ladder's worker-kill rung, for
+the daemon and a parallel sweep alike):
+``REPRO_WORKER_CRASH_KEY=<job key or prefix>`` makes the worker ``os._exit``
 the instant it receives a matching assignment — indistinguishable from a
-SIGKILL mid-job.  With ``REPRO_SERVE_CRASH_ONCE=<marker path>`` the crash
+SIGKILL mid-job.  With ``REPRO_WORKER_CRASH_ONCE=<marker path>`` the crash
 fires only until the marker file exists (create-then-die), so the retried
 attempt survives; without it the job crashes every attempt and must
 exhaust its budget into DEAD.  Inert unless the variables are set.
@@ -78,10 +80,10 @@ def worker_entry(conn, worker_id: int, stderr_path: str) -> None:
 
 def _maybe_crash(key: str) -> None:
     """Die like a SIGKILLed worker if this key is marked for crashing."""
-    target = os.environ.get("REPRO_SERVE_CRASH_KEY")
+    target = os.environ.get("REPRO_WORKER_CRASH_KEY")
     if not target or not key.startswith(target):
         return
-    marker = os.environ.get("REPRO_SERVE_CRASH_ONCE")
+    marker = os.environ.get("REPRO_WORKER_CRASH_ONCE")
     if marker:
         if os.path.exists(marker):
             return  # already crashed once; behave this time
@@ -183,7 +185,7 @@ def worker_main(conn, worker_id: int) -> None:
         _, key, spec_dict = msg
         _maybe_crash(key)
         try:
-            execute_assignment(
+            outcome = execute_assignment(
                 spec_dict, lambda progress: conn.send(("beat", key, progress))
             )
         except BaseException:
@@ -193,6 +195,6 @@ def worker_main(conn, worker_id: int) -> None:
                 return
             continue
         try:
-            conn.send(("done", key))
+            conn.send(("done", key, outcome.record))
         except (BrokenPipeError, OSError):
             return

@@ -24,8 +24,8 @@ import time
 from pathlib import Path
 
 from repro._util import Backoff, retry_with_backoff
+from repro.jobs.queue import TERMINAL
 from repro.serve.daemon import default_serve_dir, endpoint_path
-from repro.serve.queue import TERMINAL
 
 __all__ = ["ServeClient", "ServeError", "ServeRejected", "ServeUnavailable"]
 

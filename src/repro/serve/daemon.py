@@ -6,11 +6,12 @@ pool (DESIGN.md §13).  Three layers, each owned by this module's
 
 * an HTTP front-end (:class:`ThreadingHTTPServer` on loopback) exposing
   submit / poll / fetch / cancel / retry / status over JSON;
-* the durable :class:`~repro.serve.queue.JobQueue` (sqlite under
+* the durable :class:`~repro.jobs.queue.JobQueue` (sqlite under
   ``<serve_dir>/queue.sqlite``);
-* the :class:`~repro.serve.supervisor.Supervisor` pumping jobs from the
+* the :class:`~repro.jobs.supervisor.Supervisor` pumping jobs from the
   queue through worker processes into the sealed
-  :class:`~repro.jobs.store.ResultStore`.
+  :class:`~repro.jobs.store.ResultStore` (the verdicts its ``tick()``
+  returns are ignored: the daemon serves records from the store).
 
 **Admission control.**  Submissions beyond ``max_depth`` open jobs are
 refused with ``429`` and a ``Retry-After`` header — explicit backpressure,
@@ -81,8 +82,8 @@ from repro.cache import cache_root
 from repro.jobs import ResultStore
 from repro.jobs.spec import job_key, spec_from_dict, spec_to_dict
 from repro.jobs.store import TELEMETRY as STORE_TELEMETRY
-from repro.serve.queue import JobQueue, QueueError
-from repro.serve.supervisor import TICK_PERIOD_S, Supervisor
+from repro.jobs.queue import JobQueue, QueueError
+from repro.jobs.supervisor import TICK_PERIOD_S, Supervisor
 
 __all__ = ["MAX_WAIT_S", "ServeDaemon", "default_serve_dir", "endpoint_path"]
 
@@ -254,6 +255,8 @@ class ServeDaemon:
         seed: "int | None" = None,
         verbose: bool = False,
     ) -> None:
+        # Refused before the queue opens or the endpoint is published.
+        Supervisor.check_limits(workers, lease_ttl, job_timeout, hang_timeout)
         if serve_dir is None:
             serve_dir = default_serve_dir()
         if serve_dir is None:
@@ -381,26 +384,18 @@ class ServeDaemon:
             }
         # A submit that is already a store hit never queues: insert the row
         # terminally DONE so poll/fetch serve it like any finished job.
-        if self.store is not None and self.store.load(key) is not None:
-            view, created = self.queue.submit(
-                key,
-                json.dumps(spec_to_dict(spec), sort_keys=True),
-                max_retries=self.max_retries if max_retries is None else max_retries,
-                state="DONE",
-            )
-            return {
-                "job_key": key,
-                "state": view["state"],
-                "created": created,
-                "served_from_store": True,
-            }
-        if self.queue.depth() >= self.max_depth:
+        hit = self.store is not None and self.store.load(key) is not None
+        if not hit and self.queue.depth() >= self.max_depth:
             raise OverflowError("queue full")
         view, created = self.queue.submit(
             key,
             json.dumps(spec_to_dict(spec), sort_keys=True),
             max_retries=self.max_retries if max_retries is None else max_retries,
+            state="DONE" if hit else "QUEUED",
         )
+        if hit:
+            return {"job_key": key, "state": view["state"], "created": created,
+                    "served_from_store": True}
         self.supervisor.wake()  # lease it now, not at the next tick
         return {"job_key": key, "state": view["state"], "created": created}
 

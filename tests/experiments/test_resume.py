@@ -2,7 +2,7 @@
 sweep point.
 
 The contract (module docstring of :mod:`repro.experiments.parallel`): each
-point's worker seals its record into the store before it returns, so a sweep
+point's worker seals its record into the store before it reports, so a sweep
 that loses workers, or is killed and simply run again, renders
 **byte-identical** JSON to one uninterrupted run — finished points are store
 hits, the rest simulate.  Every test owns a fresh ``REPRO_CACHE_DIR``; the
@@ -10,6 +10,7 @@ baseline sweep runs on yet another, so nothing here is pre-warmed.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -21,12 +22,18 @@ from repro.experiments.parallel import (
     run_sweep,
     sweep_to_json,
 )
+from repro.core.engine import SequentialEngine
 from repro.jobs import ResultStore, job_key
 
 EXPERIMENT = "ablations"
 SCALE = "tiny"
 SPECS = build_points(EXPERIMENT, SCALE, 1)
 VICTIM = point_key(SPECS[2])
+
+
+def victim_key() -> str:
+    """What ``REPRO_WORKER_CRASH_KEY`` names: a prefix of the victim's job key."""
+    return job_key(SPECS[2])[:16]
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +47,7 @@ def baseline(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SWEEP_CRASH_POINT", raising=False)
+    monkeypatch.delenv("REPRO_WORKER_CRASH_KEY", raising=False)
     return ResultStore.default()
 
 
@@ -55,12 +62,12 @@ def test_crash_injection_is_inert_without_env():
 
 
 def test_kill_one_worker_then_recover(tmp_path, monkeypatch, baseline):
-    """A worker that dies mid-sweep (os._exit, no cleanup — the pool sees a
-    BrokenProcessPool) is retried with a fresh pool; the sweep completes and
-    its bytes match the uninterrupted baseline."""
+    """A worker that dies mid-sweep (os._exit, no cleanup) costs its own
+    point one attempt: the supervisor replaces it and re-queues the point;
+    the sweep completes and its bytes match the uninterrupted baseline."""
     marker = tmp_path / "crashed-once"
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", VICTIM)
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_ONCE", str(marker))
+    monkeypatch.setenv("REPRO_WORKER_CRASH_KEY", victim_key())
+    monkeypatch.setenv("REPRO_WORKER_CRASH_ONCE", str(marker))
 
     text, tel = _sweep(jobs=2, max_retries=2)
     assert marker.exists(), "the injected crash never fired"
@@ -72,12 +79,13 @@ def test_kill_then_separate_resume_run(monkeypatch, store, baseline):
     """The CI shape: sweep #1 dies (a point's worker crashes on every
     attempt, retries exhausted); sweep #2 is the same call minus the crash
     and must finish from a *mix* of store hits and fresh runs."""
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_POINT", VICTIM)
-    with pytest.raises(SweepError, match="lost its worker"):
+    monkeypatch.setenv("REPRO_WORKER_CRASH_KEY", victim_key())
+    with pytest.raises(SweepError, match=f"point {VICTIM} lost its worker 2 times"):
         _sweep(jobs=2, max_retries=1)
     assert store.keys(), "no point was sealed before the sweep died"
+    assert not multiprocessing.active_children()
 
-    monkeypatch.delenv("REPRO_SWEEP_CRASH_POINT")
+    monkeypatch.delenv("REPRO_WORKER_CRASH_KEY")
     text, tel = _sweep(jobs=2, max_retries=1)
     assert text == baseline
     assert tel["store_hits"] >= 1 and tel["store_misses"] >= 1
@@ -119,9 +127,34 @@ def test_rerun_distrusts_corrupt_records(store, baseline):
 
 def test_rerun_with_the_store_disabled(monkeypatch, baseline):
     """The honest limit: with ``REPRO_CACHE_DIR=""`` nothing is persisted, so
-    a re-run resumes nothing — and still renders the baseline bytes."""
+    a re-run resumes nothing — and still renders the baseline bytes (on the
+    pool, from the records the workers' verdicts carry)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    for _ in range(2):
-        text, tel = _sweep(jobs=1)
+    for jobs in (1, 1, 2, 2):
+        text, tel = _sweep(jobs=jobs)
         assert text == baseline
         assert (tel["store_hits"], tel["store_misses"]) == (0, len(SPECS))
+
+
+def test_a_raising_point_fails_the_sweep_on_its_first_attempt(tmp_path, monkeypatch):
+    """A point whose job raises is a real failure, not a lost worker: it is
+    not retried, the sweep fails naming it with the worker's traceback, and
+    no worker process outlives the sweep."""
+    attempts = tmp_path / "attempts"
+    run = SequentialEngine.run
+
+    def failing_run(engine):
+        if engine.sim.scheme == SPECS[2].scheme:
+            with open(attempts, "a") as log:
+                log.write("attempt\n")
+            raise RuntimeError("injected point failure")
+        return run(engine)
+
+    # Patched before the pool forks: its workers inherit it.
+    monkeypatch.setattr(SequentialEngine, "run", failing_run)
+    with pytest.raises(SweepError, match=f"point {VICTIM} failed") as caught:
+        _sweep(jobs=2, max_retries=2)
+    assert "Traceback" in str(caught.value)
+    assert "RuntimeError: injected point failure" in str(caught.value)
+    assert attempts.read_text() == "attempt\n"
+    assert not multiprocessing.active_children()

@@ -14,10 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.jobs.spec import job_key, spec_to_dict
-from repro.serve import worker
-from repro.serve.queue import JobQueue
-from repro.serve.supervisor import Supervisor
-from repro.serve.worker import engine_progress, execute_assignment, worker_main
+from repro.jobs import worker
+from repro.jobs.queue import JobQueue
+from repro.jobs.supervisor import Supervisor
+from repro.jobs.worker import engine_progress, execute_assignment, worker_main
 
 from tests.serve.conftest import tiny_spec
 
@@ -103,6 +103,7 @@ def test_beats_are_atomic_under_concurrent_reads(cache_root, fast_beats):
                 msg = conn.recv()
                 assert isinstance(msg, tuple) and msg[1] == key
                 if msg[0] == "done":
+                    assert msg[2]["completed"]  # the verdict carries the record
                     break
                 kind, _, progress = msg
                 assert kind == "beat"
@@ -124,16 +125,17 @@ def test_reader_tolerates_absent_and_garbage(tmp_path):
     """The beat reader is ``Supervisor._harvest``: a beat for an assignment
     the handle no longer holds (superseded key) is ignored, so is an empty
     marker; only a moving, non-empty marker of the current key is folded."""
-    sup = Supervisor(JobQueue(tmp_path / "q.sqlite"), tmp_path / "serve", workers=0)
+    sup = Supervisor(JobQueue(tmp_path / "q.sqlite"), tmp_path / "serve", workers=1)
+    sup.stop()  # the reader under test is fed by hand, not by a worker
     ours, theirs = multiprocessing.Pipe()
     handle = SimpleNamespace(
         conn=ours, key="current", lease_id="L", last_progress=None, last_change=1.0
     )
-    sup.handles.append(handle)
+    sup.handles = [handle]
 
     theirs.send(("beat", "superseded", [9, 9, 9]))
     theirs.send(("beat", "current", []))  # "no reading" is not life
-    sup._harvest(now=5.0)
+    assert sup._harvest(now=5.0) == []
     assert (handle.last_progress, handle.last_change) == (None, 1.0)
 
     theirs.send(("beat", "current", [4, 10, 40]))
@@ -141,9 +143,9 @@ def test_reader_tolerates_absent_and_garbage(tmp_path):
     assert (handle.last_progress, handle.last_change) == ([4, 10, 40], 6.0)
 
     theirs.send(("beat", "current", [4, 10, 40]))  # alive, but not moving
-    sup._harvest(now=7.0)
+    assert sup._harvest(now=7.0) == []  # a beat is never a verdict
     assert handle.last_change == 6.0
-    assert handle.key == "current"  # a beat is never a verdict
+    assert handle.key == "current"
 
 
 # ---------------------------------------------------------------- hang rule

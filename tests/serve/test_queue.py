@@ -6,7 +6,7 @@ tested deterministically, no sleeps."""
 
 import pytest
 
-from repro.serve.queue import JobQueue, QueueError, STATES, TERMINAL
+from repro.jobs.queue import JobQueue, QueueError, STATES, TERMINAL
 
 
 @pytest.fixture()

@@ -19,7 +19,7 @@ fully deterministic and shrinkable."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.serve.queue import JobQueue, QueueError, TERMINAL
+from repro.jobs.queue import JobQueue, QueueError, TERMINAL
 
 KEYS = ("job-a", "job-b", "job-c")
 MAX_RETRIES = 2

@@ -65,8 +65,8 @@ def test_sigkilled_worker_retries_to_identical_result(daemon, tmp_path):
     daemon.start(
         "--workers", "2",
         env={
-            "REPRO_SERVE_CRASH_KEY": key[:12],
-            "REPRO_SERVE_CRASH_ONCE": str(marker),
+            "REPRO_WORKER_CRASH_KEY": key[:12],
+            "REPRO_WORKER_CRASH_ONCE": str(marker),
         },
     )
     client = daemon.client()
@@ -92,7 +92,7 @@ def test_poison_job_dead_letters_without_stalling_others(daemon):
     daemon.start(
         "--workers", "2",
         "--max-retries", "1",
-        env={"REPRO_SERVE_CRASH_KEY": job_key(poison)[:12]},
+        env={"REPRO_WORKER_CRASH_KEY": job_key(poison)[:12]},
     )
     client = daemon.client()
     poison_key = client.submit(spec_to_dict(poison))["job_key"]
@@ -153,7 +153,7 @@ def test_queue_full_backpressure_is_explicit(daemon):
         "--max-retries", "8",
         # The blocker crashes its worker every attempt, so it cycles
         # through backoff requeues and holds the queue at depth 1.
-        env={"REPRO_SERVE_CRASH_KEY": job_key(blocker)[:12]},
+        env={"REPRO_WORKER_CRASH_KEY": job_key(blocker)[:12]},
     )
     client = daemon.client()
     client.submit(spec_to_dict(blocker))
@@ -187,7 +187,7 @@ def test_sigterm_drains_gracefully(daemon):
     daemon.sigterm()
     assert daemon.wait(timeout=120) == 0
     # The daemon is gone but its durable state answers for it.
-    from repro.serve.queue import JobQueue
+    from repro.jobs.queue import JobQueue
 
     queue = JobQueue(daemon.serve_dir / "queue.sqlite")
     try:

@@ -209,6 +209,7 @@ def test_run_requires_known_workload(capsys):
     ["sweep", "figure8", "--scale", "huge"],
     ["sweep", "figure8", "--trace"],  # replay is a tool (run --replay-trace), not a sweep policy
     ["sweep"],  # the experiment is required: no legacy single-workload form
+    ["serve", "--workers", "0"],  # a pool that can run nothing is refused
 ], ids=" ".join)
 def test_bad_argument_value_is_a_usage_error(argv, capsys):
     """Exit code 2 and one ``error:`` line — argparse's for the flags with

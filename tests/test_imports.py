@@ -38,14 +38,17 @@ from repro.jobs import JobSpec, execute
 spec = JobSpec.build("fft", "tiny", scheme="s9", host_cores=2)
 assert not execute(spec, store=None).hit
 assert len(resolve([spec])) == 1
+pooled = [JobSpec.build("fft", "tiny", scheme=s, host_cores=2) for s in ("cc", "su")]
+assert len(resolve(pooled, jobs=2)) == 2
 leaked = sorted(m for m in sys.modules if m == "repro.serve" or m.startswith("repro.serve."))
 assert not leaked, leaked
 """
 
 
 def test_running_a_job_never_imports_the_serve_package(tmp_path):
-    """The engine, the executor and the sweep resolver know nothing of who
-    launched or watches them: the serve layer sits on top, not underneath."""
+    """The engine, the executor and the sweep resolver — serial or on the
+    worker pool — know nothing of who launched or watches them: the serve
+    layer sits on top, not underneath."""
     done = subprocess.run(
         [sys.executable, "-c", _LAYERING_PROBE],
         capture_output=True, text=True, cwd=str(SRC), timeout=120,
