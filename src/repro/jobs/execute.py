@@ -20,7 +20,7 @@ The engine a miss builds lives and dies inside ``execute``: the caller gets
 the record, never the engine graph.  An engine owns no reference cycle, so
 it — target image included — is freed the moment ``execute`` returns; no
 module calls the garbage collector.  Whoever needs to look at a run while it
-is in flight (the serve worker's progress beat, DESIGN.md §13) passes
+is in flight (the pool worker's progress beat, DESIGN.md §13) passes
 ``watch=``, which is called once with the freshly built engine.
 """
 
