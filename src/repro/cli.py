@@ -8,8 +8,8 @@ Subcommands::
     slacksim run --workload fft --scheme s9 --replay-trace fft.trace
     slacksim compile program.sl [--run]
     slacksim figure2
-    slacksim figure8 | table2 | table3 [--jobs 8]     (the paper's tables)
-    slacksim sweep figure8 --jobs 4 --out figure8.json (any experiment, as JSON)
+    slacksim figure8 | table3 | ablations ... [--jobs 8] (any experiment, rendered)
+    slacksim sweep figure8 --jobs 4 --out figure8.json   (any experiment, as JSON)
     slacksim bench --workload fft --profile
     slacksim stats show run.stats.json
     slacksim stats diff a.stats.json b.stats.json
@@ -20,10 +20,12 @@ Subcommands::
     slacksim jobs ls | info <key> | retry <key> | cancel <key> | status | drain
     slacksim schemes
 
-``run``, ``sweep``, ``bench`` and the figure/table commands all resolve
+``run``, ``sweep``, ``bench`` and the experiment commands all resolve
 through the content-addressed job layer (DESIGN.md §12): a request whose
 sealed record already sits in the cache root's ``results/`` section is
 served from the store without simulating, byte-identically to a fresh run.
+An experiment command (and ``figure2``) prints its render, then one ``claim
+<name>: holds|FAILS (<numbers>)`` line per claim to stderr; a failure exits 1.
 """
 
 from __future__ import annotations
@@ -213,29 +215,46 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show(value) -> str:
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{key}: {_show(item)}" for key, item in value.items()) + "}"
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def _check_claims(claims: dict, document) -> int:
+    """One stderr line per claim of a ``claim_table`` on *document*; 1 if any
+    fails, else 0."""
+    failed = 0
+    for name, (numbers, test) in claims.items():
+        values = numbers(document)
+        holds = bool(test(values))
+        state = "holds" if holds else "FAILS"
+        print(f"claim {name}: {state} ({_show(values)[1:-1]})", file=sys.stderr)
+        failed |= not holds
+    return failed
+
+
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    from repro.experiments import render_figure2, run_figure2
+    from repro.experiments.figure2 import CLAIMS, render_figure2, run_figure2
 
     # Four scripted cores: no workload, no jobs, nothing to sweep.
-    print(render_figure2(run_figure2()))
-    return 0
+    traces = run_figure2()
+    print(render_figure2(traces))
+    return _check_claims(CLAIMS, traces)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    """``sweep <name>`` (the JSON document) and ``figure8 | table2 | table3``
-    (that document rendered as the paper's table): one sweep either way."""
-    from repro import experiments
-    from repro.experiments.parallel import run_sweep, sweep_to_json
+    """``sweep <name>`` (the JSON document) and ``<name>`` (that document
+    rendered as the paper's table, then its claims): one sweep either way."""
+    from repro.experiments.parallel import experiment_entry, run_sweep, sweep_to_json
 
+    entry = experiment_entry(args.experiment)
     telemetry: dict = {}
     payload = run_sweep(
         args.experiment, jobs=args.jobs, scale=args.scale, base_seed=args.seed,
         max_retries=args.max_retries, telemetry=telemetry,
     )
-    if args.command == "sweep":
-        text = sweep_to_json(payload)
-    else:
-        text = getattr(experiments, f"render_{args.experiment}")(payload) + "\n"
+    text = sweep_to_json(payload) if args.command == "sweep" else entry.render(payload) + "\n"
     # Telemetry goes to stderr: how points were served (store hit vs run)
     # must never leak into the byte-stable sweep document.
     print(
@@ -248,7 +267,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"{args.experiment}: {len(payload['points'])} points -> {args.out}")
     else:
         print(text, end="")
-    return 0
+    return 0 if args.command == "sweep" else _check_claims(entry.claims, payload)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -598,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--run", action="store_true", help="run functionally after compiling")
     comp.set_defaults(func=_cmd_compile)
 
-    fig2 = sub.add_parser("figure2", help="regenerate scheme anatomy (paper Figure 2)")
+    fig2 = sub.add_parser("figure2", help="regenerate paper Figure 2 and check its claims")
     fig2.add_argument("--scale", choices=_SCALES, help="ignored: the cores are scripted")
     fig2.set_defaults(func=_cmd_figure2)
 
@@ -615,12 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
         exp.set_defaults(func=_cmd_experiment)
         return exp
 
-    for name, help_text in (
-        ("figure8", "speedup grid (paper Figure 8)"),
-        ("table2", "benchmarks + baseline KIPS (paper Table 2)"),
-        ("table3", "slack errors (paper Table 3)"),
-    ):
-        experiment_parser(name, f"regenerate {help_text}").set_defaults(experiment=name)
+    for name in SWEEP_EXPERIMENTS:
+        experiment_parser(name, f"regenerate {name} and check its claims").set_defaults(
+            experiment=name
+        )
     names = " | ".join(SWEEP_EXPERIMENTS)
     experiment_parser("sweep", f"experiment sweep as JSON ({names})").add_argument(
         "experiment", help=names

@@ -14,18 +14,24 @@
   traffic-adaptive quantum against the fixed critical-latency quantum.
 
 The grids are entries of :mod:`repro.experiments.parallel`'s table; what is
-here reads their sweep documents.
+here reads their sweep documents: a render and a claim table per study.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
+from functools import partial
 
+from repro.experiments.common import claim_table
 from repro.stats.tables import Table
 
 __all__ = [
-    "ADAPTIVE_QUANTA", "coremodel_orderings", "fastforward_report", "render_sweep", "sweep_rows",
+    "ADAPTIVE_QUANTA", "ADAPTIVE_QUANTUM_CLAIMS", "COREMODEL_CLAIMS", "CRITICAL_LATENCY_CLAIMS",
+    "FASTFORWARD_CLAIMS", "SLACK_SWEEP_CLAIMS", "coremodel_orderings", "fastforward_report",
+    "render_ablations", "render_adaptive_quantum", "render_coremodel", "render_critical_latency",
+    "render_fastforward", "render_sweep", "sweep_rows",
 ]
 
 #: A5's configurations in report order: the fixed critical-latency quantum,
@@ -57,7 +63,9 @@ def sweep_rows(document: dict, schemes: tuple[str, ...] | None = None) -> list[d
 
 
 def render_sweep(title: str, document: dict, schemes: tuple[str, ...] | None = None) -> str:
-    table = Table(title, ["config", "speedup", "error", "violations"])
+    """*title* (plus the swept workload) over the :func:`sweep_rows` table."""
+    workload = next(iter(document["points"].values()))["spec"]["workload"]
+    table = Table(f"{title} ({workload})", ["config", "speedup", "error", "violations"])
     for row in sweep_rows(document, schemes):
         table.add_row(
             row["scheme"], row["speedup"], f"{row['error'] * 100:.2f}%", row["violations"]
@@ -97,3 +105,75 @@ def coremodel_orderings(document: dict) -> dict:
         }
         for workload, by_model in times.items()
     }
+
+
+render_ablations = partial(render_sweep, "A1: bounded-slack sweep")
+render_critical_latency = partial(render_sweep, "A2: oldest-first slack vs critical latency")
+render_adaptive_quantum = partial(
+    render_sweep, "A5: adaptive quantum vs fixed q10", schemes=ADAPTIVE_QUANTA
+)
+
+
+def render_fastforward(document: dict) -> str:
+    return json.dumps(fastforward_report(document), indent=2)
+
+
+def render_coremodel(document: dict) -> str:
+    """One block per workload: its :func:`coremodel_orderings` entry as JSON."""
+    return "\n".join(
+        f"{workload}\n{json.dumps(orderings, indent=2)}"
+        for workload, orderings in coremodel_orderings(document).items()
+    )
+
+
+def _rows(field: str, schemes: tuple[str, ...] | None = None):
+    """Numbers: ``{scheme: field}`` of :func:`sweep_rows` (tightest bound first)."""
+    return lambda document: {row["scheme"]: row[field] for row in sweep_rows(document, schemes)}
+
+
+def _ends_of_sweep(field: str):
+    """Numbers: *field* of the tightest bound, the widest bound and su."""
+
+    def numbers(document: dict) -> dict:
+        rows = sweep_rows(document)
+        return dict(zip(("tightest", "widest", "su"), (r[field] for r in rows[:1] + rows[-2:])))
+
+    return numbers
+
+
+#: A1: speed and violations grow with the slack bound.
+SLACK_SWEEP_CLAIMS = claim_table("ablations", {
+    "speed_grows_with_slack": (_ends_of_sweep("speedup"), lambda n: n["su"] >= n["tightest"]),
+    "speed_spans_a_tradeoff": (_rows("speedup"), lambda n: max(n.values()) / min(n.values()) > 1.2),
+    "violations_grow_with_slack": (
+        _ends_of_sweep("violations"), lambda n: n["tightest"] <= min(n["widest"], n["su"])
+    ),
+})
+#: A2 (§3.1): oldest-first slack under the critical latency (10 cycles, an
+#: unloaded L2 access) never reorders.
+CRITICAL_LATENCY_CLAIMS = claim_table("critical_latency", {
+    "exact_below_critical_latency": (
+        _rows("violations"), lambda n: not any(v for s, v in n.items() if _slack_bound(s) < 10)
+    ),
+})
+#: A3: fast-forwarding keeps the error at most max(5 %, 3x the error without it).
+FASTFORWARD_CLAIMS = claim_table("fastforward", {
+    "error_stays_in_regime": (
+        lambda d: {arm: fastforward_report(d)[arm]["error"] for arm in ("on", "off")},
+        lambda n: n["on"] <= max(0.05, n["off"] * 3),
+    ),
+})
+#: A4: the ends of each speed ordering (slowest first) under either core model.
+COREMODEL_CLAIMS = claim_table("coremodel", {
+    "cc_slowest_under_both_models": (
+        coremodel_orderings, lambda n: all(o[0] == "cc" for m in n.values() for o in m.values())
+    ),
+    "su_fastest_under_both_models": (
+        coremodel_orderings, lambda n: all(o[-1] == "su" for m in n.values() for o in m.values())
+    ),
+})
+#: A5: faster than q10 at an error under 10 % (related work: under 5 %).
+ADAPTIVE_QUANTUM_CLAIMS = claim_table("adaptive_quantum", {
+    "aq_beats_q10": (_rows("speedup", ("q10", "aq10-160")), lambda n: n["aq10-160"] > n["q10"]),
+    "aq_error_bounded": (_rows("error", ("aq10-160",)), lambda n: n["aq10-160"] < 0.10),
+})

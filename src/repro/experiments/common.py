@@ -4,13 +4,15 @@ default scale, and the two derived quantities every experiment reports.
 An experiment is a grid of :class:`repro.jobs.JobSpec`, one call to
 :func:`repro.experiments.parallel.resolve` that turns it into point
 documents (the result store is the only memo: a sealed record is a lookup,
-anything else simulates once), and a render over :func:`speedup` /
-:func:`error` of those documents.
+anything else simulates once), a render over :func:`speedup` /
+:func:`error` of those documents, and the paper's claims on them
+(:func:`claim_table`).
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 
 from repro.workloads.registry import BENCHMARKS
 
@@ -18,6 +20,7 @@ __all__ = [
     "SCHEMES",
     "HOST_COUNTS",
     "BENCHMARKS",
+    "claim_table",
     "default_scale",
     "error",
     "speedup",
@@ -45,3 +48,10 @@ def error(gold: dict, doc: dict) -> float:
     """Relative execution-time error of point *doc* against the cc run *gold*
     (Table 3)."""
     return abs(doc["execution_cycles"] - gold["execution_cycles"]) / gold["execution_cycles"]
+
+
+def claim_table(experiment: str, claims: dict[str, tuple[Callable, Callable]]) -> dict:
+    """One experiment's claims as ``{"<experiment>.<name>": (numbers, test)}``:
+    *numbers* maps the experiment's document to the values a claim compares
+    (a dict), *test* says whether those values bear the claim out."""
+    return {f"{experiment}.{name}": claim for name, claim in claims.items()}

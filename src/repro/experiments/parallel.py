@@ -1,14 +1,15 @@
 """Process-parallel experiment sweeps with deterministic merging.
 
 An experiment is an entry of the grid table (``_EXPERIMENTS``: its points,
-its seed rule, its derived metrics), the document :func:`run_sweep` makes of
-it, and a ``render_*(document)`` in the module named after the table or
-figure.  Every grid is embarrassingly parallel: each (workload, scheme,
-host-core-count) point is an independent simulation.  This module shards
-those points over the job layer's supervised worker pool
-(:mod:`repro.jobs.supervisor`, the one the serve daemon runs) and merges the
-per-point results into one JSON document that is **byte-identical whatever
-the job count** (``--jobs 1`` serial in-process vs ``--jobs N``):
+its seed rule, its derived metrics, its render and its claims), and the
+document :func:`run_sweep` makes of it; the render and the claims live in
+the module named after the table or figure.  Every grid is embarrassingly
+parallel: each (workload, scheme, host-core-count) point is an independent
+simulation.  This module shards those points over the job layer's
+supervised worker pool (:mod:`repro.jobs.supervisor`, the one the serve
+daemon runs) and merges the per-point results into one JSON document that
+is **byte-identical whatever the job count** (``--jobs 1`` serial
+in-process vs ``--jobs N``):
 
 * the point list is built up front by the same code on both paths, its seeds
   fixed by the grid table — *derived* (SHA-256) from the base seed and the
@@ -46,7 +47,12 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from repro._util import sha256_hex
-from repro.experiments.ablations import ADAPTIVE_QUANTA
+from repro.experiments import figure8, table2, table3
+from repro.experiments.ablations import (
+    ADAPTIVE_QUANTA, ADAPTIVE_QUANTUM_CLAIMS, COREMODEL_CLAIMS, CRITICAL_LATENCY_CLAIMS,
+    FASTFORWARD_CLAIMS, SLACK_SWEEP_CLAIMS, render_ablations, render_adaptive_quantum,
+    render_coremodel, render_critical_latency, render_fastforward,
+)
 from repro.experiments.common import (
     BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale, error, speedup,
 )
@@ -57,6 +63,7 @@ __all__ = [
     "SWEEP_EXPERIMENTS",
     "SweepError",
     "build_points",
+    "experiment_entry",
     "derive_seed",
     "point_document",
     "point_key",
@@ -222,22 +229,44 @@ class _Experiment(NamedTuple):
     #: The cross-point metrics :func:`_derive_metrics` reports.
     speedup: bool
     error: bool
+    #: The document as the paper's table or figure (``repro <name>``).
+    render: Callable[[dict], str]
+    #: What the paper claims about the document (a ``claim_table``), checked
+    #: after each render.
+    claims: dict
 
 
-#: Every experiment there is (DESIGN.md §4): its grid, its seed rule and
-#: which derived metrics its document carries.
+#: Every experiment there is (DESIGN.md §4): its grid, its seed rule, which
+#: derived metrics its document carries, its render and its claims.
 _EXPERIMENTS = {
-    "figure8": _Experiment(_figure8_grid, True, speedup=True, error=False),
-    "table2": _Experiment(_table2_grid, False, speedup=False, error=False),
-    "table3": _Experiment(_table3_grid, True, speedup=False, error=True),
-    "ablations": _Experiment(_slack_sweep_grid, True, speedup=True, error=True),
-    "critical_latency": _Experiment(_critical_latency_grid, False, speedup=True, error=True),
-    "fastforward": _Experiment(_fastforward_grid, False, speedup=False, error=True),
-    "coremodel": _Experiment(_coremodel_grid, False, speedup=False, error=False),
-    "adaptive_quantum": _Experiment(_adaptive_quantum_grid, False, speedup=True, error=True),
+    "figure8": _Experiment(_figure8_grid, True, speedup=True, error=False,
+                           render=figure8.render_figure8, claims=figure8.CLAIMS),
+    "table2": _Experiment(_table2_grid, False, speedup=False, error=False,
+                          render=table2.render_table2, claims=table2.CLAIMS),
+    "table3": _Experiment(_table3_grid, True, speedup=False, error=True,
+                          render=table3.render_table3, claims=table3.CLAIMS),
+    "ablations": _Experiment(_slack_sweep_grid, True, speedup=True, error=True,
+                             render=render_ablations, claims=SLACK_SWEEP_CLAIMS),
+    "critical_latency": _Experiment(_critical_latency_grid, False, speedup=True, error=True,
+                                    render=render_critical_latency, claims=CRITICAL_LATENCY_CLAIMS),
+    "fastforward": _Experiment(_fastforward_grid, False, speedup=False, error=True,
+                               render=render_fastforward, claims=FASTFORWARD_CLAIMS),
+    "coremodel": _Experiment(_coremodel_grid, False, speedup=False, error=False,
+                             render=render_coremodel, claims=COREMODEL_CLAIMS),
+    "adaptive_quantum": _Experiment(_adaptive_quantum_grid, False, speedup=True, error=True,
+                                    render=render_adaptive_quantum, claims=ADAPTIVE_QUANTUM_CLAIMS),
 }
 
 SWEEP_EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def experiment_entry(name: str) -> _Experiment:
+    """The table entry of experiment *name* (``ValueError`` if unknown)."""
+    if name not in _EXPERIMENTS:
+        raise ValueError(
+            f"unknown sweep experiment {name!r} (expected one of {SWEEP_EXPERIMENTS})"
+        )
+    return _EXPERIMENTS[name]
 
 
 def build_points(experiment: str, scale: str, base_seed: int, **kwargs) -> list[JobSpec]:
@@ -247,11 +276,7 @@ def build_points(experiment: str, scale: str, base_seed: int, **kwargs) -> list[
     ``host_counts=(2, 8)`` for a cheaper Figure 8, ``workload=``/``slacks=``
     for the slack sweeps).
     """
-    if experiment not in _EXPERIMENTS:
-        raise ValueError(
-            f"unknown sweep experiment {experiment!r} (expected one of {SWEEP_EXPERIMENTS})"
-        )
-    entry = _EXPERIMENTS[experiment]
+    entry = experiment_entry(experiment)
     return [
         JobSpec(
             scale=scale,

@@ -9,10 +9,11 @@ LU 114.4, Water-Nsquared 127.1 KIPS.
 
 from __future__ import annotations
 
+from repro.experiments.common import claim_table
 from repro.stats.tables import Table
 from repro.workloads.registry import make_workload
 
-__all__ = ["PAPER_TABLE2_KIPS", "render_table2"]
+__all__ = ["CLAIMS", "PAPER_TABLE2_KIPS", "render_table2"]
 
 #: The paper's Table 2 KIPS values (for EXPERIMENTS.md comparison).
 PAPER_TABLE2_KIPS = {"barnes": 111.3, "fft": 120.5, "lu": 114.4, "water": 127.1}
@@ -43,3 +44,18 @@ def render_table2(document: dict) -> str:
             PAPER_TABLE2_KIPS[name],
         )
     return table.render()
+
+
+def _of(field: str):
+    """Numbers: ``{benchmark: field}`` of the baseline points."""
+    return lambda document: {
+        point["spec"]["workload"]: point[field] for point in document["points"].values()
+    }
+
+
+#: A ``table2`` document's baselines run real programs at the paper's order
+#: of magnitude (111-127 KIPS).
+CLAIMS = claim_table("table2", {
+    "kips_in_paper_magnitude": (_of("kips"), lambda n: all(30 < v < 500 for v in n.values())),
+    "baselines_run_real_programs": (_of("instructions"), lambda n: min(n.values()) > 1000),
+})

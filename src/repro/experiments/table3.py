@@ -14,14 +14,17 @@ Water-Nsquared   0.01%   0.12%   5.11%
 The gold standard is the cycle-by-cycle run ("always accurate", §3.2).
 Conservative schemes (q10/l10/s9*) are included as extra columns — the paper
 argues they are exact; in this reproduction they carry a small residual
-error from synchronization-API emulation ordering (see EXPERIMENTS.md).
+error from synchronization-API emulation ordering (see EXPERIMENTS.md).  The
+error ceilings in :data:`CLAIMS` are looser than the paper's values: at our
+small inputs synchronization is far denser per instruction than at 100M.
 """
 
 from __future__ import annotations
 
+from repro.experiments.common import claim_table
 from repro.stats.tables import Table
 
-__all__ = ["PAPER_TABLE3", "render_table3"]
+__all__ = ["CLAIMS", "PAPER_TABLE3", "render_table3"]
 
 #: Paper's Table 3 (fractions, not percent).
 PAPER_TABLE3 = {
@@ -74,3 +77,33 @@ def render_table3(document: dict) -> str:
             ),
         )
     return table.render() + "\n\n" + extra.render()
+
+
+def _column(document: dict, scheme: str, field: str = "error") -> dict:
+    """``{benchmark: field}`` of *scheme*'s points; ``"error"`` is the derived
+    error against cc."""
+    errors = document["derived"]["error_vs_cc"]
+    return {
+        point["spec"]["workload"]: errors[key] if field == "error" else point[field]
+        for key, point in document["points"].items()
+        if point["spec"]["scheme"] == scheme
+    }
+
+
+#: The reproduced shape on a ``table3`` document, on every benchmark: the
+#: error grows with the slack bound (within two points), s9 stays under 6 %
+#: and su under 35 %, and the conservative schemes never reorder memory.
+CLAIMS = claim_table("table3", {
+    "error_grows_with_slack": (
+        lambda d: {scheme: _column(d, scheme) for scheme in ERROR_SCHEMES},
+        lambda n: all(
+            n["s9"][b] <= n["s100"][b] + 0.02 and n["s100"][b] <= n["su"][b] + 0.02 for b in n["s9"]
+        ),
+    ),
+    "s9_error_small": (lambda d: _column(d, "s9"), lambda n: max(n.values()) < 0.06),
+    "su_error_moderate": (lambda d: _column(d, "su"), lambda n: max(n.values()) < 0.35),
+    "conservative_order_exact": (
+        lambda d: {scheme: _column(d, scheme, "violations") for scheme in CONSERVATIVE_SCHEMES},
+        lambda n: not any(count for column in n.values() for count in column.values()),
+    ),
+})

@@ -1,20 +1,36 @@
-"""Experiment-harness shape tests: the DESIGN.md acceptance criteria at tiny
-scale.  These are the executable paper-vs-measured checks."""
+"""The paper's claims at tiny scale: every claim holds on the tier-1 documents,
+a perturbed document fails it, and the render commands report them."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import BENCHMARKS, SCHEMES, run_figure2
-from repro.experiments.ablations import coremodel_orderings, fastforward_report, sweep_rows
-from repro.experiments.figure8 import harmonic_means, panels, render_figure8
-from repro.experiments.parallel import run_sweep
-from repro.experiments.table2 import render_table2
-from repro.experiments.table3 import render_table3
+from repro.cli import main
+from repro.experiments import figure2, table3
+from repro.experiments.ablations import fastforward_report, sweep_rows
+from repro.experiments.common import BENCHMARKS, SCHEMES
+from repro.experiments.figure8 import panels, render_figure8
+from repro.experiments.parallel import experiment_entry, run_sweep
 
 SCALE = "tiny"
+REPORTS = Path(__file__).resolve().parents[2] / "reports"
+
+#: The tier-1 grid of each experiment: the default (committed-report) grid,
+#: or a cheaper subset of it.
+GRIDS = {
+    "table2": {},
+    "figure8": {"host_counts": (2, 8)},
+    "table3": {},
+    "ablations": {"slacks": (1, 9, 100)},
+    "critical_latency": {"slacks": (5, 9, 60)},
+    "fastforward": {"workload": "lu", "scheme": "s9"},
+    "coremodel": {"benchmarks": ("fft",), "schemes": ("cc", "q10", "su")},
+    "adaptive_quantum": {},
+}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -26,169 +42,195 @@ def shared_store(tmp_path_factory):
         yield
 
 
+@pytest.fixture(scope="module")
+def documents(shared_store):
+    """Every experiment's tier-1 document, and Figure 2's traces."""
+    docs = {name: run_sweep(name, scale=SCALE, **grid) for name, grid in GRIDS.items()}
+    docs["figure2"] = figure2.run_figure2()
+    return docs
+
+
+#: ``(render, claims)`` of every experiment, Figure 2 included.
+REPORTING = {
+    **{name: (experiment_entry(name).render, experiment_entry(name).claims) for name in GRIDS},
+    "figure2": (figure2.render_figure2, figure2.CLAIMS),
+}
+
+
+def _claim(name: str):
+    """``(experiment, numbers, test)`` of claim *name*."""
+    experiment = name.split(".")[0]
+    return (experiment, *REPORTING[experiment][1][name])
+
+
+#: Every claim some test below checks.
+CHECKED: set = set()
+
+
+def _holds(*claims: str):
+    """A test that *claims* hold on the tier-1 documents: each former
+    hand-written test below now names the claims its assertions became."""
+    CHECKED.update(claims)
+
+    def test(self, documents):
+        for claim in claims:
+            experiment, numbers, holds = _claim(claim)
+            assert holds(values := numbers(documents[experiment])), (claim, values)
+
+    return test
+
+
+def _renders_report(name: str):
+    """A test that *name*'s tier-1 document renders its committed report."""
+
+    def test(self, documents):
+        render = REPORTING[name][0]
+        assert render(documents[name]) + "\n" == (REPORTS / f"{name}.txt").read_text()
+
+    return test
+
+
 class TestTable2:
-    @pytest.fixture(scope="class")
-    def document(self):
-        return run_sweep("table2", scale=SCALE)
-
-    def test_kips_in_paper_magnitude(self, document):
-        assert sorted(document["points"]) == [f"{bench}/cc/h1" for bench in BENCHMARKS]
-        for key, point in document["points"].items():
-            # Same order of magnitude as the paper's 111-127 KIPS.
-            assert 30 < point["kips"] < 500, key
-            assert point["instructions"] > 1000
-
-    def test_render(self, document):
-        text = render_table2(document)
-        assert "KIPS" in text and "barnes" in text
+    test_kips_in_paper_magnitude = _holds(
+        "table2.kips_in_paper_magnitude", "table2.baselines_run_real_programs"
+    )
+    test_render = _renders_report("table2")
 
 
 class TestFigure8:
-    @pytest.fixture(scope="class")
-    def document(self):
-        return run_sweep("figure8", scale=SCALE, host_counts=(2, 8))
+    test_speedup_improves_with_host_cores = _holds(
+        "figure8.speedup_grows_with_hosts", "figure8.no_benchmark_slows_with_hosts"
+    )
+    test_cc_is_slowest = _holds("figure8.cc_is_slowest")
+    test_cc_scales_poorly = _holds("figure8.cc_scales_badly", "figure8.cc_far_below_s9")
+    test_slack_schemes_clear_paper_floor = _holds("figure8.slack_schemes_clear_3_3x")
+    test_scheme_ordering_at_8_hosts = _holds(
+        "figure8.su_near_best", "figure8.s100_beats_s9_and_q10", "figure8.s9_beats_q10",
+        "figure8.l10_at_least_q10",
+    )
+    test_s9_star_close_to_s9 = _holds("figure8.s9_star_close_to_s9")
 
-    @pytest.fixture(scope="class")
-    def speedup(self, document):
-        return panels(document)
-
-    @pytest.fixture(scope="class")
-    def hmean(self, speedup):
-        return harmonic_means(speedup)
-
-    def test_speedup_improves_with_host_cores(self, speedup):
-        assert tuple(speedup) == BENCHMARKS
-        for bench, rows in speedup.items():
-            assert tuple(rows) == SCHEMES
-            for scheme, by_hosts in rows.items():
-                assert by_hosts[8] >= by_hosts[2] * 0.9, (bench, scheme)
-
-    def test_cc_is_slowest(self, speedup):
-        for bench, rows in speedup.items():
-            for scheme in rows:
-                if scheme != "cc":
-                    assert rows[scheme][8] > rows["cc"][8], (bench, scheme)
-
-    def test_cc_scales_poorly(self, hmean):
-        for h in (2, 8):
-            assert hmean["cc"][h] < 3.5
-
-    def test_slack_schemes_clear_paper_floor(self, hmean):
-        """Paper: 'Even when simulation threads are limited to run on 2 host
-        cores, their speedups are at least 3.3'."""
-        for scheme in ("q10", "l10", "s9", "s9*", "s100", "su"):
-            assert hmean[scheme][2] >= 3.3, scheme
-
-    def test_scheme_ordering_at_8_hosts(self, hmean):
-        h = hmean
-        assert h["su"][8] >= h["s9"][8] * 0.9
-        assert h["s100"][8] >= h["s9"][8] * 0.95
-        assert h["s9"][8] > h["q10"][8]
-        assert h["l10"][8] >= h["q10"][8]
-
-    def test_s9_star_close_to_s9(self, hmean):
-        """Paper: 'The speedup of S9* is almost the same as the speedup of
-        S9'."""
-        ratio = hmean["s9*"][8] / hmean["s9"][8]
-        assert 0.85 < ratio < 1.15
-
-    def test_render(self, document):
-        text = render_figure8(document)
+    def test_render(self, documents):
+        text = render_figure8(documents["figure8"])
         assert "Figure 8(e)" in text and "harmonic" in text
 
 
 class TestTable3:
-    @pytest.fixture(scope="class")
-    def document(self):
-        return run_sweep("table3", scale=SCALE)
-
-    @pytest.fixture(scope="class")
-    def errors(self, document):
-        """errors[benchmark][scheme] off the document's derived metrics."""
-        flat = document["derived"]["error_vs_cc"]
-        return {
-            bench: {scheme: flat[f"{bench}/{scheme}/h8"] for scheme in ("s9", "s100", "su")}
-            for bench in BENCHMARKS
-        }
-
-    def test_errors_grow_with_slack(self, errors):
-        for row in errors.values():
-            assert row["s9"] <= row["s100"] + 0.02
-            assert row["s100"] <= row["su"] + 0.02
-
-    def test_s9_errors_are_small(self, errors):
-        for bench, row in errors.items():
-            assert row["s9"] < 0.06, bench
-
-    def test_su_errors_are_moderate(self, errors):
-        """Paper: even unbounded slack stays below ~6%; allow headroom for
-        our much smaller inputs (higher sync density)."""
-        for bench, row in errors.items():
-            assert row["su"] < 0.35, bench
-
-    def test_conservative_schemes_have_no_order_violations(self, document):
-        for bench in BENCHMARKS:
-            assert document["points"][f"{bench}/su/h8"]["violations"] >= 0
-        # (simulation/system violations for conservative schemes are asserted
-        # at engine level in tests/core/test_engine.py)
-
-    def test_render(self, document):
-        text = render_table3(document)
-        assert "S100" in text and "%" in text
+    test_errors_grow_with_slack = _holds("table3.error_grows_with_slack")
+    test_s9_errors_are_small = _holds("table3.s9_error_small")
+    test_su_errors_are_moderate = _holds("table3.su_error_moderate")
+    test_conservative_schemes_have_no_order_violations = _holds("table3.conservative_order_exact")
+    test_render = _renders_report("table3")
 
 
 class TestFigure2:
-    @pytest.fixture(scope="class")
-    def traces(self):
-        return run_figure2()
-
-    def test_cc_is_lockstep(self, traces):
-        cc = next(t for t in traces if t.scheme == "cc")
-        assert cc.max_slack_observed() <= 1
-
-    def test_quantum_and_bounded_respect_windows(self, traces):
-        q3 = next(t for t in traces if t.scheme == "q3")
-        s2 = next(t for t in traces if t.scheme == "s2")
-        assert q3.max_slack_observed() <= 3
-        assert s2.max_slack_observed() <= 2
-        assert s2.window_respected(2)
-
-    def test_unbounded_exceeds_small_windows(self, traces):
-        su = next(t for t in traces if t.scheme == "su")
-        assert su.max_slack_observed() > 3
-
-    def test_less_synchronization_is_faster(self, traces):
-        by_name = {t.scheme: t.final_host_time for t in traces}
-        assert by_name["cc"] > by_name["q3"] > by_name["su"]
+    test_cc_is_lockstep = _holds("figure2.cc_is_lockstep")
+    test_quantum_and_bounded_respect_windows = _holds(
+        "figure2.quantum_respects_its_window", "figure2.bounded_respects_its_window"
+    )
+    test_unbounded_exceeds_small_windows = _holds("figure2.unbounded_exceeds_small_windows")
+    test_less_synchronization_is_faster = _holds("figure2.less_sync_is_faster")
+    test_render = _renders_report("figure2")
 
 
 class TestAblations:
-    def test_slack_sweep_tradeoff(self):
-        rows = sweep_rows(run_sweep("ablations", slacks=(1, 9, 100), scale=SCALE))
-        assert [row["scheme"] for row in rows] == ["s1", "s9", "s100", "su"]
-        assert rows[-1]["speedup"] >= rows[0]["speedup"]          # su fastest
-        assert rows[0]["violations"] <= rows[-2]["violations"] + 5
+    test_slack_sweep_tradeoff = _holds(
+        "ablations.speed_grows_with_slack", "ablations.speed_spans_a_tradeoff",
+        "ablations.violations_grow_with_slack",
+    )
+    test_critical_latency_violation_onset = _holds("critical_latency.exact_below_critical_latency")
+    test_fastforward_reduces_nothing_when_no_races = _holds("fastforward.error_stays_in_regime")
+    test_coremodel_ordering_stable = _holds(
+        "coremodel.cc_slowest_under_both_models", "coremodel.su_fastest_under_both_models"
+    )
+    test_adaptive_quantum = _holds(
+        "adaptive_quantum.aq_beats_q10", "adaptive_quantum.aq_error_bounded"
+    )
+    test_adaptive_quantum_render = _renders_report("adaptive_quantum")
 
-    def test_critical_latency_violation_onset(self):
-        rows = sweep_rows(run_sweep("critical_latency", slacks=(5, 9, 60), scale=SCALE))
-        assert [row["scheme"] for row in rows] == ["s5*", "s9*", "s60*"]
-        for row in rows[:2]:  # below the critical latency (10)
-            assert row["violations"] == 0, row["scheme"]
 
-    def test_fastforward_reduces_nothing_when_no_races(self):
-        document = run_sweep("fastforward", workload="lu", scheme="s9", scale=SCALE)
-        result = fastforward_report(document)
-        assert (result["workload"], result["scheme"]) == ("lu", "s9")
-        assert result["on"]["fastforwards"] >= 0
+def test_tier1_documents_have_their_grid(documents):
+    assert sorted(documents["table2"]["points"]) == [f"{bench}/cc/h1" for bench in BENCHMARKS]
+    speedup = panels(documents["figure8"])
+    assert tuple(speedup) == BENCHMARKS
+    assert all(tuple(rows) == SCHEMES for rows in speedup.values())
+    for name, schemes in (("ablations", ["s1", "s9", "s100", "su"]),
+                          ("critical_latency", ["s5*", "s9*", "s60*"])):
+        assert [row["scheme"] for row in sweep_rows(documents[name])] == schemes
+    report = fastforward_report(documents["fastforward"])
+    assert (report["workload"], report["scheme"]) == ("lu", "s9")
 
-    def test_coremodel_ordering_stable(self):
-        document = run_sweep(
-            "coremodel", benchmarks=("fft",), schemes=("cc", "q10", "su"), scale=SCALE
-        )
-        orderings = coremodel_orderings(document)["fft"]
-        # cc slowest under both core models.
-        assert orderings["inorder"][0] == "cc"
-        assert orderings["ooo"][0] == "cc"
+
+# ------------------------------------------------------------- mutations
+def _set(where: str, key: str, rule):
+    """A mutation: a copy of the document whose point *key* has *where* (a
+    derived metric or a point field) set to ``rule({point key: where})``."""
+
+    def mutate(doc):
+        doc = copy.deepcopy(doc)
+        derived = doc["derived"].get(where)
+        values = derived or {name: point[where] for name, point in doc["points"].items()}
+        if derived:
+            derived[key] = rule(values)
+        else:
+            doc["points"][key][where] = rule(values)
+        return doc
+
+    return mutate
+
+
+def test_every_claim_is_checked():
+    assert {claim for _, claims in REPORTING.values() for claim in claims} == CHECKED
+
+
+#: Per experiment at least one claim, and a perturbed copy of the tier-1
+#: document that must fail it.
+MUTATIONS = {
+    "figure8.cc_is_slowest": _set("speedup_over_cc1", "fft/cc/h8", lambda v: v["fft/s9/h8"] + 1),
+    "table2.kips_in_paper_magnitude": _set("kips", "fft/cc/h1", lambda v: 500.0),
+    "table3.error_grows_with_slack":
+        _set("error_vs_cc", "fft/s9/h8", lambda v: v["fft/s100/h8"] + 0.021),
+    "table3.conservative_order_exact": _set("violations", "lu/s9*/h8", lambda v: 1),
+    "ablations.violations_grow_with_slack":
+        _set("violations", "fft/s1/h8", lambda v: v["fft/su/h8"] + 1),
+    "critical_latency.exact_below_critical_latency": _set("violations", "fft/s5*/h8", lambda v: 1),
+    "fastforward.error_stays_in_regime":
+        _set("error_vs_cc", "lu/s9/h8/ff", lambda v: max(0.05, 3 * v["lu/s9/h8"]) + 0.01),
+    "coremodel.cc_slowest_under_both_models":
+        _set("host_time", "fft/q10/h8/ooo", lambda v: 2 * v["fft/cc/h8/ooo"]),
+    "adaptive_quantum.aq_error_bounded": _set("error_vs_cc", "fft/aq10-160/h8", lambda v: 0.10),
+    "figure2.bounded_respects_its_window": lambda traces: [
+        dataclasses.replace(t, samples=t.samples + [(0.0, 0, [0, 3, 0, 0])]) if t.scheme == "s2"
+        else t
+        for t in traces
+    ],
+}
+
+
+@pytest.mark.parametrize("claim", MUTATIONS)
+def test_mutation_fails_its_claim(claim, documents):
+    """The claim holds on its tier-1 document and fails on the mutated copy."""
+    experiment, numbers, holds = _claim(claim)
+    assert holds(numbers(documents[experiment])), numbers(documents[experiment])
+    mutated = MUTATIONS[claim](documents[experiment])
+    assert not holds(numbers(mutated)), numbers(mutated)
+
+
+def test_render_command_reports_claims(tmp_path, capsys, monkeypatch, documents):
+    """``table3`` writes its render, then one claim line per claim to stderr;
+    a failing claim exits 1 and leaves the render's bytes alone."""
+    passing, failing = tmp_path / "pass.txt", tmp_path / "fail.txt"
+    assert main(["table3", "--scale", SCALE, "--out", str(passing)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("claim ")]
+    assert [line.split(":")[0] for line in lines] == [f"claim {name}" for name in table3.CLAIMS]
+    assert all(": holds (" in line for line in lines)
+
+    monkeypatch.setitem(
+        table3.CLAIMS, "table3.error_grows_with_slack", (lambda doc: {"forced": 1}, lambda n: False)
+    )
+    assert main(["table3", "--scale", SCALE, "--out", str(failing)]) == 1
+    assert "claim table3.error_grows_with_slack: FAILS (forced: 1)" in capsys.readouterr().err
+    assert failing.read_bytes() == passing.read_bytes()
 
 
 #: One sha256 per ``tiny`` sweep document, over what a reader of the paper's
