@@ -201,10 +201,15 @@ def test_threaded_functional_matches_golden(request, scheme, program):
 WORKLOAD_GOLDEN = GOLDEN_DIR / "workload_host_times.json"
 WORKLOADS = ("barnes", "fft", "lu", "water")
 #: (scheme, host cores).  The 32-core cells pin the schedule of a host wider
-#: than any configuration the experiments use.
+#: than any configuration the experiments use; the 1- and 2-core cells one
+#: where nearly every step queues behind a busy host core; l10, s9* and the
+#: adaptive quantum pin the lookahead, barrier-stepped and adapting schemes.
 WORKLOAD_CELLS = [
     (scheme, hosts) for scheme in ("cc", "q10", "s9", "su") for hosts in (1, 8)
-] + [("cc", 32), ("su", 32)]
+] + [
+    ("cc", 32), ("su", 32),
+    ("cc", 2), ("q10", 2), ("l10", 8), ("s9*", 8), ("aq10-160", 8),
+]
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
