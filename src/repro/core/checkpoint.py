@@ -64,8 +64,10 @@ __all__ = ["CHECKPOINT_FORMAT", "CheckpointError", "load_checkpoint", "save_chec
 #: 8: the host model pickles one scheduler's state (no instance-bound
 #: ``run``/``poll_until``, no ``_idle``/``_busy_heap``) and the system
 #: emulation's spawn hook pickles as ``None`` — a format-7 pickle names host
-#: methods this build no longer has.
-CHECKPOINT_FORMAT = 8
+#: methods this build no longer has.  9: the host model's ``free_at`` is a
+#: heap (a format-8 pickle holds it in scan order, with ``_makespan``) and
+#: the cost model pickles jitter lists, not ``_JitterStream`` objects.
+CHECKPOINT_FORMAT = 9
 
 
 class CheckpointError(EngineError):

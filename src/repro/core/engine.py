@@ -54,7 +54,7 @@ class EngineError(RuntimeError):
 
 #: The three event-free one-cycle turns the barrier superstep inlines, as the
 #: ``BatchStats`` ``step_many(1)`` returns for them: what it hands
-#: ``CostModel.core_batch_cost``, so the cost expression keeps its one home.
+#: ``CostModel.batch_base``, so the cost expression keeps its one home.
 _ONE_ACTIVE = BatchStats(cycles=1, active_cycles=1, hit_window_edge=True)
 _ONE_IDLE = BatchStats(cycles=1, idle_cycles=1, hit_window_edge=True)
 _ONE_SKIP = BatchStats(cycles=1, skipped_cycles=1, skip_stretches=1, hit_window_edge=True)
@@ -684,6 +684,13 @@ class SequentialEngine:
             barrier_policy and not single and probe is None and self.faults is None
         )
         scheme_max_local = self.scheme.max_local
+        # The branch's unit turns: each pays its base x its jitter draw + the
+        # suspension, which is ``core_batch_cost(cid, unit, suspended=True)``.
+        core_jitter = costmodel.jitter
+        refill_jitter = costmodel.refill_jitter
+        base_active = costmodel.batch_base(_ONE_ACTIVE)
+        base_idle = costmodel.batch_base(_ONE_IDLE)
+        base_skip = costmodel.batch_base(_ONE_SKIP)
         outqs = [ct.outq._q for ct in cores]
         inqs = [ct.inq._heap for ct in cores]
         pending_activations = self._pending_activations
@@ -783,18 +790,18 @@ class SequentialEngine:
                     # exit is taken where the state is a general-loop state.
                     act = [c for c in cores if c.state == CoreState.ACTIVE]
                     total = self.total_committed
+                    g = manager.global_time
+                    lo = INFINITY
+                    top = 0
+                    for c in act:
+                        if c.local_time < lo:
+                            lo = c.local_time
+                        if c.max_local_time > top:
+                            top = c.max_local_time
+                    if lo > g:
+                        g = lo
                     while True:
                         # The manager was popped at ``ready``, dirty.
-                        g = manager.global_time
-                        lo = INFINITY
-                        top = 0
-                        for c in act:
-                            if c.local_time < lo:
-                                lo = c.local_time
-                            if c.max_local_time > top:
-                                top = c.max_local_time
-                        if lo > g:
-                            g = lo
                         new_max = scheme_max_local(g)
                         if (
                             new_max <= top  # a core would stay suspended
@@ -879,14 +886,18 @@ class SequentialEngine:
                                             ct.window_edge_hits += 1
                                         break
                                     total += committed
-                                    unit = _ONE_ACTIVE if active else _ONE_IDLE
+                                    base = base_active if active else base_idle
                                 else:
                                     model.skip(1)
                                     ct.local_time = new_max
                                     ct.total_cycles += 1
-                                    unit = _ONE_SKIP
+                                    base = base_skip
                                 ct.window_edge_hits += 1
-                                cost = core_batch_cost(cid, unit, suspended=True)
+                                jit = core_jitter[cid]
+                                cost = base * (jit.pop() if jit else refill_jitter(cid))
+                                cost += suspend_cost
+                                if cost < 0.05:
+                                    cost = 0.05
                             else:
                                 budget = turn_budget(ct)
                                 if batched[cid]:
@@ -904,18 +915,23 @@ class SequentialEngine:
                                 total += stats.committed
                                 cost = core_batch_cost(cid, stats, suspended=True)
                                 stats = None
-                            # A quiet turn: sample the slack, pay for the turn
-                            # and the suspension that follows it.
-                            slack = ct.local_time - g
-                            slack_buckets[slack.bit_length()] += 1
-                            s_count += 1
-                            s_total += slack
+                            # A quiet turn: pay for it and the suspension that
+                            # follows it.
+                            next_free[cid] = hostrun(r, cost)
+                        else:
+                            i = woken
+                        # The ``i`` quiet turns all ended at ``new_max``: their
+                        # slack samples are one value, added at once.
+                        if i:
+                            slack = new_max - g
+                            slack_buckets[slack.bit_length()] += i
+                            s_count += i
+                            s_total += slack * i
                             if slack < s_min:
                                 s_min = slack
                             if slack > s_max:
                                 s_max = slack
-                            next_free[cid] = hostrun(r, cost)
-                        else:
+                        if i == woken:
                             # (4) Every core suspended again: the barrier is
                             # complete, the manager dirty and next at ``m``.
                             suspends += woken
@@ -924,6 +940,8 @@ class SequentialEngine:
                             mgr_idle_streak = 0
                             ready = m
                             engine_steps += 1
+                            # Every active core sits at ``new_max`` (> g).
+                            g = top = new_max
                             continue
                         # The turn at ``r`` was not quiet.  Cores that have not
                         # run yet and the manager go (back) on the heap; the

@@ -11,6 +11,12 @@ Unit convention: 1 host-time unit ~ the work to simulate one target cycle of
 one core.  :data:`HOST_UNIT_SECONDS` converts modeled units to "seconds" for
 KIPS-style reporting (Table 2); it was fixed once so the baseline lands in
 the paper's 110-130 KIPS range and is never tuned per scheme.
+
+Each simulation thread's jitter is its own seeded stream, drawn in numpy
+blocks and held as a plain list consumed with ``list.pop``: a draw costs one
+C call, and the engine's barrier superstep, which charges its one-cycle
+turns as a precomputed :meth:`CostModel.batch_base` x a draw, reads the very
+same lists.
 """
 
 from __future__ import annotations
@@ -35,30 +41,6 @@ HOST_UNIT_SECONDS = 1.1e-6
 _JITTER_BLOCK = 512
 
 
-class _JitterStream:
-    """Seeded stream of mean-1 lognormal multipliers, drawn in blocks."""
-
-    __slots__ = ("_rng", "_mean", "_sigma", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator, mean: float, sigma: float) -> None:
-        self._rng = rng
-        self._mean = mean
-        self._sigma = sigma
-        self._buf: list[float] = []
-        self._i = 0
-
-    def next(self) -> float:
-        i = self._i
-        buf = self._buf
-        if i >= len(buf):
-            buf = self._buf = self._rng.lognormal(
-                mean=self._mean, sigma=self._sigma, size=_JITTER_BLOCK
-            ).tolist()
-            i = 0
-        self._i = i + 1
-        return buf[i]
-
-
 class CostModel:
     """Deterministic, seeded cost generator.
 
@@ -77,20 +59,20 @@ class CostModel:
     def __init__(self, config: HostConfig, seed: int, num_cores: int) -> None:
         self.config = config
         sigma = config.jitter_sigma
-        mean = -0.5 * sigma * sigma
-        self._core_jit = [
-            _JitterStream(
-                np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1000 + i]))),
-                mean,
-                sigma,
-            )
-            for i in range(num_cores)
+        self._sigma = sigma
+        self._mean = -0.5 * sigma * sigma
+        # One generator per simulation thread: core threads by id, then the
+        # manager at index -1 (the engine's index for it).
+        self._rngs = [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
+            for key in [*range(1000, 1000 + num_cores), 999]
         ]
-        self._mgr_jit = _JitterStream(
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 999]))),
-            mean,
-            sigma,
-        )
+        #: Each thread's pending jitter draws, the next one last: a block is
+        #: stored reversed so ``list.pop`` consumes it in draw order, and
+        #: :meth:`refill_jitter` refills the emptied list in place (callers
+        #: hold on to it).  At ``jitter_sigma=0`` every draw is exactly 1.0,
+        #: a bit-exact no-op.
+        self.jitter: list[list[float]] = [[] for _ in self._rngs]
         # Hot-path constants hoisted out of the per-turn call.
         self._cycle_cost = config.cycle_cost
         self._idle_cost = config.idle_cycle_cost
@@ -100,23 +82,34 @@ class CostModel:
         self._stretch_cost = config.skip_stretch_cost
         self._poll_cost = config.manager_poll_cost
         self._request_cost = config.manager_request_cost
-        self._has_jitter = config.jitter_sigma > 0
 
-    def core_batch_cost(self, core_id: int, stats: BatchStats, *, suspended: bool) -> float:
-        """Host work for one core-thread batch."""
-        cost = (
+    def refill_jitter(self, thread: int) -> float:
+        """Refill *thread*'s emptied jitter list with its next block and
+        return the block's first draw (popped)."""
+        draws = self.jitter[thread]
+        draws += self._rngs[thread].lognormal(
+            mean=self._mean, sigma=self._sigma, size=_JITTER_BLOCK
+        )[::-1].tolist()
+        return draws.pop()
+
+    def batch_base(self, stats: BatchStats) -> float:
+        """The jitter-free host work of one core-thread batch."""
+        return (
             stats.active_cycles * self._cycle_cost
             + stats.idle_cycles * self._idle_cost
             + stats.skipped_cycles * self._skip_cost
             + stats.skip_stretches * self._stretch_cost
             + (stats.events_out + stats.events_in) * self._event_cost
         )
-        if self._has_jitter:
-            cost *= self._core_jit[core_id].next()
+
+    def core_batch_cost(self, core_id: int, stats: BatchStats, *, suspended: bool) -> float:
+        """Host work for one core-thread batch."""
+        jit = self.jitter[core_id]
+        cost = self.batch_base(stats) * (jit.pop() if jit else self.refill_jitter(core_id))
         if suspended:
             cost += self._suspend_cost
         # Every scheduled step costs at least something (loop overhead).
-        return max(cost, 0.05)
+        return cost if cost > 0.05 else 0.05
 
     def manager_step_cost(self, drained: int, processed: int) -> float:
         """Host work for one manager polling pass.
@@ -128,9 +121,8 @@ class CostModel:
         if drained == 0 and processed == 0:
             return self._poll_cost
         cost = self._poll_cost + processed * self._request_cost + 0.2 * drained
-        if self._has_jitter:
-            cost *= self._mgr_jit.next()
-        return cost
+        jit = self.jitter[-1]
+        return cost * (jit.pop() if jit else self.refill_jitter(-1))
 
     @property
     def wake_cost(self) -> float:

@@ -1,51 +1,53 @@
 """Virtual host CMP: a deterministic multiprocessor schedule builder.
 
 Simulation threads (N core threads + 1 manager) are scheduled greedily onto
-``num_cores`` identical host cores: each step runs on the host core that can
-start it earliest (earliest-available, lowest index on ties), like an OS
-spreading runnable threads.  The *makespan* of the resulting schedule is the
-modeled simulation time; speedups in Figure 8 are ratios of makespans.
+``num_cores`` identical host cores: each step runs on a host core that can
+start it earliest, like an OS spreading runnable threads.  The *makespan* of
+the resulting schedule is the modeled simulation time; speedups in Figure 8
+are ratios of makespans.
 
-The scheduler is one linear scan over the H cores' free-up times per step.
-Every configuration the experiments use has at most 8 host cores, where a
-scan beats any heap on constants; a wider host (the goldens pin H = 32)
-gets the same schedule from a longer scan.
+The H free-up times are one min-heap, and a step is one ``heapreplace``.
+This is exact because the engine hands the model steps in nondecreasing
+ready order (its own loop pops a host-ready heap; DESIGN.md §2): under that
+order every step starts at ``max(ready, min(free_at))``, and a host core
+that is free by ``ready`` stays free for every later step, so *which* free
+core a step takes cannot move any later start.  The model therefore keeps no
+core identity — only the multiset of free-up times — and, since a core's
+free-up time only grows, the makespan is ``max(free_at)``.
 """
 
 from __future__ import annotations
+
+from heapq import heapreplace
 
 __all__ = ["HostModel"]
 
 
 class HostModel:
-    """Greedy earliest-start scheduler over H host cores."""
+    """Greedy earliest-start scheduler over H host cores.
+
+    Precondition: every call's *ready* is at or after the ready time of the
+    previous call's last step (``poll_until``'s inner steps included).  The
+    engine's loop guarantees it.  An out-of-order *ready* may start later than
+    under a per-core schedule: the core that was free by then may already
+    have been overwritten.
+    """
 
     def __init__(self, num_cores: int) -> None:
         if num_cores < 1:
             raise ValueError("host needs at least one core")
         self.num_cores = num_cores
-        self.free_at = [0.0] * num_cores
+        self.free_at = [0.0] * num_cores  # a min-heap
         self.busy = 0.0
         self.steps = 0
-        self._makespan = 0.0
 
     def run(self, ready: float, cost: float) -> float:
         """Schedule a step that becomes ready at *ready* and costs *cost*;
         returns its completion time."""
         free_at = self.free_at
-        chosen = -1
-        for c, t in enumerate(free_at):
-            if t <= ready:
-                chosen = c
-                start = ready
-                break
-        if chosen < 0:
-            start = min(free_at)
-            chosen = free_at.index(start)
-        end = start + cost
-        free_at[chosen] = end
-        if end > self._makespan:
-            self._makespan = end
+        t = free_at[0]
+        end = (ready if t <= ready else t) + cost
+        heapreplace(free_at, end)
         self.busy += cost
         self.steps += 1
         return end
@@ -59,42 +61,24 @@ class HostModel:
         Returns ``(completion time of the last, how many ran)`` — step for
         step what that many :meth:`run` calls return.
 
-        A step ready exactly when its predecessor's core frees up stays on
-        that core unless a lower-index core has freed up by then, so the
-        scan is redone only when *low* is crossed.  The additions stay one
-        by one: costs are not dyadic, n * cost is a different float.
+        After the first step its own completion time is in the heap, so each
+        next step starts the moment its predecessor ends.  The additions stay
+        one by one: costs are not dyadic, n * cost is a different float.
         """
         free_at = self.free_at
         busy = self.busy
-        n = 0
-        while True:
-            chosen = -1
-            for c, t in enumerate(free_at):
-                if t <= ready:
-                    chosen = c
-                    end = ready
-                    break
-            if chosen < 0:
-                end = min(free_at)
-                chosen = free_at.index(end)
+        t = free_at[0]
+        end = (ready if t <= ready else t) + cost
+        busy += cost
+        n = 1
+        while end < until and n < max_polls:
             end += cost
             busy += cost
             n += 1
-            if end < until and n < max_polls:
-                low = min(until, *free_at[:chosen]) if chosen else until
-                while end < low and n < max_polls:
-                    end += cost
-                    busy += cost
-                    n += 1
-            free_at[chosen] = end
-            if end >= until or n >= max_polls:
-                break
-            ready = end
-        if end > self._makespan:
-            self._makespan = end
+        heapreplace(free_at, end)
         self.busy = busy
         self.steps += n
         return end, n
 
     def makespan(self) -> float:
-        return self._makespan
+        return max(self.free_at)

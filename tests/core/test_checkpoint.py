@@ -27,8 +27,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core import events
-from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.core.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError, SequentialEngine
 from repro.lang import compile_source
@@ -336,7 +342,7 @@ def test_format6_checkpoint_refused(tmp_path):
     stale = tmp_path / "format6.pkl"
     stale.write_bytes(pickle.dumps({"format": 6, "engine": None, "seq_position": 0}))
     with pytest.raises(
-        CheckpointError, match=re.escape("checkpoint format 6 (this build reads format 8)")
+        CheckpointError, match=re.escape(f"checkpoint format 6 (this build reads format {CHECKPOINT_FORMAT})")
     ):
         load_checkpoint(str(stale))
 
@@ -347,9 +353,24 @@ def test_format7_checkpoint_refused(tmp_path):
     stale = tmp_path / "format7.pkl"
     stale.write_bytes(pickle.dumps({"format": 7, "engine": None, "seq_position": 0}))
     with pytest.raises(
-        CheckpointError, match=re.escape("checkpoint format 7 (this build reads format 8)")
+        CheckpointError, match=re.escape(f"checkpoint format 7 (this build reads format {CHECKPOINT_FORMAT})")
     ):
         load_checkpoint(str(stale))
+
+
+def test_format8_checkpoint_refused(tmp_path, capsys):
+    """A format-8 host model holds ``free_at`` in scan order (not heap
+    order) and the cost model ``_JitterStream`` objects: ``run --restore``
+    refuses it with one ``error:`` line, never resumes it."""
+    stale = tmp_path / "format8.pkl"
+    stale.write_bytes(pickle.dumps({"format": 8, "engine": None, "seq_position": 0}))
+    with pytest.raises(
+        CheckpointError, match=re.escape("checkpoint format 8 (this build reads format 9)")
+    ):
+        load_checkpoint(str(stale))
+    assert main(["run", "--restore", str(stale)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "checkpoint format 8" in err
 
 
 # ---------------------------------------------------------------- seq counter

@@ -75,7 +75,7 @@ def sync_program():
 @pytest.mark.parametrize(
     "name,scheme,hosts",
     [(n, s, h) for n in ("fft", "water") for s in ("cc", "q3", "q10") for h in (1, 8)]
-    # 32 host cores: the heap host model instead of the linear scan.
+    # 2 and 32 host cores: a contended host and one wider than the target.
     + [(n, "cc", h) for n in ("barnes", "lu") for h in (2, 32)],
 )
 def test_registered_workloads_match_single_stepping(name, scheme, hosts):
