@@ -19,6 +19,7 @@ from repro.core.engine import SequentialEngine
 from repro.host.hostmodel import HostModel
 from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
+from tests.host.scan_reference import last_step_ready
 
 SCHEMES = ["cc", "q3", "q10", "aq10-160", "l10", "s9", "s9*", "s100", "su"]
 HOSTS = [1, 2, 8, 32]
@@ -46,15 +47,9 @@ class RecordingHostModel(HostModel):
 
     def poll_until(self, ready, cost, until, max_polls):
         self._check(ready)
-        t = self.free_at[0]
+        first_free = self.free_at[0]
         end, n = super().poll_until(ready, cost, until, max_polls)
-        # Step k > 1 was ready when step k - 1 completed.
-        floor = ready
-        if n > 1:
-            floor = (ready if t <= ready else t) + cost
-            for _ in range(n - 2):
-                floor += cost
-        self.floor = floor
+        self.floor = last_step_ready(ready, first_free, cost, n)
         return end, n
 
 

@@ -82,3 +82,15 @@ class ScanHostModel:
 
     def makespan(self) -> float:
         return self._makespan
+
+
+def last_step_ready(ready: float, first_free: float, cost: float, n: int) -> float:
+    """The ready time of the last of the *n* steps a ``poll_until(ready, cost,
+    ...)`` call ran, given the earliest free-up time *first_free* before it:
+    *ready* for one step, else the completion time of step n - 1."""
+    if n == 1:
+        return ready
+    end = (ready if first_free <= ready else first_free) + cost
+    for _ in range(n - 2):
+        end += cost
+    return end

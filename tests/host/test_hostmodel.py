@@ -11,7 +11,7 @@ from repro.core.corethread import BatchStats
 from repro.core.engine import _ONE_ACTIVE, _ONE_IDLE, _ONE_SKIP
 from repro.host.costmodel import CostModel
 from repro.host.hostmodel import HostModel
-from tests.host.scan_reference import ScanHostModel
+from tests.host.scan_reference import ScanHostModel, last_step_ready
 
 
 class TestHostModel:
@@ -128,16 +128,11 @@ class TestHostModel:
         for poll, lag, cost, span, max_polls in calls:
             ready = floor + lag
             if poll:
-                first = max(ready, min(scan.free_at)) + cost
+                first_free = min(scan.free_at)
                 got = heap.poll_until(ready, cost, ready + span, max_polls)
                 want = scan.poll_until(ready, cost, ready + span, max_polls)
                 assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
-                # The last step was ready when the one before it completed.
-                floor = ready
-                if want[1] > 1:
-                    floor = first
-                    for _ in range(want[1] - 2):
-                        floor += cost
+                floor = last_step_ready(ready, first_free, cost, want[1])
             else:
                 assert heap.run(ready, cost).hex() == scan.run(ready, cost).hex()
                 floor = ready
