@@ -13,11 +13,11 @@ documents, checkpoints, and bench reports.  A reader can never observe a truncat
 file: data lands in a same-directory tempfile first and is published with
 an atomic ``os.replace``.
 
-:func:`canonical_json` / :func:`sha256_hex` / :func:`output_digest` are the
-one content-identity vocabulary shared by every cache key in the system —
-job keys (DESIGN.md §12), per-point sweep seeds and output fingerprints all
-derive from them, so two subsystems can never fingerprint the same value
-differently.
+:func:`canonical_json` / :func:`sha256_hex` / :func:`output_digest` /
+:func:`source_digest` are the one content-identity vocabulary shared by
+every cache key in the system — job keys (DESIGN.md §12), per-point sweep
+seeds, output fingerprints and checkpoint stamps all derive from them, so
+two subsystems can never fingerprint the same value differently.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "output_digest",
     "retry_with_backoff",
     "sha256_hex",
+    "source_digest",
     "sign_extend",
     "to_signed64",
     "to_unsigned64",
@@ -70,6 +72,17 @@ def sha256_hex(*parts: "str | bytes") -> str:
         if i:
             h.update(b"\x00")
         h.update(part if isinstance(part, bytes) else str(part).encode())
+    return h.hexdigest()
+
+
+def source_digest(root: "os.PathLike[str] | str", rels) -> str:
+    """SHA-256 over the files *rels* under *root*: each one's relative path,
+    then its bytes.  The one source-fingerprint loop, behind the toolchain
+    fingerprint in every job key and the source stamp on every checkpoint."""
+    h = hashlib.sha256()
+    for rel in rels:
+        h.update(rel.encode())
+        h.update((Path(root) / rel).read_bytes())
     return h.hexdigest()
 
 

@@ -94,17 +94,14 @@ class SimConfig:
     detect_violations: bool = True
     #: Compensate detected workload violations by fast-forwarding (§3.2.3).
     fastforward: bool = False
-    #: Extra cap on target cycles per engine turn (0 = uncapped: turns are
-    #: sized by the scheme's grant alone).  Figure 2 sets 1 to probe the
-    #: clock protocol at single-cycle granularity.
-    batch_cycles: int = 0
     #: Hard cap on target cycles per engine turn, independent of the scheme's
     #: slack grant (0 = uncapped).  A sequential turn is the de-facto
     #: concurrency granule: while one core runs, no other core's coherence
     #: traffic can reach it, so an unbounded turn would let a core run to
     #: completion without ever observing an invalidation.  Keep this well
     #: above the typical wait stretch (so batching still pays) but small
-    #: enough that cross-core traffic interleaves.
+    #: enough that cross-core traffic interleaves.  Figure 2 sets 1 to probe
+    #: the clock protocol at single-cycle granularity.
     turn_cycles: int = 64
     #: Cycles a core burns waiting on external input (a manager response)
     #: before yielding its turn.  Bounds de-facto turn size under su.
@@ -144,8 +141,7 @@ class SimConfig:
         # silently simulates something else.
         if self.wait_chunk < 1:
             raise ValueError(f"wait_chunk must be >= 1, got {self.wait_chunk}")
-        for name in ("turn_cycles", "batch_cycles"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be >= 0 (0 = uncapped), got {getattr(self, name)}"
-                )
+        if self.turn_cycles < 0:
+            raise ValueError(
+                f"turn_cycles must be >= 0 (0 = uncapped), got {self.turn_cycles}"
+            )

@@ -12,7 +12,7 @@ target cycle counts) without real parallel hardware.
 
 Thread-state protocol per core thread:
 
-* runnable: in the host queue; runs batches of up to ``batch_cycles``;
+* runnable: in the host queue; runs turns of up to ``turn_cycles``;
 * suspended: hit its window edge (``local == max_local``); leaves the queue
   and pays a suspend cost; the manager re-queues it (plus wake cost) when
   the scheme raises its window — this is exactly the futex sleep/wake cost
@@ -60,15 +60,32 @@ _ONE_IDLE = BatchStats(cycles=1, idle_cycles=1, hit_window_edge=True)
 _ONE_SKIP = BatchStats(cycles=1, skipped_cycles=1, skip_stretches=1, hit_window_edge=True)
 
 
+def _unit_turn_stats(ct: CoreThread, committed: int, active: bool) -> BatchStats:
+    """The ``BatchStats`` that ``step_many(1)`` returns for a one-cycle turn
+    the barrier superstep ran inline and found not quiet."""
+    model = ct.model
+    stats = ct._stats
+    stats.reset()
+    stats.cycles = 1
+    stats.committed = committed
+    if active:
+        stats.active_cycles = 1
+    else:
+        stats.idle_cycles = 1
+    stats.wakes.extend(model.pending_wakes)
+    model.pending_wakes.clear()
+    stats.events_out = len(ct.outq)
+    if model.phase is CorePhase.HALTED:
+        ct.state = CoreState.DONE
+        ct.final_time = ct.local_time
+    else:
+        stats.hit_window_edge = True
+        ct.window_edge_hits += 1
+    return stats
+
+
 class SequentialEngine:
     """Build and run one simulation of *program* under one scheme."""
-
-    #: Barriers that ran inside the barrier superstep (``run``; DESIGN.md §5).
-    #: Like ``manager_polls`` it is folded by ``sync_stats``; unlike it, it is
-    #: not in the stats registry, whose dump is embedded in store records and
-    #: sweep documents.  A class default, so a checkpoint written before the
-    #: counter existed restores with 0.
-    fused_barriers = 0
 
     def __init__(
         self,
@@ -178,12 +195,7 @@ class SequentialEngine:
         self.system: SystemEmulation | None = None
         self._pending_activations: list[int] = []
         self._grant_needs_oldest = isinstance(self.scheme, Lookahead)
-        # Combined turn_cycles/batch_cycles cap (0 in config = uncapped).
-        cap = self.sim.turn_cycles if self.sim.turn_cycles else INFINITY
-        if self.sim.batch_cycles and self.sim.batch_cycles < cap:
-            cap = self.sim.batch_cycles
-        self._turn_cap = cap
-        self._active_cores = 0
+        self._turn_cap = self.sim.turn_cycles or INFINITY  # 0 = uncapped
         self.total_committed = 0
         self.engine_steps = 0
         # Host-loop mechanics counters (digest=False in the registry: they
@@ -194,6 +206,11 @@ class SequentialEngine:
         self.suspends = 0
         self.wakes_delivered = 0
         self.parks = 0
+        #: Barriers that ran inside the barrier superstep (``run``; DESIGN.md
+        #: §5).  Like ``manager_polls`` it is folded by ``sync_stats``; unlike
+        #: it, it is not in the stats registry, whose dump is embedded in
+        #: store records and sweep documents.
+        self.fused_barriers = 0
         self._completed = False
         self._next_snapshot = self.sim.stats_interval or 0
         self._next_checkpoint = self.sim.checkpoint_interval or 0
@@ -279,6 +296,24 @@ class SequentialEngine:
             assert self.image is not None
             self._init_registers(0, tid=0)
             self._start_core(self.cores[0], pc=self.image.program.entry, arg=0, ts=0)
+
+        # The run loop's state.  It lives here, not in ``run()``'s locals, so
+        # a checkpoint is just this engine and a restored run is not a special
+        # case.  The host-ready heap holds ``(ready, seq, idx)`` entries, idx
+        # -1 for the manager, seeded with the manager and the active cores at
+        # host time 0.  A core thread is in the heap (runnable), suspended at
+        # its window edge, parked on external input, or done.
+        active = [ct.core_id for ct in self.cores if ct.state == CoreState.ACTIVE]
+        self._heap = [(0.0, 0, -1)] + [(0.0, k, cid) for k, cid in enumerate(active, 1)]
+        self._seq_next = len(self._heap)
+        self._active_cores = len(active)
+        self._suspended = [False] * len(self.cores)
+        self._parked = [False] * len(self.cores)
+        #: Host time at which each core thread's last scheduled step finishes.
+        self._next_free = [0.0] * len(self.cores)
+        self._n_susp = 0
+        self._mgr_dirty = True
+        self._mgr_idle_streak = 0
 
     def _require_commit_seam(self, what: str) -> None:
         """A trace is the in-order pipeline's D-side commit stream: any other
@@ -558,7 +593,7 @@ class SequentialEngine:
         """Target cycles this core may run in one engine turn.
 
         The scheme's grant (quantum/window/lookahead remainder) clamped by
-        the core's own window edge, the optional ``batch_cycles`` cap, and
+        the core's own window edge, the ``turn_cycles`` cap, and
         the ``max_cycles`` safety net (the budget may exceed it by one so
         the runaway guard still fires).
         """
@@ -600,22 +635,28 @@ class SequentialEngine:
 
     def _run(self) -> SimulationResult:
         sim = self.sim
-        # A restored engine carries the loop-local snapshot its checkpoint
-        # recorded (see _write_checkpoint); a fresh engine has none.
-        resume = self.__dict__.pop("_resume", None)
-        heap: list[tuple[float, int, int]] = []  # (ready, seq, idx); idx -1 = manager
-        seq = itertools.count(0 if resume is None else resume["seq_next"])
-        nxt = seq.__next__
         cores = self.cores
         manager = self.manager
         costmodel = self.costmodel
         hostrun = self.hostmodel.run
         poll_until = self.hostmodel.poll_until
         heappush, heappop = heapq.heappush, heapq.heappop
+        # The loop state lives on the engine (``__init__``), so a restored
+        # engine re-enters here like a fresh one: the lists change in place,
+        # the scalars are copied into locals and ``sync_stats`` writes them
+        # back before every snapshot, checkpoint and result.
+        heap = self._heap
+        suspended = self._suspended
+        parked = self._parked
+        next_free = self._next_free
+        nxt = itertools.count(self._seq_next).__next__
+        n_susp = self._n_susp
+        mgr_dirty = self._mgr_dirty
+        mgr_idle_streak = self._mgr_idle_streak
         # Hot-loop hoists: none of these can change mid-run.
         probe = self.probe
-        # Time-triggered faults ride the manager branch; None when the plan
-        # has no pending timed faults (or no plan at all), so the common case
+        # Time-triggered faults ride the manager arm; None when the plan has
+        # no pending timed faults (or no plan at all), so the common case
         # pays one identity check per manager step and nothing per turn.
         fault_tick = (
             self.faults.on_manager_step
@@ -625,6 +666,7 @@ class SequentialEngine:
         suspend_cost = self.host_cfg.suspend_cost
         wake_cost = costmodel.wake_cost
         fanout_cost = costmodel.wake_fanout_cost
+        poll_cost = self.host_cfg.manager_poll_cost
         turn_budget = self._turn_budget
         core_batch_cost = costmodel.core_batch_cost
         if self.faults is not None:
@@ -632,23 +674,6 @@ class SequentialEngine:
                 manager, turn_budget, core_batch_cost
             )
         manager_step_cost = costmodel.manager_step_cost
-        if resume is None:
-            suspended = [False] * len(cores)
-        else:
-            suspended = list(resume["suspended"])
-        # Parked: blocked on external input with an empty InQ — the core
-        # cannot progress until the manager delivers (or a peer releases a
-        # blocking syscall), so it is not rescheduled until then.  This is
-        # the InQ-empty block of a real implementation; without it, an
-        # unbounded-slack core pays a polling turn per response round-trip.
-        parked = [False] * len(cores) if resume is None else list(resume["parked"])
-        # Host time at which each core thread's last scheduled step finishes.
-        # A wake (window raise, delivery, release) is produced at the *waker's*
-        # completion time, which can precede the wakee's — a turn's target
-        # effects are visible at pop time, but its host cost is still being
-        # paid.  One pthread cannot run on two host cores at once, so every
-        # push for a core clamps to the core's own availability.
-        next_free = [0.0] * len(cores) if resume is None else list(resume["next_free"])
         batched = [hasattr(ct.model, "wait_state") for ct in cores]
         # Parking is only deadlock-free when the blocked core's own clock is
         # not needed for its wake to be produced.  A memory response needs
@@ -673,19 +698,17 @@ class SequentialEngine:
             self.scheme.gq_policy == "barrier"
             and getattr(self.scheme, "adapt", None) is None
         )
-        n_susp = 0 if resume is None else resume["n_susp"]
         single = self._single
-        # Barrier superstep (the fused branch of the manager arm below).  The
-        # three bypasses: ``stepping="single"`` stays the per-cycle oracle —
-        # and thereby this branch's; a probe wants a sample per manager step;
-        # a fault plan wraps ``turn_budget`` and ``core_batch_cost``, the very
-        # callables the branch inlines.
+        # The barrier superstep's three bypasses: ``stepping="single"`` stays
+        # the per-cycle oracle — and thereby the superstep's; a probe wants a
+        # sample per manager step; a fault plan wraps ``turn_budget`` and
+        # ``core_batch_cost``, the very callables the superstep inlines.
         fusable = (
             barrier_policy and not single and probe is None and self.faults is None
         )
         scheme_max_local = self.scheme.max_local
-        # The branch's unit turns: each pays its base x its jitter draw + the
-        # suspension, which is ``core_batch_cost(cid, unit, suspended=True)``.
+        # The superstep's unit turns: each pays its base x its jitter draw +
+        # the suspension, which is ``core_batch_cost(cid, unit, suspended=True)``.
         core_jitter = costmodel.jitter
         refill_jitter = costmodel.refill_jitter
         base_active = costmodel.batch_base(_ONE_ACTIVE)
@@ -696,11 +719,12 @@ class SequentialEngine:
         pending_activations = self._pending_activations
         max_insn = sim.max_instructions
         HALTED = CorePhase.HALTED
+        ACTIVE = CoreState.ACTIVE
         wait_chunk = sim.wait_chunk
         snap_interval = sim.stats_interval
         cp_interval = sim.checkpoint_interval
-        # Engine counters and the slack histogram live in hoisted locals for
-        # the duration of the loop (a per-turn ``self.x += 1`` or a
+        # Engine counters and the slack histogram live in locals for the
+        # duration of the loop (a per-turn ``self.x += 1`` or a
         # ``Distribution.add`` call costs real throughput at cc turn rates);
         # ``sync_stats`` folds them back before any registry dump.
         engine_steps = self.engine_steps
@@ -726,6 +750,12 @@ class SequentialEngine:
             self.wakes_delivered = wakes_delivered
             self.parks = parks
             self.fused_barriers = fused_barriers
+            self._n_susp = n_susp
+            self._mgr_dirty = mgr_dirty
+            self._mgr_idle_streak = mgr_idle_streak
+            # Drawing a seq is free: only the order of seqs matters, and every
+            # later push — here or in a restored run — draws a larger one.
+            self._seq_next = nxt()
             if s_count:
                 if slack_dist.count == 0 or s_min < slack_dist._min:
                     slack_dist._min = s_min
@@ -737,338 +767,301 @@ class SequentialEngine:
                 s_total = 0
                 s_min = 1 << 63
                 s_max = -1
-        if resume is None:
-            heappush(heap, (0.0, nxt(), -1))
-            active_cores = 0
-            for ct in cores:
-                if ct.state == CoreState.ACTIVE:
-                    active_cores += 1
-                    heappush(heap, (0.0, nxt(), ct.core_id))
-            self._active_cores = active_cores
-        else:
-            # The snapshot was taken at a manager-step boundary: the saved
-            # list is the complete live heap (manager re-push included) in
-            # valid heap order, and _active_cores travelled with the pickle.
-            heap.extend(resume["heap"])
 
-        # Manager elision: a manager step with no new core work since the
-        # previous step provably drains/processes/raises nothing, so the
-        # Python call is skipped and only its (identical, jitter-free) poll
-        # cost is charged.  Disabled while a probe wants per-step samples.
-        mgr_dirty = True if resume is None else resume["mgr_dirty"]
-        poll_cost = self.host_cfg.manager_poll_cost
-        mgr_idle_streak = 0 if resume is None else resume["mgr_idle_streak"]
-        completed = True
-        max_steps = 200_000_000
+        def push(cid: int, t: float) -> None:
+            # A wake (window raise, delivery, release) is produced at the
+            # *waker's* completion time, which can precede the wakee's: one
+            # pthread cannot run on two host cores at once.
+            heappush(heap, (max(t, next_free[cid]), nxt(), cid))
 
-        while self._active_cores:
-            if not heap:
-                raise EngineError("host queue empty with active cores — engine bug")
-            engine_steps += 1
-            if engine_steps > max_steps:
-                raise EngineError("engine step limit exceeded (runaway simulation)")
-            ready, _, idx = heappop(heap)
+        def suspend(idx: int) -> None:
+            # The core sleeps at its window edge until the manager raises it.
+            nonlocal n_susp, suspends, mgr_dirty, mgr_idle_streak
+            suspended[idx] = True
+            n_susp += 1
+            suspends += 1
+            if barrier_policy and n_susp >= self._active_cores:
+                mgr_dirty = True
+                mgr_idle_streak = 0
 
-            if idx == -1:
-                stats = None
+        def idle(polls: int) -> None:
+            # 100 000 manager polls in a row with nothing to do: deadlock.
+            nonlocal mgr_idle_streak
+            mgr_idle_streak += polls
+            if mgr_idle_streak > 100_000:
+                self._diagnose_deadlock()
+
+        # The superstep's per-turn reads are default arguments, not closure
+        # cells: it is cc's hot loop, and cell loads there cost ~5 % of a cc run.
+        def barrier_superstep(
+            ready: float, cores=cores, inqs=inqs, outqs=outqs, batched=batched,
+            next_free=next_free, suspended=suspended, hostrun=hostrun,
+            poll_until=poll_until, poll_cost=poll_cost, idle=idle, HALTED=HALTED,
+            pending_activations=pending_activations, max_insn=max_insn,
+            core_jitter=core_jitter, base_active=base_active, base_idle=base_idle,
+            suspend_cost=suspend_cost,
+        ) -> bool:
+            """Run barrier after barrier as straight-line code (DESIGN.md §5).
+
+            Entered when the dirty manager pops with every active core
+            suspended at the barrier and nothing in flight: its step drains
+            and services nothing and raises every core, and as long as each
+            core's turn is *quiet* (no OutQ event, wake, halt or spawn) the
+            cycle's whole schedule is known — the wake agenda in host-time
+            order, manager polls filling every gap.  The host model is
+            charged the general loop's calls in its order, and every exit is
+            taken where the state is a general-loop state: a barrier the
+            superstep cannot take goes to ``manager_arm``, a turn that is not
+            quiet to ``after_turn``.  Returns whether the instruction cut
+            fired.  The per-turn counters are locals, folded back on exit.
+            """
+            nonlocal engine_steps, manager_steps, fused_barriers, manager_polls
+            nonlocal wakes_delivered, suspends, n_susp, mgr_dirty, mgr_idle_streak
+            nonlocal s_count, s_total, s_min, s_max
+            act = [c for c in cores if c.state == ACTIVE]
+            woken = len(act)
+            total = self.total_committed
+            steps = 0
+            polled = 0
+            g = max(manager.global_time, min(c.local_time for c in act))
+            top = max(c.max_local_time for c in act)
+            while True:
+                # The manager was popped at ``ready``, dirty.
+                new_max = scheme_max_local(g)
                 if (
-                    fusable
-                    and mgr_dirty
-                    and not heap
-                    and n_susp == self._active_cores
-                    and manager._gq_depth == 0
-                    and not any(outqs)
+                    new_max <= top  # a core would stay suspended
+                    or new_max > sim.max_cycles  # the runaway guard's turn
+                    or (snap_interval and g >= self._next_snapshot)
+                    or (cp_interval and g >= self._next_checkpoint)
                 ):
-                    # Barrier superstep (DESIGN.md §5).  The barrier just
-                    # completed with nothing in flight: this manager step
-                    # drains and services nothing, raises every core, and as
-                    # long as each core's turn is *quiet* (no OutQ event, wake,
-                    # halt or spawn) the cycle's whole schedule is known — the
-                    # wake agenda in host-time order, manager polls filling
-                    # every gap.  Run it as straight-line code charging the
-                    # host model the general loop's calls in its order; every
-                    # exit is taken where the state is a general-loop state.
-                    act = [c for c in cores if c.state == CoreState.ACTIVE]
-                    total = self.total_committed
-                    g = manager.global_time
-                    lo = INFINITY
-                    top = 0
-                    for c in act:
-                        if c.local_time < lo:
-                            lo = c.local_time
-                        if c.max_local_time > top:
-                            top = c.max_local_time
-                    if lo > g:
-                        g = lo
-                    while True:
-                        # The manager was popped at ``ready``, dirty.
-                        new_max = scheme_max_local(g)
-                        if (
-                            new_max <= top  # a core would stay suspended
-                            or new_max > sim.max_cycles  # the runaway guard's turn
-                            or (snap_interval and g >= self._next_snapshot)
-                            or (cp_interval and g >= self._next_checkpoint)
-                        ):
-                            break  # the general arm below takes this pop
-                        # (1) The clean barrier step, inline.
-                        manager.barriers_completed += 1
-                        manager.global_time = g
-                        manager.windows_raised += len(act)
-                        manager_steps += 1
-                        fused_barriers += 1
-                        mgr_dirty = False  # and its idle streak is 0
-                        m = hostrun(ready, poll_cost)
-                        # (2) The wake agenda, in the order the heap would
-                        # pop it: host time, then raise order (the seq).
-                        agenda = []
-                        for k, c in enumerate(act):
-                            c.max_local_time = new_max
-                            wake_t = m + wake_cost + k * fanout_cost
-                            agenda.append((max(wake_t, next_free[c.core_id]), k, c.core_id))
-                        agenda.sort()
-                        woken = len(agenda)
-                        wakes_delivered += woken
-                        # (3) Merge: the manager polls through every gap; a
-                        # core wins a tie (its heap seq is the older one).
-                        for i, (r, _, cid) in enumerate(agenda):
-                            if m < r:
-                                m, polls = poll_until(
-                                    m, poll_cost, r, 100_001 - mgr_idle_streak
-                                )
-                                mgr_idle_streak += polls
-                                manager_polls += polls
-                                engine_steps += 1
-                                if mgr_idle_streak > 100_000:
-                                    for _, _, c in agenda[i:]:
-                                        suspended[c] = False
-                                    self._diagnose_deadlock(suspended, parked)
-                            engine_steps += 1
-                            ct = cores[cid]
-                            local = ct.local_time
-                            inq_heap = inqs[cid]
+                    engine_steps += steps
+                    manager_polls += polled
+                    manager_arm(ready)
+                    return False
+                # (1) The clean barrier step, inline.
+                manager.barriers_completed += 1
+                manager.global_time = g
+                manager.windows_raised += woken
+                manager_steps += 1
+                fused_barriers += 1
+                mgr_dirty = False  # and its idle streak is 0
+                m = hostrun(ready, poll_cost)
+                # (2) The wake agenda, in the order the heap would pop it:
+                # host time, then raise order (the seq).
+                agenda = []
+                for k, c in enumerate(act):
+                    c.max_local_time = new_max
+                    cid = c.core_id
+                    suspended[cid] = False
+                    agenda.append((max(m + wake_cost + k * fanout_cost, next_free[cid]), k, cid))
+                agenda.sort()
+                wakes_delivered += woken
+                # (3) Merge: the manager polls through every gap; a core wins
+                # a tie (its heap seq is the older one).
+                for i, (r, _, cid) in enumerate(agenda):
+                    if m < r:
+                        m, polls = poll_until(m, poll_cost, r, 100_001 - mgr_idle_streak)
+                        polled += polls
+                        steps += 1
+                        idle(polls)
+                    steps += 1
+                    ct = cores[cid]
+                    local = ct.local_time
+                    inq_heap = inqs[cid]
+                    if (
+                        new_max - local == 1
+                        and batched[cid]
+                        and not (inq_heap and inq_heap[0][0] <= local)
+                    ):
+                        # ``step_many(1)`` with nothing due in the InQ: the cc
+                        # path, kept out of ``step_many`` on purpose.
+                        model = ct.model
+                        if model.wait_state(local) is None:
+                            committed, active = model.step(local)
+                            ct.local_time = new_max
+                            ct.total_committed += committed
+                            ct.total_cycles += 1
                             if (
-                                new_max - local == 1
-                                and batched[cid]
-                                and not (inq_heap and inq_heap[0][0] <= local)
+                                outqs[cid]
+                                or model.pending_wakes
+                                or model.phase is HALTED
+                                or pending_activations
+                                or (max_insn and total + committed >= max_insn)
                             ):
-                                # ``step_many(1)`` with nothing due in the InQ.
-                                model = ct.model
-                                if model.wait_state(local) is None:
-                                    committed, active = model.step(local)
-                                    ct.local_time = new_max
-                                    ct.total_committed += committed
-                                    ct.total_cycles += 1
-                                    if (
-                                        outqs[cid]
-                                        or model.pending_wakes
-                                        or model.phase is HALTED
-                                        or pending_activations
-                                        or (max_insn and total + committed >= max_insn)
-                                    ):
-                                        # Not quiet: the BatchStats that
-                                        # ``step_many`` would have returned.
-                                        stats = ct._stats
-                                        stats.reset()
-                                        stats.cycles = 1
-                                        stats.committed = committed
-                                        if active:
-                                            stats.active_cycles = 1
-                                        else:
-                                            stats.idle_cycles = 1
-                                        stats.wakes.extend(model.pending_wakes)
-                                        model.pending_wakes.clear()
-                                        stats.events_out = len(outqs[cid])
-                                        if model.phase is HALTED:
-                                            ct.state = CoreState.DONE
-                                            ct.final_time = new_max
-                                        else:
-                                            stats.hit_window_edge = True
-                                            ct.window_edge_hits += 1
-                                        break
-                                    total += committed
-                                    base = base_active if active else base_idle
-                                else:
-                                    model.skip(1)
-                                    ct.local_time = new_max
-                                    ct.total_cycles += 1
-                                    base = base_skip
-                                ct.window_edge_hits += 1
-                                jit = core_jitter[cid]
-                                cost = base * (jit.pop() if jit else refill_jitter(cid))
-                                cost += suspend_cost
-                                if cost < 0.05:
-                                    cost = 0.05
-                            else:
-                                budget = turn_budget(ct)
-                                if batched[cid]:
-                                    stats = ct.step_many(budget, wait_chunk=wait_chunk)
-                                else:
-                                    stats = ct.run(min(budget, 8))
-                                if (
-                                    outqs[cid]
-                                    or stats.wakes
-                                    or not stats.hit_window_edge
-                                    or pending_activations
-                                    or (max_insn and total + stats.committed >= max_insn)
-                                ):
-                                    break
-                                total += stats.committed
-                                cost = core_batch_cost(cid, stats, suspended=True)
-                                stats = None
-                            # A quiet turn: pay for it and the suspension that
-                            # follows it.
-                            next_free[cid] = hostrun(r, cost)
+                                stats = _unit_turn_stats(ct, committed, active)
+                                break
+                            total += committed
+                            base = base_active if active else base_idle
                         else:
-                            i = woken
-                        # The ``i`` quiet turns all ended at ``new_max``: their
-                        # slack samples are one value, added at once.
-                        if i:
-                            slack = new_max - g
-                            slack_buckets[slack.bit_length()] += i
-                            s_count += i
-                            s_total += slack * i
-                            if slack < s_min:
-                                s_min = slack
-                            if slack > s_max:
-                                s_max = slack
-                        if i == woken:
-                            # (4) Every core suspended again: the barrier is
-                            # complete, the manager dirty and next at ``m``.
-                            suspends += woken
-                            self.total_committed = total
-                            mgr_dirty = True
-                            mgr_idle_streak = 0
-                            ready = m
-                            engine_steps += 1
-                            # Every active core sits at ``new_max`` (> g).
-                            g = top = new_max
-                            continue
-                        # The turn at ``r`` was not quiet.  Cores that have not
-                        # run yet and the manager go (back) on the heap; the
-                        # general post-turn code takes this turn from here.
-                        for _, _, c in agenda[i:]:
-                            suspended[c] = False
-                        for t, _, c in agenda[i + 1:]:
-                            heappush(heap, (t, nxt(), c))
-                        heappush(heap, (m, nxt(), -1))
-                        n_susp = i
-                        suspends += i
-                        self.total_committed = total
-                        ready = r
-                        idx = cid
-                        break
-                if stats is None:
-                    if not mgr_dirty and probe is None:
-                        # Consecutive idle polls: keep polling while the manager
-                        # is provably the next host event.  Nothing can mark it
-                        # dirty before the next heap entry runs, so one
-                        # ``poll_until`` is step-for-step identical to re-queueing
-                        # every poll through the heap — minus the heap churn and
-                        # the host-model call per poll.  Strictly below the next
-                        # entry's ready time preserves the tie break (a re-pushed
-                        # poll has a larger seq and loses); an empty heap gets
-                        # the one poll it always got.
-                        done_t, polls = poll_until(
-                            ready, poll_cost,
-                            heap[0][0] if heap else ready,
-                            100_001 - mgr_idle_streak,
-                        )
-                        mgr_idle_streak += polls
-                        manager_polls += polls
-                        if mgr_idle_streak > 100_000:
-                            self._diagnose_deadlock(suspended, parked)
-                        heappush(heap, (done_t, nxt(), -1))
-                        continue
-                    result = manager.step()
-                    mgr_dirty = False
-                    manager_steps += 1
-                    if fault_tick is not None:
-                        fault_tick(self, manager.global_time)
-                    if snap_interval and manager.global_time >= self._next_snapshot:
-                        sync_stats()
-                        self.registry.snapshot(manager.global_time)
-                        self._next_snapshot = (
-                            manager.global_time // snap_interval + 1
-                        ) * snap_interval
-                    cost = manager_step_cost(result.drained, result.processed)
-                    done_t = hostrun(ready, cost)
-                    # Wakes leave the manager serially (futex hand-off): the
-                    # k-th thread woken by this step starts k-1 fanout delays
-                    # later.  This is what a barrier reopening all N cores pays
-                    # that a slack raise (typically one core) does not.
-                    woken = 0
-                    for cid in result.raised:
-                        if suspended[cid]:
-                            suspended[cid] = False
-                            n_susp -= 1
-                            wake_t = done_t + wake_cost + woken * fanout_cost
-                            woken += 1
-                            heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
-                    for cid, ct in enumerate(cores):
-                        if parked[cid] and ct.inq:
-                            parked[cid] = False
-                            wake_t = done_t + wake_cost + woken * fanout_cost
-                            woken += 1
-                            heappush(heap, (max(wake_t, next_free[cid]), nxt(), cid))
-                    wakes_delivered += woken
-                    if self._pending_activations:
-                        self._drain_activations(heap, nxt, done_t, next_free)
-                    if result.work == 0 and not result.raised:
-                        mgr_idle_streak += 1
-                        if mgr_idle_streak > 100_000:
-                            self._diagnose_deadlock(suspended, parked)
+                            model.skip(1)
+                            ct.local_time = new_max
+                            ct.total_cycles += 1
+                            base = base_skip
+                        ct.window_edge_hits += 1
+                        jit = core_jitter[cid]
+                        cost = base * (jit.pop() if jit else refill_jitter(cid))
+                        cost += suspend_cost
+                        if cost < 0.05:
+                            cost = 0.05
                     else:
-                        mgr_idle_streak = 0
-                    if probe is not None:
-                        probe(
-                            done_t,
-                            manager.global_time,
-                            [
-                                c.local_time if c.state == CoreState.ACTIVE else -1
-                                for c in cores
-                            ],
-                        )
-                    heappush(heap, (done_t, nxt(), -1))
-                    if cp_interval and manager.global_time >= self._next_checkpoint:
-                        # The manager step's effects (wakes, costs, its own
-                        # re-push) are all applied: the loop state is exactly a
-                        # top-of-loop state, which is what restore re-enters.
-                        sync_stats()
-                        self._write_checkpoint(
-                            heap, nxt(), suspended, parked, next_free,
-                            n_susp, mgr_dirty, mgr_idle_streak,
-                        )
-                        self._next_checkpoint = (
-                            manager.global_time // cp_interval + 1
-                        ) * cp_interval
-                    continue
-            else:
-                ct = cores[idx]
-                if ct.state != CoreState.ACTIVE:
-                    continue
-                if ct.local_time >= ct.max_local_time:
-                    # Re-read the shared clocks before paying the suspend/wake
-                    # round trip (free: two word reads in the real thing).
-                    if not manager.refresh_window(ct):
-                        suspended[idx] = True
-                        n_susp += 1
-                        suspends += 1
-                        if barrier_policy and n_susp >= self._active_cores:
-                            mgr_dirty = True
-                            mgr_idle_streak = 0
-                        next_free[idx] = hostrun(ready, suspend_cost)
-                        continue
-                budget = turn_budget(ct)
-                if batched[idx]:
-                    stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
+                        budget = turn_budget(ct)
+                        if batched[cid]:
+                            stats = ct.step_many(budget, wait_chunk=wait_chunk)
+                        else:
+                            stats = ct.run(min(budget, 8))
+                        if (
+                            outqs[cid]
+                            or stats.wakes
+                            or not stats.hit_window_edge
+                            or pending_activations
+                            or (max_insn and total + stats.committed >= max_insn)
+                        ):
+                            break
+                        total += stats.committed
+                        cost = core_batch_cost(cid, stats, suspended=True)
+                    # A quiet turn: pay for it and the suspension that follows.
+                    next_free[cid] = hostrun(r, cost)
+                    suspended[cid] = True
                 else:
-                    # Models without the batching protocol (the OoO core) keep
-                    # seed-era chunking: the turn structure, and so every
-                    # host-model call, is the same in either stepping mode.
-                    stats = ct.run(min(budget, 8), single=single)
-            # Inline Distribution.add on hoisted locals: ``slack`` is bounded
-            # by max_cycles, far below the 2**64 top bucket, so the raw
-            # ``bit_length`` index is always in range.
+                    i = woken
+                # The ``i`` quiet turns all ended at ``new_max``: their slack
+                # samples are one value, added at once.
+                if i:
+                    slack = new_max - g
+                    slack_buckets[slack.bit_length()] += i
+                    s_count += i
+                    s_total += slack * i
+                    if slack < s_min:
+                        s_min = slack
+                    if slack > s_max:
+                        s_max = slack
+                if i < woken:
+                    break
+                # (4) Every core suspended again: the barrier is complete, the
+                # manager dirty and next at ``m``.
+                suspends += woken
+                self.total_committed = total
+                mgr_dirty = True
+                mgr_idle_streak = 0
+                ready = m
+                steps += 1
+                # Every active core sits at ``new_max`` (> g).
+                g = top = new_max
+            # The turn at ``r`` was not quiet.  The cores that have not run
+            # yet and the manager go (back) on the heap; ``after_turn`` takes
+            # this turn from here.
+            for t, _, c in agenda[i + 1:]:
+                push(c, t)
+            heappush(heap, (m, nxt(), -1))
+            n_susp = i
+            suspends += i
+            self.total_committed = total
+            engine_steps += steps
+            manager_polls += polled
+            return after_turn(r, cid, ct, stats)
+
+        def manager_arm(ready: float) -> None:
+            """One manager step (or a stretch of elided idle polls)."""
+            nonlocal manager_steps, wakes_delivered, n_susp, mgr_dirty
+            nonlocal mgr_idle_streak, manager_polls
+            if not mgr_dirty and probe is None:
+                # Manager elision: a step with no new core work since the
+                # previous one provably drains/processes/raises nothing, so
+                # only its (identical, jitter-free) poll cost is charged — and
+                # while the manager is provably the next host event, one
+                # ``poll_until`` is step-for-step identical to re-queueing
+                # every poll through the heap.  Strictly below the next
+                # entry's ready time preserves the tie break (a re-pushed poll
+                # has a larger seq and loses); an empty heap gets the one poll
+                # it always got.  A probe wants every step, so it disables this.
+                done_t, polls = poll_until(
+                    ready, poll_cost,
+                    heap[0][0] if heap else ready,
+                    100_001 - mgr_idle_streak,
+                )
+                manager_polls += polls
+                idle(polls)
+                heappush(heap, (done_t, nxt(), -1))
+                return
+            result = manager.step()
+            mgr_dirty = False
+            manager_steps += 1
+            g = manager.global_time
+            if fault_tick is not None:
+                fault_tick(self, g)
+            if snap_interval and g >= self._next_snapshot:
+                sync_stats()
+                self.registry.snapshot(g)
+                self._next_snapshot = (g // snap_interval + 1) * snap_interval
+            done_t = hostrun(ready, manager_step_cost(result.drained, result.processed))
+            # Wakes leave the manager serially (futex hand-off): the k-th
+            # thread woken by this step starts k-1 fanout delays later.  This
+            # is what a barrier reopening all N cores pays that a slack raise
+            # (typically one core) does not.
+            woken = 0
+            for cid in result.raised:
+                if suspended[cid]:
+                    suspended[cid] = False
+                    n_susp -= 1
+                    push(cid, done_t + wake_cost + woken * fanout_cost)
+                    woken += 1
+            for cid, ct in enumerate(cores):
+                if parked[cid] and ct.inq:
+                    parked[cid] = False
+                    push(cid, done_t + wake_cost + woken * fanout_cost)
+                    woken += 1
+            wakes_delivered += woken
+            while pending_activations:
+                push(pending_activations.pop(), done_t + wake_cost)
+            if result.work == 0 and not result.raised:
+                idle(1)
+            else:
+                mgr_idle_streak = 0
+            if probe is not None:
+                probe(
+                    done_t,
+                    g,
+                    [c.local_time if c.state == ACTIVE else -1 for c in cores],
+                )
+            heappush(heap, (done_t, nxt(), -1))
+            if cp_interval and g >= self._next_checkpoint:
+                # The step's effects (wakes, costs, its own re-push) are all
+                # applied: the engine is exactly a top-of-loop state, which is
+                # what a restored ``run()`` re-enters.
+                from repro.core import checkpoint
+
+                self._next_checkpoint = (g // cp_interval + 1) * cp_interval
+                sync_stats()
+                checkpoint.save_checkpoint(self, sim.checkpoint_path)
+
+        def core_turn(ready: float, idx: int, ct: CoreThread) -> bool:
+            """One core thread's turn; returns whether the instruction cut fired."""
+            if ct.local_time >= ct.max_local_time and not manager.refresh_window(ct):
+                # At its window edge, and the shared clocks (re-read first:
+                # two word reads in the real thing) have not moved.
+                suspend(idx)
+                next_free[idx] = hostrun(ready, suspend_cost)
+                return False
+            budget = turn_budget(ct)
+            if batched[idx]:
+                stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
+            else:
+                # Models without the batching protocol (the OoO core) keep
+                # seed-era chunking: the turn structure, and so every
+                # host-model call, is the same in either stepping mode.
+                stats = ct.run(min(budget, 8), single=single)
+            return after_turn(ready, idx, ct, stats)
+
+        def after_turn(ready: float, idx: int, ct: CoreThread, stats: BatchStats) -> bool:
+            """Pay for a core turn and requeue, suspend or park its thread.
+
+            Returns whether the ``max_instructions`` cut fired.
+            """
+            nonlocal s_count, s_total, s_min, s_max, mgr_dirty, mgr_idle_streak
+            nonlocal wakes_delivered, parks
+            # Inline Distribution.add: ``slack`` is bounded by max_cycles, far
+            # below the 2**64 top bucket, so the raw ``bit_length`` index is
+            # always in range.
             slack = ct.local_time - manager.global_time
             slack_buckets[slack.bit_length()] += 1
             s_count += 1
@@ -1077,125 +1070,102 @@ class SequentialEngine:
                 s_min = slack
             if slack > s_max:
                 s_max = slack
-            if (
-                not barrier_policy
-                or ct.outq._q
-                or stats.wakes
-                or ct.state != CoreState.ACTIVE
-            ):
+            wakes = stats.wakes
+            if not barrier_policy or outqs[idx] or wakes or ct.state != ACTIVE:
                 mgr_dirty = True
                 mgr_idle_streak = 0
-            for core_id, release_ts in stats.wakes:
+            for core_id, release_ts in wakes:
                 cores[core_id].model.release(release_ts)
             park = False
             if (
-                ct.state == CoreState.ACTIVE
+                ct.state == ACTIVE
                 and not stats.hit_window_edge
                 and batched[idx]
                 and (park_pending or park_spin)
             ):
+                # Parked: blocked on external input with an empty InQ, so the
+                # core cannot progress until the manager delivers (or a peer
+                # releases a blocking syscall) — the InQ-empty block of a real
+                # implementation.  Without it, an unbounded-slack core pays a
+                # polling turn per response round-trip.
                 ws = ct.model.wait_state(ct.local_time)
                 if ws is not None and ws[0] >= WAIT_EXTERNAL and not len(ct.inq):
                     spinning = getattr(ct.model, "spinning", False)
                     park = park_spin if spinning else park_pending
             cost = core_batch_cost(idx, stats, suspended=stats.hit_window_edge or park)
-            done_t = hostrun(ready, cost)
-            next_free[idx] = done_t
+            done_t = next_free[idx] = hostrun(ready, cost)
             woken = 0
-            for core_id, _ in stats.wakes:
+            for core_id, _ in wakes:
                 if parked[core_id]:
                     parked[core_id] = False
-                    wake_t = done_t + wake_cost + woken * fanout_cost
+                    push(core_id, done_t + wake_cost + woken * fanout_cost)
                     woken += 1
-                    heappush(heap, (max(wake_t, next_free[core_id]), nxt(), core_id))
             wakes_delivered += woken
-            if self._pending_activations:
-                self._drain_activations(heap, nxt, done_t, next_free)
+            while pending_activations:
+                push(pending_activations.pop(), done_t + wake_cost)
             self.total_committed += stats.committed
-            if ct.state != CoreState.ACTIVE:
+            if ct.state != ACTIVE:
                 self._active_cores -= 1
             if ct.local_time > sim.max_cycles:
                 raise EngineError(
                     f"core {idx} exceeded max_cycles={sim.max_cycles} "
                     f"(scheme {self.scheme.name}; workload hung?)"
                 )
-            if sim.max_instructions and self.total_committed >= sim.max_instructions:
-                completed = False
-                break
-            if ct.state == CoreState.ACTIVE:
-                if stats.hit_window_edge:
-                    if manager.refresh_window(ct):
-                        # The shared clocks already moved (this core may
-                        # itself hold the minimum): no suspend round trip.
-                        heappush(heap, (done_t, nxt(), idx))
-                    else:
-                        suspended[idx] = True
-                        n_susp += 1
-                        suspends += 1
-                        if barrier_policy and n_susp >= self._active_cores:
-                            mgr_dirty = True
-                            mgr_idle_streak = 0
+            if max_insn and self.total_committed >= max_insn:
+                return True
+            if ct.state == ACTIVE:
+                if stats.hit_window_edge and not manager.refresh_window(ct):
+                    suspend(idx)
                 elif park:
                     parked[idx] = True
                     parks += 1
                 else:
-                    heappush(heap, (done_t, nxt(), idx))
+                    # Runnable again — including at a window edge whose shared
+                    # clocks already moved (this core may itself hold the
+                    # minimum): no suspend round trip.
+                    push(idx, done_t)
+            return False
 
+        completed = True
+        while self._active_cores:
+            if not heap:
+                raise EngineError("host queue empty with active cores — engine bug")
+            engine_steps += 1
+            if engine_steps > 200_000_000:
+                raise EngineError("engine step limit exceeded (runaway simulation)")
+            ready, _, idx = heappop(heap)
+            if idx == -1:
+                if not (
+                    fusable
+                    and mgr_dirty
+                    and not heap
+                    and n_susp == self._active_cores
+                    and manager._gq_depth == 0
+                    and not any(outqs)
+                ):
+                    manager_arm(ready)
+                    continue
+                cut = barrier_superstep(ready)
+            else:
+                ct = cores[idx]
+                if ct.state != ACTIVE:
+                    continue
+                cut = core_turn(ready, idx, ct)
+            if cut:
+                completed = False
+                break
         sync_stats()
-        self.manager.check_invariants()
+        manager.check_invariants()
         return self._build_result(completed)
 
-    def _write_checkpoint(
-        self,
-        heap: list,
-        seq_next: int,
-        suspended: list[bool],
-        parked: list[bool],
-        next_free: list[float],
-        n_susp: int,
-        mgr_dirty: bool,
-        mgr_idle_streak: int,
-    ) -> None:
-        """Stash the run loop's hoisted locals and pickle the whole engine.
-
-        ``seq_next`` is a freshly drawn heap tie-break value: consuming one
-        is free (only the *relative* order of seqs matters, and both the
-        continuing and the restored run proceed from the same position), and
-        it is exactly the counter state a restored ``run()`` must resume
-        from.  The payload rides inside the engine pickle; ``run()`` pops it.
-        """
-        from repro.core.checkpoint import save_checkpoint
-
-        self._resume = {
-            "heap": list(heap),
-            "seq_next": seq_next,
-            "suspended": list(suspended),
-            "parked": list(parked),
-            "next_free": list(next_free),
-            "n_susp": n_susp,
-            "mgr_dirty": mgr_dirty,
-            "mgr_idle_streak": mgr_idle_streak,
-        }
-        try:
-            assert self.sim.checkpoint_path is not None
-            save_checkpoint(self, self.sim.checkpoint_path)
-        finally:
-            del self._resume
-
-    def _drain_activations(self, heap, nxt, ready: float, next_free: list[float]) -> None:
-        while self._pending_activations:
-            core = self._pending_activations.pop()
-            start = max(ready + self.costmodel.wake_cost, next_free[core])
-            heapq.heappush(heap, (start, nxt(), core))
-
-    def _diagnose_deadlock(self, suspended: list[bool], parked: list[bool]) -> None:
+    def _diagnose_deadlock(self) -> None:
         lines = [f"engine deadlock under scheme {self.scheme.name}:"]
         lines.append(f"  global_time={self.manager.global_time}")
         for ct in self.cores:
             lines.append(
                 f"  core {ct.core_id}: state={ct.state} local={ct.local_time} "
-                f"max={ct.max_local_time} suspended={suspended[ct.core_id]} "
-                f"parked={parked[ct.core_id]} "
+                f"max={ct.max_local_time} suspended={self._suspended[ct.core_id]} "
+                f"parked={self._parked[ct.core_id]} "
                 f"phase={ct.model.phase if ct.model else '?'} inq={len(ct.inq)} outq={len(ct.outq)}"
             )
         lines.append(f"  gq={len(self.manager.gq)}")

@@ -65,7 +65,7 @@ def run_figure2(
             None,
             target=TargetConfig(num_cores=num_cores, core_model="trace"),
             host=HostConfig(num_cores=num_cores),
-            sim=SimConfig(scheme=scheme, seed=seed, batch_cycles=1),
+            sim=SimConfig(scheme=scheme, seed=seed, turn_cycles=1),
             trace_cores=_trace_cores(num_cores, ops, seed),
         )
         trace = SchemeTrace(scheme=scheme)

@@ -57,13 +57,21 @@ DIGEST_SIM_FIELDS = (
     "max_instructions",
     "detect_violations",
     "fastforward",
-    "batch_cycles",
     "turn_cycles",
     "wait_chunk",
     "stats_interval",
     "fault_plan",
     "checkpoint_interval",
 )
+
+#: Retired digest-relevant SimConfig fields and the default each had.  A wire
+#: dict carrying the default names today's simulation, and the key is
+#: dropped; any other value named a simulation this build cannot run, and
+#: dropping the key would silently run another one under another job key.
+_RETIRED_SIM_FIELDS = {
+    "mem_domains": 1,  # memory domains (DESIGN.md §10)
+    "batch_cycles": 0,  # the second turn cap, folded into turn_cycles
+}
 
 
 @dataclass(frozen=True)
@@ -171,14 +179,13 @@ def spec_from_dict(d: dict) -> JobSpec:
     Tolerates missing optional fields (defaults apply) and unknown ``sim``
     keys (dropped — a newer client talking to an older daemon, or a row an
     older daemon queued with since-retired *mechanics* fields, degrades to
-    the fields both sides know rather than erroring).  ``mem_domains`` was
-    digest-relevant before it was retired: any value but 1 names a
-    simulation this build cannot run, and dropping the key would silently
-    run a different one under a different job key — so it is refused.  So
-    are the two keys of the retired functional-job mode: ``"mode"`` other
-    than ``"timing"`` is a job this build cannot run, and a non-empty
-    ``"workload_args"`` names another program (the constants an older
-    daemon wrote, ``"timing"`` and ``[]``, are dropped).
+    the fields both sides know rather than erroring).  A retired
+    digest-relevant field (:data:`_RETIRED_SIM_FIELDS`) is dropped at its old
+    default and refused at any other value.  So are the two keys of the
+    retired functional-job mode: ``"mode"`` other than ``"timing"`` is a
+    job this build cannot run, and a non-empty ``"workload_args"`` names
+    another program (the constants an older daemon wrote, ``"timing"`` and
+    ``[]``, are dropped).
     """
     if d.get("mode", "timing") != "timing":
         raise ValueError(
@@ -193,11 +200,12 @@ def spec_from_dict(d: dict) -> JobSpec:
     sim = d.get("sim")
     sim_cfg = None
     if sim:
-        if sim.get("mem_domains", 1) != 1:
-            raise ValueError(
-                f"sim.mem_domains={sim['mem_domains']!r} is not supported: "
-                "memory domains were removed (DESIGN.md §10); only 1 is accepted"
-            )
+        for name, default in _RETIRED_SIM_FIELDS.items():
+            if sim.get(name, default) != default:
+                raise ValueError(
+                    f"sim.{name}={sim[name]!r} is not supported: the field was "
+                    f"retired; only {default!r} is accepted"
+                )
         known = {f.name for f in fields(SimConfig)}
         sim_cfg = SimConfig(**{k: v for k, v in sim.items() if k in known})
     return JobSpec(

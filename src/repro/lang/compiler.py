@@ -11,10 +11,10 @@ memoised front end over :func:`compile_source` here.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._util import source_digest
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.lang.ast_nodes import Unit
@@ -59,12 +59,7 @@ def toolchain_fingerprint() -> str:
     """SHA-256 over the compiler/assembler sources (memoised per process)."""
     global _fingerprint
     if _fingerprint is None:
-        root = Path(__file__).resolve().parent.parent
-        h = hashlib.sha256()
-        for rel in _TOOLCHAIN_MODULES:
-            h.update(rel.encode())
-            h.update((root / rel).read_bytes())
-        _fingerprint = h.hexdigest()
+        _fingerprint = source_digest(Path(__file__).resolve().parent.parent, _TOOLCHAIN_MODULES)
     return _fingerprint
 
 

@@ -18,8 +18,6 @@ golden proves both stay that way across commits.
 from __future__ import annotations
 
 import json
-import pickle
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,12 +27,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import events
-from repro.core.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError, SequentialEngine
 from repro.lang import compile_source
@@ -108,7 +101,10 @@ def test_restore_equivalence(request, scheme, program, tmp_path):
         program, scheme, checkpoint_interval=300, checkpoint_path=cp
     ).run()
     assert (tmp_path / "ck.pkl").exists(), "no checkpoint was ever written"
-    resumed = load_checkpoint(cp).run()
+    restored = load_checkpoint(cp)
+    # ``sync_stats`` wrote back a seq position past every queued seq.
+    assert restored._seq_next > max(seq for _, seq, _ in restored._heap)
+    resumed = restored.run()
 
     # Checkpointing is behaviour-free, restores are exact — to the bit.
     assert_same_run(plain, full)
@@ -322,55 +318,54 @@ def test_load_rejects_missing_and_garbage(tmp_path):
     garbage.write_bytes(b"not a pickle at all")
     with pytest.raises(CheckpointError):
         load_checkpoint(str(garbage))
-    wrong = tmp_path / "wrong.pkl"
-    wrong.write_bytes(pickle.dumps({"format": 999, "engine": None, "seq_position": 0}))
-    with pytest.raises(CheckpointError, match="format"):
-        load_checkpoint(str(wrong))
-    # Format 1 may have been cut by the removed static run loop, format 2
-    # pickles a SimConfig with since-removed fields, format 3 an OoO core
-    # with ``deps`` chains: refused, never resumed.
-    for fmt in (1, 2, 3):
-        stale = tmp_path / f"format{fmt}.pkl"
-        stale.write_bytes(pickle.dumps({"format": fmt, "engine": None, "seq_position": 0}))
-        with pytest.raises(CheckpointError, match=f"format {fmt}"):
-            load_checkpoint(str(stale))
 
 
-def test_format6_checkpoint_refused(tmp_path):
-    """A format-6 GQ pickles both a FIFO and a heap (and events carry
-    ``consumed``): refused with the standard message, never resumed."""
-    stale = tmp_path / "format6.pkl"
-    stale.write_bytes(pickle.dumps({"format": 6, "engine": None, "seq_position": 0}))
-    with pytest.raises(
-        CheckpointError, match=re.escape(f"checkpoint format 6 (this build reads format {CHECKPOINT_FORMAT})")
-    ):
-        load_checkpoint(str(stale))
+def test_checkpoint_from_other_source_refused(program, tmp_path, monkeypatch, capsys):
+    """A checkpoint is a pickle of engine internals, stamped with the sha256
+    of the package's sources: one written under other source bytes is
+    refused, and ``run --restore`` exits 2 with one ``error:`` line."""
+    from repro.core import checkpoint
 
-
-def test_format7_checkpoint_refused(tmp_path):
-    """A format-7 host model pickles its instance-bound scheduler methods and
-    heaps: refused with the standard message, never resumed."""
-    stale = tmp_path / "format7.pkl"
-    stale.write_bytes(pickle.dumps({"format": 7, "engine": None, "seq_position": 0}))
-    with pytest.raises(
-        CheckpointError, match=re.escape(f"checkpoint format 7 (this build reads format {CHECKPOINT_FORMAT})")
-    ):
-        load_checkpoint(str(stale))
-
-
-def test_format8_checkpoint_refused(tmp_path, capsys):
-    """A format-8 host model holds ``free_at`` in scan order (not heap
-    order) and the cost model ``_JitterStream`` objects: ``run --restore``
-    refuses it with one ``error:`` line, never resumes it."""
-    stale = tmp_path / "format8.pkl"
-    stale.write_bytes(pickle.dumps({"format": 8, "engine": None, "seq_position": 0}))
-    with pytest.raises(
-        CheckpointError, match=re.escape("checkpoint format 8 (this build reads format 9)")
-    ):
-        load_checkpoint(str(stale))
-    assert main(["run", "--restore", str(stale)]) == 2
+    cp = str(tmp_path / "ck.pkl")
+    save_checkpoint(build(program, "q3"), cp)
+    written = checkpoint.source_fingerprint()[:12]
+    monkeypatch.setattr(checkpoint, "_fingerprint", "0" * 64)
+    with pytest.raises(CheckpointError, match=f"under source {written}, this build is 0{{12}};"):
+        load_checkpoint(cp)
+    assert main(["run", "--restore", cp]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "checkpoint format 8" in err
+    assert err.count("error:") == 1 and written in err
+
+
+@pytest.mark.parametrize("scheme", ["cc", "su"])
+def test_chained_restore(scheme, program, tmp_path, monkeypatch):
+    """A restored run writes its own later checkpoints from the loop state
+    ``sync_stats`` wrote back onto the engine; restoring one of those
+    finishes on the pinned digest — cc through the barrier superstep, su
+    through parking."""
+    from repro.core import checkpoint
+
+    cuts = []
+
+    def keep_every_cut(engine, path, _save=checkpoint.save_checkpoint):
+        _save(engine, path)
+        cuts.append(Path(path).read_bytes())
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", keep_every_cut)
+    cp = tmp_path / "ck.pkl"
+    build(program, scheme, checkpoint_interval=300, checkpoint_path=str(cp)).run()
+    cp.write_bytes(cuts[0])
+    first = load_checkpoint(str(cp))
+    cut_at, counter = first.manager.global_time, "fused_barriers" if scheme == "cc" else "parks"
+    cuts.clear()
+    first.run()
+    cp.write_bytes(cuts[0])  # the restored run's own first checkpoint
+    second = load_checkpoint(str(cp))
+    before = getattr(second, counter)
+    assert second.manager.global_time > cut_at > 0
+    result = second.run()
+    assert getattr(second, counter) > before and list(result.output) == [24]
+    assert result.stats_sha256 == json.loads(GOLDEN_PATH.read_text())[scheme]
 
 
 # ---------------------------------------------------------------- seq counter

@@ -183,14 +183,14 @@ class TestInstructionCap:
 
 class TestTurnShapingValidation:
     @pytest.mark.parametrize(
-        "field,value", [("wait_chunk", 0), ("wait_chunk", -3), ("turn_cycles", -5), ("batch_cycles", -1)]
+        "field,value", [("wait_chunk", 0), ("wait_chunk", -3), ("turn_cycles", -5)]
     )
     def test_out_of_range_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
 
     def test_zero_still_means_uncapped(self):
-        r = run_trace(sharing_workload(2, 10, seed=2), "su", turn_cycles=0, batch_cycles=0, wait_chunk=1)
+        r = run_trace(sharing_workload(2, 10, seed=2), "su", turn_cycles=0, wait_chunk=1)
         assert r.completed
 
 

@@ -158,8 +158,6 @@ class ThreadedEngine(SequentialEngine):
                 budget = ct.max_local_time - ct.local_time
                 if budget > 4096:
                     budget = 4096
-                if self.sim.batch_cycles and self.sim.batch_cycles < budget:
-                    budget = self.sim.batch_cycles
                 stats = ct.run(budget)
                 if stats.wakes:
                     with self._emu_lock:

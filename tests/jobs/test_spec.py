@@ -50,7 +50,7 @@ class TestKeyChanges:
             {"max_cycles": 1234},
             {"max_instructions": 99},
             {"detect_violations": False},
-            {"batch_cycles": 32},
+            {"turn_cycles": 0},
             {"turn_cycles": 128},
             {"wait_chunk": 4},
             {"stats_interval": 500},
@@ -104,23 +104,22 @@ class TestPayload:
     def test_payload_keys_and_pinned_key(self, monkeypatch):
         """The payload names exactly what a job is, and the pinned key (under
         a fixed fingerprint) moves only when a change really does orphan
-        every stored record.  It last moved when the cache left the
-        fingerprinted compiler: the constants ``"mode": "timing"`` and
-        ``"workload": {"args": {}}``, kept only so that no key moved when the
-        functional-job mode went, left the payload in that same move."""
+        every stored record.  It last moved when ``batch_cycles`` left the
+        ``sim`` section: it was a second cap on the one turn length, folded
+        into ``turn_cycles``, and a retired field cannot stay in the key."""
         payload = digest_payload(spec(), DIGEST)
         assert "mode" not in payload
         assert payload["workload"] == {"name": "fft", "scale": "tiny"}
         monkeypatch.setattr(compiler, "_fingerprint", "f" * 64)
         assert job_key(spec(), DIGEST) == (
-            "2c609cacbfef439867e173cc4056ab39270a019d0fb3393031763f622db1d706"
+            "7e27524cffb1224cbf85b771dcc848525e1c4fed5534543155fb0e76d7c26192"
         )
 
     def test_counted_options(self):
         """A job is a timing run and a SimConfig is a simulation: a new field
         on any of the three is a design decision, not a drive-by."""
         counts = [len(dataclasses.fields(c)) for c in (JobSpec, SimConfig, JobOutcome)]
-        assert counts == [8, 16, 3]
+        assert counts == [8, 15, 3]
 
     def test_top_level_fields_overlay_sim(self):
         s = spec(scheme="su", max_cycles=777)
@@ -146,6 +145,7 @@ class TestWireCompat:
         revived = spec_from_dict(self.wire(
             mem_domains=1, scheduling="static", backend="threaded",
             stepping="single", dispatch="oracle", host_timeout=5.0,
+            batch_cycles=0,
         ))
         current = spec(max_cycles=777)
         assert revived == current
@@ -155,11 +155,14 @@ class TestWireCompat:
         assert set(spec_to_dict(revived)["sim"]) == set(spec_to_dict(current)["sim"])
 
     def test_retired_digest_relevant_field_is_refused(self):
-        """``mem_domains`` != 1 named a different simulation: dropping the
-        key would run another job under another key, so it is an error
-        (``mem_domains: 1`` is dropped with the mechanics, above)."""
+        """``mem_domains`` != 1 and ``batch_cycles`` != 0 named a different
+        simulation: dropping the key would run another job under another
+        key, so it is an error (the old defaults are dropped with the
+        mechanics, above)."""
         with pytest.raises(ValueError, match="mem_domains"):
             spec_from_dict(self.wire(mem_domains=4))
+        with pytest.raises(ValueError, match="batch_cycles"):
+            spec_from_dict(self.wire(batch_cycles=32))
 
     def test_parent_format_row_is_the_same_job(self):
         """A row an older daemon queued carries ``"mode": "timing"``, an
