@@ -618,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=_cmd_compile)
 
     fig2 = sub.add_parser("figure2", help="regenerate paper Figure 2 and check its claims")
-    fig2.add_argument("--scale", choices=_SCALES, help="ignored: the cores are scripted")
     fig2.set_defaults(func=_cmd_figure2)
 
     def experiment_parser(name: str, help: str) -> argparse.ArgumentParser:

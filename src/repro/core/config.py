@@ -12,20 +12,21 @@ __all__ = ["TargetConfig", "HostConfig", "SimConfig"]
 
 @dataclass(frozen=True)
 class TargetConfig:
-    """The simulated CMP (paper §4.1: 8-core, 16KB I/D L1, 256KB shared L2)."""
+    """The simulated CMP (paper §4.1: 8-core, 16KB L1, 256KB shared L2).
+
+    Only the D-side L1 is modeled: every instruction fetch hits (DESIGN.md
+    §2).  The out-of-order core predicts branches with gshare.
+    """
 
     num_cores: int = 8
     core_model: str = "inorder"  # "inorder" | "ooo" | "trace"
     l1: L1Config = field(default_factory=L1Config)
     memsys: MemSysConfig = field(default_factory=MemSysConfig)
-    #: Model the instruction cache (adds GETS traffic for text fetches).
-    model_icache: bool = False
     memory_bytes: int = 16 * 1024 * 1024
     stack_bytes: int = 256 * 1024
     #: Out-of-order core parameters (paper: 4-wide, 64 in-flight).
     ooo_width: int = 4
     ooo_rob: int = 64
-    branch_predictor: str = "gshare"
     mispredict_penalty: int = 8
 
     def __post_init__(self) -> None:
@@ -90,8 +91,6 @@ class SimConfig:
     #: Maximum committed instructions (0 = run to completion), mirroring the
     #: paper's fixed 100M-instruction runs.
     max_instructions: int = 0
-    #: Track conflicting same-word accesses (workload-state violations).
-    detect_violations: bool = True
     #: Compensate detected workload violations by fast-forwarding (§3.2.3).
     fastforward: bool = False
     #: Hard cap on target cycles per engine turn, independent of the scheme's

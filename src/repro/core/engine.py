@@ -184,11 +184,7 @@ class SequentialEngine:
                     )
             self._replay_ops = trace.core_ops
         self.counters = ViolationCounters()
-        self.tracker = (
-            WordOrderTracker(self.counters, self.sim.fastforward)
-            if self.sim.detect_violations
-            else None
-        )
+        self.tracker = WordOrderTracker(self.counters, self.sim.fastforward)
         self.memsys = MemorySystem(self.target.memsys, self.target.num_cores, self.counters)
         self.hostmodel = HostModel(self.host_cfg.num_cores)
         self.costmodel = CostModel(self.host_cfg, self.sim.seed, self.target.num_cores)
@@ -316,24 +312,19 @@ class SequentialEngine:
         self._mgr_idle_streak = 0
 
     def _require_commit_seam(self, what: str) -> None:
-        """A trace is the in-order pipeline's D-side commit stream: any other
-        target would record, or be re-timed as, a model it is not."""
+        """A trace is the in-order pipeline's commit stream: any other target
+        would record, or be re-timed as, a model it is not."""
         if self.target.core_model != "inorder":
             raise EngineError(
                 f"trace {what} requires the inorder core model "
                 f"(the commit seam is its pipeline), not "
                 f"{self.target.core_model!r}"
             )
-        if self.target.model_icache:
-            raise EngineError(
-                f"trace {what} covers the D-side seam only; disable model_icache"
-            )
 
     def _build_core_model(self, core_id: int, program: Program, ct: CoreThread):
         """Instantiate the configured core model (inorder | ooo)."""
         assert self.image is not None and self.system is not None
         common = dict(
-            l1i=L1Cache(self.target.l1) if self.target.model_icache else None,
             word_tracker=self.tracker,
             fastforward=self.sim.fastforward,
             dispatch=self._dispatch,
@@ -359,7 +350,6 @@ class SequentialEngine:
                 ct.outq.push, self.system,
                 width=self.target.ooo_width,
                 rob_size=self.target.ooo_rob,
-                predictor=self.target.branch_predictor,
                 mispredict_penalty=self.target.mispredict_penalty,
                 **common,
             )
@@ -486,11 +476,9 @@ class SequentialEngine:
                 core.scalar(
                     "stall_cycles", source=(lambda m=model: m.stall_cycles)
                 )
-            for cache_name in ("l1d", "l1i"):
-                cache = getattr(model, cache_name, None)
-                if cache is None:
-                    continue
-                grp = core.group(cache_name)
+            cache = getattr(model, "l1d", None)
+            if cache is not None:
+                grp = core.group("l1d")
                 for field in (
                     "accesses", "hits", "misses", "upgrades",
                     "invalidations_received", "downgrades_received",
@@ -501,7 +489,7 @@ class SequentialEngine:
                     )
                 grp.formula("miss_rate", lambda s=cache.stats: s.misses / s.accesses)
             predictor = getattr(model, "predictor", None)
-            if predictor is not None and hasattr(predictor, "stats"):
+            if predictor is not None:
                 grp = core.group("branch")
                 grp.scalar("lookups", source=lambda s=predictor.stats: s.lookups)
                 grp.scalar("correct", source=lambda s=predictor.stats: s.correct)

@@ -25,8 +25,8 @@ __all__ = ["EvKind", "Event", "REQUEST_KINDS", "new_seq"]
 
 
 class EvKind(enum.IntEnum):
-    # Core -> manager (OutQ / GQ).  Request kinds come first so
-    # ``kind <= _LAST_REQUEST`` and table indexing stay trivial.
+    # Core -> manager (OutQ / GQ).  Request kinds come first so table
+    # indexing stays trivial.
     GETS = 0
     GETX = 1
     UPGRADE = 2
@@ -40,8 +40,6 @@ class EvKind(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-
-_LAST_REQUEST = EvKind.PUTM
 
 #: OutQ kinds and their directory request mapping, indexed by ``int(kind)``
 #: (``None`` for the manager->core kinds).
@@ -106,10 +104,6 @@ class Event:
     grant: str | None = None
     #: For RESPONSE: the seq of the request this answers.
     req_seq: int | None = None
-
-    @property
-    def is_request(self) -> bool:
-        return self.kind <= _LAST_REQUEST
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.kind.label} core={self.core} addr={self.addr:#x} ts={self.ts} seq={self.seq}>"

@@ -108,10 +108,6 @@ class SimulationResult:
         return self.host_busy / (self.host_time * self.host_cores) if self.host_time else 0.0
 
     # ------------------------------------------------------------- registry
-    def stats_digest(self) -> str:
-        """Determinism fingerprint over the registry's digest-marked stats."""
-        return self.stats_sha256
-
     def dump_json(self) -> str:
         """Full stats document (meta + stats + snapshots + digest), sorted."""
         meta = {

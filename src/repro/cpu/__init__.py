@@ -1,17 +1,12 @@
 """Per-core models: architectural state, functional execution, timing cores.
 
 Core threads in the slack engine own one timing core model each (in-order or
-NetBurst-like out-of-order) together with its private L1 caches, mirroring
+NetBurst-like out-of-order) together with its private L1 data cache, mirroring
 SlackSim's structure (paper Figure 1).
 """
 
 from repro.cpu.arch import ArchState, TargetFault, TargetMemory
-from repro.cpu.branch import (
-    BimodalPredictor,
-    GsharePredictor,
-    StaticPredictor,
-    make_predictor,
-)
+from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import do_amo, do_load, do_store, effective_address, execute
 from repro.cpu.interfaces import CorePhase
 from repro.cpu.interp import FunctionalInterpreter, InterpResult, run_functional
@@ -38,10 +33,7 @@ __all__ = [
     "ArchState",
     "TargetFault",
     "TargetMemory",
-    "BimodalPredictor",
     "GsharePredictor",
-    "StaticPredictor",
-    "make_predictor",
     "do_amo",
     "do_load",
     "do_store",

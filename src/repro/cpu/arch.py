@@ -99,15 +99,6 @@ class TargetMemory:
         view = memoryview(self._words).cast("B")
         view[base * 8 : base * 8 + len(blob)] = blob
 
-    def snapshot_words(self, addr: int, count: int) -> list[int]:
-        """Read *count* consecutive words (for oracles and tests)."""
-        base = self._index(addr)
-        return list(self._words[base : base + count])
-
-    def snapshot_floats(self, addr: int, count: int) -> list[float]:
-        base = self._index(addr)
-        return list(self._floats[base : base + count])
-
 
 class ArchState:
     """One hardware thread context: integer/float register files and a PC.

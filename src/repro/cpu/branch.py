@@ -1,9 +1,6 @@
-"""Branch predictors for the timing cores.
-
-Three classic designs: always-not-taken (static), a bimodal table of 2-bit
-saturating counters, and gshare (global history XOR PC).  The OoO core uses
-a predictor for fetch redirect timing; mispredictions cost a configurable
-flush penalty.
+"""The out-of-order core's branch predictor: gshare (global history XOR PC
+indexes a table of 2-bit saturating counters).  It sets fetch redirect
+timing; a misprediction costs a configurable flush penalty.
 """
 
 from __future__ import annotations
@@ -12,7 +9,7 @@ from dataclasses import dataclass
 
 from repro._util import is_pow2
 
-__all__ = ["StaticPredictor", "BimodalPredictor", "GsharePredictor", "PredictorStats", "make_predictor"]
+__all__ = ["GsharePredictor", "PredictorStats"]
 
 
 @dataclass
@@ -23,44 +20,6 @@ class PredictorStats:
     @property
     def accuracy(self) -> float:
         return self.correct / self.lookups if self.lookups else 0.0
-
-
-class StaticPredictor:
-    """Always predicts not-taken (backward-taken variant optional)."""
-
-    def __init__(self, backward_taken: bool = True) -> None:
-        self.backward_taken = backward_taken
-        self.stats = PredictorStats()
-
-    def predict(self, pc: int, target_offset: int = 0) -> bool:
-        self.stats.lookups += 1
-        return self.backward_taken and target_offset < 0
-
-    def update(self, pc: int, taken: bool, predicted: bool) -> None:
-        if taken == predicted:
-            self.stats.correct += 1
-
-
-class BimodalPredictor:
-    """Per-PC table of 2-bit saturating counters."""
-
-    def __init__(self, entries: int = 1024) -> None:
-        if not is_pow2(entries):
-            raise ValueError("predictor table size must be a power of two")
-        self.mask = entries - 1
-        self.table = [1] * entries  # weakly not-taken
-        self.stats = PredictorStats()
-
-    def predict(self, pc: int, target_offset: int = 0) -> bool:
-        self.stats.lookups += 1
-        return self.table[(pc >> 3) & self.mask] >= 2
-
-    def update(self, pc: int, taken: bool, predicted: bool) -> None:
-        if taken == predicted:
-            self.stats.correct += 1
-        index = (pc >> 3) & self.mask
-        counter = self.table[index]
-        self.table[index] = min(3, counter + 1) if taken else max(0, counter - 1)
 
 
 class GsharePredictor:
@@ -90,13 +49,3 @@ class GsharePredictor:
         self.table[index] = min(3, counter + 1) if taken else max(0, counter - 1)
         self.history = ((self.history << 1) | int(taken)) & self.history_mask
 
-
-def make_predictor(kind: str, **kwargs):
-    """Factory: ``static`` / ``bimodal`` / ``gshare``."""
-    if kind == "static":
-        return StaticPredictor(**kwargs)
-    if kind == "bimodal":
-        return BimodalPredictor(**kwargs)
-    if kind == "gshare":
-        return GsharePredictor(**kwargs)
-    raise ValueError(f"unknown predictor kind {kind!r}")

@@ -28,7 +28,7 @@ from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.predecode import (
     K_ECALL, K_HALT, K_JUMP, K_STORE, predecode_program, timing_blocks,
 )
-from repro.cpu.l1cache import MESI, AccessResult, L1Cache
+from repro.cpu.l1cache import GRANT_TO_MESI, AccessResult, L1Cache
 from repro.core.events import EvKind, Event
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.program import TEXT_BASE, Program
@@ -38,21 +38,16 @@ from repro.violations.detect import WordOrderTracker
 
 __all__ = ["InOrderCore", "InOrderPipeline"]
 
-_GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
-
-
 class _PendingMem:
     """The one request in flight: *op* is the front end's token for the
-    access to retire once *block* has been filled into *cache* (``None``:
-    nothing retires — a fill the front end wanted for itself)."""
+    access to retire once *block* has been filled into the L1."""
 
-    __slots__ = ("op", "addr", "block", "cache")
+    __slots__ = ("op", "addr", "block")
 
-    def __init__(self, op, addr: int, block: int, cache: L1Cache) -> None:
+    def __init__(self, op, addr: int, block: int) -> None:
         self.op = op
         self.addr = addr
         self.block = block
-        self.cache = cache
 
 
 class InOrderPipeline:
@@ -73,13 +68,11 @@ class InOrderPipeline:
         l1d: L1Cache,
         emit: Callable[[Event], None],
         system: SystemBase,
-        word_tracker: WordOrderTracker | None,
+        word_tracker: WordOrderTracker,
         fastforward: bool,
-        l1i: L1Cache | None = None,
     ) -> None:
         self.core_id = core_id
         self.l1d = l1d
-        self.l1i = l1i
         self.emit = emit
         self.system = system
         self.word_tracker = word_tracker
@@ -124,8 +117,6 @@ class InOrderPipeline:
         if self._pending is not None and self.l1d.block_addr(addr) == self._pending.block:
             self._pending_inval = True
         self.l1d.invalidate(addr)
-        if self.l1i is not None:
-            self.l1i.invalidate(addr)
 
     def apply_downgrade(self, addr: int) -> None:
         if self._pending is not None and self.l1d.block_addr(addr) == self._pending.block:
@@ -229,7 +220,7 @@ class InOrderPipeline:
         else:
             kind = EvKind.GETX if is_write else EvKind.GETS
         self.emit(Event(kind, block, self.core_id, now))
-        self._pending = _PendingMem(op, addr, block, self.l1d)
+        self._pending = _PendingMem(op, addr, block)
         self.phase = CorePhase.STALLED
 
     def _complete_mem(self, now: int) -> tuple[int, bool]:
@@ -238,24 +229,21 @@ class InOrderPipeline:
         assert pending is not None and resp is not None
         self._pending = None
         self._resp = None
-        grant = _GRANT_TO_MESI.get(resp.grant or "")
+        grant = GRANT_TO_MESI.get(resp.grant)
         if grant is None:
             raise RuntimeError(f"core {self.core_id}: response without grant: {resp}")
-        cache = pending.cache
-        victim = cache.fill(pending.block, grant)
+        l1d = self.l1d
+        victim = l1d.fill(pending.block, grant)
         if victim is not None:
             self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
         if self._pending_inval:
-            cache.invalidate(pending.block)
+            l1d.invalidate(pending.block)
         elif self._pending_down:
-            cache.downgrade(pending.block)
+            l1d.downgrade(pending.block)
         self._pending_inval = self._pending_down = False
         self.phase = CorePhase.ACTIVE
-        if pending.op is None:
-            self._busy_until = now  # the front end fetches again next cycle
-            return 0, True
         self._retire_mem(pending.op, pending.addr, now)
-        self._busy_until = max(self._busy_until, now + self.l1d.config.hit_latency - 1)
+        self._busy_until = max(self._busy_until, now + l1d.config.hit_latency - 1)
         self.committed += 1
         return 1, True
 
@@ -283,8 +271,7 @@ class InOrderPipeline:
 
 
 class InOrderCore(InOrderPipeline):
-    """One target core executing the program, with private L1 D-cache (and
-    optional I-cache)."""
+    """One target core executing the program, with a private L1 D-cache."""
 
     def __init__(
         self,
@@ -295,13 +282,12 @@ class InOrderCore(InOrderPipeline):
         emit: Callable[[Event], None],
         system: SystemEmulation,
         *,
-        l1i: L1Cache | None = None,
-        word_tracker: WordOrderTracker | None = None,
+        word_tracker: WordOrderTracker,
         fastforward: bool = False,
         dispatch: str = "predecoded",
         tracer=None,
     ) -> None:
-        super().__init__(core_id, l1d, emit, system, word_tracker, fastforward, l1i)
+        super().__init__(core_id, l1d, emit, system, word_tracker, fastforward)
         self.program = program
         self.memory = memory
         # Optional trace-capture recorder (repro.trace.capture.CoreRecorder).
@@ -310,16 +296,14 @@ class InOrderCore(InOrderPipeline):
         self.state: ArchState | None = None
         self._text = program.text
         # Predecoded function tables plus compiled timing superblocks — what
-        # :meth:`advance` runs on.  An I-cache (every fetch must probe it),
-        # fast-forwarding and the oracle dispatch keep the per-instruction
-        # path.
+        # :meth:`advance` runs on.  Fast-forwarding and the oracle dispatch
+        # keep the per-instruction path.
         if dispatch not in ("predecoded", "oracle"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         predecoded = dispatch == "predecoded"
-        self._bind_tables(predecoded, predecoded and l1i is None and not fastforward)
+        self._bind_tables(predecoded, predecoded and not fastforward)
         if self._tblocks is None:
             self.advance = None
-        self._ifetch_ok_pc = -1  # pc whose I-fetch is issued or complete
 
     # ------------------------------------------------------------- pickling
     def _bind_tables(self, predecoded: bool, tblocks: bool) -> None:
@@ -360,7 +344,6 @@ class InOrderCore(InOrderPipeline):
         self.state.pc = pc
         self.state.halted = False
         self.state.set_x(10, arg)  # a0
-        self._ifetch_ok_pc = -1
 
     def bind_context(self, state: ArchState) -> None:
         self.state = state
@@ -438,11 +421,10 @@ class InOrderCore(InOrderPipeline):
                     self._issue_miss(self._text[index], addr, is_write, result, t)
                     t += 1
                     break
-                if tracker is not None:
-                    if is_write:
-                        tracker.observe_store(addr, core_id, t)
-                    else:
-                        tracker.observe_load(addr, core_id, t)
+                if is_write:
+                    tracker.observe_store(addr, core_id, t)
+                else:
+                    tracker.observe_load(addr, core_id, t)
                 applies[index](x, f, memory, addr)
                 pc += INSTRUCTION_BYTES
                 latency = latencies[index]
@@ -480,19 +462,6 @@ class InOrderCore(InOrderPipeline):
         assert self.state is not None
         state = self.state
         pc = state.pc
-
-        # Optional I-cache: model a GETS for the text block on a miss.
-        if self.l1i is not None and self._ifetch_ok_pc != pc:
-            # Settled by this probe either way: a hit now, or the fill the
-            # frozen pipeline waits for (``op=None``: nothing retires).
-            self._ifetch_ok_pc = pc
-            if self.l1i.access(pc, False) is not AccessResult.HIT:
-                block = self.l1i.block_addr(pc)
-                self.emit(Event(EvKind.GETS, block, self.core_id, now))
-                self._pending = _PendingMem(None, pc, block, self.l1i)
-                self.phase = CorePhase.STALLED
-                return 0, True
-
         kinds = self._kinds
         if kinds is not None:
             index = (pc - TEXT_BASE) >> 3
@@ -503,7 +472,6 @@ class InOrderCore(InOrderPipeline):
                 target = self._runs[index](state.x, state.f)
                 state.pc = pc + INSTRUCTION_BYTES if target is None else target
                 self._busy_until = now + self._latencies[index] - 1
-                self._ifetch_ok_pc = -1
                 self.committed += 1
                 if self._rec is not None:
                     self._rec.run(self._latencies[index])
@@ -535,7 +503,6 @@ class InOrderCore(InOrderPipeline):
             return 1, True
         state.pc = state.pc + INSTRUCTION_BYTES if outcome.next_pc is NEXT else outcome.next_pc
         self._busy_until = now + info.latency - 1
-        self._ifetch_ok_pc = -1
         self.committed += 1
         if self._rec is not None:
             self._rec.run(info.latency)
@@ -567,28 +534,23 @@ class InOrderCore(InOrderPipeline):
         tracker = self.word_tracker
         info = insn.info
         if info.is_amo:
-            if tracker is not None:
-                tracker.observe_load(addr, self.core_id, now)
-                ff = tracker.observe_store(addr, self.core_id, now)
-                if ff and self.fastforward:
-                    self._busy_until = now + ff
+            tracker.observe_load(addr, self.core_id, now)
+            ff = tracker.observe_store(addr, self.core_id, now)
+            if ff and self.fastforward:
+                self._busy_until = now + ff
             do_amo(state, insn, self.memory, addr)
         elif info.is_store:
-            if tracker is not None:
-                ff = tracker.observe_store(addr, self.core_id, now)
-                if ff and self.fastforward:
-                    self._busy_until = now + ff
+            ff = tracker.observe_store(addr, self.core_id, now)
+            if ff and self.fastforward:
+                self._busy_until = now + ff
             do_store(state, insn, self.memory, addr)
         else:
-            if tracker is not None:
-                tracker.observe_load(addr, self.core_id, now)
+            tracker.observe_load(addr, self.core_id, now)
             do_load(state, insn, self.memory, addr)
         state.pc += INSTRUCTION_BYTES
-        self._ifetch_ok_pc = -1
 
     def _retire_syscall(self) -> None:
         self.state.pc += INSTRUCTION_BYTES
-        self._ifetch_ok_pc = -1
 
     def _execute_syscall(self, now: int) -> tuple[int, bool]:
         assert self.state is not None

@@ -60,13 +60,6 @@ class InterpResult:
     def float_output(self) -> list[float]:
         return [v for v in self.output if isinstance(v, float)]
 
-    def text_output(self) -> str:
-        """Printable rendering of the output stream."""
-        parts = []
-        for v in self.output:
-            parts.append(v if isinstance(v, str) else f"{v}\n" if isinstance(v, int) else f"{v:.17g}\n")
-        return "".join(parts)
-
 
 class FunctionalInterpreter:
     """Fetch/execute loop over a :class:`Program` with minimal syscalls."""

@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from repro._util import log2i
 
-__all__ = ["MESI", "L1Cache", "L1Config", "AccessResult", "L1Stats"]
+__all__ = ["MESI", "GRANT_TO_MESI", "L1Cache", "L1Config", "AccessResult", "L1Stats"]
 
 
 class MESI(enum.Enum):
@@ -29,6 +29,11 @@ class MESI(enum.Enum):
     EXCLUSIVE = "E"
     SHARED = "S"
     INVALID = "I"
+
+
+#: The state a manager response's ``grant`` installs.  A response without a
+#: grant is a protocol error: every core raises on a lookup miss.
+GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ _LRU = attrgetter("lru")
 
 
 class L1Cache:
-    """One private L1 data (or instruction) cache."""
+    """One private L1 data cache."""
 
     def __init__(self, config: L1Config | None = None) -> None:
         self.config = config or L1Config()

@@ -43,10 +43,10 @@ from typing import Callable
 
 from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState, TargetMemory
-from repro.cpu.branch import make_predictor
+from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
 from repro.cpu.interfaces import CorePhase
-from repro.cpu.l1cache import MESI, AccessResult, L1Cache
+from repro.cpu.l1cache import GRANT_TO_MESI, AccessResult, L1Cache
 from repro.cpu.predecode import (
     K_AMO,
     K_BRANCH,
@@ -66,8 +66,6 @@ from repro.sysapi.system import SysAction, SystemEmulation
 from repro.violations.detect import WordOrderTracker
 
 __all__ = ["OoOCore"]
-
-_GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
 
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
@@ -133,11 +131,9 @@ class OoOCore:
         width: int = 4,
         rob_size: int = 64,
         mshrs: int = 8,
-        predictor: str = "gshare",
         mispredict_penalty: int = 8,
-        word_tracker: WordOrderTracker | None = None,
+        word_tracker: WordOrderTracker,
         fastforward: bool = False,
-        l1i: L1Cache | None = None,
         dispatch: str = "predecoded",
     ) -> None:
         if dispatch not in ("predecoded", "oracle"):
@@ -146,13 +142,12 @@ class OoOCore:
         self.program = program
         self.memory = memory
         self.l1d = l1d
-        self.l1i = l1i
         self.emit = emit
         self.system = system
         self.width = width
         self.rob_size = rob_size
         self.mshr_limit = mshrs
-        self.predictor = make_predictor(predictor)
+        self.predictor = GsharePredictor()
         self.mispredict_penalty = mispredict_penalty
         self.word_tracker = word_tracker
         self.fastforward = fastforward
@@ -236,7 +231,7 @@ class OoOCore:
     # ------------------------------------------------------------- delivery
     def deliver_response(self, event: Event) -> None:
         block = event.addr
-        grant = _GRANT_TO_MESI.get(event.grant or "")
+        grant = GRANT_TO_MESI.get(event.grant)
         if grant is None:
             raise RuntimeError(f"core {self.core_id}: response without grant {event}")
         victim = self.l1d.fill(block, grant)
@@ -251,8 +246,6 @@ class OoOCore:
 
     def apply_invalidation(self, addr: int) -> None:
         self.l1d.invalidate(addr)
-        if self.l1i is not None:
-            self.l1i.invalidate(addr)
 
     def apply_downgrade(self, addr: int) -> None:
         self.l1d.downgrade(addr)
@@ -419,10 +412,9 @@ class OoOCore:
             self._pending_store = entry
             return False
         # Memory write moment (isochrone): commit time.
-        if self.word_tracker is not None:
-            ff = self.word_tracker.observe_store(entry.addr, self.core_id, now)
-            if ff and self.fastforward:
-                self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
+        ff = self.word_tracker.observe_store(entry.addr, self.core_id, now)
+        if ff and self.fastforward:
+            self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
         if entry.store_is_float:
             self.memory.store_float(entry.addr, entry.store_value)
         else:
@@ -606,8 +598,7 @@ class OoOCore:
         *slot* is the destination's last-writer slot (f registers from 32,
         -1 for x0, whose access still happens)."""
         state = self.state
-        if self.word_tracker is not None:
-            self.word_tracker.observe_load(addr, self.core_id, now)
+        self.word_tracker.observe_load(addr, self.core_id, now)
         to_float = slot >= 32
         for store in reversed(self._store_buffer):
             if store.addr == addr:
@@ -645,11 +636,10 @@ class OoOCore:
                     self._mshrs[block] = []  # retry dispatch after the fill
                 self._fetch_stall_until = now + 1
                 return 0
-            if self.word_tracker is not None:
-                self.word_tracker.observe_load(addr, self.core_id, now)
-                ff = self.word_tracker.observe_store(addr, self.core_id, now)
-                if ff and self.fastforward:
-                    self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
+            self.word_tracker.observe_load(addr, self.core_id, now)
+            ff = self.word_tracker.observe_store(addr, self.core_id, now)
+            if ff and self.fastforward:
+                self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
             do_amo(state, insn, self.memory, addr)
             state.pc += INSTRUCTION_BYTES
             self.committed += 1

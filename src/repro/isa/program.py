@@ -54,11 +54,6 @@ class Program:
         return state
 
     @property
-    def text_end(self) -> int:
-        """First address past the text segment."""
-        return TEXT_BASE + len(self.text) * INSTRUCTION_BYTES
-
-    @property
     def data_end(self) -> int:
         """First address past the static data segment (heap start)."""
         return DATA_BASE + len(self.data)
@@ -73,13 +68,6 @@ class Program:
         if rem or not 0 <= index < len(self.text):
             raise IndexError(f"{addr:#x} is not a valid text address of {self.name}")
         return self.text[index]
-
-    def address_of(self, symbol: str) -> int:
-        """Resolve *symbol* from the symbol table."""
-        try:
-            return self.symbols[symbol]
-        except KeyError:
-            raise KeyError(f"no symbol {symbol!r} in program {self.name}") from None
 
     def encoded_text(self) -> list[int]:
         """Text segment as encoded 64-bit words (for memory-resident images)."""

@@ -15,7 +15,9 @@ Protocol (child → parent over the pipe)::
     ("ready",)                        after startup
     ("beat",  key, progress)          every BEAT_PERIOD_S while a job runs
     ("done",  key, record)            execute() returned (and stored) record
-    ("error", key, traceback_text)    the job itself raised (no retry)
+    ("error", key, traceback_text)    the job itself raised, or was queued
+                                      under a key this build does not derive
+                                      for its spec (no retry)
 
 A worker that dies sends nothing — the absence *is* the signal; the
 supervisor reads ``Process.is_alive()`` / the pipe EOF, not a message.
@@ -194,7 +196,16 @@ def worker_main(conn, worker_id: int) -> None:
             except (BrokenPipeError, OSError):
                 return
             continue
+        if outcome.key == key:
+            verdict = ("done", key, outcome.record)
+        else:
+            # A row another build queued: the record is sealed under the key
+            # this build derives, so the row's own key would never find it.
+            verdict = ("error", key, (
+                f"job {key} is queued under a key this build does not derive "
+                f"for its spec (this build's key: {outcome.key}); resubmit it"
+            ))
         try:
-            conn.send(("done", key, outcome.record))
+            conn.send(verdict)
         except (BrokenPipeError, OSError):
             return

@@ -22,10 +22,6 @@ class Type:
         return self.__class__.__name__
 
     @property
-    def is_scalar(self) -> bool:
-        return isinstance(self, (_Int, _Float)) or isinstance(self, Ptr)
-
-    @property
     def is_numeric(self) -> bool:
         return isinstance(self, (_Int, _Float))
 

@@ -178,7 +178,3 @@ class SyncEmulation:
     def lock_holder(self, addr: int) -> int | None:
         lock = self._locks.get(addr)
         return lock.holder if lock else None
-
-    def barrier_pending(self, addr: int) -> int:
-        barrier = self._barriers.get(addr)
-        return len(barrier.arrived) if barrier else 0

@@ -74,7 +74,7 @@ class ReplayCore(InOrderPipeline):
         emit: Callable[[Event], None],
         system: ReplaySystem,
         *,
-        word_tracker: WordOrderTracker | None = None,
+        word_tracker: WordOrderTracker,
         fastforward: bool = False,
     ) -> None:
         super().__init__(core_id, l1d, emit, system, word_tracker, fastforward)
@@ -228,8 +228,6 @@ class ReplayCore(InOrderPipeline):
         # load, then as a store): its counters and the fast-forward
         # bookkeeping must match the direct run touch for touch.
         tracker = self.word_tracker
-        if tracker is None:
-            return
         if acc != ACC_STORE:
             tracker.observe_load(addr, self.core_id, now)
         if acc != ACC_LOAD:

@@ -141,7 +141,7 @@ def test_result_is_thin_view_over_registry(program):
     # The slack histogram saw one sample per core turn.
     assert stats["scheme.slack_cycles.count"] == stats["engine.core_turns"]
     # Live digest off the attached registry matches the stored one.
-    assert result.stats_digest() == result.stats_sha256
+    assert result.registry.stats_digest() == result.stats_sha256
 
 
 def test_dump_json_document_shape(program):

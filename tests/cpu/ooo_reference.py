@@ -41,7 +41,7 @@ from typing import Callable
 
 from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState, TargetMemory
-from repro.cpu.branch import make_predictor
+from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
 from repro.cpu.interfaces import CorePhase
 from repro.cpu.predecode import predecode_program
@@ -121,24 +121,21 @@ class OoOCore:
         width: int = 4,
         rob_size: int = 64,
         mshrs: int = 8,
-        predictor: str = "gshare",
         mispredict_penalty: int = 8,
-        word_tracker: WordOrderTracker | None = None,
+        word_tracker: WordOrderTracker,
         fastforward: bool = False,
-        l1i: L1Cache | None = None,
         dispatch: str = "predecoded",
     ) -> None:
         self.core_id = core_id
         self.program = program
         self.memory = memory
         self.l1d = l1d
-        self.l1i = l1i
         self.emit = emit
         self.system = system
         self.width = width
         self.rob_size = rob_size
         self.mshr_limit = mshrs
-        self.predictor = make_predictor(predictor)
+        self.predictor = GsharePredictor()
         self.mispredict_penalty = mispredict_penalty
         self.word_tracker = word_tracker
         self.fastforward = fastforward
@@ -242,8 +239,6 @@ class OoOCore:
 
     def apply_invalidation(self, addr: int) -> None:
         self.l1d.invalidate(addr)
-        if self.l1i is not None:
-            self.l1i.invalidate(addr)
 
     def apply_downgrade(self, addr: int) -> None:
         self.l1d.downgrade(addr)
@@ -323,10 +318,9 @@ class OoOCore:
             self._pending_store = entry
             return False
         # Memory write moment (isochrone): commit time.
-        if self.word_tracker is not None:
-            ff = self.word_tracker.observe_store(entry.addr, self.core_id, now)
-            if ff and self.fastforward:
-                self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
+        ff = self.word_tracker.observe_store(entry.addr, self.core_id, now)
+        if ff and self.fastforward:
+            self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
         if entry.store_is_float:
             self.memory.store_float(entry.addr, float(entry.store_value))
         else:
@@ -520,8 +514,7 @@ class OoOCore:
     def _functional_load(self, insn: Instruction, addr: int, now: int) -> None:
         """Architectural load at dispatch, seeing in-flight older stores."""
         assert self.state is not None
-        if self.word_tracker is not None:
-            self.word_tracker.observe_load(addr, self.core_id, now)
+        self.word_tracker.observe_load(addr, self.core_id, now)
         for store in reversed(self._store_buffer):
             if store.addr == addr:
                 if insn.op is Op.FLD:
@@ -574,11 +567,10 @@ class OoOCore:
                     self._mshrs[block] = []  # retry dispatch after the fill
                 self._fetch_stall_until = now + 1
                 return 0
-            if self.word_tracker is not None:
-                self.word_tracker.observe_load(addr, self.core_id, now)
-                ff = self.word_tracker.observe_store(addr, self.core_id, now)
-                if ff and self.fastforward:
-                    self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
+            self.word_tracker.observe_load(addr, self.core_id, now)
+            ff = self.word_tracker.observe_store(addr, self.core_id, now)
+            if ff and self.fastforward:
+                self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
             do_amo(state, insn, self.memory, addr)
             state.pc += INSTRUCTION_BYTES
             self.committed += 1

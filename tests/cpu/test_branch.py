@@ -2,65 +2,12 @@
 
 import pytest
 
-from repro.cpu.branch import (
-    BimodalPredictor,
-    GsharePredictor,
-    StaticPredictor,
-    make_predictor,
-)
-
-
-class TestStatic:
-    def test_backward_taken_heuristic(self):
-        p = StaticPredictor(backward_taken=True)
-        assert p.predict(0x1000, target_offset=-16) is True
-        assert p.predict(0x1000, target_offset=16) is False
-
-    def test_always_not_taken_variant(self):
-        p = StaticPredictor(backward_taken=False)
-        assert p.predict(0x1000, target_offset=-16) is False
-
-    def test_accuracy_accounting(self):
-        p = StaticPredictor()
-        predicted = p.predict(0x1000, -8)
-        p.update(0x1000, taken=True, predicted=predicted)
-        assert p.stats.lookups == 1 and p.stats.correct == 1
-
-
-class TestBimodal:
-    def test_learns_always_taken(self):
-        p = BimodalPredictor(entries=64)
-        pc = 0x2000
-        for _ in range(4):
-            pred = p.predict(pc)
-            p.update(pc, taken=True, predicted=pred)
-        assert p.predict(pc) is True
-
-    def test_learns_always_not_taken(self):
-        p = BimodalPredictor(entries=64)
-        pc = 0x2000
-        for _ in range(4):
-            pred = p.predict(pc)
-            p.update(pc, taken=False, predicted=pred)
-        assert p.predict(pc) is False
-
-    def test_counters_saturate(self):
-        p = BimodalPredictor(entries=64)
-        pc = 0x2000
-        for _ in range(100):
-            p.update(pc, taken=True, predicted=True)
-        # One not-taken shouldn't flip a saturated counter.
-        p.update(pc, taken=False, predicted=True)
-        assert p.predict(pc) is True
-
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            BimodalPredictor(entries=100)
+from repro.cpu.branch import GsharePredictor
 
 
 class TestGshare:
     def test_learns_history_correlated_pattern(self):
-        """Alternating T/N/T/N is hard for bimodal but easy for gshare."""
+        """Alternating T/N/T/N defeats a per-PC counter but not gshare."""
         p = GsharePredictor(entries=256, history_bits=4)
         pc = 0x3000
         pattern = [True, False] * 200
@@ -77,10 +24,17 @@ class TestGshare:
         p.update(0x3000, taken=True, predicted=False)
         assert p.history != before or before == 0b1111
 
+    def test_counters_saturate(self):
+        """With no history bits the PC alone picks the counter: one
+        not-taken does not flip a saturated one, and the stats count it."""
+        p = GsharePredictor(entries=64, history_bits=0)
+        pc = 0x2000
+        for _ in range(100):
+            p.update(pc, taken=True, predicted=True)
+        p.update(pc, taken=False, predicted=p.predict(pc))
+        assert p.predict(pc) is True
+        assert p.stats.lookups == 2 and p.stats.correct == 100
 
-def test_factory():
-    assert isinstance(make_predictor("static"), StaticPredictor)
-    assert isinstance(make_predictor("bimodal"), BimodalPredictor)
-    assert isinstance(make_predictor("gshare"), GsharePredictor)
-    with pytest.raises(ValueError):
-        make_predictor("neural")
+    def test_power_of_two_required(self):
+        with pytest.raises(ValueError):
+            GsharePredictor(entries=100)

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 import repro.lang.compiler as compiler
-from repro.core.config import SimConfig
+from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.jobs import JobOutcome, JobSpec, digest_payload, job_key
 from repro.jobs.spec import DIGEST_SIM_FIELDS, spec_from_dict, spec_to_dict
 
@@ -49,7 +49,6 @@ class TestKeyChanges:
             {"workload": "lu"},
             {"max_cycles": 1234},
             {"max_instructions": 99},
-            {"detect_violations": False},
             {"turn_cycles": 0},
             {"turn_cycles": 128},
             {"wait_chunk": 4},
@@ -58,6 +57,7 @@ class TestKeyChanges:
             {"checkpoint_interval": 1000},
             {"scheme": "s9*"},  # the adaptive variant is another scheme
             {"scheme": "s10"},
+            {"scheme": "l10"},
         ],
     )
     def test_digest_relevant_field(self, change):
@@ -104,22 +104,26 @@ class TestPayload:
     def test_payload_keys_and_pinned_key(self, monkeypatch):
         """The payload names exactly what a job is, and the pinned key (under
         a fixed fingerprint) moves only when a change really does orphan
-        every stored record.  It last moved when ``batch_cycles`` left the
-        ``sim`` section: it was a second cap on the one turn length, folded
-        into ``turn_cycles``, and a retired field cannot stay in the key."""
+        every stored record.  It last moved when ``model_icache`` and
+        ``branch_predictor`` left the ``target`` section and
+        ``detect_violations`` left ``sim``: no entry point could set them, so
+        every stored record had run at their defaults, and a retired field
+        cannot stay in the key."""
         payload = digest_payload(spec(), DIGEST)
         assert "mode" not in payload
         assert payload["workload"] == {"name": "fft", "scale": "tiny"}
         monkeypatch.setattr(compiler, "_fingerprint", "f" * 64)
         assert job_key(spec(), DIGEST) == (
-            "7e27524cffb1224cbf85b771dcc848525e1c4fed5534543155fb0e76d7c26192"
+            "7806bdc709cd2623efe2f17cdbc63aefc1a7c63146091023aafdddbb797c6e2d"
         )
 
     def test_counted_options(self):
-        """A job is a timing run and a SimConfig is a simulation: a new field
-        on any of the three is a design decision, not a drive-by."""
-        counts = [len(dataclasses.fields(c)) for c in (JobSpec, SimConfig, JobOutcome)]
-        assert counts == [8, 15, 3]
+        """A job is a timing run, a SimConfig is a simulation and the two
+        models are the target and host: a new field on any of the five is a
+        design decision, not a drive-by."""
+        classes = (JobSpec, SimConfig, JobOutcome, TargetConfig, HostConfig)
+        counts = [len(dataclasses.fields(c)) for c in classes]
+        assert counts == [8, 14, 3, 9, 12]
 
     def test_top_level_fields_overlay_sim(self):
         s = spec(scheme="su", max_cycles=777)
@@ -145,7 +149,7 @@ class TestWireCompat:
         revived = spec_from_dict(self.wire(
             mem_domains=1, scheduling="static", backend="threaded",
             stepping="single", dispatch="oracle", host_timeout=5.0,
-            batch_cycles=0,
+            batch_cycles=0, detect_violations=True,
         ))
         current = spec(max_cycles=777)
         assert revived == current
@@ -155,14 +159,16 @@ class TestWireCompat:
         assert set(spec_to_dict(revived)["sim"]) == set(spec_to_dict(current)["sim"])
 
     def test_retired_digest_relevant_field_is_refused(self):
-        """``mem_domains`` != 1 and ``batch_cycles`` != 0 named a different
-        simulation: dropping the key would run another job under another
-        key, so it is an error (the old defaults are dropped with the
-        mechanics, above)."""
+        """``mem_domains`` != 1, ``batch_cycles`` != 0 and
+        ``detect_violations`` false named a different simulation: dropping
+        the key would run another job under another key, so it is an error
+        (the old defaults are dropped with the mechanics, above)."""
         with pytest.raises(ValueError, match="mem_domains"):
             spec_from_dict(self.wire(mem_domains=4))
         with pytest.raises(ValueError, match="batch_cycles"):
             spec_from_dict(self.wire(batch_cycles=32))
+        with pytest.raises(ValueError, match="detect_violations"):
+            spec_from_dict(self.wire(detect_violations=False))
 
     def test_parent_format_row_is_the_same_job(self):
         """A row an older daemon queued carries ``"mode": "timing"``, an

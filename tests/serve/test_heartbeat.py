@@ -1,6 +1,8 @@
 """Progress beats and the hang rule (DESIGN.md §13): the worker samples the
 running engine from outside and sends the marker up its pipe; the supervisor
-folds the beats and kills only a job whose marker stops moving."""
+folds the beats and kills only a job whose marker stops moving.  A
+verdict names the row it answers: a record sealed under another key fails
+the row."""
 
 import json
 import multiprocessing
@@ -223,5 +225,24 @@ def test_slow_but_beating_job_is_left_alone(cache_root, tmp_path, monkeypatch):
         assert queue.get(key)["attempts"] == 0
         assert len(seen) >= 2  # status' per-worker progress moved
         assert not (Path(tmp_path) / "serve" / "heartbeats").exists()
+    finally:
+        sup.stop()
+
+
+@pytest.mark.slow
+def test_row_under_a_key_this_build_does_not_derive_fails(cache_root, tmp_path):
+    """A row queued by another build runs, but its record is sealed under the
+    key this build derives: reporting it done would leave the row's key
+    answering "not finished" forever, so the row fails and names both keys."""
+    queue, sup = make_pool(tmp_path)
+    try:
+        spec = tiny_spec(seed=41)
+        stale = "0" * 64
+        queue.submit(stale, json.dumps(spec_to_dict(spec)), max_retries=2)
+        drive(sup, lambda: queue.get(stale)["state"] == "FAILED")
+        error = queue.get(stale)["error"]
+        assert stale in error and job_key(spec) in error and "resubmit" in error
+        assert queue.get(stale)["attempts"] == 0
+        assert sup.telemetry["failed"] == 1
     finally:
         sup.stop()

@@ -85,11 +85,10 @@ def test_replay_digest_matches_direct(programs, traces, name, scheme):
 
 @pytest.mark.parametrize("target,match", [
     (TargetConfig(core_model="ooo"), "inorder core model"),
-    (TargetConfig(model_icache=True), "model_icache"),
 ])
 @pytest.mark.parametrize("mode", ["capture", "replay"])
 def test_program_trace_needs_the_inorder_d_side_seam(fft, fft_trace, tmp_path, mode, target, match):
-    """Capture and replay refuse the same two targets: an ``ooo`` replay would
+    """Capture and replay refuse the same target: an ``ooo`` replay would
     re-time the in-order pipeline and report it as ``ooo``."""
     path = fft_trace if mode == "replay" else str(tmp_path / "x.trace")
     with pytest.raises(EngineError, match=match):
@@ -114,10 +113,12 @@ def test_replay_and_direct_cores_are_one_pipeline():
 def _replay_core(ops):
     from repro.cpu.l1cache import L1Cache
     from repro.trace.replay import ReplayCore, ReplaySystem
+    from repro.violations.detect import ViolationCounters, WordOrderTracker
 
     system = ReplaySystem(2)
     system.activate_context = lambda core, pc, arg, ts: None
-    core = ReplayCore(0, ops, L1Cache(), lambda event: None, system)
+    core = ReplayCore(0, ops, L1Cache(), lambda event: None, system,
+                      word_tracker=WordOrderTracker(ViolationCounters()))
     core.activate(0, 0, 0)
     return core
 
