@@ -34,8 +34,6 @@ import argparse
 import sys
 
 from repro._util import atomic_write_text
-from repro.core import run_simulation
-from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError
 from repro.experiments.parallel import SWEEP_EXPERIMENTS
 from repro.trace import TraceError
@@ -48,145 +46,127 @@ _CORE_MODELS = ("inorder", "ooo")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.restore:
-        # Resume a checkpointed run.  The engine (config, program image,
-        # clocks, queues) travels inside the checkpoint; the original
-        # workload oracle does not, so output verification is skipped here —
-        # restore *equivalence* is pinned by tests/core/test_checkpoint.py.
-        from repro.core.checkpoint import CheckpointError, load_checkpoint
-
-        try:
-            engine = load_checkpoint(args.restore)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = engine.run()
-        print(result.summary())
-        print(f"resumed from {args.restore}: completed={result.completed}")
-        if args.stats_out:
-            text = result.dump_csv() if args.stats_format == "csv" else result.dump_json()
-            atomic_write_text(args.stats_out, text)
-            print(f"stats ({args.stats_format}) -> {args.stats_out}")
-        return 0
+    """``run``: a job, direct or restored run, printed by one report."""
+    from repro.jobs import ResultStore, execute
 
     if args.capture_trace and args.replay_trace:
         print("--capture-trace and --replay-trace are mutually exclusive", file=sys.stderr)
         return 2
-    if args.capture_trace or args.faults or args.checkpoint or args.checkpoint_interval:
-        # Side-effecting runs (a capture file, a checkpoint stream) and
-        # fault-injected runs stay on the direct engine path: their point is
-        # the side effect / perturbation, not a memoisable result.
-        return _run_direct(args)
-
-    from repro.jobs import JobSpec, ResultStore, execute, record_summary
-    from repro.stats.registry import dump_to_csv
-
-    spec = JobSpec.build(
-        args.workload,
-        args.scale,
-        scheme=args.scheme,
-        seed=args.seed,
-        host_cores=args.host_cores,
-        core_model=args.core_model,
-        fastforward=args.fastforward,
-        stats_interval=args.stats_interval,
+    # Restores, side-effecting runs (a capture file, a checkpoint stream) and
+    # fault-injected runs stay on the direct engine path: their point is the
+    # side effect / perturbation, not a memoisable result.
+    direct = (
+        args.restore or args.capture_trace or args.faults
+        or args.checkpoint or args.checkpoint_interval
     )
     try:
-        # --replay-trace is a tool, not a way to fill the store: execute()
-        # then neither reads nor writes it.
-        outcome = execute(spec, store=ResultStore.default(), trace=args.replay_trace)
+        if direct:
+            engine, workload = _direct_engine(args)
+        else:
+            # --replay-trace is a tool, not a way to fill the store: execute()
+            # then neither reads nor writes it.
+            outcome = execute(
+                _job_spec(args, stats_interval=args.stats_interval),
+                store=ResultStore.default(),
+                trace=args.replay_trace,
+            )
     except AssertionError as exc:
-        print("OUTPUT MISMATCH:")
-        print(f"  {exc}")
+        print(f"OUTPUT MISMATCH:\n  {exc}")
         return 1
     except EngineError as exc:
-        if not args.replay_trace:
-            raise
-        # The named capture cannot serve this run (core model, core count,
-        # another program): a bad argument, and no record was written.
+        if not (direct or args.replay_trace):
+            raise  # a job run's own failure, not a refused argument
+        # Refused at engine construction (a checkpoint of other source bytes,
+        # a capture this run cannot serve, clashing options): a bad argument,
+        # and nothing ran or was written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    record = outcome.record
-    print(record_summary(record))
-    if outcome.hit:
-        print(f"served from result store ({outcome.key[:16]}…)")
-    if args.replay_trace:
-        print(f"replayed from {args.replay_trace} (functional cores not re-executed)")
-    if args.stats_out:
-        text = (
-            dump_to_csv(record["stats"])
-            if args.stats_format == "csv"
-            else record["stats_dump"]
-        )
-        atomic_write_text(args.stats_out, text)
-        print(f"stats ({args.stats_format}) -> {args.stats_out}")
-    print(
-        "output verified against the numpy oracle "
-        f"({record['metrics']['output_len']} values)"
-    )
-    if args.verbose:
-        for core in record["cores"]:
-            ipc = core["committed"] / core["cycles"] if core["cycles"] else 0.0
-            print(
-                f"  core {core['core']}: {core['committed']} instr / {core['cycles']} cyc "
-                f"(IPC {ipc:.2f}), L1 misses {core['l1_misses']}/{core['l1_accesses']}"
-            )
-    return 0
+    if not direct:
+        record = outcome.record
+        notes = [
+            outcome.hit and f"served from result store ({outcome.key[:16]}…)",
+            args.replay_trace
+            and f"replayed from {args.replay_trace} (functional cores not re-executed)",
+        ]
+        check = ([], record["metrics"]["output_len"])
+        return _report(args, record["stats"], record["stats_dump"], record["cores"], check, notes)
+    result = engine.run()
+    notes = [
+        args.restore and f"resumed from {args.restore}: completed={result.completed}",
+        args.capture_trace and f"trace captured -> {args.capture_trace}",
+        args.faults
+        and f"faults injected: {result.stats.get('faults.injected', 0)} (plan: {args.faults})",
+    ]
+    # A restored engine carries no workload oracle: its output goes
+    # unchecked here (restore equivalence is pinned by the checkpoint tests).
+    check = workload and (workload.mismatches(result.output), len(result.output))
+    return _report(args, result.stats, result.dump_json(), result.cores, check, notes)
 
 
-def _run_direct(args: argparse.Namespace) -> int:
-    """The non-job-addressable ``run`` path: captures, checkpoints, faults."""
-    from repro.workloads import make_workload
+def _direct_engine(args: argparse.Namespace):
+    """``(engine, workload)`` off the job path: a restored checkpoint (no
+    workload), or the job's run plus a capture, checkpoints or faults."""
+    import json
 
-    trace_mode = "off"
-    trace_path = None
-    trace_source = None
-    if args.capture_trace:
-        import json
+    from repro.core.engine import SequentialEngine
+    from repro.jobs.spec import spec_program
 
-        trace_mode, trace_path = "capture", args.capture_trace
-        trace_source = json.dumps({"workload": args.workload, "scale": args.scale})
+    if args.restore:
+        # The engine (config, program image, clocks, queues) travels inside
+        # the checkpoint; the original workload oracle does not.
+        from repro.core.checkpoint import load_checkpoint
 
-    workload = make_workload(args.workload, scale=args.scale)
-    result = run_simulation(
-        workload.program,
-        target=TargetConfig(core_model=args.core_model),
-        host=HostConfig(num_cores=args.host_cores),
-        sim=SimConfig(
-            scheme=args.scheme,
-            seed=args.seed,
-            fastforward=args.fastforward,
-            stats_interval=args.stats_interval,
-            fault_plan=args.faults,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_path=args.checkpoint,
-            trace_mode=trace_mode,
-            trace_path=trace_path,
-            trace_source=trace_source,
+        return load_checkpoint(args.restore), None
+    capture = args.capture_trace
+    spec = _job_spec(
+        args,
+        stats_interval=args.stats_interval,
+        fault_plan=args.faults,
+        checkpoint_interval=args.checkpoint_interval,
+        checkpoint_path=args.checkpoint,
+        trace_mode="capture" if capture else "off",
+        trace_path=capture,
+        trace_source=(
+            json.dumps({"workload": args.workload, "scale": args.scale}) if capture else None
         ),
     )
-    print(result.summary())
-    if args.capture_trace:
-        print(f"trace captured -> {args.capture_trace}")
-    if args.faults:
-        print(f"faults injected: {result.stats.get('faults.injected', 0)} "
-              f"(plan: {args.faults})")
+    workload = spec_program(spec)
+    engine = SequentialEngine(
+        workload.program,
+        target=spec.target_config(),
+        host=spec.host_config(),
+        sim=spec.sim_config(),
+    )
+    return engine, workload
+
+
+def _report(args, stats: dict, document: str, rows: list, check, notes) -> int:
+    """Print a run of any ``run`` path and write its ``--stats-out``, from its
+    dump, stats-document text, per-core rows and the oracle's ``(mismatches,
+    output length)`` (None on restore).  *notes*: the path's own lines."""
+    from repro.core.results import summary_line
+    from repro.stats.registry import dump_to_csv
+
+    print(summary_line(stats))
+    for note in filter(None, notes):
+        print(note)
     if args.stats_out:
-        text = result.dump_csv() if args.stats_format == "csv" else result.dump_json()
+        text = dump_to_csv(stats) if args.stats_format == "csv" else document
         atomic_write_text(args.stats_out, text)
         print(f"stats ({args.stats_format}) -> {args.stats_out}")
-    problems = workload.mismatches(result.output)
+    if check is None:
+        return 0
+    problems, values = check
     if problems:
-        print("OUTPUT MISMATCH:")
-        for p in problems:
-            print("  " + p)
+        print("OUTPUT MISMATCH:", *problems, sep="\n  ")
         return 1
-    print(f"output verified against the numpy oracle ({len(result.output)} values)")
+    print(f"output verified against the numpy oracle ({values} values)")
     if args.verbose:
-        for core in result.cores:
+        for row in rows:
+            ipc = row["committed"] / row["cycles"] if row["cycles"] else 0.0
             print(
-                f"  core {core.core_id}: {core.committed} instr / {core.cycles} cyc "
-                f"(IPC {core.ipc:.2f}), L1 misses {core.l1_misses}/{core.l1_accesses}"
+                f"  core {row['core']}: {row['committed']} instr / {row['cycles']} cyc "
+                f"(IPC {ipc:.2f}), L1 misses {row['l1_misses']}/{row['l1_accesses']}"
             )
     return 0
 
@@ -464,36 +444,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec(args: argparse.Namespace) -> dict:
-    """The submission wire payload for the common run knobs."""
+def _job_spec(args: argparse.Namespace, **sim_overrides):
+    """The ``JobSpec`` of the job flags ``run`` and ``submit`` share."""
     from repro.jobs import JobSpec
-    from repro.jobs.spec import spec_to_dict
 
-    return spec_to_dict(
-        JobSpec.build(
-            args.workload,
-            args.scale,
-            scheme=args.scheme,
-            seed=args.seed,
-            host_cores=args.host_cores,
-            core_model=args.core_model,
-            fastforward=args.fastforward,
-        )
+    return JobSpec.build(
+        args.workload,
+        args.scale,
+        scheme=args.scheme,
+        seed=args.seed,
+        host_cores=args.host_cores,
+        core_model=args.core_model,
+        fastforward=args.fastforward,
+        **sim_overrides,
     )
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.jobs import record_summary
+    from repro.jobs.spec import spec_to_dict
     from repro.serve.client import ServeClient, ServeError, ServeRejected
 
     try:
         client = ServeClient(serve_dir=args.serve_dir)
+        payload = spec_to_dict(_job_spec(args))
         if not args.wait:
-            outcome = client.submit(_submit_spec(args))
+            outcome = client.submit(payload)
             suffix = " (attached)" if not outcome.get("created") else ""
             print(f"{outcome['job_key']}  {outcome['state']}{suffix}")
             return 0
-        job = client.submit_and_wait(_submit_spec(args), timeout=args.timeout)
+        job = client.submit_and_wait(payload, timeout=args.timeout)
         if job["state"] == "DONE":
             print(record_summary(client.fetch(job["job_key"])))
             print(f"{job['job_key'][:16]}  DONE (attempts={job['attempts']})")
@@ -566,6 +546,17 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_job_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of a job (:func:`_job_spec`), shared by ``run`` and ``submit``."""
+    parser.add_argument("--workload", default="fft", help=" | ".join(sorted(WORKLOADS)))
+    parser.add_argument("--scheme", default="cc", help="cc | qN | lN | sN | sN* | su")
+    parser.add_argument("--host-cores", type=int, default=8)
+    parser.add_argument("--scale", default="tiny", choices=_SCALES)
+    parser.add_argument("--core-model", default="inorder", choices=_CORE_MODELS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--fastforward", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slacksim",
@@ -574,13 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a registered workload")
-    run.add_argument("--workload", default="fft", help=" | ".join(sorted(WORKLOADS)))
-    run.add_argument("--scheme", default="cc", help="cc | qN | lN | sN | sN* | su")
-    run.add_argument("--host-cores", type=int, default=8)
-    run.add_argument("--scale", default="tiny", choices=_SCALES)
-    run.add_argument("--core-model", default="inorder", choices=_CORE_MODELS)
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--fastforward", action="store_true")
+    _add_job_flags(run)
     run.add_argument("--verbose", "-v", action="store_true")
     run.add_argument("--stats-out", help="write the run's stats registry dump here")
     run.add_argument("--stats-format", default="json", choices=("json", "csv"),
@@ -719,13 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit one job to a running serve daemon"
     )
-    submit.add_argument("--workload", default="fft")
-    submit.add_argument("--scheme", default="cc")
-    submit.add_argument("--host-cores", type=int, default=8)
-    submit.add_argument("--scale", default="tiny", choices=_SCALES)
-    submit.add_argument("--core-model", default="inorder", choices=_CORE_MODELS)
-    submit.add_argument("--seed", type=int, default=1)
-    submit.add_argument("--fastforward", action="store_true")
+    _add_job_flags(submit)
     submit.add_argument("--serve-dir", metavar="DIR",
                         help="the daemon's state directory "
                         "(default <cache root>/serve)")

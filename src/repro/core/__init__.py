@@ -15,7 +15,7 @@ from repro.core.engine import EngineError, SequentialEngine, run_simulation
 from repro.core.events import EvKind, Event
 from repro.core.manager import SimulationManager
 from repro.core.queues import GlobalQueue, InQ, OutQ
-from repro.core.results import CoreResult, SimulationResult
+from repro.core.results import SimulationResult
 from repro.core.schemes import (
     INFINITY,
     AdaptiveQuantum,
@@ -45,7 +45,6 @@ __all__ = [
     "GlobalQueue",
     "InQ",
     "OutQ",
-    "CoreResult",
     "SimulationResult",
     "INFINITY",
     "AdaptiveQuantum",

@@ -134,13 +134,16 @@ class SimConfig:
     trace_source: str | None = None
 
     def __post_init__(self) -> None:
-        # Turn-shaping fields arrive from outside (CLI, serve wire): a zero
+        # These fields arrive from outside (CLI, serve wire).  A zero
         # wait_chunk makes a blind external wait take zero-cycle turns until
-        # the idle-poll limit reports a bogus deadlock, and a negative cap
-        # silently simulates something else.
-        if self.wait_chunk < 1:
-            raise ValueError(f"wait_chunk must be >= 1, got {self.wait_chunk}")
-        if self.turn_cycles < 0:
-            raise ValueError(
-                f"turn_cycles must be >= 0 (0 = uncapped), got {self.turn_cycles}"
-            )
+        # the idle-poll limit reports a bogus deadlock; a negative turn cap
+        # silently simulates something else; a negative interval snapshots
+        # or checkpoints at every manager step; a negative instruction cap
+        # cuts the run at once.
+        for name, floor in (
+            ("wait_chunk", 1), ("turn_cycles", 0), ("stats_interval", 0),
+            ("checkpoint_interval", 0), ("max_instructions", 0), ("max_cycles", 1),
+        ):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")

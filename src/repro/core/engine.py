@@ -31,7 +31,7 @@ import weakref
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.manager import SimulationManager
-from repro.core.results import CoreResult, SimulationResult
+from repro.core.results import SimulationResult
 from repro.core.schemes import INFINITY, Lookahead, parse_scheme
 from repro.cpu.arch import ArchState
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
@@ -399,8 +399,7 @@ class SequentialEngine:
         components' plain counters, so registration costs nothing on the
         simulate path; values resolve at dump time.  Host-loop mechanics
         (engine scheduling, modeled host makespan) register with
-        ``digest=False``: they are not simulated-target behaviour (a run on
-        real threads would replace host time with wall clock).
+        ``digest=False``: they are not simulated-target behaviour.
         """
         reg = StatsRegistry()
         eng = weakref.proxy(self)  # see ``registry``: no cycle through it
@@ -1169,51 +1168,16 @@ class SequentialEngine:
 
     # ---------------------------------------------------------------- result
     def _build_result(self, completed: bool) -> SimulationResult:
-        """Thin view over the stats registry.
-
-        The summary fields read the same component attributes the registry's
-        sources are bound to (``tests/core/test_stats_integration.py`` pins
-        the agreement); the full dump and digest materialise lazily via
-        ``registry_factory`` on first ``result.stats`` access, so runs whose
-        caller never inspects stats — the perf benches — pay nothing.
-        """
+        """What the run alone knows, over its lazily built stats registry:
+        the result reads every number from the dump (``core/results.py``)."""
         self._completed = completed
         if completed and self._capture_header is not None:
             self._write_capture()
-        core_results = []
-        for ct in self.cores:
-            if not ct.ever_active:
-                continue
-            l1d = getattr(ct.model, "l1d", None)
-            core_results.append(
-                CoreResult(
-                    core_id=ct.core_id,
-                    committed=ct.total_committed,
-                    cycles=ct.total_cycles,
-                    final_time=ct.final_time or ct.local_time,
-                    l1_accesses=l1d.stats.accesses if l1d is not None else 0,
-                    l1_misses=l1d.stats.misses if l1d is not None else 0,
-                )
-            )
-        sync = self.system.sync.stats if self.system is not None else None
         return SimulationResult(
-            scheme=self.scheme.name,
-            host_cores=self.host_cfg.num_cores,
-            seed=self.sim.seed,
             completed=completed,
-            execution_cycles=self._execution_cycles(),
-            global_time=self.manager.global_time,
-            instructions=self.total_committed,
-            host_time=self.hostmodel.makespan(),
-            host_busy=self.hostmodel.busy,
-            cores=core_results,
-            violations=self.counters,
             output=self.system.merged_output() if self.system else [],
-            requests=self.manager.requests_processed,
-            barriers=self.manager.barriers_completed,
-            lock_acquires=sync.lock_acquires if sync is not None else 0,
-            lock_contended=sync.lock_contended if sync is not None else 0,
-            engine_steps=self.engine_steps,
+            violations=self.counters,
+            ran=tuple(ct.core_id for ct in self.cores if ct.ever_active),
             registry_factory=lambda: self.registry,
         )
 

@@ -1,77 +1,106 @@
-"""Simulation run results and derived metrics (speedup, error, KIPS).
+"""A run's result: the stats dump is its one account.
 
-:class:`SimulationResult` is a thin view over the engine's stats registry:
-the engine attaches a ``registry_factory`` at build time, and ``stats`` (the
-registry's flat dump) and ``stats_sha256`` (its digest) materialise lazily on
-first access — callers that never look at stats (the perf benches) pay none
-of the dump cost.  The summary fields read the same component attributes the
-registry's sources are bound to, so the two views cannot drift
-(``tests/core/test_stats_integration.py`` pins the agreement).
+:class:`SimulationResult` holds only what the run alone knows (completion,
+output, the live violation counters, the cores that ran) and reads every
+number from the registry's flat dump through :data:`HEADLINES`.  The dump
+materialises on first access, so a caller that reads no number pays none of
+its cost.  The per-core rows and the summary line are functions of a dump,
+so a stored job record (which carries the same dump) yields the same ones.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.host.costmodel import HOST_UNIT_SECONDS
+from repro.stats.registry import dump_to_csv
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["SimulationResult", "CoreResult"]
+__all__ = ["HEADLINES", "SimulationResult", "core_rows", "kips", "summary_line"]
+
+#: Each headline attribute of a result and the dump path it reads.  A stat
+#: the run does not register reads 0: trace cores register no ``sync.*``.
+HEADLINES = {
+    "scheme": "sim.scheme",
+    "seed": "sim.seed",
+    "host_cores": "sim.host_cores",
+    #: Target execution time: last workload-thread exit (completed runs) or
+    #: global time at truncation.
+    "execution_cycles": "target.execution_cycles",
+    "global_time": "target.global_time",
+    "instructions": "target.instructions",
+    "host_time": "host.makespan",
+    "host_busy": "host.busy",
+    "host_utilization": "host.utilization",
+    "requests": "manager.requests",
+    "barriers": "manager.barriers",
+    "lock_acquires": "sync.lock_acquires",
+    "lock_contended": "sync.lock_contended",
+    "engine_steps": "engine.steps",
+}
 
 
-@dataclass
-class CoreResult:
-    """Per-core outcome."""
+def kips(stats: dict) -> float:
+    """Simulated kilo-instructions per modeled host second (Table 2)."""
+    host_seconds = stats["host.makespan"] * HOST_UNIT_SECONDS
+    return stats["target.instructions"] / host_seconds / 1000.0 if host_seconds else 0.0
 
-    core_id: int
-    committed: int
-    cycles: int
-    final_time: int
-    l1_accesses: int
-    l1_misses: int
 
-    @property
-    def ipc(self) -> float:
-        return self.committed / self.cycles if self.cycles else 0.0
+def core_rows(stats: dict, ran) -> list[dict]:
+    """One row per core id in *ran*; a core with no L1 reports zero traffic."""
+    return [
+        {
+            "core": i,
+            "committed": stats[f"core{i}.committed"],
+            "cycles": stats[f"core{i}.cycles"],
+            "l1_accesses": stats.get(f"core{i}.l1d.accesses", 0),
+            "l1_misses": stats.get(f"core{i}.l1d.misses", 0),
+        }
+        for i in ran
+    ]
+
+
+def summary_line(stats: dict) -> str:
+    """The one-line run summary of a dump — a live run's or a stored one's."""
+    return (
+        f"[{stats['sim.scheme']} H={stats['sim.host_cores']}] "
+        f"T_target={stats['target.execution_cycles']} cyc, "
+        f"instr={stats['target.instructions']}, "
+        f"T_host={stats['host.makespan']:.0f} u ({kips(stats):.1f} KIPS), "
+        f"util={stats['host.utilization']:.2f}, "
+        f"violations: simulation={stats['violations.simulation_state']} "
+        f"system={stats['violations.system_state']} "
+        f"workload={stats['violations.workload_state']} "
+        f"fastforwards={stats['violations.fastforwards']}"
+    )
 
 
 @dataclass
 class SimulationResult:
-    """Everything a run produced."""
+    """What a run alone knows, over the stats dump that holds its numbers."""
 
-    scheme: str
-    host_cores: int
-    seed: int
     completed: bool
-    #: Target execution time: last workload-thread exit (completed runs) or
-    #: global time at truncation.
-    execution_cycles: int
-    global_time: int
-    instructions: int
-    host_time: float
-    host_busy: float
-    cores: list[CoreResult] = field(default_factory=list)
-    violations: ViolationCounters = field(default_factory=ViolationCounters)
     output: list = field(default_factory=list)
-    requests: int = 0
-    barriers: int = 0
-    lock_acquires: int = 0
-    lock_contended: int = 0
-    engine_steps: int = 0
+    violations: ViolationCounters = field(default_factory=ViolationCounters)
+    #: Ids of the cores that ever ran.  Kept explicit: a ``max_instructions``
+    #: cut can activate a core that never takes a turn.
+    ran: tuple = ()
     #: Zero-arg callable yielding the run's stats registry; resolved lazily
     #: so the registry/dump/digest cost stays off the simulate fast path.
     registry_factory: object = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._registry = None
-        self._stats = None
-        self._digest = None
+    _registry = _stats = _digest = None  # materialised on first access
+
+    def __getattr__(self, name: str):
+        path = HEADLINES.get(name)
+        if path is None:
+            raise AttributeError(name)
+        return self.stats.get(path, 0)
 
     @property
     def registry(self):
-        """The run's live stats registry (None for hand-built results)."""
-        if self._registry is None and self.registry_factory is not None:
+        """The run's live stats registry."""
+        if self._registry is None:
             self._registry = self.registry_factory()
         return self._registry
 
@@ -80,8 +109,7 @@ class SimulationResult:
         """Flat ``{dotted_path: value}`` dump of the run's stats registry,
         materialised on first access and cached."""
         if self._stats is None:
-            reg = self.registry
-            self._stats = reg.dump() if reg is not None else {}
+            self._stats = self.registry.dump()
         return self._stats
 
     @property
@@ -89,59 +117,29 @@ class SimulationResult:
         """Digest of the registry's digest-marked stats (determinism
         fingerprint), computed on first access and cached."""
         if self._digest is None:
-            reg = self.registry
-            self._digest = reg.stats_digest() if reg is not None else ""
+            self._digest = self.registry.stats_digest()
         return self._digest
-
-    # ------------------------------------------------------------ derived
-    @property
-    def host_seconds(self) -> float:
-        return self.host_time * HOST_UNIT_SECONDS
 
     @property
     def kips(self) -> float:
-        """Simulated kilo-instructions per modeled host second (Table 2)."""
-        return self.instructions / self.host_seconds / 1000.0 if self.host_time else 0.0
+        return kips(self.stats)
 
     @property
-    def host_utilization(self) -> float:
-        return self.host_busy / (self.host_time * self.host_cores) if self.host_time else 0.0
+    def cores(self) -> list[dict]:
+        """Per-core rows of the cores that ran (the job record's shape)."""
+        return core_rows(self.stats, self.ran)
 
-    # ------------------------------------------------------------- registry
     def dump_json(self) -> str:
         """Full stats document (meta + stats + snapshots + digest), sorted."""
-        meta = {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "host_cores": self.host_cores,
-            "completed": self.completed,
-        }
-        if self.registry is not None:
-            return self.registry.dump_json(meta=meta)
-        doc = {
-            "meta": meta,
-            "digest": self.stats_sha256,
-            "stats": dict(sorted(self.stats.items())),
-            "snapshots": [],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        names = ("scheme", "seed", "host_cores", "completed")
+        return self.registry.dump_json(meta={n: getattr(self, n) for n in names})
 
     def dump_csv(self) -> str:
         """``stat,value`` lines of the registry dump, sorted by path."""
-        from repro.stats.registry import dump_to_csv
-
         return dump_to_csv(self.stats)
 
     def int_output(self) -> list[int]:
         return [v for v in self.output if isinstance(v, int)]
 
-    def float_output(self) -> list[float]:
-        return [v for v in self.output if isinstance(v, float)]
-
     def summary(self) -> str:
-        return (
-            f"[{self.scheme} H={self.host_cores}] "
-            f"T_target={self.execution_cycles} cyc, instr={self.instructions}, "
-            f"T_host={self.host_time:.0f} u ({self.kips:.1f} KIPS), "
-            f"util={self.host_utilization:.2f}, {self.violations.summary()}"
-        )
+        return summary_line(self.stats)

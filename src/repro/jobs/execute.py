@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import repro
 from repro._util import output_digest
+from repro.core.results import kips, summary_line
 from repro.isa.program import program_digest
 from repro.jobs.spec import JobSpec, digest_payload, job_key, spec_program
 from repro.jobs.store import ResultStore
@@ -60,8 +61,8 @@ def _timing_record(
             "global_time": stats["target.global_time"],
             "instructions": stats["target.instructions"],
             "host_time": stats["host.makespan"],
-            "host_utilization": result.host_utilization,
-            "kips": result.kips,
+            "host_utilization": stats["host.utilization"],
+            "kips": kips(stats),
             "violations": (
                 stats["violations.simulation_state"]
                 + stats["violations.system_state"]
@@ -70,16 +71,7 @@ def _timing_record(
             "workload_violations": stats["violations.workload_state"],
             "output_len": len(result.output),
         },
-        "cores": [
-            {
-                "core": c.core_id,
-                "committed": c.committed,
-                "cycles": c.cycles,
-                "l1_accesses": c.l1_accesses,
-                "l1_misses": c.l1_misses,
-            }
-            for c in result.cores
-        ],
+        "cores": result.cores,
         "output_sha256": output_digest(result.output),
         "stats": stats,
         "stats_digest": result.stats_sha256,
@@ -154,22 +146,6 @@ def execute(
 
 
 def record_summary(record: dict) -> str:
-    """The one-line run summary, reconstructed from a stored record.
-
-    Field-for-field the format of :meth:`SimulationResult.summary`, so a
-    served `run` prints the same line a fresh one would.
-    """
-    m, stats = record["metrics"], record["stats"]
-    violations = (
-        f"violations: simulation={stats.get('violations.simulation_state', 0)} "
-        f"system={stats.get('violations.system_state', 0)} "
-        f"workload={stats.get('violations.workload_state', 0)} "
-        f"fastforwards={stats.get('violations.fastforwards', 0)}"
-    )
-    spec = record["spec"]
-    return (
-        f"[{spec['sim']['scheme']} H={spec['host']['num_cores']}] "
-        f"T_target={m['execution_cycles']} cyc, instr={m['instructions']}, "
-        f"T_host={m['host_time']:.0f} u ({m['kips']:.1f} KIPS), "
-        f"util={m['host_utilization']:.2f}, {violations}"
-    )
+    """The one-line run summary of a stored record: the live result's line,
+    read from the same dump."""
+    return summary_line(record["stats"])

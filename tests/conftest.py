@@ -14,9 +14,9 @@ def pytest_addoption(parser):
 def assert_same_run(a, b):
     """Two SimulationResults describe one and the same simulation.
 
-    ``host.makespan`` is ``digest=False`` (the threaded engine replaces it
-    with wall clock), so a stats digest alone cannot see a path that models
-    a different simulation time — every equivalence test on the sequential
+    ``host.makespan`` is ``digest=False`` (host-loop mechanics, not target
+    behaviour), so a stats digest alone cannot see a path that models a
+    different simulation time — every equivalence test on the sequential
     engine compares the bit-exact modeled host time as well.
     """
     assert a.stats_sha256 == b.stats_sha256

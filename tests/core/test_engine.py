@@ -183,7 +183,14 @@ class TestInstructionCap:
 
 class TestTurnShapingValidation:
     @pytest.mark.parametrize(
-        "field,value", [("wait_chunk", 0), ("wait_chunk", -3), ("turn_cycles", -5)]
+        "field,value",
+        [
+            ("wait_chunk", 0), ("wait_chunk", -3), ("turn_cycles", -5),
+            # A negative interval snapshots or checkpoints at every manager
+            # step; a negative instruction cap cuts the run at once.
+            ("stats_interval", -5), ("checkpoint_interval", -1),
+            ("max_instructions", -3), ("max_cycles", 0),
+        ],
     )
     def test_out_of_range_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -239,9 +246,9 @@ class TestProgramEngine:
         prog = compile_source(self.SRC).program
         r = run_simulation(prog, scheme="cc", host_cores=4,
                            target=TargetConfig(num_cores=4))
-        assert r.instructions == sum(c.committed for c in r.cores)
+        assert r.instructions == sum(c["committed"] for c in r.cores)
         assert r.instructions > 0
-        assert all(c.cycles >= c.committed for c in r.cores)
+        assert all(c["cycles"] >= c["committed"] for c in r.cores)
         assert 0 < r.host_utilization <= 1.0
         assert r.kips > 0
 

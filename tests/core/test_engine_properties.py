@@ -62,7 +62,7 @@ def test_random_workloads_terminate_with_invariants(
     assert not violations_of_window
     assert result.execution_cycles > 0
     assert result.host_time > 0
-    assert result.instructions == sum(c.committed for c in result.cores)
+    assert result.instructions == sum(c["committed"] for c in result.cores)
     if engine.scheme.conservative:
         assert result.violations.simulation_state == 0
         assert result.violations.system_state == 0
@@ -127,8 +127,9 @@ def test_step_many_equals_per_cycle_stepping(scheme, num_cores, ops, shared, wl_
     assert a.host_busy == b.host_busy
     assert a.requests == b.requests
     assert a.barriers == b.barriers
-    assert [(c.committed, c.cycles, c.final_time) for c in a.cores] == [
-        (c.committed, c.cycles, c.final_time) for c in b.cores
+    assert a.cores == b.cores
+    assert [a.stats[f"core{i}.final_time"] for i in a.ran] == [
+        b.stats[f"core{i}.final_time"] for i in b.ran
     ]
 
 

@@ -6,8 +6,8 @@ simulated behaviour.  These tests pin the guarantees DESIGN.md §7 promises:
 * byte-identical across stepping modes (batched vs per-cycle single),
 * byte-identical across funcsim dispatch modes (predecoded vs oracle),
 * unperturbed by ``--stats-interval`` snapshotting,
-* ``SimulationResult`` is a thin view — its legacy fields agree with the
-  registry dump it was built from,
+* every number of a ``SimulationResult`` is a read of its dump (a stat the
+  run does not register reads 0),
 * per-scheme digests match goldens checked into the repo
   (``tests/core/goldens/stats_digests.json``; regenerate deliberately with
   ``--update-goldens``).
@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
+from repro.core.results import HEADLINES, core_rows, kips
 from repro.lang import compile_source
 from repro.workloads.synthetic import sharing_workload
 
@@ -123,21 +124,27 @@ def test_snapshots_recorded_and_digest_unperturbed():
     assert again.registry.snapshots == snapshots
 
 
-def test_result_is_thin_view_over_registry(program):
-    result = program_engine(program, "s9").run()
+@pytest.mark.parametrize("kind", ["program", "trace"])
+def test_headline_attributes_read_the_dump(kind, program):
+    engine = program_engine(program, "s9") if kind == "program" else trace_engine("s9")
+    result = engine.run()
     stats = result.stats
-    assert result.instructions == stats["target.instructions"]
-    assert result.execution_cycles == stats["target.execution_cycles"]
-    assert result.global_time == stats["target.global_time"]
-    assert result.requests == stats["manager.requests"]
-    assert result.barriers == stats["manager.barriers"]
-    assert result.violations.simulation_state == stats["violations.simulation_state"]
-    assert result.violations.system_state == stats["violations.system_state"]
-    assert result.violations.workload_state == stats["violations.workload_state"]
-    for core in result.cores:
-        prefix = f"core{core.core_id}"
-        assert core.committed == stats[f"{prefix}.committed"]
-        assert core.cycles == stats[f"{prefix}.cycles"]
+    for name, path in HEADLINES.items():
+        assert getattr(result, name) == stats.get(path, 0), name
+    if kind == "trace":
+        # Trace cores register no sync stats and no L1: those read 0.
+        assert not any(p.startswith("sync.") or ".l1d." in p for p in stats)
+        assert (result.lock_acquires, result.lock_contended) == (0, 0)
+    else:
+        assert result.lock_acquires == engine.system.sync.stats.lock_acquires > 0
+    assert result.host_time == engine.hostmodel.makespan() > 0
+    assert result.kips == kips(stats) > 0
+    assert result.violations.summary() in result.summary()
+    assert result.cores == core_rows(stats, result.ran)
+    assert [row["core"] for row in result.cores] == [
+        ct.core_id for ct in engine.cores if ct.ever_active
+    ]
+    assert result.instructions == sum(row["committed"] for row in result.cores)
     # The slack histogram saw one sample per core turn.
     assert stats["scheme.slack_cycles.count"] == stats["engine.core_turns"]
     # Live digest off the attached registry matches the stored one.

@@ -106,7 +106,7 @@ def test_threaded_matches_sequential_functionally():
 def test_instruction_counts_are_consistent():
     prog = compile_source(COUNTER_SRC).program
     r = run_threaded(prog, "su")
-    assert r.instructions == sum(c.committed for c in r.cores)
+    assert r.instructions == sum(c["committed"] for c in r.cores)
 
 
 # --------------------------------------------------------------------- stress

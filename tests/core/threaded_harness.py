@@ -14,8 +14,9 @@ threads, so *wall-clock speedup is not expected* — that is exactly the
 repro gate this project works around with the virtual host.  The threaded
 engine exists to prove the concurrent algorithm itself: no lost events, no
 deadlock, functional outputs equal to the sequential engine's, and the clock
-invariant holding under genuine preemption.  Timing results are
-nondeterministic and reported as real wall-clock.
+invariant holding under genuine preemption.  Target timing results are
+nondeterministic, and the run models no host time: a result's ``host.*``
+stats stay 0, like every other number read from its stats dump.
 
 Concurrency protocol:
 
@@ -40,7 +41,6 @@ from repro.core.engine import EngineError, SequentialEngine
 from repro.core.events import Event
 from repro.core.queues import InQ
 from repro.core.results import SimulationResult
-from repro.host.costmodel import HOST_UNIT_SECONDS
 
 __all__ = ["HOST_TIMEOUT", "SimulationHungError", "ThreadedEngine"]
 
@@ -237,7 +237,7 @@ class ThreadedEngine(SequentialEngine):
     # ------------------------------------------------------------------- run
     def run(self, timeout: float = HOST_TIMEOUT) -> SimulationResult:
         """Run to completion on real threads; returns a SimulationResult
-        whose host_time is measured wall-clock (GIL-bound, nondeterministic).
+        (target timing is nondeterministic, host time is not modeled).
 
         *timeout* is the **watchdog window**: the run aborts with
         :class:`SimulationHungError` only after that many seconds with *no
@@ -252,7 +252,6 @@ class ThreadedEngine(SequentialEngine):
             for i in range(len(self.cores))
         ]
         manager = threading.Thread(target=self._manager_thread_body, name="manager", daemon=True)
-        start = time.perf_counter()
         for t in threads:
             t.start()
         manager.start()
@@ -280,10 +279,5 @@ class ThreadedEngine(SequentialEngine):
             t.join(5.0)
         if self._error is not None:
             raise self._error
-        wall = time.perf_counter() - start
         self.manager.check_invariants()
-        result = self._build_result(completed=True)
-        # Report measured wall time in host units for comparability.
-        result.host_time = wall / HOST_UNIT_SECONDS
-        result.host_busy = result.host_time
-        return result
+        return self._build_result(completed=True)

@@ -208,11 +208,13 @@ class TestWireCompat:
             JobSpec.build("fft", "tiny", core_model=model)
 
     @pytest.mark.parametrize(
-        "field,value", [("wait_chunk", 0), ("turn_cycles", -5), ("batch_cycles", -1)]
+        "field,value",
+        [("wait_chunk", 0), ("turn_cycles", -5), ("batch_cycles", -1), ("stats_interval", -5)],
     )
     def test_out_of_range_turn_shaping_is_refused(self, field, value):
         """Reachable over the serve wire: ``wait_chunk=0`` spins a blind wait
         into a bogus deadlock report, a negative cap simulates something
-        else.  ``ValueError`` is the daemon's bad-request path."""
+        else, a negative ``stats_interval`` snapshots at every manager step.
+        ``ValueError`` is the daemon's bad-request path."""
         with pytest.raises(ValueError, match=field):
             spec_from_dict(self.wire(**{field: value}))

@@ -202,6 +202,7 @@ def test_run_requires_known_workload(capsys):
     ["run", "--workload", "nope"],
     ["run", "--replay-trace", "/nonexistent"],
     ["run", "--restore", "/nonexistent"],
+    ["run", "--stats-interval", "-5"],
     pytest.param(["run", "--restore", __file__], id="run --restore <not a checkpoint>"),
     ["stats", "show", "/nonexistent.json"],
     ["stats", "diff", "/nonexistent.json", "/nonexistent.json"],
@@ -223,3 +224,41 @@ def test_bad_argument_value_is_a_usage_error(argv, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--capture-trace", "t.trace", "--checkpoint-interval", "100", "--checkpoint", "ck.pkl"],
+    ["--core-model", "ooo", "--capture-trace", "t.trace"],
+    ["--checkpoint-interval", "100"],
+], ids=" ".join)
+def test_engine_refusal_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    """An engine that refuses its configuration at construction ends ``run``
+    with exit 2 and one ``error:`` line, having run and written nothing."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--workload", "fft", "--scale", "tiny", *argv,
+                 "--stats-out", "s.json"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_run_path_gives_one_account(tmp_path, monkeypatch, capsys):
+    """A job run, a checkpointed direct run and the restore of its last
+    checkpoint print the same summary line and dump stats that diff clean."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    run = ["run", "--workload", "fft", "--scale", "tiny", "--scheme", "s9"]
+    checkpoint = str(tmp_path / "ck.pkl")
+    paths = {
+        "job": run,
+        "direct": [*run, "--checkpoint-interval", "500", "--checkpoint", checkpoint],
+        "restore": ["run", "--restore", checkpoint],
+    }
+    summaries = set()
+    for name, argv in paths.items():
+        assert main([*argv, "--stats-out", str(tmp_path / f"{name}.json")]) == 0
+        summaries.add(capsys.readouterr().out.splitlines()[0])
+    assert len(summaries) == 1
+    for name in ("direct", "restore"):
+        assert main(["stats", "diff", str(tmp_path / "job.json"),
+                     str(tmp_path / f"{name}.json")]) == 0

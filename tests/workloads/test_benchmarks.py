@@ -98,7 +98,7 @@ class TestBenchmarkExecution:
     def test_uses_all_threads(self, name):
         w = make_workload(name, scale="tiny")
         r = run_simulation(w.program, scheme="cc", host_cores=4)
-        active = [c for c in r.cores if c.committed > 0]
+        active = [c for c in r.cores if c["committed"] > 0]
         assert len(active) == w.params["nthreads"]
 
 
@@ -106,4 +106,4 @@ def test_benchmarks_generate_coherence_traffic():
     w = make_workload("water", scale="tiny")
     r = run_simulation(w.program, scheme="cc", host_cores=4)
     assert r.requests > 0
-    assert sum(c.l1_misses for c in r.cores) > 0
+    assert sum(c["l1_misses"] for c in r.cores) > 0
