@@ -129,30 +129,16 @@ class CoreThread:
                 raise AssertionError(f"unexpected InQ event {event}")
 
     # ------------------------------------------------------------------ run
-    def run(self, budget: int, *, single: bool = False) -> BatchStats:
-        """Advance up to *budget* target cycles within the slack window.
+    #
+    # A turn advances up to *budget* target cycles within the slack window:
+    # :meth:`step_many` for a model with the ``wait_state`` protocol,
+    # :meth:`run` for one without.  Clock invariant enforced each cycle::
+    #
+    #     global <= local_time <= max_local_time
+    #
+    # (the global bound is checked by the manager, which owns global time).
 
-        Dispatches to the batched fast path when the model supports the
-        ``wait_state`` protocol, else to the per-cycle loop.  ``single=True``
-        makes either advance with per-cycle ``step`` calls only.
-
-        Clock invariant enforced each cycle::
-
-            global <= local_time <= max_local_time
-
-        (the global bound is checked by the manager, which owns global time).
-        """
-        if hasattr(self.model, "wait_state"):
-            return self.step_many(budget, single=single)
-        return self._run_percycle(budget, single)
-
-    def step_many(
-        self,
-        budget: int,
-        *,
-        wait_chunk: int = 8,
-        single: bool = False,
-    ) -> BatchStats:
+    def step_many(self, budget: int, *, wait_chunk: int, single: bool = False) -> BatchStats:
         """Advance up to *budget* cycles, jumping over wait stretches.
 
         ``wait_chunk`` bounds how many cycles the core burns waiting on
@@ -290,7 +276,7 @@ class CoreThread:
             self.window_edge_hits += 1
         return stats
 
-    def _run_percycle(self, budget: int, single: bool = False) -> BatchStats:
+    def run(self, budget: int, *, single: bool = False) -> BatchStats:
         """Turn loop for models without ``wait_state`` (OoO, ad-hoc test
         models).  A model with ``advance`` (OoOCore) runs every stretch
         between InQ events inside the model; otherwise — and always under

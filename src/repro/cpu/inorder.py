@@ -26,7 +26,7 @@ from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.funcsim import NEXT, do_amo, do_load, do_store, effective_address, execute
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.predecode import (
-    K_ECALL, K_HALT, K_JUMP, K_STORE, predecode_program, timing_blocks,
+    K_ECALL, K_HALT, K_JUMP, K_STORE, predecode_program,
 )
 from repro.cpu.l1cache import GRANT_TO_MESI, AccessResult, L1Cache
 from repro.core.events import EvKind, Event
@@ -295,18 +295,17 @@ class InOrderCore(InOrderPipeline):
         self._rec = tracer
         self.state: ArchState | None = None
         self._text = program.text
-        # Predecoded function tables plus compiled timing superblocks — what
-        # :meth:`advance` runs on.  Fast-forwarding and the oracle dispatch
-        # keep the per-instruction path.
+        # Predecoded per-PC function tables — what :meth:`advance` runs on.
+        # The oracle dispatch keeps the per-instruction path (so does
+        # fast-forwarding: InOrderPipeline.__init__).
         if dispatch not in ("predecoded", "oracle"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
-        predecoded = dispatch == "predecoded"
-        self._bind_tables(predecoded, predecoded and not fastforward)
-        if self._tblocks is None:
+        self._bind_tables(dispatch == "predecoded")
+        if self._kinds is None:
             self.advance = None
 
     # ------------------------------------------------------------- pickling
-    def _bind_tables(self, predecoded: bool, tblocks: bool) -> None:
+    def _bind_tables(self, predecoded: bool) -> None:
         """(Re-)derive the program-memoised dispatch tables."""
         if predecoded:
             pre = predecode_program(self.program)
@@ -317,7 +316,6 @@ class InOrderCore(InOrderPipeline):
             self._latencies = pre.latencies
         else:
             self._kinds = None
-        self._tblocks = timing_blocks(self.program) if tblocks else None
 
     def __getstate__(self):
         # The predecoded dispatch tables are generated functions — unpicklable
@@ -328,14 +326,12 @@ class InOrderCore(InOrderPipeline):
         for key in ("_runs", "_eas", "_applies", "_latencies"):
             state.pop(key, None)
         state["_pickle_predecoded"] = predecoded
-        state["_pickle_tblocks"] = state.pop("_tblocks", None) is not None
         return state
 
     def __setstate__(self, state) -> None:
         predecoded = state.pop("_pickle_predecoded")
-        tblocks = state.pop("_pickle_tblocks", False)
         self.__dict__.update(state)
-        self._bind_tables(predecoded, tblocks)
+        self._bind_tables(predecoded)
 
     # ------------------------------------------------------------ lifecycle
     def activate(self, pc: int, arg: int, ts: int) -> None:
@@ -355,10 +351,9 @@ class InOrderCore(InOrderPipeline):
 
         Observationally ≡ the ``wait_state``/``skip``/``step`` sequence
         :meth:`CoreThread.step_many` would run over the same cycles, minus
-        the Python frames: compiled timing superblocks where one fits,
-        per-PC functions otherwise, L1-hit loads/stores inline, and the
-        drain of a multi-cycle op accounted as the skip stretch it is (cut
-        at *limit*, remainder left in ``_busy_until``).  *limit* is the
+        the Python frames: per-PC functions, L1-hit loads/stores inline, and
+        the drain of a multi-cycle op accounted as the skip stretch it is
+        (cut at *limit*, remainder left in ``_busy_until``).  *limit* is the
         first cycle the outside world could touch — turn budget, window
         edge, next queued InQ event — so every interaction lands on the
         same cycle as per-instruction stepping.  Returns early after
@@ -379,8 +374,6 @@ class InOrderCore(InOrderPipeline):
         eas = self._eas
         applies = self._applies
         latencies = self._latencies
-        tb_lens = self._tblocks.lens
-        tb_runs = self._tblocks.runs
         memory = self.memory
         l1d = self.l1d
         hit_latency = l1d.config.hit_latency
@@ -394,15 +387,6 @@ class InOrderCore(InOrderPipeline):
             index = (pc - TEXT_BASE) >> 3
             if pc & 7 or not 0 <= index < size:
                 break
-            n = tb_lens[index]
-            if n and n <= limit - t:
-                pc = tb_runs[index](x, f)
-                t += n
-                busy = t - 1
-                committed += n
-                if rec is not None:
-                    rec.run_n(n)
-                continue
             kind = kinds[index]
             if kind <= K_JUMP:  # register-only: simple / branch / jump
                 target = runs[index](x, f)

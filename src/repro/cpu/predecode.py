@@ -8,7 +8,7 @@ operands of a given text word never change.  This module pays it **once per
 program**: every text word is rendered through its opcode's *source
 template* (:data:`_TEMPLATES`, the one statement of predecoded semantics)
 with register indices and immediates as literals, and the rendered source is
-compiled into Python functions.  Three forms come from the same templates:
+compiled into Python functions.  Two forms come from the same templates:
 
 * **per-PC functions** — one instruction each, the tables the in-order core
   (:mod:`repro.cpu.inorder`), the out-of-order core (:mod:`repro.cpu.ooo`)
@@ -17,9 +17,7 @@ compiled into Python functions.  Three forms come from the same templates:
 * **functional superblocks** — straight-line runs of ALU/memory instructions,
   optionally ended by a branch or jump, one function per run, so the
   interpreter executes a whole loop body per Python call (built on its first
-  use: timing runs never call them);
-* **timing superblocks** — the same, restricted to latency-1 register-only
-  instructions, for the in-order core's ``advance()``.
+  use: timing runs never call them).
 
 The timing cores only swap the *execution* of each instruction — fetch
 order, latencies, cache/memory moments and syscall handling are untouched,
@@ -50,11 +48,9 @@ from repro.isa.program import TEXT_BASE, Program
 
 __all__ = [
     "PredecodedProgram",
-    "TimingBlocks",
     "predecode_program",
     "predecode_instruction",
     "dispatch_plan",
-    "timing_blocks",
     "K_SIMPLE",
     "K_BRANCH",
     "K_JUMP",
@@ -131,7 +127,7 @@ def dispatch_plan(insn: Instruction) -> tuple:
 # ``{addr}`` a memory instruction's address expression.  Arithmetic wraps
 # exactly like ``ArchState.set_x`` (``to_signed64``), so the predecoded state
 # trajectory is bit-identical to the oracle's.  The upper-case names and the
-# ``_helpers`` resolve in :data:`_TIMING_NAMESPACE`.  Adding an opcode is
+# ``_helpers`` resolve in :data:`_GLOBALS`.  Adding an opcode is
 # ``isa/opcodes.py``, one ``funcsim`` handler and one line here.
 
 _WRAP = "; x[{d}] = v - T if v >= H else v"
@@ -200,7 +196,7 @@ _BRANCH_EXPR = {
 }
 
 #: Globals of every generated function.
-_TIMING_NAMESPACE = {
+_GLOBALS = {
     "M": (1 << 64) - 1,
     "H": 1 << 63,
     "T": 1 << 64,
@@ -252,10 +248,9 @@ def _emit_insn(insn: Instruction, lines: list, addr: str | None = None) -> None:
     )
 
 
-def _emit_terminator(insn: Instruction, pc: int, lines: list, fallthrough: int | None) -> None:
+def _emit_terminator(insn: Instruction, pc: int, lines: list) -> None:
     """Append the return statement of the branch or jump at *pc*; a not-taken
-    branch returns *fallthrough* (``None`` for per-PC functions and
-    functional blocks, the next pc for timing blocks)."""
+    branch returns ``None``."""
     op, d = insn.op, insn.rd
     if op is Op.JAL:
         if d:
@@ -272,7 +267,7 @@ def _emit_terminator(insn: Instruction, pc: int, lines: list, fallthrough: int |
         lines.append(f"return {target}")
     else:
         cond = _BRANCH_EXPR[op].format(a=insn.rs1, b=insn.rs2)
-        lines.append(f"return {to_signed64(pc + insn.imm)} if {cond} else {fallthrough}")
+        lines.append(f"return {to_signed64(pc + insn.imm)} if {cond} else None")
 
 
 def _def(params: str, lines: list) -> str:
@@ -283,8 +278,9 @@ def _def(params: str, lines: list) -> str:
 def _compile(defs: list) -> list:
     """Compile :func:`_def` sources into functions, entry for entry (``None``
     stays ``None``).  Identical sources — the same instruction at two text
-    positions — share one function.  The file name is what the benchmark's
-    tracer attributes to this module.
+    positions — share one function.  The file name outlived the timing
+    superblocks it was named for: the benchmark's tracer attributes code
+    compiled under it to this module, so it stays.
     """
     names: dict = {}
     for source in defs:
@@ -292,7 +288,7 @@ def _compile(defs: list) -> list:
             names[source] = f"fn{len(names)}"
     module = "".join(f"def {name}{source}" for source, name in names.items())
     functions: dict = {}
-    exec(compile(module, "<timing-blocks>", "exec"), _TIMING_NAMESPACE, functions)  # noqa: S102
+    exec(compile(module, "<timing-blocks>", "exec"), _GLOBALS, functions)  # noqa: S102
     return [None if source is None else functions[names[source]] for source in defs]
 
 
@@ -305,7 +301,7 @@ def _pc_defs(insn: Instruction, pc: int) -> tuple:
         _emit_insn(insn, lines)
         return kind, _def("x, f", lines or ["pass"]), None, None
     if kind <= K_JUMP:
-        _emit_terminator(insn, pc, lines, None)
+        _emit_terminator(insn, pc, lines)
         return kind, _def("x, f", lines), None, None
     if kind <= K_AMO:
         addr = _addr_lines(insn.rs1, insn.imm, lines)
@@ -330,32 +326,19 @@ def predecode_instruction(insn: Instruction, pc: int):
 # A superblock is a straight-line run of instructions from a block leader,
 # plus the branch or jump that ends it when there is one, compiled into one
 # function with the templates inlined (no per-instruction call); the parallel
-# ``lens`` table holds its static instruction count.
-#
-# *Functional* blocks serve only the interpreter, where every memory effect
-# is immediate — so the body may hold loads/stores/AMOs alongside ALU work.
-# Signature ``block(x, f, mem) -> int | None``: the target when the
-# terminator is taken, else ``None`` (fall through past the block).
-#
-# *Timing* blocks serve the in-order core, where a block call collapses its
-# instructions into one step and would hide the per-cycle boundaries the
-# timing model observes (latencies, cache moments, InQ routing).  They hold
-# the one instruction class where no boundary is *observable*: latency-1
-# register-only instructions, optionally ended by a latency-1 branch or
-# jump.  Each occupies exactly one cycle, commits exactly one instruction,
-# touches no cache, queue, or system state, and cannot stall — so executing
-# n of them as one call that advances the clock by n is cycle-for-cycle
-# indistinguishable from n per-instruction steps.  The caller
-# (``InOrderCore.advance``) caps the block at the first cycle where the
-# outside world could intervene: the turn budget, the window edge, and the
-# next queued InQ event.  Signature ``tblock(x, f) -> next_pc``, always an
-# absolute address.
+# ``lens`` table holds its static instruction count.  Superblocks serve only
+# the functional interpreter, where every memory effect is immediate — so the
+# body may hold loads/stores/AMOs alongside ALU work.  The timing cores run
+# per-PC functions: a timing step must stop at every cycle the model observes
+# (latencies, cache moments, InQ routing).  Signature
+# ``block(x, f, mem) -> int | None``: the target when the terminator is
+# taken, else ``None`` (fall through past the block).
 
 _ELIGIBLE_BODY = (K_SIMPLE, K_LOAD, K_STORE, K_AMO)
 _TERMINATORS = (K_BRANCH, K_JUMP)
 
 
-def _build_blocks(pre: PredecodedProgram, timing: bool) -> tuple[list, list]:
+def _build_blocks(pre: PredecodedProgram) -> tuple[list, list]:
     """Compile the superblocks of a program: ``(runs, lens)`` by text index.
 
     Leaders are every statically-reachable block start: the entry point,
@@ -366,12 +349,8 @@ def _build_blocks(pre: PredecodedProgram, timing: bool) -> tuple[list, list]:
     """
     program = pre.program
     text, kinds, n = program.text, pre.kinds, pre.size
-    if timing:
-        body = [k == K_SIMPLE and lat == 1 for k, lat in zip(kinds, pre.latencies)]
-        term = [k in _TERMINATORS and lat == 1 for k, lat in zip(kinds, pre.latencies)]
-    else:
-        body = [k in _ELIGIBLE_BODY for k in kinds]
-        term = [k in _TERMINATORS for k in kinds]
+    body = [k in _ELIGIBLE_BODY for k in kinds]
+    term = [k in _TERMINATORS for k in kinds]
     body.append(False)  # sentinels: a run ends at the end of the text
     term.append(False)
     leaders = {0, (program.entry - TEXT_BASE) >> 3}
@@ -397,12 +376,11 @@ def _build_blocks(pre: PredecodedProgram, timing: bool) -> tuple[list, list]:
         lines: list = []
         for insn in text[i:j]:
             _emit_insn(insn, lines)
-        past = TEXT_BASE + (i + total) * INSTRUCTION_BYTES if timing else None
         if term[j]:
-            _emit_terminator(text[j], TEXT_BASE + j * INSTRUCTION_BYTES, lines, past)
+            _emit_terminator(text[j], TEXT_BASE + j * INSTRUCTION_BYTES, lines)
         else:
-            lines.append(f"return {past}")
-        defs[i] = _def("x, f" if timing else "x, f, mem", lines)
+            lines.append("return None")
+        defs[i] = _def("x, f, mem", lines)
         lens[i] = total
     return _compile(defs), lens
 
@@ -449,7 +427,7 @@ class PredecodedProgram:
     def functional_blocks(self) -> tuple[list, list]:
         """``(block_runs, block_lens)``, compiled on the first call."""
         if self.block_runs is None:
-            self.block_runs, self.block_lens = _build_blocks(self, timing=False)
+            self.block_runs, self.block_lens = _build_blocks(self)
         return self.block_runs, self.block_lens
 
 
@@ -466,32 +444,3 @@ def predecode_program(program: Program) -> PredecodedProgram:
     pre = PredecodedProgram(program)
     object.__setattr__(program, "_predecoded", pre)
     return pre
-
-
-class TimingBlocks:
-    """Per-leader compiled timing superblocks for one :class:`Program`.
-
-    Parallel tables indexed by text index: ``runs[i]`` is the compiled
-    ``tblock(x, f) -> next_pc`` starting at *i* (``None`` when no block
-    starts there), ``lens[i]`` its static cycle/commit count (0 when none).
-    Stateless between calls — one instance is shared by every in-order core
-    simulating the same program.
-    """
-
-    __slots__ = ("runs", "lens", "size")
-
-    def __init__(self, runs: list, lens: list, size: int) -> None:
-        self.runs = runs
-        self.lens = lens
-        self.size = size
-
-
-def timing_blocks(program: Program) -> TimingBlocks:
-    """Timing superblocks for *program*, memoised on the program object."""
-    cached = getattr(program, "_timing_blocks", None)
-    if cached is not None:
-        return cached
-    pre = predecode_program(program)
-    tb = TimingBlocks(*_build_blocks(pre, timing=True), pre.size)
-    object.__setattr__(program, "_timing_blocks", tb)
-    return tb

@@ -57,10 +57,6 @@ class CoreRecorder:
                 self._run = 0
             self.ops.append((OP_MULTI, latency))
 
-    def run_n(self, n: int) -> None:
-        """A compiled timing superblock: n latency-1 commits at once."""
-        self._run += n
-
     def _flush(self) -> None:
         if self._run:
             self.ops.append((OP_RUN, self._run))

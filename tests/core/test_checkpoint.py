@@ -227,27 +227,6 @@ def test_ooo_restore_in_fresh_process_with_scoreboard_in_flight(
     ]
 
 
-def test_timing_blocks_rederived_on_restore(program, tmp_path):
-    """The in-order core's compiled timing superblocks are closures — they
-    must be dropped at pickle time and re-derived (fresh tables, same
-    program) on restore, like the per-instruction predecode tables."""
-    from repro.cpu.predecode import TimingBlocks
-
-    cp = str(tmp_path / "ck.pkl")
-    engine = build(program, "q3")
-    models = [ct.model for ct in engine.cores]
-    assert all(m._tblocks is not None for m in models)
-    save_checkpoint(engine, cp)
-    restored = load_checkpoint(cp)
-    for ct in restored.cores:
-        tb = ct.model._tblocks
-        assert isinstance(tb, TimingBlocks)
-        assert any(tb.lens), "restored timing-block table is empty"
-        # Re-derived, not round-tripped: fresh objects per restored program.
-        assert tb is not models[0]._tblocks
-    assert_same_run(restored.run(), build(program, "q3").run())
-
-
 def test_advance_tables_rederived_on_mid_run_restore(program, tmp_path):
     """``advance`` runs on every predecode table, ``_applies`` included:
     none of them may travel in the pickle, and an engine restored mid-run
@@ -255,7 +234,7 @@ def test_advance_tables_rederived_on_mid_run_restore(program, tmp_path):
     re-derived ones."""
     from repro.cpu.predecode import predecode_program
 
-    tables = ("_kinds", "_runs", "_eas", "_applies", "_latencies", "_tblocks")
+    tables = ("_kinds", "_runs", "_eas", "_applies", "_latencies")
     cp = str(tmp_path / "ck.pkl")
     full = build(program, "su", checkpoint_interval=300, checkpoint_path=cp).run()
     restored = load_checkpoint(cp)

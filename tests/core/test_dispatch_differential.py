@@ -63,7 +63,7 @@ def test_engine_differential(core_model):
 #: bounded slack (sliding), unbounded slack.
 @pytest.mark.parametrize("scheme", ["cc", "q3", "s2", "su"])
 def test_sync_program_differential(scheme):
-    """Timing superblocks vs the oracle on the checkpoint goldens'
+    """Predecoded vs oracle on the checkpoint goldens'
     lock/barrier program, every scheme shape: sysapi effects land in host
     arrival order, so a path that perturbs the turn decomposition (not just
     end totals) moves the digest or the modeled host time."""

@@ -211,7 +211,7 @@ class _AdvanceRig:
         if inject is not None:
             kind, line, delay = inject
             ct.inq.push(Event(kind, DATA_BASE + 64 * line, 0, ct.local_time + delay))
-        stats = dataclasses.asdict(ct.step_many(budget, single=self.single))
+        stats = dataclasses.asdict(ct.step_many(budget, wait_chunk=8, single=self.single))
         out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
         for kind, addr, ts in out:
             if kind is not EvKind.PUTM:

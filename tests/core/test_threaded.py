@@ -7,6 +7,7 @@ Wall-clock numbers are GIL-bound and nondeterministic; these tests assert
 import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.core.corethread import CoreThread
 from repro.lang import compile_source
 from repro.workloads import make_workload
 from tests.core.threaded_harness import SimulationHungError, ThreadedEngine
@@ -101,6 +102,27 @@ def test_threaded_matches_sequential_functionally():
     thr = run_threaded(prog, "s9")
     assert seq.int_output() == thr.int_output()
     assert seq.instructions > 0 and thr.instructions > 0
+
+
+def test_turns_burn_the_configured_wait_chunk(monkeypatch):
+    """Every batched turn of the harness gets the config's blind-wait
+    allowance: ``step_many`` has no default of its own to fall back on."""
+    seen = []
+    step_many = CoreThread.step_many
+
+    def recording(self, budget, **kwargs):
+        seen.append(kwargs.get("wait_chunk"))
+        return step_many(self, budget, **kwargs)
+
+    monkeypatch.setattr(CoreThread, "step_many", recording)
+    engine = ThreadedEngine(
+        compile_source(COUNTER_SRC).program,
+        target=SMALL_TARGET,
+        host=HostConfig(num_cores=4),
+        sim=SimConfig(scheme="s9", seed=1, wait_chunk=3),
+    )
+    assert engine.run(timeout=60.0).int_output() == [40]
+    assert seen and set(seen) == {3}
 
 
 def test_instruction_counts_are_consistent():

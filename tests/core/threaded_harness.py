@@ -141,6 +141,8 @@ class ThreadedEngine(SequentialEngine):
     # --------------------------------------------------------------- threads
     def _core_thread_body(self, idx: int) -> None:
         ct = self.cores[idx]
+        batched = hasattr(ct.model, "wait_state")
+        wait_chunk = self.sim.wait_chunk
         try:
             while not self._stop.is_set():
                 if ct.state != CoreState.ACTIVE:
@@ -158,7 +160,10 @@ class ThreadedEngine(SequentialEngine):
                 budget = ct.max_local_time - ct.local_time
                 if budget > 4096:
                     budget = 4096
-                stats = ct.run(budget)
+                if batched:
+                    stats = ct.step_many(budget, wait_chunk=wait_chunk)
+                else:
+                    stats = ct.run(budget)
                 if stats.wakes:
                     with self._emu_lock:
                         for core_id, release_ts in stats.wakes:

@@ -238,9 +238,9 @@ def test_memo_is_bounded(disk_reads):
 def test_engines_sharing_a_memoised_program_match_fresh_programs(
     disk_reads, tmp_path, scheme
 ):
-    """Back-to-back engines on one memoised Program — predecode tables and
-    timing blocks built by the first, reused by the second — run exactly
-    like engines on freshly loaded Programs, also across a restore."""
+    """Back-to-back engines on one memoised Program — predecode tables
+    built by the first, reused by the second — run exactly like engines on
+    freshly loaded Programs, also across a restore."""
     from dataclasses import replace
 
     from repro.core import HostConfig, SequentialEngine, SimConfig, TargetConfig
@@ -261,9 +261,9 @@ def test_engines_sharing_a_memoised_program_match_fresh_programs(
     shared = compile_source(SYNC_SRC, name="sync").program
     assert compile_source(SYNC_SRC, name="sync").program is shared
     first = run(shared)
-    tables = shared._predecoded, shared._timing_blocks
+    tables = shared._predecoded
     second = run(shared)
-    assert (shared._predecoded, shared._timing_blocks) == tables  # reused
+    assert shared._predecoded is tables  # reused
     assert_same_run(first, run(fresh()))
     assert_same_run(second, run(fresh()))
     # A different config on the same warm Program is still its own run.
