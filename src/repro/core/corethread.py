@@ -9,18 +9,18 @@ manager raises ``max_local_time`` per the active slack scheme.
 The same class serves the deterministic sequential engine (stepped in
 batches) and the threaded test harness (stepped from a real Python thread).
 
-Batched stepping (DESIGN.md §5): models that implement the optional
-``wait_state``/``skip`` protocol let :meth:`CoreThread.step_many` advance
-whole wait stretches — frozen-pipeline latencies, spin waits, external
-stalls — in one jump per stretch instead of one Python-level ``step`` call
-per cycle.  The jump is exact by construction (the model promises
-``skip(n)`` ≡ n wait ``step``\\ s), so a budget of thousands of cycles costs
-a handful of Python iterations.  Models that also implement
-``advance(now, limit, stats)`` run the commit cycles between those stretches
-inside the model, up to the first cycle the outside world could touch.
-``single=True`` runs the identical control flow but advances each stretch
-with per-cycle ``step`` calls — the oracle the golden determinism tests
-compare against.
+One turn loop, :meth:`CoreThread.step_many`, runs every core model
+(DESIGN.md §5).  Each model answers ``wait_state``: a pure wait stretch —
+frozen-pipeline latency, spin wait, external stall — is advanced in one
+``skip`` jump instead of one Python-level ``step`` call per cycle (exact by
+construction: ``skip(n)`` ≡ n wait ``step``\\ s), so a budget of thousands of
+cycles costs a handful of Python iterations.  A model with ``advance(now,
+limit, stats)`` runs the cycles between those stretches inside the model,
+up to the first cycle the outside world could touch; one with
+``stall_hint`` (the OoO core, whose ``wait_state`` is always ``None``) jumps
+a stepped stall with a known end.  ``single=True`` runs the identical
+control flow but advances each stretch with per-cycle ``step`` calls — the
+oracle the golden determinism tests compare against.
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ class CoreThread:
 
     # ------------------------------------------------------------------ run
     #
-    # A turn advances up to *budget* target cycles within the slack window:
-    # :meth:`step_many` for a model with the ``wait_state`` protocol,
-    # :meth:`run` for one without.  Clock invariant enforced each cycle::
+    # A turn advances up to *budget* target cycles within the slack window.
+    # Clock invariant enforced each cycle::
     #
     #     global <= local_time <= max_local_time
     #
@@ -168,6 +167,7 @@ class CoreThread:
         # ``single=True`` (the per-cycle oracle) disables it without
         # changing any observable.
         advance = None if single else getattr(model, "advance", None)
+        stall_hint = getattr(model, "stall_hint", None)
         while (
             self.state == CoreState.ACTIVE
             and stats.cycles < budget
@@ -180,6 +180,7 @@ class CoreThread:
                 self._route_due_events(stats)
             ws = model.wait_state(self.local_time)
             if ws is None:
+                n = 0
                 if advance is not None:
                     # The first cycle the outside world could touch:
                     # budget, window edge, next queued event.
@@ -198,19 +199,22 @@ class CoreThread:
                     # never enters the model loop.
                     if limit - self.local_time > 1:
                         n = advance(self.local_time, limit, stats)
-                        if n:
-                            self.local_time += n
-                            continue
-                # The model wants a real step: it may commit, emit events,
-                # block, or halt this cycle.
-                committed, active = model.step(self.local_time)
-                stats.committed += committed
-                if active:
-                    stats.active_cycles += 1
+                if n:
+                    self.local_time += n
                 else:
-                    stats.idle_cycles += 1
-                stats.cycles += 1
-                self.local_time += 1
+                    # The model wants a real step: it may commit, emit
+                    # events, block, or halt this cycle.
+                    committed, active = model.step(self.local_time)
+                    stats.committed += committed
+                    if active:
+                        stats.active_cycles += 1
+                    else:
+                        stats.idle_cycles += 1
+                    stats.cycles += 1
+                    self.local_time += 1
+                # A step, or the OoO core's ``advance`` (the in-order, replay
+                # and trace loops stop short of both), can end on a wake
+                # order or a halt.
                 if model.pending_wakes:
                     stats.wakes.extend(model.pending_wakes)
                     model.pending_wakes.clear()
@@ -218,6 +222,30 @@ class CoreThread:
                     self.state = CoreState.DONE
                     self.final_time = self.local_time
                     break
+                if not n and stall_hint is not None:
+                    # Skip-ahead: a stepped stall with a known end jumps to
+                    # it (or to the first cycle the outside world could
+                    # touch).  Spin-wait cycles are full-cost (the core
+                    # simulates the wait loop); frozen-pipeline stalls are
+                    # cheap.
+                    hint = stall_hint(self.local_time)
+                    if hint is not None:
+                        limit = min(
+                            hint,
+                            self.max_local_time,
+                            self.local_time + (budget - stats.cycles),
+                        )
+                        next_in = inq.peek_ts()
+                        if next_in is not None and next_in < limit:
+                            limit = next_in
+                        n = limit - self.local_time
+                        if n > 0:
+                            stats.cycles += n
+                            if getattr(model, "spinning", False):
+                                stats.active_cycles += n
+                            else:
+                                stats.idle_cycles += n
+                            self.local_time = limit
                 continue
             resume, active = ws
             limit = min(self.max_local_time, self.local_time + (budget - stats.cycles))
@@ -267,75 +295,6 @@ class CoreThread:
                     # turn so the manager gets host time to produce the wake.
                     break
         stats.events_out = len(outq_q) - out_before
-        stats.hit_window_edge = (
-            self.state == CoreState.ACTIVE and self.local_time >= self.max_local_time
-        )
-        self.total_committed += stats.committed
-        self.total_cycles += stats.cycles
-        if stats.hit_window_edge:
-            self.window_edge_hits += 1
-        return stats
-
-    def run(self, budget: int, *, single: bool = False) -> BatchStats:
-        """Turn loop for models without ``wait_state`` (OoO, ad-hoc test
-        models).  A model with ``advance`` (OoOCore) runs every stretch
-        between InQ events inside the model; otherwise — and always under
-        ``single=True``, the oracle — it is one ``step`` per cycle plus the
-        ``stall_hint`` skip-ahead.  Both fill the same ``active_cycles`` /
-        ``idle_cycles``: the host cost of an ``ooo`` turn does not depend on
-        which one ran."""
-        stats = self._stats
-        stats.reset()
-        model = self.model
-        inq = self.inq
-        advance = None if single else getattr(model, "advance", None)
-        out_before = len(self.outq)
-        while (
-            self.state == CoreState.ACTIVE
-            and stats.cycles < budget
-            and self.local_time < self.max_local_time
-        ):
-            self._route_due_events(stats)
-            # The first cycle the outside world could touch: budget, window
-            # edge, next queued event.
-            limit = min(self.max_local_time, self.local_time + (budget - stats.cycles))
-            next_in = inq.peek_ts()
-            if next_in is not None and next_in < limit:
-                limit = next_in
-            if advance is not None:
-                self.local_time += advance(self.local_time, limit, stats)
-            else:
-                committed, active = model.step(self.local_time)
-                stats.committed += committed
-                if active:
-                    stats.active_cycles += 1
-                else:
-                    stats.idle_cycles += 1
-                stats.cycles += 1
-                self.local_time += 1
-            if model.pending_wakes:
-                stats.wakes.extend(model.pending_wakes)
-                model.pending_wakes.clear()
-            if model.phase is CorePhase.HALTED:
-                self.state = CoreState.DONE
-                self.final_time = self.local_time
-                break
-            if advance is not None:
-                continue
-            # Skip-ahead: a stall with a known resume time burns idle cycles
-            # in one jump (identical event behaviour, fewer Python steps).
-            hint = model.stall_hint(self.local_time)
-            skipped = 0 if hint is None else min(hint, limit) - self.local_time
-            if skipped > 0:
-                stats.cycles += skipped
-                # Spin-wait cycles are full-cost (the core simulates the
-                # wait loop); frozen-pipeline stalls are cheap.
-                if getattr(model, "spinning", False):
-                    stats.active_cycles += skipped
-                else:
-                    stats.idle_cycles += skipped
-                self.local_time += skipped
-        stats.events_out = len(self.outq) - out_before
         stats.hit_window_edge = (
             self.state == CoreState.ACTIVE and self.local_time >= self.max_local_time
         )

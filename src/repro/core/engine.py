@@ -573,9 +573,6 @@ class SequentialEngine:
         self._pending_activations.append(core)
 
     # ------------------------------------------------------------------- run
-    def _all_done(self) -> bool:
-        return all(ct.state != CoreState.ACTIVE for ct in self.cores)
-
     def _turn_budget(self, ct: CoreThread) -> int:
         """Target cycles this core may run in one engine turn.
 
@@ -661,7 +658,8 @@ class SequentialEngine:
                 manager, turn_budget, core_batch_cost
             )
         manager_step_cost = costmodel.manager_step_cost
-        batched = [hasattr(ct.model, "wait_state") for ct in cores]
+        # The OoO core's turn chunk, applied after ``turn_budget``.
+        turn_chunks = [getattr(ct.model, "TURN_CHUNK", INFINITY) for ct in cores]
         # Parking is only deadlock-free when the blocked core's own clock is
         # not needed for its wake to be produced.  A memory response needs
         # the manager to service the GQ — gated on global time under the
@@ -781,7 +779,7 @@ class SequentialEngine:
         # The superstep's per-turn reads are default arguments, not closure
         # cells: it is cc's hot loop, and cell loads there cost ~5 % of a cc run.
         def barrier_superstep(
-            ready: float, cores=cores, inqs=inqs, outqs=outqs, batched=batched,
+            ready: float, cores=cores, inqs=inqs, outqs=outqs, turn_chunks=turn_chunks,
             next_free=next_free, suspended=suspended, hostrun=hostrun,
             poll_until=poll_until, poll_cost=poll_cost, idle=idle, HALTED=HALTED,
             pending_activations=pending_activations, max_insn=max_insn,
@@ -855,11 +853,7 @@ class SequentialEngine:
                     ct = cores[cid]
                     local = ct.local_time
                     inq_heap = inqs[cid]
-                    if (
-                        new_max - local == 1
-                        and batched[cid]
-                        and not (inq_heap and inq_heap[0][0] <= local)
-                    ):
+                    if new_max - local == 1 and not (inq_heap and inq_heap[0][0] <= local):
                         # ``step_many(1)`` with nothing due in the InQ: the cc
                         # path, kept out of ``step_many`` on purpose.
                         model = ct.model
@@ -892,10 +886,9 @@ class SequentialEngine:
                             cost = 0.05
                     else:
                         budget = turn_budget(ct)
-                        if batched[cid]:
-                            stats = ct.step_many(budget, wait_chunk=wait_chunk)
-                        else:
-                            stats = ct.run(min(budget, 8))
+                        if turn_chunks[cid] < budget:
+                            budget = turn_chunks[cid]
+                        stats = ct.step_many(budget, wait_chunk=wait_chunk)
                         if (
                             outqs[cid]
                             or stats.wakes
@@ -1030,13 +1023,9 @@ class SequentialEngine:
                 next_free[idx] = hostrun(ready, suspend_cost)
                 return False
             budget = turn_budget(ct)
-            if batched[idx]:
-                stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
-            else:
-                # Models without the batching protocol (the OoO core) keep
-                # seed-era chunking: the turn structure, and so every
-                # host-model call, is the same in either stepping mode.
-                stats = ct.run(min(budget, 8), single=single)
+            if turn_chunks[idx] < budget:
+                budget = turn_chunks[idx]
+            stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
             return after_turn(ready, idx, ct, stats)
 
         def after_turn(ready: float, idx: int, ct: CoreThread, stats: BatchStats) -> bool:
@@ -1064,12 +1053,7 @@ class SequentialEngine:
             for core_id, release_ts in wakes:
                 cores[core_id].model.release(release_ts)
             park = False
-            if (
-                ct.state == ACTIVE
-                and not stats.hit_window_edge
-                and batched[idx]
-                and (park_pending or park_spin)
-            ):
+            if ct.state == ACTIVE and not stats.hit_window_edge and (park_pending or park_spin):
                 # Parked: blocked on external input with an empty InQ, so the
                 # core cannot progress until the manager delivers (or a peer
                 # releases a blocking syscall) — the InQ-empty block of a real

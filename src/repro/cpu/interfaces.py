@@ -65,50 +65,43 @@ class CoreModel(Protocol):
     @property
     def phase(self) -> CorePhase: ...
 
-    # -- per-cycle skip-ahead: models without ``wait_state`` only ----------
+    def wait_state(self, now: int) -> tuple[int, bool] | None:
+        """None   -> the model wants a real ``step(now)`` (it may commit,
+                     emit events, halt, or block this cycle);
+        (resume, active) -> every cycle in [now, resume) is a pure wait
+                     cycle accounted with the given active flag; ``resume``
+                     is the next cycle needing a real step, or
+                     WAIT_EXTERNAL when the wake must come from outside."""
+
+    # -- the turn loop (``CoreThread.step_many``, DESIGN.md §5) ------------
     #
-    # def stall_hint(self, now: int) -> int | None:
-    #     """If stalled until a known simulated time, return it."""
-    #
-    # Asked of the models the CoreThread steps cycle by cycle (OoOCore, the
-    # only one under src/, and ad-hoc test models); the batched protocol
-    # below subsumes it.
-    #
-    # -- optional batched-stepping extension (see DESIGN.md §5) ------------
-    #
-    # Reference implementation: :class:`repro.cpu.inorder.InOrderPipeline`.
-    # Models that additionally implement the two methods below opt into the
-    # engine's run-ahead fast path: while ``wait_state`` reports a wait, the
-    # CoreThread advances local time in one jump (``skip``) instead of one
-    # ``step`` call per cycle.  Implementations must guarantee that for a
-    # wait spanning ``n`` cycles, ``skip(n)`` leaves the model in exactly the
-    # state that ``n`` consecutive ``step`` calls would (same counters, same
-    # pipeline state, no events emitted), so batched and single stepping are
-    # behaviour-equivalent by construction.
-    #
-    # def wait_state(self, now: int) -> tuple[int, bool] | None:
-    #     """None   -> the model wants a real ``step(now)`` (it may commit,
-    #                  emit events, halt, or block this cycle);
-    #     (resume, active) -> every cycle in [now, resume) is a pure wait
-    #                  cycle accounted with the given active flag; ``resume``
-    #                  is the next cycle needing a real step, or
-    #                  WAIT_EXTERNAL when the wake must come from outside."""
+    # Every model answers ``wait_state``; the OoO core always answers None.
+    # While it reports a wait, the CoreThread advances local time in one jump
+    # (``skip``) instead of one ``step`` call per cycle.  Implementations must
+    # guarantee that for a wait spanning ``n`` cycles, ``skip(n)`` leaves the
+    # model in exactly the state that ``n`` consecutive ``step`` calls would
+    # (same counters, same pipeline state, no events emitted), so batched and
+    # single stepping are behaviour-equivalent by construction.  Reference
+    # implementation: :class:`repro.cpu.inorder.InOrderPipeline`.
     #
     # def skip(self, n: int) -> None:
     #     """Account n wait cycles at once (e.g. bump stall counters)."""
     #
-    # A third optional method moves the commit cycles between waits into the
-    # model as well (one loop per front end: InOrderCore, ReplayCore, and
-    # TraceCore, whose loop also finishes a granted fill first):
+    # Optional, moving the cycles between waits into the model (one loop per
+    # front end: InOrderCore, ReplayCore, TraceCore, whose loop also finishes
+    # a granted fill first, and OoOCore):
     #
     # def advance(self, now: int, limit: int, stats: BatchStats) -> int:
     #     """Run cycles [now, limit) exactly as the wait_state/skip/step
     #     sequence would, fold them into *stats*, return how many ran.
     #     Stops early at the first outside-visible moment (a miss issued,
-    #     or in front of an ecall/halt/AMO); 0 means "call step(now)"."""
+    #     or in front of an ecall/halt/AMO; OoOCore: after a halt or a wake
+    #     order); 0 means "call step(now)"."""
     #
-    # OoOCore implements ``advance`` *without* ``wait_state``/``skip``: it
-    # stays on the per-cycle turn loop (same turn chunk, same active/idle
-    # accounting, so the same host cost) and ``advance`` stands for the
-    # ``step`` + ``stall_hint`` sequence of ``[now, limit)``, at least one
-    # cycle, returning early only after a halt or a wake order.
+    # Optional, a skip-ahead after a stepped cycle (OoOCore only):
+    #
+    # def stall_hint(self, now: int) -> int | None:
+    #     """If stalled until a known simulated time, return it: the turn
+    #     jumps there, charged active if ``spinning``, else idle."""
+    #
+    # OoOCore also sets ``TURN_CHUNK = 8``, the engine's cap on its turn.

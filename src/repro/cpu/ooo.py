@@ -119,6 +119,11 @@ class _RobEntry:
 class OoOCore:
     """One NetBurst-like out-of-order target core."""
 
+    #: Target cycles per engine turn at most (after the scheme's grant and
+    #: the fault wrappers): the turn structure, and so every host-model call,
+    #: the per-cycle model was calibrated with (DESIGN.md §5).
+    TURN_CHUNK = 8
+
     def __init__(
         self,
         core_id: int,
@@ -263,6 +268,11 @@ class OoOCore:
     @property
     def spinning(self) -> bool:
         return self._blocked
+
+    def wait_state(self, now: int) -> None:
+        """Never a ``skip`` stretch: every OoO cycle is charged active or
+        idle at full host cost, through ``step``/``advance``."""
+        return None
 
     def stall_hint(self, now: int) -> int | None:
         if self._blocked and self._release_ts is not None and self._release_ts > now:

@@ -1,4 +1,8 @@
-"""CoreThread unit tests: batching, window edges, InQ routing, skip-ahead."""
+"""CoreThread unit tests: the one turn loop (``step_many``) — batching,
+window edges, InQ routing, the ``stall_hint`` skip-ahead, and the wake/halt
+fold after a step or an ``advance``."""
+
+import pytest
 
 from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.events import EvKind, Event
@@ -42,6 +46,9 @@ class _ScriptedModel:
     def apply_downgrade(self, addr):
         self.downgraded.append(addr)
 
+    def wait_state(self, now):
+        return None
+
     def stall_hint(self, now):
         return self._hint
 
@@ -53,42 +60,46 @@ def make_thread(model=None, max_local=100):
     return ct
 
 
+def turn(ct, budget, *, single=False):
+    return ct.step_many(budget, wait_chunk=8, single=single)
+
+
 class TestBatching:
     def test_budget_limits_cycles(self):
         ct = make_thread()
-        stats = ct.run(5)
+        stats = turn(ct, 5)
         assert stats.cycles == 5
         assert ct.local_time == 5
 
     def test_window_edge_stops_batch(self):
         ct = make_thread(max_local=3)
-        stats = ct.run(10)
+        stats = turn(ct, 10)
         assert stats.cycles == 3
         assert stats.hit_window_edge
         assert ct.local_time == 3
 
     def test_zero_window_runs_nothing(self):
         ct = make_thread(max_local=0)
-        stats = ct.run(10)
+        stats = turn(ct, 10)
         assert stats.cycles == 0 and stats.hit_window_edge
 
     def test_halting_sets_done_and_final_time(self):
         ct = make_thread(_ScriptedModel(halt_after=4))
-        ct.run(20)
+        turn(ct, 20)
         assert ct.state == CoreState.DONE
         assert ct.final_time == 5
-        assert not ct.run(20).cycles  # done threads do not run
+        assert not turn(ct, 20).cycles  # done threads do not run
 
     def test_active_idle_classification(self):
         ct = make_thread(_ScriptedModel(active_pattern=[True, False, False, True]))
-        stats = ct.run(4)
+        stats = turn(ct, 4)
         assert stats.active_cycles == 2
         assert stats.idle_cycles == 2
 
     def test_totals_accumulate(self):
         ct = make_thread()
-        ct.run(4)
-        ct.run(3)
+        turn(ct, 4)
+        turn(ct, 3)
         assert ct.total_cycles == 7
         assert ct.total_committed == 7
 
@@ -100,7 +111,7 @@ class TestInQRouting:
         ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=0, grant="E"))
         ct.inq.push(Event(EvKind.INVALIDATE, 0x80, 0, ts=0))
         ct.inq.push(Event(EvKind.DOWNGRADE, 0xC0, 0, ts=0))
-        ct.run(1)
+        turn(ct, 1)
         assert [e.addr for e in model.delivered] == [0x40]
         assert model.invalidated == [0x80]
         assert model.downgraded == [0xC0]
@@ -109,16 +120,16 @@ class TestInQRouting:
         model = _ScriptedModel()
         ct = make_thread(model)
         ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=6, grant="E"))
-        ct.run(3)
+        turn(ct, 3)
         assert model.delivered == []
-        ct.run(5)
+        turn(ct, 5)
         assert len(model.delivered) == 1
 
     def test_wakes_are_collected(self):
         model = _ScriptedModel()
         ct = make_thread(model)
         model.pending_wakes.append((3, 17))
-        stats = ct.run(1)
+        stats = turn(ct, 1)
         assert stats.wakes == [(3, 17)]
         assert model.pending_wakes == []
 
@@ -128,7 +139,7 @@ class TestSkipAhead:
         model = _ScriptedModel(active_pattern=[False])
         model._hint = 50
         ct = make_thread(model)
-        stats = ct.run(100)
+        stats = turn(ct, 100)
         # The first cycle steps, then a 49-cycle jump happens without any
         # model.step calls; past the hint the model is stepped per cycle.
         assert ct.local_time >= 50
@@ -138,7 +149,7 @@ class TestSkipAhead:
         model = _ScriptedModel(active_pattern=[False])
         model._hint = 500
         ct = make_thread(model, max_local=20)
-        ct.run(100)
+        turn(ct, 100)
         assert ct.local_time == 20
 
     def test_jump_capped_by_pending_event(self):
@@ -146,6 +157,107 @@ class TestSkipAhead:
         model._hint = 80
         ct = make_thread(model)
         ct.inq.push(Event(EvKind.INVALIDATE, 0x80, 0, ts=10))
-        ct.run(100)
+        turn(ct, 100)
         # The jump may not skip past the event's timestamp undelivered.
         assert model.invalidated == [0x80]
+        assert ct.local_time == 100
+
+    def test_jump_capped_by_budget(self):
+        model = _ScriptedModel(active_pattern=[False])
+        model._hint = 80
+        ct = make_thread(model)
+        stats = turn(ct, 30)
+        assert ct.local_time == stats.cycles == 30
+        assert model.steps == [0]
+
+    @pytest.mark.parametrize("spinning", [False, True])
+    def test_jump_is_charged_active_only_when_spinning(self, spinning):
+        model = _ScriptedModel(active_pattern=[False])
+        model._hint = 40
+        model.spinning = spinning
+        ct = make_thread(model)
+        stats = turn(ct, 40)
+        # One stepped idle cycle, then the 39-cycle jump.
+        assert (stats.active_cycles, stats.idle_cycles) == (
+            (39, 1) if spinning else (0, 40)
+        )
+
+    def test_single_stepping_takes_the_same_jump(self):
+        """The hint is a per-cycle skip-ahead, not a batched shortcut: the
+        ``single`` oracle takes it too."""
+        runs = []
+        for single in (False, True):
+            model = _ScriptedModel(active_pattern=[False])
+            model._hint = 50
+            ct = make_thread(model)
+            runs.append((turn(ct, 60, single=single).cycles, model.steps))
+        assert runs[0] == runs[1] == (60, [0] + list(range(50, 60)))
+
+
+class _RunAheadModel(_ScriptedModel):
+    """A scripted model with ``advance``: each call runs up to ``stretch``
+    cycles, then may leave a wake order or halt, as the OoO core's does."""
+
+    def __init__(self, stretch, *, wake_at=None, halt_at=None):
+        super().__init__()
+        self.stretch = stretch
+        self.wake_at = wake_at
+        self.halt_at = halt_at
+        self.advances = []
+
+    def advance(self, now, limit, stats):
+        n = min(self.stretch, limit - now)
+        self.advances.append((now, limit))
+        end = now + n
+        if self.wake_at is not None and now < self.wake_at <= end:
+            self.pending_wakes.append((1, end))
+        if self.halt_at is not None and now < self.halt_at <= end:
+            self.phase = CorePhase.HALTED
+        stats.cycles += n
+        stats.active_cycles += n
+        stats.committed += n
+        return n
+
+
+class TestAdvanceFold:
+    def test_wake_order_after_advance_is_folded(self):
+        model = _RunAheadModel(10, wake_at=20)
+        ct = make_thread(model)
+        stats = turn(ct, 40)
+        assert stats.wakes == [(1, 20)]
+        assert model.pending_wakes == []
+        # The turn goes on after the wake: the engine releases the peer when
+        # the turn ends.
+        assert ct.local_time == stats.cycles == 40
+        assert model.steps == []
+
+    def test_halt_after_advance_ends_the_turn(self):
+        model = _RunAheadModel(10, halt_at=25)
+        ct = make_thread(model)
+        stats = turn(ct, 100)
+        assert ct.state == CoreState.DONE
+        assert ct.final_time == ct.local_time == stats.cycles == 30
+        assert not stats.hit_window_edge
+        assert model.steps == []
+
+    def test_one_cycle_of_room_is_a_step(self):
+        model = _RunAheadModel(10)
+        ct = make_thread(model, max_local=11)
+        turn(ct, 100)
+        assert model.advances == [(0, 11)]
+        assert model.steps == [10]
+
+    def test_advance_stops_at_the_next_queued_event(self):
+        model = _RunAheadModel(100)
+        ct = make_thread(model)
+        ct.inq.push(Event(EvKind.INVALIDATE, 0x80, 0, ts=7))
+        turn(ct, 50)
+        assert model.advances == [(0, 7), (7, 50)]
+        assert model.invalidated == [0x80]
+
+    def test_single_stepping_never_advances(self):
+        model = _RunAheadModel(10, wake_at=3)
+        ct = make_thread(model)
+        stats = turn(ct, 5, single=True)
+        assert model.advances == [] and model.steps == [0, 1, 2, 3, 4]
+        assert stats.cycles == 5 and stats.wakes == []

@@ -43,10 +43,13 @@ def program_of(name):
     return make_workload(name, scale="tiny").program
 
 
-def engine_for(program, scheme, hosts, *, stepping="batched", cores=8, seed=5, **sim):
+def engine_for(
+    program, scheme, hosts, *, stepping="batched", cores=8, seed=5, core_model="inorder",
+    **sim,
+):
     return SequentialEngine(
         program,
-        target=TargetConfig(num_cores=cores),
+        target=TargetConfig(num_cores=cores, core_model=core_model),
         host=HostConfig(num_cores=hosts),
         sim=SimConfig(scheme=scheme, seed=seed, **sim),
         stepping=stepping,
@@ -76,15 +79,19 @@ def sync_program():
     "name,scheme,hosts",
     [(n, s, h) for n in ("fft", "water") for s in ("cc", "q3", "q10") for h in (1, 8)]
     # 2 and 32 host cores: a contended host and one wider than the target.
-    + [(n, "cc", h) for n in ("barnes", "lu") for h in (2, 32)],
+    + [(n, "cc", h) for n in ("barnes", "lu") for h in (2, 32)]
+    # The OoO core: its one-cycle turns run inline too (``wait_state`` is
+    # always None: a ``step``), its longer ones under its 8-cycle chunk.
+    + [(f"{n}:ooo", s, 8) for n in ("fft", "water") for s in ("cc", "q10")],
 )
 def test_registered_workloads_match_single_stepping(name, scheme, hosts):
+    name, _, model = name.partition(":")
     program = program_of(name)
-    fused = engine_for(program, scheme, hosts)
+    model = model or "inorder"
+    fused = engine_for(program, scheme, hosts, core_model=model)
     result = fused.run()
-    assert_same_schedule(
-        result, engine_for(program, scheme, hosts, stepping="single").run()
-    )
+    single = engine_for(program, scheme, hosts, stepping="single", core_model=model)
+    assert_same_schedule(result, single.run())
     # Engagement, so the branch can never be a path nothing takes.
     assert fused.fused_barriers >= (0.9 if scheme == "cc" else 0.5) * result.barriers
     # Folded like ``manager_polls`` but kept out of the registry, whose dump

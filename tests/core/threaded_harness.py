@@ -141,7 +141,6 @@ class ThreadedEngine(SequentialEngine):
     # --------------------------------------------------------------- threads
     def _core_thread_body(self, idx: int) -> None:
         ct = self.cores[idx]
-        batched = hasattr(ct.model, "wait_state")
         wait_chunk = self.sim.wait_chunk
         try:
             while not self._stop.is_set():
@@ -160,10 +159,7 @@ class ThreadedEngine(SequentialEngine):
                 budget = ct.max_local_time - ct.local_time
                 if budget > 4096:
                     budget = 4096
-                if batched:
-                    stats = ct.step_many(budget, wait_chunk=wait_chunk)
-                else:
-                    stats = ct.run(budget)
+                stats = ct.step_many(budget, wait_chunk=wait_chunk)
                 if stats.wakes:
                     with self._emu_lock:
                         for core_id, release_ts in stats.wakes:
@@ -173,6 +169,9 @@ class ThreadedEngine(SequentialEngine):
         except BaseException as exc:  # pragma: no cover - surfaced in run()
             self._error = exc
             self._stop.set()
+
+    def _all_done(self) -> bool:
+        return all(ct.state != CoreState.ACTIVE for ct in self.cores)
 
     def _manager_thread_body(self) -> None:
         try:

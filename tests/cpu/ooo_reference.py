@@ -5,8 +5,10 @@ scoreboard replaced it, unchanged in behaviour: every cycle walks the ROB
 twice (complete, then issue), re-evaluates each waiting entry's ``deps`` and
 is stepped one Python call at a time (no ``advance``).
 ``tests/cpu/test_ooo_differential.py`` runs it against the shipped core.  The
-one edit is mechanical: the last-writer key tables ``PredecodedProgram`` no
-longer carries are built here (``_key_tables``).
+edits are mechanical: the last-writer key tables ``PredecodedProgram`` no
+longer carries are built here (``_key_tables``), and the core carries the two
+turn-loop members every model answers (``TURN_CHUNK``, and a ``wait_state``
+that is always ``None``).
 
 Out-of-order core model (the paper's NetBurst-like configuration:
 4-wide, 64 in-flight instructions, non-blocking L1 with MSHRs, branch
@@ -108,6 +110,8 @@ class _RobEntry:
 
 class OoOCore:
     """One NetBurst-like out-of-order target core."""
+
+    TURN_CHUNK = 8
 
     def __init__(
         self,
@@ -255,6 +259,9 @@ class OoOCore:
     @property
     def spinning(self) -> bool:
         return self._blocked
+
+    def wait_state(self, now: int) -> None:
+        return None
 
     def stall_hint(self, now: int) -> int | None:
         if self._blocked and self._release_ts is not None and self._release_ts > now:

@@ -261,7 +261,9 @@ class _Rig:
         if inject is not None:
             kind, block, delay = inject
             ct.inq.push(Event(kind, DATA_BASE + 64 * block, 0, ct.local_time + delay))
-        stats = dataclasses.asdict(ct.run(budget, single=self.single))
+        stats = dataclasses.asdict(
+            ct.step_many(budget, wait_chunk=SimConfig().wait_chunk, single=self.single)
+        )
         out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
         for kind, addr, ts in out:
             if kind is not EvKind.PUTM:
@@ -309,7 +311,8 @@ _inject = st.one_of(
 def test_advance_equals_per_cycle_stepping(
     turns, resp_delay, grant_shared, halt, width, rob, penalty
 ):
-    """``run(k)`` through ``advance`` ≡ k × ``step`` ≡ the scan-based model:
+    """``step_many(k)`` through ``advance`` ≡ k × ``step`` plus the
+    ``stall_hint`` jumps ≡ the scan-based model:
     random budgets and window edges (so limits fall inside pure-wait
     stretches, spin stretches and dispatch groups), response delays,
     invalidations and downgrades, a blocked syscall released early, late or

@@ -3,6 +3,8 @@ fast-forward compensation."""
 
 import pytest
 
+from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.core.engine import SequentialEngine
 from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState
 from repro.cpu.inorder import InOrderCore
@@ -13,6 +15,7 @@ from repro.sysapi.system import SystemEmulation
 from repro.trace.format import ACC_STORE, OP_HALT, OP_MEM, OP_RUN
 from repro.trace.replay import ReplayCore, ReplaySystem
 from repro.violations.detect import ViolationCounters, WordOrderTracker
+from repro.workloads.registry import make_workload
 
 
 class TestCounters:
@@ -230,3 +233,26 @@ class TestFastForwardDelaysTheCore:
         for t in range(now + 1, now + ff + 1):
             assert core.step(t) == (0, False)  # idle, undetectable by the program
         assert core.step(now + ff + 1) == (1, True)
+
+
+def test_fastforward_engages_on_a_registered_workload():
+    """Workload-state violations do fire on a real workload under the OoO
+    core (water, su, 8 host cores), and fast-forwarding compensates some of
+    them: the stores it delays still complete the run with the oracle's
+    output."""
+    workload = make_workload("water", scale="tiny")
+
+    def run(fastforward):
+        result = SequentialEngine(
+            workload.program,
+            target=TargetConfig(core_model="ooo"),
+            host=HostConfig(num_cores=8),
+            sim=SimConfig(scheme="su", seed=1, fastforward=fastforward),
+        ).run()
+        assert result.completed and workload.verify(result.output)
+        return result.stats
+
+    off, on = run(False), run(True)
+    assert off["violations.workload_state"] > 0
+    assert off["violations.fastforwards"] == 0
+    assert on["violations.fastforwards"] == 4
