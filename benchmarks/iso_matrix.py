@@ -27,7 +27,9 @@ and ``NAME:func`` — the functional interpreter on the ``nthreads=1`` program,
 one cell per scale (no scheme, no host): instruction count, exit code, output
 digest and the final ``ArchState.digest()``.
 Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
-the repo benchmark's rule.  The defaults cover every core model: in-order,
+the repo benchmark's rule.  The default schemes cover every scheme family
+``parse_scheme`` accepts (quote a ``--schemes`` list that holds ``s9*``: it
+is a shell glob).  The default workloads cover every core model: in-order,
 the three trace workloads, replay (``fft:replay``: barriers only;
 ``water:replay``: locks, barriers and joins), out-of-order (``fft:ooo``,
 ``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter.
@@ -46,7 +48,7 @@ WORKLOADS = (
     "barnes", "fft", "lu", "water", "sharing", "sharing:think", "pingpong",
     "fft:replay", "water:replay", "fft:ooo", "water:ooo", "fft:func", "water:func",
 )
-SCHEMES = ("cc", "q3", "q10", "s9", "s100", "su")
+SCHEMES = ("cc", "q3", "q10", "aq10-160", "l10", "s9", "s9*", "s100", "su")
 HOSTS = (1, 2, 8)
 
 #: ``sharing`` ops per core by scale (``small`` is mem-traffic's job); also

@@ -43,6 +43,11 @@ __all__ = ["main"]
 
 _SCALES = ("tiny", "small", "paper")
 _CORE_MODELS = ("inorder", "ooo")
+#: Each scheme family ``parse_scheme`` accepts and the example ``schemes`` lists.
+_SCHEME_FAMILIES = {
+    "cc": "cc", "qN": "q10", "aqMIN-MAX": "aq10-160", "lN": "l10",
+    "sN": "s9", "sN*": "s9*", "su": "su",
+}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -541,15 +546,15 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 def _cmd_schemes(args: argparse.Namespace) -> int:
     from repro.core.schemes import parse_scheme
 
-    for spec in ("cc", "q10", "l10", "s9", "s9*", "s100", "su"):
-        print(f"  {spec:5s} {parse_scheme(spec).describe()}")
+    for spec in _SCHEME_FAMILIES.values():
+        print(f"  {spec:8s} {parse_scheme(spec).describe()}")
     return 0
 
 
 def _add_job_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of a job (:func:`_job_spec`), shared by ``run`` and ``submit``."""
     parser.add_argument("--workload", default="fft", help=" | ".join(sorted(WORKLOADS)))
-    parser.add_argument("--scheme", default="cc", help="cc | qN | lN | sN | sN* | su")
+    parser.add_argument("--scheme", default="cc", help=" | ".join(_SCHEME_FAMILIES))
     parser.add_argument("--host-cores", type=int, default=8)
     parser.add_argument("--scale", default="tiny", choices=_SCALES)
     parser.add_argument("--core-model", default="inorder", choices=_CORE_MODELS)

@@ -83,14 +83,11 @@ class HostConfig:
 class SimConfig:
     """One simulation run."""
 
-    #: Slack scheme: "cc", "qN", "lN", "sN", "sN*", "su".
+    #: Slack scheme: "cc", "qN", "aqMIN-MAX", "lN", "sN", "sN*", "su".
     scheme: str = "cc"
     seed: int = 1
     #: Maximum target cycles before the engine aborts (safety net).
     max_cycles: int = 50_000_000
-    #: Maximum committed instructions (0 = run to completion), mirroring the
-    #: paper's fixed 100M-instruction runs.
-    max_instructions: int = 0
     #: Compensate detected workload violations by fast-forwarding (§3.2.3).
     fastforward: bool = False
     #: Hard cap on target cycles per engine turn, independent of the scheme's
@@ -138,11 +135,10 @@ class SimConfig:
         # wait_chunk makes a blind external wait take zero-cycle turns until
         # the idle-poll limit reports a bogus deadlock; a negative turn cap
         # silently simulates something else; a negative interval snapshots
-        # or checkpoints at every manager step; a negative instruction cap
-        # cuts the run at once.
+        # or checkpoints at every manager step.
         for name, floor in (
             ("wait_chunk", 1), ("turn_cycles", 0), ("stats_interval", 0),
-            ("checkpoint_interval", 0), ("max_instructions", 0), ("max_cycles", 1),
+            ("checkpoint_interval", 0), ("max_cycles", 1),
         ):
             value = getattr(self, name)
             if value < floor:

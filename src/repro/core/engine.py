@@ -32,7 +32,7 @@ from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.manager import SimulationManager
 from repro.core.results import SimulationResult
-from repro.core.schemes import INFINITY, Lookahead, parse_scheme
+from repro.core.schemes import INFINITY, parse_scheme
 from repro.cpu.arch import ArchState
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.l1cache import L1Cache
@@ -133,8 +133,6 @@ class SequentialEngine:
                  self.sim.fault_plan),
                 ("a checkpointed capture could restore into a half-written stream",
                  self.sim.checkpoint_interval),
-                ("a max_instructions cut records a partial execution",
-                 self.sim.max_instructions),
             ):
                 if bad:
                     raise EngineError(f"trace capture refused: {reason}")
@@ -190,7 +188,6 @@ class SequentialEngine:
         self.costmodel = CostModel(self.host_cfg, self.sim.seed, self.target.num_cores)
         self.system: SystemEmulation | None = None
         self._pending_activations: list[int] = []
-        self._grant_needs_oldest = isinstance(self.scheme, Lookahead)
         self._turn_cap = self.sim.turn_cycles or INFINITY  # 0 = uncapped
         self.total_committed = 0
         self.engine_steps = 0
@@ -386,7 +383,8 @@ class SequentialEngine:
         return self._registry
 
     def _execution_cycles(self) -> int:
-        """Target execution time (last thread exit, or global time if cut)."""
+        """Target execution time: the last thread exit (global time while the
+        run is still going, for a mid-run snapshot)."""
         ran = [ct for ct in self.cores if ct.ever_active]
         if self._completed and ran:
             return max(ct.final_time for ct in ran)
@@ -576,20 +574,15 @@ class SequentialEngine:
     def _turn_budget(self, ct: CoreThread) -> int:
         """Target cycles this core may run in one engine turn.
 
-        The scheme's grant (quantum/window/lookahead remainder) clamped by
-        the core's own window edge, the ``turn_cycles`` cap, and
-        the ``max_cycles`` safety net (the budget may exceed it by one so
-        the runaway guard still fires).
+        The scheme's window less local time (the quantum, slack-window or
+        lookahead remainder; 0 at the edge) clamped by the core's own window
+        edge, the ``turn_cycles`` cap, and the ``max_cycles`` safety net (the
+        budget may exceed it by one so the runaway guard still fires).
         """
         local = ct.local_time
-        manager = self.manager
-        if self._grant_needs_oldest:
-            budget = self.scheme.grant(manager.global_time, local, manager.gq.oldest_ts())
-        else:
-            # Inlined default Scheme.grant: max(0, max_local(global) - local).
-            budget = self.scheme.max_local(manager.global_time) - local
-            if budget < 0:
-                budget = 0
+        budget = self.manager.current_max_local() - local
+        if budget < 0:
+            budget = 0
         window = ct.max_local_time - local
         if window < budget:
             budget = window
@@ -601,7 +594,7 @@ class SequentialEngine:
         return budget if budget > 0 else 1
 
     def run(self) -> SimulationResult:
-        """Run the simulation to completion (or its ``max_instructions`` cut).
+        """Run the simulation to completion.
 
         The system emulation's spawn hook is bound to this engine for the
         duration of the run only: a built, finished or restored engine holds
@@ -702,7 +695,6 @@ class SequentialEngine:
         outqs = [ct.outq._q for ct in cores]
         inqs = [ct.inq._heap for ct in cores]
         pending_activations = self._pending_activations
-        max_insn = sim.max_instructions
         HALTED = CorePhase.HALTED
         ACTIVE = CoreState.ACTIVE
         wait_chunk = sim.wait_chunk
@@ -782,10 +774,10 @@ class SequentialEngine:
             ready: float, cores=cores, inqs=inqs, outqs=outqs, turn_chunks=turn_chunks,
             next_free=next_free, suspended=suspended, hostrun=hostrun,
             poll_until=poll_until, poll_cost=poll_cost, idle=idle, HALTED=HALTED,
-            pending_activations=pending_activations, max_insn=max_insn,
+            pending_activations=pending_activations,
             core_jitter=core_jitter, base_active=base_active, base_idle=base_idle,
             suspend_cost=suspend_cost,
-        ) -> bool:
+        ) -> None:
             """Run barrier after barrier as straight-line code (DESIGN.md §5).
 
             Entered when the dirty manager pops with every active core
@@ -797,8 +789,8 @@ class SequentialEngine:
             charged the general loop's calls in its order, and every exit is
             taken where the state is a general-loop state: a barrier the
             superstep cannot take goes to ``manager_arm``, a turn that is not
-            quiet to ``after_turn``.  Returns whether the instruction cut
-            fired.  The per-turn counters are locals, folded back on exit.
+            quiet to ``after_turn``.  The per-turn counters are locals, folded
+            back on exit.
             """
             nonlocal engine_steps, manager_steps, fused_barriers, manager_polls
             nonlocal wakes_delivered, suspends, n_susp, mgr_dirty, mgr_idle_streak
@@ -822,7 +814,7 @@ class SequentialEngine:
                     engine_steps += steps
                     manager_polls += polled
                     manager_arm(ready)
-                    return False
+                    return
                 # (1) The clean barrier step, inline.
                 manager.barriers_completed += 1
                 manager.global_time = g
@@ -867,7 +859,6 @@ class SequentialEngine:
                                 or model.pending_wakes
                                 or model.phase is HALTED
                                 or pending_activations
-                                or (max_insn and total + committed >= max_insn)
                             ):
                                 stats = _unit_turn_stats(ct, committed, active)
                                 break
@@ -894,7 +885,6 @@ class SequentialEngine:
                             or stats.wakes
                             or not stats.hit_window_edge
                             or pending_activations
-                            or (max_insn and total + stats.committed >= max_insn)
                         ):
                             break
                         total += stats.committed
@@ -938,7 +928,7 @@ class SequentialEngine:
             self.total_committed = total
             engine_steps += steps
             manager_polls += polled
-            return after_turn(r, cid, ct, stats)
+            after_turn(r, cid, ct, stats)
 
         def manager_arm(ready: float) -> None:
             """One manager step (or a stretch of elided idle polls)."""
@@ -1014,25 +1004,22 @@ class SequentialEngine:
                 sync_stats()
                 checkpoint.save_checkpoint(self, sim.checkpoint_path)
 
-        def core_turn(ready: float, idx: int, ct: CoreThread) -> bool:
-            """One core thread's turn; returns whether the instruction cut fired."""
+        def core_turn(ready: float, idx: int, ct: CoreThread) -> None:
+            """One core thread's turn."""
             if ct.local_time >= ct.max_local_time and not manager.refresh_window(ct):
                 # At its window edge, and the shared clocks (re-read first:
                 # two word reads in the real thing) have not moved.
                 suspend(idx)
                 next_free[idx] = hostrun(ready, suspend_cost)
-                return False
+                return
             budget = turn_budget(ct)
             if turn_chunks[idx] < budget:
                 budget = turn_chunks[idx]
             stats = ct.step_many(budget, wait_chunk=wait_chunk, single=single)
-            return after_turn(ready, idx, ct, stats)
+            after_turn(ready, idx, ct, stats)
 
-        def after_turn(ready: float, idx: int, ct: CoreThread, stats: BatchStats) -> bool:
-            """Pay for a core turn and requeue, suspend or park its thread.
-
-            Returns whether the ``max_instructions`` cut fired.
-            """
+        def after_turn(ready: float, idx: int, ct: CoreThread, stats: BatchStats) -> None:
+            """Pay for a core turn and requeue, suspend or park its thread."""
             nonlocal s_count, s_total, s_min, s_max, mgr_dirty, mgr_idle_streak
             nonlocal wakes_delivered, parks
             # Inline Distribution.add: ``slack`` is bounded by max_cycles, far
@@ -1082,8 +1069,6 @@ class SequentialEngine:
                     f"core {idx} exceeded max_cycles={sim.max_cycles} "
                     f"(scheme {self.scheme.name}; workload hung?)"
                 )
-            if max_insn and self.total_committed >= max_insn:
-                return True
             if ct.state == ACTIVE:
                 if stats.hit_window_edge and not manager.refresh_window(ct):
                     suspend(idx)
@@ -1095,9 +1080,7 @@ class SequentialEngine:
                     # clocks already moved (this core may itself hold the
                     # minimum): no suspend round trip.
                     push(idx, done_t)
-            return False
 
-        completed = True
         while self._active_cores:
             if not heap:
                 raise EngineError("host queue empty with active cores — engine bug")
@@ -1115,19 +1098,15 @@ class SequentialEngine:
                     and not any(outqs)
                 ):
                     manager_arm(ready)
-                    continue
-                cut = barrier_superstep(ready)
+                else:
+                    barrier_superstep(ready)
             else:
                 ct = cores[idx]
-                if ct.state != ACTIVE:
-                    continue
-                cut = core_turn(ready, idx, ct)
-            if cut:
-                completed = False
-                break
+                if ct.state == ACTIVE:
+                    core_turn(ready, idx, ct)
         sync_stats()
         manager.check_invariants()
-        return self._build_result(completed)
+        return self._build_result()
 
     def _diagnose_deadlock(self) -> None:
         lines = [f"engine deadlock under scheme {self.scheme.name}:"]
@@ -1151,17 +1130,16 @@ class SequentialEngine:
         self._capture_header = None
 
     # ---------------------------------------------------------------- result
-    def _build_result(self, completed: bool) -> SimulationResult:
+    def _build_result(self) -> SimulationResult:
         """What the run alone knows, over its lazily built stats registry:
         the result reads every number from the dump (``core/results.py``)."""
-        self._completed = completed
-        if completed and self._capture_header is not None:
+        self._completed = True
+        if self._capture_header is not None:
             self._write_capture()
         return SimulationResult(
-            completed=completed,
+            completed=True,
             output=self.system.merged_output() if self.system else [],
             violations=self.counters,
-            ran=tuple(ct.core_id for ct in self.cores if ct.ever_active),
             registry_factory=lambda: self.registry,
         )
 

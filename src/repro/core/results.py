@@ -1,11 +1,12 @@
 """A run's result: the stats dump is its one account.
 
 :class:`SimulationResult` holds only what the run alone knows (completion,
-output, the live violation counters, the cores that ran) and reads every
-number from the registry's flat dump through :data:`HEADLINES`.  The dump
-materialises on first access, so a caller that reads no number pays none of
-its cost.  The per-core rows and the summary line are functions of a dump,
-so a stored job record (which carries the same dump) yields the same ones.
+output, the live violation counters) and reads every number from the
+registry's flat dump through :data:`HEADLINES`.  The dump materialises on
+first access, so a caller that reads no number pays none of its cost.  The
+per-core rows (and the cores that ran) and the summary line are functions of
+a dump, so a stored job record (which carries the same dump) yields the same
+ones.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.host.costmodel import HOST_UNIT_SECONDS
-from repro.stats.registry import dump_to_csv
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["HEADLINES", "SimulationResult", "core_rows", "kips", "summary_line"]
+__all__ = ["HEADLINES", "SimulationResult", "core_rows", "kips", "ran_cores", "summary_line"]
 
 #: Each headline attribute of a result and the dump path it reads.  A stat
 #: the run does not register reads 0: trace cores register no ``sync.*``.
@@ -24,8 +24,7 @@ HEADLINES = {
     "scheme": "sim.scheme",
     "seed": "sim.seed",
     "host_cores": "sim.host_cores",
-    #: Target execution time: last workload-thread exit (completed runs) or
-    #: global time at truncation.
+    #: Target execution time: the last workload-thread exit.
     "execution_cycles": "target.execution_cycles",
     "global_time": "target.global_time",
     "instructions": "target.instructions",
@@ -46,8 +45,16 @@ def kips(stats: dict) -> float:
     return stats["target.instructions"] / host_seconds / 1000.0 if host_seconds else 0.0
 
 
-def core_rows(stats: dict, ran) -> list[dict]:
-    """One row per core id in *ran*; a core with no L1 reports zero traffic."""
+def ran_cores(stats: dict) -> tuple:
+    """Ids of the cores that ran.  A run runs to its end, so every activated
+    core ran to its halt, and a core ran iff it clocked a cycle."""
+    return tuple(
+        i for i in range(stats["sim.target_cores"]) if stats.get(f"core{i}.cycles", 0) > 0
+    )
+
+
+def core_rows(stats: dict) -> list[dict]:
+    """One row per core that ran; a core with no L1 reports zero traffic."""
     return [
         {
             "core": i,
@@ -56,7 +63,7 @@ def core_rows(stats: dict, ran) -> list[dict]:
             "l1_accesses": stats.get(f"core{i}.l1d.accesses", 0),
             "l1_misses": stats.get(f"core{i}.l1d.misses", 0),
         }
-        for i in ran
+        for i in ran_cores(stats)
     ]
 
 
@@ -82,9 +89,6 @@ class SimulationResult:
     completed: bool
     output: list = field(default_factory=list)
     violations: ViolationCounters = field(default_factory=ViolationCounters)
-    #: Ids of the cores that ever ran.  Kept explicit: a ``max_instructions``
-    #: cut can activate a core that never takes a turn.
-    ran: tuple = ()
     #: Zero-arg callable yielding the run's stats registry; resolved lazily
     #: so the registry/dump/digest cost stays off the simulate fast path.
     registry_factory: object = field(default=None, repr=False, compare=False)
@@ -125,18 +129,19 @@ class SimulationResult:
         return kips(self.stats)
 
     @property
+    def ran(self) -> tuple:
+        """Ids of the cores that ran."""
+        return ran_cores(self.stats)
+
+    @property
     def cores(self) -> list[dict]:
         """Per-core rows of the cores that ran (the job record's shape)."""
-        return core_rows(self.stats, self.ran)
+        return core_rows(self.stats)
 
     def dump_json(self) -> str:
         """Full stats document (meta + stats + snapshots + digest), sorted."""
         names = ("scheme", "seed", "host_cores", "completed")
         return self.registry.dump_json(meta={n: getattr(self, n) for n in names})
-
-    def dump_csv(self) -> str:
-        """``stat,value`` lines of the registry dump, sorted by path."""
-        return dump_to_csv(self.stats)
 
     def int_output(self) -> list[int]:
         return [v for v in self.output if isinstance(v, int)]

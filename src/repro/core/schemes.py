@@ -14,8 +14,8 @@ A scheme answers two questions for the simulation manager:
      time has reached a request's timestamp (lookahead, oldest-first bounded
      slack) — conservative, violation-free when slack <= critical latency.
 
-Scheme strings: ``cc``, ``q10``, ``l10``, ``s9``, ``s9*``, ``s100``, ``su``
-(any integer parameter is accepted).
+Scheme strings: ``cc``, ``q10``, ``aq10-160``, ``l10``, ``s9``, ``s9*``,
+``s100``, ``su`` (any integer parameter is accepted).
 """
 
 from __future__ import annotations
@@ -55,18 +55,6 @@ class Scheme:
     def max_local(self, global_time: int) -> int:
         """Upper bound on every core's local time given the current global."""
         raise NotImplementedError
-
-    def grant(self, global_time: int, local_time: int, oldest_ts: int | None = None) -> int:
-        """Safe batch size: how many cycles a core at *local_time* may run
-        before the next synchronization point under this scheme.
-
-        This is the window remainder ``max_local(global) - local`` — 1 for
-        cycle-by-cycle, the quantum remainder for qN, the slack-window
-        remainder for sN/sN*, the lookahead bound for lN (which needs the
-        oldest unprocessed GQ timestamp) and INFINITY for su.  A core exactly
-        at its window edge gets 0 (it must suspend).
-        """
-        return max(0, self.max_local(global_time) - local_time)
 
     def describe(self) -> str:
         return f"{self.name} (policy={self.gq_policy}, slack={self.slack if self.slack < INFINITY else 'inf'})"
@@ -164,9 +152,6 @@ class Lookahead(Scheme):
         base = global_time if oldest_pending_ts is None else min(global_time, oldest_pending_ts)
         return base + la
 
-    def grant(self, global_time: int, local_time: int, oldest_ts: int | None = None) -> int:
-        return max(0, self.max_local(global_time, oldest_ts) - local_time)
-
 
 class BoundedSlack(Scheme):
     """The paper's proposal (Figure 2c): sliding window [Tg, Tg+S] with no
@@ -203,15 +188,12 @@ class UnboundedSlack(Scheme):
     def max_local(self, global_time: int) -> int:
         return INFINITY
 
-    def grant(self, global_time: int, local_time: int, oldest_ts: int | None = None) -> int:
-        return INFINITY
-
 
 _SCHEME_RE = re.compile(r"^(cc|su|aq(\d+)-(\d+)|q(\d+)|l(\d+)|s(\d+)(\*)?)$")
 
 
 def parse_scheme(spec: str | Scheme) -> Scheme:
-    """Parse a scheme spec string (``cc``/``qN``/``lN``/``sN``/``sN*``/``su``)."""
+    """Parse a scheme spec string (``cc``/``qN``/``aqMIN-MAX``/``lN``/``sN``/``sN*``/``su``)."""
     if isinstance(spec, Scheme):
         return spec
     m = _SCHEME_RE.match(spec.strip().lower())

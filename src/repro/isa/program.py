@@ -50,7 +50,6 @@ class Program:
         # so checkpoints carry only the declared fields.
         state = dict(self.__dict__)
         state.pop("_predecoded", None)
-        state.pop("_timing_blocks", None)
         return state
 
     @property

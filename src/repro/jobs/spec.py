@@ -54,7 +54,6 @@ DIGEST_SIM_FIELDS = (
     "scheme",
     "seed",
     "max_cycles",
-    "max_instructions",
     "fastforward",
     "turn_cycles",
     "wait_chunk",
@@ -71,6 +70,7 @@ _RETIRED_SIM_FIELDS = {
     "mem_domains": 1,  # memory domains (DESIGN.md §10)
     "batch_cycles": 0,  # the second turn cap, folded into turn_cycles
     "detect_violations": True,  # the word-order tracker is always on
+    "max_instructions": 0,  # a run runs to its end
 }
 
 

@@ -17,7 +17,7 @@ Design constraints (DESIGN.md §7):
   registry call.  The one exception is :class:`Distribution`, whose ``add``
   is O(1) integer bucketing and is only called at batch granularity.
 * **Determinism.**  ``dump()`` is a flat ``{path: value}`` dict in sorted
-  path order; ``dump_json``/``dump_csv`` render with sorted keys; floats
+  path order; ``dump_json``/``dump_to_csv`` render with sorted keys; floats
   digest via ``float.hex`` so :meth:`StatsRegistry.stats_digest` is
   byte-identical across stepping modes, dispatch modes and sweep job
   counts (pinned by the golden tests).
@@ -230,10 +230,6 @@ class Distribution(Stat):
         bucket = value.bit_length()
         self.buckets[bucket if bucket < self._MAX_BUCKET else self._MAX_BUCKET] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def entries(self) -> Iterator[tuple[str, Any]]:
         yield f"{self.path}.count", self.count
         yield f"{self.path}.sum", self.total
@@ -281,9 +277,6 @@ class StatsGroup:
 
     def vector(self, name: str, source, **kwargs) -> Vector:
         return self._register(Vector(self._child_path(name), source, **kwargs))
-
-    def distribution(self, name: str, **kwargs) -> Distribution:
-        return self._register(Distribution(self._child_path(name), **kwargs))
 
 
 class StatsRegistry(StatsGroup):
@@ -346,9 +339,6 @@ class StatsRegistry(StatsGroup):
             "snapshots": self.snapshots,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    def dump_csv(self) -> str:
-        return dump_to_csv(self.dump())
 
 
 # ----------------------------------------------------------------- documents

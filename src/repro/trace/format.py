@@ -95,14 +95,6 @@ class Trace:
     def num_cores(self) -> int:
         return self.header["num_cores"]
 
-    def op_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for ops in self.core_ops:
-            for op in ops:
-                name = _OP_NAMES[op[0]]
-                counts[name] = counts.get(name, 0) + 1
-        return counts
-
 
 # ------------------------------------------------------------------ writing
 def _encode_ops(ops: list[tuple]) -> bytes:

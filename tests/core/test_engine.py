@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import EngineError, SequentialEngine, run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.core.events import Event, EvKind
+from repro.core.schemes import INFINITY
 from repro.lang import compile_source
 from repro.workloads.synthetic import (
     pingpong_workload,
@@ -168,12 +170,62 @@ class TestSchemeProperties:
         assert r_cc.violations.total == 0
 
 
-class TestInstructionCap:
-    def test_max_instructions_truncates(self):
-        r = run_trace(uniform_think_workload(4, 10_000), "s9", max_instructions=500)
-        assert not r.completed
-        assert r.instructions >= 500
+class TestTurnBudget:
+    """A turn's budget is the manager's window less local time: one rule for
+    every scheme family, clamped by the core's own edge and the safety net."""
 
+    #: Each scheme family's window at global time ``g``, no request queued.
+    WINDOWS = {
+        "cc": lambda g: g + 1,
+        "q10": lambda g: (g // 10 + 1) * 10,
+        "aq10-160": lambda g: 10,  # the first boundary: nothing adapted yet
+        "l10": lambda g: g + 10,
+        "s9": lambda g: g + 9,
+        "s9*": lambda g: g + 9,
+        "su": lambda g: INFINITY,
+    }
+
+    @staticmethod
+    def engine(scheme):
+        return SequentialEngine(
+            None, trace_cores=uniform_think_workload(4, 1000), target=TRACE_TARGET,
+            sim=SimConfig(scheme=scheme, turn_cycles=0),
+        )
+
+    @pytest.mark.parametrize("scheme", WINDOWS)
+    def test_budget_is_the_window_less_local_time(self, scheme):
+        e = self.engine(scheme)
+        ct = e.cores[1]
+        ct.max_local_time = INFINITY  # the core's own edge does not bind
+        net = e.sim.max_cycles + 1
+        for g, local in ((0, 0), (3, 5), (7, 8), (7, 9), (40, 41), (95, 99)):
+            e.manager.global_time = g
+            ct.local_time = local
+            window = self.WINDOWS[scheme](g)
+            assert e.manager.current_max_local() == window
+            assert e._turn_budget(ct) == max(1, min(window, net) - local), (g, local)
+        # The core's own window edge binds when it is nearer.
+        ct.max_local_time = ct.local_time + 1
+        assert e._turn_budget(ct) == 1
+
+    def test_lookahead_budget_is_bounded_by_an_older_request(self):
+        """Under l10 a queued request older than global time pulls the window
+        back to its timestamp.  Reachable: a request waits in the GQ for the
+        manager's next step while ``refresh_window`` raises global time to
+        the slowest core's clock."""
+        e = self.engine("l10")
+        m = e.manager
+        m.gq.push(Event(EvKind.GETS, addr=0x40, core=0, ts=3))
+        for c in e.cores:
+            c.local_time = 8
+        ct = e.cores[1]
+        assert m.refresh_window(ct)
+        assert m.global_time == 8 > m.gq.oldest_ts() == 3
+        ct.max_local_time = INFINITY  # only the scheme's window binds
+        assert e._turn_budget(ct) == 3 + 10 - 8 < m.global_time + 10 - 8
+
+
+class TestInstructionCap:
     def test_max_cycles_guard_raises(self):
         src = "int main() { while (1) { } return 0; }"
         prog = compile_source(src).program
@@ -187,9 +239,8 @@ class TestTurnShapingValidation:
         [
             ("wait_chunk", 0), ("wait_chunk", -3), ("turn_cycles", -5),
             # A negative interval snapshots or checkpoints at every manager
-            # step; a negative instruction cap cuts the run at once.
-            ("stats_interval", -5), ("checkpoint_interval", -1),
-            ("max_instructions", -3), ("max_cycles", 0),
+            # step.
+            ("stats_interval", -5), ("checkpoint_interval", -1), ("max_cycles", 0),
         ],
     )
     def test_out_of_range_is_refused_by_name(self, field, value):

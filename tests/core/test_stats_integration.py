@@ -23,8 +23,9 @@ import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
-from repro.core.results import HEADLINES, core_rows, kips
+from repro.core.results import HEADLINES, core_rows, kips, ran_cores
 from repro.lang import compile_source
+from repro.stats.registry import dump_to_csv
 from repro.workloads.synthetic import sharing_workload
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "stats_digests.json"
@@ -140,7 +141,8 @@ def test_headline_attributes_read_the_dump(kind, program):
     assert result.host_time == engine.hostmodel.makespan() > 0
     assert result.kips == kips(stats) > 0
     assert result.violations.summary() in result.summary()
-    assert result.cores == core_rows(stats, result.ran)
+    assert result.cores == core_rows(stats)
+    assert result.ran == ran_cores(stats)
     assert [row["core"] for row in result.cores] == [
         ct.core_id for ct in engine.cores if ct.ever_active
     ]
@@ -157,7 +159,7 @@ def test_dump_json_document_shape(program):
     assert doc["digest"] == result.stats_sha256
     assert doc["meta"]["scheme"] == "q10"
     assert doc["stats"] == result.stats
-    csv = result.dump_csv()
+    csv = dump_to_csv(result.stats)
     assert csv.startswith("stat,value\n")
     assert "target.instructions," in csv
 

@@ -230,17 +230,6 @@ def test_checkpoint_due_leaves_the_branch(tmp_path):
     assert restored.fused_barriers > at_checkpoint
 
 
-@pytest.mark.parametrize("scheme", ["cc", "q10"])
-def test_max_instructions_cuts_at_the_same_turn(scheme):
-    program = program_of("fft")
-    cut = dict(max_instructions=4000)
-    fused = engine_for(program, scheme, 8, **cut).run()
-    assert not fused.completed and fused.instructions >= 4000
-    assert_same_schedule(
-        fused, engine_for(program, scheme, 8, stepping="single", **cut).run()
-    )
-
-
 def test_max_cycles_guard_fires_on_the_same_turn():
     from repro.core.engine import EngineError
 
@@ -269,13 +258,12 @@ def test_sliding_window_schemes_never_enter(scheme):
 
 def test_the_three_bypasses():
     program = program_of("fft")
-    cut = dict(max_instructions=2000)
-    plain = engine_for(program, "cc", 8, **cut)
-    single = engine_for(program, "cc", 8, stepping="single", **cut)
-    probed = engine_for(program, "cc", 8, **cut)
+    plain = engine_for(program, "cc", 8)
+    single = engine_for(program, "cc", 8, stepping="single")
+    probed = engine_for(program, "cc", 8)
     probed.probe = lambda host_t, global_t, locals_: None
     faulted = engine_for(
-        program, "cc", 8, fault_plan="stall_core:core=1,at=50,host_delay=3.0", **cut
+        program, "cc", 8, fault_plan="stall_core:core=1,at=50,host_delay=3.0"
     )
     for engine in (plain, single, probed, faulted):
         assert engine.run().barriers > 1000
@@ -289,8 +277,8 @@ def test_the_three_bypasses():
 PROBE_MECHANICS = ("host.steps", "engine.core_turns", "engine.suspends", "engine.wakes_delivered")
 
 
-def run_probed(scheme, probe, **sim):
-    engine = engine_for(program_of("fft"), scheme, 8, seed=3, **sim)
+def run_probed(scheme, probe):
+    engine = engine_for(program_of("fft"), scheme, 8, seed=3)
     if probe:
         engine.probe = lambda host_t, global_t, locals_: None
     return engine.run()
@@ -298,10 +286,7 @@ def run_probed(scheme, probe, **sim):
 
 @pytest.mark.parametrize("scheme", ["cc", "l10", "s9", "su"])
 def test_probe_is_invisible_outside_quantum_schemes(scheme):
-    cut = dict(max_instructions=4000)
-    assert_same_schedule(
-        run_probed(scheme, False, **cut), run_probed(scheme, True, **cut), PROBE_MECHANICS
-    )
+    assert_same_schedule(run_probed(scheme, False), run_probed(scheme, True), PROBE_MECHANICS)
 
 
 def test_probe_moves_the_slack_histogram_under_quanta():

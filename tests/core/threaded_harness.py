@@ -284,4 +284,4 @@ class ThreadedEngine(SequentialEngine):
         if self._error is not None:
             raise self._error
         self.manager.check_invariants()
-        return self._build_result(completed=True)
+        return self._build_result()

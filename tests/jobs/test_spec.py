@@ -48,7 +48,7 @@ class TestKeyChanges:
             {"scale": "small"},
             {"workload": "lu"},
             {"max_cycles": 1234},
-            {"max_instructions": 99},
+            {"scheme": "aq10-160"},
             {"turn_cycles": 0},
             {"turn_cycles": 128},
             {"wait_chunk": 4},
@@ -104,17 +104,16 @@ class TestPayload:
     def test_payload_keys_and_pinned_key(self, monkeypatch):
         """The payload names exactly what a job is, and the pinned key (under
         a fixed fingerprint) moves only when a change really does orphan
-        every stored record.  It last moved when ``model_icache`` and
-        ``branch_predictor`` left the ``target`` section and
-        ``detect_violations`` left ``sim``: no entry point could set them, so
-        every stored record had run at their defaults, and a retired field
-        cannot stay in the key."""
+        every stored record.  It last moved when ``max_instructions`` left
+        the ``sim`` section: no entry point could set it, so every stored
+        record had run at its default, and a retired field cannot stay in
+        the key."""
         payload = digest_payload(spec(), DIGEST)
         assert "mode" not in payload
         assert payload["workload"] == {"name": "fft", "scale": "tiny"}
         monkeypatch.setattr(compiler, "_fingerprint", "f" * 64)
         assert job_key(spec(), DIGEST) == (
-            "7806bdc709cd2623efe2f17cdbc63aefc1a7c63146091023aafdddbb797c6e2d"
+            "f0e833a826cb931a641ee832ae6f0087aa6e352f0ddcf277343023ddc8d5df03"
         )
 
     def test_counted_options(self):
@@ -123,7 +122,7 @@ class TestPayload:
         design decision, not a drive-by."""
         classes = (JobSpec, SimConfig, JobOutcome, TargetConfig, HostConfig)
         counts = [len(dataclasses.fields(c)) for c in classes]
-        assert counts == [8, 14, 3, 9, 12]
+        assert counts == [8, 13, 3, 9, 12]
 
     def test_top_level_fields_overlay_sim(self):
         s = spec(scheme="su", max_cycles=777)
@@ -149,7 +148,7 @@ class TestWireCompat:
         revived = spec_from_dict(self.wire(
             mem_domains=1, scheduling="static", backend="threaded",
             stepping="single", dispatch="oracle", host_timeout=5.0,
-            batch_cycles=0, detect_violations=True,
+            batch_cycles=0, detect_violations=True, max_instructions=0,
         ))
         current = spec(max_cycles=777)
         assert revived == current
@@ -159,16 +158,18 @@ class TestWireCompat:
         assert set(spec_to_dict(revived)["sim"]) == set(spec_to_dict(current)["sim"])
 
     def test_retired_digest_relevant_field_is_refused(self):
-        """``mem_domains`` != 1, ``batch_cycles`` != 0 and
-        ``detect_violations`` false named a different simulation: dropping
-        the key would run another job under another key, so it is an error
-        (the old defaults are dropped with the mechanics, above)."""
+        """``mem_domains`` != 1, ``batch_cycles`` != 0, ``detect_violations``
+        false and ``max_instructions`` != 0 named a different simulation:
+        dropping the key would run another job under another key, so it is
+        an error (the old defaults are dropped with the mechanics, above)."""
         with pytest.raises(ValueError, match="mem_domains"):
             spec_from_dict(self.wire(mem_domains=4))
         with pytest.raises(ValueError, match="batch_cycles"):
             spec_from_dict(self.wire(batch_cycles=32))
         with pytest.raises(ValueError, match="detect_violations"):
             spec_from_dict(self.wire(detect_violations=False))
+        with pytest.raises(ValueError, match="max_instructions"):
+            spec_from_dict(self.wire(max_instructions=99))
 
     def test_parent_format_row_is_the_same_job(self):
         """A row an older daemon queued carries ``"mode": "timing"``, an

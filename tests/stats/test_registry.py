@@ -106,13 +106,6 @@ class TestDistribution:
         with pytest.raises(StatError):
             d.add(-1)
 
-    def test_mean(self):
-        d = Distribution("slack")
-        assert d.mean == 0.0
-        d.add(2)
-        d.add(4)
-        assert d.mean == pytest.approx(3.0)
-
 
 class TestRegistry:
     def test_duplicate_path_rejected(self):
@@ -206,7 +199,7 @@ class TestRegistry:
         reg = StatsRegistry()
         reg.scalar("b", value=2)
         reg.scalar("a", value=0.5)
-        assert reg.dump_csv() == "stat,value\na,0.5\nb,2\n"
+        assert dump_to_csv(reg.dump()) == "stat,value\na,0.5\nb,2\n"
         assert dump_to_csv({"x": 1}) == "stat,value\nx,1\n"
 
 

@@ -9,10 +9,21 @@ from repro.cli import build_parser, main
 
 
 def test_schemes_lists_all(capsys):
+    """One line per scheme family ``parse_scheme`` accepts (one concrete
+    ``Scheme`` class each); ``--scheme``'s help names the same families."""
+    from repro.core.schemes import Scheme, parse_scheme
+
     assert main(["schemes"]) == 0
-    out = capsys.readouterr().out
-    for name in ("cc", "q10", "l10", "s9", "s9*", "s100", "su"):
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "cc", "q10", "aq10-160", "l10", "s9", "s9*", "su"
+    ]
+    families = [type(parse_scheme(line.split()[0])).__name__ for line in lines]
+    assert sorted(families) == sorted(c.__name__ for c in Scheme.__subclasses__())
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--scheme SCHEME cc | qN | aqMIN-MAX | lN | sN | sN* | su " in help_text
 
 
 def test_run_verifies_workload(capsys):

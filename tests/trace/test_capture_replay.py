@@ -215,12 +215,12 @@ def test_replay_composes_with_checkpoints(fft, fft_trace, tmp_path):
 
 def test_capture_refuses_fault_injection(fft, tmp_path):
     """A trace must record a clean execution; capture under fault injection
-    or instruction caps is refused rather than silently recorded."""
+    is refused rather than silently recorded."""
     with pytest.raises(EngineError, match="capture"):
         run_simulation(
             fft, sim=SimConfig(trace_mode="capture",
                                trace_path=str(tmp_path / "x.trace"),
-                               max_instructions=100))
+                               fault_plan="stall_core:core=1,at=50,host_delay=3.0"))
 
 
 # ------------------------------------------------- programs only, checked
