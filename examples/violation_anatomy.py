@@ -5,7 +5,7 @@ actual substrate objects.
 Run:  python examples/violation_anatomy.py
 """
 
-from repro.mem.directory import Directory, ReqKind
+from repro.mem.directory import Directory, EvKind
 from repro.mem.memsys import MemorySystem, MemSysConfig
 from repro.violations.detect import ViolationCounters, WordOrderTracker
 
@@ -16,9 +16,9 @@ def figure4_bus() -> None:
     memsys = MemorySystem(MemSysConfig(bus_transfer_cycles=2), num_cores=2, counters=counters)
     # P1 requests at simulated clock 3 and is serviced first; P2's request
     # from clock 2 reaches the manager later (two blocks, two L2 banks).
-    memsys.service(ReqKind.GETS, 0x000, core=0, ts=3)
+    memsys.service(EvKind.GETS, 0x000, core=0, ts=3)
     grant_p1 = memsys.bus.free_at - 2
-    memsys.service(ReqKind.GETS, 0x040, core=1, ts=2)
+    memsys.service(EvKind.GETS, 0x040, core=1, ts=2)
     grant_p2 = memsys.bus.free_at - 2
     assert (grant_p1, grant_p2, counters.by_resource["bus"]) == (3, 5, 1)
     print(f"P1 requested @3 -> granted @{grant_p1}")
@@ -37,12 +37,12 @@ def figure6_directory() -> None:
         bits, dirty = directory.presence_bits(addr)
         print(f"  {label}: presence bits={bits} dirty={dirty}")
 
-    directory.handle(ReqKind.GETS, addr, core=1, ts=0)  # block clean in P2
+    directory.handle(EvKind.GETS, addr, core=1, ts=0)  # block clean in P2
     show("initial (P2 has the block)      ")
     # Slack order: P1's read (clock 3) is processed before P2's write (clock 2).
-    directory.handle(ReqKind.GETS, addr, core=0, ts=3)
+    directory.handle(EvKind.GETS, addr, core=0, ts=3)
     show("after P1's read  (sim order)    ")
-    directory.handle(ReqKind.UPGRADE, addr, core=1, ts=2)
+    directory.handle(EvKind.UPGRADE, addr, core=1, ts=2)
     show("after P2's write (from the past)")
     print("  Cycle-by-cycle order (write first, then read) would end SHARED")
     print("  {P1,P2}+clean — here it ends EXCLUSIVE P2+dirty (Figure 6(c) vs (c')).")

@@ -22,16 +22,17 @@ What makes the engine picklable (each site documents its own hook):
   re-derive them on restore;
 * the engine drops its lazily-built stats registry (dump-time lambdas) and
   experiment probe, and the system emulation its spawn hook (bound by
-  ``run()``);
-* the global :func:`repro.core.events.new_seq` position is saved alongside
-  the engine and restored monotonically (seqs are deterministic heap
-  tie-breakers, so absolute values must survive a process boundary).
+  ``run()``).
+
+Nothing outside the engine is saved: every queue breaks its timestamp ties
+by its own push count, a plain int pickled with the queue, so event order
+survives a process boundary with the engine itself.
 
 A checkpoint is a pickle of engine internals, so the layout of every class
 in it matters.  The file is a small header pickle — the sha256 of every
-``.py`` file of the package (:func:`source_fingerprint`) and the seq
-position — followed by the engine pickle.  A restore under other source
-bytes is refused from the header, before any engine class is unpickled.
+``.py`` file of the package (:func:`source_fingerprint`) — followed by the
+engine pickle.  A restore under other source bytes is refused from the
+header, before any engine class is unpickled.
 
 Fault-injected runs cannot be checkpointed: fault hooks are closures
 installed over engine seams, and a restored run would silently lose them.
@@ -43,7 +44,6 @@ import pickle
 from pathlib import Path
 
 from repro._util import atomic_write_bytes, source_digest
-from repro.core import events
 from repro.core.engine import EngineError, SequentialEngine
 
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint", "source_fingerprint"]
@@ -77,7 +77,7 @@ def save_checkpoint(engine: SequentialEngine, path: str) -> None:
             "cannot checkpoint a fault-injected run: fault hooks are closures "
             "over engine seams and would not survive a restore"
         )
-    header = {"source": source_fingerprint(), "seq_position": events.seq_position()}
+    header = {"source": source_fingerprint()}
     try:
         blob = pickle.dumps(header) + pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # unpicklable attribute — name it, don't truncate
@@ -109,5 +109,4 @@ def load_checkpoint(path: str) -> SequentialEngine:
             engine = pickle.load(fh)
         except (pickle.UnpicklingError, EOFError) as exc:
             raise CheckpointError(f"{path} is a truncated checkpoint: {exc}") from exc
-    events.seq_advance_to(header["seq_position"])
     return engine

@@ -16,11 +16,13 @@ frozen-pipeline latency, spin wait, external stall — is advanced in one
 construction: ``skip(n)`` ≡ n wait ``step``\\ s), so a budget of thousands of
 cycles costs a handful of Python iterations.  A model with ``advance(now,
 limit, stats)`` runs the cycles between those stretches inside the model,
-up to the first cycle the outside world could touch; one with
-``stall_hint`` (the OoO core, whose ``wait_state`` is always ``None``) jumps
-a stepped stall with a known end.  ``single=True`` runs the identical
-control flow but advances each stretch with per-cycle ``step`` calls — the
-oracle the golden determinism tests compare against.
+up to the first cycle the outside world could touch.  A model stepped
+without ``advance`` — ``single=True``, or the OoO reference model — that
+has ``stall_hint`` jumps a stepped stall with a known end instead: the
+per-cycle oracle's stand-in for ``OoOCore.advance``'s spin jump.
+``single=True`` runs the identical control flow but advances each stretch
+with per-cycle ``step`` calls — the oracle the golden determinism tests
+compare against.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ class CoreThread:
         # ``single=True`` (the per-cycle oracle) disables it without
         # changing any observable.
         advance = None if single else getattr(model, "advance", None)
-        stall_hint = getattr(model, "stall_hint", None)
+        # ``advance`` leaves a ``step`` only one cycle of room, so a jump
+        # after it could never move: the hint serves stepped models only.
+        stall_hint = getattr(model, "stall_hint", None) if advance is None else None
         while (
             self.state == CoreState.ACTIVE
             and stats.cycles < budget

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.events import REQUEST_KINDS, EvKind, Event
+from repro.core.events import EvKind, Event
 from repro.core.queues import GlobalQueue
 from repro.core.schemes import INFINITY, Lookahead, Scheme
 from repro.mem.memsys import MemorySystem
@@ -97,7 +97,7 @@ class SimulationManager:
     def check_invariants(self) -> None:
         """Assert the paper's clock invariant for every active core."""
         for ct in self._active():
-            if not self.global_time <= ct.local_time <= max(ct.max_local_time, ct.local_time):
+            if not self.global_time <= ct.local_time <= ct.max_local_time:
                 raise AssertionError(
                     f"clock invariant violated on core {ct.core_id}: "
                     f"{self.global_time} <= {ct.local_time} <= {ct.max_local_time}"
@@ -194,13 +194,11 @@ class SimulationManager:
         addr = event.addr
         core = event.core
         grant, ready_ts, victims, owner, coherence_ts = self.memsys.service(
-            REQUEST_KINDS[event.kind], addr, core, event.ts
+            event.kind, addr, core, event.ts
         )
         cores = self.cores
         if grant is not None:
-            cores[core].inq.push(
-                Event(EvKind.RESPONSE, addr, core, ready_ts, grant=grant, req_seq=event.seq)
-            )
+            cores[core].inq.push(Event(EvKind.RESPONSE, addr, core, ready_ts, grant))
         for victim in victims:
             cores[victim].inq.push(Event(EvKind.INVALIDATE, addr, victim, coherence_ts))
         if owner is not None:

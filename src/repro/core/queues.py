@@ -56,15 +56,19 @@ class InQ:
     The core "enquires its InQ in every cycle" and consumes entries whose
     timestamp has been reached.  Entries from the simulated past (possible
     under slack) are consumed immediately — a time distortion, not an error.
+    Same-``ts`` entries pop in push order: the heap key is ``(ts, n)``, ``n``
+    this queue's own push count.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "_pushed")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
+        self._pushed = 0
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.ts, event.seq, event))
+        n = self._pushed = self._pushed + 1
+        heapq.heappush(self._heap, (event.ts, n, event))
 
     def pop_due(self, now: int) -> Event | None:
         """Pop the earliest entry with ``ts <= now``, else None."""
@@ -85,30 +89,33 @@ class GlobalQueue:
 
     It holds one structure, chosen by the scheme's ``gq_policy``: an
     arrival-order FIFO for ``immediate`` (popped with :meth:`pop_fifo`), a
-    ``(ts, core, seq)`` heap for ``barrier`` and ``oldest`` (popped with
-    :meth:`pop_oldest`).
+    ``(ts, core, n)`` heap for ``barrier`` and ``oldest`` (popped with
+    :meth:`pop_oldest`), ``n`` this queue's own push count.
 
-    Timestamp-order pops break same-``ts`` ties by ``(core, seq)`` rather
-    than bare creation order: two requests stamped with the same target
-    cycle are serviced in core-id order no matter which core thread the
-    host happened to run first.  Creation order is a *host* artifact of
-    the engine's jitter-dependent turn order, while (ts, core, within-core
-    order) is a pure function of the simulated target.
+    Timestamp-order pops break same-``ts`` ties by core id, then push
+    order: two requests stamped with the same target cycle are serviced in
+    core-id order no matter which core thread the host happened to run
+    first.  Arrival order across cores is a *host* artifact of the engine's
+    jitter-dependent turn order; one core's requests arrive in the order it
+    emitted them, so (ts, core, push order) is a pure function of the
+    simulated target.
     """
 
-    __slots__ = ("_fifo", "_q")
+    __slots__ = ("_fifo", "_q", "_pushed")
 
     def __init__(self, policy: str) -> None:
         self._fifo = policy == "immediate"
         self._q: deque[Event] | list[tuple[int, int, int, Event]] = (
             deque() if self._fifo else []
         )
+        self._pushed = 0
 
     def push(self, event: Event) -> None:
         if self._fifo:
             self._q.append(event)
         else:
-            heapq.heappush(self._q, (event.ts, event.core, event.seq, event))
+            n = self._pushed = self._pushed + 1
+            heapq.heappush(self._q, (event.ts, event.core, n, event))
 
     def pop_fifo(self) -> Event | None:
         """Arrival-order pop (original bounded slack: 'no such constraint')."""
@@ -123,11 +130,9 @@ class GlobalQueue:
         return None
 
     def oldest_ts(self) -> int | None:
-        """Timestamp of the oldest queued request (lookahead bound)."""
-        q = self._q
-        if not q:
-            return None
-        return min(event.ts for event in q) if self._fifo else q[0][0]
+        """Timestamp of the oldest queued request (lookahead bound; a
+        timestamp-ordered queue only)."""
+        return self._q[0][0] if self._q else None
 
     def __bool__(self) -> bool:
         return bool(self._q)

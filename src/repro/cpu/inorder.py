@@ -28,7 +28,7 @@ from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.predecode import (
     K_ECALL, K_HALT, K_JUMP, K_STORE, predecode_program,
 )
-from repro.cpu.l1cache import GRANT_TO_MESI, AccessResult, L1Cache
+from repro.cpu.l1cache import AccessResult, L1Cache
 from repro.core.events import EvKind, Event
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.program import TEXT_BASE, Program
@@ -229,11 +229,8 @@ class InOrderPipeline:
         assert pending is not None and resp is not None
         self._pending = None
         self._resp = None
-        grant = GRANT_TO_MESI.get(resp.grant)
-        if grant is None:
-            raise RuntimeError(f"core {self.core_id}: response without grant: {resp}")
         l1d = self.l1d
-        victim = l1d.fill(pending.block, grant)
+        victim = l1d.fill(pending.block, resp.grant)
         if victim is not None:
             self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
         if self._pending_inval:

@@ -98,7 +98,10 @@ class CoreModel(Protocol):
     #     or in front of an ecall/halt/AMO; OoOCore: after a halt or a wake
     #     order); 0 means "call step(now)"."""
     #
-    # Optional, a skip-ahead after a stepped cycle (OoOCore only):
+    # Optional, a skip-ahead after a stepped cycle (OoOCore only): the
+    # per-cycle oracle's stand-in for ``OoOCore.advance``'s spin jump, so the
+    # turn loop consults it only where no ``advance`` runs (``stepping=
+    # "single"``, or a model without one such as the OoO reference model):
     #
     # def stall_hint(self, now: int) -> int | None:
     #     """If stalled until a known simulated time, return it: the turn

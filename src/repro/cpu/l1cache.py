@@ -18,22 +18,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro._util import log2i
+from repro.mem.directory import MESI
 
-__all__ = ["MESI", "GRANT_TO_MESI", "L1Cache", "L1Config", "AccessResult", "L1Stats"]
-
-
-class MESI(enum.Enum):
-    """MESI coherence states."""
-
-    MODIFIED = "M"
-    EXCLUSIVE = "E"
-    SHARED = "S"
-    INVALID = "I"
-
-
-#: The state a manager response's ``grant`` installs.  A response without a
-#: grant is a protocol error: every core raises on a lookup miss.
-GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
+__all__ = ["MESI", "L1Cache", "L1Config", "AccessResult", "L1Stats"]
 
 
 @dataclass(frozen=True)

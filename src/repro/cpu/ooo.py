@@ -46,7 +46,7 @@ from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
 from repro.cpu.interfaces import CorePhase
-from repro.cpu.l1cache import GRANT_TO_MESI, AccessResult, L1Cache
+from repro.cpu.l1cache import AccessResult, L1Cache
 from repro.cpu.predecode import (
     K_AMO,
     K_BRANCH,
@@ -236,10 +236,7 @@ class OoOCore:
     # ------------------------------------------------------------- delivery
     def deliver_response(self, event: Event) -> None:
         block = event.addr
-        grant = GRANT_TO_MESI.get(event.grant)
-        if grant is None:
-            raise RuntimeError(f"core {self.core_id}: response without grant {event}")
-        victim = self.l1d.fill(block, grant)
+        victim = self.l1d.fill(block, event.grant)
         if victim is not None:
             self.emit(Event(EvKind.PUTM, victim, self.core_id, event.ts))
         for entry in self._mshrs.pop(block, ()):

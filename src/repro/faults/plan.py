@@ -22,10 +22,11 @@ Fault kinds (see :data:`FAULT_KINDS`):
     Models a coherence message or response observed late (the de-facto
     behaviour wide slack windows permit — paper §3.2).
 ``dup_inq``
-    Deliver a duplicate copy of a matching invalidate/downgrade (fresh seq,
-    optionally ``delta`` cycles later).  Coherence messages must be
-    idempotent at the L1; duplicating a *response* is rejected at parse time
-    (a core matches responses against its single outstanding request).
+    Deliver a duplicate copy of a matching invalidate/downgrade (queued
+    behind the original, optionally ``delta`` cycles later).  Coherence
+    messages must be idempotent at the L1; duplicating a *response* is
+    rejected at parse time (a core matches responses against its single
+    outstanding request).
 ``reorder_outq``
     Swap a matching OutQ event ahead of the entry queued before it, i.e.
     the GQ observes the core's requests out of arrival order.
@@ -81,16 +82,8 @@ FAULT_KINDS: dict[str, tuple[str, ...]] = {
 _FLOAT_FIELDS = frozenset({"host_delay"})
 _STR_FIELDS = frozenset({"events"})
 
-#: InQ event kinds by spec name (``events=invalidate+downgrade``).
-_EVENT_NAMES = {
-    "gets": EvKind.GETS,
-    "getx": EvKind.GETX,
-    "upgrade": EvKind.UPGRADE,
-    "putm": EvKind.PUTM,
-    "response": EvKind.RESPONSE,
-    "invalidate": EvKind.INVALIDATE,
-    "downgrade": EvKind.DOWNGRADE,
-}
+#: Event kinds by spec name (``events=invalidate+downgrade``).
+_EVENT_NAMES = {kind.label: kind for kind in EvKind}
 
 #: Kinds a dup_inq may duplicate: coherence messages are idempotent at the
 #: L1; a duplicated RESPONSE would answer a request that no longer exists.
@@ -284,19 +277,18 @@ class FaultPlan:
                     if duplicate:
                         base.push(self, event)
                         dup = Event(event.kind, event.addr, event.core,
-                                    event.ts + spec.delta, grant=event.grant,
-                                    req_seq=event.req_seq)
+                                    event.ts + spec.delta, event.grant)
                         base.push(self, dup)
                         plan._record("dup_inq", core=spec.core,
                                      event=event.kind.label, ts=event.ts,
-                                     dup_ts=dup.ts, seq=event.seq, dup_seq=dup.seq)
+                                     dup_ts=dup.ts)
                     else:
                         orig = event.ts
                         event.ts += spec.delta
                         base.push(self, event)
                         plan._record("delay_inq", core=spec.core,
                                      event=event.kind.label, ts=orig,
-                                     new_ts=event.ts, seq=event.seq)
+                                     new_ts=event.ts)
                     return
                 base.push(self, event)
 
@@ -321,7 +313,8 @@ class FaultPlan:
                 q.append(event)
                 q.append(tail)
                 self._record("reorder_outq", core=spec.core, ts=event.ts,
-                             moved_ahead=event.seq, now_behind=tail.seq)
+                             moved_ahead=event.kind.label,
+                             now_behind=tail.kind.label, behind_ts=tail.ts)
                 return
             inner(event)
 
@@ -349,7 +342,7 @@ class FaultPlan:
                     event.ts += spec.delta
                     plan._record("delay_gq", core=event.core,
                                  event=event.kind.label, ts=orig,
-                                 new_ts=event.ts, seq=event.seq)
+                                 new_ts=event.ts)
                 GlobalQueue.push(self, event)
 
         if len(engine.manager.gq):

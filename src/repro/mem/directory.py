@@ -6,6 +6,12 @@ order; under slack, requests can reach it out of simulated-time order, which
 makes entry state transitions diverge from the cycle-by-cycle order — the
 *simulated-system-state violation* of §3.2.2.  Those reorderings are counted
 per block through :class:`~repro.violations.detect.ViolationCounters`.
+
+The protocol's vocabulary lives here too, once: :class:`EvKind` names every
+message of the OutQ / GQ / InQ path (the directory takes the request kinds as
+they are) and :class:`MESI` names the L1 states a response grants.  Both
+stay in ``mem`` because ``repro.core`` imports this package, never the
+reverse.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import enum
 
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["Directory", "DirState", "ReqKind"]
+__all__ = ["Directory", "DirState", "EvKind", "MESI"]
 
 
 class DirState(enum.Enum):
@@ -23,25 +29,43 @@ class DirState(enum.Enum):
     EXCLUSIVE = "E"  # single owner, possibly dirty (dirty bit set)
 
 
-class ReqKind(enum.Enum):
-    """Coherence request types arriving at the directory."""
+class EvKind(enum.IntEnum):
+    """Message kinds of the OutQ / GQ / InQ path (paper Figure 1)."""
 
-    GETS = "gets"        # read miss
-    GETX = "getx"        # write miss
-    UPGRADE = "upgrade"  # write hit on a SHARED copy
-    PUTM = "putm"        # dirty eviction writeback
+    # Core -> manager (OutQ / GQ): the requests the directory handles.
+    GETS = 0      # read miss
+    GETX = 1      # write miss
+    UPGRADE = 2   # write hit on a SHARED copy
+    PUTM = 3      # dirty eviction writeback
+    # Manager -> core (InQ).
+    RESPONSE = 4
+    INVALIDATE = 5
+    DOWNGRADE = 6
+
+    @property
+    def label(self) -> str:
+        return self.name.lower()
+
+
+class MESI(enum.Enum):
+    """MESI coherence states of an L1 line."""
+
+    MODIFIED = "M"
+    EXCLUSIVE = "E"
+    SHARED = "S"
+    INVALID = "I"
 
 
 #: :meth:`Directory.handle` returns one tuple per request,
 #: ``(grant, invalidate, downgrade, cache_to_cache, upgrade_promoted)``:
-#: the MESI state granted to the requester's L1 ("M"/"E"/"S", None for PUTM),
+#: the MESI state granted to the requester's L1 (None for PUTM),
 #: the cores whose L1 copy must be invalidated, the core whose M/E copy must
 #: be downgraded to S (or None), whether the data is forwarded from another
 #: core's cache, and whether an UPGRADE raced with an invalidation and became
 #: a full GETX.  The outcomes without coherence actions are shared constants.
-_E = ("E", (), None, False, False)
-_S = ("S", (), None, False, False)
-_M = ("M", (), None, False, False)
+_E = (MESI.EXCLUSIVE, (), None, False, False)
+_S = (MESI.SHARED, (), None, False, False)
+_M = (MESI.MODIFIED, (), None, False, False)
 _PUTM = (None, (), None, False, False)
 
 
@@ -70,7 +94,7 @@ class Directory:
         self.cache_to_cache_transfers = 0
 
     # ------------------------------------------------------------- requests
-    def handle(self, kind: ReqKind, addr: int, core: int, ts: int) -> tuple:
+    def handle(self, kind: EvKind, addr: int, core: int, ts: int) -> tuple:
         """Apply one coherence request; returns the protocol actions as
         ``(grant, invalidate, downgrade, cache_to_cache, upgrade_promoted)``."""
         if not 0 <= core < self.num_cores:
@@ -83,13 +107,13 @@ class Directory:
             self.counters.record_system_state("directory")
         if ts > entry.last_ts:
             entry.last_ts = ts
-        if kind is ReqKind.GETS:
+        if kind is EvKind.GETS:
             return self._gets(entry, core)
-        if kind is ReqKind.GETX:
+        if kind is EvKind.GETX:
             return self._getx(entry, core)
-        if kind is ReqKind.UPGRADE:
+        if kind is EvKind.UPGRADE:
             return self._upgrade(entry, core)
-        if kind is ReqKind.PUTM:
+        if kind is EvKind.PUTM:
             return self._putm(entry, core)
         raise AssertionError(kind)  # pragma: no cover
 
@@ -109,7 +133,7 @@ class Directory:
             entry.owner = None
             self.downgrades_sent += 1
             self.cache_to_cache_transfers += 1
-            return "S", (), owner, True, False
+            return MESI.SHARED, (), owner, True, False
         entry.sharers.add(core)
         return _S
 
@@ -128,13 +152,13 @@ class Directory:
                 return _M
             self.invalidations_sent += 1
             self.cache_to_cache_transfers += 1
-            return "M", (owner,), None, True, False
+            return MESI.MODIFIED, (owner,), None, True, False
         victims = tuple(sorted(entry.sharers - {core}))
         entry.state = DirState.EXCLUSIVE
         entry.owner = core
         entry.sharers = {core}
         self.invalidations_sent += len(victims)
-        return "M", victims, None, False, False
+        return MESI.MODIFIED, victims, None, False, False
 
     def _upgrade(self, entry: _Entry, core: int) -> tuple:
         if entry.state is DirState.SHARED and core in entry.sharers:
@@ -143,7 +167,7 @@ class Directory:
             entry.owner = core
             entry.sharers = {core}
             self.invalidations_sent += len(victims)
-            return "M", victims, None, False, False
+            return MESI.MODIFIED, victims, None, False, False
         # Raced with a conflicting GETX: our copy is gone, fall back to GETX.
         grant, victims, owner, cache_to_cache, _ = self._getx(entry, core)
         return grant, victims, owner, cache_to_cache, True

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.mem.directory import Directory, ReqKind
+from repro.mem.directory import Directory, EvKind
 from repro.mem.dram import Dram
 from repro.mem.interconnect import Bus
 from repro.mem.l2nuca import L2Config, L2Nuca
@@ -88,7 +88,7 @@ class MemorySystem:
         return 2 * self.config.bus_transfer_cycles + best
 
     # --------------------------------------------------------------- service
-    def service(self, kind: ReqKind, addr: int, core: int, ts: int) -> tuple:
+    def service(self, kind: EvKind, addr: int, core: int, ts: int) -> tuple:
         """Service one request that was *created* at simulated time *ts*.
 
         Returns ``(grant, ready_ts, invalidate, downgrade, coherence_ts)``:
@@ -114,11 +114,11 @@ class MemorySystem:
             kind, addr, core, ts
         )
 
-        if kind is ReqKind.PUTM:
+        if kind is EvKind.PUTM:
             done, _ = self.l2.access(addr, core, arrive, is_writeback=True)
             return None, done, (), None, 0
 
-        if kind is ReqKind.UPGRADE and not promoted:
+        if kind is EvKind.UPGRADE and not promoted:
             ready = arrive + cfg.upgrade_cycles
         elif cache_to_cache:
             # Data comes from the remote owner's L1; the L2 absorbs the copy

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.events import EvKind, Event
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
-from repro.cpu.l1cache import GRANT_TO_MESI, AccessResult, L1Cache, L1Config
+from repro.cpu.l1cache import AccessResult, L1Cache, L1Config
 
 __all__ = ["TraceCore", "sharing_workload", "pingpong_workload", "uniform_think_workload"]
 
@@ -88,12 +88,7 @@ class TraceCore:
         """Install the granted line, then apply a coherence message that
         raced ahead of the grant."""
         block = self._pending_block
-        grant = GRANT_TO_MESI.get(self._resp.grant)
-        if grant is None:
-            raise RuntimeError(
-                f"trace core {self.core_id}: response without grant: {self._resp}"
-            )
-        victim = self.l1.fill(block, grant)
+        victim = self.l1.fill(block, self._resp.grant)
         if victim is not None:
             self.emit(Event(EvKind.PUTM, victim, self.core_id, now))
         if self._pending_inval:

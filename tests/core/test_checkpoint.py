@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core import events
 from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError, SequentialEngine
@@ -114,8 +113,8 @@ def test_restore_equivalence(request, scheme, program, tmp_path):
 
 
 def test_restore_in_fresh_process(program, tmp_path):
-    """The global event seq counter travels in the payload: a restore in a
-    brand-new interpreter (counter at zero) must still replay the exact
+    """Every queue's tie-break counter travels inside the engine pickle: a
+    restore in a brand-new interpreter must still replay the exact
     tie-break stream."""
     cp = str(tmp_path / "ck.pkl")
     full = build(
@@ -345,16 +344,3 @@ def test_chained_restore(scheme, program, tmp_path, monkeypatch):
     result = second.run()
     assert getattr(second, counter) > before and list(result.output) == [24]
     assert result.stats_sha256 == json.loads(GOLDEN_PATH.read_text())[scheme]
-
-
-# ---------------------------------------------------------------- seq counter
-def test_seq_helpers_are_monotonic():
-    before = events.seq_position()
-    events.new_seq()
-    assert events.seq_position() == before + 1
-    # Advancing forward moves the stream; "advancing" backward is a no-op.
-    events.seq_advance_to(events.seq_position() + 10)
-    jumped = events.seq_position()
-    assert jumped == before + 11
-    events.seq_advance_to(0)
-    assert events.seq_position() == jumped

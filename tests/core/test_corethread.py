@@ -7,6 +7,7 @@ import pytest
 from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.events import EvKind, Event
 from repro.cpu.interfaces import CorePhase
+from repro.mem.directory import MESI
 
 
 class _ScriptedModel:
@@ -108,7 +109,7 @@ class TestInQRouting:
     def test_due_events_route_by_kind(self):
         model = _ScriptedModel()
         ct = make_thread(model)
-        ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=0, grant="E"))
+        ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=0, grant=MESI.EXCLUSIVE))
         ct.inq.push(Event(EvKind.INVALIDATE, 0x80, 0, ts=0))
         ct.inq.push(Event(EvKind.DOWNGRADE, 0xC0, 0, ts=0))
         turn(ct, 1)
@@ -119,7 +120,7 @@ class TestInQRouting:
     def test_future_events_wait_for_local_time(self):
         model = _ScriptedModel()
         ct = make_thread(model)
-        ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=6, grant="E"))
+        ct.inq.push(Event(EvKind.RESPONSE, 0x40, 0, ts=6, grant=MESI.EXCLUSIVE))
         turn(ct, 3)
         assert model.delivered == []
         turn(ct, 5)

@@ -10,7 +10,7 @@ from repro.core.corethread import CoreState, CoreThread
 from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState
 from repro.cpu.inorder import InOrderCore
-from repro.cpu.l1cache import L1Cache, L1Config
+from repro.cpu.l1cache import MESI, L1Cache, L1Config
 from repro.isa import DATA_BASE, assemble
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
@@ -90,7 +90,7 @@ def test_clock_invariant_global_local_max_local(scheme, num_cores, ops, wl_seed)
         engine.manager.check_invariants()
         for ct in engine.cores:
             if ct.state == CoreState.ACTIVE:
-                assert global_t <= ct.local_time <= max(ct.max_local_time, ct.local_time)
+                assert global_t <= ct.local_time <= ct.max_local_time
 
     engine.probe = probe
     assert engine.run().completed
@@ -215,9 +215,9 @@ class _AdvanceRig:
         out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
         for kind, addr, ts in out:
             if kind is not EvKind.PUTM:
-                grant = "S" if kind is EvKind.GETS and grant_shared else (
-                    "E" if kind is EvKind.GETS else "M")
-                ct.inq.push(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
+                grant = MESI.SHARED if kind is EvKind.GETS and grant_shared else (
+                    MESI.EXCLUSIVE if kind is EvKind.GETS else MESI.MODIFIED)
+                ct.inq.push(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant))
         model = ct.model
         l1 = model.l1 if isinstance(model, TraceCore) else model.l1d
         return (

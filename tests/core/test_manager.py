@@ -6,6 +6,7 @@ from repro.core.corethread import CoreState, CoreThread
 from repro.core.events import EvKind, Event
 from repro.core.manager import SimulationManager
 from repro.core.schemes import parse_scheme
+from repro.mem.directory import MESI
 from repro.mem.memsys import MemorySystem
 from repro.violations.detect import ViolationCounters
 
@@ -143,6 +144,26 @@ class TestCoherenceDelivery:
         kinds = {e.kind for e in delivered}
         assert EvKind.INVALIDATE in kinds or EvKind.RESPONSE in kinds
 
+    def test_every_response_carries_a_mesi_grant(self):
+        """The directory's grant reaches the requester's InQ as the MESI
+        state its L1 installs; a PUTM gets no response at all."""
+        manager, cores, _ = make_manager("su")
+        script = [
+            (0, EvKind.GETS, MESI.EXCLUSIVE),   # first reader
+            (1, EvKind.GETS, MESI.SHARED),      # second reader
+            (0, EvKind.UPGRADE, MESI.MODIFIED),
+            (1, EvKind.GETX, MESI.MODIFIED),    # takes it from core 0
+            (1, EvKind.PUTM, None),
+        ]
+        for ts, (core, kind, grant) in enumerate(script):
+            cores[core].outq.push(req(core, ts=ts, kind=kind, addr=0x80))
+            manager.step()
+            responses = []
+            while (ev := cores[core].inq.pop_due(10**9)) is not None:
+                if ev.kind is EvKind.RESPONSE:
+                    responses.append(ev.grant)
+            assert responses == ([] if grant is None else [grant]), kind
+
     def test_putm_produces_no_response(self):
         manager, cores, _ = make_manager("su")
         cores[0].outq.push(req(0, ts=1, kind=EvKind.GETX, addr=0xC0))
@@ -166,6 +187,11 @@ class TestCoherenceDelivery:
         cores[0].local_time = 10  # below global: corrupted
 
         with pytest.raises(AssertionError, match="invariant"):
+            manager.check_invariants()
+        cores[1].local_time = cores[1].max_local_time = 50  # healthy
+        cores[0].local_time = 60
+        cores[0].max_local_time = 55  # past its window edge: corrupted
+        with pytest.raises(AssertionError, match="invariant violated on core 0"):
             manager.check_invariants()
 
 

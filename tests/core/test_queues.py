@@ -1,5 +1,12 @@
-"""OutQ / InQ / GQ behaviour tests."""
+"""OutQ / InQ / GQ behaviour tests.
 
+Each heap-ordered queue breaks timestamp ties by its own push count: the InQ
+pops in ``(ts, push order)``, a timestamp-ordered GQ in ``(ts, core, push
+order)``.  The property tests keep a model of the live entries with their
+push index and check every pop against it.
+"""
+
+import pickle
 from collections import deque
 
 import pytest
@@ -48,16 +55,29 @@ class TestInQ:
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=50))
     def test_pop_due_yields_sorted_prefix(self, stamps):
+        """The due entries pop in ``(ts, push order)``."""
         q = InQ()
-        for ts in stamps:
-            q.push(ev(ts))
+        pushed = [ev(ts) for ts in stamps]
+        for e in pushed:
+            q.push(e)
         out = []
         while True:
             e = q.pop_due(50)
             if e is None:
                 break
-            out.append(e.ts)
-        assert out == sorted(ts for ts in stamps if ts <= 50)
+            out.append(e)
+        order = sorted(range(len(pushed)), key=lambda n: (pushed[n].ts, n))
+        assert out == [pushed[n] for n in order if pushed[n].ts <= 50]
+
+    def test_push_count_survives_pickling(self):
+        """The tie-break is the queue's own state: a pickled queue (a
+        checkpointed engine's) keeps ordering same-ts entries by push order."""
+        q = InQ()
+        q.push(ev(5, addr=1))
+        q.push(ev(5, addr=2))
+        q = pickle.loads(pickle.dumps(q))
+        q.push(ev(5, addr=3))
+        assert [q.pop_due(5).addr for _ in range(3)] == [1, 2, 3]
 
 
 #: A GQ workload: pushes of (ts, core) interleaved with pops; a pop's value
@@ -72,9 +92,11 @@ _GQ_OPS = st.lists(
 
 
 def _assert_agrees(q, live):
+    """*live* models the queue: ``(push index, event)`` per entry."""
     assert len(q) == len(live)
     assert bool(q) == bool(live)
-    assert q.oldest_ts() == (min(e.ts for e in live) if live else None)
+    if not q._fifo:  # the lookahead bound reads timestamp-ordered queues only
+        assert q.oldest_ts() == (min(e.ts for _, e in live) if live else None)
 
 
 class TestGQ:
@@ -114,7 +136,8 @@ class TestGQ:
 
     def test_ties_broken_by_core_then_sequence(self):
         """Same-ts requests are serviced in core-id order regardless of the
-        (host-dependent) arrival order; within one core, creation order."""
+        (host-dependent) arrival order; within one core, push order (the
+        order the core emitted them)."""
         q = GlobalQueue("barrier")
         b, a = ev(5, core=2), ev(5, core=1)
         q.push(b)  # core 2 arrives first...
@@ -132,13 +155,13 @@ class TestGQ:
     def test_immediate_pops_in_arrival_order(self, ops):
         q = GlobalQueue("immediate")
         live = []
-        for op in ops:
+        for n, op in enumerate(ops):
             if op[0] == "push":
                 e = ev(op[1], core=op[2])
                 q.push(e)
-                live.append(e)
+                live.append((n, e))
             else:
-                assert q.pop_fifo() is (live.pop(0) if live else None)
+                assert q.pop_fifo() is (live.pop(0)[1] if live else None)
             _assert_agrees(q, live)
 
     @pytest.mark.parametrize("policy", ["barrier", "oldest"])
@@ -147,16 +170,20 @@ class TestGQ:
         q = GlobalQueue(policy)
         live = []
         bound = 0
-        for op in ops:
+        for n, op in enumerate(ops):
             if op[0] == "push":
                 e = ev(op[1], core=op[2])
                 q.push(e)
-                live.append(e)
+                live.append((n, e))
             else:
                 bound += op[1]
-                due = [e for e in live if e.ts <= bound]
-                expected = min(due, key=lambda e: (e.ts, e.core, e.seq)) if due else None
-                assert q.pop_oldest(bound) is expected
-                if expected is not None:
+                due = [(e.ts, e.core, m) for m, e in live if e.ts <= bound]
+                popped = q.pop_oldest(bound)
+                if due:
+                    m = min(due)[2]
+                    expected = next(entry for entry in live if entry[0] == m)
+                    assert popped is expected[1]
                     live.remove(expected)
+                else:
+                    assert popped is None
             _assert_agrees(q, live)

@@ -47,7 +47,7 @@ from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
 from repro.cpu.interfaces import CorePhase
 from repro.cpu.predecode import predecode_program
-from repro.cpu.l1cache import MESI, AccessResult, L1Cache
+from repro.cpu.l1cache import AccessResult, L1Cache
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import TEXT_BASE, Program
@@ -76,7 +76,6 @@ def _key_tables(program: Program) -> tuple[list, list]:
             write_keys.append(None)
     return read_keys, write_keys
 
-_GRANT_TO_MESI = {"M": MESI.MODIFIED, "E": MESI.EXCLUSIVE, "S": MESI.SHARED}
 
 # Entry states.
 _WAITING = 0    # operands not ready
@@ -226,10 +225,7 @@ class OoOCore:
     # ------------------------------------------------------------- delivery
     def deliver_response(self, event: Event) -> None:
         block = event.addr
-        grant = _GRANT_TO_MESI.get(event.grant or "")
-        if grant is None:
-            raise RuntimeError(f"core {self.core_id}: response without grant {event}")
-        victim = self.l1d.fill(block, grant)
+        victim = self.l1d.fill(block, event.grant)
         if victim is not None:
             self.emit(Event(EvKind.PUTM, victim, self.core_id, event.ts))
         waiters = self._mshrs.pop(block, [])

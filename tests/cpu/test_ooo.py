@@ -1,8 +1,11 @@
 """Out-of-order core model tests: ILP, forwarding, MSHRs, prediction."""
 
+from unittest import mock
+
 import pytest
 
-from repro.core import run_simulation
+import repro.cpu.ooo
+from repro.core import SequentialEngine, run_simulation
 from repro.core.config import SimConfig, TargetConfig
 from repro.lang import compile_source
 from repro.workloads import make_workload
@@ -151,6 +154,78 @@ class TestBenchmarksUnderOoO:
         ino = run_simulation(w.program, scheme="cc", host_cores=4,
                              target=TargetConfig(core_model="inorder"))
         assert ooo.execution_cycles < ino.execution_cycles
+
+
+def _ooo_engine(name, scheme, stepping="batched"):
+    return SequentialEngine(
+        make_workload(name, scale="tiny").program,
+        target=TargetConfig(core_model="ooo"),
+        sim=SimConfig(scheme=scheme, seed=1),
+        stepping=stepping,
+    )
+
+
+def _service_order(engine):
+    """Run *engine*; return the requests in the order the manager serviced
+    them and, per core, the order the core emitted them."""
+    emitted = {}
+    for ct in engine.cores:
+        inner = ct.model.emit
+
+        def emit(event, inner=inner, log=emitted.setdefault(ct.core_id, [])):
+            log.append(event)
+            inner(event)
+
+        ct.model.emit = emit
+    served = []
+    inner_service = engine.manager._service
+
+    def service(event):
+        served.append(event)
+        inner_service(event)
+
+    engine.manager._service = service
+    engine.run()
+    return served, emitted
+
+
+class TestRequestOrder:
+    @pytest.mark.parametrize("scheme", ["q10", "s9*"])
+    def test_same_cycle_requests_are_serviced_in_emit_order(self, scheme):
+        """The OoO core can emit several requests in one cycle.  Under a
+        timestamp-ordered GQ they tie on ``(ts, core)`` and are serviced in
+        the order the core emitted them — the GQ's push order — and the
+        per-cycle oracle services exactly the same sequence."""
+        served, emitted = _service_order(_ooo_engine("fft", scheme))
+        emit_pos = {id(e): n for log in emitted.values() for n, e in enumerate(log)}
+        ties = 0
+        for prev, event in zip(served, served[1:]):
+            if (prev.ts, prev.core) == (event.ts, event.core):
+                ties += 1
+                assert emit_pos[id(prev)] < emit_pos[id(event)]
+        assert ties > 0
+        single, _ = _service_order(_ooo_engine("fft", scheme, stepping="single"))
+        key = [(e.kind, e.addr, e.core, e.ts) for e in served]
+        assert key == [(e.kind, e.addr, e.core, e.ts) for e in single]
+
+
+class TestStallHint:
+    def test_only_the_per_cycle_oracle_consults_it(self):
+        """``advance`` leaves a step only one cycle of room, so the turn loop
+        asks ``stall_hint`` only when stepping per cycle: a batched water run
+        (locks and barriers: blocked syscalls) never calls it, a single one
+        does."""
+        calls = {"batched": 0, "single": 0}
+        hint = repro.cpu.ooo.OoOCore.stall_hint
+        for stepping in calls:
+
+            def counted(self, now, stepping=stepping):
+                calls[stepping] += 1
+                return hint(self, now)
+
+            with mock.patch.object(repro.cpu.ooo.OoOCore, "stall_hint", counted):
+                _ooo_engine("water", "s9", stepping=stepping).run()
+        assert calls["batched"] == 0 and calls["single"] > 0
 
 
 class TestPrediction:

@@ -27,7 +27,7 @@ from repro.core.corethread import CoreState, CoreThread
 from repro.core.engine import SequentialEngine
 from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState
-from repro.cpu.l1cache import L1Cache, L1Config
+from repro.cpu.l1cache import MESI, L1Cache, L1Config
 from repro.isa import DATA_BASE, assemble
 from repro.lang import compile_source
 from repro.sysapi.loader import load_program
@@ -267,9 +267,9 @@ class _Rig:
         out = [(e.kind, e.addr, e.ts) for e in ct.outq.drain()]
         for kind, addr, ts in out:
             if kind is not EvKind.PUTM:
-                grant = "S" if kind is EvKind.GETS and grant_shared else (
-                    "E" if kind is EvKind.GETS else "M")
-                ct.inq.push(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant=grant))
+                grant = MESI.SHARED if kind is EvKind.GETS and grant_shared else (
+                    MESI.EXCLUSIVE if kind is EvKind.GETS else MESI.MODIFIED)
+                ct.inq.push(Event(EvKind.RESPONSE, addr, 0, ts + resp_delay, grant))
         if release is not None and model._blocked and model._release_ts is None:
             model.release(ct.local_time + release)
         return (

@@ -248,7 +248,10 @@ def test_reorder_outq_swaps_writeback_pairs():
     assert result.completed and result.output == [6]
     assert engine.faults.fired
     for entry in engine.faults.fired:
-        assert entry["moved_ahead"] > entry["now_behind"]
+        # The refill miss, stamped no earlier than the writeback emitted
+        # before it, now sits ahead of it.
+        assert (entry["moved_ahead"], entry["now_behind"]) == ("getx", "putm")
+        assert entry["ts"] >= entry["behind_ts"]
 
 
 def test_corrupt_dir_clears_presence_bit(locked_prog):

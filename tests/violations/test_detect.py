@@ -225,7 +225,7 @@ class TestFastForwardDelaysTheCore:
         else:
             assert core.step(now) == (0, True) and out[0].kind is EvKind.GETX
             now = 20
-            core.deliver_response(Event(EvKind.RESPONSE, out[0].addr, 0, now, grant="M"))
+            core.deliver_response(Event(EvKind.RESPONSE, out[0].addr, 0, now, grant=MESI.MODIFIED))
         assert core.step(now) == (1, True)  # the store commits, detected late
         ff = 50 - now + 1
         assert (counters.fastforwards, counters.fastforward_cycles) == (1, ff)
