@@ -572,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a registered workload")
     _add_job_flags(run)
     run.add_argument("--verbose", "-v", action="store_true")
-    run.add_argument("--stats-out", help="write the run's stats registry dump here")
+    run.add_argument("--stats-out", help="write the run's stats document here")
     run.add_argument("--stats-format", default="json", choices=("json", "csv"),
                      help="dump format for --stats-out (default json)")
     run.add_argument("--stats-interval", type=int, default=0,
-                     help="snapshot the registry every N target cycles (0: off)")
+                     help="snapshot the stats every N target cycles (0: off)")
     run.add_argument("--faults", default=None, metavar="PLAN",
                      help="fault-injection plan, e.g. "
                      "'overrun_window:core=2,at=500,extra=256;corrupt_dir:at=800'")
@@ -640,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run under cProfile and print the top 20 by cumulative time")
     bench.set_defaults(func=_cmd_bench)
 
-    stats = sub.add_parser("stats", help="render or diff stats registry dumps")
+    stats = sub.add_parser("stats", help="render or diff stats dumps")
     stats.add_argument("action", choices=("show", "diff"),
                        help="show one dump as a table, or diff two dumps")
     stats.add_argument("files", nargs="+", help="stats JSON dump file(s)")

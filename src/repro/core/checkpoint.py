@@ -20,9 +20,12 @@ What makes the engine picklable (each site documents its own hook):
 * ``TargetMemory`` re-derives its float view over the word array;
 * ``Program`` / the core models drop their memoised predecode closures and
   re-derive them on restore;
-* the engine drops its lazily-built stats registry (dump-time lambdas) and
-  experiment probe, and the system emulation its spawn hook (bound by
-  ``run()``).
+* the engine drops its experiment probe, and the system emulation its spawn
+  hook (bound by ``run()``).
+
+The engine's stats are plain data — the slack histogram and the interval
+snapshots taken so far — so they travel in the pickle: a restored run's
+stats document equals the uninterrupted run's, snapshots included.
 
 Nothing outside the engine is saved: every queue breaks its timestamp ties
 by its own push count, a plain int pickled with the queue, so event order

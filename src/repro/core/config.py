@@ -102,7 +102,7 @@ class SimConfig:
     #: Cycles a core burns waiting on external input (a manager response)
     #: before yielding its turn.  Bounds de-facto turn size under su.
     wait_chunk: int = 16
-    #: Snapshot the stats registry every N target cycles (0 = off).  The
+    #: Snapshot the run's stats every N target cycles (0 = off).  The
     #: check rides the manager-step branch — the first manager step at or
     #: after each N-cycle global-time boundary records one snapshot — so the
     #: per-cycle simulate loop never sees it.

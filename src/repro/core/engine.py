@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import weakref
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import BatchStats, CoreState, CoreThread
@@ -40,7 +39,7 @@ from repro.host.costmodel import CostModel
 from repro.host.hostmodel import HostModel
 from repro.isa.program import Program
 from repro.mem.memsys import MemorySystem
-from repro.stats.registry import Distribution, StatsRegistry
+from repro.stats.registry import Distribution, flat_dump
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
 from repro.violations.detect import ViolationCounters, WordOrderTracker
@@ -58,6 +57,11 @@ class EngineError(RuntimeError):
 _ONE_ACTIVE = BatchStats(cycles=1, active_cycles=1, hit_window_edge=True)
 _ONE_IDLE = BatchStats(cycles=1, idle_cycles=1, hit_window_edge=True)
 _ONE_SKIP = BatchStats(cycles=1, skipped_cycles=1, skip_stretches=1, hit_window_edge=True)
+
+
+def _ratio(num, den) -> float:
+    """A ratio stat: 0.0 over a zero denominator."""
+    return num / den if den else 0.0
 
 
 def _unit_turn_stats(ct: CoreThread, committed: int, active: bool) -> BatchStats:
@@ -191,7 +195,7 @@ class SequentialEngine:
         self._turn_cap = self.sim.turn_cycles or INFINITY  # 0 = uncapped
         self.total_committed = 0
         self.engine_steps = 0
-        # Host-loop mechanics counters (digest=False in the registry: they
+        # Host-loop mechanics counters (left out of the digest: they
         # describe how the engine scheduled the work, not the simulated
         # target, mirroring the goldens' exclusion of engine_steps).
         self.manager_steps = 0
@@ -201,7 +205,7 @@ class SequentialEngine:
         self.parks = 0
         #: Barriers that ran inside the barrier superstep (``run``; DESIGN.md
         #: §5).  Like ``manager_polls`` it is folded by ``sync_stats``; unlike
-        #: it, it is not in the stats registry, whose dump is embedded in
+        #: it, it is not in the stats dump, which is embedded in
         #: store records and sweep documents.
         self.fused_barriers = 0
         self._completed = False
@@ -269,14 +273,12 @@ class SequentialEngine:
 
             self.faults = parse_fault_plan(self.sim.fault_plan, seed=self.sim.seed)
             self.faults.install(self)
-        # The slack histogram is the registry's one direct-write stat, fed
-        # from the run loop; the registry itself is built lazily (first
-        # access) so engine construction stays off the simulate fast path.
-        self._registry: StatsRegistry | None = None
-        self._slack_dist = Distribution(
-            "scheme.slack_cycles",
-            desc="local_time - global_time sampled after every core turn",
-        )
+        # The slack histogram is the one stat fed during the run (by the run
+        # loop); every other stat is read off the components by
+        # ``render_stats``.  Snapshots are plain dicts, so both travel with a
+        # checkpoint.
+        self._slack_dist = Distribution("scheme.slack_cycles")
+        self.snapshots: list[dict] = []
 
         if trace_cores is not None:
             for ct in self.cores:
@@ -354,34 +356,13 @@ class SequentialEngine:
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
-        """Checkpoint hook (:mod:`repro.core.checkpoint`).
-
-        The registry is a web of dump-time lambdas over the components — it
-        is dropped and lazily rebuilt on first access after restore (the
-        direct-write ``_slack_dist`` travels and is simply re-registered).
-        The probe is an experiment-side observer, not simulation state.
-        """
+        """Checkpoint hook (:mod:`repro.core.checkpoint`): the probe is an
+        experiment-side observer, not simulation state."""
         state = dict(self.__dict__)
-        state["_registry"] = None
         state["probe"] = None
         return state
 
-    # -------------------------------------------------------------- registry
-    @property
-    def registry(self) -> StatsRegistry:
-        """The run's hierarchical stats registry, built on first access.
-
-        Lazy so the ~150 stat registrations (and their dump-time lambdas)
-        are never paid by callers that only need the simulation outcome —
-        the perf benches construct thousands of engines per session.  The
-        engine owns it, so its sources reach the engine through a weak
-        proxy — a strong one would make every dumped engine a reference
-        cycle.  It dumps while its engine lives (a result keeps the engine).
-        """
-        if self._registry is None:
-            self._registry = self._build_registry()
-        return self._registry
-
+    # ----------------------------------------------------------------- stats
     def _execution_cycles(self) -> int:
         """Target execution time: the last thread exit (global time while the
         run is still going, for a mid-run snapshot)."""
@@ -390,160 +371,115 @@ class SequentialEngine:
             return max(ct.final_time for ct in ran)
         return self.manager.global_time
 
-    def _build_registry(self) -> StatsRegistry:
-        """Wire every instrumented layer into one hierarchical registry.
+    def render_stats(self) -> tuple[dict, dict]:
+        """The run's stats as two flat ``{dotted path: value}`` dicts: the
+        stats the digest covers, and the stats it leaves out.
 
-        All stats except ``scheme.slack_cycles`` are lazy *sources* over the
-        components' plain counters, so registration costs nothing on the
-        simulate path; values resolve at dump time.  Host-loop mechanics
-        (engine scheduling, modeled host makespan) register with
-        ``digest=False``: they are not simulated-target behaviour.
+        Left out are the host-loop mechanics (``engine.*``), the modeled host
+        (``host.*``) and the ratios, which are redundant with their operands
+        (``coreN.ipc``, ``coreN.l1d.miss_rate``, ``coreN.branch.accuracy``,
+        ``mem.l2.miss_rate``, ``host.utilization``).  A ratio over a zero
+        denominator reads 0.0.
         """
-        reg = StatsRegistry()
-        eng = weakref.proxy(self)  # see ``registry``: no cycle through it
-
-        sim = reg.group("sim")
-        sim.scalar("scheme", source=lambda: eng.scheme.name)
-        sim.scalar("seed", source=lambda: eng.sim.seed)
-        sim.scalar("target_cores", source=lambda: eng.target.num_cores)
-        sim.scalar("host_cores", source=lambda: eng.host_cfg.num_cores)
-        sim.scalar("completed", source=lambda: int(eng._completed))
-
-        engine = reg.group("engine")
-        for name in (
-            "engine_steps", "manager_steps", "manager_polls",
-            "suspends", "wakes_delivered", "parks", "total_committed",
-        ):
-            engine.scalar(
-                name if name != "engine_steps" else "steps",
-                source=(lambda n=name: getattr(eng, n)),
-                digest=False,
-            )
-        # One slack sample lands per core turn, so the histogram count IS
-        # the turn count — no separate hot-loop counter needed.
-        engine.scalar(
-            "core_turns", source=lambda: eng._slack_dist.count, digest=False
-        )
-
-        host = reg.group("host")
-        host.scalar("makespan", source=eng.hostmodel.makespan, digest=False)
-        host.scalar("busy", source=lambda: eng.hostmodel.busy, digest=False)
-        host.scalar("steps", source=lambda: eng.hostmodel.steps, digest=False)
-        host.formula(
-            "utilization",
-            lambda: eng.hostmodel.busy
-            / (eng.hostmodel.makespan() * eng.host_cfg.num_cores),
-        )
-
-        scheme = reg.group("scheme")
-        scheme.scalar("slack", source=lambda: eng.scheme.slack)
-        scheme.scalar("gq_policy", source=lambda: eng.scheme.gq_policy)
-        scheme.scalar(
-            "window_stalls",
-            source=lambda: sum(ct.window_edge_hits for ct in eng.cores),
-        )
-        reg._register(eng._slack_dist)  # created eagerly, fed by the run loop
-
-        manager = reg.group("manager")
-        manager.scalar("requests", source=lambda: eng.manager.requests_processed)
-        manager.scalar("barriers", source=lambda: eng.manager.barriers_completed)
-        manager.scalar("windows_raised", source=lambda: eng.manager.windows_raised)
-        manager.scalar("events_drained", source=lambda: eng.manager.events_drained)
-        manager.scalar("gq.max_depth", source=lambda: eng.manager.gq_max_depth)
-
-        target = reg.group("target")
-        target.scalar("execution_cycles", source=lambda: eng._execution_cycles())
-        target.scalar("global_time", source=lambda: eng.manager.global_time)
-        target.scalar("instructions", source=lambda: eng.total_committed)
-
-        for ct in eng.cores:
-            core = reg.group(f"core{ct.core_id}")
-            for name, attr in (
-                ("committed", "total_committed"),
-                ("cycles", "total_cycles"),
-                ("window_edge_hits", "window_edge_hits"),
-                ("final_time", "final_time"),
-            ):
-                core.scalar(name, source=(lambda c=ct, a=attr: getattr(c, a)))
-            core.formula(
-                "ipc", lambda c=ct: c.total_committed / c.total_cycles
-            )
+        manager, memsys, counters = self.manager, self.memsys, self.counters
+        host = self.hostmodel
+        makespan = host.makespan()
+        out = {
+            "sim.scheme": self.scheme.name,
+            "sim.seed": self.sim.seed,
+            "sim.target_cores": self.target.num_cores,
+            "sim.host_cores": self.host_cfg.num_cores,
+            "sim.completed": int(self._completed),
+            "scheme.slack": self.scheme.slack,
+            "scheme.gq_policy": self.scheme.gq_policy,
+            "scheme.window_stalls": sum(ct.window_edge_hits for ct in self.cores),
+            "manager.requests": manager.requests_processed,
+            "manager.barriers": manager.barriers_completed,
+            "manager.windows_raised": manager.windows_raised,
+            "manager.events_drained": manager.events_drained,
+            "manager.gq.max_depth": manager.gq_max_depth,
+            "target.execution_cycles": self._execution_cycles(),
+            "target.global_time": manager.global_time,
+            "target.instructions": self.total_committed,
+            "mem.requests_serviced": memsys.requests_serviced,
+        }
+        left = {
+            "engine.steps": self.engine_steps,
+            "engine.manager_steps": self.manager_steps,
+            "engine.manager_polls": self.manager_polls,
+            "engine.suspends": self.suspends,
+            "engine.wakes_delivered": self.wakes_delivered,
+            "engine.parks": self.parks,
+            "engine.total_committed": self.total_committed,
+            # One slack sample lands per core turn: the count IS the turns.
+            "engine.core_turns": self._slack_dist.count,
+            "host.makespan": makespan,
+            "host.busy": host.busy,
+            "host.steps": host.steps,
+            "host.utilization": _ratio(host.busy, makespan * self.host_cfg.num_cores),
+        }
+        out.update(self._slack_dist.entries())
+        for ct in self.cores:
+            core = f"core{ct.core_id}"
+            out[f"{core}.committed"] = ct.total_committed
+            out[f"{core}.cycles"] = ct.total_cycles
+            out[f"{core}.window_edge_hits"] = ct.window_edge_hits
+            out[f"{core}.final_time"] = ct.final_time
+            left[f"{core}.ipc"] = _ratio(ct.total_committed, ct.total_cycles)
             model = ct.model
             if hasattr(model, "stall_cycles"):
-                core.scalar(
-                    "stall_cycles", source=(lambda m=model: m.stall_cycles)
-                )
+                out[f"{core}.stall_cycles"] = model.stall_cycles
             cache = getattr(model, "l1d", None)
             if cache is not None:
-                grp = core.group("l1d")
+                s = cache.stats
                 for field in (
                     "accesses", "hits", "misses", "upgrades",
-                    "invalidations_received", "downgrades_received",
-                    "writebacks",
+                    "invalidations_received", "downgrades_received", "writebacks",
                 ):
-                    grp.scalar(
-                        field, source=(lambda s=cache.stats, f=field: getattr(s, f))
-                    )
-                grp.formula("miss_rate", lambda s=cache.stats: s.misses / s.accesses)
+                    out[f"{core}.l1d.{field}"] = getattr(s, field)
+                left[f"{core}.l1d.miss_rate"] = _ratio(s.misses, s.accesses)
             predictor = getattr(model, "predictor", None)
             if predictor is not None:
-                grp = core.group("branch")
-                grp.scalar("lookups", source=lambda s=predictor.stats: s.lookups)
-                grp.scalar("correct", source=lambda s=predictor.stats: s.correct)
-                grp.formula("accuracy", lambda s=predictor.stats: s.correct / s.lookups)
-
-        mem = reg.group("mem")
-        mem.scalar("requests_serviced", source=lambda: eng.memsys.requests_serviced)
-        bus = mem.group("bus")
-        for field in ("transfers", "busy_cycles", "contention_cycles"):
-            bus.scalar(field, source=(lambda f=field: getattr(eng.memsys.bus.stats, f)))
-        l2 = mem.group("l2")
-        for field in (
-            "accesses", "hits", "misses", "writebacks_in",
-            "bank_conflict_cycles", "hop_cycles",
+                s = predictor.stats
+                out[f"{core}.branch.lookups"] = s.lookups
+                out[f"{core}.branch.correct"] = s.correct
+                left[f"{core}.branch.accuracy"] = _ratio(s.correct, s.lookups)
+        for group, stats, fields in (
+            ("bus", memsys.bus.stats, ("transfers", "busy_cycles", "contention_cycles")),
+            ("l2", memsys.l2.stats, (
+                "accesses", "hits", "misses", "writebacks_in",
+                "bank_conflict_cycles", "hop_cycles",
+            )),
+            ("dram", memsys.dram.stats, ("accesses", "queue_cycles", "row_activations")),
+            ("directory", memsys.directory, (
+                "requests", "invalidations_sent", "downgrades_sent",
+                "cache_to_cache_transfers",
+            )),
         ):
-            l2.scalar(field, source=(lambda f=field: getattr(eng.memsys.l2.stats, f)))
-        l2.vector("bank_accesses", lambda: eng.memsys.l2.bank_accesses)
-        l2.formula(
-            "miss_rate",
-            lambda: eng.memsys.l2.stats.misses / eng.memsys.l2.stats.accesses,
-        )
-        dram = mem.group("dram")
-        for field in ("accesses", "queue_cycles", "row_activations"):
-            dram.scalar(field, source=(lambda f=field: getattr(eng.memsys.dram.stats, f)))
-        directory = mem.group("directory")
-        for field in (
-            "requests", "invalidations_sent", "downgrades_sent",
-            "cache_to_cache_transfers",
-        ):
-            directory.scalar(
-                field, source=(lambda f=field: getattr(eng.memsys.directory, f))
-            )
-
-        if eng.faults is not None:
-            faults = reg.group("faults")
-            faults.scalar("specs", source=lambda: len(eng.faults.specs))
-            faults.scalar("injected", source=lambda: len(eng.faults.fired))
-
-        violations = reg.group("violations")
+            for field in fields:
+                out[f"mem.{group}.{field}"] = getattr(stats, field)
+        for bank, n in enumerate(memsys.l2.bank_accesses):
+            out[f"mem.l2.bank_accesses.{bank}"] = n
+        l2 = memsys.l2.stats
+        left["mem.l2.miss_rate"] = _ratio(l2.misses, l2.accesses)
+        if self.faults is not None:
+            out["faults.specs"] = len(self.faults.specs)
+            out["faults.injected"] = len(self.faults.fired)
         for field in (
             "simulation_state", "system_state", "workload_state",
             "fastforwards", "fastforward_cycles",
         ):
-            violations.scalar(
-                field, source=(lambda f=field: getattr(eng.counters, f))
-            )
-        violations.vector("by_resource", lambda: eng.counters.by_resource)
-
-        if eng.system is not None:
-            sync = reg.group("sync")
-            stats = eng.system.sync.stats
+            out[f"violations.{field}"] = getattr(counters, field)
+        for resource, n in counters.by_resource.items():
+            out[f"violations.by_resource.{resource}"] = n
+        if self.system is not None:
+            s = self.system.sync.stats
             for field in (
                 "lock_acquires", "lock_contended", "barrier_episodes",
                 "sema_waits", "sema_blocked",
             ):
-                sync.scalar(field, source=(lambda s=stats, f=field: getattr(s, f)))
-        return reg
+                out[f"sync.{field}"] = getattr(s, field)
+        return out, left
 
     # ------------------------------------------------------------ activation
     def _init_registers(self, core: int, tid: int) -> None:
@@ -703,7 +639,7 @@ class SequentialEngine:
         # Engine counters and the slack histogram live in locals for the
         # duration of the loop (a per-turn ``self.x += 1`` or a
         # ``Distribution.add`` call costs real throughput at cc turn rates);
-        # ``sync_stats`` folds them back before any registry dump.
+        # ``sync_stats`` folds them back before any stats dump.
         engine_steps = self.engine_steps
         manager_steps = self.manager_steps
         manager_polls = self.manager_polls
@@ -961,7 +897,7 @@ class SequentialEngine:
                 fault_tick(self, g)
             if snap_interval and g >= self._next_snapshot:
                 sync_stats()
-                self.registry.snapshot(g)
+                self.snapshots.append({"label": g, "stats": flat_dump(*self.render_stats())})
                 self._next_snapshot = (g // snap_interval + 1) * snap_interval
             done_t = hostrun(ready, manager_step_cost(result.drained, result.processed))
             # Wakes leave the manager serially (futex hand-off): the k-th
@@ -1131,8 +1067,8 @@ class SequentialEngine:
 
     # ---------------------------------------------------------------- result
     def _build_result(self) -> SimulationResult:
-        """What the run alone knows, over its lazily built stats registry:
-        the result reads every number from the dump (``core/results.py``)."""
+        """What the run alone knows, over its stats rendered on demand: the
+        result reads every number from the dump (``core/results.py``)."""
         self._completed = True
         if self._capture_header is not None:
             self._write_capture()
@@ -1140,7 +1076,8 @@ class SequentialEngine:
             completed=True,
             output=self.system.merged_output() if self.system else [],
             violations=self.counters,
-            registry_factory=lambda: self.registry,
+            stats_factory=self.render_stats,
+            snapshots=self.snapshots,
         )
 
 

@@ -1,12 +1,12 @@
 """A run's result: the stats dump is its one account.
 
 :class:`SimulationResult` holds only what the run alone knows (completion,
-output, the live violation counters) and reads every number from the
-registry's flat dump through :data:`HEADLINES`.  The dump materialises on
-first access, so a caller that reads no number pays none of its cost.  The
-per-core rows (and the cores that ran) and the summary line are functions of
-a dump, so a stored job record (which carries the same dump) yields the same
-ones.
+output, the live violation counters, the run's stats snapshots) and reads
+every number from its flat stats dump through :data:`HEADLINES`.  The dump
+renders on first access, so a caller that reads no number pays none of its
+cost.  The per-core rows (and the cores that ran) and the summary line are
+functions of a dump, so a stored job record (which carries the same dump)
+yields the same ones.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.host.costmodel import HOST_UNIT_SECONDS
+from repro.stats.registry import flat_dump, stats_digest, stats_document
 from repro.violations.detect import ViolationCounters
 
 __all__ = ["HEADLINES", "SimulationResult", "core_rows", "kips", "ran_cores", "summary_line"]
@@ -89,11 +90,13 @@ class SimulationResult:
     completed: bool
     output: list = field(default_factory=list)
     violations: ViolationCounters = field(default_factory=ViolationCounters)
-    #: Zero-arg callable yielding the run's stats registry; resolved lazily
-    #: so the registry/dump/digest cost stays off the simulate fast path.
-    registry_factory: object = field(default=None, repr=False, compare=False)
+    #: Zero-arg callable rendering the run's stats as two flat dicts: the
+    #: stats the digest covers and the stats it leaves out.
+    stats_factory: object = field(default=None, repr=False, compare=False)
+    #: The run's interval snapshots, ``{"label", "stats"}`` dicts in order.
+    snapshots: list = field(default_factory=list, repr=False, compare=False)
 
-    _registry = _stats = _digest = None  # materialised on first access
+    _stats = _digest = None  # rendered on first access
 
     def __getattr__(self, name: str):
         path = HEADLINES.get(name)
@@ -101,27 +104,25 @@ class SimulationResult:
             raise AttributeError(name)
         return self.stats.get(path, 0)
 
-    @property
-    def registry(self):
-        """The run's live stats registry."""
-        if self._registry is None:
-            self._registry = self.registry_factory()
-        return self._registry
+    def _render(self) -> None:
+        covered, left_out = self.stats_factory()
+        self._stats = flat_dump(covered, left_out)
+        self._digest = stats_digest(covered)
 
     @property
     def stats(self) -> dict:
-        """Flat ``{dotted_path: value}`` dump of the run's stats registry,
-        materialised on first access and cached."""
+        """Flat ``{dotted_path: value}`` dump of the run, in sorted path
+        order; rendered on first access and cached."""
         if self._stats is None:
-            self._stats = self.registry.dump()
+            self._render()
         return self._stats
 
     @property
     def stats_sha256(self) -> str:
-        """Digest of the registry's digest-marked stats (determinism
-        fingerprint), computed on first access and cached."""
+        """Digest of the stats it covers (determinism fingerprint), computed
+        on first access and cached."""
         if self._digest is None:
-            self._digest = self.registry.stats_digest()
+            self._render()
         return self._digest
 
     @property
@@ -141,7 +142,8 @@ class SimulationResult:
     def dump_json(self) -> str:
         """Full stats document (meta + stats + snapshots + digest), sorted."""
         names = ("scheme", "seed", "host_cores", "completed")
-        return self.registry.dump_json(meta={n: getattr(self, n) for n in names})
+        meta = {n: getattr(self, n) for n in names}
+        return stats_document(meta, self.stats_sha256, self.stats, self.snapshots)
 
     def int_output(self) -> list[int]:
         return [v for v in self.output if isinstance(v, int)]

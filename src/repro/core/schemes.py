@@ -49,8 +49,6 @@ class Scheme:
     gq_policy: str
     #: Window size in cycles (INFINITY for unbounded).
     slack: int
-    #: True if the scheme guarantees timestamp-order request processing.
-    conservative: bool
 
     def max_local(self, global_time: int) -> int:
         """Upper bound on every core's local time given the current global."""
@@ -65,7 +63,7 @@ class CycleByCycle(Scheme):
     accuracy gold standard, Figure 2a)."""
 
     def __init__(self) -> None:
-        super().__init__(name="cc", gq_policy="barrier", slack=1, conservative=True)
+        super().__init__(name="cc", gq_policy="barrier", slack=1)
 
     def max_local(self, global_time: int) -> int:
         return global_time + 1
@@ -77,7 +75,7 @@ class QuantumBased(Scheme):
     def __init__(self, quantum: int) -> None:
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
-        super().__init__(name=f"q{quantum}", gq_policy="barrier", slack=quantum, conservative=True)
+        super().__init__(name=f"q{quantum}", gq_policy="barrier", slack=quantum)
         object.__setattr__(self, "quantum", quantum)
 
     def max_local(self, global_time: int) -> int:
@@ -104,7 +102,6 @@ class AdaptiveQuantum(Scheme):
             name=f"aq{min_quantum}-{max_quantum}",
             gq_policy="barrier",
             slack=max_quantum,
-            conservative=False,
         )
         object.__setattr__(self, "min_quantum", min_quantum)
         object.__setattr__(self, "max_quantum", max_quantum)
@@ -144,7 +141,7 @@ class Lookahead(Scheme):
     def __init__(self, lookahead: int) -> None:
         if lookahead < 1:
             raise ValueError("lookahead must be >= 1")
-        super().__init__(name=f"l{lookahead}", gq_policy="oldest", slack=lookahead, conservative=True)
+        super().__init__(name=f"l{lookahead}", gq_policy="oldest", slack=lookahead)
         object.__setattr__(self, "lookahead", lookahead)
 
     def max_local(self, global_time: int, oldest_pending_ts: int | None = None) -> int:
@@ -160,7 +157,7 @@ class BoundedSlack(Scheme):
     def __init__(self, slack: int) -> None:
         if slack < 1:
             raise ValueError("slack must be >= 1")
-        super().__init__(name=f"s{slack}", gq_policy="immediate", slack=slack, conservative=False)
+        super().__init__(name=f"s{slack}", gq_policy="immediate", slack=slack)
 
     def max_local(self, global_time: int) -> int:
         return global_time + self.slack
@@ -173,7 +170,7 @@ class OldestFirstBoundedSlack(Scheme):
     def __init__(self, slack: int) -> None:
         if slack < 1:
             raise ValueError("slack must be >= 1")
-        super().__init__(name=f"s{slack}*", gq_policy="oldest", slack=slack, conservative=True)
+        super().__init__(name=f"s{slack}*", gq_policy="oldest", slack=slack)
 
     def max_local(self, global_time: int) -> int:
         return global_time + self.slack
@@ -183,7 +180,7 @@ class UnboundedSlack(Scheme):
     """No synchronization at all (Figure 2d): the extreme case."""
 
     def __init__(self) -> None:
-        super().__init__(name="su", gq_policy="immediate", slack=INFINITY, conservative=False)
+        super().__init__(name="su", gq_policy="immediate", slack=INFINITY)
 
     def max_local(self, global_time: int) -> int:
         return INFINITY

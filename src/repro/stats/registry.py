@@ -1,72 +1,52 @@
-"""Hierarchical statistics registry: one instrumentation layer for the stack.
+"""A run's stats dump and the pure functions over it.
 
-Every instrumented layer — engine and host model, core threads and schemes,
-the timing cores with their L1s, the manager-side memory system, the
-violation counters — registers its statistics into one tree of groups,
-addressed by dotted paths (``core3.l1d.misses``, ``manager.gq.max_depth``,
-``scheme.slack_cycles.count``).  This is the gem5-style stats discipline
-parti-gem5 and ScaleSimulator lean on: compare synchronization schemes
-apples-to-apples by dumping *one* deterministic document per run instead of
-hand-copying ad-hoc attributes.
+A run's statistics are one flat ``{dotted path: value}`` dict
+(``core3.l1d.misses``, ``manager.gq.max_depth``,
+``scheme.slack_cycles.count``), rendered by the engine at dump time
+(``SequentialEngine.render_stats``) as two disjoint dicts: the stats the
+digest covers and the stats it leaves out.  This is the gem5-style stats
+discipline parti-gem5 and ScaleSimulator lean on: compare synchronization
+schemes apples-to-apples by dumping *one* deterministic document per run
+instead of hand-copying ad-hoc attributes.
 
 Design constraints (DESIGN.md §7):
 
 * **Zero hot-path cost.**  Components keep their plain counter attributes
-  (``stats.accesses += 1``); the registry binds *sources* — zero-argument
-  callables resolved only at dump time.  The simulate loop never pays a
-  registry call.  The one exception is :class:`Distribution`, whose ``add``
-  is O(1) integer bucketing and is only called at batch granularity.
-* **Determinism.**  ``dump()`` is a flat ``{path: value}`` dict in sorted
-  path order; ``dump_json``/``dump_to_csv`` render with sorted keys; floats
-  digest via ``float.hex`` so :meth:`StatsRegistry.stats_digest` is
+  (``stats.accesses += 1``) and the engine reads them only when it renders
+  the dump.  The one stat fed during the run is :class:`Distribution`,
+  whose ``add`` is O(1) integer bucketing at batch granularity.
+* **Determinism.**  A dump is sorted by path; documents and CSV render with
+  sorted keys; floats digest via ``float.hex`` so :func:`stats_digest` is
   byte-identical across stepping modes, dispatch modes and sweep job
   counts (pinned by the golden tests).
-* **Typed kinds.**  :class:`Scalar` (a number, direct or sourced),
-  :class:`Vector` (per-core / per-bank / per-resource expansion),
-  :class:`Distribution` (log2-bucketed histogram with count/sum/min/max)
-  and :class:`Formula` (derived value evaluated at dump time; excluded
-  from the digest by default because it is redundant with its operands).
 
-Per-interval snapshotting: :meth:`StatsRegistry.snapshot` records a full
-dump under a label (the engine calls it every ``--stats-interval N`` target
-cycles), giving a time series of slack behaviour without touching the
-per-cycle path.
+This module holds only functions of dumps: the digest, the JSON document,
+CSV, load, diff and render.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "Distribution",
-    "Formula",
-    "Scalar",
-    "Stat",
     "StatError",
-    "StatsGroup",
-    "StatsRegistry",
-    "Vector",
     "canonical_value",
     "diff_dumps",
+    "dump_to_csv",
+    "flat_dump",
     "load_dump",
+    "load_dump_with_digest",
     "render_dump",
+    "stats_digest",
+    "stats_document",
 ]
-
-#: Characters allowed in one path component (brackets admit resource names
-#: like ``l2bank[3]``; ``*`` admits scheme names like ``s9*``).
-_COMPONENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-[]*")
 
 
 class StatError(ValueError):
-    """Bad path, duplicate registration, or malformed dump."""
-
-
-def _check_component(name: str) -> str:
-    if not name or not set(name) <= _COMPONENT_OK:
-        raise StatError(f"bad stat path component {name!r}")
-    return name
+    """Bad sample or malformed dump."""
 
 
 def canonical_value(value: Any) -> str:
@@ -78,125 +58,7 @@ def canonical_value(value: Any) -> str:
     return repr(value)
 
 
-# --------------------------------------------------------------------- kinds
-class Stat:
-    """Base class: one named statistic contributing dump entries."""
-
-    kind = "stat"
-    __slots__ = ("path", "desc", "digest")
-
-    def __init__(self, path: str, desc: str = "", digest: bool = True) -> None:
-        self.path = path
-        self.desc = desc
-        self.digest = digest
-
-    def entries(self) -> Iterator[tuple[str, Any]]:
-        """Yield ``(dotted_path, value)`` pairs, deterministically ordered."""
-        raise NotImplementedError
-
-
-class Scalar(Stat):
-    """A single number: either a direct value (``set``/``add``) or a bound
-    zero-argument *source* resolved at dump time."""
-
-    kind = "scalar"
-    __slots__ = ("_value", "_source")
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        source: Callable[[], Any] | None = None,
-        value: Any = 0,
-        desc: str = "",
-        digest: bool = True,
-    ) -> None:
-        super().__init__(path, desc, digest)
-        self._source = source
-        self._value = value
-
-    @property
-    def value(self) -> Any:
-        return self._source() if self._source is not None else self._value
-
-    def set(self, value: Any) -> None:
-        if self._source is not None:
-            raise StatError(f"{self.path}: cannot set a sourced scalar")
-        self._value = value
-
-    def add(self, delta: Any = 1) -> None:
-        if self._source is not None:
-            raise StatError(f"{self.path}: cannot add to a sourced scalar")
-        self._value += delta
-
-    def entries(self) -> Iterator[tuple[str, Any]]:
-        yield self.path, self.value
-
-
-class Formula(Stat):
-    """A derived value computed at dump time from other components' state.
-
-    Excluded from the digest by default: formulas are redundant with their
-    operands and float division is the one place a representation change
-    could perturb bytes without a behavioural change.
-    """
-
-    kind = "formula"
-    __slots__ = ("_fn",)
-
-    def __init__(
-        self,
-        path: str,
-        fn: Callable[[], Any],
-        *,
-        desc: str = "",
-        digest: bool = False,
-    ) -> None:
-        super().__init__(path, desc, digest)
-        self._fn = fn
-
-    @property
-    def value(self) -> Any:
-        try:
-            return self._fn()
-        except ZeroDivisionError:
-            return 0.0
-
-    def entries(self) -> Iterator[tuple[str, Any]]:
-        yield self.path, self.value
-
-
-class Vector(Stat):
-    """Per-index expansion: the source yields a sequence or mapping and each
-    element dumps as ``path.<index>`` / ``path.<key>`` (keys sorted)."""
-
-    kind = "vector"
-    __slots__ = ("_source",)
-
-    def __init__(
-        self,
-        path: str,
-        source: Callable[[], Sequence[Any] | Mapping[str, Any]],
-        *,
-        desc: str = "",
-        digest: bool = True,
-    ) -> None:
-        super().__init__(path, desc, digest)
-        self._source = source
-
-    def entries(self) -> Iterator[tuple[str, Any]]:
-        data = self._source()
-        if isinstance(data, Mapping):
-            items: Iterable[tuple[str, Any]] = sorted(
-                (str(k), v) for k, v in data.items()
-            )
-        else:
-            items = ((str(i), v) for i, v in enumerate(data))
-        for key, value in items:
-            yield f"{self.path}.{_check_component(key)}", value
-
-
-class Distribution(Stat):
+class Distribution:
     """Log2-bucketed histogram of non-negative integer samples.
 
     ``add`` is O(1): one ``bit_length`` bucket increment plus running
@@ -206,12 +68,11 @@ class Distribution(Stat):
     exactly the zero samples).
     """
 
-    kind = "distribution"
     _MAX_BUCKET = 64
-    __slots__ = ("count", "total", "_min", "_max", "buckets")
+    __slots__ = ("path", "count", "total", "_min", "_max", "buckets")
 
-    def __init__(self, path: str, *, desc: str = "", digest: bool = True) -> None:
-        super().__init__(path, desc, digest)
+    def __init__(self, path: str) -> None:
+        self.path = path
         self.count = 0
         self.total = 0
         self._min = 0
@@ -231,6 +92,7 @@ class Distribution(Stat):
         self.buckets[bucket if bucket < self._MAX_BUCKET else self._MAX_BUCKET] += 1
 
     def entries(self) -> Iterator[tuple[str, Any]]:
+        """``(dotted path, value)`` pairs; empty buckets are left out."""
         yield f"{self.path}.count", self.count
         yield f"{self.path}.sum", self.total
         yield f"{self.path}.min", self._min
@@ -240,108 +102,34 @@ class Distribution(Stat):
                 yield f"{self.path}.bucket{k}", n
 
 
-# --------------------------------------------------------------------- tree
-class StatsGroup:
-    """One node of the tree; fabricates stats under its dotted prefix into
-    the ``{path: stat}`` table every group of one registry shares."""
-
-    __slots__ = ("_stats", "_prefix")
-
-    def __init__(self, stats: dict[str, Stat], prefix: str) -> None:
-        self._stats = stats
-        self._prefix = prefix
-
-    @property
-    def path(self) -> str:
-        return self._prefix
-
-    def _child_path(self, name: str) -> str:
-        for component in name.split("."):
-            _check_component(component)
-        return f"{self._prefix}.{name}" if self._prefix else name
-
-    def _register(self, stat: Stat) -> Stat:
-        if stat.path in self._stats:
-            raise StatError(f"duplicate stat path {stat.path!r}")
-        self._stats[stat.path] = stat
-        return stat
-
-    def group(self, name: str) -> "StatsGroup":
-        return StatsGroup(self._stats, self._child_path(name))
-
-    def scalar(self, name: str, **kwargs) -> Scalar:
-        return self._register(Scalar(self._child_path(name), **kwargs))
-
-    def formula(self, name: str, fn: Callable[[], Any], **kwargs) -> Formula:
-        return self._register(Formula(self._child_path(name), fn, **kwargs))
-
-    def vector(self, name: str, source, **kwargs) -> Vector:
-        return self._register(Vector(self._child_path(name), source, **kwargs))
-
-
-class StatsRegistry(StatsGroup):
-    """The root group plus dump/digest/snapshot machinery."""
-
-    __slots__ = ("snapshots",)
-
-    def __init__(self) -> None:
-        super().__init__({}, "")
-        self.snapshots: list[dict] = []
-
-    def get(self, path: str) -> Stat:
-        try:
-            return self._stats[path]
-        except KeyError:
-            raise StatError(f"unknown stat path {path!r}") from None
-
-    def stats(self) -> list[Stat]:
-        """All registered stats in sorted path order."""
-        return [self._stats[p] for p in sorted(self._stats)]
-
-    # --------------------------------------------------------------- dumps
-    def dump(self) -> dict[str, Any]:
-        """Flat ``{dotted_path: value}`` in sorted path order."""
-        out: dict[str, Any] = {}
-        for stat in self._stats.values():
-            for path, value in stat.entries():
-                out[path] = value
-        return dict(sorted(out.items()))
-
-    def stats_digest(self) -> str:
-        """SHA-256 over the canonical rendering of all digest-marked stats.
-
-        Byte-identical across stepping modes, dispatch modes and sweep job
-        counts; host-scheduler implementation details and derived formulas
-        register with ``digest=False`` and are excluded.
-        """
-        lines = []
-        for stat in self._stats.values():
-            if not stat.digest:
-                continue
-            for path, value in stat.entries():
-                lines.append(f"{path}={canonical_value(value)}\n")
-        h = hashlib.sha256()
-        for line in sorted(lines):
-            h.update(line.encode())
-        return h.hexdigest()
-
-    def snapshot(self, label: Any) -> dict:
-        """Record the current dump under *label* (e.g. the global time)."""
-        snap = {"label": label, "stats": self.dump()}
-        self.snapshots.append(snap)
-        return snap
-
-    def dump_json(self, *, meta: Mapping[str, Any] | None = None) -> str:
-        doc = {
-            "meta": dict(meta or {}),
-            "digest": self.stats_digest(),
-            "stats": self.dump(),
-            "snapshots": self.snapshots,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 # ----------------------------------------------------------------- documents
+def flat_dump(*parts: Mapping[str, Any]) -> dict[str, Any]:
+    """One ``{path: value}`` dict of disjoint stat dicts, in sorted path order."""
+    out: dict[str, Any] = {}
+    for part in parts:
+        out.update(part)
+    if len(out) != sum(map(len, parts)):
+        raise StatError("a stat path is in more than one dict")
+    return dict(sorted(out.items()))
+
+
+def stats_digest(stats: Mapping[str, Any]) -> str:
+    """SHA-256 over the sorted ``path=value`` lines of *stats* (the dict the
+    digest covers), values rendered by :func:`canonical_value`."""
+    h = hashlib.sha256()
+    for line in sorted(f"{path}={canonical_value(value)}\n" for path, value in stats.items()):
+        h.update(line.encode())
+    return h.hexdigest()
+
+
+def stats_document(
+    meta: Mapping[str, Any], digest: str, stats: Mapping[str, Any], snapshots: list
+) -> str:
+    """The run's stats document: meta, digest, full dump and snapshots."""
+    doc = {"meta": dict(meta), "digest": digest, "stats": stats, "snapshots": snapshots}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dump_to_csv(stats: Mapping[str, Any]) -> str:
     """``stat,value`` lines in sorted path order (floats via ``repr``)."""
     lines = ["stat,value"]

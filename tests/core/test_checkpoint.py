@@ -1,8 +1,8 @@
 """Checkpoint/restore tests (DESIGN.md §8).
 
 The contract under test is **restore equivalence**: for each scheme, the
-stats digest (sha256 over the full registry dump, ``float.hex`` host times
-included) of
+stats digest (sha256 over the stats it covers, with ``float.hex`` host
+times checked beside it) of
 
 * an uninterrupted run with checkpointing *off*,
 * the same run with periodic checkpointing *on*, and
@@ -258,16 +258,42 @@ def test_time_zero_checkpoint(program, tmp_path):
 
 
 def test_registry_rebuilds_after_restore(program, tmp_path):
-    """The dropped registry (dump-time lambdas) reattaches lazily and still
-    sees the travelled slack histogram."""
+    """The engine's stats are plain data in the pickle: a restored engine
+    renders them from the travelled slack histogram and snapshots."""
     cp = str(tmp_path / "ck.pkl")
-    build(program, "q3", checkpoint_interval=300, checkpoint_path=cp).run()
+    build(
+        program, "q3", stats_interval=100, checkpoint_interval=300, checkpoint_path=cp
+    ).run()
     engine = load_checkpoint(cp)
-    assert engine._registry is None
+    travelled = list(engine.snapshots)
+    assert travelled and engine._slack_dist.count > 0
     result = engine.run()
     stats = result.stats
-    assert stats["engine.core_turns"] > 0  # sourced from the pickled _slack_dist
+    assert stats["engine.core_turns"] == engine._slack_dist.count
     assert stats["sim.completed"] == 1
+    assert result.snapshots[: len(travelled)] == travelled
+
+
+def test_restored_document_equals_the_uninterrupted_one(program, tmp_path):
+    """A checkpointed run's stats document — snapshots included — is the
+    document of its restore in a fresh process, byte for byte."""
+    cp = str(tmp_path / "ck.pkl")
+    full = build(
+        program, "q3", stats_interval=100, checkpoint_interval=300, checkpoint_path=cp
+    ).run()
+    script = (
+        "import sys\n"
+        "from repro.core.checkpoint import load_checkpoint\n"
+        f"sys.stdout.write(load_checkpoint({cp!r}).run().dump_json())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        cwd=str(Path(__file__).resolve().parents[2] / "src"),
+    )
+    document = full.dump_json()
+    assert len(json.loads(document)["snapshots"]) > 3
+    assert out.stdout == document
 
 
 # ------------------------------------------------------------- configuration

@@ -21,6 +21,8 @@ from repro.workloads.synthetic import TraceCore, sharing_workload
 from tests.core.threaded_harness import _LockedInQ
 
 SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su", "aq10-80"]
+#: The schemes that process requests in timestamp order.
+CONSERVATIVE = {"cc", "q10", "l10", "s9*"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -63,7 +65,7 @@ def test_random_workloads_terminate_with_invariants(
     assert result.execution_cycles > 0
     assert result.host_time > 0
     assert result.instructions == sum(c["committed"] for c in result.cores)
-    if engine.scheme.conservative:
+    if scheme in CONSERVATIVE:
         assert result.violations.simulation_state == 0
         assert result.violations.system_state == 0
 

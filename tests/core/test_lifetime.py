@@ -135,7 +135,7 @@ def test_a_run_engine_is_freed_when_dropped(kind, make, leftovers):
     ref = weakref.ref(engine)
     result = engine.run()
     assert result.completed
-    # Reading the stats builds the registry, whose sources read the engine.
+    # Reading the stats renders them from the engine.
     assert result.stats["target.instructions"] == result.instructions
     assert result.dump_json()
     del engine

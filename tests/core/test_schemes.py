@@ -58,7 +58,7 @@ class TestWindows:
         cc = CycleByCycle()
         assert cc.max_local(0) == 1
         assert cc.max_local(41) == 42
-        assert cc.gq_policy == "barrier" and cc.conservative
+        assert cc.gq_policy == "barrier"
 
     def test_quantum_window_aligns_to_boundaries(self):
         q = QuantumBased(10)
@@ -71,12 +71,12 @@ class TestWindows:
         s = BoundedSlack(9)
         assert s.max_local(0) == 9
         assert s.max_local(100) == 109
-        assert s.gq_policy == "immediate" and not s.conservative
+        assert s.gq_policy == "immediate"
 
     def test_oldest_first_is_conservative(self):
         s = OldestFirstBoundedSlack(9)
         assert s.max_local(5) == 14
-        assert s.gq_policy == "oldest" and s.conservative
+        assert s.gq_policy == "oldest"
 
     def test_lookahead_bounded_by_oldest_pending(self):
         la = Lookahead(10)
@@ -108,7 +108,7 @@ class TestAdaptiveQuantum:
         s = parse_scheme("aq10-160")
         assert isinstance(s, AdaptiveQuantum)
         assert s.min_quantum == 10 and s.max_quantum == 160
-        assert not s.conservative and s.gq_policy == "barrier"
+        assert s.gq_policy == "barrier"
 
     def test_bad_bounds_rejected(self):
         from repro.core.schemes import AdaptiveQuantum

@@ -1,13 +1,14 @@
-"""Engine <-> stats-registry integration: digest stability and thin views.
+"""Engine <-> stats dump integration: digest stability and thin views.
 
-The registry's ``stats_digest()`` is the machine-independent fingerprint of
+The digest of the stats it covers is the machine-independent fingerprint of
 simulated behaviour.  These tests pin the guarantees DESIGN.md §7 promises:
 
 * byte-identical across stepping modes (batched vs per-cycle single),
 * byte-identical across funcsim dispatch modes (predecoded vs oracle),
 * unperturbed by ``--stats-interval`` snapshotting,
+* the digest covers exactly the stats ``render_stats`` does not leave out,
 * every number of a ``SimulationResult`` is a read of its dump (a stat the
-  run does not register reads 0),
+  run does not render reads 0),
 * per-scheme digests match goldens checked into the repo
   (``tests/core/goldens/stats_digests.json``; regenerate deliberately with
   ``--update-goldens``).
@@ -25,7 +26,7 @@ from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
 from repro.core.results import HEADLINES, core_rows, kips, ran_cores
 from repro.lang import compile_source
-from repro.stats.registry import dump_to_csv
+from repro.stats.registry import dump_to_csv, stats_digest
 from repro.workloads.synthetic import sharing_workload
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "stats_digests.json"
@@ -89,11 +90,11 @@ def program_engine(
 
 @pytest.mark.parametrize("scheme", ["cc", "s9", "su"])
 def test_digest_identical_across_stepping_modes(scheme, program):
-    batched = program_engine(program, scheme, stepping="batched").run()
-    single = program_engine(program, scheme, stepping="single").run()
+    engines = [program_engine(program, scheme, stepping=s) for s in ("batched", "single")]
+    batched, single = (engine.run() for engine in engines)
     assert batched.stats_sha256 == single.stats_sha256
     # The whole digested dump matches, not just the hash of it.
-    assert {k: v for k, v in batched.stats.items()} != {}
+    assert engines[0].render_stats()[0] == engines[1].render_stats()[0]
     trace_b = trace_engine(scheme, stepping="batched").run()
     trace_s = trace_engine(scheme, stepping="single").run()
     assert trace_b.stats_sha256 == trace_s.stats_sha256
@@ -112,7 +113,7 @@ def test_snapshots_recorded_and_digest_unperturbed():
     snapped = snapped_engine.run()
     # Snapshotting is observation only: simulated behaviour cannot move.
     assert snapped.stats_sha256 == plain.stats_sha256
-    snapshots = snapped_engine.registry.snapshots
+    snapshots = snapped_engine.snapshots
     assert snapshots, "stats_interval=50 run recorded no snapshots"
     labels = [s["label"] for s in snapshots]
     assert labels == sorted(labels)
@@ -121,8 +122,8 @@ def test_snapshots_recorded_and_digest_unperturbed():
     # same contents.
     again = trace_engine("s9", stats_interval=50)
     again.run()
-    assert [s["label"] for s in again.registry.snapshots] == labels
-    assert again.registry.snapshots == snapshots
+    assert [s["label"] for s in again.snapshots] == labels
+    assert again.snapshots == snapshots
 
 
 @pytest.mark.parametrize("kind", ["program", "trace"])
@@ -149,8 +150,60 @@ def test_headline_attributes_read_the_dump(kind, program):
     assert result.instructions == sum(row["committed"] for row in result.cores)
     # The slack histogram saw one sample per core turn.
     assert stats["scheme.slack_cycles.count"] == stats["engine.core_turns"]
-    # Live digest off the attached registry matches the stored one.
-    assert result.registry.stats_digest() == result.stats_sha256
+    # A fresh render of the finished engine digests to the cached one.
+    assert stats_digest(engine.render_stats()[0]) == result.stats_sha256
+
+
+#: The stats the digest leaves out on every run: host-loop mechanics and the
+#: modeled host, then per core and per run, the ratio stats.
+LEFT_OUT = {
+    "engine.steps", "engine.manager_steps", "engine.manager_polls",
+    "engine.suspends", "engine.wakes_delivered", "engine.parks",
+    "engine.total_committed", "engine.core_turns",
+    "host.makespan", "host.busy", "host.steps", "host.utilization",
+    "mem.l2.miss_rate",
+}
+#: The ratio stats of each core, by kind of run: trace cores render no L1
+#: and no predictor, and only the OoO core has a predictor.
+CORE_RATIOS = {
+    "program": ("ipc", "l1d.miss_rate"),
+    "ooo": ("ipc", "l1d.miss_rate", "branch.accuracy"),
+    "trace": ("ipc",),
+}
+
+
+@pytest.mark.parametrize("kind", ["program", "ooo", "trace"])
+def test_left_out_paths_are_exactly_the_named_set(kind, program):
+    if kind == "trace":
+        engine = trace_engine("s9")
+    else:
+        target = replace(PROGRAM_TARGET, core_model="ooo") if kind == "ooo" else PROGRAM_TARGET
+        engine = SequentialEngine(program, target=target, host=HOST, sim=replace(SIM, scheme="s9"))
+    result = engine.run()
+    covered, left_out = engine.render_stats()
+    assert set(left_out) == LEFT_OUT | {
+        f"core{i}.{name}" for i in range(4) for name in CORE_RATIOS[kind]
+    }
+    assert not set(covered) & set(left_out)
+    assert {**covered, **left_out} == result.stats
+
+
+@pytest.mark.parametrize("kind", ["program", "trace"])
+def test_digest_covers_exactly_the_covered_stats(kind, program):
+    engine = trace_engine("q10") if kind == "trace" else program_engine(program, "q10")
+    result = engine.run()
+    covered, _ = engine.render_stats()
+    assert stats_digest(covered) == result.stats_sha256
+    # A left-out value moves: the digest does not.
+    engine.engine_steps += 1
+    engine.hostmodel.busy += 1.0
+    covered, left_out = engine.render_stats()
+    assert left_out["engine.steps"] == result.stats["engine.steps"] + 1
+    assert left_out["host.utilization"] != result.stats["host.utilization"]
+    assert stats_digest(covered) == result.stats_sha256
+    # A covered value moves: so does the digest.
+    engine.manager.barriers_completed += 1
+    assert stats_digest(engine.render_stats()[0]) != result.stats_sha256
 
 
 def test_dump_json_document_shape(program):

@@ -94,8 +94,8 @@ def test_registered_workloads_match_single_stepping(name, scheme, hosts):
     assert_same_schedule(result, single.run())
     # Engagement, so the branch can never be a path nothing takes.
     assert fused.fused_barriers >= (0.9 if scheme == "cc" else 0.5) * result.barriers
-    # Folded like ``manager_polls`` but kept out of the registry, whose dump
-    # is embedded in store records and sweep documents.
+    # Folded like ``manager_polls`` but kept out of the stats dump, which is
+    # embedded in store records and sweep documents.
     assert not any("fused" in key for key in result.stats)
 
 
@@ -203,8 +203,8 @@ def test_snapshot_due_leaves_the_branch():
     fused = engine_for(program, "cc", 8, stats_interval=997)
     single = engine_for(program, "cc", 8, stats_interval=997, stepping="single")
     assert_same_schedule(fused.run(), single.run())
-    assert len(fused.registry.snapshots) > 5
-    assert fused.registry.snapshots == single.registry.snapshots
+    assert len(fused.snapshots) > 5
+    assert fused.snapshots == single.snapshots
     assert fused.fused_barriers > 0
 
 

@@ -1,83 +1,108 @@
-"""Unit tests for the hierarchical stats registry (repro.stats.registry)."""
+"""Unit tests for a run's stats dump (repro.stats.registry).
+
+The engine renders a run's stats as two flat dicts — the stats the digest
+covers and the stats it leaves out (``SequentialEngine.render_stats``);
+everything else here is a pure function over such a dump.
+"""
 
 import json
+import re
 
 import pytest
 
+from repro.core.config import SimConfig
+from repro.core.engine import SequentialEngine
 from repro.stats.registry import (
     Distribution,
     StatError,
-    StatsRegistry,
     canonical_value,
     diff_dumps,
     dump_to_csv,
+    flat_dump,
     load_dump,
     render_dump,
+    stats_digest,
+    stats_document,
 )
+from repro.workloads.registry import make_workload
+
+#: One well-formed path component (brackets admit resource names like
+#: ``l2bank[3]``, ``*`` admits scheme names like ``s9*``).
+COMPONENT = re.compile(r"[a-zA-Z0-9_\-\[\]*]+")
+#: The ratio stats: left out of the digest, redundant with their operands.
+RATIOS = ("ipc", "l1d.miss_rate")
+
+
+@pytest.fixture(scope="module")
+def fft8():
+    """fft ``tiny`` on the default 8 target cores: cores 4-7 never run."""
+    engine = SequentialEngine(
+        make_workload("fft", scale="tiny").program,
+        sim=SimConfig(scheme="s9", stats_interval=2000),
+    )
+    result = engine.run()
+    assert engine.target.num_cores == 8 and result.ran == (0, 1, 2, 3)
+    return engine, result
 
 
 class TestScalar:
-    def test_direct_set_and_add(self):
-        reg = StatsRegistry()
-        s = reg.scalar("a")
-        assert s.value == 0
-        s.add()
-        s.add(4)
-        assert s.value == 5
-        s.set(2)
-        assert s.value == 2
-
     def test_sourced_scalar_resolves_at_dump_time(self):
-        reg = StatsRegistry()
-        box = {"n": 1}
-        reg.scalar("n", source=lambda: box["n"])
-        assert reg.dump() == {"n": 1}
-        box["n"] = 7
-        assert reg.dump() == {"n": 7}
-
-    def test_sourced_scalar_rejects_mutation(self):
-        reg = StatsRegistry()
-        s = reg.scalar("n", source=lambda: 3)
-        with pytest.raises(StatError):
-            s.set(1)
-        with pytest.raises(StatError):
-            s.add()
+        """A stat is the component's counter as it is when rendered."""
+        engine = SequentialEngine(
+            make_workload("fft", scale="tiny").program, sim=SimConfig(scheme="su")
+        )
+        before, _ = engine.render_stats()
+        assert before["target.instructions"] == 0 and before["sim.completed"] == 0
+        result = engine.run()
+        after, _ = engine.render_stats()
+        assert after["target.instructions"] == result.instructions > 0
+        assert after["sim.completed"] == 1
 
 
 class TestFormula:
-    def test_evaluated_at_dump_time(self):
-        reg = StatsRegistry()
-        hits = reg.scalar("hits")
-        total = reg.scalar("total")
-        reg.formula("rate", lambda: hits.value / total.value)
-        hits.set(3)
-        total.set(4)
-        assert reg.dump()["rate"] == pytest.approx(0.75)
+    def test_evaluated_at_dump_time(self, fft8):
+        _, result = fft8
+        stats = result.stats
+        for i in result.ran:
+            core = f"core{i}"
+            assert stats[f"{core}.ipc"] == stats[f"{core}.committed"] / stats[f"{core}.cycles"]
+            assert stats[f"{core}.l1d.miss_rate"] == (
+                stats[f"{core}.l1d.misses"] / stats[f"{core}.l1d.accesses"]
+            )
+        assert stats["mem.l2.miss_rate"] == stats["mem.l2.misses"] / stats["mem.l2.accesses"]
+        assert stats["host.utilization"] == (
+            stats["host.busy"] / (stats["host.makespan"] * stats["sim.host_cores"])
+        )
 
-    def test_zero_division_yields_zero(self):
-        reg = StatsRegistry()
-        reg.formula("rate", lambda: 1 / 0)
-        assert reg.dump()["rate"] == 0.0
+    def test_zero_division_yields_zero(self, fft8):
+        _, result = fft8
+        stats = result.stats
+        for i in range(4, 8):
+            assert stats[f"core{i}.cycles"] == stats[f"core{i}.l1d.accesses"] == 0
+            assert stats[f"core{i}.ipc"] == stats[f"core{i}.l1d.miss_rate"] == 0.0
 
-    def test_excluded_from_digest_by_default(self):
-        reg = StatsRegistry()
-        reg.scalar("a", value=1)
-        base = reg.stats_digest()
-        reg.formula("derived", lambda: 42.0)
-        assert reg.stats_digest() == base
+    def test_excluded_from_digest_by_default(self, fft8):
+        engine, _ = fft8
+        covered, left_out = engine.render_stats()
+        ratios = {f"core{i}.{name}" for i in range(8) for name in RATIOS}
+        assert ratios | {"mem.l2.miss_rate", "host.utilization"} <= set(left_out)
+        assert not any(path.endswith(("ipc", "miss_rate", "utilization")) for path in covered)
 
 
 class TestVector:
-    def test_sequence_expands_by_index(self):
-        reg = StatsRegistry()
-        banks = [5, 0, 2]
-        reg.vector("bank", lambda: banks)
-        assert reg.dump() == {"bank.0": 5, "bank.1": 0, "bank.2": 2}
+    def test_sequence_expands_by_index(self, fft8):
+        engine, result = fft8
+        banks = engine.memsys.l2.bank_accesses
+        assert [result.stats[f"mem.l2.bank_accesses.{i}"] for i in range(len(banks))] == list(banks)
+        assert f"mem.l2.bank_accesses.{len(banks)}" not in result.stats
 
-    def test_mapping_expands_by_sorted_key(self):
-        reg = StatsRegistry()
-        reg.vector("by_resource", lambda: {"mem": 2, "lock": 1})
-        assert list(reg.dump()) == ["by_resource.lock", "by_resource.mem"]
+    def test_mapping_expands_by_sorted_key(self, fft8):
+        engine, result = fft8
+        by_resource = engine.counters.by_resource
+        prefix = "violations.by_resource."
+        paths = [p for p in result.stats if p.startswith(prefix)]
+        assert paths == sorted(prefix + str(k) for k in by_resource)
+        assert all(result.stats[prefix + str(k)] == n for k, n in by_resource.items())
 
 
 class TestDistribution:
@@ -109,77 +134,63 @@ class TestDistribution:
 
 class TestRegistry:
     def test_duplicate_path_rejected(self):
-        reg = StatsRegistry()
-        reg.scalar("a.b")
+        assert flat_dump({"a.b": 1}, {"a.c": 2}) == {"a.b": 1, "a.c": 2}
         with pytest.raises(StatError):
-            reg.scalar("a.b")
+            flat_dump({"a.b": 1}, {"a.b": 2})
 
-    def test_bad_component_rejected(self):
-        reg = StatsRegistry()
-        with pytest.raises(StatError):
-            reg.scalar("spaced name")
-        with pytest.raises(StatError):
-            reg.scalar("")
+    def test_bad_component_rejected(self, fft8):
+        """No rendered path has a component outside DESIGN.md §7's charset
+        (CSV, ``stats diff`` and the digest lines rely on it)."""
+        _, result = fft8
+        for snap in [{"stats": result.stats}, *result.snapshots]:
+            for path in snap["stats"]:
+                assert all(COMPONENT.fullmatch(part) for part in path.split(".")), path
 
-    def test_groups_prefix_paths(self):
-        reg = StatsRegistry()
-        core = reg.group("core0")
-        core.group("l1d").scalar("misses", value=3)
-        assert reg.dump() == {"core0.l1d.misses": 3}
-        assert reg.get("core0.l1d.misses").value == 3
-        with pytest.raises(StatError):
-            reg.get("core0.l1d.nope")
+    def test_groups_prefix_paths(self, fft8):
+        """Every path sits under one of DESIGN.md §7's top-level groups."""
+        _, result = fft8
+        tops = {path.split(".", 1)[0] for path in result.stats}
+        assert tops == {
+            "sim", "engine", "host", "scheme", "manager", "target",
+            "mem", "violations", "sync", *(f"core{i}" for i in range(8)),
+        }
 
-    def test_dump_is_sorted(self):
-        reg = StatsRegistry()
-        reg.scalar("z", value=1)
-        reg.scalar("a", value=2)
-        reg.scalar("m.n", value=3)
-        assert list(reg.dump()) == ["a", "m.n", "z"]
+    def test_dump_is_sorted(self, fft8):
+        assert list(flat_dump({"z": 1}, {"a": 2, "m.n": 3})) == ["a", "m.n", "z"]
+        _, result = fft8
+        assert list(result.stats) == sorted(result.stats)
 
-    def test_digest_excludes_unmarked_stats(self):
-        reg = StatsRegistry()
-        reg.scalar("behaviour", value=1)
-        base = reg.stats_digest()
-        host = reg.scalar("host_detail", value=10, digest=False)
-        assert reg.stats_digest() == base
-        host.set(99)
-        assert reg.stats_digest() == base
+    def test_digest_excludes_unmarked_stats(self, fft8):
+        engine, result = fft8
+        covered, left_out = engine.render_stats()
+        assert stats_digest(covered) == result.stats_sha256
+        assert stats_digest({**covered, **left_out}) != result.stats_sha256
 
     def test_digest_changes_with_digested_values(self):
-        reg = StatsRegistry()
-        s = reg.scalar("a", value=1)
-        base = reg.stats_digest()
-        s.add()
-        assert reg.stats_digest() != base
+        assert stats_digest({"a": 1}) != stats_digest({"a": 2})
+        assert stats_digest({"a": 0.5}) != stats_digest({"a": 0.5000000000000001})
 
     def test_digest_is_registration_order_independent(self):
-        a = StatsRegistry()
-        a.scalar("x", value=1)
-        a.scalar("y", value=2)
-        b = StatsRegistry()
-        b.scalar("y", value=2)
-        b.scalar("x", value=1)
-        assert a.stats_digest() == b.stats_digest()
+        assert stats_digest({"x": 1, "y": 2}) == stats_digest({"y": 2, "x": 1})
 
-    def test_snapshot_records_labelled_dumps(self):
-        reg = StatsRegistry()
-        s = reg.scalar("a")
-        reg.snapshot(100)
-        s.add(5)
-        reg.snapshot(200)
-        assert [snap["label"] for snap in reg.snapshots] == [100, 200]
-        assert reg.snapshots[0]["stats"] == {"a": 0}
-        assert reg.snapshots[1]["stats"] == {"a": 5}
+    def test_snapshot_records_labelled_dumps(self, fft8):
+        engine, result = fft8
+        snapshots = engine.snapshots
+        assert snapshots and result.snapshots is snapshots
+        labels = [snap["label"] for snap in snapshots]
+        assert labels == sorted(labels) and labels[0] >= 2000
+        for snap in snapshots:
+            assert list(snap["stats"]) == sorted(snap["stats"])
+            assert set(snap["stats"]) <= set(result.stats)
+            assert snap["stats"]["target.global_time"] == snap["label"]
+            assert snap["stats"]["sim.completed"] == 0
 
     def test_dump_json_roundtrip(self, tmp_path):
-        reg = StatsRegistry()
-        reg.scalar("a", value=3)
-        reg.snapshot("t0")
-        text = reg.dump_json(meta={"scheme": "s9"})
+        snapshots = [{"label": "t0", "stats": {"a": 0}}]
+        text = stats_document({"scheme": "s9"}, stats_digest({"a": 3}), {"a": 3}, snapshots)
         doc = json.loads(text)
         assert doc["meta"] == {"scheme": "s9"}
-        assert doc["digest"] == reg.stats_digest()
+        assert doc["digest"] == stats_digest({"a": 3})
         assert doc["stats"] == {"a": 3}
         assert doc["snapshots"][0]["label"] == "t0"
         path = tmp_path / "run.json"
@@ -196,10 +207,7 @@ class TestRegistry:
             load_dump(str(bad))
 
     def test_dump_csv(self):
-        reg = StatsRegistry()
-        reg.scalar("b", value=2)
-        reg.scalar("a", value=0.5)
-        assert dump_to_csv(reg.dump()) == "stat,value\na,0.5\nb,2\n"
+        assert dump_to_csv({"b": 2, "a": 0.5}) == "stat,value\na,0.5\nb,2\n"
         assert dump_to_csv({"x": 1}) == "stat,value\nx,1\n"
 
 
