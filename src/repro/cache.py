@@ -232,10 +232,9 @@ def compile_source(source: str, *, name: str = "<slang>"):
 
     Two calls that name the same ``programs`` entry return the identical
     object — one disk read, or one compile, per process — so the predecode
-    tables and timing blocks a Program carries survive from one job to the
-    next.  Sharing is safe: a Program is frozen and its derived tables are
-    stateless between calls.  With the cache disabled every call compiles
-    afresh.
+    tables a Program carries survive from one job to the next.  Sharing is
+    safe: a Program is frozen and its derived tables are stateless between
+    calls.  With the cache disabled every call compiles afresh.
     """
     from repro.lang import compiler
 

@@ -268,16 +268,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-        result = run_functional(program, dispatch=args.dispatch)
+        result = run_functional(program)
         profiler.disable()
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
     else:
         t0 = time.perf_counter()
-        result = run_functional(program, dispatch=args.dispatch)
+        result = run_functional(program)
         wall = time.perf_counter() - t0
         kips = result.instructions / wall / 1000.0 if wall else 0.0
         print(
-            f"{args.workload} ({args.scale}, {args.dispatch}): "
+            f"{args.workload} ({args.scale}): "
             f"{result.instructions} instructions in {wall:.3f}s = {kips:.1f} KIPS"
         )
     if result.exit_code not in (0, None):
@@ -635,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="functional KIPS measurement of one workload")
     bench.add_argument("--workload", default="fft")
     bench.add_argument("--scale", default="tiny", choices=_SCALES)
-    bench.add_argument("--dispatch", default="predecoded", choices=("predecoded", "oracle"))
     bench.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 20 by cumulative time")
     bench.set_defaults(func=_cmd_bench)

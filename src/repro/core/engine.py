@@ -244,7 +244,6 @@ class SequentialEngine:
                     i, self._replay_ops[i], L1Cache(self.target.l1),
                     ct.outq.push, self.system,
                     word_tracker=self.tracker,
-                    fastforward=self.sim.fastforward,
                 )
                 self.cores.append(ct)
         else:
@@ -323,11 +322,7 @@ class SequentialEngine:
     def _build_core_model(self, core_id: int, program: Program, ct: CoreThread):
         """Instantiate the configured core model (inorder | ooo)."""
         assert self.image is not None and self.system is not None
-        common = dict(
-            word_tracker=self.tracker,
-            fastforward=self.sim.fastforward,
-            dispatch=self._dispatch,
-        )
+        common = dict(word_tracker=self.tracker, dispatch=self._dispatch)
         if self.target.core_model == "inorder":
             from repro.cpu.inorder import InOrderCore
 

@@ -49,7 +49,7 @@ class SimulationManager:
         self.windows_raised = 0
         self.gq_max_depth = 0
         self._gq_depth = 0
-        # Hoisted policy facts (schemes are immutable descriptors).
+        # Hoisted policy facts (a scheme's policy and class never change).
         self._barrier = scheme.gq_policy == "barrier"
         self._lookahead = isinstance(scheme, Lookahead)
         self._adapt = getattr(scheme, "adapt", None)

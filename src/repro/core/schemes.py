@@ -40,9 +40,11 @@ __all__ = [
 INFINITY = 1 << 62
 
 
-@dataclass(frozen=True)
+@dataclass
 class Scheme:
-    """Base class: immutable policy descriptor."""
+    """Base class: a scheme's window rule and request policy.  Subclasses add
+    their parameters; :class:`AdaptiveQuantum` also moves its barrier as the
+    run goes (:meth:`AdaptiveQuantum.adapt`)."""
 
     name: str
     #: "immediate" | "barrier" | "oldest"
@@ -76,10 +78,10 @@ class QuantumBased(Scheme):
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
         super().__init__(name=f"q{quantum}", gq_policy="barrier", slack=quantum)
-        object.__setattr__(self, "quantum", quantum)
+        self.quantum = quantum
 
     def max_local(self, global_time: int) -> int:
-        q: int = self.quantum  # type: ignore[attr-defined]
+        q = self.quantum
         return (global_time // q + 1) * q
 
 
@@ -103,34 +105,34 @@ class AdaptiveQuantum(Scheme):
             gq_policy="barrier",
             slack=max_quantum,
         )
-        object.__setattr__(self, "min_quantum", min_quantum)
-        object.__setattr__(self, "max_quantum", max_quantum)
-        object.__setattr__(self, "current_quantum", min_quantum)
+        self.min_quantum = min_quantum
+        self.max_quantum = max_quantum
+        self.current_quantum = min_quantum
         # The barrier point must be an *absolute* boundary: if it were
         # global-relative it would slide with every global-time update and
         # the barrier would never complete (requests would starve).
-        object.__setattr__(self, "next_boundary", min_quantum)
+        self.next_boundary = min_quantum
         #: Requests per quantum cycle above which the quantum shrinks /
         #: below which it grows (hysteresis band).
-        object.__setattr__(self, "dense_rate", 0.10)
-        object.__setattr__(self, "sparse_rate", 0.02)
+        self.dense_rate = 0.10
+        self.sparse_rate = 0.02
 
     def max_local(self, global_time: int) -> int:
-        return self.next_boundary  # type: ignore[attr-defined]
+        return self.next_boundary
 
     def adapt(self, requests: int, quantum_cycles: int) -> None:
         """Manager feedback hook, called at each barrier: pick the next
         quantum from the observed request rate, then move the boundary."""
         if quantum_cycles <= 0:
-            quantum_cycles = self.current_quantum  # type: ignore[attr-defined]
+            quantum_cycles = self.current_quantum
         rate = requests / quantum_cycles
-        q: int = self.current_quantum  # type: ignore[attr-defined]
-        if rate > self.dense_rate:  # type: ignore[attr-defined]
-            q = max(self.min_quantum, q // 2)  # type: ignore[attr-defined]
-        elif rate < self.sparse_rate:  # type: ignore[attr-defined]
-            q = min(self.max_quantum, q * 2)  # type: ignore[attr-defined]
-        object.__setattr__(self, "current_quantum", q)
-        object.__setattr__(self, "next_boundary", self.next_boundary + q)  # type: ignore[attr-defined]
+        q = self.current_quantum
+        if rate > self.dense_rate:
+            q = max(self.min_quantum, q // 2)
+        elif rate < self.sparse_rate:
+            q = min(self.max_quantum, q * 2)
+        self.current_quantum = q
+        self.next_boundary += q
 
 
 class Lookahead(Scheme):
@@ -142,12 +144,11 @@ class Lookahead(Scheme):
         if lookahead < 1:
             raise ValueError("lookahead must be >= 1")
         super().__init__(name=f"l{lookahead}", gq_policy="oldest", slack=lookahead)
-        object.__setattr__(self, "lookahead", lookahead)
+        self.lookahead = lookahead
 
     def max_local(self, global_time: int, oldest_pending_ts: int | None = None) -> int:
-        la: int = self.lookahead  # type: ignore[attr-defined]
         base = global_time if oldest_pending_ts is None else min(global_time, oldest_pending_ts)
-        return base + la
+        return base + self.lookahead
 
 
 class BoundedSlack(Scheme):

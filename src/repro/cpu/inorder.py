@@ -69,15 +69,13 @@ class InOrderPipeline:
         emit: Callable[[Event], None],
         system: SystemBase,
         word_tracker: WordOrderTracker,
-        fastforward: bool,
     ) -> None:
         self.core_id = core_id
         self.l1d = l1d
         self.emit = emit
         self.system = system
         self.word_tracker = word_tracker
-        self.fastforward = fastforward
-        if fastforward:
+        if word_tracker.fastforward:
             # A fast-forwarded store moves ``_busy_until`` (``_retire_mem``),
             # which an ``advance`` loop keeps in a local.
             self.advance = None
@@ -203,9 +201,9 @@ class InOrderPipeline:
         tracker, then whatever architectural state the front end keeps.
 
         A fast-forwarded store leaves its compensation in ``_busy_until``
-        (``now + ff`` when ``observe_store`` returns *ff* and
-        ``self.fastforward`` is set); the pipeline folds its own latency in
-        with ``max``, never overwrites.
+        (``now + ff`` when ``observe_store`` returns a nonzero *ff*, which
+        only a fast-forwarding tracker does); the pipeline folds its own
+        latency in with ``max``, never overwrites.
         """
         raise NotImplementedError
 
@@ -280,11 +278,10 @@ class InOrderCore(InOrderPipeline):
         system: SystemEmulation,
         *,
         word_tracker: WordOrderTracker,
-        fastforward: bool = False,
         dispatch: str = "predecoded",
         tracer=None,
     ) -> None:
-        super().__init__(core_id, l1d, emit, system, word_tracker, fastforward)
+        super().__init__(core_id, l1d, emit, system, word_tracker)
         self.program = program
         self.memory = memory
         # Optional trace-capture recorder (repro.trace.capture.CoreRecorder).
@@ -517,12 +514,12 @@ class InOrderCore(InOrderPipeline):
         if info.is_amo:
             tracker.observe_load(addr, self.core_id, now)
             ff = tracker.observe_store(addr, self.core_id, now)
-            if ff and self.fastforward:
+            if ff:
                 self._busy_until = now + ff
             do_amo(state, insn, self.memory, addr)
         elif info.is_store:
             ff = tracker.observe_store(addr, self.core_id, now)
-            if ff and self.fastforward:
+            if ff:
                 self._busy_until = now + ff
             do_store(state, insn, self.memory, addr)
         else:

@@ -1,19 +1,20 @@
 """Pure functional interpreter (no timing) for single-threaded programs.
 
-This is the toolchain's golden reference: compiler tests, assembler examples
-and workload oracles run here, independent of every timing model.  It
-supports the non-blocking subset of the syscall API (exit / prints / sbrk /
-clock / thread_id / num_threads) plus trivially-satisfiable single-thread
-synchronization (locks, one-participant barriers, semaphores), so registered
-workloads run here at ``nthreads=1``.  Multi-threaded programs must run on
-the slack engine (:mod:`repro.core`), which provides the full Table 1
-emulation.
+This is the toolchain's single-thread reference: compiler tests, assembler
+examples, ``repro compile --run`` and ``repro bench`` run here, independent
+of every timing model.  (Registered workloads are checked against their
+numpy oracles, not against this interpreter.)  It supports the non-blocking
+subset of the syscall API (exit / prints / sbrk / clock / thread_id /
+num_threads) plus trivially-satisfiable single-thread synchronization
+(locks, one-participant barriers, semaphores), so registered workloads run
+here at ``nthreads=1``.  Multi-threaded programs must run on the slack
+engine (:mod:`repro.core`), which provides the full Table 1 emulation.
 
-Two execution layers are available via ``dispatch=``: ``"predecoded"``
-(default) runs the per-PC function tables of :mod:`repro.cpu.predecode`
-including superblocks; ``"oracle"`` runs the original
-:func:`repro.cpu.funcsim.execute` loop.  Both produce bit-identical
-architectural trajectories (asserted by tests/core/test_dispatch_differential.py).
+One loop: fetch the :class:`Instruction` and run it through
+:func:`repro.cpu.funcsim.execute`, the semantic oracle the predecoded
+templates of :mod:`repro.cpu.predecode` are tested against.  A
+``TargetFault`` leaves the pc and instruction count at the faulting
+instruction.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ from dataclasses import dataclass, field
 from repro._util import align_up
 from repro.cpu.arch import REG_A0, REG_A7, REG_SP, REG_TP, ArchState, TargetMemory
 from repro.cpu.funcsim import NEXT, execute
-from repro.cpu.predecode import (
-    K_BRANCH,
-    K_ECALL,
-    K_HALT,
-    K_JUMP,
-    K_SIMPLE,
-    predecode_program,
-)
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.program import TEXT_BASE, Program
 from repro.sysapi.syscalls import Sys
@@ -70,11 +63,7 @@ class FunctionalInterpreter:
         *,
         memory_bytes: int = 16 * 1024 * 1024,
         stack_bytes: int = 1 << 20,
-        dispatch: str = "predecoded",
     ) -> None:
-        if dispatch not in ("predecoded", "oracle"):
-            raise ValueError(f"unknown dispatch mode {dispatch!r}")
-        self.dispatch = dispatch
         self.program = program
         self.mem = TargetMemory(memory_bytes)
         self.mem.write_words(TEXT_BASE, program.encoded_text())
@@ -169,8 +158,6 @@ class FunctionalInterpreter:
 
     def run(self, max_instructions: int = 50_000_000) -> InterpResult:
         """Run until ``exit``/``halt`` or the instruction budget is exhausted."""
-        if self.dispatch == "predecoded":
-            return self._run_predecoded(max_instructions)
         state = self.state
         mem = self.mem
         while not state.halted:
@@ -192,85 +179,6 @@ class FunctionalInterpreter:
                 state.pc += INSTRUCTION_BYTES
             else:
                 state.pc = outcome.next_pc
-        return InterpResult(
-            exit_code=self.exit_code if self.exit_code is not None else 0,
-            instructions=self.instructions,
-            output=self.output,
-            memory=mem,
-            state=state,
-        )
-
-    def _run_predecoded(self, max_instructions: int) -> InterpResult:
-        """Predecoded run loop: same trajectory as the oracle loop.
-
-        The PC and instruction count live in locals and are written back to
-        ``self.state`` / ``self.instructions`` only at syscalls, halts and
-        errors — exactly the moments the oracle path makes them observable.
-        Superblocks fire only when the whole run fits the remaining budget;
-        otherwise the per-instruction path reproduces the oracle's raise
-        point bit-for-bit.  A ``TargetFault`` on the per-instruction path
-        reports the oracle's pc and count; one raised inside a superblock
-        reports the block's entry (registers and memory hold the effects of
-        the block's instructions before the faulting one).
-        """
-        pre = predecode_program(self.program)
-        kinds = pre.kinds
-        runs = pre.runs
-        eas = pre.eas
-        applies = pre.applies
-        block_runs, block_lens = pre.functional_blocks()
-        limit = pre.size * INSTRUCTION_BYTES
-        state = self.state
-        mem = self.mem
-        x = state.x
-        f = state.f
-        count = self.instructions
-        pc = state.pc
-        try:
-            while not state.halted:
-                offset = pc - TEXT_BASE
-                if offset & 7 or not 0 <= offset < limit:
-                    raise InterpError(f"PC {pc:#x} outside text segment")
-                i = offset >> 3
-                block = block_runs[i]
-                if block is not None and count + block_lens[i] <= max_instructions:
-                    target = block(x, f, mem)
-                    count += block_lens[i]
-                    pc = target if target is not None else pc + block_lens[i] * INSTRUCTION_BYTES
-                    continue
-                if count >= max_instructions:
-                    raise InterpError(f"exceeded {max_instructions} instructions (runaway program?)")
-                kind = kinds[i]
-                if kind == K_SIMPLE:
-                    runs[i](x, f)
-                    count += 1
-                    pc += INSTRUCTION_BYTES
-                elif kind == K_BRANCH:
-                    target = runs[i](x, f)
-                    count += 1
-                    pc = target if target is not None else pc + INSTRUCTION_BYTES
-                elif kind == K_JUMP:
-                    pc = runs[i](x, f)
-                    count += 1
-                elif kind == K_ECALL:
-                    count += 1
-                    state.pc = pc
-                    self.instructions = count
-                    next_pc = self._syscall()
-                    pc = next_pc if next_pc is not None else pc + INSTRUCTION_BYTES
-                elif kind == K_HALT:
-                    count += 1
-                    state.halted = True
-                    if self.exit_code is None:
-                        self.exit_code = 0
-                    break
-                else:  # K_LOAD / K_STORE / K_AMO
-                    applies[i](x, f, mem, eas[i](x))
-                    count += 1
-                    pc += INSTRUCTION_BYTES
-        finally:
-            state.pc = pc
-            self.instructions = count
         return InterpResult(
             exit_code=self.exit_code if self.exit_code is not None else 0,
             instructions=self.instructions,

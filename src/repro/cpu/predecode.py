@@ -8,16 +8,9 @@ operands of a given text word never change.  This module pays it **once per
 program**: every text word is rendered through its opcode's *source
 template* (:data:`_TEMPLATES`, the one statement of predecoded semantics)
 with register indices and immediates as literals, and the rendered source is
-compiled into Python functions.  Two forms come from the same templates:
-
-* **per-PC functions** — one instruction each, the tables the in-order core
-  (:mod:`repro.cpu.inorder`), the out-of-order core (:mod:`repro.cpu.ooo`)
-  and the functional interpreter (:mod:`repro.cpu.interp`) index by text
-  position;
-* **functional superblocks** — straight-line runs of ALU/memory instructions,
-  optionally ended by a branch or jump, one function per run, so the
-  interpreter executes a whole loop body per Python call (built on its first
-  use: timing runs never call them).
+compiled into one Python function per text word — the per-PC tables the
+in-order core (:mod:`repro.cpu.inorder`) and the out-of-order core
+(:mod:`repro.cpu.ooo`) index by text position.
 
 The timing cores only swap the *execution* of each instruction — fetch
 order, latencies, cache/memory moments and syscall handling are untouched,
@@ -59,7 +52,6 @@ __all__ = [
     "K_AMO",
     "K_ECALL",
     "K_HALT",
-    "MIN_SUPERBLOCK",
 ]
 
 # Instruction kinds (dense ints so consumers can compare with ==).
@@ -71,9 +63,6 @@ K_STORE = 4   # sd/fsd:    ea(x) -> addr, apply(x, f, mem, addr)
 K_AMO = 5     # amoswap/amoadd: ea + apply (engines use their oracle path)
 K_ECALL = 6   # system layer decides; no function
 K_HALT = 7    # no function
-
-#: Minimum straight-line run length worth compiling into a superblock.
-MIN_SUPERBLOCK = 2
 
 _KIND_BY_OP: dict[Op, int] = {}
 for _op_key, _info in OPINFO.items():
@@ -227,19 +216,15 @@ def _addr_lines(a: int, imm: int, lines: list) -> str:
 
 
 def _emit_insn(insn: Instruction, lines: list, addr: str | None = None) -> None:
-    """Append the rendered template of one body instruction to *lines*.
-
-    *addr* is the address expression a memory instruction's effect uses; left
-    out, the effective-address computation is emitted in front of the effect.
-    """
+    """Append the rendered template of one register-only or memory
+    instruction to *lines*; *addr* is the address expression a memory
+    instruction's effect uses."""
     template = _TEMPLATES[insn.op]
     if insn.rd == 0 and insn.info.writes_int:
         if not insn.is_mem:
             return  # x0 is hardwired to zero: nothing to execute
         # An x0 load or AMO: the access (and any fault) still happens.
         template = template.replace("x[{d}] = ", "")
-    if insn.is_mem and addr is None:
-        addr = _addr_lines(insn.rs1, insn.imm, lines)
     lines.append(
         template.format(
             d=insn.rd, a=insn.rs1, b=insn.rs2, imm=insn.imm, addr=addr,
@@ -321,70 +306,6 @@ def predecode_instruction(insn: Instruction, pc: int):
     return (kind, *_compile(defs))
 
 
-# --------------------------------------------------------------- superblocks
-#
-# A superblock is a straight-line run of instructions from a block leader,
-# plus the branch or jump that ends it when there is one, compiled into one
-# function with the templates inlined (no per-instruction call); the parallel
-# ``lens`` table holds its static instruction count.  Superblocks serve only
-# the functional interpreter, where every memory effect is immediate — so the
-# body may hold loads/stores/AMOs alongside ALU work.  The timing cores run
-# per-PC functions: a timing step must stop at every cycle the model observes
-# (latencies, cache moments, InQ routing).  Signature
-# ``block(x, f, mem) -> int | None``: the target when the terminator is
-# taken, else ``None`` (fall through past the block).
-
-_ELIGIBLE_BODY = (K_SIMPLE, K_LOAD, K_STORE, K_AMO)
-_TERMINATORS = (K_BRANCH, K_JUMP)
-
-
-def _build_blocks(pre: PredecodedProgram) -> tuple[list, list]:
-    """Compile the superblocks of a program: ``(runs, lens)`` by text index.
-
-    Leaders are every statically-reachable block start: the entry point,
-    every symbol (jalr targets are function entries), every static
-    branch/jump target, and the successor of every instruction a block body
-    cannot hold.  Dynamic control flow into a non-leader is still correct —
-    the per-instruction tables always exist; it just won't hit a superblock.
-    """
-    program = pre.program
-    text, kinds, n = program.text, pre.kinds, pre.size
-    body = [k in _ELIGIBLE_BODY for k in kinds]
-    term = [k in _TERMINATORS for k in kinds]
-    body.append(False)  # sentinels: a run ends at the end of the text
-    term.append(False)
-    leaders = {0, (program.entry - TEXT_BASE) >> 3}
-    leaders.update((addr - TEXT_BASE) >> 3 for addr in program.symbols.values() if not addr & 7)
-    for i, insn in enumerate(text):
-        if not body[i]:
-            leaders.add(i + 1)
-        if kinds[i] == K_BRANCH or insn.op is Op.JAL:
-            target = TEXT_BASE + i * INSTRUCTION_BYTES + insn.imm
-            if not target & 7:
-                leaders.add((target - TEXT_BASE) >> 3)
-    defs: list = [None] * n
-    lens = [0] * n
-    for i in sorted(leaders):
-        if not 0 <= i < n:
-            continue
-        j = i
-        while body[j]:
-            j += 1
-        total = j - i + term[j]
-        if total < MIN_SUPERBLOCK:
-            continue
-        lines: list = []
-        for insn in text[i:j]:
-            _emit_insn(insn, lines)
-        if term[j]:
-            _emit_terminator(text[j], TEXT_BASE + j * INSTRUCTION_BYTES, lines)
-        else:
-            lines.append("return None")
-        defs[i] = _def("x, f, mem", lines)
-        lens[i] = total
-    return _compile(defs), lens
-
-
 class PredecodedProgram:
     """Per-PC function tables for one :class:`Program`.
 
@@ -395,23 +316,10 @@ class PredecodedProgram:
     caller's register lists / memory).
     """
 
-    __slots__ = (
-        "program",
-        "kinds",
-        "runs",
-        "eas",
-        "applies",
-        "latencies",
-        "block_runs",
-        "block_lens",
-        "plans",
-        "size",
-    )
+    __slots__ = ("kinds", "runs", "eas", "applies", "latencies", "plans")
 
     def __init__(self, program: Program) -> None:
-        self.program = program
         text = program.text
-        self.size = len(text)
         rows = [_pc_defs(insn, TEXT_BASE + i * INSTRUCTION_BYTES) for i, insn in enumerate(text)]
         self.kinds = [row[0] for row in rows]
         functions = _compile([source for row in rows for source in row[1:]])
@@ -419,24 +327,14 @@ class PredecodedProgram:
         self.latencies = [insn.info.latency for insn in text]
         # The out-of-order core's dispatch plan, one tuple per text word.
         self.plans = [dispatch_plan(insn) for insn in text]
-        # Functional superblocks: only the interpreter calls them, so they
-        # are compiled by its first run (functional_blocks), not here.
-        self.block_runs: list | None = None
-        self.block_lens: list | None = None
-
-    def functional_blocks(self) -> tuple[list, list]:
-        """``(block_runs, block_lens)``, compiled on the first call."""
-        if self.block_runs is None:
-            self.block_runs, self.block_lens = _build_blocks(self)
-        return self.block_runs, self.block_lens
 
 
 def predecode_program(program: Program) -> PredecodedProgram:
     """Predecode *program*, memoised on the program object itself.
 
-    The cache rides on the (frozen) Program instance so every consumer of
-    the same image — all N cores of a target, plus the interpreter — shares
-    one function table, and the cache dies with the program.
+    The cache rides on the (frozen) Program instance so every core
+    simulating the same image shares one function table, and the cache
+    dies with the program.
     """
     cached = getattr(program, "_predecoded", None)
     if cached is not None:

@@ -75,9 +75,8 @@ class ReplayCore(InOrderPipeline):
         system: ReplaySystem,
         *,
         word_tracker: WordOrderTracker,
-        fastforward: bool = False,
     ) -> None:
-        super().__init__(core_id, l1d, emit, system, word_tracker, fastforward)
+        super().__init__(core_id, l1d, emit, system, word_tracker)
         self._ops = ops
         self._ip = 0
         self._run_left = 0
@@ -232,5 +231,5 @@ class ReplayCore(InOrderPipeline):
             tracker.observe_load(addr, self.core_id, now)
         if acc != ACC_LOAD:
             ff = tracker.observe_store(addr, self.core_id, now)
-            if ff and self.fastforward:
+            if ff:
                 self._busy_until = now + ff

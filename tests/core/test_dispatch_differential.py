@@ -2,15 +2,16 @@
 
 The predecoded execution layer is a pure performance optimisation — it must
 be bit-identical to the oracle (``funcsim.execute``) path.  These tests run
-every registered workload through both dispatch modes and compare the full
-architectural digest, the output stream, and the instruction count.
+every registered workload through both dispatch modes of the in-order timing
+core (and fft through the out-of-order core) and compare cycles, output,
+violations, every core's final ``ArchState.digest()`` and the modeled host
+time.
 """
 
 import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
-from repro.cpu.interp import FunctionalInterpreter
 from repro.lang import compile_source
 from repro.workloads.registry import WORKLOADS, make_workload
 
@@ -18,28 +19,15 @@ from tests.conftest import assert_same_run
 from tests.core.test_checkpoint import PROGRAM_SRC
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS), ids=sorted(WORKLOADS))
-def test_interpreter_differential(name):
-    """Functional interpreter: identical digest/output/count per workload."""
-    program = make_workload(name, scale="tiny", nthreads=1).program
-    results = {}
-    for dispatch in ("predecoded", "oracle"):
-        interp = FunctionalInterpreter(program, dispatch=dispatch)
-        result = interp.run()
-        results[dispatch] = (
-            interp.state.digest(),
-            result.output,
-            result.instructions,
-            result.exit_code,
-        )
-    assert results["predecoded"] == results["oracle"]
-
-
-@pytest.mark.parametrize("core_model", ["inorder", "ooo"])
-def test_engine_differential(core_model):
-    """Timing engine: both core models match the oracle cycle-for-cycle."""
-    workload = make_workload("fft", scale="tiny")
-    results = []
+@pytest.mark.parametrize("core_model, name", [
+    *(pytest.param("inorder", name, id=f"inorder-{name}") for name in sorted(WORKLOADS)),
+    pytest.param("ooo", "fft", id="ooo-fft"),
+])
+def test_engine_differential(core_model, name):
+    """Timing engine: every workload's whole program runs the per-PC
+    templates cycle-for-cycle like the oracle, on both core models."""
+    workload = make_workload(name, scale="tiny")
+    results, states = [], []
     for dispatch in ("predecoded", "oracle"):
         engine = SequentialEngine(
             workload.program,
@@ -51,11 +39,13 @@ def test_engine_differential(core_model):
         result = engine.run()
         assert not workload.mismatches(result.output)
         results.append(result)
+        states.append([ct.model.state.digest() for ct in engine.cores])
     predecoded, oracle = (
         (r.global_time, r.instructions, r.output, r.violations.total)
         for r in results
     )
     assert predecoded == oracle
+    assert states[0] == states[1]
     assert_same_run(*results)
 
 

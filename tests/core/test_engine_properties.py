@@ -140,7 +140,7 @@ def test_step_many_equals_per_cycle_stepping(scheme, num_cores, ops, shared, wl_
 #: hit the same line (an injected invalidation can land between them), the
 #: store upgrades after an injected downgrade, 3/4/12-cycle FP ops drain
 #: across whatever window edge the script picks, the AMO and the ecall are
-#: left to ``step``, and a latency-1 tail is long enough to be a timing block.
+#: left to ``step``, and a latency-1 ALU tail ends in a taken branch.
 ADVANCE_ASM = """
 .data
 lines: .space 512

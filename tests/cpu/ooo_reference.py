@@ -126,7 +126,6 @@ class OoOCore:
         mshrs: int = 8,
         mispredict_penalty: int = 8,
         word_tracker: WordOrderTracker,
-        fastforward: bool = False,
         dispatch: str = "predecoded",
     ) -> None:
         self.core_id = core_id
@@ -141,7 +140,6 @@ class OoOCore:
         self.predictor = GsharePredictor()
         self.mispredict_penalty = mispredict_penalty
         self.word_tracker = word_tracker
-        self.fastforward = fastforward
 
         self.state: ArchState | None = None
         self.phase = CorePhase.IDLE
@@ -322,7 +320,7 @@ class OoOCore:
             return False
         # Memory write moment (isochrone): commit time.
         ff = self.word_tracker.observe_store(entry.addr, self.core_id, now)
-        if ff and self.fastforward:
+        if ff:
             self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
         if entry.store_is_float:
             self.memory.store_float(entry.addr, float(entry.store_value))
@@ -572,7 +570,7 @@ class OoOCore:
                 return 0
             self.word_tracker.observe_load(addr, self.core_id, now)
             ff = self.word_tracker.observe_store(addr, self.core_id, now)
-            if ff and self.fastforward:
+            if ff:
                 self._fetch_stall_until = max(self._fetch_stall_until, now + ff)
             do_amo(state, insn, self.memory, addr)
             state.pc += INSTRUCTION_BYTES

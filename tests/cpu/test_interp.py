@@ -255,9 +255,9 @@ def test_amo_program():
     assert result.int_output == [10, 15]
 
 
-# The faulting ``ld`` (a 16 TiB address) sits on the per-instruction path in
-# the first program — the ``ecall`` in front of it ends the superblock — and
-# inside the superblock entered at 0x10018 in the second.
+# The faulting ``ld`` (a 16 TiB address) sits right behind an ``ecall`` in the
+# first program and inside a basic block, behind two ALU instructions, in the
+# second.
 _FAULT_AFTER_ECALL = """
 main: addi a0, zero, 7
       addi a7, zero, 1
@@ -281,19 +281,16 @@ main: addi a0, zero, 7
 """
 
 
-@pytest.mark.parametrize("src, dispatch, pc, instructions", [
-    (_FAULT_AFTER_ECALL, "oracle", 0x10030, 6),
-    (_FAULT_AFTER_ECALL, "predecoded", 0x10030, 6),
-    (_FAULT_IN_BLOCK, "oracle", 0x10028, 5),
-    (_FAULT_IN_BLOCK, "predecoded", 0x10018, 3),  # the block's entry
-], ids=["after-ecall-oracle", "after-ecall-predecoded", "in-block-oracle", "in-block-predecoded"])
-def test_target_fault_reports_where_it_happened(src, dispatch, pc, instructions):
+@pytest.mark.parametrize("src, pc, instructions", [
+    (_FAULT_AFTER_ECALL, 0x10030, 6),
+    (_FAULT_IN_BLOCK, 0x10028, 5),
+], ids=["after-ecall", "in-block"])
+def test_target_fault_reports_where_it_happened(src, pc, instructions):
     """After a ``TargetFault`` the interpreter's pc and count are the
-    faulting instruction's (the oracle, and the predecoded per-instruction
-    path) or its superblock's entry — never the last syscall's."""
-    interp = FunctionalInterpreter(assemble(src), dispatch=dispatch)
+    faulting instruction's — never the last syscall's."""
+    interp = FunctionalInterpreter(assemble(src))
     with pytest.raises(TargetFault, match="out-of-bounds"):
         interp.run()
     assert (interp.state.pc, interp.instructions) == (pc, instructions)
-    # Effects in front of the fault stay: t0 was written inside the block.
+    # Effects in front of the fault stay: t0 was written before the ``ld``.
     assert interp.state.x[5] == (5 if src is _FAULT_IN_BLOCK else 0)

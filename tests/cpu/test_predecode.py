@@ -1,25 +1,20 @@
-"""Predecode unit tests: every opcode's template, in every generated form.
+"""Predecode unit tests: every opcode's template against the funcsim oracle.
 
 For each opcode in the ISA this round-trips a representative instruction
 through the binary encoding, checks the predecoded kind against the OPINFO
 flags, and executes the generated per-PC functions against the funcsim
 oracle on the same architectural state — register-only opcodes over edge
-operands as a property.  A second property holds the one superblock form,
-the functional interpreter's, to the per-PC functions it is generated
-beside.
+operands as a property.
 """
 
 import math
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cpu import predecode
 from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.funcsim import do_amo, do_load, do_store, effective_address, execute
-from repro.cpu.interp import run_functional
 from repro.cpu.predecode import (
     K_AMO,
     K_BRANCH,
@@ -35,7 +30,7 @@ from repro.cpu.predecode import (
 )
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPINFO, Format, Op
-from repro.isa.program import TEXT_BASE, Program
+from repro.isa.program import TEXT_BASE
 
 #: Representative operand fields per format (shift-safe imm, nonzero regs).
 _FIELDS = {
@@ -222,9 +217,12 @@ _EDGE_EXAMPLES = [
     dict(rd=2, rs1=1, rs2=31, imm=65, xs=[-3, 0, 65], fs=[0.0, 0.0, -0.0, 1.5]),
     # rs1 == rs2 (>= vs >, == on equal operands); 0.0 / 0.0; -0.0 bit pattern
     dict(rd=1, rs1=2, rs2=2, imm=64, xs=[1, _I64_MIN, 0], fs=[1.5, 0.0, -0.0, 0.0]),
-    # x0 as destination and as source; NaN in the second operand; +/-inf conversions
+    # x0 as destination and as source; NaN in the second operand; +/-inf
+    # conversions; sin/cos of both infinities (NaN, not a host ValueError)
     dict(rd=0, rs1=0, rs2=1, imm=-8, xs=[3, 4, 5], fs=[math.inf, math.nan, 1.5, 0.0]),
     dict(rd=2, rs1=0, rs2=0, imm=8, xs=[3, 4, 5], fs=[-math.inf, 1.5, math.nan, 0.0]),
+    # a negative NaN moved into an x register: its sign bit must survive
+    dict(rd=1, rs1=0, rs2=0, imm=0, xs=[0, 0, 0], fs=[-math.nan, 0.0, 0.0, 0.0]),
 ]
 
 
@@ -254,84 +252,3 @@ def test_register_only_templates_match_oracle(rd, rs1, rs2, imm, xs, fs):
         assert mine.x == oracle.x, insn
         assert _hex(mine.f) == _hex(oracle.f), insn
         assert target == (outcome.next_pc if outcome.taken else None), insn
-
-
-# ------------------------------------------------ block == per-PC property
-_BASE_REG = 30  # memory base: outside _REGS, so no instruction overwrites it
-
-
-def _instruction(op, rd, rs1, rs2, imm, offset) -> Instruction:
-    if _KIND[op] in (K_LOAD, K_STORE, K_AMO):
-        return Instruction(op, rd, _BASE_REG, rs2, offset)
-    return Instruction(op, rd, rs1, rs2, imm)
-
-
-def _instructions(kinds):
-    ops = [op for op in Op if _KIND[op] in kinds]
-    offsets = st.sampled_from([0, 8, -8, 16])
-    return st.builds(_instruction, st.sampled_from(ops), regs, regs, regs, imms, offsets)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    body=st.lists(_instructions((K_SIMPLE, K_LOAD, K_STORE, K_AMO)), min_size=2, max_size=10),
-    term=st.none() | _instructions((K_BRANCH, K_JUMP)),
-    xs=x_files,
-    fs=f_files,
-)
-@example(  # sin/cos of both infinities inside a block: NaN, not a host ValueError
-    body=[Instruction(Op.FSIN, 1, 0), Instruction(Op.FCOS, 2, 31), Instruction(Op.FCOS, 0, 0)],
-    term=None, xs=[0, 0, 0], fs=[math.inf, 0.0, 0.0, -math.inf],
-)
-@example(  # a negative NaN moved into an x register: its sign bit must survive
-    body=[Instruction(Op.ADD, 0, 0, 0), Instruction(Op.FMV_X_D, 1, 0)],
-    term=None, xs=[0, 0, 0], fs=[-math.nan, 0.0, 0.0, 0.0],
-)
-def test_blocks_match_per_pc_calls(body, term, xs, fs):
-    """A random straight-line sequence with an optional branch/jump at its
-    end: the functional superblock and *n* per-PC calls leave identical
-    ``x`` / ``f`` / memory and next pc."""
-    text = (*body, term) if term is not None else tuple(body)
-    n = len(text)
-    program = Program("blocks", text, b"")
-    pre = predecode_program(program)
-    block_runs, block_lens = pre.functional_blocks()
-    assert block_lens[0] == n
-
-    def fresh():
-        state = _state(TEXT_BASE, xs, fs)
-        state.x[_BASE_REG] = 2048
-        return state.x, state.f, _test_memory()
-
-    x, f, mem = fresh()
-    taken = None
-    for i in range(n):
-        if pre.kinds[i] <= K_JUMP:
-            taken = pre.runs[i](x, f)
-        else:
-            pre.applies[i](x, f, mem, pre.eas[i](x))
-
-    bx, bf, bmem = fresh()
-    assert block_runs[0](bx, bf, bmem) == taken  # None: fell through
-    assert (bx, _hex(bf)) == (x, _hex(f))
-    assert bmem._words == mem._words
-
-
-def test_functional_blocks_wait_for_the_first_functional_run():
-    """Timing runs never call the functional superblocks, so an engine run
-    leaves them unbuilt; the interpreter builds them once per program."""
-    from repro.core import run_simulation
-    from repro.workloads.registry import make_workload
-
-    # A fresh Program object: no tables memoised by other tests.
-    program = replace(make_workload("fft", scale="tiny", nthreads=1).program)
-    run_simulation(program, scheme="s9")
-    pre = predecode_program(program)
-    assert pre.block_runs is None and pre.block_lens is None
-
-    with mock.patch.object(predecode, "_build_blocks", wraps=predecode._build_blocks) as build:
-        first = run_functional(program)
-        assert pre.block_runs is not None and len(pre.block_lens) == pre.size
-        built = pre.block_runs
-        assert run_functional(program).instructions == first.instructions
-    assert build.call_count == 1 and pre.block_runs is built

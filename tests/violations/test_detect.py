@@ -196,7 +196,7 @@ class TestFastForwardDelaysTheCore:
             image = load_program(program, num_contexts=1)
             core = InOrderCore(
                 0, program, image.memory, L1Cache(), out.append,
-                SystemEmulation(image, 1), word_tracker=tracker, fastforward=True,
+                SystemEmulation(image, 1), word_tracker=tracker,
             )
             state = ArchState()
             state.x[9] = DATA_BASE
@@ -206,7 +206,7 @@ class TestFastForwardDelaysTheCore:
             ops = [(OP_MEM, ACC_STORE, 1, self.ADDR), (OP_RUN, 1), (OP_HALT,)]
             core = ReplayCore(
                 0, ops, L1Cache(), out.append, ReplaySystem(1),
-                word_tracker=tracker, fastforward=True,
+                word_tracker=tracker,
             )
             core.activate(0, 0, 0)
         return core, out
