@@ -32,7 +32,9 @@ the repo benchmark's rule.  The default schemes cover every scheme family
 is a shell glob).  The default workloads cover every core model: in-order,
 the three trace workloads, replay (``fft:replay``: barriers only;
 ``water:replay``: locks, barriers and joins), out-of-order (``fft:ooo``,
-``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter.
+``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter on
+every registered workload (each one's single-thread lock and barrier path
+through the system emulation).
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from pathlib import Path
 SCALES = ("tiny", "small")
 WORKLOADS = (
     "barnes", "fft", "lu", "water", "sharing", "sharing:think", "pingpong",
-    "fft:replay", "water:replay", "fft:ooo", "water:ooo", "fft:func", "water:func",
+    "fft:replay", "water:replay", "fft:ooo", "water:ooo",
+    "barnes:func", "fft:func", "lu:func", "ocean:func", "radix:func", "water:func",
 )
 SCHEMES = ("cc", "q3", "q10", "aq10-160", "l10", "s9", "s9*", "s100", "su")
 HOSTS = (1, 2, 8)

@@ -288,7 +288,7 @@ class SequentialEngine:
             self._start_core(self.cores[0], pc=0, arg=0, ts=0)
         else:
             assert self.image is not None
-            self._init_registers(0, tid=0)
+            self.image.init_registers(self.cores[0].model.state, 0, tid=0)
             self._start_core(self.cores[0], pc=self.image.program.entry, arg=0, ts=0)
 
         # The run loop's state.  It lives here, not in ``run()``'s locals, so
@@ -477,13 +477,6 @@ class SequentialEngine:
         return out, left
 
     # ------------------------------------------------------------ activation
-    def _init_registers(self, core: int, tid: int) -> None:
-        assert self.image is not None
-        state = self.cores[core].model.state
-        state.set_x(2, self.image.stack_top(core))   # sp
-        state.set_x(4, tid)                          # tp
-        state.set_x(1, self.image.thread_exit_pc)    # ra -> exit stub
-
     def _start_core(self, ct: CoreThread, pc: int, arg: int, ts: int) -> None:
         ct.activate(pc, arg, ts)
         ct.max_local_time = max(self.manager.current_max_local(), ts)
@@ -496,7 +489,7 @@ class SequentialEngine:
             tid = next(
                 t.tid for t in self.system.threads.values() if t.core == core and t.state == "running"
             )
-            self._init_registers(core, tid)
+            self.image.init_registers(self.cores[core].model.state, core, tid)
         self._start_core(self.cores[core], pc, arg, ts)
         self._active_cores += 1
         self._pending_activations.append(core)

@@ -9,16 +9,20 @@ from repro.cpu.arch import ArchState, TargetFault, TargetMemory
 from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import do_amo, do_load, do_store, effective_address, execute
 from repro.cpu.interfaces import CorePhase
-from repro.cpu.interp import FunctionalInterpreter, InterpResult, run_functional
 from repro.cpu.l1cache import MESI, AccessResult, L1Cache, L1Config
 from repro.cpu.predecode import PredecodedProgram, predecode_program
 
 
 def __getattr__(name: str):
     # The timing cores pull in repro.core (events) which pulls in the engine
-    # and the loader, and the loader imports back into this package.  Loading
+    # and the loader, the interpreter pulls in the loader and the system
+    # emulation, and the loader imports back into this package.  Loading
     # them lazily keeps `import repro.cpu` a leaf, so any package import
     # order (workloads-first, sysapi-first, ...) resolves cleanly.
+    if name in ("FunctionalInterpreter", "InterpResult", "run_functional"):
+        from repro.cpu import interp
+
+        return getattr(interp, name)
     if name == "InOrderCore":
         from repro.cpu.inorder import InOrderCore
 

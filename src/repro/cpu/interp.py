@@ -3,12 +3,13 @@
 This is the toolchain's single-thread reference: compiler tests, assembler
 examples, ``repro compile --run`` and ``repro bench`` run here, independent
 of every timing model.  (Registered workloads are checked against their
-numpy oracles, not against this interpreter.)  It supports the non-blocking
-subset of the syscall API (exit / prints / sbrk / clock / thread_id /
-num_threads) plus trivially-satisfiable single-thread synchronization
-(locks, one-participant barriers, semaphores), so registered workloads run
-here at ``nthreads=1``.  Multi-threaded programs must run on the slack
-engine (:mod:`repro.core`), which provides the full Table 1 emulation.
+numpy oracles, not against this interpreter.)  It loads and starts a
+program as a one-core engine run does (:func:`load_program`, one context)
+and traps every ``ecall`` into the engine's :class:`SystemEmulation` on
+core 0, with the instruction count as local time: one Table 1 emulation
+serves both.  A call that would block the only thread is a single-thread
+deadlock; spawn and join are refused up front — multi-threaded programs run
+on the slack engine (:mod:`repro.core`).
 
 One loop: fetch the :class:`Instruction` and run it through
 :func:`repro.cpu.funcsim.execute`, the semantic oracle the predecoded
@@ -21,18 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util import align_up
-from repro.cpu.arch import REG_A0, REG_A7, REG_SP, REG_TP, ArchState, TargetMemory
+from repro.cpu.arch import REG_A0, REG_A7, ArchState, TargetMemory
 from repro.cpu.funcsim import NEXT, execute
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.program import TEXT_BASE, Program
-from repro.sysapi.syscalls import Sys
+from repro.sysapi.loader import load_program
+from repro.sysapi.syscalls import Sys, TargetError
+from repro.sysapi.system import SysAction, SystemEmulation
 
 __all__ = ["FunctionalInterpreter", "InterpResult", "run_functional"]
 
 
 class InterpError(RuntimeError):
-    """Functional interpretation failed (unsupported syscall, runaway loop)."""
+    """Functional interpretation failed (refused syscall, single-thread
+    deadlock, runaway loop)."""
 
 
 @dataclass
@@ -55,37 +58,18 @@ class InterpResult:
 
 
 class FunctionalInterpreter:
-    """Fetch/execute loop over a :class:`Program` with minimal syscalls."""
+    """Fetch/execute loop over a :class:`Program` loaded as a one-core run."""
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        memory_bytes: int = 16 * 1024 * 1024,
-        stack_bytes: int = 1 << 20,
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.mem = TargetMemory(memory_bytes)
-        self.mem.write_words(TEXT_BASE, program.encoded_text())
-        if program.data:
-            from repro.isa.program import DATA_BASE
-
-            self.mem.write_bytes(DATA_BASE, program.data)
-        self.brk = align_up(program.data_end, 64)
+        image = load_program(program, num_contexts=1)
+        self.mem = image.memory
+        self.system = SystemEmulation(image, num_cores=1)
         self.state = ArchState(context_id=0, pc=program.entry)
-        self.state.set_x(REG_SP, memory_bytes - 64)
-        self.state.set_x(REG_TP, 0)
-        self.output: list = []
+        image.init_registers(self.state, 0, tid=0)
         self.instructions = 0
         self.exit_code: int | None = None
         self._text = program.text
-        self._stack_limit = memory_bytes - stack_bytes
-        # Host-side single-thread synchronization state (keyed by target
-        # address).  With one thread every acquire must succeed immediately;
-        # anything that would block is a guaranteed deadlock and raises.
-        self._locks: dict[int, bool] = {}
-        self._barriers: dict[int, int] = {}
-        self._semas: dict[int, int] = {}
 
     def _fetch(self, pc: int) -> Instruction:
         index, rem = divmod(pc - TEXT_BASE, INSTRUCTION_BYTES)
@@ -93,68 +77,30 @@ class FunctionalInterpreter:
             raise InterpError(f"PC {pc:#x} outside text segment")
         return self._text[index]
 
-    def _syscall(self) -> int | None:
-        """Handle an ecall; return the next PC (or None to fall through)."""
+    def _ecall(self) -> None:
+        """Trap the ``ecall`` into the system emulation, at local time = the
+        instruction count; ``exit`` leaves the pc on the ``ecall``."""
         state = self.state
         num = state.x[REG_A7]
-        a0 = state.x[REG_A0]
-        try:
-            sys = Sys(num)
-        except ValueError:
-            raise InterpError(f"unknown syscall {num} at pc {state.pc:#x}") from None
-        if sys is Sys.EXIT:
-            self.exit_code = a0
-            state.halted = True
-            return state.pc
-        if sys is Sys.PRINT_INT:
-            self.output.append(a0)
-        elif sys is Sys.PRINT_FLOAT:
-            self.output.append(state.f[10])
-        elif sys is Sys.PRINT_CHAR:
-            self.output.append(chr(a0 & 0x10FFFF))
-        elif sys is Sys.SBRK:
-            old = self.brk
-            new = align_up(old + a0, 64)
-            if new >= self._stack_limit:
-                raise InterpError(f"sbrk({a0}) exhausts the heap (brk {old:#x})")
-            self.brk = new
-            state.set_x(REG_A0, old)
-        elif sys is Sys.CLOCK:
-            state.set_x(REG_A0, self.instructions)
-        elif sys is Sys.THREAD_ID:
-            state.set_x(REG_A0, 0)
-        elif sys is Sys.NUM_THREADS:
-            state.set_x(REG_A0, 1)
-        elif sys is Sys.LOCK_INIT:
-            self._locks[a0] = False
-        elif sys is Sys.LOCK_ACQ:
-            if self._locks.get(a0, False):
-                raise InterpError(f"re-acquiring held lock {a0:#x}: single-thread deadlock")
-            self._locks[a0] = True
-        elif sys is Sys.LOCK_REL:
-            self._locks[a0] = False
-        elif sys is Sys.BARRIER_INIT:
-            self._barriers[a0] = state.x[REG_A0 + 1]
-        elif sys is Sys.BARRIER_WAIT:
-            if self._barriers.get(a0, 1) != 1:
-                raise InterpError(
-                    f"barrier {a0:#x} has {self._barriers[a0]} participants: "
-                    "single-thread deadlock (use the slack engine)"
-                )
-        elif sys is Sys.SEMA_INIT:
-            self._semas[a0] = state.x[REG_A0 + 1]
-        elif sys is Sys.SEMA_WAIT:
-            value = self._semas.get(a0, 0)
-            if value <= 0:
-                raise InterpError(f"sema_wait on empty semaphore {a0:#x}: single-thread deadlock")
-            self._semas[a0] = value - 1
-        elif sys is Sys.SEMA_SIGNAL:
-            self._semas[a0] = self._semas.get(a0, 0) + 1
-        else:
+        if num in (Sys.THREAD_SPAWN, Sys.THREAD_JOIN):
             raise InterpError(
-                f"syscall {sys.name} needs the slack engine (multi-threaded emulation)"
+                f"syscall {Sys(num).name} needs the slack engine (multi-threaded emulation)"
             )
-        return None
+        if num == Sys.EXIT:
+            self.exit_code = state.x[REG_A0]
+        try:
+            result = self.system.syscall(0, state, self.instructions)
+        except TargetError as exc:
+            raise InterpError(str(exc)) from exc
+        if result.action is SysAction.BLOCK:
+            raise InterpError(
+                f"{Sys(num).name} at pc {state.pc:#x} blocks the only thread: "
+                "single-thread deadlock (use the slack engine)"
+            )
+        if result.action is SysAction.EXIT:
+            state.halted = True
+        else:
+            state.pc += INSTRUCTION_BYTES
 
     def run(self, max_instructions: int = 50_000_000) -> InterpResult:
         """Run until ``exit``/``halt`` or the instruction budget is exhausted."""
@@ -167,13 +113,8 @@ class FunctionalInterpreter:
             outcome = execute(state, insn, mem)
             self.instructions += 1
             if outcome.is_syscall:
-                next_pc = self._syscall()
-                state.pc = next_pc if next_pc is not None else state.pc + INSTRUCTION_BYTES
-                if state.halted:
-                    break
+                self._ecall()
             elif outcome.is_halt:
-                if self.exit_code is None:
-                    self.exit_code = 0
                 break
             elif outcome.next_pc is NEXT:
                 state.pc += INSTRUCTION_BYTES
@@ -182,13 +123,12 @@ class FunctionalInterpreter:
         return InterpResult(
             exit_code=self.exit_code if self.exit_code is not None else 0,
             instructions=self.instructions,
-            output=self.output,
+            output=self.system.merged_output(),
             memory=mem,
             state=state,
         )
 
 
-def run_functional(program: Program, **kwargs) -> InterpResult:
+def run_functional(program: Program, max_instructions: int = 50_000_000) -> InterpResult:
     """Convenience wrapper: interpret *program* functionally and return the result."""
-    max_instructions = kwargs.pop("max_instructions", 50_000_000)
-    return FunctionalInterpreter(program, **kwargs).run(max_instructions=max_instructions)
+    return FunctionalInterpreter(program).run(max_instructions=max_instructions)

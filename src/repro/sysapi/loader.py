@@ -2,7 +2,12 @@
 
 Layout (see :mod:`repro.isa.program`): text at ``TEXT_BASE``, data + heap at
 ``DATA_BASE``, and one stack region per hardware context carved from the top
-of memory downward.
+of memory downward; the heap may grow up to the lowest stack's bottom.  The
+slack engine loads one context per target core, the functional interpreter
+(:mod:`repro.cpu.interp`) one, and both start a workload thread's registers
+through :meth:`LoadedImage.init_registers`.  Loading decodes nothing: a
+timing core derives its predecoded tables on first use (memoised on the
+Program).
 """
 
 from __future__ import annotations
@@ -10,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import align_up
-from repro.cpu.arch import TargetMemory
-from repro.cpu.predecode import predecode_program
+from repro.cpu.arch import REG_RA, REG_SP, REG_TP, ArchState, TargetMemory
 from repro.isa.program import DATA_BASE, TEXT_BASE, Program
 
 __all__ = ["LoadedImage", "load_program"]
@@ -24,11 +28,17 @@ class LoadedImage:
     program: Program
     memory: TargetMemory
     heap_start: int
+    #: The lowest stack's bottom: where the heap must stop.
+    stacks_bottom: int
     stack_tops: list[int]
     thread_exit_pc: int
 
-    def stack_top(self, context: int) -> int:
-        return self.stack_tops[context]
+    def init_registers(self, state: ArchState, context: int, tid: int) -> None:
+        """Start workload thread *tid* on *context*: its stack, its thread
+        pointer, and a return address that exits the thread."""
+        state.set_x(REG_SP, self.stack_tops[context])
+        state.set_x(REG_TP, tid)
+        state.set_x(REG_RA, self.thread_exit_pc)
 
 
 def load_program(
@@ -52,13 +62,11 @@ def load_program(
         )
     stack_tops = [memory_bytes - i * stack_bytes - 64 for i in range(num_contexts)]
     thread_exit_pc = program.symbols.get("__thread_exit", program.entry)
-    # Warm the predecoded function tables at load time (memoised on the
-    # Program, so all cores sharing this image reuse one table).
-    predecode_program(program)
     return LoadedImage(
         program=program,
         memory=mem,
         heap_start=heap_start,
+        stacks_bottom=stacks_bottom,
         stack_tops=stack_tops,
         thread_exit_pc=thread_exit_pc,
     )

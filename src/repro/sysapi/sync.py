@@ -12,6 +12,10 @@ All methods return a :class:`SyncResult`:
 * ``BLOCK``: the caller's workload thread must wait; a later call by another
   core produces a wake order ``(core, release_ts)``.
 
+A misuse by the target program (re-acquiring a held lock, releasing one it
+does not hold, an uninitialised barrier or semaphore) raises
+:class:`~repro.sysapi.syscalls.TargetError`.
+
 The real-thread test harness (``tests/core/threaded_harness.py``) serialises
 calls with one host mutex (the emulation layer is atomic by construction).
 """
@@ -21,6 +25,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+
+from repro.sysapi.syscalls import TargetError
 
 __all__ = ["SyncEmulation", "SyncAction", "SyncResult", "SyncStats"]
 
@@ -105,7 +111,10 @@ class SyncEmulation:
             lock.holder = core
             return SyncResult(SyncAction.PROCEED)
         if lock.holder == core:
-            raise RuntimeError(f"core {core} re-acquired lock {addr:#x} (not recursive)")
+            raise TargetError(
+                f"core {core} re-acquired lock {addr:#x} it holds: self-deadlock "
+                "(locks are not recursive)"
+            )
         self.stats.lock_contended += 1
         lock.waiters.append(core)
         return SyncResult(SyncAction.BLOCK)
@@ -113,7 +122,7 @@ class SyncEmulation:
     def lock_release(self, addr: int, core: int, ts: int) -> SyncResult:
         lock = self._lock(addr)
         if lock.holder != core:
-            raise RuntimeError(f"core {core} released lock {addr:#x} held by {lock.holder}")
+            raise TargetError(f"core {core} released lock {addr:#x} held by {lock.holder}")
         if lock.waiters:
             successor = lock.waiters.popleft()
             lock.holder = successor  # FIFO handoff
@@ -124,14 +133,14 @@ class SyncEmulation:
     # -------------------------------------------------------------- barriers
     def barrier_init(self, addr: int, count: int) -> SyncResult:
         if count < 1:
-            raise RuntimeError(f"barrier {addr:#x} initialised with count {count}")
+            raise TargetError(f"barrier {addr:#x} initialised with count {count}")
         self._barriers[addr] = _Barrier(count)
         return SyncResult(SyncAction.PROCEED)
 
     def barrier_wait(self, addr: int, core: int, ts: int) -> SyncResult:
         barrier = self._barriers.get(addr)
         if barrier is None:
-            raise RuntimeError(f"barrier_wait on uninitialised barrier {addr:#x}")
+            raise TargetError(f"barrier_wait on uninitialised barrier {addr:#x}")
         barrier.arrived.append((core, ts))
         if len(barrier.arrived) < barrier.count:
             return SyncResult(SyncAction.BLOCK)
@@ -146,14 +155,14 @@ class SyncEmulation:
     # ------------------------------------------------------------ semaphores
     def sema_init(self, addr: int, value: int) -> SyncResult:
         if value < 0:
-            raise RuntimeError(f"semaphore {addr:#x} initialised with value {value}")
+            raise TargetError(f"semaphore {addr:#x} initialised with value {value}")
         self._semas[addr] = _Sema(value)
         return SyncResult(SyncAction.PROCEED)
 
     def _sema(self, addr: int) -> _Sema:
         sema = self._semas.get(addr)
         if sema is None:
-            raise RuntimeError(f"operation on uninitialised semaphore {addr:#x}")
+            raise TargetError(f"operation on uninitialised semaphore {addr:#x}")
         return sema
 
     def sema_wait(self, addr: int, core: int, ts: int) -> SyncResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Sys", "SYSCALL_COST_CYCLES"]
+__all__ = ["Sys", "SYSCALL_COST_CYCLES", "TargetError"]
 
 
 class Sys(enum.IntEnum):
@@ -52,3 +52,8 @@ class Sys(enum.IntEnum):
 
 #: Target cycles charged for a non-blocking syscall (trap + emulation).
 SYSCALL_COST_CYCLES = 4
+
+
+class TargetError(RuntimeError):
+    """The simulated program did something invalid (bad syscall, bad spawn,
+    misuse of a synchronization object)."""

@@ -3,9 +3,12 @@
 SlackSim emulates system functions *outside* the simulator (paper §4).
 :class:`SystemEmulation` owns everything a syscall can touch: the
 synchronization primitives (Table 1), the workload thread table
-(spawn/join/exit), the shared heap break, and the output streams.  Calls
-take effect in simulation order; the real-thread test harness
-(``tests/core/threaded_harness.py``) wraps each call in one host mutex.
+(spawn/join/exit), the shared heap break, and the output streams.  It
+serves the slack engine's core threads and the functional interpreter
+(:mod:`repro.cpu.interp`, one core) alike.  Calls take effect in simulation
+order; the real-thread test harness (``tests/core/threaded_harness.py``)
+wraps each call in one host mutex.  A target program's fault raises
+:class:`TargetError`.
 
 Workload threads map 1:1 onto target cores (the paper runs 8 workload
 threads on an 8-core target): ``spawn`` claims the lowest idle core.
@@ -21,13 +24,9 @@ from repro._util import align_up
 from repro.cpu.arch import ArchState, REG_A0, REG_A7
 from repro.sysapi.loader import LoadedImage
 from repro.sysapi.sync import SyncAction, SyncEmulation
-from repro.sysapi.syscalls import SYSCALL_COST_CYCLES, Sys
+from repro.sysapi.syscalls import SYSCALL_COST_CYCLES, Sys, TargetError
 
 __all__ = ["SystemBase", "SystemEmulation", "SysAction", "SysResult", "TargetError"]
-
-
-class TargetError(RuntimeError):
-    """The simulated program did something invalid (bad syscall, bad spawn)."""
 
 
 class SysAction(enum.Enum):
@@ -164,7 +163,6 @@ class SystemEmulation(SystemBase):
         super().__init__(num_cores)
         self.image = image
         self.brk = image.heap_start
-        self.heap_limit = min(image.stack_tops) - 64 * 1024
         self._next_tid = 1
 
     def syscall(self, core: int, state: ArchState, ts: int) -> SysResult:
@@ -195,7 +193,7 @@ class SystemEmulation(SystemBase):
         if sys is Sys.SBRK:
             old = self.brk
             new = align_up(old + a0, 64)
-            if new >= self.heap_limit:
+            if new >= self.image.stacks_bottom:
                 raise TargetError(f"core {core}: sbrk({a0}) exhausts the shared heap")
             self.brk = new
             state.set_x(REG_A0, old)

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core import TargetConfig
+from repro.core.engine import SequentialEngine
 from repro.cpu.arch import TargetFault
 from repro.cpu.interp import FunctionalInterpreter, InterpError, run_functional
 from repro.isa import assemble
+from repro.sysapi.system import TargetError
+from repro.workloads.registry import WORKLOADS, make_workload
 
 
 def run_src(src, **kw):
@@ -294,3 +298,34 @@ def test_target_fault_reports_where_it_happened(src, pc, instructions):
     assert (interp.state.pc, interp.instructions) == (pc, instructions)
     # Effects in front of the fault stay: t0 was written before the ``ld``.
     assert interp.state.x[5] == (5 if src is _FAULT_IN_BLOCK else 0)
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_registered_workload_runs_single_threaded(name, scale):
+    """Every registered workload's ``nthreads=1`` program runs here — its
+    locks and barriers through the engine's system emulation — and prints
+    what its numpy oracle expects."""
+    workload = make_workload(name, scale=scale, nthreads=1)
+    result = run_functional(workload.program)
+    assert result.exit_code == 0
+    assert not workload.mismatches(result.output)
+
+
+_SYNC_MISUSE = {
+    # Releasing a lock nobody holds.
+    "unheld-unlock": ("main: li a0, 4096\nli a7, 22\necall\nhalt\n", "held by"),
+    # Waiting on a barrier that was never initialised.
+    "uninit-barrier": ("main: li a0, 4096\nli a7, 24\necall\nhalt\n", "uninitialised barrier"),
+    # Signalling a semaphore that was never initialised.
+    "uninit-sema": ("main: li a0, 4096\nli a7, 27\necall\nhalt\n", "uninitialised semaphore"),
+}
+
+
+@pytest.mark.parametrize("src, match", _SYNC_MISUSE.values(), ids=_SYNC_MISUSE.keys())
+def test_sync_misuse_refused_as_a_one_core_engine_refuses_it(src, match):
+    program = assemble(src)
+    with pytest.raises(InterpError, match=match):
+        run_functional(program)
+    with pytest.raises(TargetError, match=match):
+        SequentialEngine(program, target=TargetConfig(num_cores=1)).run()

@@ -32,7 +32,7 @@ def test_heap_starts_after_data_aligned():
 def test_per_context_stacks_are_disjoint():
     prog = assemble("main: nop\n")
     image = load_program(prog, num_contexts=4, stack_bytes=128 * 1024)
-    tops = [image.stack_top(i) for i in range(4)]
+    tops = image.stack_tops
     assert len(set(tops)) == 4
     assert all(tops[i] - tops[i + 1] == 128 * 1024 for i in range(3))
     assert max(tops) < 16 * 1024 * 1024

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sysapi.sync import SyncAction, SyncEmulation
+from repro.sysapi.system import TargetError
 
 
 @pytest.fixture
@@ -44,13 +45,13 @@ class TestLocks:
     def test_release_by_non_holder_rejected(self, sync):
         sync.lock_init(0x100)
         sync.lock_acquire(0x100, 0, 10)
-        with pytest.raises(RuntimeError, match="held by"):
+        with pytest.raises(TargetError, match="held by"):
             sync.lock_release(0x100, 1, 20)
 
     def test_recursive_acquire_rejected(self, sync):
         sync.lock_init(0x100)
         sync.lock_acquire(0x100, 0, 10)
-        with pytest.raises(RuntimeError, match="re-acquired"):
+        with pytest.raises(TargetError, match="re-acquired.*self-deadlock"):
             sync.lock_acquire(0x100, 0, 11)
 
     def test_implicit_init_tolerated(self, sync):
@@ -86,11 +87,11 @@ class TestBarriers:
         assert sync.barrier_wait(0x300, 0, 10).action is SyncAction.PROCEED
 
     def test_uninitialised_barrier_rejected(self, sync):
-        with pytest.raises(RuntimeError, match="uninitialised"):
+        with pytest.raises(TargetError, match="uninitialised"):
             sync.barrier_wait(0x400, 0, 10)
 
     def test_bad_count_rejected(self, sync):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TargetError):
             sync.barrier_init(0x300, 0)
 
 
@@ -116,11 +117,11 @@ class TestSemaphores:
         assert sync.sema_wait(0x500, 1, 2).action is SyncAction.PROCEED
 
     def test_uninitialised_sema_rejected(self, sync):
-        with pytest.raises(RuntimeError, match="uninitialised"):
+        with pytest.raises(TargetError, match="uninitialised"):
             sync.sema_wait(0x600, 0, 1)
 
     def test_negative_initial_value_rejected(self, sync):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TargetError):
             sync.sema_init(0x500, -1)
 
 

@@ -55,6 +55,26 @@ class TestBasics:
         with pytest.raises(TargetError, match="exhausts"):
             call(system, 0, Sys.SBRK, a0=1 << 30)
 
+    def test_heap_stops_at_the_lowest_stack(self):
+        """The largest sbrk that succeeds ends at or below the bottom of the
+        lowest stack (8 contexts x 256 KiB carved from the top of 16 MiB)."""
+        image = load_program(assemble("main: halt\n"), num_contexts=8)
+        stacks_bottom = (16 << 20) - 8 * (256 << 10)
+
+        def fits(nbytes):
+            try:
+                call(SystemEmulation(image, num_cores=8), 0, Sys.SBRK, a0=nbytes)
+            except TargetError:
+                return False
+            return True
+
+        lo, hi = 0, 16 << 20  # fits(lo), not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        heap_end = image.heap_start + lo
+        assert stacks_bottom - 64 <= heap_end <= stacks_bottom
+
     def test_unknown_syscall_raises(self, system):
         with pytest.raises(TargetError, match="unknown syscall"):
             call(system, 0, 99)

@@ -30,6 +30,20 @@ def test_imports_first_in_a_fresh_interpreter(module):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("first, second", [
+    ("repro.sysapi", "repro.cpu"), ("repro.cpu", "repro.sysapi"),
+])
+def test_cpu_and_sysapi_import_in_either_order(first, second):
+    """The loader imports ``repro.cpu`` and the functional interpreter
+    imports ``repro.sysapi``: either package may be entered first."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import {first}, {second}\nfrom repro.cpu import run_functional"],
+        capture_output=True, text=True, cwd=str(SRC), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 _LAYERING_PROBE = """
 import sys
 from repro.experiments.parallel import resolve
