@@ -36,11 +36,12 @@ import os
 import pickle
 import sys
 import threading
+from array import array
 from pathlib import Path
 
 from repro._util import atomic_write_bytes, sha256_hex
 
-__all__ = ["Section", "cache_root", "compile_source", "programs"]
+__all__ = ["Section", "cache_root", "compile_source", "program_image", "programs"]
 
 
 def _checkout(package: Path) -> "Path | None":
@@ -259,3 +260,22 @@ def compile_source(source: str, *, name: str = "<slang>"):
             if len(_memo) > _MEMO_MAX:
                 del _memo[next(iter(_memo))]
     return compiled
+
+
+def program_image(program) -> tuple[str, bytes]:
+    """``(digest, text)`` of *program*: its :func:`repro.isa.program.
+    program_digest` and its text segment as encoded 8-byte words, ready for
+    ``TargetMemory.write_bytes``.
+
+    Both are computed once per Program object and memoised on it, as
+    ``predecode_program`` memoises its tables, so every job that
+    :func:`compile_source` hands the same Program keys and loads it without
+    re-encoding the text.
+    """
+    image = getattr(program, "_image", None)
+    if image is None:
+        from repro.isa.program import program_digest
+
+        image = (program_digest(program), array("Q", program.encoded_text()).tobytes())
+        object.__setattr__(program, "_image", image)
+    return image

@@ -17,7 +17,8 @@ change any digest.
 
 What makes the engine picklable (each site documents its own hook):
 
-* ``TargetMemory`` re-derives its float view over the word array;
+* ``TargetMemory`` pickles only its non-zero pages and re-derives its
+  word and float views over a fresh demand-zero image;
 * ``Program`` / the core models drop their memoised predecode closures and
   re-derive them on restore;
 * the engine drops its experiment probe, and the system emulation its spawn

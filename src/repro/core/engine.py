@@ -27,6 +27,7 @@ import heapq
 import itertools
 import json
 
+from repro.cache import program_image
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.manager import SimulationManager
@@ -151,7 +152,7 @@ class SequentialEngine:
             # file (tests/trace pins this).
             self._capture_header = {
                 "flavor": "program",
-                "program_digest": _tformat.program_digest(program),
+                "program_digest": program_image(program)[0],
                 "source": (
                     json.loads(self.sim.trace_source) if self.sim.trace_source else None
                 ),
@@ -176,7 +177,7 @@ class SequentialEngine:
             if program is not None:
                 # The validity key: replaying against a program whose
                 # digest differs from the recorded one is refused outright.
-                digest = _tformat.program_digest(program)
+                digest = program_image(program)[0]
                 recorded = trace.header.get("program_digest")
                 if digest != recorded:
                     raise EngineError(

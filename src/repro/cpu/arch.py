@@ -7,14 +7,16 @@ owning core executes the access.  That "isochrone" semantics is exactly what
 makes slack schemes perturb workload behaviour (paper §3.2.3): two cores with
 different local times touch this one image in *simulation-time* order.
 
-The backing store is an ``array('q')`` with a zero-copy ``float64`` view, so
-integer and float accesses alias the same bytes (as on real hardware) without
-per-access ``struct`` packing.
+The backing store is one anonymous private mapping with zero-copy ``int64``
+and ``float64`` views, so integer and float accesses alias the same bytes (as
+on real hardware) without per-access ``struct`` packing.  The mapping is
+demand-zero: a page costs host memory only once a core touches it, and a
+pickle carries only the pages that are not all zero.
 """
 
 from __future__ import annotations
 
-from array import array
+import mmap
 
 from repro._util import is_pow2, to_signed64
 
@@ -37,25 +39,44 @@ class TargetFault(RuntimeError):
 class TargetMemory:
     """Byte-addressed functional memory with aligned 8-byte word accesses."""
 
-    __slots__ = ("size", "nwords", "_words", "_floats")
+    __slots__ = ("size", "nwords", "_map", "_words", "_floats")
+
+    #: Pickling granularity: only pages with a non-zero byte travel.
+    PAGE_BYTES = 4096
 
     def __init__(self, size_bytes: int = 16 * 1024 * 1024) -> None:
         if size_bytes % 8 or not is_pow2(size_bytes):
             raise ValueError(f"memory size {size_bytes} must be a power-of-two multiple of 8")
+        self._attach(size_bytes)
+
+    def _attach(self, size_bytes: int) -> None:
         self.size = size_bytes
         self.nwords = size_bytes // 8
-        self._words = array("q", bytes(size_bytes))
-        self._floats = memoryview(self._words).cast("B").cast("d")
+        # MAP_PRIVATE: a fork-started worker gets a copy-on-write image, never
+        # a view of its parent's (the anonymous default is MAP_SHARED).
+        self._map = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
+        view = memoryview(self._map)
+        self._words = view.cast("q")
+        self._floats = view.cast("d")
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
-        # The float view aliases _words' buffer and cannot be pickled;
-        # __setstate__ re-derives it, so only the words array travels.
-        return (self.size, self.nwords, self._words)
+        # The views cannot be pickled; ship the non-zero pages as
+        # (offset, bytes) pairs and let __setstate__ map a fresh image.
+        page, image = self.PAGE_BYTES, self._map
+        zero = bytes(min(page, self.size))
+        pages = []
+        for offset in range(0, self.size, page):
+            chunk = image[offset : offset + page]
+            if chunk != zero:
+                pages.append((offset, chunk))
+        return (self.size, pages)
 
     def __setstate__(self, state) -> None:
-        self.size, self.nwords, self._words = state
-        self._floats = memoryview(self._words).cast("B").cast("d")
+        size, pages = state
+        self._attach(size)
+        for offset, chunk in pages:
+            self._map[offset : offset + len(chunk)] = chunk
 
     def _index(self, addr: int) -> int:
         if addr & 7:
@@ -83,21 +104,14 @@ class TargetMemory:
         self._floats[self._index(addr)] = value
 
     # --------------------------------------------------------------- bulk
-    def write_words(self, addr: int, values: list[int]) -> None:
-        """Bulk store of encoded words (used by the loader)."""
-        base = self._index(addr)
-        if base + len(values) > self.nwords:
-            raise TargetFault(f"bulk write of {len(values)} words at {addr:#x} overflows memory")
-        for i, v in enumerate(values):
-            self._words[base + i] = to_signed64(v)
-
     def write_bytes(self, addr: int, blob: bytes) -> None:
         """Bulk store of raw bytes (8-byte aligned, used by the loader)."""
         if len(blob) % 8:
             raise TargetFault("write_bytes requires a multiple of 8 bytes")
-        base = self._index(addr)
-        view = memoryview(self._words).cast("B")
-        view[base * 8 : base * 8 + len(blob)] = blob
+        base = self._index(addr) * 8
+        if base + len(blob) > self.size:
+            raise TargetFault(f"bulk write of {len(blob)} bytes at {addr:#x} overflows memory")
+        self._map[base : base + len(blob)] = blob
 
 
 class ArchState:

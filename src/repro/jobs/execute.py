@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import repro
 from repro._util import output_digest
+from repro.cache import program_image
 from repro.core.results import kips, summary_line
-from repro.isa.program import program_digest
 from repro.jobs.spec import JobSpec, digest_payload, job_key, spec_program
 from repro.jobs.store import ResultStore
 
@@ -104,7 +104,7 @@ def execute(
     outlive this call otherwise.
     """
     workload = spec_program(spec)
-    pdigest = program_digest(workload.program)
+    pdigest = program_image(workload.program)[0]
     key = job_key(spec, program_digest=pdigest)
     if trace is not None:
         trace, store = str(trace), None

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro._util import canonical_json, sha256_hex
+from repro.cache import program_image
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.isa.program import program_digest as _program_digest
 
 __all__ = [
     "JOB_FORMAT",
@@ -255,5 +255,5 @@ def job_key(spec: JobSpec, program_digest: str | None = None) -> str:
     (cached) compile.
     """
     if program_digest is None:
-        program_digest = _program_digest(spec_program(spec).program)
+        program_digest = program_image(spec_program(spec).program)[0]
     return sha256_hex(canonical_json(digest_payload(spec, program_digest)))

@@ -6,7 +6,8 @@ of memory downward; the heap may grow up to the lowest stack's bottom.  The
 slack engine loads one context per target core, the functional interpreter
 (:mod:`repro.cpu.interp`) one, and both start a workload thread's registers
 through :meth:`LoadedImage.init_registers`.  Loading decodes nothing: a
-timing core derives its predecoded tables on first use (memoised on the
+timing core derives its predecoded tables on first use, and the encoded text
+is copied from :func:`repro.cache.program_image` (both memoised on the
 Program).
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import align_up
+from repro.cache import program_image
 from repro.cpu.arch import REG_RA, REG_SP, REG_TP, ArchState, TargetMemory
 from repro.isa.program import DATA_BASE, TEXT_BASE, Program
 
@@ -50,7 +52,7 @@ def load_program(
 ) -> LoadedImage:
     """Load *program*, returning memory plus per-context stack tops."""
     mem = TargetMemory(memory_bytes)
-    mem.write_words(TEXT_BASE, program.encoded_text())
+    mem.write_bytes(TEXT_BASE, program_image(program)[1])
     if program.data:
         mem.write_bytes(DATA_BASE, program.data)
     heap_start = align_up(program.data_end, 64)

@@ -99,24 +99,31 @@ class SystemBase:
         """Table 1 synchronization API: syscall *num* on the object at *addr*
         (*aux*: a barrier's participant count, a semaphore's initial value)."""
         sync = self.sync
-        if num == Sys.LOCK_INIT:
-            result = sync.lock_init(addr)
-        elif num == Sys.LOCK_ACQ:
-            result = sync.lock_acquire(addr, core, ts)
-        elif num == Sys.LOCK_REL:
-            result = sync.lock_release(addr, core, ts)
-        elif num == Sys.BARRIER_INIT:
-            result = sync.barrier_init(addr, aux)
-        elif num == Sys.BARRIER_WAIT:
-            result = sync.barrier_wait(addr, core, ts)
-        elif num == Sys.SEMA_INIT:
-            result = sync.sema_init(addr, aux)
-        elif num == Sys.SEMA_WAIT:
-            result = sync.sema_wait(addr, core, ts)
-        elif num == Sys.SEMA_SIGNAL:
-            result = sync.sema_signal(addr, core, ts)
-        else:
-            raise self.error(f"core {core}: syscall {num} is not a synchronization call")
+        try:
+            if num == Sys.LOCK_INIT:
+                result = sync.lock_init(addr)
+            elif num == Sys.LOCK_ACQ:
+                result = sync.lock_acquire(addr, core, ts)
+            elif num == Sys.LOCK_REL:
+                result = sync.lock_release(addr, core, ts)
+            elif num == Sys.BARRIER_INIT:
+                result = sync.barrier_init(addr, aux)
+            elif num == Sys.BARRIER_WAIT:
+                result = sync.barrier_wait(addr, core, ts)
+            elif num == Sys.SEMA_INIT:
+                result = sync.sema_init(addr, aux)
+            elif num == Sys.SEMA_WAIT:
+                result = sync.sema_wait(addr, core, ts)
+            elif num == Sys.SEMA_SIGNAL:
+                result = sync.sema_signal(addr, core, ts)
+            else:
+                raise TargetError(f"core {core}: syscall {num} is not a synchronization call")
+        except TargetError as exc:
+            # SyncEmulation blames the target program; under replay the
+            # same misuse is a mismatched trace.
+            if self.error is TargetError:
+                raise
+            raise self.error(*exc.args) from exc
         if result.action is SyncAction.BLOCK:
             return SysResult(SysAction.BLOCK)
         return SysResult(SysAction.PROCEED, cost=result.cost, wakes=list(result.wakes))

@@ -132,6 +132,23 @@ def test_restore_in_fresh_process(program, tmp_path):
     assert out.stdout.strip() == full.stats_sha256
 
 
+def test_sparse_checkpoint_restores_every_float_page(tmp_path):
+    """The target memory pickles only its non-zero pages: a mid-run water
+    checkpoint stays far below the 16 MiB image, and the restored run prints
+    the straight run's floats bit for bit."""
+    water = make_workload("water", scale="tiny")
+    cp = tmp_path / "ck.pkl"
+    sim = replace(SIM, scheme="s9")
+    full = SequentialEngine(
+        water.program, sim=replace(sim, checkpoint_interval=500, checkpoint_path=str(cp))
+    ).run()
+    assert cp.stat().st_size < 1 << 20
+    resumed = load_checkpoint(str(cp)).run()
+    assert_same_run(full, resumed)
+    assert [v.hex() for v in resumed.output] == [v.hex() for v in full.output]
+    assert not water.mismatches(resumed.output)
+
+
 def test_ooo_core_roundtrip(program, tmp_path):
     """The OoO model's in-flight state (ROB, MSHRs, store buffer) pickles;
     its predecode closures are re-derived on restore."""

@@ -104,7 +104,8 @@ def _hex(values) -> list:
 
 def _test_memory() -> TargetMemory:
     mem = TargetMemory(4096)
-    mem.write_words(0, [(i * 0x9E3779B97F4A7C15) & ((1 << 63) - 1) for i in range(512)])
+    for i in range(512):
+        mem.store_word(8 * i, (i * 0x9E3779B97F4A7C15) & ((1 << 63) - 1))
     return mem
 
 

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.cache import program_image
 from repro.experiments.parallel import run_sweep, sweep_to_json
+from repro.isa.program import program_digest
 from repro.jobs import JobSpec, ResultStore, execute, record_summary
+from repro.workloads.registry import WORKLOADS, make_workload
 
 
 def spec(**kwargs) -> JobSpec:
@@ -72,6 +75,31 @@ class TestMissThenHit:
             spec(mode="functional")
         with pytest.raises(ValueError, match="mode"):
             spec_from_dict({**spec_to_dict(spec()), "mode": "functional"})
+
+
+class TestProgramImage:
+    """``repro.cache.program_image``: one digest and one encoded text per
+    Program object."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_memoised_digest_is_program_digest(self, cache_root, name, scale):
+        program = make_workload(name, scale=scale).program
+        assert program_image(program)[0] == program_digest(program)
+        assert program_image(program) is program_image(program)
+
+    def test_repeated_jobs_encode_nothing(self, store, monkeypatch):
+        """Once a process has keyed a program, neither a warm hit nor a miss
+        on the same program re-encodes its text."""
+        from repro.isa.instruction import Instruction
+
+        execute(spec(), store)
+        calls = []
+        encode = Instruction.encode
+        monkeypatch.setattr(Instruction, "encode", lambda insn: calls.append(insn) or encode(insn))
+        assert execute(spec(), store).hit
+        assert not execute(spec(seed=6), store).hit
+        assert calls == []
 
 
 @pytest.fixture(scope="module")

@@ -139,6 +139,19 @@ def test_join_on_an_unrecorded_thread_is_a_trace_error():
         _replay_core([(OP_JOIN, 7)]).step(0)
 
 
+def test_sync_misuse_under_replay_is_a_trace_error():
+    """A recorded release of a lock nobody holds is a mismatched trace, not
+    a fault of the target program; a direct run still blames the target."""
+    from repro.sysapi.syscalls import Sys
+    from repro.sysapi.system import SystemBase, TargetError
+    from repro.trace.replay import ReplaySystem
+
+    with pytest.raises(TraceError, match="released lock 0x1000 held by None"):
+        ReplaySystem(2).sync_call(Sys.LOCK_REL, 0x1000, 0, 0, 5)
+    with pytest.raises(TargetError, match="released lock 0x1000 held by None"):
+        SystemBase(2).sync_call(Sys.LOCK_REL, 0x1000, 0, 0, 5)
+
+
 def test_replay_matches_direct_under_fastforward(tmp_path):
     """Fast-forward compensation (§3.2.3) moves ``_busy_until`` on the
     storing core; replay mirrors it touch for touch, so the dumps stay
