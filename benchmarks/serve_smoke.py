@@ -51,8 +51,9 @@ LATENCY_JOBS = 4
 #: The deterministic slice of a record that must survive any failure path
 #: bit-for-bit.  Provenance (wall time, engine, timestamps) may differ.
 DETERMINISTIC_FIELDS = (
-    "job_key", "completed", "metrics", "cores", "output_sha256",
-    "stats", "stats_digest", "stats_dump",
+    "job_key", "completed", "execution_cycles", "global_time", "instructions",
+    "host_time", "kips", "violations", "workload_violations", "output_sha256",
+    "output_len", "stats", "stats_digest", "snapshots",
 )
 
 

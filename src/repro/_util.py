@@ -170,10 +170,6 @@ class Backoff:
             delay *= 1.0 + self.jitter * float(self._rng.uniform(-1.0, 1.0))
         return delay
 
-    def reset(self) -> None:
-        """Restart the schedule (call after a successful attempt)."""
-        self.attempt = 0
-
 
 def retry_with_backoff(
     fn,

@@ -37,7 +37,7 @@ from repro._util import atomic_write_text
 from repro.core.engine import EngineError
 from repro.experiments.parallel import SWEEP_EXPERIMENTS
 from repro.trace import TraceError
-from repro.workloads.registry import WORKLOADS
+from repro.workloads.registry import WORKLOADS, make_workload
 
 __all__ = ["main"]
 
@@ -87,30 +87,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not direct:
+        from repro.core.results import run_document
+
         record = outcome.record
         notes = [
             outcome.hit and f"served from result store ({outcome.key[:16]}…)",
             args.replay_trace
             and f"replayed from {args.replay_trace} (functional cores not re-executed)",
         ]
-        check = ([], record["metrics"]["output_len"])
-        return _report(args, record["stats"], record["stats_dump"], record["cores"], check, notes)
+        document = run_document(
+            record["stats"], record["stats_digest"], record["snapshots"], record["completed"]
+        )
+        return _report(args, record["stats"], document, ([], record["output_len"]), notes)
     result = engine.run()
     notes = [
         args.restore and f"resumed from {args.restore}: completed={result.completed}",
+        args.restore and workload is None
+        and f"output unchecked: the checkpoint does not run the {args.workload}/{args.scale}"
+        " program (name its workload with --workload and --scale)",
         args.capture_trace and f"trace captured -> {args.capture_trace}",
         args.faults
         and f"faults injected: {result.stats.get('faults.injected', 0)} (plan: {args.faults})",
     ]
-    # A restored engine carries no workload oracle: its output goes
-    # unchecked here (restore equivalence is pinned by the checkpoint tests).
     check = workload and (workload.mismatches(result.output), len(result.output))
-    return _report(args, result.stats, result.dump_json(), result.cores, check, notes)
+    return _report(args, result.stats, result.dump_json(), check, notes)
 
 
 def _direct_engine(args: argparse.Namespace):
-    """``(engine, workload)`` off the job path: a restored checkpoint (no
-    workload), or the job's run plus a capture, checkpoints or faults."""
+    """``(engine, workload)`` off the job path: a restored checkpoint (the
+    workload iff it runs that workload's program), or the job's run plus a
+    capture, checkpoints or faults."""
     import json
 
     from repro.core.engine import SequentialEngine
@@ -118,10 +124,13 @@ def _direct_engine(args: argparse.Namespace):
 
     if args.restore:
         # The engine (config, program image, clocks, queues) travels inside
-        # the checkpoint; the original workload oracle does not.
+        # the checkpoint; the workload oracle does not, so the flags name it.
+        from repro.cache import program_image
         from repro.core.checkpoint import load_checkpoint
 
-        return load_checkpoint(args.restore), None
+        engine, workload = load_checkpoint(args.restore), make_workload(args.workload, args.scale)
+        digest = engine.image and program_image(engine.image.program)[0]
+        return engine, workload if digest == program_image(workload.program)[0] else None
     capture = args.capture_trace
     spec = _job_spec(
         args,
@@ -145,11 +154,11 @@ def _direct_engine(args: argparse.Namespace):
     return engine, workload
 
 
-def _report(args, stats: dict, document: str, rows: list, check, notes) -> int:
+def _report(args, stats: dict, document: str, check, notes) -> int:
     """Print a run of any ``run`` path and write its ``--stats-out``, from its
-    dump, stats-document text, per-core rows and the oracle's ``(mismatches,
-    output length)`` (None on restore).  *notes*: the path's own lines."""
-    from repro.core.results import summary_line
+    dump, stats-document text and the oracle's ``(mismatches, output
+    length)`` (None on an unchecked restore).  *notes*: the path's own lines."""
+    from repro.core.results import core_rows, summary_line
     from repro.stats.registry import dump_to_csv
 
     print(summary_line(stats))
@@ -167,7 +176,7 @@ def _report(args, stats: dict, document: str, rows: list, check, notes) -> int:
         return 1
     print(f"output verified against the numpy oracle ({values} values)")
     if args.verbose:
-        for row in rows:
+        for row in core_rows(stats):
             ipc = row["committed"] / row["cycles"] if row["cycles"] else 0.0
             print(
                 f"  core {row['core']}: {row['committed']} instr / {row['cycles']} cyc "
@@ -374,10 +383,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if record is None:
             print(f"record {matches[0]} is invalid (failed its seal)", file=sys.stderr)
             return 1
-        # The verbatim stats document is bulky and reproducible from
-        # "stats"; elide it from the human view.
-        view = {k: v for k, v in record.items() if k != "stats_dump"}
-        print(json.dumps(view, indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True))
         return 0
 
     if args.action == "verify":

@@ -4,9 +4,9 @@
 output, the live violation counters, the run's stats snapshots) and reads
 every number from its flat stats dump through :data:`HEADLINES`.  The dump
 renders on first access, so a caller that reads no number pays none of its
-cost.  The per-core rows (and the cores that ran) and the summary line are
-functions of a dump, so a stored job record (which carries the same dump)
-yields the same ones.
+cost.  The per-core rows (and the cores that ran), the summary line and the
+``--stats-out`` document are functions of a dump, so a stored job record
+(which carries the same dump, digest and snapshots) yields the same ones.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from repro.host.costmodel import HOST_UNIT_SECONDS
 from repro.stats.registry import flat_dump, stats_digest, stats_document
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["HEADLINES", "SimulationResult", "core_rows", "kips", "ran_cores", "summary_line"]
+__all__ = [
+    "HEADLINES", "SimulationResult", "core_rows", "kips", "ran_cores", "run_document",
+    "summary_line",
+]
 
 #: Each headline attribute of a result and the dump path it reads.  A stat
 #: the run does not register reads 0: trace cores register no ``sync.*``.
@@ -83,6 +86,14 @@ def summary_line(stats: dict) -> str:
     )
 
 
+def run_document(stats: dict, digest: str, snapshots: list, completed: bool) -> str:
+    """The run's stats document (meta + stats + snapshots + digest), sorted:
+    what ``run --stats-out`` writes for a live run and a stored record alike."""
+    meta = {name: stats.get(HEADLINES[name], 0) for name in ("scheme", "seed", "host_cores")}
+    meta["completed"] = completed
+    return stats_document(meta, digest, stats, snapshots)
+
+
 @dataclass
 class SimulationResult:
     """What a run alone knows, over the stats dump that holds its numbers."""
@@ -141,9 +152,7 @@ class SimulationResult:
 
     def dump_json(self) -> str:
         """Full stats document (meta + stats + snapshots + digest), sorted."""
-        names = ("scheme", "seed", "host_cores", "completed")
-        meta = {n: getattr(self, n) for n in names}
-        return stats_document(meta, self.stats_sha256, self.stats, self.snapshots)
+        return run_document(self.stats, self.stats_sha256, self.snapshots, self.completed)
 
     def int_output(self) -> list[int]:
         return [v for v in self.output if isinstance(v, int)]

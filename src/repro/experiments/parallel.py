@@ -94,14 +94,22 @@ def point_key(spec: JobSpec) -> str:
     return key
 
 
+#: The job record's fields a sweep point document copies: every one but the
+#: digest payload, output length, snapshots and provenance.
+_POINT_FIELDS = (
+    "completed", "execution_cycles", "global_time", "instructions", "host_time", "kips",
+    "violations", "workload_violations", "output_sha256", "stats", "stats_digest",
+)
+
+
 def point_document(spec: JobSpec, record: dict) -> dict:
-    """A sweep point's JSON document, reduced from a job-store record.
+    """A sweep point's JSON document: the job record's point fields under
+    the point's short spec.
 
     Pure function of (spec, record) with only deterministic record fields
     — provenance (wall times) never leaks in, which is what keeps a
     store-served sweep byte-identical to a cold one.
     """
-    metrics = record["metrics"]
     return {
         "spec": {
             "workload": spec.workload,
@@ -112,17 +120,7 @@ def point_document(spec: JobSpec, record: dict) -> dict:
             "fastforward": spec.fastforward,
             "core_model": spec.core_model,
         },
-        "completed": record["completed"],
-        "execution_cycles": metrics["execution_cycles"],
-        "global_time": metrics["global_time"],
-        "instructions": metrics["instructions"],
-        "host_time": metrics["host_time"],
-        "kips": metrics["kips"],
-        "violations": metrics["violations"],
-        "workload_violations": metrics["workload_violations"],
-        "output_sha256": record["output_sha256"],
-        "stats": record["stats"],
-        "stats_digest": record["stats_digest"],
+        **{name: record[name] for name in _POINT_FIELDS},
     }
 
 

@@ -6,9 +6,9 @@
 1. **Store hit** — a sealed record for the job key exists: return it
    without simulating.
 2. **Miss** — run the engine directly, verify the output against the
-   workload's numpy oracle, pack the record (metrics, per-core summaries,
-   flat stats, stats digest, the rendered stats document, output
-   fingerprint, provenance) and publish it to the store atomically.
+   workload's numpy oracle, pack the record (the sweep point document's
+   fields plus output length, snapshots and provenance: each fact once)
+   and publish it to the store atomically.
 
 ``execute(spec, store, trace=path)`` is the explicit replay tool (DESIGN.md
 §11): it re-times the capture at *path* under the job's configuration and
@@ -56,26 +56,22 @@ def _timing_record(
     return {
         "spec": payload,
         "completed": result.completed,
-        "metrics": {
-            "execution_cycles": stats["target.execution_cycles"],
-            "global_time": stats["target.global_time"],
-            "instructions": stats["target.instructions"],
-            "host_time": stats["host.makespan"],
-            "host_utilization": stats["host.utilization"],
-            "kips": kips(stats),
-            "violations": (
-                stats["violations.simulation_state"]
-                + stats["violations.system_state"]
-                + stats["violations.workload_state"]
-            ),
-            "workload_violations": stats["violations.workload_state"],
-            "output_len": len(result.output),
-        },
-        "cores": result.cores,
+        "execution_cycles": stats["target.execution_cycles"],
+        "global_time": stats["target.global_time"],
+        "instructions": stats["target.instructions"],
+        "host_time": stats["host.makespan"],
+        "kips": kips(stats),
+        "violations": (
+            stats["violations.simulation_state"]
+            + stats["violations.system_state"]
+            + stats["violations.workload_state"]
+        ),
+        "workload_violations": stats["violations.workload_state"],
         "output_sha256": output_digest(result.output),
+        "output_len": len(result.output),
         "stats": stats,
         "stats_digest": result.stats_sha256,
-        "stats_dump": result.dump_json(),
+        "snapshots": result.snapshots,
         "provenance": {
             "repro_version": repro.__version__,
             "engine": "direct" if trace is None else "replay",

@@ -6,12 +6,14 @@ with the sweep.  Every job the pool has been asked to run is one row keyed by
 its content-addressed ``job_key`` (:mod:`repro.jobs.spec`), moving through
 the state machine::
 
-    QUEUED ──lease──▶ LEASED ──start──▶ RUNNING ──complete──▶ DONE
-      ▲                  │                  │
-      │   requeue (attempts ≤ budget)       │ fail (job error: no retry)
-      └──────────────────┴──────────────────┤
-                                            ▼
-              requeue (attempts > budget) ▶ DEAD        FAILED
+    QUEUED ──lease──▶ RUNNING ──complete──▶ DONE
+      ▲                  │
+      │   requeue        ├──fail (job error: no retry)──▶ FAILED
+      │   (attempts ≤    │
+      └── budget) ───────┴──requeue (attempts > budget)──▶ DEAD
+
+A leased job is a running job: the supervisor sends it to its worker in
+the same tick that leases it, so there is no separate "leased" state.
 
 ``DONE``/``FAILED``/``DEAD`` are terminal; ``retry`` is the only
 transition out of a terminal failure state and it re-arms the budget.
@@ -24,7 +26,7 @@ pure scheduling state, which is why attaching is always safe.
 
 **Leases and fencing.**  A lease hands a job to one worker for a bounded
 wall-clock TTL and mints a fresh ``lease_id``; every downstream transition
-(start/renew/complete/fail/requeue) must present that token.  A worker
+(renew/complete/fail/requeue) must present that token.  A worker
 whose lease expired and was re-issued can no longer affect the job — its
 stale token fences it out — so SIGKILLed, hung, *and* zombie workers all
 collapse to the same safe story: the lease lapses, the job requeues with
@@ -32,7 +34,7 @@ backoff, and only the current leaseholder's verdict counts.
 
 **Crash-safe restart.**  All writes are single sqlite transactions in WAL
 mode; a daemon killed at any instant restarts with a consistent queue.
-``recover()`` then sweeps every LEASED/RUNNING row back to QUEUED —
+``recover()`` then sweeps every RUNNING row back to QUEUED —
 orphaned work from the previous incarnation — without charging the retry
 budget (the daemon dying is not the job's fault; only worker-side
 failures consume attempts).
@@ -60,7 +62,7 @@ from pathlib import Path
 __all__ = ["JobQueue", "QueueError", "STATES", "TERMINAL"]
 
 #: Every legal state, in lifecycle order.
-STATES = ("QUEUED", "LEASED", "RUNNING", "DONE", "FAILED", "DEAD")
+STATES = ("QUEUED", "RUNNING", "DONE", "FAILED", "DEAD")
 
 #: States no lease can act on any more.
 TERMINAL = frozenset({"DONE", "FAILED", "DEAD"})
@@ -192,7 +194,8 @@ class JobQueue:
         ttl: float = 30.0,
         now: "float | None" = None,
     ) -> "dict | None":
-        """Atomically claim the oldest due QUEUED job for *worker*.
+        """Atomically claim the oldest due QUEUED job for *worker*: it is
+        RUNNING from here on.
 
         Returns the job view (with the fresh ``lease_id``) or ``None`` when
         nothing is due — jobs parked behind a backoff ``not_before`` are
@@ -209,23 +212,11 @@ class JobQueue:
                 return None
             lease_id = uuid.uuid4().hex
             self._db.execute(
-                "UPDATE jobs SET state='LEASED', lease_id=?, lease_expiry=?,"
+                "UPDATE jobs SET state='RUNNING', lease_id=?, lease_expiry=?,"
                 " worker=?, updated_at=? WHERE job_key=?",
                 (lease_id, now + ttl, worker, now, row["job_key"]),
             )
             return self.job_view(self._require(row["job_key"]))
-
-    def start(self, key: str, lease_id: str, *, now: "float | None" = None) -> None:
-        """LEASED → RUNNING (the worker actually began executing)."""
-        now = time.time() if now is None else now
-        with self._lock:
-            row = self._fenced(key, lease_id)
-            if row["state"] != "LEASED":
-                raise QueueError(f"start from {row['state']} (want LEASED)")
-            self._db.execute(
-                "UPDATE jobs SET state='RUNNING', updated_at=? WHERE job_key=?",
-                (now, key),
-            )
 
     def renew(
         self, key: str, lease_id: str, *, ttl: float = 30.0, now: "float | None" = None
@@ -239,8 +230,8 @@ class JobQueue:
         now = time.time() if now is None else now
         with self._lock:
             row = self._fenced(key, lease_id)
-            if row["state"] not in ("LEASED", "RUNNING"):
-                raise QueueError(f"renew from terminal state {row['state']}")
+            if row["state"] != "RUNNING":
+                raise QueueError(f"renew from {row['state']}")
             self._db.execute(
                 "UPDATE jobs SET lease_expiry=MAX(lease_expiry, ?), updated_at=?"
                 " WHERE job_key=?",
@@ -248,12 +239,12 @@ class JobQueue:
             )
 
     def complete(self, key: str, lease_id: str, *, now: "float | None" = None) -> None:
-        """RUNNING/LEASED → DONE.  Fenced: only the live leaseholder lands
+        """RUNNING → DONE.  Fenced: only the live leaseholder lands
         a completion, so a job can never be double-completed."""
         now = time.time() if now is None else now
         with self._lock:
             row = self._fenced(key, lease_id)
-            if row["state"] not in ("LEASED", "RUNNING"):
+            if row["state"] != "RUNNING":
                 raise QueueError(f"complete from {row['state']}")
             self._db.execute(
                 "UPDATE jobs SET state='DONE', lease_id=NULL, lease_expiry=NULL,"
@@ -265,7 +256,7 @@ class JobQueue:
     def fail(
         self, key: str, lease_id: str, error: str, *, now: "float | None" = None
     ) -> None:
-        """RUNNING/LEASED → FAILED: the *job itself* raised.
+        """RUNNING → FAILED: the *job itself* raised.
 
         Job errors are deterministic (same spec ⇒ same exception), so they
         are never retried: only lost workers retry.
@@ -273,7 +264,7 @@ class JobQueue:
         now = time.time() if now is None else now
         with self._lock:
             row = self._fenced(key, lease_id)
-            if row["state"] not in ("LEASED", "RUNNING"):
+            if row["state"] != "RUNNING":
                 raise QueueError(f"fail from {row['state']}")
             self._db.execute(
                 "UPDATE jobs SET state='FAILED', lease_id=NULL, lease_expiry=NULL,"
@@ -304,7 +295,7 @@ class JobQueue:
         now = time.time() if now is None else now
         with self._lock:
             row = self._fenced(key, lease_id)
-            if row["state"] not in ("LEASED", "RUNNING"):
+            if row["state"] != "RUNNING":
                 raise QueueError(f"requeue from {row['state']}")
             attempts = row["attempts"] + (1 if charge else 0)
             if attempts > row["max_retries"]:
@@ -334,8 +325,8 @@ class JobQueue:
         now = time.time() if now is None else now
         with self._lock:
             rows = self._db.execute(
-                "SELECT job_key, lease_id FROM jobs WHERE state IN"
-                " ('LEASED','RUNNING') AND lease_expiry < ?",
+                "SELECT job_key, lease_id FROM jobs WHERE state = 'RUNNING'"
+                " AND lease_expiry < ?",
                 (now,),
             ).fetchall()
         expired = []
@@ -354,7 +345,7 @@ class JobQueue:
         return expired
 
     def recover(self, *, now: "float | None" = None) -> list[str]:
-        """Daemon restart: re-queue every orphaned LEASED/RUNNING job.
+        """Daemon restart: re-queue every orphaned RUNNING job.
 
         The previous incarnation's workers are gone with it, so every
         in-flight lease is void.  No attempt is charged — the daemon dying
@@ -362,22 +353,25 @@ class JobQueue:
         work runs immediately.  Returns the recovered keys.
         """
         now = time.time() if now is None else now
+        # Every row that is neither QUEUED nor terminal: RUNNING, and the
+        # LEASED rows an older daemon (which had a separate leased state)
+        # may have left behind.
+        orphaned = "state NOT IN ('QUEUED','DONE','FAILED','DEAD')"
         with self._lock:
             rows = self._db.execute(
-                "SELECT job_key FROM jobs WHERE state IN ('LEASED','RUNNING')"
+                f"SELECT job_key FROM jobs WHERE {orphaned}"
             ).fetchall()
             keys = [row["job_key"] for row in rows]
             self._db.execute(
                 "UPDATE jobs SET state='QUEUED', lease_id=NULL, lease_expiry=NULL,"
-                " worker=NULL, not_before=0, updated_at=?"
-                " WHERE state IN ('LEASED','RUNNING')",
+                f" worker=NULL, not_before=0, updated_at=? WHERE {orphaned}",
                 (now,),
             )
         return keys
 
     def request_cancel(self, key: str, *, now: "float | None" = None) -> str:
         """Cancel *key*: QUEUED cancels immediately (→ FAILED "cancelled");
-        LEASED/RUNNING is flagged and the supervisor kills the worker at its
+        RUNNING is flagged and the supervisor kills the worker at its
         next tick; terminal states are left untouched.  Returns the state
         after the request."""
         now = time.time() if now is None else now
@@ -391,7 +385,7 @@ class JobQueue:
                 )
                 self._settled.notify_all()
                 return "FAILED"
-            if row["state"] in ("LEASED", "RUNNING"):
+            if row["state"] == "RUNNING":
                 self._db.execute(
                     "UPDATE jobs SET cancel_requested=1, updated_at=?"
                     " WHERE job_key=?",
@@ -468,8 +462,7 @@ class JobQueue:
         """Live jobs flagged for cancellation (the supervisor polls this)."""
         with self._lock:
             rows = self._db.execute(
-                "SELECT * FROM jobs WHERE cancel_requested=1"
-                " AND state IN ('LEASED','RUNNING')"
+                "SELECT * FROM jobs WHERE cancel_requested=1 AND state = 'RUNNING'"
             ).fetchall()
         return [self.job_view(row) for row in rows]
 

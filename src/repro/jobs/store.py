@@ -1,10 +1,11 @@
 """Persistent result store: the ``results`` section of the cache root.
 
 One sealed JSON record per :func:`repro.jobs.spec.job_key`, holding
-everything a repeated request needs without re-simulating (DESIGN.md §12):
-the flat stats dump and its digest, the rendered ``--stats-out`` document,
-the output fingerprint, the derived point metrics, per-core summaries, and
-provenance (engine path, wall time, repro version).
+everything a repeated request needs without re-simulating (DESIGN.md §12),
+each fact once: the sweep point document's fields (headline numbers, output
+fingerprint, the flat stats dump and its digest), the output length, the
+interval snapshots, the digest payload and provenance.  The ``--stats-out``
+document and per-core rows are functions of these (:mod:`repro.core.results`).
 
 Sealing, quarantine, ``verify``/``gc``/``clear`` and the atomic publish are
 the cache's one rule for every section (:class:`repro.cache.Section`): a
@@ -30,7 +31,7 @@ from repro.cache import Section, cache_root
 __all__ = ["RESULT_FORMAT", "TELEMETRY", "ResultStore"]
 
 #: Record layout version: stored in every record; a mismatch is stale.
-RESULT_FORMAT = 2
+RESULT_FORMAT = 3
 
 #: Process-wide load-outcome counters, folded by every :class:`ResultStore`
 #: instance (``ResultStore.default()`` constructs a fresh handle per call,

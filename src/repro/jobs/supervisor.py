@@ -38,7 +38,7 @@ Failure domains handled per tick, in order:
    the row failed as ``cancelled``; a flagged job caught between workers
    is failed at its next lease.
 6. **Assignment**: idle workers lease due QUEUED jobs (FIFO, backoff
-   respected) and start executing.
+   respected): a leased job is RUNNING the moment it is sent.
 """
 
 from __future__ import annotations
@@ -308,12 +308,12 @@ class Supervisor:
                 if kind == "done":
                     self._safe(self.queue.complete, key, handle.lease_id, now=now)
                     self.telemetry["completed"] += 1
-                    self._backoffs.pop(key, None)
                 elif kind == "error":
                     self._safe(
                         self.queue.fail, key, handle.lease_id, msg[2], now=now
                     )
                     self.telemetry["failed"] += 1
+                self._backoffs.pop(key, None)  # a retry starts a fresh schedule
                 verdicts.append(msg)
                 self._clear_assignment(handle)
         return verdicts
@@ -408,7 +408,6 @@ class Supervisor:
                     now=now,
                 )
                 continue
-            self._safe(self.queue.start, key, lease_id, now=now)
             handle.key = key
             handle.lease_id = lease_id
             handle.assigned_wall = now
@@ -424,7 +423,7 @@ class Supervisor:
         """Graceful shutdown: stop assigning, finish leased work, stop.
 
         Returns True when every in-flight job finished inside *timeout*;
-        on False the stragglers stay LEASED/RUNNING in the queue and the
+        on False the stragglers stay RUNNING in the queue and the
         next daemon incarnation's ``recover()`` re-runs them — graceful
         and crash shutdown converge on the same durable state.
         """
@@ -439,7 +438,7 @@ class Supervisor:
 
     def stop(self) -> None:
         """Hard-stop every worker (drained or not): ask the idle to exit,
-        kill the busy (their rows stay LEASED/RUNNING)."""
+        kill the busy (their rows stay RUNNING)."""
         for handle in self.handles:
             if handle.busy:
                 handle.kill()

@@ -114,7 +114,7 @@ def test_rerun_distrusts_corrupt_records(store, baseline):
     tampered, torn = (store.path(job_key(spec)) for spec in SPECS[:2])
     seal, _, payload = tampered.read_bytes().partition(b"\n")
     record = json.loads(payload)
-    record["metrics"]["instructions"] = -1
+    record["instructions"] = -1
     tampered.write_bytes(seal + b"\n" + json.dumps(record).encode())
     torn.write_bytes(torn.read_bytes()[:40])
 

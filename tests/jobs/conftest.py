@@ -2,7 +2,15 @@
 
 import pytest
 
+from repro.core.results import run_document
 from repro.jobs import ResultStore
+
+
+def document(record: dict) -> str:
+    """The ``--stats-out`` document of a record, as ``repro run`` renders it."""
+    return run_document(
+        record["stats"], record["stats_digest"], record["snapshots"], record["completed"]
+    )
 
 
 @pytest.fixture()

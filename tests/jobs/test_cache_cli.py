@@ -5,8 +5,10 @@ import json
 
 import repro.lang.compiler as compiler
 from repro import cache
+from repro.cache import Section
 from repro.cli import main
 from repro.jobs import JobSpec, ResultStore, execute
+from repro.jobs.store import TELEMETRY
 
 
 def _populate(store) -> str:
@@ -74,13 +76,41 @@ def test_info_prints_one_record_by_prefix(store, capsys):
     assert main(["cache", "info", key[:12]]) == 0
     out = capsys.readouterr().out
     assert f'"job_key": "{key}"' in out
-    assert '"stats_dump"' not in out  # elided from the human view
+    assert json.loads(out) == store.load(key)  # the whole record, nothing elided
 
 
 def test_info_rejects_ambiguous_or_unknown_prefix(store, capsys):
     _populate(store)
     assert main(["cache", "info", "zzzz"]) == 1
     assert main(["cache", "info"]) == 2
+
+
+def test_a_format_2_record_is_stale_and_gc_drops_it(store, capsys):
+    """A record of the layout that stored each run three times (format 2:
+    nested ``metrics``, ``cores`` rows and the rendered ``stats_dump``) is
+    stale, not damaged: a plain miss that quarantines nothing, left for
+    ``cache gc``."""
+    key = _populate(store)
+    record = store.load(key)
+    legacy = {name: record[name] for name in (
+        "spec", "completed", "output_sha256", "stats", "stats_digest", "provenance", "job_key",
+    )}
+    legacy.update(
+        format=2,
+        metrics={name: record[name] for name in ("execution_cycles", "instructions", "kips")},
+        cores=[{"core": 0, "committed": 1, "cycles": 1, "l1_accesses": 0, "l1_misses": 0}],
+        stats_dump="{}\n",
+    )
+    Section.put(store, key, legacy)  # a valid seal over the old layout
+    counts = dict(TELEMETRY)
+    assert store.load(key) is None
+    assert TELEMETRY["stale"] == counts["stale"] + 1 and TELEMETRY["corrupt"] == counts["corrupt"]
+    assert store.path(key).exists() and not store.path(key).with_suffix(".corrupt").exists()
+    assert main(["cache", "verify"]) == 0
+    assert "1 stale, 0 corrupt; 0 quarantined" in capsys.readouterr().out
+    assert main(["cache", "gc"]) == 0
+    assert "dropped 1 record(s)" in capsys.readouterr().out
+    assert store.keys() == []
 
 
 def test_gc_drops_corrupt_records(store, capsys):

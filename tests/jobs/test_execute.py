@@ -5,10 +5,13 @@ import json
 import pytest
 
 from repro.cache import program_image
+from repro.cli import main
 from repro.experiments.parallel import run_sweep, sweep_to_json
 from repro.isa.program import program_digest
 from repro.jobs import JobSpec, ResultStore, execute, record_summary
 from repro.workloads.registry import WORKLOADS, make_workload
+
+from tests.jobs.conftest import document
 
 
 def spec(**kwargs) -> JobSpec:
@@ -38,7 +41,8 @@ class TestMissThenHit:
         assert not miss.hit and hit.hit
         assert hit.record == miss.record
         assert len(watched) == 1  # the miss built one engine; the hit none
-        assert miss.record["stats_dump"] == hit.record["stats_dump"]
+        # Each fact once: no rendered document, nested metrics or core rows.
+        assert not {"stats_dump", "metrics", "cores"} & set(hit.record)
 
     def test_summary_reconstruction_matches_live_result(self, store):
         miss = execute(spec(), store)
@@ -46,7 +50,29 @@ class TestMissThenHit:
 
     def test_stats_dump_matches_live_result_bytes(self, store):
         miss = execute(spec(), store)
-        assert miss.record["stats_dump"] == live_result(spec()).dump_json()
+        assert document(miss.record) == live_result(spec()).dump_json()
+
+    @pytest.mark.parametrize("stats_interval", [0, 300])
+    @pytest.mark.parametrize("core_model", ["inorder", "ooo"])
+    def test_hit_stats_out_is_the_miss_stats_out(
+        self, store, tmp_path, capsys, core_model, stats_interval
+    ):
+        """``run --stats-out`` served from the store writes the bytes the
+        cold run wrote, interval snapshots included, and those are the live
+        engine's document."""
+        argv = ["run", "--workload", "fft", "--scale", "tiny", "--scheme", "s9", "--seed", "5",
+                "--host-cores", "2", "--core-model", core_model,
+                "--stats-interval", str(stats_interval)]
+        served = []
+        for name in ("miss", "hit"):
+            assert main([*argv, "--stats-out", str(tmp_path / f"{name}.json")]) == 0
+            served.append("served from result store" in capsys.readouterr().out)
+        assert served == [False, True]
+        miss, hit = ((tmp_path / f"{name}.json").read_text() for name in ("miss", "hit"))
+        assert hit == miss
+        live = live_result(spec(core_model=core_model, stats_interval=stats_interval))
+        assert miss == live.dump_json()
+        assert bool(json.loads(miss)["snapshots"]) == bool(stats_interval)
 
     def test_executed_miss_hands_back_what_load_returns(self, store, monkeypatch):
         """The record a miss returns is the published one — and producing it
@@ -137,7 +163,7 @@ class TestReplay:
         assert replayed.record["provenance"]["trace_path"] == fft_trace
         assert "job_key" not in replayed.record  # never published
         assert replayed.key == direct.key
-        assert replayed.record["stats_dump"] == direct.record["stats_dump"]
+        assert document(replayed.record) == document(direct.record)
         assert _tree(store.root) == before
 
     def test_replay_into_an_empty_store_stores_nothing(self, store, fft_trace):

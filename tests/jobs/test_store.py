@@ -13,6 +13,8 @@ from repro.cache import Section
 from repro.jobs import RESULT_FORMAT, ResultStore
 from repro.jobs.store import TELEMETRY
 
+from tests.jobs.conftest import document
+
 KEY = "k" * 64
 
 
@@ -22,7 +24,7 @@ def _reset_telemetry():
 
 
 def record(**extra) -> dict:
-    base = {"spec": {"toolchain": "t1"}, "metrics": {"x": 1}, "stats": {"a": 2}}
+    base = {"spec": {"toolchain": "t1"}, "execution_cycles": 1, "stats": {"a": 2}}
     base.update(extra)
     return base
 
@@ -45,7 +47,7 @@ class TestSealing:
         store.put(KEY, record())
         loaded = store.load(KEY)
         assert loaded is not None
-        assert loaded["metrics"] == {"x": 1}
+        assert loaded["execution_cycles"] == 1
         assert loaded["format"] == RESULT_FORMAT
         assert loaded["job_key"] == KEY
         head, _, payload = store.path(KEY).read_bytes().partition(b"\n")
@@ -75,7 +77,7 @@ class TestSealing:
 
     def test_tampered_field_fails_the_seal(self, store):
         store.put(KEY, record())
-        edit(store, KEY, metrics={"x": 999})
+        edit(store, KEY, execution_cycles=999)
         assert store.load(KEY) is None
 
     def test_wrong_embedded_key_is_a_miss(self, store):
@@ -147,7 +149,7 @@ class TestQuarantine:
 
     def test_failed_seal_quarantines(self, store):
         store.put(KEY, record())
-        edit(store, KEY, metrics={"x": 999})
+        edit(store, KEY, execution_cycles=999)
         assert store.load(KEY) is None
         assert store.path(KEY).with_suffix(".corrupt").exists()
         assert TELEMETRY["corrupt"] == 1
@@ -216,7 +218,7 @@ def _worker_execute(cache_dir: str, queue) -> None:
         JobSpec.build("fft", "tiny", scheme="s9", seed=3, host_cores=2),
         store=ResultStore.default(),
     )
-    queue.put((outcome.key, outcome.record["stats_dump"]))
+    queue.put((outcome.key, document(outcome.record)))
 
 
 class TestConcurrency:
@@ -243,4 +245,4 @@ class TestConcurrency:
         assert store.keys() == [key_a]  # exactly one record survived
         stored = store.load(key_a)
         assert stored is not None  # ... and it seals valid
-        assert stored["stats_dump"] == dump_a
+        assert document(stored) == dump_a

@@ -150,6 +150,51 @@ def test_reader_tolerates_absent_and_garbage(tmp_path):
     assert handle.key == "current"
 
 
+def test_a_failed_send_puts_the_job_back_uncharged(tmp_path):
+    """A worker that vanishes between the liveness check and the send costs
+    its job nothing: the leased (running) row is QUEUED again at once, with
+    no attempt charged."""
+    queue = JobQueue(tmp_path / "q.sqlite")
+    sup = Supervisor(queue, tmp_path / "serve", workers=1)
+    sup.stop()  # the one handle below is fed by hand
+
+    def vanished(_msg):
+        raise BrokenPipeError
+
+    sup.handles = [SimpleNamespace(
+        name="w0", busy=False, proc=SimpleNamespace(is_alive=lambda: True),
+        conn=SimpleNamespace(send=vanished),
+    )]
+    queue.submit("k1", "{}", now=0.0)
+    sup._assign(now=1.0)
+    view = queue.get("k1")
+    assert (view["state"], view["attempts"], view["lease_id"]) == ("QUEUED", 0, None)
+    assert queue.lease("w1", now=1.0)["job_key"] == "k1"
+    queue.close()
+
+
+def test_a_finished_job_drops_its_backoff(tmp_path):
+    """Done or failed, a job's retry schedule ends with it: a retry or a
+    resubmission of the key starts from a fresh :class:`Backoff`."""
+    queue = JobQueue(tmp_path / "q.sqlite")
+    sup = Supervisor(queue, tmp_path / "serve", workers=1)
+    sup.stop()
+    ours, theirs = multiprocessing.Pipe()
+    for verdict in (("done", "k1", {}), ("error", "k2", "Traceback")):
+        key = verdict[1]
+        queue.submit(key, "{}", now=0.0)
+        job = queue.lease("w0", now=0.0)
+        sup._backoff(key).next()
+        sup.handles = [SimpleNamespace(
+            conn=ours, key=key, lease_id=job["lease_id"], last_progress=None, last_change=0.0
+        )]
+        theirs.send(verdict)
+        assert sup._harvest(now=1.0) == [verdict]
+        assert key not in sup._backoffs
+    assert [queue.get(k)["state"] for k in ("k1", "k2")] == ["DONE", "FAILED"]
+    queue.close()
+
+
 # ---------------------------------------------------------------- hang rule
 def make_pool(tmp_path, **kwargs):
     queue = JobQueue(tmp_path / "serve" / "queue.sqlite")

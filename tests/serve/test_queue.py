@@ -4,6 +4,8 @@ Everything runs on a logical clock — every mutating call passes ``now``
 explicitly — so lease expiry, backoff visibility, and retry budgets are
 tested deterministically, no sleeps."""
 
+import sqlite3
+
 import pytest
 
 from repro.jobs.queue import JobQueue, QueueError, STATES, TERMINAL
@@ -57,10 +59,18 @@ def test_lease_is_fifo_and_mints_token(q):
     assert q.lease("w2", ttl=10, now=1.0) is None
 
 
+def test_lease_returns_a_running_row(q):
+    """A leased job is a running job: there is no step between the two."""
+    submit(q)
+    job = q.lease("w0", ttl=10, now=1.0)
+    assert job["state"] == "RUNNING" and job["worker"] == "w0"
+    assert job["lease_expiry"] == 11.0
+    assert q.get("k1") == job
+
+
 def test_full_happy_path(q):
     submit(q)
     job = q.lease("w0", ttl=10, now=1.0)
-    q.start("k1", job["lease_id"], now=2.0)
     assert q.get("k1")["state"] == "RUNNING"
     q.complete("k1", job["lease_id"], now=3.0)
     assert q.get("k1")["state"] == "DONE"
@@ -73,13 +83,12 @@ def test_stale_lease_is_fenced_out(q):
     assert q.expire(now=5.0) == ["k1"]  # lease lapsed, job requeued
     release = q.lease("w1", ttl=10, now=5.0)
     # The original leaseholder's verdict no longer counts for anything.
-    for verb in (q.start, q.complete):
+    for verb in (q.renew, q.complete):
         with pytest.raises(QueueError):
             verb("k1", job["lease_id"], now=6.0)
     with pytest.raises(QueueError):
         q.fail("k1", job["lease_id"], "late", now=6.0)
     # ...while the current one proceeds normally.
-    q.start("k1", release["lease_id"], now=6.0)
     q.complete("k1", release["lease_id"], now=7.0)
     assert q.get("k1")["state"] == "DONE"
 
@@ -132,8 +141,13 @@ def test_recover_requeues_orphans_without_charging(q):
     submit(q, key="running")
     submit(q, key="done")
     a = q.lease("w0", ttl=10, now=0.0)
-    b = q.lease("w1", ttl=10, now=0.0)
-    q.start(b["job_key"], b["lease_id"], now=1.0)
+    q.lease("w1", ttl=10, now=0.0)
+    # An older daemon marked a leased job LEASED until its worker started
+    # it: recovery requeues such a row like any other orphan.
+    raw = sqlite3.connect(q.path)
+    with raw:
+        raw.execute("UPDATE jobs SET state='LEASED' WHERE job_key='leased'")
+    raw.close()
     c = q.lease("w2", ttl=10, now=1.0)
     q.complete(c["job_key"], c["lease_id"], now=2.0)
     recovered = q.recover(now=3.0)
@@ -166,8 +180,7 @@ def test_cancel_queued_is_immediate(q):
 
 def test_cancel_running_is_flagged_for_supervisor(q):
     submit(q)
-    job = q.lease("w0", ttl=10, now=0.0)
-    q.start("k1", job["lease_id"], now=1.0)
+    q.lease("w0", ttl=10, now=0.0)
     assert q.request_cancel("k1", now=2.0) == "RUNNING"
     flagged = q.cancel_requests()
     assert [j["job_key"] for j in flagged] == ["k1"]
@@ -203,8 +216,7 @@ def test_counts_and_depth(q):
 
 def test_queue_survives_reopen(q, tmp_path):
     submit(q)
-    job = q.lease("w0", ttl=10, now=0.0)
-    q.start("k1", job["lease_id"], now=1.0)
+    q.lease("w0", ttl=10, now=0.0)
     q.close()
     reopened = JobQueue(tmp_path / "queue.sqlite")
     try:
@@ -217,7 +229,7 @@ def test_queue_survives_reopen(q, tmp_path):
 def test_unknown_key_raises(q):
     assert q.get("missing") is None
     with pytest.raises(QueueError):
-        q.start("missing", "nope")
+        q.complete("missing", "nope")
     with pytest.raises(QueueError):
         q.retry("missing")
 

@@ -23,7 +23,7 @@ from repro.jobs.queue import JobQueue, QueueError, TERMINAL
 
 KEYS = ("job-a", "job-b", "job-c")
 MAX_RETRIES = 2
-LIVE = ("LEASED", "RUNNING")
+LIVE = ("RUNNING",)
 
 
 class Model:
@@ -59,7 +59,7 @@ class Model:
         for key in self.order:
             job = self.jobs[key]
             if job["state"] == "QUEUED" and job["not_before"] <= self.clock:
-                job.update(state="LEASED", lease=token, expiry=self.clock + ttl)
+                job.update(state="RUNNING", lease=token, expiry=self.clock + ttl)
                 self.tokens.append((key, token))
                 return key
         return None
@@ -70,12 +70,6 @@ class Model:
         if self.jobs[key]["state"] not in LIVE:
             raise QueueError("not live")
         return self.jobs[key]
-
-    def start(self, key, token):
-        job = self._fenced_live(key, token)
-        if job["state"] != "LEASED":
-            raise QueueError("start wants LEASED")
-        job["state"] = "RUNNING"
 
     def renew(self, key, token, ttl):
         job = self._fenced_live(key, token)
@@ -137,7 +131,6 @@ def token_for(model, ops_token):
 OPS = st.one_of(
     st.tuples(st.just("submit"), st.sampled_from(KEYS)),
     st.tuples(st.just("lease"), st.floats(min_value=1.0, max_value=20.0)),
-    st.tuples(st.just("start"), st.integers(min_value=0, max_value=64)),
     st.tuples(st.just("renew"), st.integers(min_value=0, max_value=64),
               st.floats(min_value=1.0, max_value=20.0)),
     st.tuples(st.just("complete"), st.integers(min_value=0, max_value=64)),
@@ -193,14 +186,12 @@ def apply_both(q, model, op):
             model_exc = True
         assert real_exc == model_exc
         return
-    # Lease-fenced verbs: start/renew/complete/fail/requeue.
+    # Lease-fenced verbs: renew/complete/fail/requeue.
     token = token_for(model, op[1])
     key = model.job_of(token)
     real_exc = model_exc = False
     try:
-        if kind == "start":
-            q.start(key or "?", token, now=model.clock)
-        elif kind == "renew":
+        if kind == "renew":
             q.renew(key or "?", token, ttl=op[2], now=model.clock)
         elif kind == "complete":
             q.complete(key or "?", token, now=model.clock)
@@ -211,9 +202,7 @@ def apply_both(q, model, op):
     except QueueError:
         real_exc = True
     try:
-        if kind == "start":
-            model.start(key, token)
-        elif kind == "renew":
+        if kind == "renew":
             model.renew(key, token, op[2])
         elif kind == "complete":
             model.complete(key, token)

@@ -17,8 +17,9 @@ from tests.serve.conftest import tiny_spec, wait_terminal
 
 #: Deterministic fields a served record must share with a direct run —
 #: provenance (wall time, engine, timestamps) legitimately differs.
-IDENTICAL_FIELDS = ("metrics", "stats", "stats_digest", "stats_dump",
-                    "output_sha256", "cores", "completed")
+IDENTICAL_FIELDS = ("completed", "execution_cycles", "global_time", "instructions",
+                    "host_time", "kips", "violations", "workload_violations",
+                    "output_sha256", "output_len", "stats", "stats_digest", "snapshots")
 
 
 def process_running(pid: int) -> bool:

@@ -254,6 +254,48 @@ def test_engine_refusal_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def water_checkpoint(tmp_path) -> str:
+    """The last checkpoint of a water tiny s9 run (interval 500)."""
+    checkpoint = str(tmp_path / "ck.pkl")
+    assert main(["run", "--workload", "water", "--scale", "tiny", "--scheme", "s9",
+                 "--checkpoint-interval", "500", "--checkpoint", checkpoint]) == 0
+    return checkpoint
+
+
+def test_restore_checks_its_output_against_the_named_workload(tmp_path, monkeypatch, capsys):
+    """A restore of the ``--workload``/``--scale`` program checks its output
+    against that workload's oracle; any other restore says that its output
+    goes unchecked, and why."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    checkpoint = water_checkpoint(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--restore", checkpoint, "--workload", "water"]) == 0
+    assert "output verified against the numpy oracle" in capsys.readouterr().out
+    assert main(["run", "--restore", checkpoint]) == 0  # --workload fft by default
+    out = capsys.readouterr().out
+    assert "output verified" not in out
+    assert "output unchecked: the checkpoint does not run the fft/tiny program" in out
+
+
+def test_restore_that_lost_data_pages_is_an_output_mismatch(tmp_path, monkeypatch, capsys):
+    """A restored memory that lost its data pages keeps the straight run's
+    stats but not its output: the restore's oracle check fails the run."""
+    from repro.cpu.arch import TargetMemory
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    checkpoint = water_checkpoint(tmp_path)
+    setstate = TargetMemory.__setstate__
+
+    def lossy(self, state):
+        size, pages = state
+        setstate(self, (size, [(at, page) for at, page in pages if not 0x400000 <= at < 0x800000]))
+
+    monkeypatch.setattr(TargetMemory, "__setstate__", lossy)
+    capsys.readouterr()
+    assert main(["run", "--restore", checkpoint, "--workload", "water"]) == 1
+    assert "OUTPUT MISMATCH" in capsys.readouterr().out
+
+
 def test_every_run_path_gives_one_account(tmp_path, monkeypatch, capsys):
     """A job run, a checkpointed direct run and the restore of its last
     checkpoint print the same summary line and dump stats that diff clean."""

@@ -56,12 +56,6 @@ class TestBackoff:
         b = Backoff(base=0.5, cap=8.0, jitter=0.0)
         assert [b.next() for _ in range(6)] == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
 
-    def test_reset_restarts_the_schedule(self):
-        b = Backoff(base=1.0, cap=64.0, jitter=0.0)
-        b.next(), b.next()
-        b.reset()
-        assert b.next() == 1.0
-
     def test_jitter_stays_within_band(self):
         b = Backoff(base=1.0, cap=1.0, jitter=0.25, seed=1)
         for _ in range(200):
