@@ -431,8 +431,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_depth=args.max_depth,
         max_retries=args.max_retries,
-        lease_ttl=args.lease_ttl,
-        job_timeout=args.job_timeout,
         hang_timeout=args.hang_timeout,
         drain_timeout=args.drain_timeout,
         seed=args.seed,
@@ -692,12 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-retries", type=int, default=2,
                        help="worker-crash retries per job before the "
                        "dead-letter state (default 2; job errors never retry)")
-    serve.add_argument("--lease-ttl", type=float, default=30.0,
-                       help="seconds a worker lease lives without renewal "
-                       "(default 30; the crash-safety net across restarts)")
-    serve.add_argument("--job-timeout", type=float, default=0.0,
-                       help="hard wall-clock seconds per job attempt "
-                       "(0: no cap, rely on the progress-based hang rule)")
     serve.add_argument("--hang-timeout", type=float, default=60.0,
                        help="kill a job whose progress marker stalls this "
                        "long (default 60; slow-but-advancing jobs are safe)")

@@ -24,13 +24,15 @@ already finished — instead of enqueueing a duplicate.  The result itself
 lives in the sealed :class:`~repro.jobs.store.ResultStore`; the row is
 pure scheduling state, which is why attaching is always safe.
 
-**Leases and fencing.**  A lease hands a job to one worker for a bounded
-wall-clock TTL and mints a fresh ``lease_id``; every downstream transition
-(renew/complete/fail/requeue) must present that token.  A worker
-whose lease expired and was re-issued can no longer affect the job — its
-stale token fences it out — so SIGKILLed, hung, *and* zombie workers all
-collapse to the same safe story: the lease lapses, the job requeues with
-backoff, and only the current leaseholder's verdict counts.
+**Leases and fencing.**  A lease hands a job to one worker and mints a
+fresh ``lease_id``: an assignment token with no expiry.  Every downstream
+transition (complete/fail/requeue) must present that token, and each one
+clears it, so a verdict for an assignment that was requeued, cancelled or
+recovered — and perhaps re-leased since — is refused: only the current
+leaseholder's verdict counts.  The queue never takes a lease back on its
+own; the supervisor that made it gives it up (complete, fail, or requeue
+when its worker dies or hangs), and a restarted daemon's ``recover()``
+voids the leases of the incarnation before it.
 
 **Crash-safe restart.**  All writes are single sqlite transactions in WAL
 mode; a daemon killed at any instant restarts with a consistent queue.
@@ -78,7 +80,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     updated_at   REAL NOT NULL,
     not_before   REAL NOT NULL DEFAULT 0,  -- earliest re-lease time (backoff)
     lease_id     TEXT,
-    lease_expiry REAL,
     worker       TEXT,
     error        TEXT,
     cancel_requested INTEGER NOT NULL DEFAULT 0
@@ -187,13 +188,7 @@ class JobQueue:
                 self._settled.notify_all()
             return self.job_view(self._require(key)), True
 
-    def lease(
-        self,
-        worker: str,
-        *,
-        ttl: float = 30.0,
-        now: "float | None" = None,
-    ) -> "dict | None":
+    def lease(self, worker: str, *, now: "float | None" = None) -> "dict | None":
         """Atomically claim the oldest due QUEUED job for *worker*: it is
         RUNNING from here on.
 
@@ -212,31 +207,11 @@ class JobQueue:
                 return None
             lease_id = uuid.uuid4().hex
             self._db.execute(
-                "UPDATE jobs SET state='RUNNING', lease_id=?, lease_expiry=?,"
-                " worker=?, updated_at=? WHERE job_key=?",
-                (lease_id, now + ttl, worker, now, row["job_key"]),
+                "UPDATE jobs SET state='RUNNING', lease_id=?, worker=?,"
+                " updated_at=? WHERE job_key=?",
+                (lease_id, worker, now, row["job_key"]),
             )
             return self.job_view(self._require(row["job_key"]))
-
-    def renew(
-        self, key: str, lease_id: str, *, ttl: float = 30.0, now: "float | None" = None
-    ) -> None:
-        """Extend a live lease (its worker is alive and tracked).
-
-        The expiry only ever moves forward — a renew computed against an
-        older ``now`` cannot shorten the lease (expiry monotonicity, pinned
-        by the property tests).
-        """
-        now = time.time() if now is None else now
-        with self._lock:
-            row = self._fenced(key, lease_id)
-            if row["state"] != "RUNNING":
-                raise QueueError(f"renew from {row['state']}")
-            self._db.execute(
-                "UPDATE jobs SET lease_expiry=MAX(lease_expiry, ?), updated_at=?"
-                " WHERE job_key=?",
-                (now + ttl, now, key),
-            )
 
     def complete(self, key: str, lease_id: str, *, now: "float | None" = None) -> None:
         """RUNNING → DONE.  Fenced: only the live leaseholder lands
@@ -247,8 +222,8 @@ class JobQueue:
             if row["state"] != "RUNNING":
                 raise QueueError(f"complete from {row['state']}")
             self._db.execute(
-                "UPDATE jobs SET state='DONE', lease_id=NULL, lease_expiry=NULL,"
-                " error=NULL, updated_at=? WHERE job_key=?",
+                "UPDATE jobs SET state='DONE', lease_id=NULL, error=NULL,"
+                " updated_at=? WHERE job_key=?",
                 (now, key),
             )
             self._settled.notify_all()
@@ -267,8 +242,8 @@ class JobQueue:
             if row["state"] != "RUNNING":
                 raise QueueError(f"fail from {row['state']}")
             self._db.execute(
-                "UPDATE jobs SET state='FAILED', lease_id=NULL, lease_expiry=NULL,"
-                " error=?, updated_at=? WHERE job_key=?",
+                "UPDATE jobs SET state='FAILED', lease_id=NULL, error=?,"
+                " updated_at=? WHERE job_key=?",
                 (error, now, key),
             )
             self._settled.notify_all()
@@ -283,7 +258,7 @@ class JobQueue:
         charge: bool = True,
         now: "float | None" = None,
     ) -> str:
-        """The worker died (SIGKILL, hang, timeout): retry or dead-letter.
+        """The worker died (SIGKILL, OOM, hang): retry or dead-letter.
 
         Charges one attempt (unless ``charge=False`` — daemon-restart
         recovery) and requeues with ``not_before = now + delay`` (the
@@ -301,48 +276,17 @@ class JobQueue:
             if attempts > row["max_retries"]:
                 self._db.execute(
                     "UPDATE jobs SET state='DEAD', attempts=?, lease_id=NULL,"
-                    " lease_expiry=NULL, error=?, updated_at=? WHERE job_key=?",
+                    " error=?, updated_at=? WHERE job_key=?",
                     (attempts, error, now, key),
                 )
                 self._settled.notify_all()
                 return "DEAD"
             self._db.execute(
                 "UPDATE jobs SET state='QUEUED', attempts=?, lease_id=NULL,"
-                " lease_expiry=NULL, worker=NULL, error=?, not_before=?,"
-                " updated_at=? WHERE job_key=?",
+                " worker=NULL, error=?, not_before=?, updated_at=? WHERE job_key=?",
                 (attempts, error, now + delay, now, key),
             )
             return "QUEUED"
-
-    def expire(self, *, delay: float = 0.0, now: "float | None" = None) -> list[str]:
-        """Requeue (or dead-letter) every job whose lease lapsed.
-
-        The safety net under the supervisor's direct worker tracking: even
-        if the supervisor loses sight of a worker, no lease outlives its
-        TTL.  Charges an attempt — an expired lease is a worker-side
-        failure.  Returns the affected keys.
-        """
-        now = time.time() if now is None else now
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT job_key, lease_id FROM jobs WHERE state = 'RUNNING'"
-                " AND lease_expiry < ?",
-                (now,),
-            ).fetchall()
-        expired = []
-        for row in rows:
-            try:
-                self.requeue(
-                    row["job_key"],
-                    row["lease_id"],
-                    "lease expired (worker lost)",
-                    delay=delay,
-                    now=now,
-                )
-            except QueueError:
-                continue  # completed/re-leased between the scan and now
-            expired.append(row["job_key"])
-        return expired
 
     def recover(self, *, now: "float | None" = None) -> list[str]:
         """Daemon restart: re-queue every orphaned RUNNING job.
@@ -363,8 +307,8 @@ class JobQueue:
             ).fetchall()
             keys = [row["job_key"] for row in rows]
             self._db.execute(
-                "UPDATE jobs SET state='QUEUED', lease_id=NULL, lease_expiry=NULL,"
-                f" worker=NULL, not_before=0, updated_at=? WHERE {orphaned}",
+                "UPDATE jobs SET state='QUEUED', lease_id=NULL, worker=NULL,"
+                f" not_before=0, updated_at=? WHERE {orphaned}",
                 (now,),
             )
         return keys

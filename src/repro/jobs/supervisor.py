@@ -12,33 +12,37 @@ owner the verdicts it harvested.
 Between ticks the loop blocks in :meth:`Supervisor.wait` on every worker
 pipe plus one self-pipe (:meth:`Supervisor.wake`: submit, cancel, retry,
 stop), so a verdict is harvested and a new job leased the moment they
-exist.  The wait's time-out only paces the clock-driven rules below (lease
-expiry, hang/time-out checks, backoff-due jobs) — nothing a client waits on.
+exist.  The wait's time-out only paces the clock-driven rules below (the
+hang check, backoff-due jobs) — nothing a client waits on.
 
 Failure domains handled per tick, in order:
 
-1. **Lease expiry** (safety net): no lease outlives its TTL even if the
-   supervisor loses track of a worker.  Leases of live, tracked workers
-   are renewed every tick, so expiry only fires for genuinely lost ones.
-2. **Worker messages**: ``beat`` → the job's progress marker (and when it
+1. **Worker messages**: ``beat`` → the job's progress marker (and when it
    last changed); ``done`` → ``complete``; ``error`` (the job raised) →
    ``fail`` — deterministic job errors are never retried.
-3. **Worker death** (SIGKILL, OOM, crash injection): requeue with a
+2. **Worker death** (SIGKILL, OOM, crash injection): requeue with a
    per-job :class:`~repro._util.Backoff` delay and one attempt charged;
    the stderr tail the worker left behind rides along as the error text.
    The process is replaced immediately — one poisoned job costs one
    worker incarnation, never the pool.
-4. **Hangs and timeouts**: a busy worker whose progress marker stops
-   changing for ``hang_timeout`` seconds — or whose job exceeds the
-   hard ``job_timeout`` wall-clock cap — is SIGKILLed and handled as a
-   death.  Progress is the engine's own marker (global time, committed,
-   Σ local clocks), so "slow but advancing" is never killed by the hang
-   rule.
-5. **Cancellations**: a flagged running job gets its worker killed and
+3. **Hangs**: a busy worker whose progress marker stops changing for
+   ``hang_timeout`` seconds is SIGKILLed and handled as a death.  Progress
+   is the engine's own marker (global time, committed, Σ local clocks), so
+   "slow but advancing" is never killed.
+4. **Cancellations**: a flagged running job gets its worker killed and
    the row failed as ``cancelled``; a flagged job caught between workers
    is failed at its next lease.
-6. **Assignment**: idle workers lease due QUEUED jobs (FIFO, backoff
+5. **Assignment**: idle workers lease due QUEUED jobs (FIFO, backoff
    respected): a leased job is RUNNING the moment it is sent.
+
+These are the pool's whole liveness rule: a lease has no expiry.  Every
+lease is bound to a tracked :class:`WorkerHandle` in the tick that makes it
+(or handed back uncharged when the send fails), and a handle gives its job
+up only through ``complete``, ``fail`` or ``requeue``.  A supervisor loop
+that stalls, or whose clock jumps, therefore requeues nothing: the beats
+waiting on the pipe are folded in the next tick, before the hang rule reads
+them.  The rows of a daemon that died are requeued by the next daemon's
+``recover()``.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ class WorkerHandle:
         self.key: str | None = None
         self.lease_id: str | None = None
         self.assigned_wall: float = 0.0
-        self.last_renew: float = 0.0
         self.last_progress: list | None = None
         self.last_change: float = 0.0
 
@@ -137,19 +140,15 @@ class Supervisor:
         workdir: "Path | str",
         *,
         workers: int = 2,
-        lease_ttl: float = 30.0,
-        job_timeout: float = 0.0,
         hang_timeout: float = 60.0,
         backoff_base: float = 0.25,
         backoff_cap: float = 8.0,
         seed: "int | None" = None,
     ) -> None:
-        self.check_limits(workers, lease_ttl, job_timeout, hang_timeout)
+        self.check_limits(workers, hang_timeout)
         self.queue = queue
         self.workers_dir = Path(workdir) / "workers"
         self.workers_dir.mkdir(parents=True, exist_ok=True)
-        self.lease_ttl = float(lease_ttl)
-        self.job_timeout = float(job_timeout)
         self.hang_timeout = float(hang_timeout)
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
@@ -179,19 +178,17 @@ class Supervisor:
             "dead": 0,
             "workers_replaced": 0,
             "hangs_killed": 0,
-            "timeouts_killed": 0,
             "cancelled": 0,
         }
 
     @staticmethod
-    def check_limits(workers, lease_ttl, job_timeout, hang_timeout) -> None:
+    def check_limits(workers, hang_timeout) -> None:
         """Refuse (``ValueError``) a pool that could never finish a job."""
         if workers < 1:
             raise ValueError(f"a worker pool needs at least one worker, not {workers}")
-        if not (lease_ttl > 0 and hang_timeout > 0 and job_timeout >= 0):
+        if not hang_timeout > 0:
             raise ValueError(
-                "a worker pool needs lease_ttl > 0, hang_timeout > 0 and job_timeout"
-                f" >= 0, not {lease_ttl}, {hang_timeout} and {job_timeout}"
+                f"a worker pool needs hang_timeout > 0, not {hang_timeout}"
             )
 
     # ------------------------------------------------------------ helpers
@@ -214,10 +211,10 @@ class Supervisor:
     def _safe(self, op, *args, **kwargs) -> "str | None":
         """Run a queue transition, tolerating fencing losses.
 
-        A verdict can lose its race (the lease expired and was re-issued,
-        the job was cancelled between ticks): the queue's fencing raises
-        :class:`QueueError`, and the right response is to drop the stale
-        verdict — the current leaseholder owns the truth now.
+        A verdict can lose its race (the job was cancelled between ticks,
+        or a second daemon's ``recover()`` requeued the row): the queue's
+        fencing raises :class:`QueueError`, and the right response is to
+        drop the stale verdict — the current leaseholder owns the truth now.
         """
         try:
             return op(*args, **kwargs)
@@ -275,7 +272,6 @@ class Supervisor:
         returns the verdicts it harvested — ``("done", key, record)`` and
         ``("error", key, traceback)`` — in arrival order."""
         now = time.time()
-        self.queue.expire(now=now)
         verdicts = self._harvest(now)
         self._check_liveness(now)
         self._check_cancels()
@@ -319,7 +315,7 @@ class Supervisor:
         return verdicts
 
     def _check_liveness(self, now: float) -> None:
-        """Deaths, hangs, hard timeouts; renew leases of healthy workers."""
+        """Deaths and hangs: a lost busy worker's job is requeued."""
         for handle in list(self.handles):
             if not handle.proc.is_alive():
                 if handle.busy:
@@ -331,21 +327,9 @@ class Supervisor:
                 else:
                     self._replace(handle)
                 continue
-            if not handle.busy:
-                continue
-            # Hard wall-clock cap, independent of progress.
-            if self.job_timeout and now - handle.assigned_wall > self.job_timeout:
-                self.telemetry["timeouts_killed"] += 1
-                handle.kill()
-                self._worker_lost(
-                    handle,
-                    f"job exceeded wall-clock timeout "
-                    f"({self.job_timeout:.1f}s)",
-                )
-                continue
             # Progress-based hang rule: only a *stalled* marker kills
             # (_harvest keeps last_change current from the worker's beats).
-            if now - handle.last_change > self.hang_timeout:
+            if handle.busy and now - handle.last_change > self.hang_timeout:
                 self.telemetry["hangs_killed"] += 1
                 handle.kill()
                 self._worker_lost(
@@ -353,17 +337,6 @@ class Supervisor:
                     f"no simulation progress for {self.hang_timeout:.1f}s "
                     f"(last marker {handle.last_progress})",
                 )
-                continue
-            # Healthy (alive + tracked): keep the lease comfortably ahead.
-            if now - handle.last_renew > self.lease_ttl / 4:
-                self._safe(
-                    self.queue.renew,
-                    handle.key,
-                    handle.lease_id,
-                    ttl=self.lease_ttl,
-                    now=now,
-                )
-                handle.last_renew = now
 
     def _check_cancels(self) -> None:
         for job in self.queue.cancel_requests():
@@ -384,7 +357,7 @@ class Supervisor:
         for handle in self.handles:
             if handle.busy or not handle.proc.is_alive():
                 continue
-            job = self.queue.lease(handle.name, ttl=self.lease_ttl, now=now)
+            job = self.queue.lease(handle.name, now=now)
             if job is None:
                 return  # queue drained (or everything backing off)
             key, lease_id = job["job_key"], job["lease_id"]
@@ -411,7 +384,6 @@ class Supervisor:
             handle.key = key
             handle.lease_id = lease_id
             handle.assigned_wall = now
-            handle.last_renew = now
             handle.last_progress = None
             handle.last_change = now
 

@@ -7,9 +7,9 @@ job layer's supervised worker pool (:mod:`repro.jobs.supervisor` +
 :mod:`repro.jobs.worker`) and a durable sqlite job queue
 (:mod:`repro.jobs.queue`) — multiplexing many clients onto the
 content-addressed ``execute()`` pipeline.  Engineered around failure:
-workers are SIGKILL-safe (lease expiry + bounded retries + dead-letter),
-the daemon resumes orphaned jobs on restart, and a full queue pushes back
-explicitly instead of dropping work.
+workers are SIGKILL-safe (death and hang detection + bounded retries +
+dead-letter), the daemon resumes orphaned jobs on restart, and a full queue
+pushes back explicitly instead of dropping work.
 
 Import surface is lazy: pulling a name here imports only the module that
 defines it.  Nothing under ``repro.core``, ``repro.jobs``, ``repro.cpu`` or

@@ -21,27 +21,29 @@ refused twice in a row.  While draining, every submit gets ``503``.
 **Idempotent submission.**  The daemon computes the job's content-addressed
 key server-side.  A key already finished in the result store inserts
 straight to ``DONE`` (a submit that is a cache hit never queues); a key
-already queued/leased/running *attaches* to the in-flight row.  Either
+already queued or running *attaches* to the in-flight row.  Either
 way the response carries the key, the state, and ``created``.
 
 **Event-driven hot path.**  The supervision loop sleeps in
 ``Supervisor.wait`` — on the worker pipes and a self-pipe that submit,
 cancel, retry and stop write to — so a job is leased the moment it is
 submitted and its verdict harvested the moment the worker reports.
-``TICK_PERIOD_S`` is only the wait's time-out: the pace of lease expiry,
-hang/time-out checks and backoff-due jobs.  Clients wait the same way:
+``TICK_PERIOD_S`` is only the wait's time-out: the pace of the hang check
+and of backoff-due jobs.  Clients wait the same way:
 ``GET /api/jobs/<key>?wait=<s>`` parks the handler thread until the job
 is terminal (or *s* seconds, capped at ``MAX_WAIT_S``, pass) instead of
 being asked again and again.
 
 **Crash-safe restart.**  All durable state lives in the sqlite queue and
 the sealed store, both written atomically/transactionally.  Startup runs
-``queue.recover()``: every job the previous incarnation left leased or
-running is re-queued (no retry budget charged) and completes under the
-new pool — a SIGKILLed daemon loses nothing but in-flight wall time.
+``queue.recover()``: every job the previous incarnation left running is
+re-queued (no retry budget charged) and completes under the new pool — a
+SIGKILLed daemon loses nothing but in-flight wall time.  This is the only
+crash net a lease needs: leases have no expiry, and a second daemon opened
+on a live one's queue would requeue that one's running rows the same way.
 
 **Graceful drain.**  SIGTERM/SIGINT flip the daemon into draining: the
-listener refuses new work, leased jobs run to completion (bounded by
+listener refuses new work, running jobs finish (bounded by
 ``drain_timeout``), the queue is left consistent, and the endpoint file
 is removed.  Crash and drain converge on the same durable state by
 construction — recovery is one code path, not two.
@@ -85,10 +87,19 @@ from repro.jobs.store import TELEMETRY as STORE_TELEMETRY
 from repro.jobs.queue import JobQueue, QueueError
 from repro.jobs.supervisor import TICK_PERIOD_S, Supervisor
 
-__all__ = ["MAX_WAIT_S", "ServeDaemon", "default_serve_dir", "endpoint_path"]
+__all__ = [
+    "MAX_WAIT_S",
+    "RETRY_AFTER_S",
+    "ServeDaemon",
+    "default_serve_dir",
+    "endpoint_path",
+]
 
 #: Longest a ``?wait=`` request is held; clients re-issue to wait longer.
 MAX_WAIT_S = 10.0
+
+#: The ``Retry-After`` a refused (queue-full) submit advertises, in seconds.
+RETRY_AFTER_S = 1
 
 
 def default_serve_dir() -> "Path | None":
@@ -210,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "depth": daemon.queue.depth(),
                     "max_depth": daemon.max_depth,
                 },
-                {"Retry-After": str(daemon.retry_after)},
+                {"Retry-After": str(RETRY_AFTER_S)},
             )
         except Exception as exc:  # bad spec (unknown workload, bad field)
             return self._reply(400, {"error": f"{type(exc).__name__}: {exc}"})
@@ -247,16 +258,13 @@ class ServeDaemon:
         workers: int = 2,
         max_depth: int = 64,
         max_retries: int = 2,
-        lease_ttl: float = 30.0,
-        job_timeout: float = 0.0,
         hang_timeout: float = 60.0,
         drain_timeout: float = 60.0,
-        retry_after: int = 1,
         seed: "int | None" = None,
         verbose: bool = False,
     ) -> None:
         # Refused before the queue opens or the endpoint is published.
-        Supervisor.check_limits(workers, lease_ttl, job_timeout, hang_timeout)
+        Supervisor.check_limits(workers, hang_timeout)
         if serve_dir is None:
             serve_dir = default_serve_dir()
         if serve_dir is None:
@@ -269,7 +277,6 @@ class ServeDaemon:
         self.max_depth = int(max_depth)
         self.max_retries = int(max_retries)
         self.drain_timeout = float(drain_timeout)
-        self.retry_after = int(retry_after)
         self.verbose = verbose
         self.started_wall = time.time()
         self.stopping = False
@@ -284,8 +291,6 @@ class ServeDaemon:
             self.queue,
             self.serve_dir,
             workers=workers,
-            lease_ttl=lease_ttl,
-            job_timeout=job_timeout,
             hang_timeout=hang_timeout,
             seed=seed,
         )
@@ -346,7 +351,7 @@ class ServeDaemon:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop accepting, finish leased work, flush, tear down."""
+        """Stop accepting, finish running work, flush, tear down."""
         self.stopping = True
         # Long-polls parked on unfinished jobs get their (non-terminal) row
         # back now; the durable queue answers for the rest after a restart.

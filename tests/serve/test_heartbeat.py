@@ -291,3 +291,31 @@ def test_row_under_a_key_this_build_does_not_derive_fails(cache_root, tmp_path):
         assert sup.telemetry["failed"] == 1
     finally:
         sup.stop()
+
+
+@pytest.mark.slow
+def test_a_clock_jump_between_ticks_requeues_nothing(cache_root, tmp_path, monkeypatch):
+    """A supervisor loop that stalls between ticks (or whose clock jumps)
+    finds its worker where it left it.  40 s on is past any lease a renewal
+    would have had to keep alive and short of the 60 s hang window: the job
+    runs once, is charged nothing and is counted once."""
+    queue, sup = make_pool(tmp_path)
+    try:
+        key = submit(queue, tiny_spec(seed=43))
+        drive(sup, lambda: sup.handles[0].busy)
+        real_time = time.time
+        monkeypatch.setattr(
+            "repro.jobs.supervisor.time.time", lambda: real_time() + 40.0
+        )
+        verdicts = []
+        deadline = time.time() + 60.0
+        while queue.get(key)["state"] != "DONE":
+            assert time.time() < deadline, "supervisor did not finish the job"
+            sup.wait(0.02)
+            verdicts += sup.tick()
+        assert queue.get(key)["attempts"] == 0
+        assert [(kind, k) for kind, k, _record in verdicts] == [("done", key)]
+        assert sup.telemetry["completed"] == 1
+        assert sup.telemetry["requeued"] == sup.telemetry["hangs_killed"] == 0
+    finally:
+        sup.stop()

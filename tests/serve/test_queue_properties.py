@@ -1,18 +1,21 @@
 """Property tests: the durable queue against a pure-Python reference model.
 
-Hypothesis drives random transition sequences — submits, leases (live and
-stale), completions, worker-loss requeues, lease expiry, daemon-restart
-recovery, operator retries, cancels, and logical-clock jumps — and after
-every step the sqlite queue must agree with the model exactly.  The three
-headline invariants from the serve contract fall out of that agreement:
+Hypothesis drives random transition sequences — submits, leases, verdicts
+under live, stale and never-issued tokens, worker-loss requeues,
+daemon-restart recovery, operator retries, cancels, and logical-clock jumps
+— and after every step the sqlite queue must agree with the model exactly.
+The three headline invariants from the serve contract fall out of that
+agreement:
 
 * **No job lost** — every submitted key is always present, in exactly the
   state the model predicts; no transition sequence can drop a row.
 * **No double-complete** — ``complete`` is fenced by the live lease token,
   and completing clears the token, so a second completion (from anyone)
   must raise; DONE is absorbing.
-* **Lease expiry is monotone** — ``renew`` can only extend the expiry,
-  never shorten it, even when renews arrive with out-of-order timestamps.
+* **Only the live token acts** — a verdict (complete, fail or requeue)
+  under a token whose assignment has ended (finished, requeued or
+  recovered) or that was never issued must raise and change nothing,
+  however the races interleave.
 
 The queue runs on its logical clock (explicit ``now``), so sequences are
 fully deterministic and shrinkable."""
@@ -30,7 +33,7 @@ class Model:
     """Pure-Python twin of the queue's documented state machine."""
 
     def __init__(self):
-        self.jobs = {}      # key -> {state, attempts, lease, expiry, not_before}
+        self.jobs = {}      # key -> {state, attempts, lease, not_before}
         self.order = []     # submission order (rowid FIFO)
         self.clock = 0.0
         self.tokens = []    # every lease token ever minted: (key, token)
@@ -50,16 +53,16 @@ class Model:
             return False
         self.jobs[key] = {
             "state": "QUEUED", "attempts": 0,
-            "lease": None, "expiry": None, "not_before": 0.0,
+            "lease": None, "not_before": 0.0,
         }
         self.order.append(key)
         return True
 
-    def lease(self, token, ttl):
+    def lease(self, token):
         for key in self.order:
             job = self.jobs[key]
             if job["state"] == "QUEUED" and job["not_before"] <= self.clock:
-                job.update(state="RUNNING", lease=token, expiry=self.clock + ttl)
+                job.update(state="RUNNING", lease=token)
                 self.tokens.append((key, token))
                 return key
         return None
@@ -71,40 +74,26 @@ class Model:
             raise QueueError("not live")
         return self.jobs[key]
 
-    def renew(self, key, token, ttl):
-        job = self._fenced_live(key, token)
-        job["expiry"] = max(job["expiry"], self.clock + ttl)
-
     def complete(self, key, token):
         job = self._fenced_live(key, token)
-        job.update(state="DONE", lease=None, expiry=None)
+        job.update(state="DONE", lease=None)
 
     def fail(self, key, token):
         job = self._fenced_live(key, token)
-        job.update(state="FAILED", lease=None, expiry=None)
+        job.update(state="FAILED", lease=None)
 
     def requeue(self, key, token, delay, charge=True):
         job = self._fenced_live(key, token)
         job["attempts"] += 1 if charge else 0
         if job["attempts"] > MAX_RETRIES:
-            job.update(state="DEAD", lease=None, expiry=None)
+            job.update(state="DEAD", lease=None)
         else:
-            job.update(
-                state="QUEUED", lease=None, expiry=None,
-                not_before=self.clock + delay,
-            )
-
-    def expire(self):
-        for key in self.order:
-            job = self.jobs[key]
-            if job["state"] in LIVE and job["expiry"] < self.clock:
-                self.requeue(key, job["lease"], 0.0)
+            job.update(state="QUEUED", lease=None, not_before=self.clock + delay)
 
     def recover(self):
         for job in self.jobs.values():
             if job["state"] in LIVE:
-                job.update(state="QUEUED", lease=None, expiry=None,
-                           not_before=0.0)
+                job.update(state="QUEUED", lease=None, not_before=0.0)
 
     def retry(self, key):
         job = self.jobs.get(key)
@@ -130,14 +119,11 @@ def token_for(model, ops_token):
 
 OPS = st.one_of(
     st.tuples(st.just("submit"), st.sampled_from(KEYS)),
-    st.tuples(st.just("lease"), st.floats(min_value=1.0, max_value=20.0)),
-    st.tuples(st.just("renew"), st.integers(min_value=0, max_value=64),
-              st.floats(min_value=1.0, max_value=20.0)),
+    st.tuples(st.just("lease")),
     st.tuples(st.just("complete"), st.integers(min_value=0, max_value=64)),
     st.tuples(st.just("fail"), st.integers(min_value=0, max_value=64)),
     st.tuples(st.just("requeue"), st.integers(min_value=0, max_value=64),
               st.floats(min_value=0.0, max_value=10.0)),
-    st.tuples(st.just("expire")),
     st.tuples(st.just("recover")),
     st.tuples(st.just("retry"), st.sampled_from(KEYS)),
     st.tuples(st.just("cancel"), st.sampled_from(KEYS)),
@@ -155,18 +141,14 @@ def apply_both(q, model, op):
         assert created == model.submit(op[1])
         return
     if kind == "lease":
-        view = q.lease("w", ttl=op[1], now=model.clock)
+        view = q.lease("w", now=model.clock)
         if view is None:
-            assert model.lease("x", op[1]) is None
+            assert model.lease("x") is None
         else:
-            assert model.lease(view["lease_id"], op[1]) == view["job_key"]
+            assert model.lease(view["lease_id"]) == view["job_key"]
         return
     if kind == "tick":
         model.clock += op[1]
-        return
-    if kind == "expire":
-        q.expire(now=model.clock)
-        model.expire()
         return
     if kind == "recover":
         q.recover(now=model.clock)
@@ -186,14 +168,12 @@ def apply_both(q, model, op):
             model_exc = True
         assert real_exc == model_exc
         return
-    # Lease-fenced verbs: renew/complete/fail/requeue.
+    # Lease-fenced verbs: complete/fail/requeue.
     token = token_for(model, op[1])
     key = model.job_of(token)
     real_exc = model_exc = False
     try:
-        if kind == "renew":
-            q.renew(key or "?", token, ttl=op[2], now=model.clock)
-        elif kind == "complete":
+        if kind == "complete":
             q.complete(key or "?", token, now=model.clock)
         elif kind == "fail":
             q.fail(key or "?", token, "boom", now=model.clock)
@@ -202,9 +182,7 @@ def apply_both(q, model, op):
     except QueueError:
         real_exc = True
     try:
-        if kind == "renew":
-            model.renew(key, token, op[2])
-        elif kind == "complete":
+        if kind == "complete":
             model.complete(key, token)
         elif kind == "fail":
             model.fail(key, token)
@@ -223,9 +201,7 @@ def check_agreement(q, model, done_ever):
         view = views[key]
         assert view["state"] == job["state"], key
         assert view["attempts"] == job["attempts"], key
-        if job["state"] in LIVE:
-            # Lease expiry monotone: the model only ever max()es it.
-            assert view["lease_expiry"] == job["expiry"], key
+        assert view["lease_id"] == job["lease"], key
     # DONE is absorbing: anything ever completed stays completed.
     for key in done_ever:
         assert views[key]["state"] == "DONE"
@@ -244,26 +220,5 @@ def test_queue_agrees_with_reference_model(ops):
                 k for k, j in model.jobs.items() if j["state"] == "DONE"
             }
             check_agreement(q, model, done_ever)
-    finally:
-        q.close()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1,
-                max_size=20),
-       st.floats(min_value=1.0, max_value=30.0))
-def test_renew_never_shortens_lease(nows, ttl):
-    """Renews with arbitrarily shuffled timestamps: expiry is the running
-    max, never less than any previously granted expiry."""
-    q = JobQueue(":memory:")
-    try:
-        q.submit("k", "{}", now=0.0)
-        job = q.lease("w", ttl=ttl, now=0.0)
-        high_water = ttl
-        for now in nows:
-            q.renew("k", job["lease_id"], ttl=ttl, now=now)
-            expiry = q.get("k")["lease_expiry"]
-            assert expiry >= high_water
-            high_water = max(high_water, expiry)
     finally:
         q.close()
