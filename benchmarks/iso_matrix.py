@@ -18,23 +18,24 @@ equal the ``NAME`` cell of the same scale/scheme/hosts in every compared field
 (replay is the direct run's pipeline behind another front end, DESIGN.md §11)
 — a difference is printed to stderr and the build exits 1.
 
-Workload tokens are the registered names, ``sharing`` (the coherence-dense
-8-core trace of the repo benchmark's ``mem-traffic``), ``sharing:think``
-(``sharing_workload``'s defaults: think stretches between sparser, mostly
-private accesses), ``pingpong`` (8 trace cores writing one block), ``NAME:ooo`` /
-``NAME:replay`` (the out-of-order core model; a replay of an ``su`` capture)
-and ``NAME:func`` — the functional interpreter on the ``nthreads=1`` program,
-one cell per scale (no scheme, no host): instruction count, exit code, output
-digest and the final ``ArchState.digest()``.
+Workload tokens are ``tests/lattice.py``'s (``Cell.of``): the registered
+names, the trace workloads ``TRACES`` (``sharing``, ``sharing:think``,
+``pingpong``), ``NAME:ooo`` / ``NAME:replay`` (the out-of-order core model; a
+replay of an ``su`` capture) and ``NAME:func`` — the functional interpreter on
+the ``nthreads=1`` program, one cell per scale (no scheme, no host):
+instruction count, exit code, output digest and the final
+``ArchState.digest()``.  Cells are built by the lattice's ``build`` and
+recorded as its ``fingerprint``, the fields ``assert_same_run`` compares.
 Seeds are ``derive_seed(--seed, workload, scheme, hosts)``, the sweep's and
-the repo benchmark's rule.  The default schemes cover every scheme family
-``parse_scheme`` accepts (quote a ``--schemes`` list that holds ``s9*``: it
-is a shell glob).  The default workloads cover every core model: in-order,
-the three trace workloads, replay (``fft:replay``: barriers only;
-``water:replay``: locks, barriers and joins), out-of-order (``fft:ooo``,
-``water:ooo``, the repo benchmark's two ``ooo`` jobs) and the interpreter on
-every registered workload (each one's single-thread lock and barrier path
-through the system emulation).
+the repo benchmark's rule (``--seed`` also seeds the trace generators and the
+capture).  The default schemes are the lattice's, one per ``parse_scheme``
+family (quote a ``--schemes`` list that holds ``s9*``: it is a shell glob).
+The default workloads cover every core model: in-order, the three trace
+workloads, replay (``fft:replay``: barriers only; ``water:replay``: locks,
+barriers and joins), out-of-order (``fft:ooo``, ``water:ooo``, the repo
+benchmark's two ``ooo`` jobs) and the interpreter on every registered
+workload (each one's single-thread lock and barrier path through the system
+emulation).
 """
 
 from __future__ import annotations
@@ -42,115 +43,50 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 SCALES = ("tiny", "small")
 WORKLOADS = (
     "barnes", "fft", "lu", "water", "sharing", "sharing:think", "pingpong",
     "fft:replay", "water:replay", "fft:ooo", "water:ooo",
     "barnes:func", "fft:func", "lu:func", "ocean:func", "radix:func", "water:func",
 )
-SCHEMES = ("cc", "q3", "q10", "aq10-160", "l10", "s9", "s9*", "s100", "su")
 HOSTS = (1, 2, 8)
-
-#: ``sharing`` ops per core by scale (``small`` is mem-traffic's job); also
-#: ``pingpong``'s rounds per core.
-SHARING_OPS = {"tiny": 300, "small": 3000, "paper": 30000}
-
-
-def run_functional_cell(scale: str, name: str) -> dict:
-    from repro._util import output_digest
-    from repro.cpu.interp import run_functional
-    from repro.workloads.registry import make_workload
-
-    result = run_functional(make_workload(name, scale=scale, nthreads=1).program)
-    return {
-        "instructions": result.instructions,
-        "exit_code": result.exit_code,
-        "output": output_digest(result.output),
-        "state": result.state.digest(),
-    }
-
-
-def run_cell(scale: str, token: str, scheme: str, hosts: int, base_seed: int, tmp: Path) -> dict:
-    from repro.core import HostConfig, SimConfig, TargetConfig
-    from repro.core.engine import SequentialEngine
-    from repro.experiments.parallel import derive_seed
-    from repro.workloads.registry import make_workload
-    from repro.workloads.synthetic import pingpong_workload, sharing_workload
-
-    name, _, variant = token.partition(":")
-    sim = SimConfig(scheme=scheme, seed=derive_seed(base_seed, name, scheme, hosts))
-    host = HostConfig(num_cores=hosts)
-    if name in ("sharing", "pingpong"):
-        ops = SHARING_OPS[scale]
-        if name == "pingpong":
-            trace_cores = pingpong_workload(8, ops)
-        elif variant == "think":
-            trace_cores = sharing_workload(8, ops, seed=base_seed)
-        else:
-            trace_cores = sharing_workload(
-                8, ops, shared_fraction=0.8, write_fraction=0.5,
-                think_cycles=0, shared_blocks=256, seed=base_seed,
-            )
-        engine = SequentialEngine(
-            None, trace_cores=trace_cores,
-            target=TargetConfig(num_cores=8, core_model="trace"),
-            host=host, sim=sim,
-        )
-    else:
-        program = make_workload(name, scale=scale).program
-        if variant == "replay":
-            path = tmp / f"{scale}-{name}.trace"  # one capture serves every cell
-            if not path.exists():
-                SequentialEngine(
-                    program,
-                    sim=SimConfig(scheme="su", seed=base_seed,
-                                  trace_mode="capture", trace_path=str(path)),
-                ).run()
-            sim = SimConfig(scheme=scheme, seed=sim.seed,
-                            trace_mode="replay", trace_path=str(path))
-        target = TargetConfig(core_model="ooo" if variant == "ooo" else "inorder")
-        engine = SequentialEngine(program, target=target, host=host, sim=sim)
-    result = engine.run()
-    stats = result.stats
-    cell = {
-        "completed": result.completed,
-        "cycles": result.execution_cycles,
-        "digest": result.stats_sha256,
-        "host_time": float(result.host_time).hex(),
-        "host_busy": float(result.host_busy).hex(),
-        "host.steps": stats["host.steps"],
-    }
-    cell.update((k, v) for k, v in sorted(stats.items()) if k.startswith("engine."))
-    # Not compared (a checkout without the barrier superstep has no such
-    # counter): how many barriers ran fused, of how many.
-    fused = getattr(engine, "fused_barriers", None)
-    if fused is not None:
-        cell["info"] = {"fused_barriers": fused, "barriers": result.barriers}
-    return cell
 
 
 def build(args) -> int:
-    src = args.src or Path(__file__).resolve().parents[1] / "src"
-    sys.path.insert(0, str(Path(src).resolve()))
+    # The chosen checkout's ``repro`` first, then this one's ``tests``.
+    sys.path[:0] = [str(Path(args.src or ROOT / "src").resolve()), str(ROOT)]
+    from repro.experiments.parallel import derive_seed
+    from tests import lattice
+
     cells = {}
-    with tempfile.TemporaryDirectory(prefix="iso-matrix-") as tmp:
-        for scale in args.scales:
-            for token in args.workloads:
-                name, _, variant = token.partition(":")
-                if variant == "func":
-                    key = f"{scale}/{token}"
-                    cells[key] = run_functional_cell(scale, name)
-                    print(key, cells[key]["instructions"], file=sys.stderr, flush=True)
-                    continue
-                for scheme in args.schemes:
-                    for hosts in args.hosts:
-                        key = f"{scale}/{token}/{scheme}/h{hosts}"
-                        cells[key] = run_cell(scale, token, scheme, hosts, args.seed, Path(tmp))
-                        print(key, cells[key]["cycles"], cells[key]["host_time"],
-                              file=sys.stderr, flush=True)
+    for scale in args.scales:
+        for token in args.workloads:
+            name, _, variant = token.partition(":")
+            if variant == "func":
+                key = f"{scale}/{token}"
+                cells[key] = lattice.functional(name, scale)
+                print(key, cells[key]["instructions"], file=sys.stderr, flush=True)
+                continue
+            for scheme in args.schemes or lattice.SCHEMES:
+                for hosts in args.hosts:
+                    key = f"{scale}/{token}/{scheme}/h{hosts}"
+                    cell = lattice.Cell.of(token)
+                    engine = lattice.build(
+                        cell.workload, scheme, hosts, model=cell.model, scale=scale,
+                        seed=derive_seed(args.seed, name, scheme, hosts), trace_seed=args.seed,
+                    )
+                    result = engine.run()
+                    cells[key] = lattice.fingerprint(result)
+                    # Not compared (a checkout without the barrier superstep
+                    # has no such counter): how many barriers ran fused.
+                    fused = getattr(engine, "fused_barriers", None)
+                    if fused is not None:
+                        cells[key]["info"] = {"fused_barriers": fused, "barriers": result.barriers}
+                    print(key, cells[key]["cycles"], cells[key]["host_time"],
+                          file=sys.stderr, flush=True)
     text = json.dumps({"seed": args.seed, "cells": cells}, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -197,7 +133,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     parser.add_argument("--scales", type=_csv(str), default=SCALES)
     parser.add_argument("--workloads", type=_csv(str), default=WORKLOADS)
-    parser.add_argument("--schemes", type=_csv(str), default=SCHEMES)
+    parser.add_argument("--schemes", type=_csv(str))
     parser.add_argument("--hosts", type=_csv(int), default=HOSTS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", help="import repro from this src/ directory "

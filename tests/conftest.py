@@ -1,24 +1,24 @@
 """Shared pytest configuration for the test tree."""
 
+import json
+
 
 def pytest_addoption(parser):
     parser.addoption(
         "--update-goldens",
         action="store_true",
         default=False,
-        help="Regenerate the golden determinism digests instead of comparing "
-        "against them (tests/core/test_goldens.py).",
+        help="Rewrite the golden files (tests/**/goldens/) from this run "
+        "instead of comparing against them.",
     )
 
 
-def assert_same_run(a, b):
-    """Two SimulationResults describe one and the same simulation.
-
-    ``host.makespan`` is ``digest=False`` (host-loop mechanics, not target
-    behaviour), so a stats digest alone cannot see a path that models a
-    different simulation time — every equivalence test on the sequential
-    engine compares the bit-exact modeled host time as well.
-    """
-    assert a.stats_sha256 == b.stats_sha256
-    assert a.execution_cycles == b.execution_cycles
-    assert float.hex(a.host_time) == float.hex(b.host_time)
+def load_or_update(request, path, key, fresh):
+    """The golden at *key* of the JSON file *path*, which is *fresh* after
+    ``--update-goldens`` writes it there (the file keeps its other keys)."""
+    goldens = json.loads(path.read_text()) if path.exists() else {}
+    if request.config.getoption("--update-goldens"):
+        goldens[key] = fresh
+        path.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
+    assert key in goldens, f"no golden {key!r} in {path}: generate it with --update-goldens"
+    return goldens[key]

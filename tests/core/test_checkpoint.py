@@ -1,18 +1,11 @@
 """Checkpoint/restore tests (DESIGN.md §8).
 
-The contract under test is **restore equivalence**: for each scheme, the
-stats digest (sha256 over the stats it covers, with ``float.hex`` host
-times checked beside it) of
-
-* an uninterrupted run with checkpointing *off*,
-* the same run with periodic checkpointing *on*, and
-* a run restored from the last checkpoint and finished
-
-must be identical — and match the digest pinned in
-``goldens/checkpoint_digests.json`` (regenerate deliberately with
-``pytest tests/core/test_checkpoint.py --update-goldens``).  Equality of the
-three proves checkpointing is behaviour-free and restores are exact; the
-golden proves both stay that way across commits.
+The contract under test is **restore equivalence** (the lattice's
+``restored`` class): an uninterrupted run, the same run checkpointing, and a
+run restored from its last checkpoint are one simulation — every field
+``assert_same_run`` compares — and the lock program's digest under each
+scheme matches ``goldens/checkpoint_digests.json`` (regenerate deliberately
+with ``--update-goldens``), so both stay that way across commits.
 """
 
 from __future__ import annotations
@@ -20,106 +13,45 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.engine import EngineError, SequentialEngine
-from repro.lang import compile_source
+from repro.core.engine import EngineError
 from repro.workloads.registry import make_workload
 
-from tests.conftest import assert_same_run
+from tests import lattice
+from tests.conftest import load_or_update
+from tests.lattice import LOCK_SCHEMES, Cell, assert_same_run
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "checkpoint_digests.json"
 
-SCHEMES = ["cc", "q3", "s2", "su"]
 
-#: The goldens' program shape: contended lock + closing barrier on 4 cores.
-PROGRAM_SRC = """
-int lk; int bar; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 6; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-    barrier(&bar);
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    init_barrier(&bar, 4);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
-HOST = HostConfig(num_cores=4)
-TARGET = TargetConfig(num_cores=4)
-SIM = SimConfig(seed=11)
-
-
-@pytest.fixture(scope="module")
-def program():
-    return compile_source(PROGRAM_SRC).program
-
-
-def build(program, scheme: str, **sim_overrides) -> SequentialEngine:
-    return SequentialEngine(
-        program, target=TARGET, host=HOST,
-        sim=replace(SIM, scheme=scheme, **sim_overrides),
-    )
-
-
-def pinned_digest(request, scheme: str, fresh: str) -> str:
-    goldens = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    if request.config.getoption("--update-goldens"):
-        goldens[scheme] = fresh
-        GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-        return fresh
-    assert scheme in goldens, (
-        f"no checkpoint golden for {scheme} — generate with "
-        "pytest tests/core/test_checkpoint.py --update-goldens"
-    )
-    return goldens[scheme]
+def lock_engine(scheme: str, **sim):
+    """The goldens' runs: the lock program on 4 host cores, seed 11."""
+    return lattice.build("lock", scheme, 4, seed=11, **sim)
 
 
 # ------------------------------------------------------------- equivalence
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_restore_equivalence(request, scheme, program, tmp_path):
-    cp = str(tmp_path / "ck.pkl")
-    plain = build(program, scheme).run()
-    full = build(
-        program, scheme, checkpoint_interval=300, checkpoint_path=cp
-    ).run()
-    assert (tmp_path / "ck.pkl").exists(), "no checkpoint was ever written"
-    restored = load_checkpoint(cp)
+@pytest.mark.parametrize("scheme", LOCK_SCHEMES)
+def test_restore_equivalence(request, scheme):
+    cell = Cell("lock", scheme=scheme, hosts=4, seed=11)
+    plain = lattice.check("restored", cell)
     # ``sync_stats`` wrote back a seq position past every queued seq.
+    restored = load_checkpoint(lattice.checkpoint_path(cell))
     assert restored._seq_next > max(seq for _, seq, _ in restored._heap)
-    resumed = restored.run()
-
-    # Checkpointing is behaviour-free, restores are exact — to the bit.
-    assert_same_run(plain, full)
-    assert_same_run(full, resumed)
-    assert resumed.completed and list(resumed.output) == [24]
-    assert pinned_digest(request, scheme, plain.stats_sha256) == plain.stats_sha256
+    golden = load_or_update(request, GOLDEN_PATH, scheme, plain.stats_sha256)
+    assert plain.stats_sha256 == golden
 
 
-def test_restore_in_fresh_process(program, tmp_path):
+def test_restore_in_fresh_process(tmp_path):
     """Every queue's tie-break counter travels inside the engine pickle: a
     restore in a brand-new interpreter must still replay the exact
     tie-break stream."""
     cp = str(tmp_path / "ck.pkl")
-    full = build(
-        program, "q3", checkpoint_interval=300, checkpoint_path=cp
-    ).run()
+    full = lock_engine("q3", checkpoint_interval=300, checkpoint_path=cp).run()
     script = (
         "from repro.core.checkpoint import load_checkpoint\n"
         f"print(load_checkpoint({cp!r}).run().stats_sha256)\n"
@@ -138,9 +70,8 @@ def test_sparse_checkpoint_restores_every_float_page(tmp_path):
     the straight run's floats bit for bit."""
     water = make_workload("water", scale="tiny")
     cp = tmp_path / "ck.pkl"
-    sim = replace(SIM, scheme="s9")
-    full = SequentialEngine(
-        water.program, sim=replace(sim, checkpoint_interval=500, checkpoint_path=str(cp))
+    full = lattice.build(
+        water.program, "s9", seed=11, checkpoint_interval=500, checkpoint_path=str(cp)
     ).run()
     assert cp.stat().st_size < 1 << 20
     resumed = load_checkpoint(str(cp)).run()
@@ -149,33 +80,16 @@ def test_sparse_checkpoint_restores_every_float_page(tmp_path):
     assert not water.mismatches(resumed.output)
 
 
-def test_ooo_core_roundtrip(program, tmp_path):
+def test_ooo_core_roundtrip():
     """The OoO model's in-flight state (ROB, MSHRs, store buffer) pickles;
     its predecode closures are re-derived on restore."""
-    cp = str(tmp_path / "ck.pkl")
-    target = TargetConfig(num_cores=4, core_model="ooo")
-
-    def run_ooo(**overrides):
-        return SequentialEngine(
-            program, target=target, host=HOST,
-            sim=replace(SIM, scheme="s2", max_cycles=100_000, **overrides),
-        ).run()
-
-    plain = run_ooo()
-    full = run_ooo(checkpoint_interval=300, checkpoint_path=cp)
-    resumed = load_checkpoint(cp).run()
-    assert_same_run(plain, full)
-    assert_same_run(full, resumed)
+    lattice.check("restored", Cell("lock", "ooo", "s2", 4, seed=11))
 
 
-def _ooo_workload_engine(**sim_overrides) -> SequentialEngine:
+def _ooo_workload_engine(**sim):
     # ~3.9k cycles; the cap turns a restore that lost its wake-up links (a
     # core that never issues again) into an error instead of a 50M-cycle spin.
-    return SequentialEngine(
-        make_workload("barnes", scale="tiny").program,
-        target=TargetConfig(core_model="ooo"),
-        sim=SimConfig(scheme="s9", seed=1, max_cycles=50_000, **sim_overrides),
-    )
+    return lattice.build("barnes", "s9", model="ooo", max_cycles=50_000, **sim)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +157,7 @@ def test_ooo_restore_in_fresh_process_with_scoreboard_in_flight(
     ]
 
 
-def test_advance_tables_rederived_on_mid_run_restore(program, tmp_path):
+def test_advance_tables_rederived_on_mid_run_restore(tmp_path):
     """``advance`` runs on every predecode table, ``_applies`` included:
     none of them may travel in the pickle, and an engine restored mid-run
     under a scheme whose turns go through ``advance`` must finish on
@@ -252,7 +166,7 @@ def test_advance_tables_rederived_on_mid_run_restore(program, tmp_path):
 
     tables = ("_kinds", "_runs", "_eas", "_applies", "_latencies")
     cp = str(tmp_path / "ck.pkl")
-    full = build(program, "su", checkpoint_interval=300, checkpoint_path=cp).run()
+    full = lock_engine("su", checkpoint_interval=300, checkpoint_path=cp).run()
     restored = load_checkpoint(cp)
     assert restored.manager.global_time > 0, "not a mid-run checkpoint"
     for ct in restored.cores:
@@ -264,23 +178,21 @@ def test_advance_tables_rederived_on_mid_run_restore(program, tmp_path):
     assert_same_run(restored.run(), full)
 
 
-def test_time_zero_checkpoint(program, tmp_path):
+def test_time_zero_checkpoint(tmp_path):
     """save_checkpoint works on an engine that has not run yet: the restored
     engine runs the whole simulation from scratch, bit-identically."""
     cp = str(tmp_path / "ck.pkl")
-    save_checkpoint(build(program, "q3"), cp)
+    save_checkpoint(lock_engine("q3"), cp)
     restored = load_checkpoint(cp).run()
-    plain = build(program, "q3").run()
+    plain = lock_engine("q3").run()
     assert_same_run(restored, plain)
 
 
-def test_registry_rebuilds_after_restore(program, tmp_path):
+def test_registry_rebuilds_after_restore(tmp_path):
     """The engine's stats are plain data in the pickle: a restored engine
     renders them from the travelled slack histogram and snapshots."""
     cp = str(tmp_path / "ck.pkl")
-    build(
-        program, "q3", stats_interval=100, checkpoint_interval=300, checkpoint_path=cp
-    ).run()
+    lock_engine("q3", stats_interval=100, checkpoint_interval=300, checkpoint_path=cp).run()
     engine = load_checkpoint(cp)
     travelled = list(engine.snapshots)
     assert travelled and engine._slack_dist.count > 0
@@ -291,12 +203,12 @@ def test_registry_rebuilds_after_restore(program, tmp_path):
     assert result.snapshots[: len(travelled)] == travelled
 
 
-def test_restored_document_equals_the_uninterrupted_one(program, tmp_path):
+def test_restored_document_equals_the_uninterrupted_one(tmp_path):
     """A checkpointed run's stats document — snapshots included — is the
     document of its restore in a fresh process, byte for byte."""
     cp = str(tmp_path / "ck.pkl")
-    full = build(
-        program, "q3", stats_interval=100, checkpoint_interval=300, checkpoint_path=cp
+    full = lock_engine(
+        "q3", stats_interval=100, checkpoint_interval=300, checkpoint_path=cp
     ).run()
     script = (
         "import sys\n"
@@ -314,20 +226,19 @@ def test_restored_document_equals_the_uninterrupted_one(program, tmp_path):
 
 
 # ------------------------------------------------------------- configuration
-def test_interval_without_path_rejected(program):
+def test_interval_without_path_rejected():
     with pytest.raises(EngineError, match="checkpoint_path"):
-        build(program, "cc", checkpoint_interval=100)
+        lock_engine("cc", checkpoint_interval=100)
 
 
-def test_faulted_runs_cannot_checkpoint(program, tmp_path):
+def test_faulted_runs_cannot_checkpoint(tmp_path):
     cp = str(tmp_path / "ck.pkl")
     with pytest.raises(EngineError, match="fault"):
-        build(
-            program, "cc", checkpoint_interval=100, checkpoint_path=cp,
-            fault_plan="corrupt_dir:at=400",
+        lock_engine(
+            "cc", checkpoint_interval=100, checkpoint_path=cp, fault_plan="corrupt_dir:at=400"
         )
     # Direct save on a faulted engine is refused too.
-    engine = build(program, "cc", fault_plan="corrupt_dir:at=400")
+    engine = lock_engine("cc", fault_plan="corrupt_dir:at=400")
     with pytest.raises(CheckpointError, match="fault"):
         save_checkpoint(engine, cp)
 
@@ -341,14 +252,14 @@ def test_load_rejects_missing_and_garbage(tmp_path):
         load_checkpoint(str(garbage))
 
 
-def test_checkpoint_from_other_source_refused(program, tmp_path, monkeypatch, capsys):
+def test_checkpoint_from_other_source_refused(tmp_path, monkeypatch, capsys):
     """A checkpoint is a pickle of engine internals, stamped with the sha256
     of the package's sources: one written under other source bytes is
     refused, and ``run --restore`` exits 2 with one ``error:`` line."""
     from repro.core import checkpoint
 
     cp = str(tmp_path / "ck.pkl")
-    save_checkpoint(build(program, "q3"), cp)
+    save_checkpoint(lock_engine("q3"), cp)
     written = checkpoint.source_fingerprint()[:12]
     monkeypatch.setattr(checkpoint, "_fingerprint", "0" * 64)
     with pytest.raises(CheckpointError, match=f"under source {written}, this build is 0{{12}};"):
@@ -359,7 +270,7 @@ def test_checkpoint_from_other_source_refused(program, tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("scheme", ["cc", "su"])
-def test_chained_restore(scheme, program, tmp_path, monkeypatch):
+def test_chained_restore(request, scheme, tmp_path, monkeypatch):
     """A restored run writes its own later checkpoints from the loop state
     ``sync_stats`` wrote back onto the engine; restoring one of those
     finishes on the pinned digest — cc through the barrier superstep, su
@@ -374,7 +285,7 @@ def test_chained_restore(scheme, program, tmp_path, monkeypatch):
 
     monkeypatch.setattr(checkpoint, "save_checkpoint", keep_every_cut)
     cp = tmp_path / "ck.pkl"
-    build(program, scheme, checkpoint_interval=300, checkpoint_path=str(cp)).run()
+    lock_engine(scheme, checkpoint_interval=300, checkpoint_path=str(cp)).run()
     cp.write_bytes(cuts[0])
     first = load_checkpoint(str(cp))
     cut_at, counter = first.manager.global_time, "fused_barriers" if scheme == "cc" else "parks"
@@ -386,4 +297,4 @@ def test_chained_restore(scheme, program, tmp_path, monkeypatch):
     assert second.manager.global_time > cut_at > 0
     result = second.run()
     assert getattr(second, counter) > before and list(result.output) == [24]
-    assert result.stats_sha256 == json.loads(GOLDEN_PATH.read_text())[scheme]
+    assert result.stats_sha256 == load_or_update(request, GOLDEN_PATH, scheme, result.stats_sha256)

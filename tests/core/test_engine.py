@@ -3,8 +3,8 @@ behaviour, termination, and the paper's headline properties."""
 
 import pytest
 
-from repro.core import EngineError, SequentialEngine, run_simulation
-from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.core import EngineError, run_simulation
+from repro.core.config import SimConfig, TargetConfig
 from repro.core.events import Event, EvKind
 from repro.core.schemes import INFINITY
 from repro.lang import compile_source
@@ -13,20 +13,10 @@ from repro.workloads.synthetic import (
     sharing_workload,
     uniform_think_workload,
 )
+from tests.lattice import GOLDEN_SCHEMES, build, window_probe
 
-TRACE_TARGET = TargetConfig(num_cores=4, core_model="trace")
-ALL_SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su"]
-
-
-def run_trace(cores, scheme="cc", hosts=4, seed=1, **sim_kw):
-    return run_simulation(
-        None,
-        trace_cores=cores,
-        scheme=scheme,
-        host=HostConfig(num_cores=hosts),
-        sim=SimConfig(scheme=scheme, seed=seed, **sim_kw),
-        target=TargetConfig(num_cores=len(cores), core_model="trace"),
-    )
+def run_trace(cores, scheme="cc", hosts=4, seed=1, **sim):
+    return build(cores, scheme, hosts, seed=seed, **sim).run()
 
 
 class TestBasicTermination:
@@ -37,18 +27,15 @@ class TestBasicTermination:
         assert r.execution_cycles == 101
 
     def test_every_scheme_terminates(self):
-        for scheme in ALL_SCHEMES:
+        for scheme in GOLDEN_SCHEMES:
             r = run_trace(sharing_workload(4, 10, seed=5), scheme)
             assert r.completed, scheme
 
     def test_global_queue_holds_nothing_after_a_run(self):
         """Every scheme leaves its GQ structure empty: nothing of the run's
         event history stays queued."""
-        for scheme in ALL_SCHEMES:
-            engine = SequentialEngine(
-                None, trace_cores=sharing_workload(4, 30, shared_fraction=0.6, seed=5),
-                target=TRACE_TARGET, sim=SimConfig(scheme=scheme),
-            )
+        for scheme in GOLDEN_SCHEMES:
+            engine = build(sharing_workload(4, 30, shared_fraction=0.6, seed=5), scheme)
             assert engine.run().requests > 20
             gq = engine.manager.gq
             assert len(gq) == 0 and not gq._q, scheme
@@ -77,55 +64,26 @@ class TestDeterminism:
 
 
 class TestClockProtocol:
+    @staticmethod
+    def assert_window_held(scheme):
+        """global <= local <= max_local and local <= global + slack, sampled
+        at every manager step."""
+        engine = build(sharing_workload(4, 15, seed=4), scheme, 4)
+        breaks = []
+        engine.probe = window_probe(engine, breaks)
+        engine.run()
+        assert not breaks, scheme
+
     def test_invariant_holds_throughout(self):
-        """global <= local <= max_local sampled at every manager step."""
-        for scheme in ALL_SCHEMES:
-            engine = SequentialEngine(
-                None,
-                target=TRACE_TARGET,
-                host=HostConfig(num_cores=4),
-                sim=SimConfig(scheme=scheme, seed=1),
-                trace_cores=sharing_workload(4, 15, seed=4),
-            )
-            failures = []
-
-            def probe(host_t, global_t, locals_, scheme=scheme):
-                for t in locals_:
-                    if 0 <= t < global_t:
-                        failures.append((scheme, host_t, global_t, t))
-
-            engine.probe = probe
-            engine.run()
-            assert not failures
+        for scheme in GOLDEN_SCHEMES:
+            self.assert_window_held(scheme)
 
     def test_bounded_slack_respects_window(self):
         for slack in (2, 9, 50):
-            engine = SequentialEngine(
-                None,
-                target=TRACE_TARGET,
-                host=HostConfig(num_cores=4),
-                sim=SimConfig(scheme=f"s{slack}", seed=1),
-                trace_cores=sharing_workload(4, 15, seed=4),
-            )
-            worst = []
-
-            def probe(host_t, global_t, locals_):
-                for t in locals_:
-                    if t >= 0:
-                        worst.append(t - global_t)
-
-            engine.probe = probe
-            engine.run()
-            assert max(worst) <= slack
+            self.assert_window_held(f"s{slack}")
 
     def test_cc_lockstep(self):
-        engine = SequentialEngine(
-            None,
-            target=TRACE_TARGET,
-            host=HostConfig(num_cores=4),
-            sim=SimConfig(scheme="cc", seed=1),
-            trace_cores=sharing_workload(4, 15, seed=4),
-        )
+        engine = build(sharing_workload(4, 15, seed=4), "cc", 4)
         spreads = []
 
         def probe(host_t, global_t, locals_):
@@ -154,7 +112,7 @@ class TestSchemeProperties:
 
     def test_unbounded_is_fastest_or_close(self):
         cores = lambda: sharing_workload(4, 30, seed=3)
-        times = {s: run_trace(cores(), s).host_time for s in ALL_SCHEMES}
+        times = {s: run_trace(cores(), s).host_time for s in GOLDEN_SCHEMES}
         assert times["su"] <= min(times[s] for s in ("cc", "q10", "s9")) * 1.05
 
     def test_violations_grow_with_slack(self):
@@ -187,10 +145,7 @@ class TestTurnBudget:
 
     @staticmethod
     def engine(scheme):
-        return SequentialEngine(
-            None, trace_cores=uniform_think_workload(4, 1000), target=TRACE_TARGET,
-            sim=SimConfig(scheme=scheme, turn_cycles=0),
-        )
+        return build(uniform_think_workload(4, 1000), scheme, turn_cycles=0)
 
     @pytest.mark.parametrize("scheme", WINDOWS)
     def test_budget_is_the_window_less_local_time(self, scheme):
@@ -287,7 +242,7 @@ class TestProgramEngine:
 
     def test_spawn_join_barrier_pipeline(self):
         prog = compile_source(self.SRC).program
-        for scheme in ALL_SCHEMES:
+        for scheme in GOLDEN_SCHEMES:
             r = run_simulation(prog, scheme=scheme, host_cores=4,
                                target=TargetConfig(num_cores=4))
             assert r.int_output() == [14], scheme

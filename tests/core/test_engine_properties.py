@@ -4,7 +4,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SequentialEngine, run_simulation
+from repro.core import run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
 from repro.core.events import EvKind, Event
@@ -19,8 +19,8 @@ from repro.trace.replay import ReplayCore, ReplaySystem
 from repro.violations.detect import ViolationCounters, WordOrderTracker
 from repro.workloads.synthetic import TraceCore, sharing_workload
 from tests.core.threaded_harness import _LockedInQ
+from tests.lattice import SCHEMES, assert_same_run, build, window_probe
 
-SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su", "aq10-80"]
 #: The schemes that process requests in timestamp order.
 CONSERVATIVE = {"cc", "q10", "l10", "s9*"}
 
@@ -43,25 +43,12 @@ def test_random_workloads_terminate_with_invariants(
     cores = sharing_workload(
         num_cores, ops, shared_fraction=shared, write_fraction=writes, seed=wl_seed
     )
-    engine = SequentialEngine(
-        None,
-        target=TargetConfig(num_cores=num_cores, core_model="trace"),
-        host=HostConfig(num_cores=host_cores),
-        sim=SimConfig(scheme=scheme, seed=3),
-        trace_cores=cores,
-    )
-    violations_of_window = []
-    slack_bound = engine.scheme.slack
-
-    def probe(host_t, global_t, locals_):
-        for t in locals_:
-            if t >= 0 and (t < global_t or t > global_t + slack_bound):
-                violations_of_window.append((global_t, t))
-
-    engine.probe = probe
+    engine = build(cores, scheme, host_cores, seed=3)
+    breaks = []
+    engine.probe = window_probe(engine, breaks)
     result = engine.run()
     assert result.completed
-    assert not violations_of_window
+    assert not breaks
     assert result.execution_cycles > 0
     assert result.host_time > 0
     assert result.instructions == sum(c["committed"] for c in result.cores)
@@ -80,22 +67,11 @@ def test_random_workloads_terminate_with_invariants(
 def test_clock_invariant_global_local_max_local(scheme, num_cores, ops, wl_seed):
     """The paper's pacing invariant, checked at every manager step:
     ``global <= local <= max_local`` for every active core."""
-    engine = SequentialEngine(
-        None,
-        target=TargetConfig(num_cores=num_cores, core_model="trace"),
-        host=HostConfig(num_cores=num_cores),
-        sim=SimConfig(scheme=scheme, seed=5),
-        trace_cores=sharing_workload(num_cores, ops, seed=wl_seed),
-    )
-
-    def probe(host_t, global_t, locals_):
-        engine.manager.check_invariants()
-        for ct in engine.cores:
-            if ct.state == CoreState.ACTIVE:
-                assert global_t <= ct.local_time <= ct.max_local_time
-
-    engine.probe = probe
+    engine = build(sharing_workload(num_cores, ops, seed=wl_seed), scheme, num_cores, seed=5)
+    breaks = []
+    engine.probe = window_probe(engine, breaks)
     assert engine.run().completed
+    assert not breaks
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,24 +88,13 @@ def test_step_many_equals_per_cycle_stepping(scheme, num_cores, ops, shared, wl_
     ``skip``) must be observationally identical to stepping every cycle:
     same clocks, same events, same bit-exact host times."""
     def run(stepping):
-        return SequentialEngine(
-            None,
-            trace_cores=sharing_workload(num_cores, ops, shared_fraction=shared, seed=wl_seed),
-            host=HostConfig(num_cores=num_cores),
-            sim=SimConfig(scheme=scheme, seed=seed),
-            target=TargetConfig(num_cores=num_cores, core_model="trace"),
-            stepping=stepping,
+        return build(
+            sharing_workload(num_cores, ops, shared_fraction=shared, seed=wl_seed),
+            scheme, num_cores, seed=seed, stepping=stepping,
         ).run()
 
     a, b = run("batched"), run("single")
-    assert a.execution_cycles == b.execution_cycles
-    assert a.global_time == b.global_time
-    assert a.instructions == b.instructions
-    assert a.host_time == b.host_time  # bit-exact, not approximate
-    assert a.host_busy == b.host_busy
-    assert a.requests == b.requests
-    assert a.barriers == b.barriers
-    assert a.cores == b.cores
+    assert_same_run(a, b)
     assert [a.stats[f"core{i}.final_time"] for i in a.ran] == [
         b.stats[f"core{i}.final_time"] for i in b.ran
     ]

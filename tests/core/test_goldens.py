@@ -1,78 +1,30 @@
 """Golden determinism tests: pinned digests of full simulation results.
 
-Two guarantees per scheme:
-
-1. **Determinism across commits** — the batched sequential engine's complete
-   result (target clocks, instruction counts, modeled host times down to the
-   bit, via ``float.hex``) matches a golden digest checked into the repo.
-   Any change to the engine, cost model or scheme logic that perturbs
-   behavior shows up as a golden diff and must be deliberate: regenerate
-   with ``pytest tests/core/test_goldens.py --update-goldens``.
-
-2. **Batching is behavior-invariant** — running the identical configuration
-   with ``stepping="single"`` (one ``model.step`` call per cycle, the
-   equivalence oracle for the ``wait_state``/``skip`` fast path) produces
-   the *same* digest.  The run-ahead jumps in ``CoreThread.step_many`` are
-   a pure host-side speedup, never a semantic change.
-
-The threaded engine is additionally checked *functionally*: its workload
-output must match the golden (its target timing is nondeterministic and it
-models no host time).
+Per scheme, the lock program and a 4-core sharing trace (4 host cores, seed
+11): the batched run's complete result — target clocks, instruction counts,
+modeled host times down to the bit (``float.hex``) — matches a golden
+checked into the repo, and so does the ``stepping="single"`` run (the
+lattice's ``single`` class, pinned across commits).  Regenerate deliberately
+with ``pytest tests/core/test_goldens.py --update-goldens``.  The threaded
+engine is checked *functionally*: its target timing is nondeterministic and
+it models no host time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.engine import SequentialEngine
-from repro.lang import compile_source
-from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
+from tests import lattice
+from tests.conftest import load_or_update
 from tests.core.threaded_harness import ThreadedEngine
+from tests.lattice import GOLDEN_SCHEMES, Cell
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-
-SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su"]
-
-#: Small but contentious: 4 threads, a shared lock-protected counter and a
-#: closing barrier — exercises locks, coherence and spawn/join.
-PROGRAM_SRC = """
-int lk; int bar; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 6; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-    barrier(&bar);
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    init_barrier(&bar, 4);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
-TRACE_SIM = SimConfig(seed=11)
-TRACE_TARGET = TargetConfig(num_cores=4, core_model="trace")
-PROGRAM_SIM = SimConfig(seed=11)
-PROGRAM_TARGET = TargetConfig(num_cores=4)
-HOST = HostConfig(num_cores=4)
-
-
-@pytest.fixture(scope="module")
-def program():
-    return compile_source(PROGRAM_SRC).program
 
 
 def digest(result) -> dict:
@@ -109,88 +61,49 @@ def digest(result) -> dict:
     }
 
 
-def run_sequential(scheme: str, program, stepping: str) -> dict:
-    if program is None:
-        engine = SequentialEngine(
-            None,
-            trace_cores=sharing_workload(4, 24, seed=3),
-            target=TRACE_TARGET,
-            host=HOST,
-            sim=replace(TRACE_SIM, scheme=scheme),
-            stepping=stepping,
-        )
-    else:
-        engine = SequentialEngine(
-            program,
-            target=PROGRAM_TARGET,
-            host=HOST,
-            sim=replace(PROGRAM_SIM, scheme=scheme),
-            stepping=stepping,
-        )
-    return digest(engine.run())
-
-
 def golden_path(scheme: str) -> Path:
     return GOLDEN_DIR / f"{scheme.replace('*', 'star')}.json"
 
 
-def load_or_update(request, scheme: str, fresh: dict) -> dict:
-    path = golden_path(scheme)
-    if request.config.getoption("--update-goldens"):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
-        return fresh
-    assert path.exists(), (
-        f"golden {path} missing — generate with "
-        "pytest tests/core/test_goldens.py --update-goldens"
-    )
-    return json.loads(path.read_text())
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_sequential_batched_matches_golden(request, scheme, program):
+def assert_pinned(request, scheme: str, variant: str) -> None:
+    """The lock program and a 4-core sharing trace (4 host cores, seed 11)
+    under *scheme*, batched or single-stepped, against ``<scheme>.json``."""
+    trace = lattice.build(sharing_workload(4, 24, seed=3), scheme, 4, seed=11,
+                          stepping="batched" if variant == "default" else variant)
     fresh = {
-        "trace": run_sequential(scheme, None, "batched"),
-        "program": run_sequential(scheme, program, "batched"),
+        "trace": digest(trace.run()),
+        "program": digest(lattice.run(Cell("lock", scheme=scheme, hosts=4, seed=11), variant)),
     }
-    golden = load_or_update(request, scheme, fresh)
-    assert fresh == golden, (
-        f"{scheme}: batched result diverged from golden — if intentional, "
-        "regenerate with --update-goldens"
-    )
+    for kind, value in fresh.items():
+        assert value == load_or_update(request, golden_path(scheme), kind, value), (
+            f"{scheme} {kind} ({variant}) diverged from golden — if intentional, "
+            "regenerate with --update-goldens"
+        )
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_single_stepping_matches_golden(request, scheme, program):
+@pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+def test_sequential_batched_matches_golden(request, scheme):
+    assert_pinned(request, scheme, "default")
+
+
+@pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+def test_single_stepping_matches_golden(request, scheme):
     """stepping='single' (per-cycle oracle) must be bit-identical to the
     batched fast path: run-ahead jumps never change behavior."""
-    fresh = {
-        "trace": run_sequential(scheme, None, "single"),
-        "program": run_sequential(scheme, program, "single"),
-    }
-    golden = load_or_update(request, scheme, fresh)
-    assert fresh == golden, f"{scheme}: single-step oracle diverged from batched golden"
+    assert_pinned(request, scheme, "single")
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_threaded_functional_matches_golden(request, scheme, program):
+@pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+def test_threaded_functional_matches_golden(scheme):
     """The real-thread engine must reproduce the golden workload output
     (its timing is nondeterministic, so only functional state is pinned)."""
-    golden = load_or_update(
-        request, scheme, {
-            "trace": run_sequential(scheme, None, "batched"),
-            "program": run_sequential(scheme, program, "batched"),
-        },
-    )
-    engine = ThreadedEngine(
-        program,
-        target=PROGRAM_TARGET,
-        host=HOST,
-        sim=replace(PROGRAM_SIM, scheme=scheme),
-    )
-    result = engine.run(timeout=120.0)
+    golden = json.loads(golden_path(scheme).read_text())["program"]
+    result = ThreadedEngine(
+        lattice.lock_program(), target=TargetConfig(num_cores=4),
+        host=HostConfig(num_cores=4), sim=SimConfig(scheme=scheme, seed=11),
+    ).run(timeout=120.0)
     assert result.completed
-    assert list(result.output) == golden["program"]["output"]
+    assert list(result.output) == golden["output"]
     assert result.instructions == sum(c["committed"] for c in result.cores)
 
 
@@ -198,9 +111,7 @@ def test_threaded_functional_matches_golden(request, scheme, program):
 #: The scheme goldens above run a toy program and ``bench/expected.json`` pins
 #: cycles and digest only; this pins the *modeled host time* — the paper's
 #: result, ``digest=False`` in the registry — of the registered workloads.
-WORKLOAD_GOLDEN = GOLDEN_DIR / "workload_host_times.json"
-WORKLOADS = ("barnes", "fft", "lu", "water")
-#: (scheme, host cores).  The 32-core cells pin the schedule of a host wider
+#: (scheme, host cores): the 32-core cells pin the schedule of a host wider
 #: than any configuration the experiments use; the 1- and 2-core cells one
 #: where nearly every step queues behind a busy host core; l10, s9* and the
 #: adaptive quantum pin the lookahead, barrier-stepped and adapting schemes.
@@ -212,55 +123,31 @@ WORKLOAD_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", ["barnes", "fft", "lu", "water"])
 def test_registered_workload_host_times_match_golden(request, name):
-    program = make_workload(name, scale="tiny").program
-    fresh = {}
-    for scheme, hosts in WORKLOAD_CELLS:
-        result = SequentialEngine(
-            program,
-            host=HostConfig(num_cores=hosts),
-            sim=SimConfig(scheme=scheme, seed=1),
-        ).run()
-        fresh[f"{scheme}/h{hosts}"] = {
-            "execution_cycles": result.execution_cycles,
-            "stats_sha256": result.stats_sha256,
-            "host_time": float(result.host_time).hex(),
-            "host_busy": float(result.host_busy).hex(),
-        }
-    goldens = json.loads(WORKLOAD_GOLDEN.read_text()) if WORKLOAD_GOLDEN.exists() else {}
-    if request.config.getoption("--update-goldens"):
-        goldens[name] = fresh
-        WORKLOAD_GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    assert fresh == goldens.get(name), (
+    fresh = {
+        f"{s}/h{h}": lattice.host_times(lattice.run(Cell(name, scheme=s, hosts=h)))
+        for s, h in WORKLOAD_CELLS
+    }
+    assert fresh == load_or_update(request, GOLDEN_DIR / "workload_host_times.json", name, fresh), (
         f"{name}: modeled host time moved — if intentional, regenerate with "
         "--update-goldens"
     )
 
 
 # ------------------------------------------------ trace-core engine digests
-#: Stats digests of ``sharing_workload(4, 20, seed=1)`` trace cores on 4 host
-#: cores, seed 1 — no ISA front end: the engine, manager and memory system
-#: alone.  Pinned since the engine cycle-rate benchmarks; the values have
-#: never moved.
-TRACE_ENGINE_GOLDEN = GOLDEN_DIR / "trace_engine_digests.json"
-
-
 @pytest.mark.parametrize("scheme", ["cc", "su"])
 def test_trace_engine_digest_matches_golden(request, scheme):
-    result = SequentialEngine(
-        None,
-        trace_cores=sharing_workload(4, 20, seed=1),
-        target=TargetConfig(num_cores=4, core_model="trace"),
-        host=HostConfig(num_cores=4),
-        sim=SimConfig(scheme=scheme, seed=1),
-    ).run()
+    """Stats digests of ``sharing_workload(4, 20, seed=1)`` trace cores on 4
+    host cores, seed 1 — no ISA front end: the engine, manager and memory
+    system alone.  Pinned since the engine cycle-rate benchmarks; the values
+    have never moved."""
+    result = lattice.build(sharing_workload(4, 20, seed=1), scheme, 4).run()
     assert result.completed
-    goldens = json.loads(TRACE_ENGINE_GOLDEN.read_text())
-    if request.config.getoption("--update-goldens"):
-        goldens[scheme] = result.stats_sha256
-        TRACE_ENGINE_GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    assert result.stats_sha256 == goldens.get(scheme), (
+    golden = load_or_update(
+        request, GOLDEN_DIR / "trace_engine_digests.json", scheme, result.stats_sha256
+    )
+    assert result.stats_sha256 == golden, (
         f"{scheme}: trace-core engine digest moved — if intentional, regenerate "
         "with --update-goldens"
     )

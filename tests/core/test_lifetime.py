@@ -17,11 +17,9 @@ import weakref
 
 import pytest
 
-from repro.core.config import SimConfig, TargetConfig
-from repro.core.engine import SequentialEngine
 from repro.jobs import JobSpec, ResultStore, execute
-from repro.jobs.spec import spec_program
 from repro.workloads.synthetic import sharing_workload
+from tests import lattice
 
 #: A fault plan's InQ subclass is a class made per install, and every class
 #: is a cycle (it and its method table refer to each other); the engine must
@@ -36,48 +34,20 @@ SPEC = JobSpec.build("fft", "tiny", scheme="s9", seed=3, host_cores=2)
 
 
 @pytest.fixture(scope="module")
-def program():
-    return spec_program(SPEC).program
+def capture():
+    return lattice.capture("fft", "tiny", 8)
 
 
 @pytest.fixture(scope="module")
-def capture(program, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("lifetime") / "fft.trace")
-    SequentialEngine(
-        program, sim=SimConfig(scheme="cc", trace_mode="capture", trace_path=path)
-    ).run()
-    return path
-
-
-@pytest.fixture(scope="module")
-def make(program, capture):
-    sim = SimConfig(scheme="s9", seed=3)
-
-    def build(kind: str) -> SequentialEngine:
-        if kind == "inorder":
-            return SequentialEngine(program, sim=sim)
-        if kind == "ooo":
-            return SequentialEngine(
-                program, target=TargetConfig(core_model="ooo"), sim=sim
-            )
-        if kind == "replay":
-            return SequentialEngine(
-                program,
-                sim=SimConfig(scheme="s9", seed=3, trace_mode="replay", trace_path=capture),
-            )
+def make(capture):
+    def make_engine(kind: str):
         if kind == "trace":
-            return SequentialEngine(
-                None,
-                trace_cores=sharing_workload(4, 24, seed=5),
-                target=TargetConfig(num_cores=4, core_model="trace"),
-                sim=sim,
-            )
-        assert kind == "faults"
-        return SequentialEngine(
-            program, sim=SimConfig(scheme="s9", seed=3, fault_plan=FAULT_PLAN)
-        )
+            return lattice.build(sharing_workload(4, 24, seed=5), "s9", seed=3)
+        if kind == "faults":
+            return lattice.build("fft", "s9", seed=3, fault_plan=FAULT_PLAN)
+        return lattice.build("fft", "s9", model=kind, seed=3)
 
-    return build
+    return make_engine
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ from repro.core.schemes import parse_scheme
 from repro.mem.directory import MESI
 from repro.mem.memsys import MemorySystem
 from repro.violations.detect import ViolationCounters
+from tests.lattice import SCHEMES
 
 
 class _StubModel:
@@ -195,9 +196,6 @@ class TestCoherenceDelivery:
             manager.check_invariants()
 
 
-#: One representative per GQ-policy family: barrier (cc, qN), immediate
-#: (su/sN), oldest (sN*), lookahead (lN).
-SCHEME_FAMILIES = ["cc", "q10", "s9", "s9*", "l10"]
 
 
 class TestActiveWindowInterplay:
@@ -205,7 +203,7 @@ class TestActiveWindowInterplay:
     IDLE or DONE mid-window must drop out of pacing (global time, barrier
     membership, window raises) without stalling the survivors."""
 
-    @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_idle_core_excluded_from_pacing(self, scheme):
         manager, cores, _ = make_manager(scheme, n=3)
         cores[0].local_time = cores[1].local_time = 5
@@ -215,7 +213,8 @@ class TestActiveWindowInterplay:
         assert manager.global_time == 5  # idle core's stale clock ignored
         assert 2 not in result.raised
 
-    @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
+    # su's window has no edge to raise.
+    @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "su"])
     def test_done_mid_window_does_not_stall_window_raise(self, scheme):
         manager, cores, _ = make_manager(scheme)
         manager.step()  # establish the first window from t=0
@@ -228,7 +227,7 @@ class TestActiveWindowInterplay:
         assert result.raised == [0]
         assert cores[0].max_local_time > edge
 
-    @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_idle_core_window_untouched_until_reactivated(self, scheme):
         manager, cores, _ = make_manager(scheme, n=3)
         cores[2].state = CoreState.IDLE
@@ -242,7 +241,7 @@ class TestActiveWindowInterplay:
         assert 2 in result.raised
         assert cores[2].max_local_time == manager.current_max_local()
 
-    @pytest.mark.parametrize("scheme", SCHEME_FAMILIES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_all_inactive_freezes_clock_and_windows(self, scheme):
         manager, cores, _ = make_manager(scheme)
         cores[0].local_time = 50

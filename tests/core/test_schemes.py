@@ -13,6 +13,7 @@ from repro.core.schemes import (
     UnboundedSlack,
     parse_scheme,
 )
+from tests.lattice import SCHEMES
 
 
 class TestParsing:
@@ -29,7 +30,7 @@ class TestParsing:
             assert isinstance(parse_scheme(spec), cls)
 
     def test_names_roundtrip(self):
-        for spec in ["cc", "q10", "l10", "s9", "s9*", "s100", "su"]:
+        for spec in SCHEMES:
             assert parse_scheme(spec).name == spec
 
     def test_case_and_whitespace_tolerant(self):

@@ -1,115 +1,60 @@
 """Engine <-> stats dump integration: digest stability and thin views.
 
 The digest of the stats it covers is the machine-independent fingerprint of
-simulated behaviour.  These tests pin the guarantees DESIGN.md §7 promises:
-
-* byte-identical across stepping modes (batched vs per-cycle single),
-* byte-identical across funcsim dispatch modes (predecoded vs oracle),
-* unperturbed by ``--stats-interval`` snapshotting,
-* the digest covers exactly the stats ``render_stats`` does not leave out,
-* every number of a ``SimulationResult`` is a read of its dump (a stat the
-  run does not render reads 0),
-* per-scheme digests match goldens checked into the repo
-  (``tests/core/goldens/stats_digests.json``; regenerate deliberately with
-  ``--update-goldens``).
+simulated behaviour.  These tests pin what DESIGN.md §7 promises: it is
+byte-identical across stepping and dispatch modes (the lattice's ``single``
+and ``oracle`` classes) and unperturbed by ``--stats-interval``; it covers
+exactly the stats ``render_stats`` does not leave out; every number of a
+``SimulationResult`` is a read of its dump (an unrendered stat reads 0); and
+per-scheme digests match ``goldens/stats_digests.json`` (regenerate
+deliberately with ``--update-goldens``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.engine import SequentialEngine
 from repro.core.results import HEADLINES, core_rows, kips, ran_cores
-from repro.lang import compile_source
 from repro.stats.registry import dump_to_csv, stats_digest
 from repro.workloads.synthetic import sharing_workload
 
+from tests import lattice
+from tests.conftest import load_or_update
+from tests.lattice import GOLDEN_SCHEMES, Cell, assert_same_run
+
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "stats_digests.json"
 
-SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su"]
 
-PROGRAM_SRC = """
-int lk; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 5; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
-HOST = HostConfig(num_cores=4)
-TRACE_TARGET = TargetConfig(num_cores=4, core_model="trace")
-PROGRAM_TARGET = TargetConfig(num_cores=4)
-SIM = SimConfig(seed=17)
-
-
-@pytest.fixture(scope="module")
-def program():
-    return compile_source(PROGRAM_SRC).program
-
-
-def trace_engine(scheme: str, *, stepping="batched", **sim_overrides) -> SequentialEngine:
-    return SequentialEngine(
-        None,
-        trace_cores=sharing_workload(4, 24, seed=5),
-        target=TRACE_TARGET,
-        host=HOST,
-        sim=replace(SIM, scheme=scheme, **sim_overrides),
-        stepping=stepping,
-    )
-
-
-def program_engine(
-    program, scheme: str, *, stepping="batched", dispatch="predecoded", **sim_overrides
-) -> SequentialEngine:
-    return SequentialEngine(
-        program,
-        target=PROGRAM_TARGET,
-        host=HOST,
-        sim=replace(SIM, scheme=scheme, **sim_overrides),
-        stepping=stepping,
-        dispatch=dispatch,
-    )
+def pinned(kind: str, scheme: str, **kw):
+    """The stats goldens' runs, seed 17 on 4 host cores: a 4-core sharing
+    trace (``kind="trace"``) or the lock program without its barrier."""
+    if kind == "trace":
+        return lattice.build(sharing_workload(4, 24, seed=5), scheme, 4, seed=17, **kw)
+    program = lattice.lock_program(rounds=5, barrier=False)
+    return lattice.build(program, scheme, 4, cores=4, seed=17,
+                         model="ooo" if kind == "ooo" else "inorder", **kw)
 
 
 @pytest.mark.parametrize("scheme", ["cc", "s9", "su"])
-def test_digest_identical_across_stepping_modes(scheme, program):
-    engines = [program_engine(program, scheme, stepping=s) for s in ("batched", "single")]
-    batched, single = (engine.run() for engine in engines)
-    assert batched.stats_sha256 == single.stats_sha256
+def test_digest_identical_across_stepping_modes(scheme):
+    lattice.check("single", Cell("lock", scheme=scheme, hosts=4, seed=11))
+    batched, single = (pinned("trace", scheme, stepping=s) for s in ("batched", "single"))
+    assert_same_run(batched.run(), single.run())
     # The whole digested dump matches, not just the hash of it.
-    assert engines[0].render_stats()[0] == engines[1].render_stats()[0]
-    trace_b = trace_engine(scheme, stepping="batched").run()
-    trace_s = trace_engine(scheme, stepping="single").run()
-    assert trace_b.stats_sha256 == trace_s.stats_sha256
+    assert batched.render_stats()[0] == single.render_stats()[0]
 
 
 @pytest.mark.parametrize("scheme", ["cc", "s9"])
-def test_digest_identical_across_dispatch_modes(scheme, program):
-    predecoded = program_engine(program, scheme, dispatch="predecoded").run()
-    oracle = program_engine(program, scheme, dispatch="oracle").run()
-    assert predecoded.stats_sha256 == oracle.stats_sha256
+def test_digest_identical_across_dispatch_modes(scheme):
+    lattice.check("oracle", Cell("lock", scheme=scheme, hosts=4, seed=11))
 
 
 def test_snapshots_recorded_and_digest_unperturbed():
-    plain = trace_engine("s9").run()
-    snapped_engine = trace_engine("s9", stats_interval=50)
+    plain = pinned("trace", "s9").run()
+    snapped_engine = pinned("trace", "s9", stats_interval=50)
     snapped = snapped_engine.run()
     # Snapshotting is observation only: simulated behaviour cannot move.
     assert snapped.stats_sha256 == plain.stats_sha256
@@ -120,15 +65,15 @@ def test_snapshots_recorded_and_digest_unperturbed():
     assert all(isinstance(s["stats"], dict) and s["stats"] for s in snapshots)
     # Deterministic: a re-run snapshots at the same global times with the
     # same contents.
-    again = trace_engine("s9", stats_interval=50)
+    again = pinned("trace", "s9", stats_interval=50)
     again.run()
     assert [s["label"] for s in again.snapshots] == labels
     assert again.snapshots == snapshots
 
 
 @pytest.mark.parametrize("kind", ["program", "trace"])
-def test_headline_attributes_read_the_dump(kind, program):
-    engine = program_engine(program, "s9") if kind == "program" else trace_engine("s9")
+def test_headline_attributes_read_the_dump(kind):
+    engine = pinned(kind, "s9")
     result = engine.run()
     stats = result.stats
     for name, path in HEADLINES.items():
@@ -173,12 +118,8 @@ CORE_RATIOS = {
 
 
 @pytest.mark.parametrize("kind", ["program", "ooo", "trace"])
-def test_left_out_paths_are_exactly_the_named_set(kind, program):
-    if kind == "trace":
-        engine = trace_engine("s9")
-    else:
-        target = replace(PROGRAM_TARGET, core_model="ooo") if kind == "ooo" else PROGRAM_TARGET
-        engine = SequentialEngine(program, target=target, host=HOST, sim=replace(SIM, scheme="s9"))
+def test_left_out_paths_are_exactly_the_named_set(kind):
+    engine = pinned(kind, "s9")
     result = engine.run()
     covered, left_out = engine.render_stats()
     assert set(left_out) == LEFT_OUT | {
@@ -189,8 +130,8 @@ def test_left_out_paths_are_exactly_the_named_set(kind, program):
 
 
 @pytest.mark.parametrize("kind", ["program", "trace"])
-def test_digest_covers_exactly_the_covered_stats(kind, program):
-    engine = trace_engine("q10") if kind == "trace" else program_engine(program, "q10")
+def test_digest_covers_exactly_the_covered_stats(kind):
+    engine = pinned(kind, "q10")
     result = engine.run()
     covered, _ = engine.render_stats()
     assert stats_digest(covered) == result.stats_sha256
@@ -206,8 +147,8 @@ def test_digest_covers_exactly_the_covered_stats(kind, program):
     assert stats_digest(engine.render_stats()[0]) != result.stats_sha256
 
 
-def test_dump_json_document_shape(program):
-    result = program_engine(program, "q10").run()
+def test_dump_json_document_shape():
+    result = pinned("program", "q10").run()
     doc = json.loads(result.dump_json())
     assert doc["digest"] == result.stats_sha256
     assert doc["meta"]["scheme"] == "q10"
@@ -217,27 +158,10 @@ def test_dump_json_document_shape(program):
     assert "target.instructions," in csv
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_stats_digest_matches_golden(request, scheme, program):
-    fresh = {
-        "trace": trace_engine(scheme).run().stats_sha256,
-        "program": program_engine(program, scheme).run().stats_sha256,
-    }
-    if request.config.getoption("--update-goldens"):
-        goldens = (
-            json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-        )
-        goldens[scheme] = fresh
-        GOLDEN_PATH.write_text(
-            json.dumps(goldens, indent=2, sort_keys=True) + "\n"
-        )
-        return
-    assert GOLDEN_PATH.exists(), (
-        f"golden {GOLDEN_PATH} missing — generate with "
-        "pytest tests/core/test_stats_integration.py --update-goldens"
-    )
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert fresh == golden[scheme], (
+@pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+def test_stats_digest_matches_golden(request, scheme):
+    fresh = {kind: pinned(kind, scheme).run().stats_sha256 for kind in ("trace", "program")}
+    assert fresh == load_or_update(request, GOLDEN_PATH, scheme, fresh), (
         f"{scheme}: stats digest diverged from golden — simulated behaviour "
         "changed; if intentional, regenerate with --update-goldens"
     )

@@ -11,6 +11,7 @@ from repro.core.corethread import CoreThread
 from repro.lang import compile_source
 from repro.workloads import make_workload
 from tests.core.threaded_harness import SimulationHungError, ThreadedEngine
+from tests.lattice import lock_program
 
 SMALL_TARGET = TargetConfig(num_cores=4)
 
@@ -25,32 +26,9 @@ def run_threaded(prog, scheme, num_cores=4, seed=1):
     return engine.run(timeout=60.0)
 
 
-COUNTER_SRC = """
-int lk; int bar; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 10; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-    barrier(&bar);
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    init_barrier(&bar, 4);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
-
 @pytest.mark.parametrize("scheme", ["cc", "q10", "s9", "su"])
 def test_lock_counter_is_exact_under_real_threads(scheme):
-    prog = compile_source(COUNTER_SRC).program
+    prog = lock_program(10)
     r = run_threaded(prog, scheme)
     assert r.int_output() == [40]
     assert r.completed
@@ -96,7 +74,7 @@ def test_benchmark_verifies_on_threads():
 def test_threaded_matches_sequential_functionally():
     from repro.core import run_simulation
 
-    prog = compile_source(COUNTER_SRC).program
+    prog = lock_program(10)
     seq = run_simulation(prog, scheme="s9", host_cores=4,
                          target=TargetConfig(num_cores=4))
     thr = run_threaded(prog, "s9")
@@ -116,7 +94,7 @@ def test_turns_burn_the_configured_wait_chunk(monkeypatch):
 
     monkeypatch.setattr(CoreThread, "step_many", recording)
     engine = ThreadedEngine(
-        compile_source(COUNTER_SRC).program,
+        lock_program(10),
         target=SMALL_TARGET,
         host=HostConfig(num_cores=4),
         sim=SimConfig(scheme="s9", seed=1, wait_chunk=3),
@@ -126,7 +104,7 @@ def test_turns_burn_the_configured_wait_chunk(monkeypatch):
 
 
 def test_instruction_counts_are_consistent():
-    prog = compile_source(COUNTER_SRC).program
+    prog = lock_program(10)
     r = run_threaded(prog, "su")
     assert r.instructions == sum(c["committed"] for c in r.cores)
 
@@ -165,26 +143,6 @@ int main() {
 }
 """
 
-LOCK_CONTENTION_SRC = """
-int lk; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 25; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
 #: barrier storm: sum over threads/iterations of (tid + i).
 BARRIER_STORM_EXPECT = sum(tid + i for tid in range(4) for i in range(8))
 LOCK_CONTENTION_EXPECT = 4 * 25
@@ -200,7 +158,7 @@ def test_barrier_storm_across_seeds(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_lock_contention_across_seeds(seed):
-    prog = compile_source(LOCK_CONTENTION_SRC).program
+    prog = lock_program(25, barrier=False)
     r = run_threaded(prog, "s9", seed=seed)
     assert r.completed
     assert r.int_output() == [LOCK_CONTENTION_EXPECT]
@@ -228,7 +186,7 @@ def test_watchdog_aborts_hung_run_with_diagnostics():
     thread stacks instead of hanging until a wall-clock cap."""
     from repro.core.manager import ManagerStepResult
 
-    prog = compile_source(COUNTER_SRC).program
+    prog = lock_program(10)
     engine = ThreadedEngine(
         prog,
         target=SMALL_TARGET,
@@ -253,7 +211,7 @@ def test_watchdog_aborts_hung_run_with_diagnostics():
 def test_watchdog_window_passes_healthy_runs():
     """The window bounds *stall* time, not total time: a progressing run
     with a window far shorter than its full runtime still completes."""
-    prog = compile_source(COUNTER_SRC).program
+    prog = lock_program(10)
     engine = ThreadedEngine(
         prog,
         target=SMALL_TARGET,

@@ -5,10 +5,11 @@ from unittest import mock
 import pytest
 
 import repro.cpu.ooo
-from repro.core import SequentialEngine, run_simulation
-from repro.core.config import SimConfig, TargetConfig
+from repro.core import run_simulation
+from repro.core.config import TargetConfig
 from repro.lang import compile_source
 from repro.workloads import make_workload
+from tests.lattice import BRANCHY, FORWARDING, INDEPENDENT_OPS, build
 
 OOO = TargetConfig(core_model="ooo", num_cores=4)
 INORDER = TargetConfig(core_model="inorder", num_cores=4)
@@ -18,22 +19,6 @@ def run(src_or_prog, target, scheme="cc", **kw):
     prog = compile_source(src_or_prog).program if isinstance(src_or_prog, str) else src_or_prog
     return run_simulation(prog, scheme=scheme, host_cores=4, target=target, **kw)
 
-
-INDEPENDENT_OPS = """
-int main() {
-    int a = 1; int b = 2; int c = 3; int d = 4;
-    int s = 0;
-    for (int i = 0; i < 50; i = i + 1) {
-        a = a * 3;
-        b = b * 5;
-        c = c * 7;
-        d = d * 11;
-    }
-    s = a + b + c + d;
-    print_int(s & 1023);
-    return 0;
-}
-"""
 
 DEPENDENT_CHAIN = """
 int main() {
@@ -45,34 +30,6 @@ int main() {
     return 0;
 }
 """
-
-FORWARDING = """
-int buf[8];
-int main() {
-    int s = 0;
-    for (int i = 0; i < 8; i = i + 1) {
-        buf[i] = i * 7;
-        s = s + buf[i];     // load immediately after store
-    }
-    print_int(s);
-    return 0;
-}
-"""
-
-BRANCHY = """
-int main() {
-    int s = 0;
-    int x = 12345;
-    for (int i = 0; i < 300; i = i + 1) {
-        x = (x * 1103515245 + 12345) % (1 << 31);
-        if ((x >> 7) & 1) s = s + 1;   // data-dependent branch
-        else s = s - 1;
-    }
-    print_int(s);
-    return 0;
-}
-"""
-
 
 class TestILP:
     def test_ooo_beats_inorder_on_parallel_work(self):
@@ -157,12 +114,7 @@ class TestBenchmarksUnderOoO:
 
 
 def _ooo_engine(name, scheme, stepping="batched"):
-    return SequentialEngine(
-        make_workload(name, scale="tiny").program,
-        target=TargetConfig(core_model="ooo"),
-        sim=SimConfig(scheme=scheme, seed=1),
-        stepping=stepping,
-    )
+    return build(name, scheme, model="ooo", stepping=stepping)
 
 
 def _service_order(engine):

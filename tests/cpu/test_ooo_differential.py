@@ -2,10 +2,10 @@
 
 * **Reference vs shipped, whole runs.**  ``tests/cpu/ooo_reference.py`` is the
   scan-based model ``src/`` held before the wakeup scoreboard; patched in for
-  ``repro.cpu.ooo.OoOCore`` it must produce the same run — stats digest,
-  cycles, bit-exact modeled host time and busy time, ``host.steps`` and every
-  ``engine.*`` counter — on the registered workloads, the checkpoint goldens'
-  lock/barrier program and ``test_ooo.py``'s programs over the model's knobs.
+  ``repro.cpu.ooo.OoOCore`` it must produce the same run (the lattice's
+  ``reference`` class: every field ``assert_same_run`` compares) on the
+  registered workloads, the lock/barrier program and the knob programs over
+  the model's knobs.
 * **``advance`` vs per-cycle ``step``, turn by turn.**  One CoreThread under a
   stub manager, in the mould of ``test_advance_equals_per_cycle_stepping``:
   the shipped core through ``advance``, the shipped core stepped cycle by
@@ -14,17 +14,14 @@
 
 import dataclasses
 import itertools
-import json
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cpu.ooo as shipped
-from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.core.config import SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.engine import SequentialEngine
 from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState
 from repro.cpu.l1cache import MESI, L1Cache, L1Config
@@ -33,41 +30,13 @@ from repro.lang import compile_source
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
 from repro.violations.detect import ViolationCounters, WordOrderTracker
-from repro.workloads.registry import make_workload
-from tests.conftest import assert_same_run
-from tests.core.test_checkpoint import PROGRAM_SRC as LOCK_BARRIER
+from tests import lattice
+from tests.conftest import load_or_update
 from tests.cpu.ooo_reference import OoOCore as ReferenceCore
-from tests.cpu.test_ooo import BRANCHY, FORWARDING, INDEPENDENT_OPS
+from tests.lattice import BRANCHY, FORWARDING, INDEPENDENT_OPS, LOCK_SCHEMES, Cell
 
 
 # ------------------------------------------------------------------ whole runs
-def run_with(core_cls, program, *, target, sim, host=None, **engine_kw):
-    with mock.patch.object(shipped, "OoOCore", core_cls):
-        return SequentialEngine(
-            program, target=target, host=host, sim=sim, **engine_kw
-        ).run()
-
-
-def assert_same_execution(a, b):
-    """``assert_same_run`` plus what the digest does not cover: the host
-    model's busy time and call count and the engine's own counters."""
-    assert_same_run(a, b)
-    assert float.hex(a.host_busy) == float.hex(b.host_busy)
-    sa, sb = a.stats, b.stats
-    assert sa["host.steps"] == sb["host.steps"]
-    engine_counters = {k: v for k, v in sa.items() if k.startswith("engine.")}
-    assert engine_counters
-    assert engine_counters == {k: v for k, v in sb.items() if k.startswith("engine.")}
-
-
-def assert_reference_equal(program, *, target, sim, host=None, **engine_kw):
-    new = run_with(shipped.OoOCore, program, target=target, sim=sim, host=host, **engine_kw)
-    ref = run_with(ReferenceCore, program, target=target, sim=sim, host=host, **engine_kw)
-    assert new.completed
-    assert_same_execution(ref, new)
-    return new
-
-
 #: The registered workloads' modeled host times on the ``ooo`` core (the
 #: scheme goldens and ``workload_host_times.json`` are in-order only),
 #: written at the commit *before* the scoreboard replaced the scan-based
@@ -77,44 +46,24 @@ GOLDEN = Path(__file__).parents[1] / "core" / "goldens" / "ooo_host_times.json"
 
 @pytest.mark.parametrize("name", ["barnes", "fft", "lu", "water"])
 def test_reference_equal_on_registered_workloads(request, name):
-    program = make_workload(name, scale="tiny").program
-    fresh = {}
-    for scheme, hosts in itertools.product(("cc", "q10", "s9", "su"), (1, 8)):
-        result = assert_reference_equal(
-            program,
-            target=TargetConfig(core_model="ooo"),
-            host=HostConfig(num_cores=hosts),
-            sim=SimConfig(scheme=scheme, seed=1),
+    fresh = {
+        f"{scheme}/h{hosts}": lattice.host_times(
+            lattice.check("reference", Cell(name, "ooo", scheme, hosts))
         )
-        fresh[f"{scheme}/h{hosts}"] = {
-            "execution_cycles": result.execution_cycles,
-            "stats_sha256": result.stats_sha256,
-            "host_time": float(result.host_time).hex(),
-            "host_busy": float(result.host_busy).hex(),
-        }
-    goldens = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    if request.config.getoption("--update-goldens"):
-        goldens[name] = fresh
-        GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    assert fresh == goldens.get(name), (
+        for scheme, hosts in itertools.product(("cc", "q10", "s9", "su"), (1, 8))
+    }
+    assert fresh == load_or_update(request, GOLDEN, name, fresh), (
         f"{name}: the ooo core's modeled host time moved — if intentional, "
         "regenerate with --update-goldens"
     )
 
 
-@pytest.mark.parametrize("scheme", ["cc", "q3", "s2", "su"])
+@pytest.mark.parametrize("scheme", LOCK_SCHEMES)
 def test_reference_equal_on_lock_barrier_program(scheme):
     """Contended lock + closing barrier on 4 cores: blocked syscalls released
     by peers, early and late, with and without fast-forward compensation."""
-    program = compile_source(LOCK_BARRIER).program
     for fastforward in (False, True):
-        result = assert_reference_equal(
-            program,
-            target=TargetConfig(num_cores=4, core_model="ooo"),
-            host=HostConfig(num_cores=4),
-            sim=SimConfig(scheme=scheme, seed=11, fastforward=fastforward),
-        )
-        assert list(result.output) == [24]
+        lattice.check("reference", Cell("lock", "ooo", scheme, 4, fastforward, seed=11))
 
 
 KNOBS = list(itertools.product((1, 4), (4, 64), (0, 1, 8), (False, True), ("predecoded", "oracle")))
@@ -129,16 +78,20 @@ KNOBS = list(itertools.product((1, 4), (4, 64), (0, 1, 8), (False, True), ("pred
 def test_reference_equal_over_model_knobs(source):
     program = compile_source(source).program
     for width, rob, penalty, fastforward, dispatch in KNOBS:
-        assert_reference_equal(
-            program,
-            target=TargetConfig(
-                num_cores=1, memory_bytes=8 << 20, core_model="ooo",
-                ooo_width=width, ooo_rob=rob, mispredict_penalty=penalty,
-            ),
-            host=HostConfig(num_cores=1),
-            sim=SimConfig(scheme="s9", seed=3, fastforward=fastforward),
-            dispatch=dispatch,
+        target = TargetConfig(
+            num_cores=1, memory_bytes=8 << 20, core_model="ooo",
+            ooo_width=width, ooo_rob=rob, mispredict_penalty=penalty,
         )
+
+        def run():
+            return lattice.build(program, "s9", 1, seed=3, target=target,
+                                 fastforward=fastforward, dispatch=dispatch).run()
+
+        new = run()
+        with lattice.reference_ooo():
+            ref = run()
+        assert new.completed
+        lattice.assert_same_run(ref, new)
 
 
 @pytest.mark.parametrize("name", ["fft", "water"])
@@ -146,15 +99,7 @@ def test_reference_equal_over_model_knobs(source):
 def test_advance_equals_single_stepping_on_whole_runs(name, scheme):
     """``stepping="single"`` calls ``step`` cycle by cycle through the same
     turn structure: it is ``advance``'s oracle inside the shipped model."""
-    program = make_workload(name, scale="tiny").program
-    runs = [
-        SequentialEngine(
-            program, target=TargetConfig(core_model="ooo"),
-            sim=SimConfig(scheme=scheme, seed=1), stepping=stepping,
-        ).run()
-        for stepping in ("batched", "single")
-    ]
-    assert_same_execution(*runs)
+    lattice.check("single", Cell(name, "ooo", scheme))
 
 
 # ------------------------------------------------- advance vs step, turn by turn

@@ -15,6 +15,7 @@ from repro.experiments.ablations import fastforward_report, sweep_rows
 from repro.experiments.common import BENCHMARKS, SCHEMES
 from repro.experiments.figure8 import panels, render_figure8
 from repro.experiments.parallel import experiment_entry, run_sweep
+from tests.conftest import load_or_update
 
 SCALE = "tiny"
 REPORTS = Path(__file__).resolve().parents[2] / "reports"
@@ -261,12 +262,7 @@ def test_sweep_documents_are_pinned(request, experiment, grid):
         },
     }
     fresh = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
-    goldens = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    if request.config.getoption("--update-goldens"):
-        goldens[experiment] = fresh
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    assert fresh == goldens.get(experiment), (
+    assert fresh == load_or_update(request, GOLDEN, experiment, fresh), (
         f"the tiny {experiment} document moved — if intentional, regenerate "
         "with --update-goldens"
     )

@@ -16,55 +16,7 @@ from repro.core.config import SimConfig
 from repro.core.engine import SequentialEngine
 from repro.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.lang import compile_source
-
-#: Lock-protected counter + closing barrier (the goldens' program shape):
-#: fully synchronized, so every scheme yields counter == 24.
-LOCKED_SRC = """
-int lk; int bar; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 6; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-    barrier(&bar);
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    init_barrier(&bar, 4);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
-#: Unsynchronized same-word sharing: core 1 hammers stores into ``flag``
-#: while core 0 reads it — the WordOrderTracker's target pattern.  The
-#: printed value (core 1's private tally) is interleaving-independent.
-RACY_SRC = """
-int flag; int bar;
-void worker(int tid) {
-    if (tid == 1) {
-        for (int i = 0; i < 200; i = i + 1) flag = flag + 1;
-    } else {
-        int s = 0;
-        for (int i = 0; i < 40; i = i + 1) s = s + flag;
-    }
-    barrier(&bar);
-}
-int main() {
-    int t;
-    init_barrier(&bar, 2);
-    t = spawn(worker, 1);
-    worker(0);
-    join(t);
-    print_int(flag);
-    return 0;
-}
-"""
+from tests.lattice import LOCK_SRC, RACY_SRC, build
 
 #: Streaming writes over 32KB (2x the 16KB L1): every lap evicts dirty
 #: blocks, so refill misses emit back-to-back PUTM + GETX pairs — the
@@ -91,7 +43,7 @@ int main() {
 
 @pytest.fixture(scope="module")
 def locked_prog():
-    return compile_source(LOCKED_SRC, name="faults-locked").program
+    return compile_source(LOCK_SRC, name="faults-locked").program
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +52,7 @@ def racy_prog():
 
 
 def run(prog, *, scheme="cc", plan=None, seed=1, **sim):
-    engine = SequentialEngine(
-        prog, sim=SimConfig(scheme=scheme, seed=seed, fault_plan=plan, **sim)
-    )
+    engine = build(prog, scheme, seed=seed, fault_plan=plan, **sim)
     return engine, engine.run()
 
 

@@ -10,6 +10,7 @@ import repro.cache as cache
 import repro.lang.compiler as compiler
 from repro.cache import cache_root, compile_source
 from repro.jobs import ResultStore
+from tests.lattice import LOCK_SRC
 
 SRC = """
 int main() {
@@ -151,32 +152,6 @@ def test_distinct_sources_distinct_entries(cache_dir):
     assert len(_entries(cache_dir)) == 2
 
 
-# --------------------------------------------------- the per-process memo
-# ``repro.lang.compile_source`` (``repro.cache.compile_source``) answers a
-# repeated request for the same on-disk entry with the identical object.
-SYNC_SRC = """
-int lk; int bar; int counter;
-void worker(int tid) {
-    for (int i = 0; i < 6; i = i + 1) {
-        lock(&lk);
-        counter = counter + 1;
-        unlock(&lk);
-    }
-    barrier(&bar);
-}
-int main() {
-    int tids[4];
-    init_lock(&lk);
-    init_barrier(&bar, 4);
-    for (int t = 1; t < 4; t = t + 1) tids[t] = spawn(worker, t);
-    worker(0);
-    for (int t = 1; t < 4; t = t + 1) join(tids[t]);
-    print_int(counter);
-    return 0;
-}
-"""
-
-
 @pytest.fixture
 def disk_reads(cache_dir, monkeypatch):
     """An empty memo over an empty cache dir; counts ``programs`` loads."""
@@ -241,25 +216,18 @@ def test_engines_sharing_a_memoised_program_match_fresh_programs(
     """Back-to-back engines on one memoised Program — predecode tables
     built by the first, reused by the second — run exactly like engines on
     freshly loaded Programs, also across a restore."""
-    from dataclasses import replace
 
-    from repro.core import HostConfig, SequentialEngine, SimConfig, TargetConfig
     from repro.core.checkpoint import load_checkpoint
-    from tests.conftest import assert_same_run
+    from tests.lattice import assert_same_run, build
 
     def run(program, **sim):
-        return SequentialEngine(
-            program,
-            target=TargetConfig(num_cores=4),
-            host=HostConfig(num_cores=4),
-            sim=replace(SimConfig(seed=11, scheme=scheme), **sim),
-        ).run()
+        return build(program, sim.pop("scheme", scheme), 4, cores=4, seed=11, **sim).run()
 
     def fresh():
-        return compiler.compile_source(SYNC_SRC, name="sync").program
+        return compiler.compile_source(LOCK_SRC, name="sync").program
 
-    shared = compile_source(SYNC_SRC, name="sync").program
-    assert compile_source(SYNC_SRC, name="sync").program is shared
+    shared = compile_source(LOCK_SRC, name="sync").program
+    assert compile_source(LOCK_SRC, name="sync").program is shared
     first = run(shared)
     tables = shared._predecoded
     second = run(shared)

@@ -10,8 +10,6 @@ import re
 
 import pytest
 
-from repro.core.config import SimConfig
-from repro.core.engine import SequentialEngine
 from repro.stats.registry import (
     Distribution,
     StatError,
@@ -24,7 +22,7 @@ from repro.stats.registry import (
     stats_digest,
     stats_document,
 )
-from repro.workloads.registry import make_workload
+from tests.lattice import build
 
 #: One well-formed path component (brackets admit resource names like
 #: ``l2bank[3]``, ``*`` admits scheme names like ``s9*``).
@@ -36,10 +34,7 @@ RATIOS = ("ipc", "l1d.miss_rate")
 @pytest.fixture(scope="module")
 def fft8():
     """fft ``tiny`` on the default 8 target cores: cores 4-7 never run."""
-    engine = SequentialEngine(
-        make_workload("fft", scale="tiny").program,
-        sim=SimConfig(scheme="s9", stats_interval=2000),
-    )
+    engine = build("fft", "s9", stats_interval=2000)
     result = engine.run()
     assert engine.target.num_cores == 8 and result.ran == (0, 1, 2, 3)
     return engine, result
@@ -48,9 +43,7 @@ def fft8():
 class TestScalar:
     def test_sourced_scalar_resolves_at_dump_time(self):
         """A stat is the component's counter as it is when rendered."""
-        engine = SequentialEngine(
-            make_workload("fft", scale="tiny").program, sim=SimConfig(scheme="su")
-        )
+        engine = build("fft", "su")
         before, _ = engine.render_stats()
         assert before["target.instructions"] == 0 and before["sim.completed"] == 0
         result = engine.run()

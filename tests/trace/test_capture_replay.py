@@ -18,50 +18,31 @@ import pathlib
 import pytest
 
 from repro.core import run_simulation
-from repro.core.checkpoint import load_checkpoint
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import EngineError, SequentialEngine
 from repro.trace import TraceError, read_trace
 from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
 
-from tests.conftest import assert_same_run
-
-#: One representative per scheme family (Table 2): cycle-count, quantum,
-#: slack, unbounded.
-SCHEMES = ["cc", "q3", "s2", "su"]
-
+from tests import lattice
+from tests.lattice import LOCK_SCHEMES, Cell, assert_same_run
 
 WORKLOADS = ["fft", "lu", "water", "barnes"]
 
 
 @pytest.fixture(scope="module")
-def programs():
-    return {name: make_workload(name, scale="tiny").program for name in WORKLOADS}
+def fft():
+    return make_workload("fft", scale="tiny").program
 
 
 @pytest.fixture(scope="module")
-def traces(programs, tmp_path_factory):
-    """One cc capture per workload."""
-    root = tmp_path_factory.mktemp("trace")
-    paths = {}
-    for name, program in programs.items():
-        paths[name] = str(root / f"{name}.trace")
-        result = run_simulation(
-            program, sim=SimConfig(scheme="cc", seed=1, trace_mode="capture",
-                                   trace_path=paths[name]))
-        assert result.completed
-    return paths
-
-
-@pytest.fixture(scope="module")
-def fft(programs):
-    return programs["fft"]
-
-
-@pytest.fixture(scope="module")
-def fft_trace(traces):
-    return traces["fft"]
+def fft_trace(fft, tmp_path_factory):
+    """A cc capture of fft."""
+    path = str(tmp_path_factory.mktemp("trace") / "fft.trace")
+    assert run_simulation(
+        fft, sim=SimConfig(scheme="cc", seed=1, trace_mode="capture", trace_path=path)
+    ).completed
+    return path
 
 
 # fft (barriers only) keeps the ids it had when it was the only workload here;
@@ -69,18 +50,10 @@ def fft_trace(traces):
 # shares with direct runs.
 @pytest.mark.parametrize("name,scheme", [
     pytest.param(name, scheme, id=scheme if name == "fft" else f"{name}-{scheme}")
-    for name in WORKLOADS for scheme in SCHEMES
+    for name in WORKLOADS for scheme in LOCK_SCHEMES
 ])
-def test_replay_digest_matches_direct(programs, traces, name, scheme):
-    sim = dict(scheme=scheme, seed=1)
-    direct = run_simulation(programs[name], sim=SimConfig(**sim))
-    replay = run_simulation(
-        programs[name],
-        sim=SimConfig(trace_mode="replay", trace_path=traces[name], **sim))
-    assert direct.completed and replay.completed
-    # Full-dump equality, not just the digest.
-    assert replay.stats == direct.stats
-    assert_same_run(replay, direct)
+def test_replay_digest_matches_direct(name, scheme):
+    lattice.check("replay", Cell(name, "replay", scheme))
 
 
 @pytest.mark.parametrize("target,match", [
@@ -157,7 +130,7 @@ def test_replay_matches_direct_under_fastforward(tmp_path):
     storing core; replay mirrors it touch for touch, so the dumps stay
     equal when the compensation really delays the run."""
     from repro.lang import compile_source
-    from tests.faults.test_faults import RACY_SRC
+    from tests.lattice import RACY_SRC
 
     racy = compile_source(RACY_SRC).program
     path = str(tmp_path / "racy.trace")
@@ -207,23 +180,12 @@ def test_corrupt_trace_is_refused(fft_trace, tmp_path):
         read_trace(str(bad))
 
 
-def test_replay_composes_with_checkpoints(fft, fft_trace, tmp_path):
+def test_replay_composes_with_checkpoints():
     """Checkpointing a replay run and resuming it stays digest-identical
     to the uninterrupted direct run — the two subsystems compose."""
-    sim = dict(scheme="q3", seed=5)
-    direct = run_simulation(fft, sim=SimConfig(**sim))
-    ckpt = str(tmp_path / "replay.ckpt")
-    engine = SequentialEngine(
-        fft, sim=SimConfig(trace_mode="replay", trace_path=fft_trace,
-                           checkpoint_interval=2000, checkpoint_path=ckpt,
-                           **sim))
-    result = engine.run()
-    assert result.completed
-    assert_same_run(result, direct)
-    assert pathlib.Path(ckpt).exists()
-    resumed = load_checkpoint(ckpt).run()
-    assert resumed.completed
-    assert_same_run(resumed, direct)
+    cell = Cell("fft", "replay", "q3", seed=5)
+    lattice.check("restored", cell)
+    lattice.check("replay", cell)
 
 
 def test_capture_refuses_fault_injection(fft, tmp_path):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import run_simulation
-from repro.core.config import TargetConfig
 from repro.workloads import ALL_BENCHMARKS, BENCHMARKS, SCALES, lcg_stream, make_workload
 from repro.workloads.base import LCG_ADD, LCG_MOD, LCG_MULT
+from tests import lattice
+from tests.lattice import Cell
 
 
 class TestLCG:
@@ -79,31 +79,24 @@ class TestVerification:
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 class TestBenchmarkExecution:
     def test_correct_under_cc(self, name):
-        w = make_workload(name, scale="tiny")
-        r = run_simulation(w.program, scheme="cc", host_cores=4)
-        assert w.verify(r.output), w.mismatches(r.output)
+        lattice.run(Cell(name, scheme="cc"))  # checks the output oracle
 
     def test_correct_under_bounded_slack(self, name):
-        w = make_workload(name, scale="tiny")
-        r = run_simulation(w.program, scheme="s9", host_cores=4)
-        assert w.verify(r.output), w.mismatches(r.output)
+        lattice.run(Cell(name, scheme="s9"))  # checks the output oracle
 
     def test_correct_under_unbounded_slack(self, name):
         """Paper §3.2.3: 'the benchmarks we have tested still execute
         correctly' even with unbounded slack."""
-        w = make_workload(name, scale="tiny")
-        r = run_simulation(w.program, scheme="su", host_cores=4)
-        assert w.verify(r.output), w.mismatches(r.output)
+        lattice.run(Cell(name, scheme="su"))  # checks the output oracle
 
     def test_uses_all_threads(self, name):
         w = make_workload(name, scale="tiny")
-        r = run_simulation(w.program, scheme="cc", host_cores=4)
+        r = lattice.run(Cell(name))
         active = [c for c in r.cores if c["committed"] > 0]
         assert len(active) == w.params["nthreads"]
 
 
 def test_benchmarks_generate_coherence_traffic():
-    w = make_workload("water", scale="tiny")
-    r = run_simulation(w.program, scheme="cc", host_cores=4)
+    r = lattice.run(Cell("water"))
     assert r.requests > 0
     assert sum(c["l1_misses"] for c in r.cores) > 0
