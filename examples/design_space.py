@@ -8,7 +8,7 @@ Run:  python examples/design_space.py
 
 from repro.experiments.ablations import render_sweep, sweep_rows
 from repro.experiments.parallel import run_sweep
-from repro.stats import Table
+from repro.stats.tables import Table
 
 
 def ascii_bar(value: float, scale: float, width: int = 40) -> str:

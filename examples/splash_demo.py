@@ -8,8 +8,8 @@ Run:  python examples/splash_demo.py [fft|lu|barnes|water] [tiny|small|paper]
 import sys
 
 from repro.core import run_simulation
-from repro.stats import Table
-from repro.workloads import make_workload
+from repro.stats.tables import Table
+from repro.workloads.registry import make_workload
 
 SCHEMES = ["cc", "q10", "l10", "s9", "s9*", "s100", "su"]
 

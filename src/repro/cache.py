@@ -31,6 +31,7 @@ cache-policy edit here moves no job key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -39,7 +40,8 @@ import threading
 from array import array
 from pathlib import Path
 
-from repro._util import atomic_write_bytes, sha256_hex
+from repro._util import atomic_write_bytes, sha256_hex, source_digest
+from repro.isa.program import program_digest
 
 __all__ = ["Section", "cache_root", "compile_source", "program_image", "programs"]
 
@@ -66,7 +68,7 @@ def cache_root() -> "Path | None":
 
 
 def _toolchain() -> str:
-    from repro.lang.compiler import toolchain_fingerprint
+    from repro.lang.compiler import toolchain_fingerprint  # cycle: repro.lang imports this module
 
     return toolchain_fingerprint()
 
@@ -188,7 +190,7 @@ class Section:
 
 class Programs(Section):
     """Compiled programs: one pickled ``CompiledProgram`` per (toolchain,
-    Python version, name, source)."""
+    compile inputs, Python version, name, source)."""
 
     suffix = ".pkl"
 
@@ -196,7 +198,7 @@ class Programs(Section):
         return pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
 
     def decode(self, payload: bytes, key: str):
-        from repro.lang.compiler import CompiledProgram
+        from repro.lang.compiler import CompiledProgram  # cycle: repro.lang imports this module
 
         compiled = pickle.loads(payload)
         if not isinstance(compiled, CompiledProgram):
@@ -219,6 +221,22 @@ def programs() -> "Programs | None":
     return Programs(root / "programs") if root is not None else None
 
 
+#: The files every compile reads beyond the toolchain fingerprint's own
+#: (``lang/compiler.py:_TOOLCHAIN_MODULES``): the lexer, the type and error
+#: classes, the ``Sys`` numbers codegen emits and the shared helpers.  Both
+#: sets are the import closure of ``repro.lang.compiler``
+#: (tests/lang/test_compile_cache.py walks it), and both key a compiled
+#: program; only the toolchain fingerprint is in a job key, which holds the
+#: program digest instead.
+_COMPILE_INPUTS = ("lang/lexer.py", "lang/types.py", "lang/errors.py", "sysapi/syscalls.py", "_util.py")
+
+
+@functools.cache
+def _compile_inputs() -> str:
+    """SHA-256 over :data:`_COMPILE_INPUTS` (once per process)."""
+    return source_digest(Path(__file__).resolve().parent, _COMPILE_INPUTS)
+
+
 #: Programs kept per process; the oldest is dropped first.  A sweep or a
 #: serve mix touches a handful of programs, far below this.
 _MEMO_MAX = 16
@@ -237,13 +255,14 @@ def compile_source(source: str, *, name: str = "<slang>"):
     safe: a Program is frozen and its derived tables are stateless between
     calls.  With the cache disabled every call compiles afresh.
     """
-    from repro.lang import compiler
+    from repro.lang import compiler  # cycle: repro.lang imports this module
 
     section = programs()
     if section is None:
         return compiler.compile_source(source, name=name)
     key = sha256_hex(
         compiler.toolchain_fingerprint(),
+        _compile_inputs(),
         f"py{sys.version_info.major}.{sys.version_info.minor}",
         name,
         source,
@@ -274,8 +293,6 @@ def program_image(program) -> tuple[str, bytes]:
     """
     image = getattr(program, "_image", None)
     if image is None:
-        from repro.isa.program import program_digest
-
         image = (program_digest(program), array("Q", program.encoded_text()).tobytes())
         object.__setattr__(program, "_image", image)
     return image

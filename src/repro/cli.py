@@ -36,8 +36,11 @@ import sys
 from repro._util import atomic_write_text
 from repro.core.engine import EngineError
 from repro.experiments.parallel import SWEEP_EXPERIMENTS
-from repro.trace import TraceError
+from repro.trace.format import TraceError
 from repro.workloads.registry import WORKLOADS, make_workload
+
+# Every other import sits in the subcommand that needs it, so a command
+# loads only its own layers (``submit`` never imports the daemon).
 
 __all__ = ["main"]
 
@@ -52,7 +55,8 @@ _SCHEME_FAMILIES = {
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``run``: a job, direct or restored run, printed by one report."""
-    from repro.jobs import ResultStore, execute
+    from repro.jobs.execute import execute
+    from repro.jobs.store import ResultStore
 
     if args.capture_trace and args.replay_trace:
         print("--capture-trace and --replay-trace are mutually exclusive", file=sys.stderr)
@@ -186,7 +190,7 @@ def _report(args, stats: dict, document: str, check, notes) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from repro.lang import compile_source
+    from repro.cache import compile_source
 
     try:
         with open(args.file) as fh:
@@ -268,7 +272,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.cpu.interp import run_functional
-    from repro.workloads import make_workload
+    from repro.workloads.registry import make_workload
 
     program = make_workload(args.workload, scale=args.scale, nthreads=1).program
     if args.profile:
@@ -326,7 +330,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.trace import trace_info
+    from repro.trace.format import trace_info
 
     try:
         print(trace_info(args.file))
@@ -340,7 +344,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
     from repro import cache
-    from repro.jobs import ResultStore
+    from repro.jobs.store import ResultStore
 
     store = ResultStore.default()
     if store is None:
@@ -432,7 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         max_retries=args.max_retries,
         hang_timeout=args.hang_timeout,
-        drain_timeout=args.drain_timeout,
         seed=args.seed,
         verbose=args.verbose,
     )
@@ -455,7 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _job_spec(args: argparse.Namespace, **sim_overrides):
     """The ``JobSpec`` of the job flags ``run`` and ``submit`` share."""
-    from repro.jobs import JobSpec
+    from repro.jobs.spec import JobSpec
 
     return JobSpec.build(
         args.workload,
@@ -470,7 +473,7 @@ def _job_spec(args: argparse.Namespace, **sim_overrides):
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.jobs import record_summary
+    from repro.jobs.execute import record_summary
     from repro.jobs.spec import spec_to_dict
     from repro.serve.client import ServeClient, ServeError, ServeRejected
 
@@ -693,9 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--hang-timeout", type=float, default=60.0,
                        help="kill a job whose progress marker stalls this "
                        "long (default 60; slow-but-advancing jobs are safe)")
-    serve.add_argument("--drain-timeout", type=float, default=60.0,
-                       help="graceful-shutdown budget for in-flight jobs "
-                       "(default 60; stragglers resume on restart)")
     serve.add_argument("--seed", type=int, default=None,
                        help="seed the retry-backoff jitter (deterministic "
                        "fault schedules for the chaos tests)")

@@ -7,53 +7,12 @@ paper's thread structure (N core threads + one manager) deterministically
 on the virtual host.  The same structure on real Python threads lives in
 the test harness (``tests/core/threaded_harness.py``), where it proves the
 queue/clock protocol under genuine preemption.
+
+The package exports the three names outside callers use; inside ``repro``
+every name comes from the module that defines it (DESIGN.md §3).
 """
 
-from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.corethread import BatchStats, CoreState, CoreThread
-from repro.core.engine import EngineError, SequentialEngine, run_simulation
-from repro.core.events import EvKind, Event
-from repro.core.manager import SimulationManager
-from repro.core.queues import GlobalQueue, InQ, OutQ
-from repro.core.results import SimulationResult
-from repro.core.schemes import (
-    INFINITY,
-    AdaptiveQuantum,
-    BoundedSlack,
-    CycleByCycle,
-    Lookahead,
-    OldestFirstBoundedSlack,
-    QuantumBased,
-    Scheme,
-    UnboundedSlack,
-    parse_scheme,
-)
+from repro.core.config import SimConfig, TargetConfig
+from repro.core.engine import run_simulation
 
-__all__ = [
-    "HostConfig",
-    "SimConfig",
-    "TargetConfig",
-    "BatchStats",
-    "CoreState",
-    "CoreThread",
-    "EngineError",
-    "SequentialEngine",
-    "run_simulation",
-    "EvKind",
-    "Event",
-    "SimulationManager",
-    "GlobalQueue",
-    "InQ",
-    "OutQ",
-    "SimulationResult",
-    "INFINITY",
-    "AdaptiveQuantum",
-    "BoundedSlack",
-    "CycleByCycle",
-    "Lookahead",
-    "OldestFirstBoundedSlack",
-    "QuantumBased",
-    "Scheme",
-    "UnboundedSlack",
-    "parse_scheme",
-]
+__all__ = ["SimConfig", "TargetConfig", "run_simulation"]

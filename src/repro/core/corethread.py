@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.events import EvKind
 from repro.core.queues import InQ, OutQ
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
+from repro.mem.directory import EvKind
 
 __all__ = ["CoreThread", "BatchStats", "CoreState"]
 

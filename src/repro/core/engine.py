@@ -33,6 +33,7 @@ from repro.core.corethread import BatchStats, CoreState, CoreThread
 from repro.core.manager import SimulationManager
 from repro.core.results import SimulationResult
 from repro.core.schemes import INFINITY, parse_scheme
+from repro.cpu import inorder, ooo  # core classes read per build: tests swap in reference models
 from repro.cpu.arch import ArchState
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.l1cache import L1Cache
@@ -43,6 +44,9 @@ from repro.mem.memsys import MemorySystem
 from repro.stats.registry import Distribution, flat_dump
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
+from repro.trace.capture import TraceRecorder
+from repro.trace.format import read_trace, write_trace
+from repro.trace.replay import ReplayCore, ReplaySystem
 from repro.violations.detect import ViolationCounters, WordOrderTracker
 
 __all__ = ["SequentialEngine", "EngineError", "run_simulation"]
@@ -122,9 +126,6 @@ class SequentialEngine:
         if trace_mode not in ("off", "capture", "replay"):
             raise EngineError(f"unknown trace_mode {trace_mode!r}")
         if trace_mode != "off":
-            from repro.trace import capture as _tcapture
-            from repro.trace import format as _tformat
-
             if not self.sim.trace_path:
                 raise EngineError(f"trace_mode={trace_mode!r} requires trace_path")
             if trace_cores is not None:
@@ -145,7 +146,7 @@ class SequentialEngine:
                 raise EngineError("either a program or trace_cores is required")
             self._require_commit_seam("capture")
             l1c = self.target.l1
-            self._capture = _tcapture.TraceRecorder(self.target.num_cores)
+            self._capture = TraceRecorder(self.target.num_cores)
             # Deliberately no scheme and no sim seed in the header: the
             # stream is invariant to both, so re-capturing the same
             # execution under any scheme/seed yields a byte-identical
@@ -162,7 +163,7 @@ class SequentialEngine:
                 },
             }
         elif trace_mode == "replay":
-            trace = _tformat.read_trace(self.sim.trace_path)
+            trace = read_trace(self.sim.trace_path)
             if trace.flavor != "program":
                 raise EngineError(
                     f"trace {self.sim.trace_path!r} has flavor {trace.flavor!r}; "
@@ -234,8 +235,6 @@ class SequentialEngine:
             # (ReplayCore), and ReplaySystem — the image-free half of the
             # system emulation — fed recorded, resolved arguments.
             # No image, no registers, no predecode.
-            from repro.trace.replay import ReplayCore, ReplaySystem
-
             self.image = None
             self.system = ReplaySystem(self.target.num_cores)
             self.cores = []
@@ -269,7 +268,7 @@ class SequentialEngine:
         # configured, so the default engine carries zero fault-path overhead.
         self.faults = None
         if self.sim.fault_plan:
-            from repro.faults import parse_fault_plan
+            from repro.faults.plan import parse_fault_plan  # cycle: faults.plan imports repro.core
 
             self.faults = parse_fault_plan(self.sim.fault_plan, seed=self.sim.seed)
             self.faults.install(self)
@@ -325,9 +324,7 @@ class SequentialEngine:
         assert self.image is not None and self.system is not None
         common = dict(word_tracker=self.tracker, dispatch=self._dispatch)
         if self.target.core_model == "inorder":
-            from repro.cpu.inorder import InOrderCore
-
-            return InOrderCore(
+            return inorder.InOrderCore(
                 core_id, program, self.image.memory, L1Cache(self.target.l1),
                 ct.outq.push, self.system,
                 tracer=(
@@ -338,9 +335,7 @@ class SequentialEngine:
                 **common,
             )
         if self.target.core_model == "ooo":
-            from repro.cpu.ooo import OoOCore
-
-            return OoOCore(
+            return ooo.OoOCore(
                 core_id, program, self.image.memory, L1Cache(self.target.l1),
                 ct.outq.push, self.system,
                 width=self.target.ooo_width,
@@ -923,7 +918,7 @@ class SequentialEngine:
                 # The step's effects (wakes, costs, its own re-push) are all
                 # applied: the engine is exactly a top-of-loop state, which is
                 # what a restored ``run()`` re-enters.
-                from repro.core import checkpoint
+                from repro.core import checkpoint  # cycle: checkpoint imports this module
 
                 self._next_checkpoint = (g // cp_interval + 1) * cp_interval
                 sync_stats()
@@ -1048,8 +1043,6 @@ class SequentialEngine:
 
     def _write_capture(self) -> None:
         """Seal and atomically write the armed capture (once, on completion)."""
-        from repro.trace.format import write_trace
-
         assert self.sim.trace_path is not None and self._capture is not None
         write_trace(self.sim.trace_path, self._capture_header, self._capture.finish())
         self._capture_header = None

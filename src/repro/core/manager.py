@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.events import EvKind, Event
 from repro.core.queues import GlobalQueue
 from repro.core.schemes import INFINITY, Lookahead, Scheme
+from repro.mem.directory import EvKind, Event
 from repro.mem.memsys import MemorySystem
 
 __all__ = ["SimulationManager", "ManagerStepResult"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.core.events import Event
+from repro.mem.directory import Event
 
 __all__ = ["OutQ", "InQ", "GlobalQueue"]
 

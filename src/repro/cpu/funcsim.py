@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable
 
 from repro._util import to_signed64, to_unsigned64
 from repro.cpu.arch import ArchState, TargetMemory

@@ -25,13 +25,13 @@ from typing import Callable
 from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.funcsim import NEXT, do_amo, do_load, do_store, effective_address, execute
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
+from repro.cpu.l1cache import AccessResult, L1Cache
 from repro.cpu.predecode import (
     K_ECALL, K_HALT, K_JUMP, K_STORE, predecode_program,
 )
-from repro.cpu.l1cache import AccessResult, L1Cache
-from repro.core.events import EvKind, Event
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.program import TEXT_BASE, Program
+from repro.mem.directory import EvKind, Event
 from repro.sysapi.system import SysAction, SysResult, SystemBase, SystemEmulation
 from repro.trace.capture import mem_acc, record_syscall
 from repro.violations.detect import WordOrderTracker

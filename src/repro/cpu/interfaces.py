@@ -13,10 +13,9 @@ Implementations: :class:`~repro.cpu.inorder.InOrderCore` and
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
-if TYPE_CHECKING:  # avoid a circular import (core.* imports this module)
-    from repro.core.events import Event
+from repro.mem.directory import Event
 
 __all__ = ["CorePhase", "CoreModel", "WAIT_EXTERNAL"]
 

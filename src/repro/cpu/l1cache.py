@@ -14,13 +14,13 @@ simulated moment the access completes (isochrone semantics, paper §3.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from repro._util import log2i
 from repro.mem.directory import MESI
 
-__all__ = ["MESI", "L1Cache", "L1Config", "AccessResult", "L1Stats"]
+__all__ = ["L1Cache", "L1Config", "AccessResult", "L1Stats"]
 
 
 @dataclass(frozen=True)

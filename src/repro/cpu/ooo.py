@@ -41,7 +41,6 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable
 
-from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
@@ -62,6 +61,7 @@ from repro.cpu.predecode import (
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import TEXT_BASE, Program
+from repro.mem.directory import EvKind, Event
 from repro.sysapi.system import SysAction, SystemEmulation
 from repro.violations.detect import WordOrderTracker
 

@@ -14,12 +14,9 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 
-from repro.workloads.registry import BENCHMARKS
-
 __all__ = [
     "SCHEMES",
     "HOST_COUNTS",
-    "BENCHMARKS",
     "claim_table",
     "default_scale",
     "error",

@@ -46,6 +46,7 @@ import json
 from collections.abc import Callable
 from typing import NamedTuple
 
+import repro.jobs
 from repro._util import sha256_hex
 from repro.experiments import figure8, table2, table3
 from repro.experiments.ablations import (
@@ -53,11 +54,11 @@ from repro.experiments.ablations import (
     FASTFORWARD_CLAIMS, SLACK_SWEEP_CLAIMS, render_ablations, render_adaptive_quantum,
     render_coremodel, render_critical_latency, render_fastforward,
 )
-from repro.experiments.common import (
-    BENCHMARKS, HOST_COUNTS, SCHEMES, default_scale, error, speedup,
-)
+from repro.experiments.common import HOST_COUNTS, SCHEMES, default_scale, error, speedup
 from repro.experiments.table3 import CONSERVATIVE_SCHEMES, ERROR_SCHEMES
-from repro.jobs.spec import JobSpec
+from repro.jobs.spec import JobSpec, job_key, spec_to_dict
+from repro.jobs.store import ResultStore
+from repro.workloads.registry import BENCHMARKS
 
 __all__ = [
     "SWEEP_EXPERIMENTS",
@@ -127,10 +128,8 @@ def point_document(spec: JobSpec, record: dict) -> dict:
 def _resolve_point(spec: JobSpec) -> tuple[dict, bool]:
     """(document, store_hit) of one point on the serial path: a store hit,
     else a direct run sealed into the store before this returns."""
-    # Looked up per call: bench/tracer.py wraps ``repro.jobs.execute`` from outside.
-    from repro.jobs import ResultStore, execute
-
-    outcome = execute(spec, store=ResultStore.default())
+    # Looked up on the package per call: bench/tracer.py wraps ``repro.jobs.execute``.
+    outcome = repro.jobs.execute(spec, store=ResultStore.default())
     return point_document(spec, outcome.record), outcome.hit
 
 
@@ -326,9 +325,8 @@ def _resolve_on_pool(
     """
     import tempfile
 
-    from repro.jobs import ResultStore, job_key
+    # Deferred: only a pooled sweep loads the worker pool (sqlite3, multiprocessing).
     from repro.jobs.queue import JobQueue
-    from repro.jobs.spec import spec_to_dict
     from repro.jobs.supervisor import TICK_PERIOD_S, Supervisor
 
     store = ResultStore.default()

@@ -7,7 +7,3 @@ schedule, directory state, the slack-window protocol — under a seeded,
 config-driven :class:`FaultPlan`, so tests can assert that the detectors
 fire and the engine degrades cleanly instead of silently or catastrophically.
 """
-
-from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec, parse_fault_plan
-
-__all__ = ["FAULT_KINDS", "FaultPlan", "FaultSpec", "parse_fault_plan"]

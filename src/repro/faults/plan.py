@@ -61,7 +61,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.events import EvKind, Event
+from repro.core.queues import GlobalQueue
+from repro.mem.directory import DirState, EvKind, Event
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "parse_fault_plan"]
 
@@ -322,8 +323,6 @@ class FaultPlan:
 
     def _install_gq(self, engine, spec: FaultSpec) -> None:
         """Substitute a timestamp-shifting GlobalQueue before any event flows."""
-        from repro.core.queues import GlobalQueue
-
         plan = self
         armed = _Armed(spec, remaining=spec.count)
 
@@ -416,8 +415,6 @@ class FaultPlan:
 
     def _corrupt_dir(self, engine, spec: FaultSpec, global_time: int) -> bool:
         """Clear one presence bit; returns False to retry (no entry yet)."""
-        from repro.mem.directory import DirState
-
         directory = engine.memsys.directory
         if spec.addr >= 0:
             entry = directory._entries.get(spec.addr)

@@ -4,28 +4,3 @@ This subpackage replaces SimpleScalar/PISA (DESIGN.md §2): opcode metadata,
 instruction encoding, a two-pass assembler, a disassembler and the program
 image format consumed by the loader.
 """
-
-from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.disassembler import disassemble_word, format_instruction
-from repro.isa.instruction import INSTRUCTION_BYTES, EncodingError, Instruction
-from repro.isa.opcodes import MNEMONICS, OPINFO, Format, Op, OpInfo, Unit
-from repro.isa.program import DATA_BASE, TEXT_BASE, Program
-
-__all__ = [
-    "AssemblerError",
-    "assemble",
-    "disassemble_word",
-    "format_instruction",
-    "INSTRUCTION_BYTES",
-    "EncodingError",
-    "Instruction",
-    "MNEMONICS",
-    "OPINFO",
-    "Format",
-    "Op",
-    "OpInfo",
-    "Unit",
-    "DATA_BASE",
-    "TEXT_BASE",
-    "Program",
-]

@@ -7,21 +7,14 @@ experiment modules — resolves its work through one canonical identity
 execution pipeline (:func:`execute`: store hit, else a direct run).  A repeated
 request is a store lookup, not a re-simulation; the serving daemon
 (DESIGN.md §13) is a network front-end over exactly these three calls.
+
+The package exports the names outside callers use; inside ``repro`` every
+name comes from the module that defines it (DESIGN.md §3), except
+``experiments.parallel``, which calls ``repro.jobs.execute`` through here.
 """
 
-from repro.jobs.execute import JobOutcome, execute, record_summary
-from repro.jobs.spec import JOB_FORMAT, JobSpec, digest_payload, job_key, spec_program
-from repro.jobs.store import RESULT_FORMAT, ResultStore
+from repro.jobs.execute import execute
+from repro.jobs.spec import JobSpec, job_key, spec_program
+from repro.jobs.store import ResultStore
 
-__all__ = [
-    "JOB_FORMAT",
-    "JobOutcome",
-    "JobSpec",
-    "RESULT_FORMAT",
-    "ResultStore",
-    "digest_payload",
-    "execute",
-    "job_key",
-    "record_summary",
-    "spec_program",
-]
+__all__ = ["JobSpec", "ResultStore", "execute", "job_key", "spec_program"]

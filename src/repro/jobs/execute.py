@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import repro
 from repro._util import output_digest
 from repro.cache import program_image
+from repro.core.engine import SequentialEngine
 from repro.core.results import kips, summary_line
 from repro.jobs.spec import JobSpec, digest_payload, job_key, spec_program
 from repro.jobs.store import ResultStore
@@ -108,8 +109,6 @@ def execute(
         record = store.load(key)
         if record is not None:
             return JobOutcome(key=key, record=record, hit=True)
-
-    from repro.core.engine import SequentialEngine
 
     t0 = time.perf_counter()
     engine = SequentialEngine(

@@ -33,6 +33,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from repro._util import canonical_json, sha256_hex
 from repro.cache import program_image
 from repro.core.config import HostConfig, SimConfig, TargetConfig
+from repro.lang.compiler import toolchain_fingerprint
+from repro.workloads.registry import make_workload
 
 __all__ = [
     "JOB_FORMAT",
@@ -222,8 +224,6 @@ def spec_from_dict(d: dict) -> JobSpec:
 
 def spec_program(spec: JobSpec):
     """Build *spec*'s workload (compile cached on disk) and return it."""
-    from repro.workloads.registry import make_workload
-
     return make_workload(spec.workload, scale=spec.scale)
 
 
@@ -233,8 +233,6 @@ def digest_payload(spec: JobSpec, program_digest: str) -> dict:
     Stored verbatim in every result record (provenance: a record explains
     its own identity), so the payload must stay JSON-pure and stable.
     """
-    from repro.lang.compiler import toolchain_fingerprint
-
     sim = spec.sim_config()
     return {
         "format": JOB_FORMAT,

@@ -66,6 +66,10 @@ __all__ = ["TICK_PERIOD_S", "Supervisor", "WorkerHandle"]
 #: gates on exactly that).
 TICK_PERIOD_S = 0.05
 
+#: Longest wait, in seconds, before a crashed job's next attempt (the
+#: jittered backoff doubles from ``backoff_base`` up to this).
+_BACKOFF_CAP_S = 8.0
+
 #: How much of a dead worker's stderr tail rides into the job's error text.
 _STDERR_TAIL = 2000
 
@@ -142,7 +146,6 @@ class Supervisor:
         workers: int = 2,
         hang_timeout: float = 60.0,
         backoff_base: float = 0.25,
-        backoff_cap: float = 8.0,
         seed: "int | None" = None,
     ) -> None:
         self.check_limits(workers, hang_timeout)
@@ -151,7 +154,6 @@ class Supervisor:
         self.workers_dir.mkdir(parents=True, exist_ok=True)
         self.hang_timeout = float(hang_timeout)
         self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
         self._seed = seed
         self._backoffs: dict[str, Backoff] = {}
         # Fork keeps worker startup at milliseconds (the loaded interpreter
@@ -199,7 +201,7 @@ class Supervisor:
                 # Deterministic per-job jitter stream under a seeded pool.
                 seed = int(sha256_hex(f"{self._seed}:{key}")[:8], 16)
             self._backoffs[key] = Backoff(
-                base=self._backoff_base, cap=self._backoff_cap, seed=seed
+                base=self._backoff_base, cap=_BACKOFF_CAP_S, seed=seed
             )
         return self._backoffs[key]
 

@@ -50,6 +50,10 @@ import signal
 import threading
 import traceback
 
+from repro.jobs.execute import execute
+from repro.jobs.spec import spec_from_dict
+from repro.jobs.store import ResultStore
+
 __all__ = [
     "BEAT_PERIOD_S",
     "engine_progress",
@@ -124,9 +128,6 @@ def execute_assignment(spec_dict: dict, beat=None):
     the chaos script) can run the exact worker-side execution path
     in-process.
     """
-    from repro.jobs import ResultStore, execute
-    from repro.jobs.spec import spec_from_dict
-
     spec = spec_from_dict(spec_dict)
     stop = threading.Event()
     sampler = None

@@ -5,24 +5,11 @@ written in Slang against the paper's Table 1 Pthread-style API (``init_lock``
 / ``lock`` / ``unlock``, ``init_barrier`` / ``barrier``, ``init_sema`` /
 ``sema_wait`` / ``sema_signal``) plus ``spawn``/``join`` and math/IO
 builtins, and compile to SPISA program images.
+
+``repro.lang.compile_source`` (the cached compile, defined in
+:mod:`repro.cache`) is the package's one export, for outside callers.
 """
 
 from repro.cache import compile_source
-from repro.lang.compiler import CompiledProgram, compile_to_asm
-from repro.lang.errors import CodegenError, LexError, ParseError, SlangError, TypeError_
-from repro.lang.parser import parse
-from repro.lang.sema import BUILTINS, analyze
 
-__all__ = [
-    "CompiledProgram",
-    "compile_source",
-    "compile_to_asm",
-    "CodegenError",
-    "LexError",
-    "ParseError",
-    "SlangError",
-    "TypeError_",
-    "parse",
-    "BUILTINS",
-    "analyze",
-]
+__all__ = ["compile_source"]

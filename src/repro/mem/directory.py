@@ -9,18 +9,21 @@ per block through :class:`~repro.violations.detect.ViolationCounters`.
 
 The protocol's vocabulary lives here too, once: :class:`EvKind` names every
 message of the OutQ / GQ / InQ path (the directory takes the request kinds as
-they are) and :class:`MESI` names the L1 states a response grants.  Both
-stay in ``mem`` because ``repro.core`` imports this package, never the
-reverse.
+they are), :class:`MESI` names the L1 states a response grants and
+:class:`Event` is one queue entry.  Core models, the engine and the manager
+all import them from here, so a request reaches the memory system and a
+grant reaches the L1 untranslated, and nothing below ``repro.core`` imports
+``repro.core``.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
 from repro.violations.detect import ViolationCounters
 
-__all__ = ["Directory", "DirState", "EvKind", "MESI"]
+__all__ = ["Directory", "DirState", "EvKind", "Event", "MESI"]
 
 
 class DirState(enum.Enum):
@@ -54,6 +57,34 @@ class MESI(enum.Enum):
     EXCLUSIVE = "E"
     SHARED = "S"
     INVALID = "I"
+
+
+@dataclass(slots=True)
+class Event:
+    """One OutQ / InQ / GQ entry (paper Figure 1).
+
+    Core threads emit *requests* (L1 miss service: GETS/GETX/UPGRADE, and
+    PUTM writebacks) into their OutQ; the manager drains OutQs into the GQ,
+    services requests against the memory system, and pushes *responses*
+    (data + granted MESI state) and *coherence messages* (invalidate /
+    downgrade) into core InQs.  ``ts`` is the simulated time the event
+    initiates (requests: the issuing core's local time) or should take
+    effect (responses: data-ready time; coherence messages: directory
+    processing time).  It is all an event carries for ordering: each queue
+    breaks its own timestamp ties by its own push count
+    (:mod:`repro.core.queues`).  ``__slots__``, because a run creates
+    millions of them.
+    """
+
+    kind: EvKind
+    addr: int
+    core: int
+    ts: int
+    #: For RESPONSE: the MESI state granted to the requester's L1.
+    grant: MESI | None = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{self.kind.label} core={self.core} addr={self.addr:#x} ts={self.ts}>"
 
 
 #: :meth:`Directory.handle` returns one tuple per request,

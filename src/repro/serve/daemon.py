@@ -44,7 +44,7 @@ on a live one's queue would requeue that one's running rows the same way.
 
 **Graceful drain.**  SIGTERM/SIGINT flip the daemon into draining: the
 listener refuses new work, running jobs finish (bounded by
-``drain_timeout``), the queue is left consistent, and the endpoint file
+:data:`DRAIN_TIMEOUT_S`), the queue is left consistent, and the endpoint file
 is removed.  Crash and drain converge on the same durable state by
 construction — recovery is one code path, not two.
 
@@ -81,13 +81,13 @@ from urllib.parse import parse_qs, urlsplit
 import repro
 from repro._util import atomic_write_text
 from repro.cache import cache_root
-from repro.jobs import ResultStore
-from repro.jobs.spec import job_key, spec_from_dict, spec_to_dict
-from repro.jobs.store import TELEMETRY as STORE_TELEMETRY
 from repro.jobs.queue import JobQueue, QueueError
+from repro.jobs.spec import job_key, spec_from_dict, spec_to_dict
+from repro.jobs.store import TELEMETRY as STORE_TELEMETRY, ResultStore
 from repro.jobs.supervisor import TICK_PERIOD_S, Supervisor
 
 __all__ = [
+    "DRAIN_TIMEOUT_S",
     "MAX_WAIT_S",
     "RETRY_AFTER_S",
     "ServeDaemon",
@@ -100,6 +100,10 @@ MAX_WAIT_S = 10.0
 
 #: The ``Retry-After`` a refused (queue-full) submit advertises, in seconds.
 RETRY_AFTER_S = 1
+
+#: How long a graceful drain lets running jobs finish, in seconds; the
+#: stragglers are requeued and resume on the next start.
+DRAIN_TIMEOUT_S = 60.0
 
 
 def default_serve_dir() -> "Path | None":
@@ -259,7 +263,6 @@ class ServeDaemon:
         max_depth: int = 64,
         max_retries: int = 2,
         hang_timeout: float = 60.0,
-        drain_timeout: float = 60.0,
         seed: "int | None" = None,
         verbose: bool = False,
     ) -> None:
@@ -276,7 +279,6 @@ class ServeDaemon:
         self.serve_dir.mkdir(parents=True, exist_ok=True)
         self.max_depth = int(max_depth)
         self.max_retries = int(max_retries)
-        self.drain_timeout = float(drain_timeout)
         self.verbose = verbose
         self.started_wall = time.time()
         self.stopping = False
@@ -356,7 +358,7 @@ class ServeDaemon:
         # Long-polls parked on unfinished jobs get their (non-terminal) row
         # back now; the durable queue answers for the rest after a restart.
         self.queue.release_waiters()
-        drained = self.supervisor.drain(timeout=self.drain_timeout)
+        drained = self.supervisor.drain(timeout=DRAIN_TIMEOUT_S)
         self.server.shutdown()
         self.server.server_close()
         try:

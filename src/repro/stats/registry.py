@@ -30,6 +30,8 @@ import hashlib
 import json
 from typing import Any, Iterator, Mapping
 
+from repro.stats.tables import Table
+
 __all__ = [
     "Distribution",
     "StatError",
@@ -183,8 +185,6 @@ def diff_dumps(a: Mapping[str, Any], b: Mapping[str, Any]) -> list[str]:
 
 def render_dump(stats: Mapping[str, Any], *, title: str = "stats") -> str:
     """ASCII table of a flat dump (sorted paths)."""
-    from repro.stats.tables import Table
-
     table = Table(title, ["stat", "value"])
     for path in sorted(stats):
         table.add_row(path, stats[path])

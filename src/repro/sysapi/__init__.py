@@ -1,21 +1,3 @@
 """User-level system emulation (paper §4): syscalls trapped out of the
 target and emulated outside the simulator — Table 1 synchronization
 primitives, workload threads, heap and I/O."""
-
-from repro.sysapi.loader import LoadedImage, load_program
-from repro.sysapi.sync import SyncAction, SyncEmulation, SyncResult
-from repro.sysapi.syscalls import Sys
-from repro.sysapi.system import SysAction, SysResult, SystemEmulation, TargetError
-
-__all__ = [
-    "LoadedImage",
-    "load_program",
-    "SyncAction",
-    "SyncEmulation",
-    "SyncResult",
-    "Sys",
-    "SysAction",
-    "SysResult",
-    "SystemEmulation",
-    "TargetError",
-]

@@ -26,7 +26,7 @@ from repro.sysapi.loader import LoadedImage
 from repro.sysapi.sync import SyncAction, SyncEmulation
 from repro.sysapi.syscalls import SYSCALL_COST_CYCLES, Sys, TargetError
 
-__all__ = ["SystemBase", "SystemEmulation", "SysAction", "SysResult", "TargetError"]
+__all__ = ["SystemBase", "SystemEmulation", "SysAction", "SysResult"]
 
 
 class SysAction(enum.Enum):

@@ -8,10 +8,3 @@ The on-disk format lives in :mod:`repro.trace.format`.  Replay is an explicit
 tool (``run --replay-trace``, ``jobs.execute(trace=path)``): nothing replays
 by itself and no replayed record enters the result store.
 """
-
-from repro.trace.format import Trace, TraceError, program_digest, read_trace, trace_info, write_trace
-
-__all__ = [
-    "Trace", "TraceError", "program_digest", "read_trace", "trace_info",
-    "write_trace",
-]

@@ -32,14 +32,13 @@ import struct
 from dataclasses import dataclass, field
 
 from repro._util import atomic_write_bytes
-from repro.isa.program import program_digest  # noqa: F401  (re-exported)
 
 __all__ = [
     "TraceError", "Trace", "TRACE_VERSION",
     "OP_RUN", "OP_MULTI", "OP_MEM", "OP_SYS", "OP_PRINT", "OP_SPAWN",
     "OP_JOIN", "OP_EXIT", "OP_SYNC", "OP_HALT",
     "ACC_LOAD", "ACC_STORE", "ACC_AMO",
-    "program_digest", "write_trace", "read_trace", "trace_info",
+    "write_trace", "read_trace", "trace_info",
 ]
 
 MAGIC = b"SLTR"

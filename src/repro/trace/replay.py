@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.events import Event
 from repro.cpu.inorder import InOrderPipeline
 from repro.cpu.interfaces import CorePhase
 from repro.cpu.l1cache import AccessResult, L1Cache
+from repro.mem.directory import Event
 from repro.sysapi.system import SysAction, SysResult, SystemBase
 from repro.trace.format import (
     ACC_AMO, ACC_LOAD, ACC_STORE,

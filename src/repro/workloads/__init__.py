@@ -1,26 +1,3 @@
 """Parallel workloads: SPLASH-2-style Slang benchmarks (fft, lu, barnes,
 water) with numpy oracles, plus synthetic trace-driven workloads for engine
 tests and ablations."""
-
-from repro.workloads.base import Workload, lcg_stream
-from repro.workloads.registry import ALL_BENCHMARKS, BENCHMARKS, SCALES, WORKLOADS, make_workload
-from repro.workloads.synthetic import (
-    TraceCore,
-    pingpong_workload,
-    sharing_workload,
-    uniform_think_workload,
-)
-
-__all__ = [
-    "Workload",
-    "lcg_stream",
-    "ALL_BENCHMARKS",
-    "BENCHMARKS",
-    "SCALES",
-    "WORKLOADS",
-    "make_workload",
-    "TraceCore",
-    "pingpong_workload",
-    "sharing_workload",
-    "uniform_think_workload",
-]

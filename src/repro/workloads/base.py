@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cache import compile_source
 from repro.isa.program import Program
-from repro.lang import compile_source
 
 __all__ = ["Workload", "lcg_stream", "LCG_MULT", "LCG_ADD", "LCG_MOD", "SLANG_LCG"]
 

@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.events import EvKind, Event
 from repro.cpu.interfaces import WAIT_EXTERNAL, CorePhase
 from repro.cpu.l1cache import AccessResult, L1Cache, L1Config
+from repro.mem.directory import EvKind, Event
 
 __all__ = ["TraceCore", "sharing_workload", "pingpong_workload", "uniform_think_workload"]
 

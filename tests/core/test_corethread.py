@@ -5,9 +5,8 @@ fold after a step or an ``advance``."""
 import pytest
 
 from repro.core.corethread import BatchStats, CoreState, CoreThread
-from repro.core.events import EvKind, Event
 from repro.cpu.interfaces import CorePhase
-from repro.mem.directory import MESI
+from repro.mem.directory import MESI, EvKind, Event
 
 
 class _ScriptedModel:

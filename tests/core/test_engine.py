@@ -3,11 +3,11 @@ behaviour, termination, and the paper's headline properties."""
 
 import pytest
 
-from repro.core import EngineError, run_simulation
+from repro.cache import compile_source
 from repro.core.config import SimConfig, TargetConfig
-from repro.core.events import Event, EvKind
+from repro.core.engine import EngineError, run_simulation
 from repro.core.schemes import INFINITY
-from repro.lang import compile_source
+from repro.mem.directory import EvKind, Event
 from repro.workloads.synthetic import (
     pingpong_workload,
     sharing_workload,
@@ -268,7 +268,7 @@ class TestProgramEngine:
             return 0;
         }
         """
-        from repro.sysapi.system import TargetError
+        from repro.sysapi.syscalls import TargetError
 
         prog = compile_source(src).program
         with pytest.raises(TargetError, match="no idle core"):

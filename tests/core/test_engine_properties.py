@@ -4,14 +4,15 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.events import EvKind, Event
+from repro.core.engine import run_simulation
 from repro.cpu.arch import ArchState
 from repro.cpu.inorder import InOrderCore
-from repro.cpu.l1cache import MESI, L1Cache, L1Config
-from repro.isa import DATA_BASE, assemble
+from repro.cpu.l1cache import L1Cache, L1Config
+from repro.isa.assembler import assemble
+from repro.isa.program import DATA_BASE
+from repro.mem.directory import MESI, EvKind, Event
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
 from repro.trace.capture import CoreRecorder

@@ -17,7 +17,9 @@ import weakref
 
 import pytest
 
-from repro.jobs import JobSpec, ResultStore, execute
+from repro.jobs.execute import execute
+from repro.jobs.spec import JobSpec
+from repro.jobs.store import ResultStore
 from repro.workloads.synthetic import sharing_workload
 from tests import lattice
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.events import EvKind, Event
 from repro.core.manager import SimulationManager
 from repro.core.schemes import parse_scheme
-from repro.mem.directory import MESI
+from repro.mem.directory import MESI, EvKind, Event
 from repro.mem.memsys import MemorySystem
 from repro.violations.detect import ViolationCounters
 from tests.lattice import SCHEMES

@@ -12,8 +12,8 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.events import EvKind, Event
 from repro.core.queues import GlobalQueue, InQ, OutQ
+from repro.mem.directory import EvKind, Event
 
 
 def ev(ts, kind=EvKind.GETS, core=0, addr=0):

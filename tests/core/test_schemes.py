@@ -146,8 +146,8 @@ class TestAdaptiveQuantum:
         assert s.current_quantum == 10
 
     def test_runs_and_stays_correct(self):
-        from repro.core import run_simulation
-        from repro.workloads import make_workload
+        from repro.core.engine import run_simulation
+        from repro.workloads.registry import make_workload
 
         w = make_workload("lu", scale="tiny")
         r = run_simulation(w.program, scheme="aq10-160", host_cores=4)

@@ -6,10 +6,10 @@ Wall-clock numbers are GIL-bound and nondeterministic; these tests assert
 
 import pytest
 
+from repro.cache import compile_source
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.corethread import CoreThread
-from repro.lang import compile_source
-from repro.workloads import make_workload
+from repro.workloads.registry import make_workload
 from tests.core.threaded_harness import SimulationHungError, ThreadedEngine
 from tests.lattice import lock_program
 
@@ -72,7 +72,7 @@ def test_benchmark_verifies_on_threads():
 
 
 def test_threaded_matches_sequential_functionally():
-    from repro.core import run_simulation
+    from repro.core.engine import run_simulation
 
     prog = lock_program(10)
     seq = run_simulation(prog, scheme="s9", host_cores=4,
@@ -166,7 +166,7 @@ def test_lock_contention_across_seeds(seed):
 
 @pytest.mark.parametrize("scheme", ["cc", "q10", "s9", "su"])
 def test_stress_output_matches_sequential(scheme):
-    from repro.core import run_simulation
+    from repro.core.engine import run_simulation
 
     prog = compile_source(BARRIER_STORM_SRC).program
     seq = run_simulation(

@@ -38,9 +38,9 @@ import traceback
 
 from repro.core.corethread import CoreState
 from repro.core.engine import EngineError, SequentialEngine
-from repro.core.events import Event
 from repro.core.queues import InQ
 from repro.core.results import SimulationResult
+from repro.mem.directory import Event
 
 __all__ = ["HOST_TIMEOUT", "SimulationHungError", "ThreadedEngine"]
 

@@ -41,16 +41,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState, TargetMemory
 from repro.cpu.branch import GsharePredictor
 from repro.cpu.funcsim import NEXT, do_amo, effective_address, execute
 from repro.cpu.interfaces import CorePhase
-from repro.cpu.predecode import predecode_program
 from repro.cpu.l1cache import AccessResult, L1Cache
+from repro.cpu.predecode import predecode_program
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import TEXT_BASE, Program
+from repro.mem.directory import EvKind, Event
 from repro.sysapi.system import SysAction, SystemEmulation
 from repro.violations.detect import WordOrderTracker
 

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from repro._util import to_signed64, to_unsigned64
 from repro.cpu.arch import ArchState, TargetFault, TargetMemory
 from repro.cpu.funcsim import NEXT, do_amo, do_load, do_store, effective_address, execute
-from repro.isa import Instruction, Op
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Op
 
 i64 = st.integers(-(1 << 63), (1 << 63) - 1)
 

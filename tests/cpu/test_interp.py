@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import TargetConfig
+from repro.core.config import TargetConfig
 from repro.core.engine import SequentialEngine
 from repro.cpu.arch import TargetFault
 from repro.cpu.interp import FunctionalInterpreter, InterpError, run_functional
-from repro.isa import assemble
-from repro.sysapi.system import TargetError
+from repro.isa.assembler import assemble
+from repro.sysapi.syscalls import TargetError
 from repro.workloads.registry import WORKLOADS, make_workload
 
 

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.l1cache import MESI, AccessResult, L1Cache, L1Config
+from repro.cpu.l1cache import AccessResult, L1Cache, L1Config
+from repro.mem.directory import MESI
 
 
 def small_cache(assoc=2, sets=4, block=64):

@@ -5,10 +5,10 @@ from unittest import mock
 import pytest
 
 import repro.cpu.ooo
-from repro.core import run_simulation
+from repro.cache import compile_source
 from repro.core.config import TargetConfig
-from repro.lang import compile_source
-from repro.workloads import make_workload
+from repro.core.engine import run_simulation
+from repro.workloads.registry import make_workload
 from tests.lattice import BRANCHY, FORWARDING, INDEPENDENT_OPS, build
 
 OOO = TargetConfig(core_model="ooo", num_cores=4)

@@ -20,13 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cpu.ooo as shipped
+from repro.cache import compile_source
 from repro.core.config import SimConfig, TargetConfig
 from repro.core.corethread import CoreState, CoreThread
-from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState
-from repro.cpu.l1cache import MESI, L1Cache, L1Config
-from repro.isa import DATA_BASE, assemble
-from repro.lang import compile_source
+from repro.cpu.l1cache import L1Cache, L1Config
+from repro.isa.assembler import assemble
+from repro.isa.program import DATA_BASE
+from repro.mem.directory import MESI, EvKind, Event
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
 from repro.violations.detect import ViolationCounters, WordOrderTracker

@@ -12,9 +12,10 @@ import pytest
 from repro.cli import main
 from repro.experiments import figure2, table3
 from repro.experiments.ablations import fastforward_report, sweep_rows
-from repro.experiments.common import BENCHMARKS, SCHEMES
+from repro.experiments.common import SCHEMES
 from repro.experiments.figure8 import panels, render_figure8
 from repro.experiments.parallel import experiment_entry, run_sweep
+from repro.workloads.registry import BENCHMARKS
 from tests.conftest import load_or_update
 
 SCALE = "tiny"

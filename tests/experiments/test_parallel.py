@@ -13,7 +13,7 @@ from repro.experiments.parallel import (
     run_sweep,
     sweep_to_json,
 )
-from repro.jobs import JobSpec
+from repro.jobs.spec import JobSpec
 
 
 def test_derive_seed_is_stable_and_distinct():

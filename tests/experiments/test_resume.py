@@ -14,6 +14,7 @@ import multiprocessing
 
 import pytest
 
+from repro.core.engine import SequentialEngine
 from repro.experiments.parallel import (
     SweepError,
     build_points,
@@ -22,8 +23,8 @@ from repro.experiments.parallel import (
     run_sweep,
     sweep_to_json,
 )
-from repro.core.engine import SequentialEngine
-from repro.jobs import ResultStore, job_key
+from repro.jobs.spec import job_key
+from repro.jobs.store import ResultStore
 
 EXPERIMENT = "ablations"
 SCALE = "tiny"

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import compile_source
 from repro.core.config import SimConfig
 from repro.core.engine import SequentialEngine
-from repro.faults import FaultPlan, FaultSpec, parse_fault_plan
-from repro.lang import compile_source
+from repro.faults.plan import FaultPlan, FaultSpec, parse_fault_plan
 from tests.lattice import LOCK_SRC, RACY_SRC, build
 
 #: Streaming writes over 32KB (2x the 16KB L1): every lap evicts dirty

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.isa import (
-    DATA_BASE,
-    TEXT_BASE,
-    AssemblerError,
-    Instruction,
-    Op,
-    assemble,
-    format_instruction,
-)
+from repro.isa.assembler import AssemblerError, assemble
+from repro.isa.disassembler import format_instruction
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Op
+from repro.isa.program import DATA_BASE, TEXT_BASE
 
 
 def test_empty_program():

@@ -2,7 +2,10 @@
 
 from hypothesis import given, strategies as st
 
-from repro.isa import Instruction, Op, OPINFO, Format, assemble, disassemble_word, format_instruction
+from repro.isa.assembler import assemble
+from repro.isa.disassembler import disassemble_word, format_instruction
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import OPINFO, Format, Op
 
 
 def roundtrip(insn: Instruction) -> Instruction:

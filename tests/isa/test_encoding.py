@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa import EncodingError, Instruction, Op, OPINFO, Format
+from repro.isa.instruction import EncodingError, Instruction
+from repro.isa.opcodes import OPINFO, Format, Op
 
 
 def test_simple_encode_decode():

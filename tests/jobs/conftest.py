@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.results import run_document
-from repro.jobs import ResultStore
+from repro.jobs.store import ResultStore
 
 
 def document(record: dict) -> str:

@@ -7,8 +7,9 @@ import repro.lang.compiler as compiler
 from repro import cache
 from repro.cache import Section
 from repro.cli import main
-from repro.jobs import JobSpec, ResultStore, execute
-from repro.jobs.store import TELEMETRY
+from repro.jobs.execute import execute
+from repro.jobs.spec import JobSpec
+from repro.jobs.store import TELEMETRY, ResultStore
 
 
 def _populate(store) -> str:

@@ -8,7 +8,9 @@ from repro.cache import program_image
 from repro.cli import main
 from repro.experiments.parallel import run_sweep, sweep_to_json
 from repro.isa.program import program_digest
-from repro.jobs import JobSpec, ResultStore, execute, record_summary
+from repro.jobs.execute import execute, record_summary
+from repro.jobs.spec import JobSpec
+from repro.jobs.store import ResultStore
 from repro.workloads.registry import WORKLOADS, make_workload
 
 from tests.jobs.conftest import document

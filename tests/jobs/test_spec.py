@@ -12,8 +12,10 @@ import pytest
 
 import repro.lang.compiler as compiler
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.jobs import JobOutcome, JobSpec, digest_payload, job_key
-from repro.jobs.spec import DIGEST_SIM_FIELDS, spec_from_dict, spec_to_dict
+from repro.jobs.execute import JobOutcome
+from repro.jobs.spec import (
+    DIGEST_SIM_FIELDS, JobSpec, digest_payload, job_key, spec_from_dict, spec_to_dict,
+)
 
 #: A fixed fake program digest so these tests never need to compile.
 DIGEST = "ab" * 32

@@ -10,8 +10,7 @@ import pytest
 
 import repro.lang.compiler as compiler
 from repro.cache import Section
-from repro.jobs import RESULT_FORMAT, ResultStore
-from repro.jobs.store import TELEMETRY
+from repro.jobs.store import RESULT_FORMAT, TELEMETRY, ResultStore
 
 from tests.jobs.conftest import document
 
@@ -212,7 +211,9 @@ class TestQuarantine:
 def _worker_execute(cache_dir: str, queue) -> None:
     """Run the same job as the sibling process, racing on one store key."""
     os.environ["REPRO_CACHE_DIR"] = cache_dir
-    from repro.jobs import JobSpec, ResultStore, execute
+    from repro.jobs.execute import execute
+    from repro.jobs.spec import JobSpec
+    from repro.jobs.store import ResultStore
 
     outcome = execute(
         JobSpec.build("fft", "tiny", scheme="s9", seed=3, host_cores=2),

@@ -9,7 +9,8 @@ import pytest
 import repro.cache as cache
 import repro.lang.compiler as compiler
 from repro.cache import cache_root, compile_source
-from repro.jobs import ResultStore
+from repro.jobs.store import ResultStore
+from tests.import_graph import PACKAGE, import_graph, module_files
 from tests.lattice import LOCK_SRC
 
 SRC = """
@@ -144,6 +145,22 @@ def test_fingerprint_change_invalidates(cache_dir, monkeypatch):
     compile_source(SRC, name="t")
     # A different toolchain fingerprint keys a different entry.
     assert len(_entries(cache_dir)) == 2
+
+
+def test_every_file_a_compile_imports_keys_the_entry():
+    """The module-level import closure of the compiler (package
+    ``__init__``s aside) is hashed into every ``programs`` key: an edit to
+    any file a compile runs re-keys the programs it compiled."""
+    modules, graph = module_files(), import_graph()
+    reached, todo = set(), ["repro.lang.compiler"]
+    while todo:
+        name = todo.pop()
+        if name not in reached and modules[name].name != "__init__.py":
+            reached.add(name)
+            todo += graph[name]
+    files = {str(modules[name].relative_to(PACKAGE)) for name in reached}
+    assert {"lang/lexer.py", "sysapi/syscalls.py"} <= files
+    assert files <= set(compiler._TOOLCHAIN_MODULES) | set(cache._COMPILE_INPUTS)
 
 
 def test_distinct_sources_distinct_entries(cache_dir):

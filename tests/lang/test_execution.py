@@ -6,8 +6,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import compile_source
 from repro.cpu.interp import run_functional
-from repro.lang import compile_source
 
 
 def run(src, **kw):

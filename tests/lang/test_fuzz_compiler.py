@@ -11,8 +11,8 @@ bug.
 from hypothesis import given, settings, strategies as st
 
 from repro._util import to_signed64, to_unsigned64
+from repro.cache import compile_source
 from repro.cpu.interp import run_functional
-from repro.lang import compile_source
 
 # ---------------------------------------------------------------- expressions
 

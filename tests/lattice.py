@@ -22,10 +22,10 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.cache import compile_source
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
 from repro.host.hostmodel import HostModel
-from repro.lang import compile_source
 from repro.workloads.registry import WORKLOADS, make_workload
 from repro.workloads.synthetic import pingpong_workload, sharing_workload
 from tests.host.scan_reference import last_step_ready
@@ -375,8 +375,7 @@ def coherence(engine) -> tuple[int, int]:
     messages still undelivered are applied: a phantom is a valid L1 line
     whose core ``Directory.presence_bits`` does not list, a break a block
     with an M/E copy beside another valid copy (DESIGN.md §5)."""
-    from repro.core.events import EvKind
-    from repro.cpu.l1cache import MESI
+    from repro.mem.directory import MESI, EvKind
 
     copies, phantoms = defaultdict(list), 0
     for ct in engine.cores:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.jobs import JobSpec
+from repro.jobs.spec import JobSpec
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
 

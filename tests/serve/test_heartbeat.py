@@ -246,7 +246,8 @@ def test_stopped_worker_is_killed_as_hung_and_its_job_retried(
 
 @pytest.mark.slow
 def test_slow_but_beating_job_is_left_alone(cache_root, tmp_path, monkeypatch):
-    from repro.jobs import JobSpec, ResultStore
+    from repro.jobs.spec import JobSpec
+    from repro.jobs.store import ResultStore
 
     monkeypatch.setattr(worker, "BEAT_PERIOD_S", 0.05)
     hang_timeout = 0.4  # above the beat period, far below the job's run time

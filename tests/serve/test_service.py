@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.jobs import ResultStore
 from repro.jobs.execute import execute
 from repro.jobs.spec import job_key, spec_to_dict
+from repro.jobs.store import ResultStore
 
 from tests.serve.conftest import tiny_spec, wait_terminal
 

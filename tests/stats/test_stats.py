@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.experiments.common import error, speedup
-from repro.stats import Table, harmonic_mean
+from repro.stats.metrics import harmonic_mean
+from repro.stats.tables import Table
 
 
 class TestMetrics:

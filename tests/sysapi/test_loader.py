@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.isa import DATA_BASE, TEXT_BASE, assemble
+from repro.isa.assembler import assemble
+from repro.isa.program import DATA_BASE, TEXT_BASE
 from repro.sysapi.loader import load_program
 
 

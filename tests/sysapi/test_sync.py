@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sysapi.sync import SyncAction, SyncEmulation
-from repro.sysapi.system import TargetError
+from repro.sysapi.syscalls import TargetError
 
 
 @pytest.fixture

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cpu.arch import ArchState
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.sysapi.loader import load_program
-from repro.sysapi.syscalls import Sys
-from repro.sysapi.system import SysAction, SystemEmulation, TargetError
+from repro.sysapi.syscalls import Sys, TargetError
+from repro.sysapi.system import SysAction, SystemEmulation
 
 
 @pytest.fixture

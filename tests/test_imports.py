@@ -1,10 +1,14 @@
-"""Every subpackage imports on its own.
+"""Every subpackage imports on its own, and the import graph has one
+direction.
 
 An import cycle between packages only bites the interpreter that enters it
 from the wrong end, and the test session enters from one end only — so each
-package is imported *first* in an interpreter of its own.
+package is imported *first* in an interpreter of its own, and the static
+module-level import graph (``tests/import_graph.py``) must be acyclic.
 """
 
+import ast
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from tests.import_graph import find_cycle, import_graph, module_files
 
 SRC = Path(repro.__file__).resolve().parents[1]
 FIRST_IMPORTS = sorted(
@@ -38,7 +43,7 @@ def test_cpu_and_sysapi_import_in_either_order(first, second):
     imports ``repro.sysapi``: either package may be entered first."""
     done = subprocess.run(
         [sys.executable, "-c",
-         f"import {first}, {second}\nfrom repro.cpu import run_functional"],
+         f"import {first}, {second}\nfrom repro.cpu.interp import run_functional"],
         capture_output=True, text=True, cwd=str(SRC), timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -69,3 +74,36 @@ def test_running_a_job_never_imports_the_serve_package(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC), "REPRO_CACHE_DIR": str(tmp_path)},
     )
     assert done.returncode == 0, done.stderr
+
+
+#: The packages that export names, and the names: the entry points outside
+#: callers (examples, the README, the benchmark) use.  Every other package
+#: ``__init__`` is its docstring only (DESIGN.md §3 *Import rule*).
+ENTRY_POINTS = {
+    "repro": {"__version__"},
+    "repro.core": {"SimConfig", "TargetConfig", "run_simulation"},
+    "repro.jobs": {"JobSpec", "ResultStore", "execute", "job_key", "spec_program"},
+    "repro.lang": {"compile_source"},
+}
+
+
+def test_module_level_import_graph_is_acyclic():
+    assert find_cycle(import_graph()) is None
+
+
+def test_only_the_entry_points_export_names():
+    for name, path in module_files().items():
+        if path.name != "__init__.py":
+            continue
+        doc, *body = ast.parse(path.read_text()).body
+        assert isinstance(doc, ast.Expr), f"{name} has no docstring"
+        bound = set()
+        for node in body:
+            assert isinstance(node, (ast.ImportFrom, ast.Assign)), f"{name}: {ast.unparse(node)}"
+            if isinstance(node, ast.ImportFrom):
+                bound |= {alias.asname or alias.name for alias in node.names}
+            else:
+                bound |= {target.id for target in node.targets}
+        assert bound - {"__all__"} == ENTRY_POINTS.get(name, set()), name
+        if "__all__" in bound:
+            assert set(importlib.import_module(name).__all__) == ENTRY_POINTS[name], name

@@ -17,10 +17,9 @@ import pathlib
 
 import pytest
 
-from repro.core import run_simulation
 from repro.core.config import HostConfig, SimConfig, TargetConfig
-from repro.core.engine import EngineError, SequentialEngine
-from repro.trace import TraceError, read_trace
+from repro.core.engine import EngineError, SequentialEngine, run_simulation
+from repro.trace.format import TraceError, read_trace
 from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import sharing_workload
 
@@ -115,8 +114,8 @@ def test_join_on_an_unrecorded_thread_is_a_trace_error():
 def test_sync_misuse_under_replay_is_a_trace_error():
     """A recorded release of a lock nobody holds is a mismatched trace, not
     a fault of the target program; a direct run still blames the target."""
-    from repro.sysapi.syscalls import Sys
-    from repro.sysapi.system import SystemBase, TargetError
+    from repro.sysapi.syscalls import Sys, TargetError
+    from repro.sysapi.system import SystemBase
     from repro.trace.replay import ReplaySystem
 
     with pytest.raises(TraceError, match="released lock 0x1000 held by None"):
@@ -129,7 +128,7 @@ def test_replay_matches_direct_under_fastforward(tmp_path):
     """Fast-forward compensation (§3.2.3) moves ``_busy_until`` on the
     storing core; replay mirrors it touch for touch, so the dumps stay
     equal when the compensation really delays the run."""
-    from repro.lang import compile_source
+    from repro.cache import compile_source
     from tests.lattice import RACY_SRC
 
     racy = compile_source(RACY_SRC).program

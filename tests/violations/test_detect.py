@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.config import HostConfig, SimConfig, TargetConfig
 from repro.core.engine import SequentialEngine
-from repro.core.events import EvKind, Event
 from repro.cpu.arch import ArchState
 from repro.cpu.inorder import InOrderCore
-from repro.cpu.l1cache import MESI, L1Cache
-from repro.isa import DATA_BASE, assemble
+from repro.cpu.l1cache import L1Cache
+from repro.isa.assembler import assemble
+from repro.isa.program import DATA_BASE
+from repro.mem.directory import MESI, EvKind, Event
 from repro.sysapi.loader import load_program
 from repro.sysapi.system import SystemEmulation
 from repro.trace.format import ACC_STORE, OP_HALT, OP_MEM, OP_RUN

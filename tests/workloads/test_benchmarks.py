@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.workloads import ALL_BENCHMARKS, BENCHMARKS, SCALES, lcg_stream, make_workload
-from repro.workloads.base import LCG_ADD, LCG_MOD, LCG_MULT
+from repro.workloads.base import LCG_ADD, LCG_MOD, LCG_MULT, lcg_stream
+from repro.workloads.registry import ALL_BENCHMARKS, BENCHMARKS, SCALES, make_workload
 from tests import lattice
 from tests.lattice import Cell
 
@@ -25,8 +25,8 @@ class TestLCG:
 
     def test_slang_lcg_matches_python(self):
         """The in-target generator must produce the identical stream."""
+        from repro.cache import compile_source
         from repro.cpu.interp import run_functional
-        from repro.lang import compile_source
         from repro.workloads.base import SLANG_LCG
 
         src = SLANG_LCG + """

@@ -1,7 +1,6 @@
 """Scripted trace cores: the coherence contract they share with the ISA cores."""
 
-from repro.core.events import EvKind, Event
-from repro.mem.directory import MESI
+from repro.mem.directory import MESI, EvKind, Event
 from repro.workloads.synthetic import TraceCore
 
 
