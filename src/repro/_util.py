@@ -25,11 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import tempfile
 import time
 from pathlib import Path
-
-import numpy as np
 
 __all__ = [
     "Backoff",
@@ -139,9 +138,9 @@ class Backoff:
 
     ``next()`` yields ``base * 2**attempt`` capped at *cap*, multiplied by a
     jitter factor drawn uniformly from ``[1-jitter, 1+jitter]``.  The jitter
-    source is a seeded :class:`numpy.random.Generator` when *seed* is given
-    (deterministic — the property tests replay exact schedules) and an
-    OS-seeded one otherwise (crash recovery in production wants decorrelated
+    source is a :class:`random.Random` seeded with *seed* when one is given
+    (deterministic — the property tests replay exact schedules) and seeded
+    from OS entropy otherwise (crash recovery in production wants decorrelated
     retries, not synchronized stampedes).
     """
 
@@ -156,7 +155,7 @@ class Backoff:
         self.cap = float(cap)
         self.jitter = float(jitter)
         self.attempt = 0
-        self._rng = np.random.default_rng(seed)
+        self._rng = random.Random(seed)
 
     def peek(self) -> float:
         """The un-jittered delay the next ``next()`` call scales."""
@@ -167,7 +166,7 @@ class Backoff:
         delay = self.peek()
         self.attempt += 1
         if self.jitter:
-            delay *= 1.0 + self.jitter * float(self._rng.uniform(-1.0, 1.0))
+            delay *= 1.0 + self.jitter * self._rng.uniform(-1.0, 1.0)
         return delay
 
 

@@ -4,8 +4,8 @@ Subcommands::
 
     slacksim run --workload fft --scheme s9 --host-cores 8
     slacksim run --workload fft --stats-out run.stats.json --stats-interval 5000
-    slacksim run --workload fft --capture-trace fft.trace
-    slacksim run --workload fft --scheme s9 --replay-trace fft.trace
+    slacksim run --workload fft --checkpoint-interval 5000 --checkpoint ck.pkl
+    slacksim run --restore ck.pkl --workload fft
     slacksim compile program.sl [--run]
     slacksim figure2
     slacksim figure8 | table3 | ablations ... [--jobs 8] (any experiment, rendered)
@@ -13,17 +13,19 @@ Subcommands::
     slacksim bench --workload fft --profile
     slacksim stats show run.stats.json
     slacksim stats diff a.stats.json b.stats.json
-    slacksim trace info fft.trace
     slacksim cache ls | info <key> | verify | gc | clear
     slacksim serve --workers 4
     slacksim submit --workload fft --scheme s9 --wait
     slacksim jobs ls | info <key> | retry <key> | cancel <key> | status | drain
     slacksim schemes
 
-``run``, ``sweep``, ``bench`` and the experiment commands all resolve
-through the content-addressed job layer (DESIGN.md §12): a request whose
-sealed record already sits in the cache root's ``results/`` section is
-served from the store without simulating, byte-identically to a fresh run.
+``run``, ``sweep`` and the experiment commands resolve through the
+content-addressed job layer (DESIGN.md §12): a request whose sealed record
+already sits in the cache root's ``results/`` section is served from the
+store without simulating, byte-identically to a fresh run.  A ``run`` is a
+job or a restore: ``--checkpoint-interval`` runs always simulate (their
+checkpoint files are their point) and ``--restore`` resumes the engine its
+checkpoint holds.
 An experiment command (and ``figure2``) prints its render, then one ``claim
 <name>: holds|FAILS (<numbers>)`` line per claim to stderr; a failure exits 1.
 """
@@ -34,9 +36,7 @@ import argparse
 import sys
 
 from repro._util import atomic_write_text
-from repro.core.engine import EngineError
 from repro.experiments.parallel import SWEEP_EXPERIMENTS
-from repro.trace.format import TraceError
 from repro.workloads.registry import WORKLOADS, make_workload
 
 # Every other import sits in the subcommand that needs it, so a command
@@ -54,108 +54,70 @@ _SCHEME_FAMILIES = {
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """``run``: a job, direct or restored run, printed by one report."""
+    """``run``: a job (a store hit or a run) or a restored checkpoint, printed
+    by one report."""
+    if args.restore:
+        return _restore(args)
+    from repro.core.results import run_document
     from repro.jobs.execute import execute
     from repro.jobs.store import ResultStore
 
-    if args.capture_trace and args.replay_trace:
-        print("--capture-trace and --replay-trace are mutually exclusive", file=sys.stderr)
-        return 2
-    # Restores, side-effecting runs (a capture file, a checkpoint stream) and
-    # fault-injected runs stay on the direct engine path: their point is the
-    # side effect / perturbation, not a memoisable result.
-    direct = (
-        args.restore or args.capture_trace or args.faults
-        or args.checkpoint or args.checkpoint_interval
-    )
-    try:
-        if direct:
-            engine, workload = _direct_engine(args)
-        else:
-            # --replay-trace is a tool, not a way to fill the store: execute()
-            # then neither reads nor writes it.
-            outcome = execute(
-                _job_spec(args, stats_interval=args.stats_interval),
-                store=ResultStore.default(),
-                trace=args.replay_trace,
-            )
-    except AssertionError as exc:
-        print(f"OUTPUT MISMATCH:\n  {exc}")
-        return 1
-    except EngineError as exc:
-        if not (direct or args.replay_trace):
-            raise  # a job run's own failure, not a refused argument
-        # Refused at engine construction (a checkpoint of other source bytes,
-        # a capture this run cannot serve, clashing options): a bad argument,
-        # and nothing ran or was written.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not direct:
-        from repro.core.results import run_document
-
-        record = outcome.record
-        notes = [
-            outcome.hit and f"served from result store ({outcome.key[:16]}…)",
-            args.replay_trace
-            and f"replayed from {args.replay_trace} (functional cores not re-executed)",
-        ]
-        document = run_document(
-            record["stats"], record["stats_digest"], record["snapshots"], record["completed"]
-        )
-        return _report(args, record["stats"], document, ([], record["output_len"]), notes)
-    result = engine.run()
-    notes = [
-        args.restore and f"resumed from {args.restore}: completed={result.completed}",
-        args.restore and workload is None
-        and f"output unchecked: the checkpoint does not run the {args.workload}/{args.scale}"
-        " program (name its workload with --workload and --scale)",
-        args.capture_trace and f"trace captured -> {args.capture_trace}",
-        args.faults
-        and f"faults injected: {result.stats.get('faults.injected', 0)} (plan: {args.faults})",
-    ]
-    check = workload and (workload.mismatches(result.output), len(result.output))
-    return _report(args, result.stats, result.dump_json(), check, notes)
-
-
-def _direct_engine(args: argparse.Namespace):
-    """``(engine, workload)`` off the job path: a restored checkpoint (the
-    workload iff it runs that workload's program), or the job's run plus a
-    capture, checkpoints or faults."""
-    import json
-
-    from repro.core.engine import SequentialEngine
-    from repro.jobs.spec import spec_program
-
-    if args.restore:
-        # The engine (config, program image, clocks, queues) travels inside
-        # the checkpoint; the workload oracle does not, so the flags name it.
-        from repro.cache import program_image
-        from repro.core.checkpoint import load_checkpoint
-
-        engine, workload = load_checkpoint(args.restore), make_workload(args.workload, args.scale)
-        digest = engine.image and program_image(engine.image.program)[0]
-        return engine, workload if digest == program_image(workload.program)[0] else None
-    capture = args.capture_trace
     spec = _job_spec(
         args,
         stats_interval=args.stats_interval,
         fault_plan=args.faults,
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_path=args.checkpoint,
-        trace_mode="capture" if capture else "off",
-        trace_path=capture,
-        trace_source=(
-            json.dumps({"workload": args.workload, "scale": args.scale}) if capture else None
-        ),
     )
-    workload = spec_program(spec)
-    engine = SequentialEngine(
-        workload.program,
-        target=spec.target_config(),
-        host=spec.host_config(),
-        sim=spec.sim_config(),
+    try:
+        # A checkpointing run is run for its checkpoint files, which a store
+        # hit would never write: it bypasses the store.
+        outcome = execute(
+            spec, store=None if args.checkpoint_interval else ResultStore.default()
+        )
+    except AssertionError as exc:
+        print(f"OUTPUT MISMATCH:\n  {exc}")
+        return 1
+    record = outcome.record
+    stats = record["stats"]
+    notes = [
+        outcome.hit and f"served from result store ({outcome.key[:16]}…)",
+        args.faults
+        and f"faults injected: {stats.get('faults.injected', 0)} (plan: {args.faults})",
+    ]
+    document = run_document(stats, record["stats_digest"], record["snapshots"], record["completed"])
+    return _report(args, stats, document, ([], record["output_len"]), notes)
+
+
+def _restore(args: argparse.Namespace) -> int:
+    """``run --restore``: resume a checkpoint, checking its output against the
+    ``--workload``/``--scale`` oracle iff it runs that workload's program."""
+    from repro.cache import program_image
+    from repro.core.checkpoint import load_checkpoint
+    from repro.core.engine import EngineError
+
+    try:
+        # The engine (config, program image, clocks, queues) travels inside
+        # the checkpoint; the workload oracle does not, so the flags name it.
+        engine = load_checkpoint(args.restore)
+    except EngineError as exc:
+        # A missing, damaged or other-source checkpoint: a bad argument, and
+        # nothing ran or was written.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    workload = make_workload(args.workload, args.scale)
+    runs_workload = engine.image is not None and (
+        program_image(engine.image.program)[0] == program_image(workload.program)[0]
     )
-    return engine, workload
+    result = engine.run()
+    notes = [
+        f"resumed from {args.restore}: completed={result.completed}",
+        not runs_workload
+        and f"output unchecked: the checkpoint does not run the {args.workload}/{args.scale}"
+        " program (name its workload with --workload and --scale)",
+    ]
+    check = (workload.mismatches(result.output), len(result.output)) if runs_workload else None
+    return _report(args, result.stats, result.dump_json(), check, notes)
 
 
 def _report(args, stats: dict, document: str, check, notes) -> int:
@@ -329,17 +291,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.trace.format import trace_info
-
-    try:
-        print(trace_info(args.file))
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
@@ -473,7 +424,7 @@ def _job_spec(args: argparse.Namespace, **sim_overrides):
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.jobs.execute import record_summary
+    from repro.core.results import summary_line
     from repro.jobs.spec import spec_to_dict
     from repro.serve.client import ServeClient, ServeError, ServeRejected
 
@@ -487,7 +438,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             return 0
         job = client.submit_and_wait(payload, timeout=args.timeout)
         if job["state"] == "DONE":
-            print(record_summary(client.fetch(job["job_key"])))
+            print(summary_line(client.fetch(job["job_key"])["stats"]))
             print(f"{job['job_key'][:16]}  DONE (attempts={job['attempts']})")
             return 0
         print(
@@ -595,17 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--restore", metavar="PATH",
                      help="resume a checkpointed run (other run options are "
                      "taken from the checkpoint)")
-    run.add_argument("--capture-trace", metavar="PATH",
-                     help="record the committed-op stream at the timing-core "
-                     "-> memory seam into PATH (scheme-invariant; one capture "
-                     "serves every later --replay-trace run)")
-    run.add_argument("--replay-trace", metavar="PATH",
-                     help="re-simulate a captured trace under this run's "
-                     "scheme/window/memory config without re-executing the "
-                     "functional cores (stats digest is byte-identical to "
-                     "the equivalent direct run; printed output values are "
-                     "the capture run's, so the result store is neither read "
-                     "nor written)")
     run.set_defaults(func=_cmd_run)
 
     comp = sub.add_parser("compile", help="compile a Slang source file")
@@ -651,12 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show one dump as a table, or diff two dumps")
     stats.add_argument("files", nargs="+", help="stats JSON dump file(s)")
     stats.set_defaults(func=_cmd_stats)
-
-    trace = sub.add_parser("trace", help="inspect captured trace files")
-    trace.add_argument("action", choices=("info",),
-                       help="print a trace's header, op counts, source and sha256")
-    trace.add_argument("file", help="trace file (written by run --capture-trace)")
-    trace.set_defaults(func=_cmd_trace)
 
     cache = sub.add_parser(
         "cache", help="inspect / maintain the on-disk cache (results and programs)"
@@ -741,8 +675,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TraceError) as exc:
-        # What spec / workload / scheme / trace validation raises on a bad
+    except (ValueError, KeyError) as exc:
+        # What spec / workload / scheme validation raises on a bad
         # argument value: a usage error, not a crash.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

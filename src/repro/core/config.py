@@ -126,8 +126,7 @@ class SimConfig:
     #: Trace file to write (capture) or read (replay).
     trace_path: str | None = None
     #: Optional JSON object describing the capture's provenance (workload
-    #: name, parameters, workload seed); stored in the trace header and
-    #: surfaced by ``repro trace info``.
+    #: name, parameters, workload seed); stored in the trace header.
     trace_source: str | None = None
 
     def __post_init__(self) -> None:
@@ -143,3 +142,11 @@ class SimConfig:
             value = getattr(self, name)
             if value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
+        if self.checkpoint_interval:
+            if not self.checkpoint_path:
+                raise ValueError("checkpoint_interval set without checkpoint_path")
+            if self.fault_plan:
+                raise ValueError(
+                    "checkpointing a fault-injected run is unsupported "
+                    "(fault hooks are closures and would not survive restore)"
+                )

@@ -145,7 +145,6 @@ class SequentialEngine:
             if program is None:
                 raise EngineError("either a program or trace_cores is required")
             self._require_commit_seam("capture")
-            l1c = self.target.l1
             self._capture = TraceRecorder(self.target.num_cores)
             # Deliberately no scheme and no sim seed in the header: the
             # stream is invariant to both, so re-capturing the same
@@ -157,10 +156,6 @@ class SequentialEngine:
                 "source": (
                     json.loads(self.sim.trace_source) if self.sim.trace_source else None
                 ),
-                "l1": {
-                    "size_bytes": l1c.size_bytes, "block_bytes": l1c.block_bytes,
-                    "assoc": l1c.assoc, "hit_latency": l1c.hit_latency,
-                },
             }
         elif trace_mode == "replay":
             trace = read_trace(self.sim.trace_path)
@@ -213,14 +208,6 @@ class SequentialEngine:
         self._completed = False
         self._next_snapshot = self.sim.stats_interval or 0
         self._next_checkpoint = self.sim.checkpoint_interval or 0
-        if self.sim.checkpoint_interval:
-            if not self.sim.checkpoint_path:
-                raise EngineError("checkpoint_interval set without checkpoint_path")
-            if self.sim.fault_plan:
-                raise EngineError(
-                    "checkpointing a fault-injected run is unsupported "
-                    "(fault hooks are closures and would not survive restore)"
-                )
         #: Optional probe(host_time, global_time, locals) called after every
         #: manager step — used by the Figure 2 scheme-anatomy experiment.
         self.probe = None

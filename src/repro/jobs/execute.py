@@ -33,11 +33,11 @@ import repro
 from repro._util import output_digest
 from repro.cache import program_image
 from repro.core.engine import SequentialEngine
-from repro.core.results import kips, summary_line
+from repro.core.results import kips
 from repro.jobs.spec import JobSpec, digest_payload, job_key, spec_program
 from repro.jobs.store import ResultStore
 
-__all__ = ["JobOutcome", "execute", "record_summary"]
+__all__ = ["JobOutcome", "execute"]
 
 
 @dataclass
@@ -139,8 +139,3 @@ def execute(
         record = store.put(key, record)  # hand back the sealed form
     return JobOutcome(key=key, record=record, hit=False)
 
-
-def record_summary(record: dict) -> str:
-    """The one-line run summary of a stored record: the live result's line,
-    read from the same dump."""
-    return summary_line(record["stats"])

@@ -66,8 +66,10 @@ __all__ = ["TICK_PERIOD_S", "Supervisor", "WorkerHandle"]
 #: gates on exactly that).
 TICK_PERIOD_S = 0.05
 
-#: Longest wait, in seconds, before a crashed job's next attempt (the
-#: jittered backoff doubles from ``backoff_base`` up to this).
+#: First wait, in seconds, before a crashed job's next attempt; the jittered
+#: backoff doubles from here up to :data:`_BACKOFF_CAP_S`.
+_BACKOFF_BASE_S = 0.25
+#: Longest wait, in seconds, before a crashed job's next attempt.
 _BACKOFF_CAP_S = 8.0
 
 #: How much of a dead worker's stderr tail rides into the job's error text.
@@ -145,7 +147,6 @@ class Supervisor:
         *,
         workers: int = 2,
         hang_timeout: float = 60.0,
-        backoff_base: float = 0.25,
         seed: "int | None" = None,
     ) -> None:
         self.check_limits(workers, hang_timeout)
@@ -153,7 +154,6 @@ class Supervisor:
         self.workers_dir = Path(workdir) / "workers"
         self.workers_dir.mkdir(parents=True, exist_ok=True)
         self.hang_timeout = float(hang_timeout)
-        self._backoff_base = backoff_base
         self._seed = seed
         self._backoffs: dict[str, Backoff] = {}
         # Fork keeps worker startup at milliseconds (the loaded interpreter
@@ -201,7 +201,7 @@ class Supervisor:
                 # Deterministic per-job jitter stream under a seeded pool.
                 seed = int(sha256_hex(f"{self._seed}:{key}")[:8], 16)
             self._backoffs[key] = Backoff(
-                base=self._backoff_base, cap=_BACKOFF_CAP_S, seed=seed
+                base=_BACKOFF_BASE_S, cap=_BACKOFF_CAP_S, seed=seed
             )
         return self._backoffs[key]
 

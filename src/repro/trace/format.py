@@ -38,7 +38,7 @@ __all__ = [
     "OP_RUN", "OP_MULTI", "OP_MEM", "OP_SYS", "OP_PRINT", "OP_SPAWN",
     "OP_JOIN", "OP_EXIT", "OP_SYNC", "OP_HALT",
     "ACC_LOAD", "ACC_STORE", "ACC_AMO",
-    "write_trace", "read_trace", "trace_info",
+    "write_trace", "read_trace",
 ]
 
 MAGIC = b"SLTR"
@@ -61,12 +61,6 @@ ACC_LOAD = 0
 ACC_STORE = 1
 ACC_AMO = 2
 
-_OP_NAMES = {
-    OP_RUN: "run", OP_MULTI: "multi", OP_MEM: "mem", OP_SYS: "sys",
-    OP_PRINT: "print", OP_SPAWN: "spawn", OP_JOIN: "join", OP_EXIT: "exit",
-    OP_SYNC: "sync", OP_HALT: "halt",
-}
-
 _PACK_I64 = struct.Struct("<q")
 _PACK_F64 = struct.Struct("<d")
 _PACK_HEAD = struct.Struct("<BB")
@@ -84,7 +78,6 @@ class Trace:
 
     header: dict
     core_ops: list[list[tuple]] = field(default_factory=list)
-    sha256: str = ""
 
     @property
     def flavor(self) -> "str | None":
@@ -115,30 +108,18 @@ def _encode_ops(ops: list[tuple]) -> bytes:
     return b"".join(parts)
 
 
-def write_trace(path: str, header: dict, core_ops: list[list[tuple]]) -> str:
-    """Serialize and atomically write a trace; returns its sha256 hex."""
+def write_trace(path: str, header: dict, core_ops: list[list[tuple]]) -> None:
+    """Serialize and atomically write a trace."""
     header = dict(header)
     header["version"] = TRACE_VERSION
     header["num_cores"] = len(core_ops)
-    counts: dict[str, int] = {}
-    events = 0
-    for ops in core_ops:
-        for op in ops:
-            name = _OP_NAMES[op[0]]
-            counts[name] = counts.get(name, 0) + 1
-            if op[0] == OP_MEM:
-                events += 1
-    header["op_counts"] = dict(sorted(counts.items()))
-    header["memory_events"] = events
     hjson = json.dumps(header, sort_keys=True).encode()
     parts = [_PACK_FILE.pack(MAGIC, TRACE_VERSION, len(hjson)), hjson]
     for core_id, ops in enumerate(core_ops):
         parts.append(_PACK_CORE.pack(core_id, len(ops)))
         parts.append(_encode_ops(ops))
     body = b"".join(parts)
-    digest = hashlib.sha256(body).digest()
-    atomic_write_bytes(path, body + digest)
-    return digest.hex()
+    atomic_write_bytes(path, body + hashlib.sha256(body).digest())
 
 
 # ------------------------------------------------------------------ reading
@@ -197,34 +178,5 @@ def read_trace(path: str) -> Trace:
         core_ops.append(ops)
     if offset != len(body):
         raise TraceError(f"trace {path!r}: {len(body) - offset} trailing bytes")
-    return Trace(header=header, core_ops=core_ops, sha256=digest.hex())
+    return Trace(header=header, core_ops=core_ops)
 
-
-def trace_info(path: str) -> str:
-    """Human-readable summary for the ``trace info`` CLI."""
-    trace = read_trace(path)
-    hdr = trace.header
-    lines = [
-        f"trace: {path}",
-        f"  flavor:          {hdr['flavor']}",
-        f"  format version:  {hdr['version']}",
-        f"  cores:           {hdr['num_cores']}",
-        f"  program digest:  {hdr.get('program_digest') or '-'}",
-    ]
-    source = hdr.get("source")
-    if source:
-        desc = ", ".join(f"{k}={v}" for k, v in sorted(source.items()))
-        lines.append(f"  source:          {desc}")
-    l1 = hdr.get("l1")
-    if l1:
-        lines.append(
-            f"  captured L1:     {l1['size_bytes']}B / {l1['assoc']}-way "
-            f"/ {l1['block_bytes']}B blocks / hit {l1['hit_latency']}c"
-        )
-    total = sum(hdr.get("op_counts", {}).values())
-    lines.append(f"  memory events:   {hdr.get('memory_events', 0)}")
-    lines.append(f"  ops:             {total}")
-    for name, count in sorted(hdr.get("op_counts", {}).items()):
-        lines.append(f"    {name:<12s} {count}")
-    lines.append(f"  sha256:          {trace.sha256}")
-    return "\n".join(lines)

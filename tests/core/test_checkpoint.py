@@ -19,7 +19,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from repro.core.engine import EngineError
 from repro.workloads.registry import make_workload
 
 from tests import lattice
@@ -227,13 +226,13 @@ def test_restored_document_equals_the_uninterrupted_one(tmp_path):
 
 # ------------------------------------------------------------- configuration
 def test_interval_without_path_rejected():
-    with pytest.raises(EngineError, match="checkpoint_path"):
+    with pytest.raises(ValueError, match="checkpoint_path"):
         lock_engine("cc", checkpoint_interval=100)
 
 
 def test_faulted_runs_cannot_checkpoint(tmp_path):
     cp = str(tmp_path / "ck.pkl")
-    with pytest.raises(EngineError, match="fault"):
+    with pytest.raises(ValueError, match="fault"):
         lock_engine(
             "cc", checkpoint_interval=100, checkpoint_path=cp, fault_plan="corrupt_dir:at=400"
         )

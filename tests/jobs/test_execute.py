@@ -6,9 +6,10 @@ import pytest
 
 from repro.cache import program_image
 from repro.cli import main
+from repro.core.results import summary_line
 from repro.experiments.parallel import run_sweep, sweep_to_json
 from repro.isa.program import program_digest
-from repro.jobs.execute import execute, record_summary
+from repro.jobs.execute import execute
 from repro.jobs.spec import JobSpec
 from repro.jobs.store import ResultStore
 from repro.workloads.registry import WORKLOADS, make_workload
@@ -48,7 +49,7 @@ class TestMissThenHit:
 
     def test_summary_reconstruction_matches_live_result(self, store):
         miss = execute(spec(), store)
-        assert record_summary(miss.record) == live_result(spec()).summary()
+        assert summary_line(miss.record["stats"]) == live_result(spec()).summary()
 
     def test_stats_dump_matches_live_result_bytes(self, store):
         miss = execute(spec(), store)

@@ -56,7 +56,7 @@ class TestKeyChanges:
             {"wait_chunk": 4},
             {"stats_interval": 500},
             {"fault_plan": "corrupt_dir:at=800"},
-            {"checkpoint_interval": 1000},
+            {"checkpoint_interval": 1000, "checkpoint_path": "/tmp/ckpt.bin"},
             {"scheme": "s9*"},  # the adaptive variant is another scheme
             {"scheme": "s10"},
             {"scheme": "l10"},

@@ -198,9 +198,7 @@ def test_a_finished_job_drops_its_backoff(tmp_path):
 # ---------------------------------------------------------------- hang rule
 def make_pool(tmp_path, **kwargs):
     queue = JobQueue(tmp_path / "serve" / "queue.sqlite")
-    sup = Supervisor(
-        queue, tmp_path / "serve", workers=1, backoff_base=0.01, seed=7, **kwargs
-    )
+    sup = Supervisor(queue, tmp_path / "serve", workers=1, seed=7, **kwargs)
     return queue, sup
 
 

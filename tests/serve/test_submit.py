@@ -23,3 +23,14 @@ def test_retired_functional_job_is_a_400_and_never_queued(idle_daemon, retired):
     queued = client.submit(legacy)
     assert queued["state"] == "QUEUED"
     assert client.submit(spec_to_dict(tiny_spec(seed=71)))["job_key"] == queued["job_key"]
+
+
+def test_checkpoint_interval_without_a_path_is_a_400_and_never_queued(idle_daemon):
+    """``SimConfig`` refuses a checkpoint stream with nowhere to go, so the
+    wire refuses it before a worker could lease it."""
+    payload = spec_to_dict(tiny_spec(seed=72))
+    payload["sim"] = {"scheme": payload["scheme"], "checkpoint_interval": 500}
+    with pytest.raises(ServeError, match="400") as refused:
+        client_of(idle_daemon).submit(payload)
+    assert "checkpoint_path" in str(refused.value)
+    assert idle_daemon.queue.jobs() == []

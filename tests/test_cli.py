@@ -1,5 +1,6 @@
 """CLI tests (``slacksim`` / ``python -m repro``)."""
 
+import importlib
 import json
 import os
 
@@ -211,7 +212,6 @@ def test_run_requires_known_workload(capsys):
     ["run", "--scale", "huge"],
     ["run", "--scheme", "zz"],
     ["run", "--workload", "nope"],
-    ["run", "--replay-trace", "/nonexistent"],
     ["run", "--restore", "/nonexistent"],
     ["run", "--stats-interval", "-5"],
     pytest.param(["run", "--restore", __file__], id="run --restore <not a checkpoint>"),
@@ -219,7 +219,7 @@ def test_run_requires_known_workload(capsys):
     ["stats", "diff", "/nonexistent.json", "/nonexistent.json"],
     ["compile", "/nonexistent.sl"],
     ["sweep", "figure8", "--scale", "huge"],
-    ["sweep", "figure8", "--trace"],  # replay is a tool (run --replay-trace), not a sweep policy
+    ["sweep", "figure8", "--trace"],  # replay is a library tool, not a sweep policy
     ["sweep"],  # the experiment is required: no legacy single-workload form
     ["serve", "--workers", "0"],  # a pool that can run nothing is refused
 ], ids=" ".join)
@@ -237,14 +237,16 @@ def test_bad_argument_value_is_a_usage_error(argv, capsys):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
+FAULTS = "corrupt_dir:at=200"
+
+
 @pytest.mark.parametrize("argv", [
-    ["--capture-trace", "t.trace", "--checkpoint-interval", "100", "--checkpoint", "ck.pkl"],
-    ["--core-model", "ooo", "--capture-trace", "t.trace"],
     ["--checkpoint-interval", "100"],
+    ["--checkpoint-interval", "100", "--checkpoint", "ck.pkl", "--faults", FAULTS],
 ], ids=" ".join)
 def test_engine_refusal_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
-    """An engine that refuses its configuration at construction ends ``run``
-    with exit 2 and one ``error:`` line, having run and written nothing."""
+    """A configuration ``SimConfig`` refuses ends ``run`` with exit 2 and one
+    ``error:`` line, having run and written nothing."""
     monkeypatch.chdir(tmp_path)
     code = main(["run", "--workload", "fft", "--scale", "tiny", *argv,
                  "--stats-out", "s.json"])
@@ -315,3 +317,48 @@ def test_every_run_path_gives_one_account(tmp_path, monkeypatch, capsys):
     for name in ("direct", "restore"):
         assert main(["stats", "diff", str(tmp_path / "job.json"),
                      str(tmp_path / f"{name}.json")]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--faults", FAULTS],
+    ["--checkpoint-interval", "500", "--checkpoint", "ck.pkl"],
+], ids=" ".join)
+def test_every_fresh_run_is_one_job(flags, tmp_path, monkeypatch, capsys):
+    """A ``run`` that restores nothing resolves through ``jobs.execute``, once."""
+    # The module, not the ``repro.jobs.execute`` package attribute (the function).
+    jobs_execute = importlib.import_module("repro.jobs.execute")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    execute = jobs_execute.execute
+    monkeypatch.setattr(jobs_execute, "execute", lambda *a, **kw: calls.append(a) or execute(*a, **kw))
+    assert main(["run", "--workload", "fft", "--scale", "tiny", "--scheme", "s9", *flags]) == 0
+    assert len(calls) == 1
+
+
+def test_a_checkpointing_run_never_comes_from_the_store(tmp_path, monkeypatch, capsys):
+    """The store would skip the checkpoint files a checkpointing run is for:
+    run twice, it simulates and writes its checkpoint twice."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    checkpoint = tmp_path / "ck.pkl"
+    for _ in range(2):
+        assert main(["run", "--workload", "fft", "--scale", "tiny", "--scheme", "s9",
+                     "--checkpoint-interval", "500", "--checkpoint", str(checkpoint)]) == 0
+        assert checkpoint.stat().st_size > 0
+        assert "served from result store" not in capsys.readouterr().out
+        checkpoint.unlink()
+
+
+def test_a_repeated_faulted_run_is_a_store_hit(tmp_path, monkeypatch, capsys):
+    """The fault plan is in the job key: the second run is served from the
+    store, with the first run's summary and injection count."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    run = ["run", "--workload", "fft", "--scale", "tiny", "--scheme", "q3", "--faults", FAULTS]
+    assert main(run) == 0
+    miss = capsys.readouterr().out.splitlines()
+    assert main(run) == 0
+    hit = capsys.readouterr().out.splitlines()
+    assert miss[1].startswith("faults injected: ") and hit[1].startswith("served from result store")
+    assert hit[0] == miss[0]
+    assert hit[2] == miss[1] != f"faults injected: 0 (plan: {FAULTS})"

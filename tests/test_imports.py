@@ -49,6 +49,18 @@ def test_cpu_and_sysapi_import_in_either_order(first, second):
     assert done.returncode == 0, done.stderr
 
 
+def test_compiling_never_imports_numpy():
+    """The compiler's closure (``lang/``, ``isa/``, ``sysapi/syscalls.py``,
+    ``_util.py``, ``cache.py``) is pure Python: numpy comes with the
+    simulator and the oracles, not with a compile."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.lang.compiler\nassert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, cwd=str(SRC), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 _LAYERING_PROBE = """
 import sys
 from repro.experiments.parallel import resolve

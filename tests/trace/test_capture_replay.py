@@ -197,6 +197,14 @@ def test_capture_refuses_fault_injection(fft, tmp_path):
                                fault_plan="stall_core:core=1,at=50,host_delay=3.0"))
 
 
+def test_capture_refuses_checkpoints(fft, tmp_path):
+    """A restored capture would append to a stream another process began."""
+    with pytest.raises(EngineError, match="capture refused"):
+        SequentialEngine(fft, sim=SimConfig(
+            trace_mode="capture", trace_path=str(tmp_path / "x.trace"),
+            checkpoint_interval=100, checkpoint_path=str(tmp_path / "ck.pkl")))
+
+
 # ------------------------------------------------- programs only, checked
 def test_trace_cores_are_refused_by_capture_and_replay(fft_trace, tmp_path):
     """A trace file records a program: scripted trace cores neither capture
