@@ -295,6 +295,8 @@ class SequentialEngine:
         self._n_susp = 0
         self._mgr_dirty = True
         self._mgr_idle_streak = 0
+        #: Global time after the last manager step taken (-1: none yet).
+        self._step_global = -1
 
     def _require_commit_seam(self, what: str) -> None:
         """A trace is the in-order pipeline's commit stream: any other target
@@ -522,8 +524,9 @@ class SequentialEngine:
         cores = self.cores
         manager = self.manager
         costmodel = self.costmodel
-        hostrun = self.hostmodel.run
-        poll_until = self.hostmodel.poll_until
+        host = self.hostmodel
+        hostrun = host.run
+        poll_until = host.poll_until
         heappush, heappop = heapq.heappush, heapq.heappop
         # The loop state lives on the engine (``__init__``), so a restored
         # engine re-enters here like a fresh one: the lists change in place,
@@ -537,6 +540,7 @@ class SequentialEngine:
         n_susp = self._n_susp
         mgr_dirty = self._mgr_dirty
         mgr_idle_streak = self._mgr_idle_streak
+        step_global = self._step_global
         # Hot-loop hoists: none of these can change mid-run.
         probe = self.probe
         # Time-triggered faults ride the manager arm; None when the plan has
@@ -583,6 +587,15 @@ class SequentialEngine:
             self.scheme.gq_policy == "barrier"
             and getattr(self.scheme, "adapt", None) is None
         )
+        # Under a sliding window every core turn marks the manager dirty, yet
+        # most of those steps drain, service and raise nothing: the cores at
+        # their window edge raised themselves (``refresh_window``).  Such a
+        # step is elided like an idle one (``manager.quiet()``), as long as
+        # global time has not moved since the last step taken — snapshots
+        # and checkpoints fire on the first step after it crosses their
+        # boundary.  A time-triggered fault reads every step, so it (and a
+        # probe) turns this off.
+        elide_quiet = self.scheme.gq_policy != "barrier" and fault_tick is None
         single = self._single
         # The barrier superstep's three bypasses: ``stepping="single"`` stays
         # the per-cycle oracle — and thereby the superstep's; a probe wants a
@@ -637,6 +650,7 @@ class SequentialEngine:
             self._n_susp = n_susp
             self._mgr_dirty = mgr_dirty
             self._mgr_idle_streak = mgr_idle_streak
+            self._step_global = step_global
             # Drawing a seq is free: only the order of seqs matters, and every
             # later push — here or in a restored run — draws a larger one.
             self._seq_next = nxt()
@@ -679,11 +693,12 @@ class SequentialEngine:
         # cells: it is cc's hot loop, and cell loads there cost ~5 % of a cc run.
         def barrier_superstep(
             ready: float, cores=cores, inqs=inqs, outqs=outqs, turn_chunks=turn_chunks,
-            next_free=next_free, suspended=suspended, hostrun=hostrun,
-            poll_until=poll_until, poll_cost=poll_cost, idle=idle, HALTED=HALTED,
+            next_free=next_free, suspended=suspended, host=host, free_at=host.free_at,
+            heapreplace=heapq.heapreplace, poll_cost=poll_cost, HALTED=HALTED,
             pending_activations=pending_activations,
-            core_jitter=core_jitter, base_active=base_active, base_idle=base_idle,
-            suspend_cost=suspend_cost,
+            core_jitter=core_jitter, refill_jitter=refill_jitter, base_active=base_active,
+            base_idle=base_idle, base_skip=base_skip, suspend_cost=suspend_cost,
+            wake_cost=wake_cost, fanout_cost=fanout_cost,
         ) -> None:
             """Run barrier after barrier as straight-line code (DESIGN.md §5).
 
@@ -693,11 +708,13 @@ class SequentialEngine:
             core's turn is *quiet* (no OutQ event, wake, halt or spawn) the
             cycle's whole schedule is known — the wake agenda in host-time
             order, manager polls filling every gap.  The host model is
-            charged the general loop's calls in its order, and every exit is
-            taken where the state is a general-loop state: a barrier the
-            superstep cannot take goes to ``manager_arm``, a turn that is not
-            quiet to ``after_turn``.  The per-turn counters are locals, folded
-            back on exit.
+            charged inline: ``HostModel.run``/``poll_until``'s float
+            operations in the general loop's order, on ``free_at`` and on
+            ``busy``/``steps`` locals written back at every exit.  Every
+            exit is taken where the state is a general-loop state: a barrier
+            the superstep cannot take goes to ``manager_arm``, a turn that is
+            not quiet to ``after_turn``.  The per-turn counters are locals,
+            folded back on exit.
             """
             nonlocal engine_steps, manager_steps, fused_barriers, manager_polls
             nonlocal wakes_delivered, suspends, n_susp, mgr_dirty, mgr_idle_streak
@@ -707,6 +724,8 @@ class SequentialEngine:
             total = self.total_committed
             steps = 0
             polled = 0
+            busy = host.busy
+            h_steps = host.steps
             g = max(manager.global_time, min(c.local_time for c in act))
             top = max(c.max_local_time for c in act)
             while True:
@@ -718,18 +737,24 @@ class SequentialEngine:
                     or (snap_interval and g >= self._next_snapshot)
                     or (cp_interval and g >= self._next_checkpoint)
                 ):
+                    host.busy = busy
+                    host.steps = h_steps
                     engine_steps += steps
                     manager_polls += polled
                     manager_arm(ready)
                     return
-                # (1) The clean barrier step, inline.
+                # (1) The clean barrier step, inline, and its host step.
                 manager.barriers_completed += 1
                 manager.global_time = g
                 manager.windows_raised += woken
                 manager_steps += 1
                 fused_barriers += 1
                 mgr_dirty = False  # and its idle streak is 0
-                m = hostrun(ready, poll_cost)
+                t = free_at[0]
+                m = (ready if t <= ready else t) + poll_cost
+                heapreplace(free_at, m)
+                busy += poll_cost
+                h_steps += 1
                 # (2) The wake agenda, in the order the heap would pop it:
                 # host time, then raise order (the seq).
                 agenda = []
@@ -737,30 +762,51 @@ class SequentialEngine:
                     c.max_local_time = new_max
                     cid = c.core_id
                     suspended[cid] = False
-                    agenda.append((max(m + wake_cost + k * fanout_cost, next_free[cid]), k, cid))
+                    t = m + wake_cost + k * fanout_cost
+                    if t < next_free[cid]:
+                        t = next_free[cid]
+                    agenda.append((t, k, cid))
                 agenda.sort()
                 wakes_delivered += woken
                 # (3) Merge: the manager polls through every gap; a core wins
                 # a tie (its heap seq is the older one).
                 for i, (r, _, cid) in enumerate(agenda):
                     if m < r:
-                        m, polls = poll_until(m, poll_cost, r, 100_001 - mgr_idle_streak)
+                        # ``poll_until(m, poll_cost, r, 100_001 - streak)``.
+                        t = free_at[0]
+                        m = (m if t <= m else t) + poll_cost
+                        busy += poll_cost
+                        polls = 1
+                        cap = 100_001 - mgr_idle_streak
+                        while m < r and polls < cap:
+                            m += poll_cost
+                            busy += poll_cost
+                            polls += 1
+                        heapreplace(free_at, m)
+                        h_steps += polls
                         polled += polls
                         steps += 1
-                        idle(polls)
+                        mgr_idle_streak += polls
+                        if mgr_idle_streak > 100_000:
+                            host.busy = busy
+                            host.steps = h_steps
+                            self._diagnose_deadlock()
                     steps += 1
                     ct = cores[cid]
                     local = ct.local_time
                     inq_heap = inqs[cid]
                     if new_max - local == 1 and not (inq_heap and inq_heap[0][0] <= local):
                         # ``step_many(1)`` with nothing due in the InQ: the cc
-                        # path, kept out of ``step_many`` on purpose.
+                        # path, one model call, kept out of ``step_many``.
                         model = ct.model
-                        if model.wait_state(local) is None:
-                            committed, active = model.step(local)
-                            ct.local_time = new_max
+                        out = model.cycle(local)
+                        ct.local_time = new_max
+                        ct.total_cycles += 1
+                        if out is None:
+                            base = base_skip
+                        else:
+                            committed, active = out
                             ct.total_committed += committed
-                            ct.total_cycles += 1
                             if (
                                 outqs[cid]
                                 or model.pending_wakes
@@ -771,11 +817,6 @@ class SequentialEngine:
                                 break
                             total += committed
                             base = base_active if active else base_idle
-                        else:
-                            model.skip(1)
-                            ct.local_time = new_max
-                            ct.total_cycles += 1
-                            base = base_skip
                         ct.window_edge_hits += 1
                         jit = core_jitter[cid]
                         cost = base * (jit.pop() if jit else refill_jitter(cid))
@@ -797,7 +838,12 @@ class SequentialEngine:
                         total += stats.committed
                         cost = core_batch_cost(cid, stats, suspended=True)
                     # A quiet turn: pay for it and the suspension that follows.
-                    next_free[cid] = hostrun(r, cost)
+                    t = free_at[0]
+                    t = (r if t <= r else t) + cost
+                    heapreplace(free_at, t)
+                    busy += cost
+                    h_steps += 1
+                    next_free[cid] = t
                     suspended[cid] = True
                 else:
                     i = woken
@@ -827,6 +873,8 @@ class SequentialEngine:
             # The turn at ``r`` was not quiet.  The cores that have not run
             # yet and the manager go (back) on the heap; ``after_turn`` takes
             # this turn from here.
+            host.busy = busy
+            host.steps = h_steps
             for t, _, c in agenda[i + 1:]:
                 push(c, t)
             heappush(heap, (m, nxt(), -1))
@@ -840,8 +888,15 @@ class SequentialEngine:
         def manager_arm(ready: float) -> None:
             """One manager step (or a stretch of elided idle polls)."""
             nonlocal manager_steps, wakes_delivered, n_susp, mgr_dirty
-            nonlocal mgr_idle_streak, manager_polls
-            if not mgr_dirty and probe is None:
+            nonlocal mgr_idle_streak, manager_polls, step_global
+            if probe is None and (
+                not mgr_dirty
+                or (
+                    elide_quiet
+                    and manager.global_time == step_global
+                    and manager.quiet()
+                )
+            ):
                 # Manager elision: a step with no new core work since the
                 # previous one provably drains/processes/raises nothing, so
                 # only its (identical, jitter-free) poll cost is charged — and
@@ -851,6 +906,7 @@ class SequentialEngine:
                 # entry's ready time preserves the tie break (a re-pushed poll
                 # has a larger seq and loses); an empty heap gets the one poll
                 # it always got.  A probe wants every step, so it disables this.
+                mgr_dirty = False
                 done_t, polls = poll_until(
                     ready, poll_cost,
                     heap[0][0] if heap else ready,
@@ -863,7 +919,7 @@ class SequentialEngine:
             result = manager.step()
             mgr_dirty = False
             manager_steps += 1
-            g = manager.global_time
+            g = step_global = manager.global_time
             if fault_tick is not None:
                 fault_tick(self, g)
             if snap_interval and g >= self._next_snapshot:

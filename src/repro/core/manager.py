@@ -51,6 +51,7 @@ class SimulationManager:
         self._gq_depth = 0
         # Hoisted policy facts (a scheme's policy and class never change).
         self._barrier = scheme.gq_policy == "barrier"
+        self._immediate = scheme.gq_policy == "immediate"
         self._lookahead = isinstance(scheme, Lookahead)
         self._adapt = getattr(scheme, "adapt", None)
 
@@ -93,6 +94,32 @@ class SimulationManager:
             self.windows_raised += 1
             return True
         return False
+
+    def quiet(self) -> bool:
+        """True when :meth:`step` would drain, service and raise nothing and
+        leave global time where it is: every OutQ empty, no GQ event
+        serviceable at the bound, min local <= global, and every active
+        core's window already at :meth:`current_max_local`.  Sliding-window
+        policies only: under a barrier, a step at the edge also counts one.
+        """
+        min_local = low = None
+        for ct in self.cores:
+            if ct.outq._q:
+                return False
+            if ct.state == CoreState.ACTIVE:
+                lt = ct.local_time
+                if min_local is None or lt < min_local:
+                    min_local = lt
+                mx = ct.max_local_time
+                if low is None or mx < low:
+                    low = mx
+        g = self.global_time
+        if min_local is not None and min_local > g:
+            return False
+        q = self.gq._q
+        if q and (self._immediate or q[0][0] <= g):
+            return False
+        return low is None or self.current_max_local() <= low
 
     def check_invariants(self) -> None:
         """Assert the paper's clock invariant for every active core."""

@@ -190,6 +190,29 @@ class InOrderPipeline:
             return 0, False  # frozen while a multi-cycle op drains (cheap)
         return self._fetch_execute(now)
 
+    def cycle(self, now: int) -> tuple[int, bool] | None:
+        """``wait_state``, then ``skip(1)`` or ``step``, in one call: None
+        for a wait cycle (already accounted), else ``step(now)``'s result."""
+        if self._blocked:
+            release = self._release_ts
+            if release is None or release > now:
+                self.stall_cycles += 1
+                return None
+            self._blocked = False
+            self._release_ts = None
+            self.phase = CorePhase.ACTIVE
+            return self._proceed(now, 1)
+        if self._pending is not None:
+            if self._resp is not None:
+                return self._complete_mem(now)
+            self.stall_cycles += 1
+            return None
+        if now <= self._busy_until:
+            return None
+        if self.phase in (CorePhase.IDLE, CorePhase.HALTED):
+            return 0, False
+        return self._fetch_execute(now)
+
     # ------------------------------------------------------------ front end
     def _fetch_execute(self, now: int) -> tuple[int, bool]:
         """Decide the instruction at head cycle *now* and run it through the

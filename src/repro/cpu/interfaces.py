@@ -86,6 +86,12 @@ class CoreModel(Protocol):
     # def skip(self, n: int) -> None:
     #     """Account n wait cycles at once (e.g. bump stall counters)."""
     #
+    # def cycle(self, now: int) -> tuple[int, bool] | None:
+    #     """One core-cycle in one call, the barrier superstep's unit turn:
+    #     ``wait_state(now)``, then ``skip(1)`` → None, or ``step(now)`` →
+    #     its result.  Fused on InOrderPipeline (so on both its front ends),
+    #     ``step`` itself on OoOCore, wait_state inlined on TraceCore."""
+    #
     # Optional, moving the cycles between waits into the model (one loop per
     # front end: InOrderCore, ReplayCore, TraceCore, whose loop also finishes
     # a granted fill first, and OoOCore):

@@ -307,6 +307,9 @@ class OoOCore:
         self.stall_cycles += 1
         return 0, self._stall_is_active()
 
+    #: ``wait_state`` is always None, so a core-cycle is a plain ``step``.
+    cycle = step
+
     def _stall_is_active(self) -> bool:
         """A stall cycle with work in the ROB is full-cost unless the core
         waits purely on memory responses (cheap)."""

@@ -84,6 +84,16 @@ class TraceCore:
     def skip(self, n: int) -> None:
         """n wait cycles change no scripted state (≡ n wait ``step`` calls)."""
 
+    def cycle(self, now: int) -> tuple[int, bool] | None:
+        """``wait_state``, then ``skip(1)`` or ``step``: None for a wait
+        cycle (one call; ``skip`` is a no-op here), else ``step(now)``."""
+        if self._pending_block is not None:
+            if self._resp is None:
+                return None
+        elif now <= self._busy_until:
+            return None
+        return self.step(now)
+
     def _fill(self, now: int) -> None:
         """Install the granted line, then apply a coherence message that
         raced ahead of the grant."""

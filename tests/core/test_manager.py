@@ -8,7 +8,7 @@ from repro.core.schemes import parse_scheme
 from repro.mem.directory import MESI, EvKind, Event
 from repro.mem.memsys import MemorySystem
 from repro.violations.detect import ViolationCounters
-from tests.lattice import SCHEMES
+from tests.lattice import SCHEMES, build
 
 
 class _StubModel:
@@ -276,3 +276,73 @@ class TestActiveWindowInterplay:
         result = manager.step()
         assert result.drained == 1
         assert result.processed == 1
+
+
+class TestQuiet:
+    """``quiet()`` holds exactly when ``step()`` would drain, service and
+    raise nothing and leave global time where it is."""
+
+    @pytest.mark.parametrize("scheme", ["s9", "s9*", "l10", "su"])
+    @pytest.mark.parametrize("poke", ["nothing", "outq", "gq due", "gq later", "min local", "window"])
+    def test_quiet_iff_the_step_is_a_no_op(self, scheme, poke):
+        manager, cores, _ = make_manager(scheme)
+        cores[0].local_time = cores[1].local_time = 5
+        manager.step()
+        if poke == "outq":
+            cores[0].outq.push(req(0, ts=5))
+        elif poke.startswith("gq"):
+            manager.gq.push(req(1, ts=5 if poke == "gq due" else 9))
+            manager._gq_depth += 1
+        elif poke == "min local":
+            cores[0].local_time = cores[1].local_time = 7
+        elif poke == "window":
+            cores[1].max_local_time -= 1
+        quiet = manager.quiet()
+        before = manager.global_time
+        result = manager.step()
+        assert quiet == (not result.work and not result.raised and manager.global_time == before)
+        # A FIFO services a queued event at once; timestamp order at its time.
+        assert quiet == (poke == "nothing" or (poke == "gq later" and scheme in ("s9*", "l10")))
+
+
+# ------------------------------------------------- quiet-step elision (engine)
+def logged_steps(engine) -> list:
+    """Every manager step *engine*'s run takes, as ``(global time before,
+    after, drained, processed, raised)``."""
+    manager, step, taken = engine.manager, engine.manager.step, []
+
+    def logged():
+        before = manager.global_time
+        result = step()
+        taken.append((before, manager.global_time, result.drained, result.processed,
+                      tuple(result.raised)))
+        return result
+
+    manager.step = logged
+    return taken
+
+
+@pytest.mark.parametrize("scheme", ["s9", "s9*", "l10", "s100", "su"])
+@pytest.mark.parametrize("name", ["fft", "water", "lock"])
+def test_sliding_window_runs_take_exactly_the_useful_steps(name, scheme):
+    """Under a sliding window the engine takes a manager step exactly when it
+    drains, services, raises or moves global time, or is the first step
+    after global time moved (``manager.quiet()`` elides the rest).  A probe
+    run takes every step; its useful ones are the default run's steps, one
+    for one — a step too many means the elision disengaged, one too few
+    that it elided a step with work."""
+    taken = {}
+    for probe in (False, True):
+        engine = build(name, scheme, 4 if name == "lock" else 8, seed=11 if name == "lock" else 1)
+        taken[probe] = logged_steps(engine)
+        if probe:
+            engine.probe = lambda *sample: None
+        engine.run()
+    useful, last = [], None
+    for step in taken[True]:
+        before, after, drained, processed, raised = step
+        if drained or processed or raised or after != before or before != last:
+            useful.append(step)
+        last = after
+    assert taken[False] == useful
+    assert len(useful) < len(taken[True])  # the elision fires on every cell

@@ -286,6 +286,8 @@ class OoOCore:
                 active = False
         return committed, active
 
+    cycle = step  # ``wait_state`` is always None
+
     # --------------------------------------------------------------- commit
     def _commit(self, now: int) -> int:
         committed = 0

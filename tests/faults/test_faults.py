@@ -246,3 +246,4 @@ def test_cli_run_with_faults(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "faults injected:" in out
+    assert "served from result store" not in out

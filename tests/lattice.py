@@ -582,6 +582,10 @@ PINNED = tuple(dict.fromkeys([
     *_grid("probe", ["fft"], ["cc", "l10", "s9", "su", "q10"], [8]),
     *_pin("probe", "barnes:ooo/s9/h1 lu:replay/q3/h8 ocean/s9/h8 radix/s9/h8 sharing/s9/h2",
           "water/aq10-160/h2 fft/s9*/h1 water/s100/h8"),
+    # Quiet-step elision: each sliding family on the lock program, every
+    # model and another workload.
+    *_lock("probe", ["s2", "su"]),
+    *_pin("probe", "water/l10/h8 water:ooo/su/h8 fft:replay/s9/h8 sharing/su/h2 lu/s9*/h1"),
     # Restore equivalence.
     *_lock("restored", LOCK_SCHEMES),
     *_pin("restored", "lock:ooo/s2/h4/seed11 water/cc/h8 fft/q3/h2 fft:replay/q3/h8/seed5",

@@ -244,14 +244,18 @@ def test_stopped_worker_is_killed_as_hung_and_its_job_retried(
 
 @pytest.mark.slow
 def test_slow_but_beating_job_is_left_alone(cache_root, tmp_path, monkeypatch):
+    from repro.jobs.execute import execute
     from repro.jobs.spec import JobSpec
     from repro.jobs.store import ResultStore
 
-    monkeypatch.setattr(worker, "BEAT_PERIOD_S", 0.05)
-    hang_timeout = 0.4  # above the beat period, far below the job's run time
+    spec = JobSpec.build("barnes", "small", scheme="cc", seed=5, host_cores=4)
+    # The premise by construction, on any machine and at any engine speed:
+    # the job runs three hang timeouts (its run time measured in-process
+    # first, storing nothing), and beats come eight times per timeout.
+    hang_timeout = execute(spec).record["provenance"]["wall_time_s"] / 3
+    monkeypatch.setattr(worker, "BEAT_PERIOD_S", hang_timeout / 8)
     queue, sup = make_pool(tmp_path, hang_timeout=hang_timeout)
     try:
-        spec = JobSpec.build("barnes", "small", scheme="cc", seed=5, host_cores=4)
         key = submit(queue, spec)
         seen = []
 

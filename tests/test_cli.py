@@ -8,6 +8,9 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: What ``repro run`` prints when a record, not a simulation, answered it.
+FROM_STORE = "served from result store"
+
 
 def test_schemes_lists_all(capsys):
     """One line per scheme family ``parse_scheme`` accepts (one concrete
@@ -32,6 +35,7 @@ def test_run_verifies_workload(capsys):
                  "--host-cores", "4"]) == 0
     out = capsys.readouterr().out
     assert "verified" in out and "[s9" in out
+    assert FROM_STORE not in out
 
 
 def test_run_verbose_shows_cores(capsys):
@@ -39,12 +43,27 @@ def test_run_verbose_shows_cores(capsys):
                  "--host-cores", "2"]) == 0
     out = capsys.readouterr().out
     assert "core 0:" in out and "L1 misses" in out
+    assert FROM_STORE not in out
 
 
 def test_run_ooo_core_model(capsys):
     assert main(["run", "--workload", "fft", "--scale", "tiny",
                  "--core-model", "ooo", "--host-cores", "2"]) == 0
-    assert "verified" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verified" in out and FROM_STORE not in out
+
+
+def test_a_cli_run_is_answered_by_the_session_store_only(session_cache_root, capsys):
+    """Tier-1 is hermetic (``tests/conftest.py``): the first run of a job in
+    a session simulates, even where an earlier run left its record in the
+    configured store; the second is served by the session's own store."""
+    argv = ["run", "--workload", "radix", "--scale", "tiny", "--scheme", "s9",
+            "--host-cores", "3", "--seed", "7"]
+    served = []
+    for _ in range(2):
+        assert main(argv) == 0
+        served.append(FROM_STORE in capsys.readouterr().out)
+    assert served == [False, session_cache_root is not None]
 
 
 def test_compile_and_functional_run(tmp_path, capsys):
@@ -179,6 +198,7 @@ def test_run_stats_csv_output(tmp_path, capsys):
     assert main(["run", "--workload", "fft", "--scale", "tiny",
                  "--host-cores", "2", "--stats-out", str(out_file),
                  "--stats-format", "csv"]) == 0
+    assert FROM_STORE not in capsys.readouterr().out
     text = out_file.read_text()
     assert text.startswith("stat,value\n")
     assert "violations.simulation_state," in text
@@ -191,6 +211,7 @@ def test_run_stats_interval_records_snapshots(tmp_path, capsys):
     assert main(["run", "--workload", "fft", "--scale", "tiny",
                  "--host-cores", "2", "--stats-interval", "5000",
                  "--stats-out", str(out_file)]) == 0
+    assert FROM_STORE not in capsys.readouterr().out
     doc = json.loads(out_file.read_text())
     assert doc["snapshots"], "expected at least one interval snapshot"
     assert doc["stats"]["sim.scheme"] == "cc"
